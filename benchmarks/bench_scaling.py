@@ -2,9 +2,8 @@
 
 Times one fixed workload (the P2 measurement period without the crawler) at
 three population scales and writes ``BENCH_scaling.json``.  The small scales
-run on the single-fabric vectorized engine; the 100k point runs sharded,
-which is the intended operating mode at that size (see
-``repro/simulation/sharded.py``).
+run on a single fabric; the 100k point runs sharded, which is the intended
+operating mode at that size (see ``repro/simulation/sharded.py``).
 
 Each point records, besides wall times, the machine-independent
 ``events_processed`` fingerprint — ``benchmarks/check_regression.py``

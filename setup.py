@@ -1,11 +1,16 @@
-"""Setuptools shim.
+"""Package metadata.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists so
-that ``pip install -e .`` keeps working on offline machines that lack the
-``wheel`` package (pip then falls back to the legacy ``setup.py develop``
-code path, which does not need to build a wheel).
+There is no ``pyproject.toml``: this file is the whole build definition, so
+``pip install -e .`` (and the offline ``setup.py develop`` fallback pip uses
+when the ``wheel`` package is missing) installs ``repro`` from ``src/`` with
+its one runtime dependency.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -207,19 +207,17 @@ class BandwidthRuntime(FabricRuntime):
         self.stats.control_bytes += total
         return total
 
-    def on_rpc(self, src: Optional["SimPeer"], dst: "SimPeer") -> bool:
-        # No walk clock on this path: the bytes are counted, no simulated
-        # time can be charged anywhere.
-        self._count_control_rpc()
-        return True
-
-    def on_timed_rpc(
-        self, clock: "WalkClock", src: Optional["SimPeer"], dst: "SimPeer"
+    def on_rpc(
+        self, src: Optional["SimPeer"], dst: "SimPeer", clock: Optional["WalkClock"] = None
     ) -> bool:
+        self._count_control_rpc()
+        if clock is None:
+            # The bytes are counted; without a walk clock no simulated time
+            # can be charged anywhere.
+            return True
         # The reply serializes on the responder's uplink, the request on the
         # querier's (a vantage point / crawler source pays nothing).  Control
         # messages are small enough to skip the queue frontier.
-        self._count_control_rpc()
         elapsed = self.config.rpc_response_bytes / dst.link.up
         if src is not None and src.link is not None:
             elapsed += self.config.rpc_request_bytes / src.link.up

@@ -378,13 +378,11 @@ class FaultRuntime(FabricRuntime):
     def on_dial(self, peer: "SimPeer") -> bool:
         return not self.dial_blocked(peer.flt)
 
-    def on_rpc(self, src: Optional["SimPeer"], dst: "SimPeer") -> bool:
-        return self.deliver(src.flt if src is not None else None, dst.flt)
-
-    def on_timed_rpc(
-        self, clock: "WalkClock", src: Optional["SimPeer"], dst: "SimPeer"
+    def on_rpc(
+        self, src: Optional["SimPeer"], dst: "SimPeer", clock: Optional["WalkClock"] = None
     ) -> bool:
-        # A slow responder burns its RTT spike on the walk clock whether or
-        # not the exchange then survives the wire.
-        clock.elapsed += self.slow_penalty(dst.flt, clock.last_rtt)
+        if clock is not None:
+            # A slow responder burns its RTT spike on the walk clock whether
+            # or not the exchange then survives the wire.
+            clock.elapsed += self.slow_penalty(dst.flt, clock.last_rtt)
         return self.deliver(src.flt if src is not None else None, dst.flt)

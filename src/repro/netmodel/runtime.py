@@ -256,14 +256,13 @@ class NetModelRuntime(FabricRuntime):
     def on_dial(self, peer: "SimPeer") -> bool:
         return self.dial(peer.net)
 
-    def on_rpc(self, src: Optional["SimPeer"], dst: "SimPeer") -> bool:
+    def on_rpc(
+        self, src: Optional["SimPeer"], dst: "SimPeer", clock: Optional[WalkClock] = None
+    ) -> bool:
         # An RPC against a NATed peer fails exactly like a real dial does
         # (the crawler-undercount mechanism); src pays nothing extra here.
-        return self.dial(dst.net)
-
-    def on_timed_rpc(
-        self, clock: WalkClock, src: Optional["SimPeer"], dst: "SimPeer"
-    ) -> bool:
+        if clock is None:
+            return self.dial(dst.net)
         # A failed dial burns the timeout on the walk clock; a successful one
         # is charged a round trip (stashed as clock.last_rtt for runtimes
         # later in the dispatch order).

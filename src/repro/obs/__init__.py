@@ -20,8 +20,8 @@ in-memory result:
   shard merge, and the shared critical-path decomposition.
 * :mod:`repro.obs.critical_path` — ``python -m repro.obs.critical_path``:
   top-k slowest traces printed as indented trees with attribution.
-* :mod:`repro.obs.trace` — wall-clock run tracing on the engines' progress
-  hooks (stderr only; never part of the deterministic artifacts).
+* :mod:`repro.obs.progress` — wall-clock progress heartbeat on the engine's
+  progress hook (stderr only; never part of the deterministic artifacts).
 
 Enable by setting ``PopulationConfig.obs`` to an :class:`ObsConfig` and/or
 ``PopulationConfig.trace`` to a :class:`TraceConfig`; the default ``None``

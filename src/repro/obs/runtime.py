@@ -5,10 +5,10 @@
 and bandwidth — the dispatch code in ``network.py`` is untouched.  It sits
 *first* in ``network.runtimes`` so the veto ladders (NAT dial failures, lost
 RPCs, partitions) cannot hide attempts from the observer: every hook here
-counts and then returns the behaviour-neutral default, and
-:meth:`assign_peer` draws nothing from any RNG — so with metrics enabled the
-datasets stay deterministic, and the *attempt* counts include the vetoed
-ones.
+counts and then returns the behaviour-neutral default, and the runtime keeps
+no per-peer state (``slot = ""``) and draws nothing from any RNG — so with
+metrics enabled the datasets stay deterministic, and the *attempt* counts
+include the vetoed ones.
 
 The windowing clock is a single :class:`~repro.simulation.engine.PeriodicTask`
 at the window width (first fire at t=0).  Each tick runs three steps in a
@@ -68,7 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class MetricsRuntime(FabricRuntime):
     """Streaming metrics attached to the fabric's hook points."""
 
-    slot = "obs"
+    #: no per-peer state: the assignment pass skips this runtime
+    slot = ""
     name = "obs"
 
     def __init__(self, config: ObsConfig, engine: Engine) -> None:
@@ -97,11 +98,6 @@ class MetricsRuntime(FabricRuntime):
 
     # -- fabric protocol -------------------------------------------------------------
 
-    def assign_peer(self, profile=None, **kwargs):
-        """No per-peer state and no RNG draws: metrics must never shift a
-        sibling runtime's stream or the honest draws."""
-        return None
-
     def install(self, network: "SimulatedNetwork", duration: float) -> None:
         self.network = network
         self.hub.set_horizon(duration)
@@ -120,12 +116,8 @@ class MetricsRuntime(FabricRuntime):
         self._n_dial += 1
         return True
 
-    def on_rpc(self, src: Optional["SimPeer"], dst: "SimPeer") -> bool:
-        self._n_rpc += 1
-        return True
-
-    def on_timed_rpc(
-        self, clock: "WalkClock", src: Optional["SimPeer"], dst: "SimPeer"
+    def on_rpc(
+        self, src: Optional["SimPeer"], dst: "SimPeer", clock: Optional["WalkClock"] = None
     ) -> bool:
         self._n_rpc += 1
         return True

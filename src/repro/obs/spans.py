@@ -31,12 +31,11 @@ Determinism contract (pinned by ``tests/test_spans.py``):
   operation latency within float rounding even when a child cap dropped
   leaves.
 
-The tracer attaches through the same
-:class:`~repro.simulation.fabric.FabricRuntime` protocol as the other
-subsystems (``network.tracer``, peer slot ``trc``); the hot hooks stay the
-behaviour-neutral defaults and all recording happens at the explicitly
-instrumented call sites.  ``benchmarks/bench_trace.py`` gates the enabled
-cost at a few percent.
+The tracer hangs off the fabric as ``network.tracer`` but is deliberately
+*not* a :class:`~repro.simulation.fabric.FabricRuntime`: it never vetoes,
+charges, or contributes identify delay, so all recording happens at the
+explicitly instrumented call sites and no hook dispatch pays for it.
+``benchmarks/bench_trace.py`` gates the enabled cost at a few percent.
 """
 
 from __future__ import annotations
@@ -46,11 +45,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.trace_export import TraceRecord, TraceSummary, write_traces
-from repro.simulation.fabric import FabricRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.engine import Engine
-    from repro.simulation.population import PeerProfile
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class TraceConfig:
 _IDENTIFY_CATEGORIES = {"netmodel": "walk", "bandwidth": "serialization"}
 
 
-class SpanTracer(FabricRuntime):
+class SpanTracer:
     """Per-run span recorder, attached to the fabric as ``network.tracer``.
 
     The simulation is single-threaded and every traced operation runs
@@ -99,9 +96,6 @@ class SpanTracer(FabricRuntime):
     rendering are deferred to :class:`TraceSummary`'s lazy replay, outside
     the simulation's timed region.
     """
-
-    slot = "trc"
-    name = "tracer"
 
     def __init__(self, config: TraceConfig, engine: "Engine") -> None:
         self.config = config
@@ -130,13 +124,6 @@ class SpanTracer(FabricRuntime):
         #: raw kept records in completion order (capped at max_traces)
         self.records: List[TraceRecord] = []
         self.traces_dropped = 0
-
-    # -- fabric protocol -------------------------------------------------------------
-
-    def assign_peer(self, profile: Optional["PeerProfile"] = None, **kwargs):
-        """No per-peer state and no RNG draws: tracing must never shift a
-        sibling runtime's stream or the honest draws."""
-        return None
 
     # -- sampling --------------------------------------------------------------------
 

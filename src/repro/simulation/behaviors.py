@@ -257,34 +257,23 @@ class ContentBehaviors:
                 peer.profile.peer_index,
             )
             tracer.push("walk", "walk")
+        # The RPCs name the source peer so partitions and link loss apply to
+        # this walk.  Under a netmodel the walk also accrues real simulated
+        # time on the clock (RTTs and failed-dial timeouts) and gives up once
+        # the budget is spent.
+        result = iterative_provide(
+            key,
+            network.timed_query_fn(clock, src=peer),
+            network.timed_add_provider_fn(clock, config.provider_ttl, src=peer),
+            peer.current_pid,
+            self._seeds(peer, key),
+            replication=config.replication,
+            max_queries=config.max_queries,
+            give_up=None if clock is None else clock.expired,
+            retry=None if faults is None else faults.retry_state(clock, tracer=tracer),
+            trace=tracer,
+        )
         if clock is None:
-            if faults is None:
-                query = network.dht_query
-                add = lambda remote, k, p: network.add_provider(  # noqa: E731
-                    remote, k, p, config.provider_ttl
-                )
-                retry = None
-            else:
-                # Fault-aware wrappers name the source peer so partitions and
-                # link loss apply to this walk's RPCs.
-                query = lambda remote, target, count: network.dht_query(  # noqa: E731
-                    remote, target, count, src=peer
-                )
-                add = lambda remote, k, p: network.add_provider(  # noqa: E731
-                    remote, k, p, config.provider_ttl, src=peer
-                )
-                retry = faults.retry_state(tracer=tracer)
-            result = iterative_provide(
-                key,
-                query,
-                add,
-                peer.current_pid,
-                self._seeds(peer, key),
-                replication=config.replication,
-                max_queries=config.max_queries,
-                retry=retry,
-                trace=tracer,
-            )
             latency = self._lookup_latency(result.hops)
             if tracer is not None:
                 # The idealised fabric draws the walk latency synthetically;
@@ -293,21 +282,6 @@ class ContentBehaviors:
                 tracer.leaf("lookup", "walk", latency, hops=result.hops)
                 tracer.pop(latency)
         else:
-            # Under a netmodel the walk accrues real simulated time (RTTs and
-            # failed-dial timeouts) and gives up once the budget is spent.
-            retry = None if faults is None else faults.retry_state(clock, tracer=tracer)
-            result = iterative_provide(
-                key,
-                network.timed_query_fn(clock, src=peer),
-                network.timed_add_provider_fn(clock, config.provider_ttl, src=peer),
-                peer.current_pid,
-                self._seeds(peer, key),
-                replication=config.replication,
-                max_queries=config.max_queries,
-                give_up=clock.expired,
-                retry=retry,
-                trace=tracer,
-            )
             latency = clock.finish()
             if tracer is not None:
                 tracer.pop(latency, hops=result.hops)
@@ -388,25 +362,18 @@ class ContentBehaviors:
         if tracer is not None:
             tracer.begin("content.retrieve", peer.profile.peer_index)
             tracer.push("walk", "walk")
+        result = iterative_find_providers(
+            key,
+            network.timed_get_providers_fn(clock, src=peer),
+            self._seeds(peer, key),
+            self_id=peer.current_pid,
+            max_queries=config.max_queries,
+            max_providers=config.max_providers,
+            give_up=None if clock is None else clock.expired,
+            retry=None if faults is None else faults.retry_state(clock, tracer=tracer),
+            trace=tracer,
+        )
         if clock is None:
-            if faults is None:
-                get_providers = network.get_providers
-                retry = None
-            else:
-                get_providers = lambda remote, k: network.get_providers(  # noqa: E731
-                    remote, k, src=peer
-                )
-                retry = faults.retry_state(tracer=tracer)
-            result = iterative_find_providers(
-                key,
-                get_providers,
-                self._seeds(peer, key),
-                self_id=peer.current_pid,
-                max_queries=config.max_queries,
-                max_providers=config.max_providers,
-                retry=retry,
-                trace=tracer,
-            )
             latency = self._lookup_latency(result.hops)
             if tracer is not None:
                 # Synthetic walk latency on the idealised fabric: one leaf
@@ -414,18 +381,6 @@ class ContentBehaviors:
                 tracer.leaf("lookup", "walk", latency, hops=result.hops)
                 tracer.pop(latency)
         else:
-            retry = None if faults is None else faults.retry_state(clock, tracer=tracer)
-            result = iterative_find_providers(
-                key,
-                network.timed_get_providers_fn(clock, src=peer),
-                self._seeds(peer, key),
-                self_id=peer.current_pid,
-                max_queries=config.max_queries,
-                max_providers=config.max_providers,
-                give_up=clock.expired,
-                retry=retry,
-                trace=tracer,
-            )
             latency = clock.finish()
             if tracer is not None:
                 tracer.pop(latency, hops=result.hops)

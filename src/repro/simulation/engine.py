@@ -1,14 +1,34 @@
-"""A minimal discrete-event simulation engine.
+"""The discrete-event simulation engine.
 
-Single-threaded, deterministic, and intentionally boring: a binary heap of
-timestamped callbacks.  Simulated time is measured in seconds; scenarios run
-for one to fourteen simulated days, which corresponds to the paper's
+Single-threaded and deterministic: timestamped callbacks drained in ascending
+``(time, sequence)`` order.  Simulated time is measured in seconds; scenarios
+run for one to fourteen simulated days, which corresponds to the paper's
 measurement periods.
 
-The heap holds plain ``(time, sequence, event)`` tuples — tuple comparison
-never reaches the event because the sequence number is unique — and the
-engine keeps a live count of cancelled-but-still-queued events so
-:meth:`Engine.pending` is O(1) instead of scanning the heap.
+Three ways to schedule, one ordering:
+
+* :meth:`Engine.schedule` / :meth:`Engine.schedule_at` push a
+  ``(time, seq, event)`` tuple onto a binary heap and return the
+  :class:`Event` handle, which can be cancelled (:class:`PeriodicTask` needs
+  that).  Tuple comparison never reaches the event because the sequence
+  number is unique, and a live count of cancelled-but-still-queued events
+  keeps :meth:`Engine.pending` O(1).
+* :meth:`Engine.schedule_drop` pushes a bare ``(time, seq, callback, args)``
+  tuple: no :class:`Event`, no back-pointer, no cancelled flag.  The fabric's
+  hot paths (session churn, contacts, identify deliveries, behaviour ticks)
+  never cancel, so this saves one allocation and two attribute writes per
+  event.
+* :meth:`Engine.schedule_bulk` stores a whole batch of homogeneous events
+  (every peer's initial session arrival) as numpy-sorted *timer columns*
+  beside the heap: one ``lexsort`` replaces ``n`` ``heappush`` calls, and the
+  not-yet-arrived sessions do not deepen the heap for the rest of the run.
+  The drain loop merges the column head with the heap head.
+
+Determinism invariant: every schedule call consumes sequence numbers from the
+*same* global counter in call order, so two events at the same timestamp fire
+in schedule order whichever way they were scheduled.
+``tests/test_vectorized_engine.py`` checks arbitrary interleavings against a
+sort-by-``(time, seq)`` reference scheduler.
 """
 
 from __future__ import annotations
@@ -16,6 +36,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+#: compact the consumed prefix of the timer columns once it exceeds this
+_COMPACT_THRESHOLD = 4096
 
 
 class Event:
@@ -47,8 +72,7 @@ class Event:
 class Engine:
     """The event loop: schedule callbacks and advance simulated time.
 
-    Subclasses (the vectorized engine) may store never-cancelled events in
-    cheaper structures, but every engine honours the same observable contract:
+    The observable contract:
 
     * events run in ascending ``(time, sequence)`` order, where the sequence
       number is consumed from one global counter at *schedule* time — two
@@ -60,19 +84,26 @@ class Engine:
       ``tests/test_simulation_engine.py``).
     """
 
-    #: whether this engine batches homogeneous events (numpy timer columns)
-    vectorized = False
-
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: ``(time, seq, event)`` and ``(time, seq, callback, args)`` entries
+        self._heap: List[tuple] = []
         self._sequence = itertools.count()
         #: cancelled events still sitting in the heap (popped lazily)
         self._cancelled_pending = 0
+        # The bulk timer columns: parallel lists sorted by (time, seq),
+        # consumed front-to-back via _bulk_pos.  Kept as plain python lists
+        # after the numpy sort so the drain loop never touches numpy scalars
+        # (np.float64 leaking into `now` would poison dataset timestamps).
+        self._bulk_times: List[float] = []
+        self._bulk_seqs: List[int] = []
+        self._bulk_callbacks: List[Optional[Callable[[Any], None]]] = []
+        self._bulk_payloads: List[Any] = []
+        self._bulk_pos = 0
         self.events_processed = 0
-        # Progress hook (repro.obs.trace): when set, the drain loop invokes the
-        # callback every `_progress_every` processed events.  The unset cost is
-        # one falsy check per event.
+        # Progress hook (repro.obs.progress): when set, the drain loop invokes
+        # the callback every `_progress_every` processed events.  The unset
+        # cost is one falsy check per event.
         self._progress_callback: Optional[Callable[[float, int, int], None]] = None
         self._progress_every = 0
         self._progress_next = 0
@@ -81,7 +112,7 @@ class Engine:
         self, callback: Optional[Callable[[float, int, int], None]], every: int = 20_000
     ) -> None:
         """Invoke ``callback(now, events_processed, pending)`` every ``every``
-        drained events (run tracing); ``callback=None`` detaches the hook."""
+        drained events (run progress); ``callback=None`` detaches the hook."""
         if callback is None:
             self._progress_callback = None
             self._progress_every = 0
@@ -99,6 +130,8 @@ class Engine:
     @property
     def now(self) -> float:
         return self._now
+
+    # -- scheduling --------------------------------------------------------------
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
@@ -120,12 +153,12 @@ class Engine:
 
         Identical ordering semantics to :meth:`schedule` (one sequence number
         is consumed per call), but the caller receives no handle and the event
-        can never be cancelled.  The vectorized engine uses this contract to
-        skip the :class:`Event` allocation entirely; the legacy engine simply
-        delegates.  Hot paths that never cancel (session churn, contacts,
-        identify deliveries, behaviour ticks) should prefer it.
+        can never be cancelled, so no :class:`Event` is allocated.  Hot paths
+        that never cancel should prefer it.
         """
-        self.schedule(delay, callback, *args)
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        heapq.heappush(self._heap, (self._now + delay, next(self._sequence), callback, args))
 
     def schedule_bulk(
         self,
@@ -138,31 +171,99 @@ class Engine:
         Sequence numbers are consumed contiguously in input order, so ties at
         identical timestamps resolve exactly as ``len(times)`` individual
         :meth:`schedule_at` calls would.  Bulk events cannot be cancelled.
-        The vectorized engine stores the batch as numpy-sorted timer columns
-        instead of pushing ``len(times)`` heap entries.
         """
-        if len(times) != len(payloads):
+        n = len(times)
+        if n != len(payloads):
             raise ValueError("times and payloads must have equal length")
-        for time, payload in zip(times, payloads):
-            self.schedule_at(time, callback, payload)
+        if n == 0:
+            return
+        t_new = np.asarray(times, dtype=np.float64)
+        if float(t_new.min()) < self._now:
+            raise ValueError(f"cannot schedule in the past ({float(t_new.min())} < {self._now})")
+        s_new = np.fromiter(itertools.islice(self._sequence, n), dtype=np.int64, count=n)
+        pos = self._bulk_pos
+        if pos < len(self._bulk_times):
+            t_all = np.concatenate([np.asarray(self._bulk_times[pos:]), t_new])
+            s_all = np.concatenate([np.asarray(self._bulk_seqs[pos:], dtype=np.int64), s_new])
+            cb_all = self._bulk_callbacks[pos:] + [callback] * n
+            pl_all = self._bulk_payloads[pos:] + list(payloads)
+        else:
+            t_all, s_all = t_new, s_new
+            cb_all = [callback] * n
+            pl_all = list(payloads)
+        order = np.lexsort((s_all, t_all))
+        order_list = order.tolist()
+        self._bulk_times = t_all[order].tolist()
+        self._bulk_seqs = s_all[order].tolist()
+        self._bulk_callbacks = [cb_all[i] for i in order_list]
+        self._bulk_payloads = [pl_all[i] for i in order_list]
+        self._bulk_pos = 0
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return len(self._heap) - self._cancelled_pending
+        return len(self._heap) - self._cancelled_pending + len(self._bulk_times) - self._bulk_pos
+
+    # -- draining ----------------------------------------------------------------
+
+    def _compact_bulk(self) -> None:
+        """Drop the consumed column prefix so long runs stay memory-bounded."""
+        pos = self._bulk_pos
+        del self._bulk_times[:pos]
+        del self._bulk_seqs[:pos]
+        del self._bulk_callbacks[:pos]
+        del self._bulk_payloads[:pos]
+        self._bulk_pos = 0
 
     def _drain(self, end_time: Optional[float]) -> None:
-        """Process queued events, optionally only those with ``time <= end_time``."""
+        """Merge-pop the heap and the timer columns in ``(time, seq)`` order,
+        optionally only events with ``time <= end_time``."""
         heap = self._heap
         pop = heapq.heappop
-        while heap and (end_time is None or heap[0][0] <= end_time):
-            time, _, event = pop(heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            event._engine = None
+        while True:
+            # Re-read the column each iteration: a callback may have called
+            # schedule_bulk, which rebinds the column lists.
+            bulk_times = self._bulk_times
+            i = self._bulk_pos
+            if i < len(bulk_times):
+                time = bulk_times[i]
+                if heap:
+                    head = heap[0]
+                    take_bulk = time < head[0] or (time == head[0] and self._bulk_seqs[i] < head[1])
+                else:
+                    take_bulk = True
+            elif heap:
+                take_bulk = False
+            else:
+                return
+            if take_bulk:
+                if end_time is not None and time > end_time:
+                    return
+                self._bulk_pos = i + 1
+                callback = self._bulk_callbacks[i]
+                args = (self._bulk_payloads[i],)
+                # Release references immediately: a consumed column entry must
+                # not pin peers/closures alive for the rest of the run.
+                self._bulk_callbacks[i] = None
+                self._bulk_payloads[i] = None
+                if i + 1 >= _COMPACT_THRESHOLD:
+                    self._compact_bulk()
+            else:
+                time = heap[0][0]
+                if end_time is not None and time > end_time:
+                    return
+                entry = pop(heap)
+                if len(entry) == 4:
+                    callback, args = entry[2], entry[3]
+                else:
+                    event = entry[2]
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    event._engine = None
+                    callback, args = event.callback, event.args
             self._now = time
             self.events_processed += 1
-            event.callback(*event.args)
+            callback(*args)
             if self._progress_every and self.events_processed >= self._progress_next:
                 self._emit_progress()
 

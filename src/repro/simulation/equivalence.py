@@ -1,16 +1,19 @@
-"""Deterministic serialization of scenario results, for cross-engine proofs.
+"""Deterministic serialization of scenario results, for byte-identity pins.
 
-The vectorized engine is only allowed to be the default because every
-registered scenario produces a **byte-identical** result on it and on the
-legacy engine.  "Byte-identical" needs a precise meaning: this module renders
-a :class:`~repro.simulation.scenario.ScenarioResult` into a canonical JSON
+Refactors of the engine and the fabric are only safe because every registered
+scenario must keep producing a **byte-identical** result.  "Byte-identical"
+needs a precise meaning: this module renders a
+:class:`~repro.simulation.scenario.ScenarioResult` into a canonical JSON
 document — every dataset record, every crawl snapshot, every stats block,
-every counter — and hashes it.  Two results are equivalent iff their
-fingerprints match.
+every counter — and hashes it, whole and per top-level block.  Two results
+are equivalent iff their fingerprints match.
 
-The config block is deliberately excluded: the two runs being compared differ
-in ``config.engine`` by construction.  Everything the simulation *computed*
-is included.
+``tests/golden/scenario_fingerprints.json`` holds the table every scenario is
+pinned against; it was generated on the object-per-event reference engine
+that the current :class:`~repro.simulation.engine.Engine` replaced.
+
+The config block is deliberately excluded: it is an input.  Everything the
+simulation *computed* is included.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import List
+from typing import Dict, List
 
 from repro.simulation.scenario import ScenarioResult
 
@@ -81,7 +84,17 @@ def result_blob(result: ScenarioResult) -> dict:
     }
 
 
+def _digest(value: object) -> str:
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def result_fingerprint(result: ScenarioResult) -> str:
     """SHA-256 over the canonical JSON rendering of :func:`result_blob`."""
-    text = json.dumps(result_blob(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest(result_blob(result))
+
+
+def block_fingerprints(result: ScenarioResult) -> Dict[str, str]:
+    """SHA-256 per top-level :func:`result_blob` block, in blob order — a
+    fingerprint mismatch can then name the block that diverged."""
+    return {key: _digest(value) for key, value in result_blob(result).items()}

@@ -16,7 +16,8 @@ The hook surface, in fabric call order:
   in peer-index order, stored on the ``SimPeer`` attribute named by
   :attr:`slot`.  Each runtime draws from its **own** salted RNG stream with a
   fixed draw count per peer, so streams are pure functions of the assignment
-  order and attaching one subsystem never shifts another's draws.
+  order and attaching one subsystem never shifts another's draws.  A runtime
+  without per-peer state leaves ``slot = ""`` and is never asked.
 * :meth:`assign_identity` — measurement identities (vantage points), at the
   top of ``start()``.
 * :meth:`install` — schedule the runtime's own processes (crash timers,
@@ -25,9 +26,9 @@ The hook surface, in fabric call order:
   of a vantage point: veto-with-retry before the connection, notification
   after.
 * :meth:`on_dial` — a vantage point's outbound dial of a peer (veto).
-* :meth:`on_rpc` / :meth:`on_timed_rpc` — one DHT RPC against a simulated
-  peer, without / with a :class:`~repro.netmodel.runtime.WalkClock` accruing
-  simulated wire time.
+* :meth:`on_rpc` — one DHT RPC against a simulated peer (veto), with an
+  optional :class:`~repro.netmodel.runtime.WalkClock` to charge the
+  simulated wire time to.
 * :meth:`identify_delay` — extra seconds an identify exchange spends on the
   wire (RTT, payload serialization); rides the existing event heap.
 * :meth:`on_identify_delivered` — an identify record actually reached a
@@ -55,7 +56,7 @@ class FabricRuntime:
     """Base class of the pluggable fabric subsystems.
 
     Subclasses set :attr:`slot` (the ``SimPeer`` attribute their per-peer
-    assignment lands on) and :attr:`name` (the ``SimulatedNetwork`` attribute
+    assignment lands on; empty for none) and :attr:`name` (the ``SimulatedNetwork`` attribute
     the runtime is also exposed under, for analysis/report code that asks for
     one subsystem by name).
     """
@@ -96,16 +97,14 @@ class FabricRuntime:
 
     # -- RPC hooks -------------------------------------------------------------------
 
-    def on_rpc(self, src: Optional["SimPeer"], dst: "SimPeer") -> bool:
-        """Whether one DHT RPC from ``src`` (``None``: a vantage point or the
-        crawler) reaches ``dst`` and its reply makes it back."""
-        return True
-
-    def on_timed_rpc(
-        self, clock: "WalkClock", src: Optional["SimPeer"], dst: "SimPeer"
+    def on_rpc(
+        self, src: Optional["SimPeer"], dst: "SimPeer", clock: Optional["WalkClock"] = None
     ) -> bool:
-        """Like :meth:`on_rpc`, for RPCs accruing wire time on ``clock``."""
-        return self.on_rpc(src, dst)
+        """Whether one DHT RPC from ``src`` (``None``: a vantage point or the
+        crawler) reaches ``dst`` and its reply makes it back.  ``clock`` is
+        the walk's latency clock, when the caller keeps one: charge it the
+        wire time this runtime models, whether or not the RPC survives."""
+        return True
 
     # -- identify --------------------------------------------------------------------
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.ipfs.bitswap import BitswapEngine
-from repro.kademlia.keys import key_for_peer, xor_distance
+from repro.kademlia.keys import key_for_peer
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connection import CloseReason, Connection
@@ -122,8 +122,6 @@ class SimPeer:
         "provider_store",
         "bitswap",
         "attacker",
-        "obs",
-        "trc",
         "net",
         "flt",
         "link",
@@ -149,13 +147,6 @@ class SimPeer:
         self.bitswap: Optional[BitswapEngine] = None
         #: malicious response behaviour (repro.adversary), None for honest peers
         self.attacker = None
-        #: observability assignment (repro.obs), always None — the metrics
-        #: runtime keeps no per-peer state, the slot just satisfies the
-        #: fabric-runtime assignment pass
-        self.obs = None
-        #: span-tracing assignment (repro.obs.spans), always None — like obs,
-        #: the tracer keeps no per-peer state
-        self.trc = None
         #: network conditions (repro.netmodel), None on the idealised fabric
         self.net = None
         #: fault assignment (repro.faults), None on the fault-free fabric
@@ -333,13 +324,15 @@ class SimulatedNetwork:
         # Per-runtime peer assignments, each pass over all peers in peer_index
         # order from the runtime's own salted RNG stream — honest draws are
         # untouched either way, and attaching one subsystem never shifts
-        # another's stream.
+        # another's stream.  A runtime without per-peer state (``slot = ""``)
+        # is skipped.
         for runtime in self.runtimes:
             slot = runtime.slot
-            for peer in self.peers:
-                setattr(peer, slot, runtime.assign_peer(peer.profile))
-        #: struct-of-arrays peer state, built at start() on a vectorized
-        #: engine (kad-key limbs, role/region/fault codes, session timers)
+            if slot:
+                for peer in self.peers:
+                    setattr(peer, slot, runtime.assign_peer(peer.profile))
+        #: struct-of-arrays peer keys, built at start() (kad-key limbs and
+        #: server flags for the neighbourhood computation)
         self.state: Optional[PeerStateArrays] = None
         self._duration: Optional[float] = None
         self._tasks: List[PeriodicTask] = []
@@ -366,8 +359,7 @@ class SimulatedNetwork:
         for runtime in self.runtimes:
             for identity in self.identities:
                 runtime.assign_identity(identity.label)
-        if getattr(self.engine, "vectorized", False):
-            self.state = PeerStateArrays.from_network(self)
+        self.state = PeerStateArrays.from_network(self)
         self._build_routing_tables()
         self._compute_neighborhoods()
         for identity in self.identities:
@@ -392,26 +384,18 @@ class SimulatedNetwork:
                     lambda now, ident=identity: self._identity_outbound(ident, now),
                 )
             )
-        if self.state is not None:
-            # Vectorized path: the RNG draws happen in the same per-peer order
-            # as the legacy loop, but the resulting arrival times are staged in
-            # the session-timer array and handed to schedule_bulk in one batch
-            # (contiguous sequence numbers in peer-index order).  Arrival
-            # times are continuous draws, so the different sequence-number
-            # assignment cannot flip a tie — the equivalence suite pins this.
-            for peer in self.peers:
-                delay = self._initial_session_delay(peer, duration)
-                if delay is not None:
-                    self.state.stage_session(
-                        peer.profile.peer_index, self.engine.now + delay
-                    )
-            indices, times = self.state.staged_sessions()
-            self.engine.schedule_bulk(
-                times, self._session_start, [self.peers[i] for i in indices]
-            )
-        else:
-            for peer in self.peers:
-                self._schedule_initial_session(peer, duration)
+        # Initial arrivals: the RNG draws happen per peer in peer-index order
+        # (peers already online enter their session inline), the rest go to
+        # schedule_bulk in one batch with contiguous sequence numbers.
+        now = self.engine.now
+        arrivals: List[float] = []
+        arriving: List[SimPeer] = []
+        for peer in self.peers:
+            delay = self._initial_session_delay(peer, duration)
+            if delay is not None:
+                arrivals.append(now + delay)
+                arriving.append(peer)
+        self.engine.schedule_bulk(arrivals, self._session_start, arriving)
         for runtime in self.runtimes:
             runtime.install(self, duration)
 
@@ -431,43 +415,25 @@ class SimulatedNetwork:
     def _compute_neighborhoods(self) -> None:
         """Peers closest to a measurement identity discover it quickly.
 
-        On the vectorized engine the closest-by-XOR selection runs over the
-        struct-of-arrays key limbs (broadcast XOR + lexsort); the limb order
-        is exactly the 256-bit integer order, so both paths pick the same
-        neighbourhood peers.
+        The closest-by-XOR selection runs over the struct-of-arrays key limbs
+        (broadcast XOR + lexsort); the limb order is exactly the 256-bit
+        integer order (pinned by ``tests/test_peerstate.py``).
         """
-        if self.state is not None:
-            server_positions = self.state.server_indices()
-            for identity in self.identities:
-                if not identity.is_dht_server or not server_positions:
-                    continue
-                target = key_for_peer(identity.peer_id)
-                closest = self.state.closest_to(
-                    target, self.config.neighborhood_size, candidates=server_positions
-                )
-                identity.neighborhood = {self.peers[i].current_pid for i in closest}
-            return
-        server_peers = [p for p in self.peers if p.profile.is_dht_server]
+        server_positions = self.state.server_indices()
         for identity in self.identities:
-            if not identity.is_dht_server or not server_peers:
+            if not identity.is_dht_server or not server_positions:
                 continue
             target = key_for_peer(identity.peer_id)
-            closest = sorted(
-                server_peers,
-                key=lambda p: xor_distance(key_for_peer(p.current_pid), target),
-            )[: self.config.neighborhood_size]
-            identity.neighborhood = {p.current_pid for p in closest}
+            closest = self.state.closest_to(
+                target, self.config.neighborhood_size, candidates=server_positions
+            )
+            identity.neighborhood = {self.peers[i].current_pid for i in closest}
 
     # --------------------------------------------------------------- sessions ----
 
     def _initial_session_delay(self, peer: SimPeer, duration: float) -> Optional[float]:
-        """Draw a peer's initial arrival; ``None`` means it started right now.
-
-        Shared by the legacy per-peer scheduling loop and the vectorized
-        batched path: both perform the identical RNG draws in the identical
-        order, and peers whose session starts immediately enter
-        :meth:`_session_start_now` inline either way.
-        """
+        """Draw a peer's initial arrival; ``None`` means it started right now
+        (and entered :meth:`_session_start_now` inline)."""
         profile = peer.profile
         if profile.peer_class is PeerClass.ONE_TIME:
             # One-time peers appear once, spread over the whole window: this is
@@ -483,11 +449,6 @@ class SimulatedNetwork:
             self._session_start_now(peer, self.engine.now, first_change)
             return None
         return first_change
-
-    def _schedule_initial_session(self, peer: SimPeer, duration: float) -> None:
-        delay = self._initial_session_delay(peer, duration)
-        if delay is not None:
-            self.engine.schedule_drop(delay, self._session_start, peer)
 
     def _session_start(self, peer: SimPeer) -> None:
         profile = peer.profile
@@ -795,10 +756,70 @@ class SimulatedNetwork:
                 delay, self._remote_close, peer, identity, conn, CloseReason.REMOTE_TRIM
             )
 
-    # ------------------------------------------------------------- DHT queries ----
+    # ------------------------------------------------------------- DHT RPCs ----
+
+    def _dispatch_rpc(
+        self,
+        kind: str,
+        remote: PeerId,
+        src: Optional[SimPeer],
+        clock: Optional[WalkClock],
+        answer,
+        *args,
+    ):
+        """Run one DHT RPC against a simulated peer: the single veto ladder.
+
+        A dead/client target answers nothing (and costs nothing).  Otherwise
+        every runtime is asked once, in dispatch order, whether the exchange
+        survives; ``src`` names the querying peer so partitions and link loss
+        apply (``None``: a vantage point / crawler, majority side).  With a
+        ``clock`` the runtimes also charge the walk its wire time: a NATed
+        target burns the dial timeout, a reachable one a round trip, a slow
+        responder its RTT spike, and a lost/partitioned exchange answers
+        nothing after paying the wire time (the caller waited for a reply
+        that never came).  Only then does ``answer(peer, *args)`` run — the
+        attacker-or-honest reply.
+
+        When an operation is being traced, the RPC becomes a leaf span whose
+        duration is the clock delta around this dispatch (zero unclocked) —
+        leaf durations therefore telescope exactly to the walk's accrued
+        latency.  A netmodel veto is an undialable peer (``dial_fail``), any
+        other veto died on the wire after dialling (``lost``), and an
+        attacker that swallowed the reply is ``dropped``.
+        """
+        peer = self.peers_by_pid.get(remote)
+        if peer is None or not peer.online or not peer.kad_announced:
+            return None
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.recording
+        before = clock.elapsed if tracing and clock is not None else 0.0
+        reply = None
+        outcome = "ok"
+        for runtime in self.runtimes:
+            if not runtime.on_rpc(src, peer, clock):
+                outcome = "dial_fail" if runtime is self.netmodel else "lost"
+                break
+        else:
+            reply = answer(peer, *args)
+            if reply is None:
+                outcome = "dropped"
+        if tracing:
+            clocked = clock is not None
+            tracer.rpc(
+                kind,
+                clock.elapsed - before if clocked else 0.0,
+                outcome,
+                rtt=clock.last_rtt if clocked and outcome == "ok" else None,
+            )
+        return reply
 
     def dht_query(
-        self, remote: PeerId, target: int, count: int, src: Optional[SimPeer] = None
+        self,
+        remote: PeerId,
+        target: int,
+        count: int,
+        src: Optional[SimPeer] = None,
+        clock: Optional[WalkClock] = None,
     ) -> Optional[List[PeerId]]:
         """FIND_NODE against a simulated peer (used by the crawler baseline).
 
@@ -806,41 +827,11 @@ class SimulatedNetwork:
         reply; honest peers answer from their routing table.  Under a
         netmodel, a NATed peer is undialable: the query fails exactly like a
         real crawler's dial does, which is what opens the
-        crawler-undercount-vs-passive gap.  Under fault injection, ``src``
-        names the querying peer so partitions and link loss apply; ``None``
-        is a vantage point / crawler (majority side).
+        crawler-undercount-vs-passive gap.
         """
-        peer = self.peers_by_pid.get(remote)
-        if peer is None or not peer.online or not peer.is_dht_server:
-            return None
-        tracer = self.tracer
-        if tracer is None or not tracer.recording:
-            for runtime in self.runtimes:
-                if not runtime.on_rpc(src, peer):
-                    return None
-            return self._answer_find_node(peer, target, count)
-        vetoed = self._rpc_vetoed(src, peer)
-        if vetoed is not None:
-            tracer.rpc("find_node", 0.0, self._veto_outcome(vetoed))
-            return None
-        reply = self._answer_find_node(peer, target, count)
-        tracer.rpc("find_node", 0.0, "ok" if reply is not None else "dropped")
-        return reply
-
-    def _rpc_vetoed(self, src: Optional[SimPeer], peer: SimPeer):
-        """Dispatch the on_rpc ladder; return the vetoing runtime, if any.
-
-        Only the traced paths pay for remembering *who* vetoed: a netmodel
-        veto is an undialable peer (the leaf categorises as ``dial``), any
-        other veto died on the wire after dialling.
-        """
-        for runtime in self.runtimes:
-            if not runtime.on_rpc(src, peer):
-                return runtime
-        return None
-
-    def _veto_outcome(self, vetoed) -> str:
-        return "dial_fail" if vetoed is self.netmodel else "lost"
+        return self._dispatch_rpc(
+            "find_node", remote, src, clock, self._answer_find_node, target, count
+        )
 
     def _answer_find_node(
         self, peer: SimPeer, target: int, count: int
@@ -881,24 +872,12 @@ class SimulatedNetwork:
         provider: PeerId,
         ttl: float,
         src: Optional[SimPeer] = None,
+        clock: Optional[WalkClock] = None,
     ) -> Optional[bool]:
         """ADD_PROVIDER against a simulated peer (None: unreachable)."""
-        peer = self.peers_by_pid.get(remote)
-        if peer is None or not peer.online or not peer.is_dht_server:
-            return None
-        tracer = self.tracer
-        if tracer is None or not tracer.recording:
-            for runtime in self.runtimes:
-                if not runtime.on_rpc(src, peer):
-                    return None
-            return self._answer_add_provider(peer, key, provider, ttl)
-        vetoed = self._rpc_vetoed(src, peer)
-        if vetoed is not None:
-            tracer.rpc("add_provider", 0.0, self._veto_outcome(vetoed))
-            return None
-        stored = self._answer_add_provider(peer, key, provider, ttl)
-        tracer.rpc("add_provider", 0.0, "ok" if stored is not None else "dropped")
-        return stored
+        return self._dispatch_rpc(
+            "add_provider", remote, src, clock, self._answer_add_provider, key, provider, ttl
+        )
 
     def _answer_add_provider(
         self, peer: SimPeer, key: int, provider: PeerId, ttl: float
@@ -921,25 +900,17 @@ class SimulatedNetwork:
         return True
 
     def get_providers(
-        self, remote: PeerId, key: int, count: int = 20, src: Optional[SimPeer] = None
+        self,
+        remote: PeerId,
+        key: int,
+        count: int = 20,
+        src: Optional[SimPeer] = None,
+        clock: Optional[WalkClock] = None,
     ) -> Optional[tuple]:
         """GET_PROVIDERS against a simulated peer: (providers, closer peers)."""
-        peer = self.peers_by_pid.get(remote)
-        if peer is None or not peer.online or not peer.is_dht_server:
-            return None
-        tracer = self.tracer
-        if tracer is None or not tracer.recording:
-            for runtime in self.runtimes:
-                if not runtime.on_rpc(src, peer):
-                    return None
-            return self._answer_get_providers(peer, key, count)
-        vetoed = self._rpc_vetoed(src, peer)
-        if vetoed is not None:
-            tracer.rpc("get_providers", 0.0, self._veto_outcome(vetoed))
-            return None
-        reply = self._answer_get_providers(peer, key, count)
-        tracer.rpc("get_providers", 0.0, "ok" if reply is not None else "dropped")
-        return reply
+        return self._dispatch_rpc(
+            "get_providers", remote, src, clock, self._answer_get_providers, key, count
+        )
 
     def _answer_get_providers(
         self, peer: SimPeer, key: int, count: int = 20
@@ -959,91 +930,32 @@ class SimulatedNetwork:
         closer = self.honest_find_node(peer, key, count) or []
         return providers, closer
 
-    # ------------------------------------------------------- timed RPC wrappers ----
+    # ----------------------------------------------------- walk-bound RPC binders ----
 
     def netmodel_clock(self, peer: SimPeer) -> Optional[WalkClock]:
         """A latency clock for one of ``peer``'s iterative walks (None on the
-        idealised fabric — callers fall back to the zero-latency RPCs)."""
+        idealised fabric — the RPCs then cost zero simulated seconds)."""
         if self.netmodel is None:
             return None
         return self.netmodel.clock(peer.net)
 
-    def _timed_peer(
-        self,
-        clock: WalkClock,
-        remote: PeerId,
-        src: Optional[SimPeer] = None,
-        kind: str = "find_node",
-    ) -> Optional[SimPeer]:
-        """Resolve a timed RPC's target and charge the wire time.
+    def timed_query_fn(self, clock: Optional[WalkClock], src: Optional[SimPeer] = None):
+        """FIND_NODE bound to one walk's ``clock`` (may be None) and ``src``."""
+        return lambda remote, target, count: self.dht_query(remote, target, count, src, clock)
 
-        One place for the queryable-peer precondition shared with the untimed
-        RPCs plus the clock accounting: a dead/client target answers nothing
-        (and costs nothing), a NATed one burns the dial timeout, a reachable
-        one is charged a round trip and returned for the ``_answer_*`` path.
-        Under fault injection a slow responder additionally burns its RTT
-        spike, and a lost/partitioned exchange answers nothing after paying
-        the wire time (the caller waited for a reply that never came).
-
-        When an operation is being traced, the RPC becomes a leaf span whose
-        duration is the clock delta around this dispatch — leaf durations
-        therefore telescope exactly to the walk's accrued latency.
-        """
-        peer = self.peers_by_pid.get(remote)
-        if peer is None or not peer.online or not peer.is_dht_server:
-            return None
-        tracer = self.tracer
-        if tracer is None or not tracer.recording:
-            for runtime in self.runtimes:
-                if not runtime.on_timed_rpc(clock, src, peer):
-                    return None
-            return peer
-        before = clock.elapsed
-        vetoed = None
-        for runtime in self.runtimes:
-            if not runtime.on_timed_rpc(clock, src, peer):
-                vetoed = runtime
-                break
-        if vetoed is None:
-            tracer.rpc(kind, clock.elapsed - before, "ok", rtt=clock.last_rtt)
-            return peer
-        tracer.rpc(kind, clock.elapsed - before, self._veto_outcome(vetoed))
-        return None
-
-    def timed_query_fn(self, clock: WalkClock, src: Optional[SimPeer] = None):
-        """A FIND_NODE query function that accrues dial/RTT time on ``clock``."""
-
-        def query(remote: PeerId, target: int, count: int) -> Optional[List[PeerId]]:
-            peer = self._timed_peer(clock, remote, src, kind="find_node")
-            if peer is None:
-                return None
-            return self._answer_find_node(peer, target, count)
-
-        return query
-
-    def timed_add_provider_fn(self, clock: WalkClock, ttl: float, src: Optional[SimPeer] = None):
-        """An ADD_PROVIDER function that accrues dial/RTT time on ``clock``."""
-
-        def add_provider(remote: PeerId, key: int, provider: PeerId) -> Optional[bool]:
-            peer = self._timed_peer(clock, remote, src, kind="add_provider")
-            if peer is None:
-                return None
-            return self._answer_add_provider(peer, key, provider, ttl)
-
-        return add_provider
+    def timed_add_provider_fn(
+        self, clock: Optional[WalkClock], ttl: float, src: Optional[SimPeer] = None
+    ):
+        """ADD_PROVIDER bound to one walk's ``clock`` (may be None) and ``src``."""
+        return lambda remote, key, provider: self.add_provider(
+            remote, key, provider, ttl, src, clock
+        )
 
     def timed_get_providers_fn(
-        self, clock: WalkClock, count: int = 20, src: Optional[SimPeer] = None
+        self, clock: Optional[WalkClock], count: int = 20, src: Optional[SimPeer] = None
     ):
-        """A GET_PROVIDERS function that accrues dial/RTT time on ``clock``."""
-
-        def get_providers(remote: PeerId, key: int) -> Optional[tuple]:
-            peer = self._timed_peer(clock, remote, src, kind="get_providers")
-            if peer is None:
-                return None
-            return self._answer_get_providers(peer, key, count)
-
-        return get_providers
+        """GET_PROVIDERS bound to one walk's ``clock`` (may be None) and ``src``."""
+        return lambda remote, key: self.get_providers(remote, key, count, src, clock)
 
     def sweep_provider_stores(self, now: float) -> int:
         """Expire provider records on every store; returns records dropped."""

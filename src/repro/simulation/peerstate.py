@@ -1,21 +1,18 @@
-"""Struct-of-arrays peer state for the vectorized fabric.
+"""Struct-of-arrays peer keys for the fabric's keyspace questions.
 
-The legacy fabric walks one python object per peer for every keyspace or
-classification question.  This module keeps the per-peer facts the hot paths
-actually ask about as flat numpy arrays, indexed by ``peer_index``:
+Walking one python object per peer and comparing 256-bit integers is the slow
+way to ask "which peers are closest to this target".  This module keeps the
+two per-peer facts that question needs as flat numpy arrays, indexed by
+``peer_index``:
 
 * **routing keys** — each peer's 256-bit Kademlia key as four big-endian
   ``uint64`` limbs, so "closest peers to a target" is a vectorized XOR plus a
   ``lexsort`` instead of a python ``sorted`` with big-int comparisons.  The
   limb ordering is *exact*: comparing ``(limb0, limb1, limb2, limb3)``
-  lexicographically is identical to comparing the 256-bit integers, so the
-  vectorized neighbourhood computation returns byte-identical results.
-* **role / class codes** — DHT-Server flags, behaviour classes, netmodel
-  region and reachability assignments, and fault roles as small integer
-  codes, for batch counting and mask building.
-* **session timers** — one float per peer, used to stage a whole
-  population's initial session arrivals before handing them to
-  :meth:`~repro.simulation.vectorized.VectorizedEngine.schedule_bulk`.
+  lexicographically is identical to comparing the 256-bit integers
+  (``tests/test_peerstate.py`` keeps the integer sort as the reference).
+* **server flags** — which peers announced the DHT-Server protocol at build
+  time, the candidate set of the neighbourhood computation.
 """
 
 from __future__ import annotations
@@ -23,11 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-from repro.simulation.population import CLASS_CODES
-
-#: reachability string -> compact code (netmodel-less peers stay at -1)
-REACHABILITY_CODES = {"public": 0, "nat": 1, "relayed": 2}
 
 
 def key_limbs(key: int) -> tuple:
@@ -50,46 +42,25 @@ class PeerStateArrays:
         self.kad_limbs = np.zeros((n, 4), dtype=np.uint64)
         #: whether the peer announced /ipfs/kad/1.0.0 at build time
         self.is_server = np.zeros(n, dtype=bool)
-        #: behaviour class code (population.CLASS_CODES)
-        self.class_codes = np.full(n, -1, dtype=np.int8)
-        #: netmodel region (-1 without a netmodel)
-        self.region_codes = np.full(n, -1, dtype=np.int16)
-        #: reachability code (REACHABILITY_CODES; -1 without a netmodel)
-        self.reach_codes = np.full(n, -1, dtype=np.int8)
-        #: fault role bitmask: 1 = crashable, 2 = partition minority, 4 = slow
-        self.fault_roles = np.zeros(n, dtype=np.int8)
-        #: staging area for batched session arrivals (+inf = nothing staged)
-        self.session_next = np.full(n, np.inf, dtype=np.float64)
 
     @classmethod
     def from_network(cls, network) -> "PeerStateArrays":
-        """Snapshot the fabric's per-peer state (call after runtimes attach)."""
+        """Snapshot the fabric's peer keys and server flags."""
         peers = network.peers
         state = cls(len(peers))
         for i, peer in enumerate(peers):
             state.set_key(i, peer.current_pid.kad_key())
             state.is_server[i] = peer.profile.is_dht_server
-            state.class_codes[i] = CLASS_CODES[peer.profile.peer_class]
-            net = peer.net
-            if net is not None:
-                state.region_codes[i] = net.region
-                state.reach_codes[i] = REACHABILITY_CODES.get(net.reachability, -1)
-            flt = peer.flt
-            if flt is not None:
-                role = 0
-                if flt.crashable:
-                    role |= 1
-                if flt.side == 1:
-                    role |= 2
-                if flt.slow_factor != 1.0:
-                    role |= 4
-                state.fault_roles[i] = role
         return state
 
     # -- keyspace ---------------------------------------------------------------
 
     def set_key(self, index: int, key: int) -> None:
-        """(Re)register a peer's Kademlia key (PID rotation updates it)."""
+        """Register the Kademlia key of the peer at ``index``.
+
+        The arrays are a snapshot taken at ``start()``: nothing re-registers
+        a key when a peer later rotates its PID.
+        """
         self.kad_limbs[index] = key_limbs(key)
 
     def closest_to(
@@ -116,25 +87,5 @@ class PeerStateArrays:
             order = index_map[order]
         return order.tolist()
 
-    # -- batch counting ---------------------------------------------------------
-
     def server_indices(self) -> List[int]:
         return np.flatnonzero(self.is_server).tolist()
-
-    def count_by(self, codes: np.ndarray) -> dict:
-        """Histogram of a code array: ``{code: count}`` for codes >= 0."""
-        values, counts = np.unique(codes[codes >= 0], return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
-    # -- session timers ---------------------------------------------------------
-
-    def stage_session(self, index: int, time: float) -> None:
-        """Stage a peer's next session arrival for batched scheduling."""
-        self.session_next[index] = time
-
-    def staged_sessions(self) -> tuple:
-        """Consume staged arrivals: (indices, times) in peer-index order."""
-        staged = np.flatnonzero(np.isfinite(self.session_next))
-        times = self.session_next[staged].tolist()
-        self.session_next[staged] = np.inf
-        return staged.tolist(), times

@@ -68,16 +68,6 @@ class PeerClass(enum.Enum):
     ONE_TIME = "one-time"
 
 
-#: compact integer code per behaviour class (struct-of-arrays peer state keeps
-#: class columns as int8 arrays; codes follow Table IV's ordering)
-CLASS_CODES = {
-    PeerClass.HEAVY: 0,
-    PeerClass.NORMAL: 1,
-    PeerClass.LIGHT: 2,
-    PeerClass.ONE_TIME: 3,
-}
-
-
 class VersionBehavior(enum.Enum):
     """Whether and how a go-ipfs peer changes its agent version mid-measurement."""
 

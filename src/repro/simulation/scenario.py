@@ -39,7 +39,7 @@ from repro.simulation.network import (
 from repro.simulation.population import Population, PopulationConfig, generate_population
 
 #: recognised values of ``ScenarioConfig.engine``
-ENGINE_KINDS = frozenset({"legacy", "vectorized", "sharded"})
+ENGINE_KINDS = frozenset({"vectorized", "sharded"})
 
 #: dataset label of the go-ipfs vantage point
 GO_IPFS_LABEL = "go-ipfs"
@@ -70,12 +70,11 @@ class ScenarioConfig:
     #: scenarios without one are bit-identical to pre-content builds
     content: Optional[ContentRoutingConfig] = None
     seed: int = 7
-    #: event-engine selection: "vectorized" (default — byte-identical to
-    #: "legacy", proven by the cross-engine equivalence suite), "legacy"
-    #: (the original object-per-event loop), or "sharded" (opt-in: partition
-    #: the population over independently-seeded sub-simulations and merge
-    #: deterministically; same-seed deterministic but *not* byte-identical
-    #: to the single-fabric engines — see repro.simulation.sharded)
+    #: execution mode: "vectorized" (default — one fabric on the one
+    #: :class:`~repro.simulation.engine.Engine`) or "sharded" (opt-in:
+    #: partition the population over independently-seeded sub-simulations
+    #: and merge deterministically; same-seed deterministic but *not*
+    #: byte-identical to the single fabric — see repro.simulation.sharded)
     engine: str = "vectorized"
     #: number of population shards when ``engine == "sharded"``
     engine_shards: int = 4
@@ -166,10 +165,10 @@ class Scenario:
                 "run_scenario() (or repro.simulation.sharded.run_sharded_scenario)"
             )
         self.config = config
-        self.engine = make_engine(config.engine)
+        self.engine = Engine()
         # REPRO_PROGRESS=1 prints per-simulated-hour liveness lines to stderr
         # (wall-clock data never enters the deterministic artifacts).
-        from repro.obs.trace import maybe_trace
+        from repro.obs.progress import maybe_trace
 
         maybe_trace(
             self.engine,
@@ -339,18 +338,6 @@ class Scenario:
             unreachable=len(snapshot.unreachable),
             queries=snapshot.queries_sent,
         )
-
-
-def make_engine(kind: str) -> Engine:
-    """Build the event engine selected by ``ScenarioConfig.engine``."""
-    if kind == "legacy":
-        return Engine()
-    if kind == "vectorized":
-        # Imported lazily: the legacy engine must not require numpy.
-        from repro.simulation.vectorized import VectorizedEngine
-
-        return VectorizedEngine()
-    raise ValueError(f"no single-fabric engine of kind {kind!r}")
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

@@ -1,9 +1,9 @@
 """Sharded scenario execution: partition the population over sub-simulations.
 
-The vectorized engine buys roughly constant-factor speedups; the road to
+A faster event loop buys roughly constant-factor speedups; the road to
 million-peer populations is horizontal.  ``engine="sharded"`` splits the
 configured population into ``engine_shards`` near-equal, independently-seeded
-sub-populations, runs each on its own vectorized fabric (optionally in worker
+sub-populations, runs each on its own single fabric (optionally in worker
 processes via ``REPRO_BENCH_WORKERS``, reusing the parallel period runner's
 fan-out), and merges the per-shard results deterministically in shard order.
 
@@ -14,14 +14,15 @@ Semantics, stated precisely:
   ``seed + 100003 * (i + 1)`` (a prime stride, so shard seed spaces never
   collide with each other or with the base seed's +10/+20/... offsets), and
   the merge walks shards in index order.
-* **Not byte-identical to the single-fabric engines**: each shard is a
+* **Not byte-identical to the single fabric**: each shard is a
   self-contained network with its own measurement vantage points, so
   cross-shard connections never form.  The merged result models ``S``
   federated observers of disjoint population slices — throughput scales,
   per-dataset aggregate shapes are preserved, but individual records differ
-  from a single fabric of the same size.  The cross-engine equivalence suite
-  therefore covers legacy vs vectorized only; sharded mode is pinned by its
-  own determinism and merge-correctness tests.
+  from a single fabric of the same size.  The scenario fingerprint table
+  (``tests/golden/scenario_fingerprints.json``) therefore pins the single
+  fabric only; sharded mode is pinned by its own determinism and
+  merge-correctness tests.
 * **No adversaries**: attack scenarios reason about one global keyspace
   (eclipse neighbourhoods, Sybil flooding of specific routing tables), which
   partitioning would silently weaken.  Sharded runs of adversarial configs
@@ -90,7 +91,7 @@ def shard_configs(config) -> List:
         raise ValueError(
             "sharded scenarios do not support adversaries: attacks target one "
             "global keyspace, which partitioning would silently weaken; run "
-            "adversarial configs on engine='vectorized' or 'legacy'"
+            "adversarial configs on engine='vectorized'"
         )
     sizes = shard_sizes(config.population.n_peers, config.engine_shards)
     obs = config.population.obs

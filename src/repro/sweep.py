@@ -54,7 +54,7 @@ from repro.core.churn import connection_statistics, trim_share
 from repro.experiments.runner import run_cells
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
-from repro.obs.trace import PROGRESS_ENV
+from repro.obs.progress import PROGRESS_ENV
 from repro.perf import dataset_counts
 from repro.scenarios import run_scenario_by_name, scenario, scenarios
 from repro.scenarios.registry import UnknownOverrideError, build_scenario_config
@@ -237,10 +237,6 @@ def summarize_cell_safe(
     the process pool can ship it to workers by reference.
     """
     try:
-        if metrics_window is None and trace_sample is None:
-            # Legacy call shape, kept so callers (and tests) that stub
-            # summarize_cell with the five-argument signature still work.
-            return summarize_cell(name, n_peers, duration_days, seed, overrides)
         return summarize_cell(
             name, n_peers, duration_days, seed, overrides,
             metrics_window, metrics_path, trace_sample, trace_path,
@@ -412,8 +408,8 @@ def run_sweep(
     attribution.  ``progress`` (default: on
     when stderr is a TTY) prints a heartbeat to stderr as cells complete —
     cells done/total, cumulative events/sec, ETA — and enables the per-cell
-    engine tracer (:mod:`repro.obs.trace`) inside the workers.  Neither knob
-    touches the artifacts' bytes beyond the metrics block itself.
+    progress heartbeat (:mod:`repro.obs.progress`) inside the workers.
+    Neither knob touches the artifacts' bytes beyond the metrics block itself.
     """
     for name in scenario_names:
         # Fail fast on unknown names and unknown override keys (the shared

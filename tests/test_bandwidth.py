@@ -302,7 +302,7 @@ class TestControlPlane:
         clock = self.FakeClock()
         src = self.FakePeer(PeerLink(0, up=1 * MB, down=10 * MB))
         dst = self.FakePeer(PeerLink(0, up=1 * MB, down=10 * MB))
-        assert runtime.on_timed_rpc(clock, src, dst)
+        assert runtime.on_rpc(src, dst, clock)
         expected = (2048 + 256) / (1 * MB)
         assert clock.elapsed == pytest.approx(expected)
         assert runtime.stats.control_rpcs == 1
@@ -312,7 +312,7 @@ class TestControlPlane:
         runtime = _runtime()
         clock = self.FakeClock()
         dst = self.FakePeer(PeerLink(0, up=1 * MB, down=10 * MB))
-        runtime.on_timed_rpc(clock, None, dst)
+        runtime.on_rpc(None, dst, clock)
         assert clock.elapsed == pytest.approx(2048 / (1 * MB))
 
     def test_untimed_rpcs_only_count_bytes(self):

@@ -1,67 +1,73 @@
-"""Cross-engine equivalence: legacy vs vectorized, every registered scenario.
+"""Reference equivalence: every registered scenario vs the legacy-engine table.
 
-This suite is the license for ``ScenarioConfig.engine`` defaulting to
-``"vectorized"``: each registered scenario runs at micro scale on both
-single-fabric engines and the two results must be **byte-identical** under
-the canonical serialization of :mod:`repro.simulation.equivalence` — every
-peer record, connection, change, snapshot, crawl, and stats block.
+``tests/golden/scenario_fingerprints.json`` was generated by running each
+registered scenario at micro scale on the object-per-event legacy engine, at
+the last commit that still had one.  The single :class:`Engine` must
+reproduce that table **byte for byte** under the canonical serialization of
+:mod:`repro.simulation.equivalence` — every peer record, connection, change,
+snapshot, crawl, and stats block.  A scenario that changes behaviour on
+purpose regenerates its row from the engine it changed; a refactor never does.
 
 Connection ids come from a process-global counter, so each run resets it;
-that counter is bookkeeping, not simulation state (the engines would differ
-by a constant id offset otherwise, regardless of behaviour).
+that counter is bookkeeping, not simulation state.
 """
 
-import dataclasses
 import itertools
 import json
+import pathlib
 
 import pytest
 
 import repro.libp2p.connection as connection_module
 from repro.scenarios import build_scenario_config, scenario_names
-from repro.simulation.equivalence import result_blob, result_fingerprint
+from repro.simulation.equivalence import block_fingerprints, result_fingerprint
 from repro.simulation.scenario import run_scenario
 
-MICRO_PEERS = 48
-MICRO_DAYS = 0.02
-SEED = 11
+with open(pathlib.Path(__file__).parent / "golden" / "scenario_fingerprints.json") as handle:
+    TABLE = json.load(handle)
 
 
-def run_micro(name: str, engine: str):
+def run_micro(name: str, seed: int = TABLE["seed"]):
     connection_module._connection_ids = itertools.count(1)
-    config = build_scenario_config(
-        name, n_peers=MICRO_PEERS, duration_days=MICRO_DAYS, seed=SEED
+    return run_scenario(
+        build_scenario_config(
+            name, n_peers=TABLE["n_peers"], duration_days=TABLE["duration_days"], seed=seed
+        )
     )
-    return run_scenario(dataclasses.replace(config, engine=engine))
 
 
-def first_divergence(blob_a: dict, blob_b: dict) -> str:
-    """Name the top-level result block where two blobs first differ."""
-    for key in blob_a:
-        if json.dumps(blob_a[key], sort_keys=True) != json.dumps(blob_b[key], sort_keys=True):
+def first_divergence(expected: dict, got: dict) -> str:
+    """Name the top-level result block where two block tables first differ."""
+    for key in got:
+        if expected.get(key) != got[key]:
             return key
     return "<none>"
 
 
+def test_table_covers_the_whole_catalog():
+    assert sorted(TABLE["scenarios"]) == sorted(scenario_names())
+
+
 @pytest.mark.parametrize("name", scenario_names())
 def test_legacy_and_vectorized_are_byte_identical(name):
-    legacy = run_micro(name, "legacy")
-    vectorized = run_micro(name, "vectorized")
-    if result_fingerprint(legacy) != result_fingerprint(vectorized):
-        block = first_divergence(result_blob(legacy), result_blob(vectorized))
-        pytest.fail(f"scenario {name!r}: engines diverge first in block {block!r}")
+    expected = TABLE["scenarios"][name]
+    result = run_micro(name)
+    if result_fingerprint(result) != expected["fingerprint"]:
+        block = first_divergence(expected["blocks"], block_fingerprints(result))
+        pytest.fail(f"scenario {name!r}: diverges from the legacy table first in block {block!r}")
+
+
+def test_first_divergence_names_the_block():
+    blocks = block_fingerprints(run_micro("p2"))
+    tampered = dict(blocks, crawls="0" * 64)
+    assert first_divergence(blocks, blocks) == "<none>"
+    assert first_divergence(tampered, blocks) == "crawls"
 
 
 def test_fingerprint_is_stable_across_reruns():
-    first = run_micro("p2", "vectorized")
-    second = run_micro("p2", "vectorized")
-    assert result_fingerprint(first) == result_fingerprint(second)
+    assert result_fingerprint(run_micro("p2")) == result_fingerprint(run_micro("p2"))
 
 
 def test_fingerprint_distinguishes_different_seeds():
-    connection_module._connection_ids = itertools.count(1)
-    config = build_scenario_config(
-        "p2", n_peers=MICRO_PEERS, duration_days=MICRO_DAYS, seed=SEED + 1
-    )
-    other = run_scenario(config)
-    assert result_fingerprint(other) != result_fingerprint(run_micro("p2", "vectorized"))
+    other = run_micro("p2", seed=TABLE["seed"] + 1)
+    assert result_fingerprint(other) != TABLE["scenarios"]["p2"]["fingerprint"]

@@ -32,12 +32,11 @@ from repro.obs import (
     render_line,
 )
 from repro.obs.hub import ring_tail
-from repro.obs.trace import PROGRESS_ENV, EngineTracer, progress_enabled
+from repro.obs.progress import PROGRESS_ENV, EngineTracer, progress_enabled
 from repro.scenarios import build_scenario_config
 from repro.simulation.engine import Engine
 from repro.simulation.scenario import Scenario, run_scenario
 from repro.simulation.sharded import run_sharded_scenario
-from repro.simulation.vectorized import VectorizedEngine
 
 HOUR = 3_600.0
 
@@ -311,7 +310,7 @@ def _drive(engine, events=50):
 
 
 class TestProgressHooks:
-    @pytest.mark.parametrize("engine_cls", [Engine, VectorizedEngine])
+    @pytest.mark.parametrize("engine_cls", [Engine])
     def test_callback_fires_with_monotonic_counts(self, engine_cls):
         engine = engine_cls()
         calls = []
@@ -324,7 +323,7 @@ class TestProgressHooks:
         assert counts == sorted(counts)
         assert all(pending >= 0 for _, _, pending in calls)
 
-    @pytest.mark.parametrize("engine_cls", [Engine, VectorizedEngine])
+    @pytest.mark.parametrize("engine_cls", [Engine])
     def test_detach_stops_callbacks(self, engine_cls):
         engine = engine_cls()
         calls = []

@@ -3,7 +3,7 @@
 import random
 
 from repro.simulation.peerstate import PeerStateArrays, key_limbs
-from repro.simulation.population import CLASS_CODES, PopulationConfig
+from repro.simulation.population import PopulationConfig
 from repro.simulation.scenario import Scenario, ScenarioConfig
 
 
@@ -24,8 +24,8 @@ class TestKeyLimbs:
     def test_closest_to_matches_exact_integer_xor_sort(self):
         """The uint64-limb lexsort must equal sorting by the full 256-bit XOR.
 
-        This is the property the vectorized neighbourhood computation rests
-        on: big-endian limb comparison of ``key ^ target`` orders exactly like
+        This is the property the neighbourhood computation rests on:
+        big-endian limb comparison of ``key ^ target`` orders exactly like
         the arbitrary-precision integers, including adversarial near-ties.
         """
         rng = random.Random(6)
@@ -67,18 +67,7 @@ class TestFromNetwork:
         for position, peer in enumerate(peers):
             assert peer.profile.peer_index == position
             assert bool(state.is_server[position]) == peer.profile.is_dht_server
-            assert int(state.class_codes[position]) == CLASS_CODES[peer.profile.peer_class]
             rebuilt = 0
             for limb in state.kad_limbs[position]:
                 rebuilt = (rebuilt << 64) | int(limb)
             assert rebuilt == peer.current_pid.kad_key()
-
-    def test_staged_sessions_drain_and_reset(self):
-        state = PeerStateArrays(4)
-        state.stage_session(2, 10.0)
-        state.stage_session(0, 5.0)
-        indices, times = state.staged_sessions()
-        assert list(indices) == [0, 2]
-        assert list(times) == [5.0, 10.0]
-        follow_up = state.staged_sessions()
-        assert list(follow_up[0]) == []

@@ -140,20 +140,16 @@ class TestPendingCounter:
         assert engine.pending() == 0
 
 
-def _engines():
-    from repro.simulation.vectorized import VectorizedEngine
-
-    return [Engine, VectorizedEngine]
-
-
-@pytest.mark.parametrize("engine_cls", _engines())
+# One engine class; the single-value parametrisation keeps these cases' ids
+# (``...[Engine]``) stable for tooling that tracks tests by id.
+@pytest.mark.parametrize("engine_cls", [Engine])
 class TestRunUntilBoundary:
     """Exactly-once semantics for events sitting exactly at ``end_time``.
 
     The engine contract (see the Engine docstring) promises that an event at
     precisely the boundary of a ``run_until`` call fires in the first call
     that reaches the boundary and never again in a later call.  These cases
-    pin that behaviour on both engines before anyone leans on it.
+    pin that behaviour before anyone leans on it.
     """
 
     def test_event_at_boundary_fires_in_first_call_only(self, engine_cls):

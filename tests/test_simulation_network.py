@@ -4,11 +4,17 @@ import random
 
 import pytest
 
+from repro.adversary.attackers import QueryDropper
+from repro.adversary.behaviors import AttackStats
 from repro.core.churn import connection_statistics
 from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
 from repro.simulation.churn_models import HOUR
+from repro.netmodel.config import PUBLIC, NetModelConfig
+from repro.obs.config import ObsConfig
+from repro.obs.spans import TraceConfig
 from repro.simulation.engine import Engine
+from repro.simulation.fabric import FabricRuntime
 from repro.simulation.network import MeasurementIdentity, SimulatedNetwork
 from repro.simulation.population import PopulationConfig, generate_population
 from repro.simulation.scenario import Scenario, ScenarioConfig
@@ -104,6 +110,92 @@ class TestNetworkLifecycle:
         assert network.observed_pid_count() > len(network.peers)
 
 
+class TestRpcDispatch:
+    """The single veto ladder behind dht_query / add_provider / get_providers."""
+
+    @staticmethod
+    def fabric(**population_kwargs):
+        population = generate_population(
+            PopulationConfig(n_peers=60, seed=5, **population_kwargs), random.Random(5)
+        )
+        network = SimulatedNetwork(Engine(), population, random.Random(6))
+        server = next(
+            p
+            for p in network.peers
+            if p.profile.is_dht_server and (p.net is None or p.net.reachability == PUBLIC)
+        )
+        server.online = True
+        return network, server
+
+    #: each RPC called directly (no clock, vantage-point source) and through
+    #: its walk binder (clock + source peer)
+    RPCS = {
+        "find_node": (
+            lambda net, pid: net.dht_query(pid, 0, 20),
+            lambda net, pid, clock, src: net.timed_query_fn(clock, src=src)(pid, 0, 20),
+        ),
+        "add_provider": (
+            lambda net, pid: net.add_provider(pid, 1, pid, 60.0),
+            lambda net, pid, clock, src: net.timed_add_provider_fn(clock, 60.0, src=src)(
+                pid, 1, pid
+            ),
+        ),
+        "get_providers": (
+            lambda net, pid: net.get_providers(pid, 1),
+            lambda net, pid, clock, src: net.timed_get_providers_fn(clock, src=src)(pid, 1),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RPCS))
+    def test_runtime_overriding_only_on_rpc_sees_clocked_and_unclocked_rpcs(self, kind):
+        class Vetoer(FabricRuntime):
+            name = "vetoer"
+
+            def __init__(self):
+                self.seen = []
+
+            def on_rpc(self, src, dst, clock=None):
+                self.seen.append((src, dst, clock))
+                return False
+
+        network, server = self.fabric()
+        vetoer = Vetoer()
+        network._attach_runtime(vetoer)
+        clock, src = object(), network.peers[0]
+        direct, bound = self.RPCS[kind]
+        assert direct(network, server.current_pid) is None
+        assert bound(network, server.current_pid, clock, src) is None
+        assert vetoer.seen == [(None, server, None), (src, server, clock)]
+        assert server.provider_store is None  # a vetoed store never lands
+
+    def test_runtime_without_a_slot_is_never_asked_for_peer_assignments(self):
+        obs_only = generate_population(
+            PopulationConfig(n_peers=20, seed=5, obs=ObsConfig()), random.Random(5)
+        )
+        network = SimulatedNetwork(Engine(), obs_only, random.Random(6))
+        assert network.obs.slot == "" and network.runtimes == [network.obs]
+        with pytest.raises(NotImplementedError):
+            network.obs.assign_peer(network.peers[0].profile)
+        assert not hasattr(network.peers[0], "obs")
+
+    def test_attacker_dropped_reply_on_a_clocked_walk_is_a_dropped_leaf(self):
+        network, server = self.fabric(netmodel=NetModelConfig(), trace=TraceConfig())
+        server.attacker = QueryDropper("dropper-0", AttackStats(), random.Random(1))
+        src = network.peers[0]
+        tracer = network.tracer
+        tracer.begin("content.retrieve", src.profile.peer_index)
+        clock = network.netmodel_clock(src)
+        assert network.timed_get_providers_fn(clock, src=src)(server.current_pid, 1) is None
+        assert network.get_providers(server.current_pid, 1, src=src) is None
+        clocked, unclocked = tracer._events
+        # Same outcome in both modes; the clocked leaf still carries the round
+        # trip the walk paid for the reply that never came, but no rtt attr.
+        assert clocked[:2] == unclocked[:2] == ("r", "get_providers")
+        assert clocked[3] == unclocked[3] == "dropped"
+        assert clocked[2] == clock.elapsed > 0.0 and unclocked[2] == 0.0
+        assert clocked[4] is None and unclocked[4] is None
+
+
 class TestClientVantagePoint:
     def test_dht_client_sees_far_fewer_peers(self):
         server_cfg = IpfsConfig(low_water=500, high_water=600, dht_mode=DHTMode.SERVER)
@@ -130,6 +222,10 @@ class TestScenarioConfigValidation:
     def test_scenario_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             ScenarioConfig(duration=0.0)
+
+    def test_removed_legacy_engine_is_rejected_naming_the_valid_kinds(self):
+        with pytest.raises(ValueError, match=r"engine .*'sharded', 'vectorized'.*'legacy'"):
+            ScenarioConfig(engine="legacy")
 
 
 class TestScenarioRun:

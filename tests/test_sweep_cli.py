@@ -314,11 +314,11 @@ class TestCheckpointResume:
         real = sweep_mod.summarize_cell
         calls = []
 
-        def dies_on_third(name, n_peers, duration_days, seed, overrides=None):
+        def dies_on_third(name, n_peers, duration_days, seed, *rest):
             calls.append((name, seed))
             if len(calls) == 3:
                 raise KeyboardInterrupt
-            return real(name, n_peers, duration_days, seed, overrides)
+            return real(name, n_peers, duration_days, seed, *rest)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", dies_on_third)
         with pytest.raises(KeyboardInterrupt):
@@ -332,9 +332,9 @@ class TestCheckpointResume:
         # same artifacts, byte for byte, as the uninterrupted run.
         resumed = []
 
-        def counting(name, n_peers, duration_days, seed, overrides=None):
+        def counting(name, n_peers, duration_days, seed, *rest):
             resumed.append((name, seed))
-            return real(name, n_peers, duration_days, seed, overrides)
+            return real(name, n_peers, duration_days, seed, *rest)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", counting)
         self._run(out, resume=True)
@@ -370,9 +370,9 @@ class TestCheckpointResume:
         real = sweep_mod.summarize_cell
         rerun = []
 
-        def counting(name, n_peers, duration_days, seed, overrides=None):
+        def counting(name, n_peers, duration_days, seed, *rest):
             rerun.append((name, seed))
-            return real(name, n_peers, duration_days, seed, overrides)
+            return real(name, n_peers, duration_days, seed, *rest)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", counting)
         from repro.sweep import run_sweep
@@ -423,10 +423,10 @@ class TestFailingCells:
 
         real = sweep_mod.summarize_cell
 
-        def flaky(name, n_peers, duration_days, seed, overrides=None):
+        def flaky(name, n_peers, duration_days, seed, *rest):
             if seed == 8:
                 raise RuntimeError("boom")
-            return real(name, n_peers, duration_days, seed, overrides)
+            return real(name, n_peers, duration_days, seed, *rest)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", flaky)
         out = tmp_path / "mixed"

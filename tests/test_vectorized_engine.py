@@ -1,21 +1,64 @@
-"""The vectorized engine is order-equivalent to the legacy engine.
+"""The engine is order-equivalent to a sort-by-``(time, seq)`` reference.
 
-Property tests drive both engines through identical schedule interleavings —
-single events, fire-and-forget drops, bulk timer columns, mid-drain cascades,
-cancellations — and assert the fired ``(time, tag)`` streams are *identical*,
-including the order of timestamp ties.  Times are drawn from a tiny integer
-pool precisely to force tie collisions, which is where batched sequencing
-would first go wrong.
+Property tests drive the engine and the reference scheduler below through
+identical schedule interleavings — single events, fire-and-forget drops, bulk
+timer columns, mid-drain cascades, cancellations — and assert the fired
+``(time, tag)`` streams are *identical*, including the order of timestamp
+ties.  Times are drawn from a tiny integer pool precisely to force tie
+collisions, which is where batched sequencing would first go wrong.
 """
+
+import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulation.engine import Engine, PeriodicTask
-from repro.simulation.vectorized import _COMPACT_THRESHOLD, VectorizedEngine
+from repro.simulation.engine import _COMPACT_THRESHOLD, Engine, PeriodicTask
 
-ENGINES = [Engine, VectorizedEngine]
+
+class ReferenceScheduler:
+    """The obviously-correct scheduler: one list, re-sorted by ``(time, seq)``
+    before every pop (sequence numbers are unique, so the sort never compares
+    callbacks).  Quadratic; only ever used as the tests' reference."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._sequence = itertools.count()
+        self._queue = []  # (time, seq, callback, args)
+        self._cancelled = set()  # seqs
+
+    def schedule_at(self, time, callback, *args):
+        seq = next(self._sequence)
+        self._queue.append((time, seq, callback, args))
+        return SimpleNamespace(cancel=lambda: self._cancelled.add(seq))
+
+    def schedule_drop(self, delay, callback, *args):
+        self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_bulk(self, times, callback, payloads):
+        for time, payload in zip(times, payloads):
+            self.schedule_at(time, callback, payload)
+
+    def pending(self):
+        return sum(1 for entry in self._queue if entry[1] not in self._cancelled)
+
+    def run_until(self, end_time):
+        while self._queue:
+            self._queue.sort(key=lambda entry: entry[:2])
+            if self._queue[0][0] > end_time:
+                break
+            time, seq, callback, args = self._queue.pop(0)
+            if seq not in self._cancelled:
+                self.now = time
+                self.events_processed += 1
+                callback(*args)
+        self.now = end_time
+
+
+SCHEDULERS = [ReferenceScheduler, Engine]
 
 #: tiny time pool → many (time, seq) ties
 tie_times = st.integers(min_value=0, max_value=5).map(float)
@@ -30,47 +73,51 @@ operations = st.lists(
 )
 
 
-def _apply(engine_cls, ops, end_time=10.0):
-    """Run one interleaving on a fresh engine; return the fired event stream."""
-    engine = engine_cls()
+def _apply(scheduler_cls, ops, end_time=10.0, cancel_picks=()):
+    """Run one interleaving on a fresh scheduler; return the fired event stream."""
+    engine = scheduler_cls()
     log = []
     tags = iter(range(10**9))
 
     def fire(tag):
         log.append((engine.now, tag))
 
+    handles = []
     for kind, arg in ops:
         if kind == "drop":
             engine.schedule_drop(arg, fire, next(tags))
         elif kind == "at":
-            engine.schedule_at(arg, fire, next(tags))
+            handles.append(engine.schedule_at(arg, fire, next(tags)))
         else:
             engine.schedule_bulk(arg, fire, [next(tags) for _ in arg])
+    for pick in cancel_picks:
+        if handles:
+            handles[pick % len(handles)].cancel()
     engine.run_until(end_time)
     return log, engine
 
 
 @given(operations)
 def test_interleavings_fire_in_identical_order(ops):
-    legacy, _ = _apply(Engine, ops)
-    vectorized, _ = _apply(VectorizedEngine, ops)
-    assert legacy == vectorized
+    reference, _ = _apply(ReferenceScheduler, ops)
+    engine, _ = _apply(Engine, ops)
+    assert reference == engine
 
 
 @given(operations)
 def test_events_processed_and_pending_agree(ops):
-    _, legacy = _apply(Engine, ops, end_time=3.0)
-    _, vectorized = _apply(VectorizedEngine, ops, end_time=3.0)
-    assert legacy.events_processed == vectorized.events_processed
-    assert legacy.pending() == vectorized.pending()
+    _, reference = _apply(ReferenceScheduler, ops, end_time=3.0)
+    _, engine = _apply(Engine, ops, end_time=3.0)
+    assert reference.events_processed == engine.events_processed
+    assert reference.pending() == engine.pending()
 
 
 @given(st.lists(st.tuples(tie_times, st.integers(0, 2)), min_size=1, max_size=8))
 def test_mid_drain_bulk_cascades_match(seeds):
     """Callbacks that bulk-schedule children mid-drain interleave identically."""
     logs = []
-    for engine_cls in ENGINES:
-        engine = engine_cls()
+    for scheduler_cls in SCHEDULERS:
+        engine = scheduler_cls()
         log = []
         tags = iter(range(10**9))
 
@@ -94,34 +141,14 @@ def test_mid_drain_bulk_cascades_match(seeds):
 @given(operations, st.lists(st.integers(0, 20), max_size=5))
 def test_cancellations_among_drops_match(ops, cancel_picks):
     """Cancellable events mixed into the drop/bulk stream behave identically."""
-    logs = []
-    for engine_cls in ENGINES:
-        engine = engine_cls()
-        log = []
-        tags = iter(range(10**9))
-
-        def fire(tag, engine=engine, log=log):
-            log.append((engine.now, tag))
-
-        handles = []
-        for kind, arg in ops:
-            if kind == "drop":
-                engine.schedule_drop(arg, fire, next(tags))
-            elif kind == "at":
-                handles.append(engine.schedule_at(arg, fire, next(tags)))
-            else:
-                engine.schedule_bulk(arg, fire, [next(tags) for _ in arg])
-        for pick in cancel_picks:
-            if handles:
-                handles[pick % len(handles)].cancel()
-        engine.run_until(10.0)
-        logs.append(log)
-    assert logs[0] == logs[1]
+    reference, _ = _apply(ReferenceScheduler, ops, cancel_picks=cancel_picks)
+    engine, _ = _apply(Engine, ops, cancel_picks=cancel_picks)
+    assert reference == engine
 
 
 class TestVectorizedEngineUnits:
     def test_pending_counts_bulk_remainder(self):
-        engine = VectorizedEngine()
+        engine = Engine()
         engine.schedule_bulk([1.0, 2.0, 3.0], lambda _: None, ["a", "b", "c"])
         engine.schedule_drop(1.5, lambda: None)
         assert engine.pending() == 4
@@ -129,28 +156,25 @@ class TestVectorizedEngineUnits:
         assert engine.pending() == 2
 
     def test_bulk_length_mismatch_rejected(self):
-        for engine_cls in ENGINES:
-            with pytest.raises(ValueError):
-                engine_cls().schedule_bulk([1.0], lambda _: None, ["a", "b"])
+        with pytest.raises(ValueError):
+            Engine().schedule_bulk([1.0], lambda _: None, ["a", "b"])
 
     def test_bulk_past_time_rejected(self):
-        for engine_cls in ENGINES:
-            engine = engine_cls(start_time=10.0)
-            with pytest.raises(ValueError):
-                engine.schedule_bulk([5.0], lambda _: None, ["a"])
+        engine = Engine(start_time=10.0)
+        with pytest.raises(ValueError):
+            engine.schedule_bulk([5.0], lambda _: None, ["a"])
 
     def test_drop_negative_delay_rejected(self):
-        for engine_cls in ENGINES:
-            with pytest.raises(ValueError):
-                engine_cls().schedule_drop(-1.0, lambda: None)
+        with pytest.raises(ValueError):
+            Engine().schedule_drop(-1.0, lambda: None)
 
     def test_empty_bulk_is_a_no_op(self):
-        engine = VectorizedEngine()
+        engine = Engine()
         engine.schedule_bulk([], lambda _: None, [])
         assert engine.pending() == 0
 
     def test_consumed_column_prefix_compacts(self):
-        engine = VectorizedEngine()
+        engine = Engine()
         n = _COMPACT_THRESHOLD + 500
         engine.schedule_bulk(
             [float(i) for i in range(n)], lambda _: None, list(range(n))
@@ -161,14 +185,14 @@ class TestVectorizedEngineUnits:
         assert len(engine._bulk_times) < n
 
     def test_consumed_entries_release_references(self):
-        engine = VectorizedEngine()
+        engine = Engine()
         engine.schedule_bulk([1.0, 2.0], lambda _: None, ["a", "b"])
         engine.run_until(1.5)
         assert engine._bulk_payloads[engine._bulk_pos - 1] is None
         assert engine._bulk_callbacks[engine._bulk_pos - 1] is None
 
     def test_periodic_task_runs_and_stops_on_vectorized_engine(self):
-        engine = VectorizedEngine()
+        engine = Engine()
         ticks = []
         task = PeriodicTask(engine, 1.0, ticks.append)
         engine.run_until(3.5)
@@ -177,7 +201,7 @@ class TestVectorizedEngineUnits:
         assert ticks == [1.0, 2.0, 3.0]
 
     def test_events_processed_counts_all_representations(self):
-        engine = VectorizedEngine()
+        engine = Engine()
         engine.schedule(1.0, lambda: None)
         engine.schedule_drop(2.0, lambda: None)
         engine.schedule_bulk([3.0], lambda _: None, ["x"])
