@@ -18,11 +18,12 @@ remote peers publish and resolve content without owning a node object).
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
-from repro.kademlia.keys import key_for_peer, random_key, xor_distance
+from repro.kademlia.keys import key_for_peer, random_key
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import DEFAULT_BUCKET_SIZE, RoutingTable
 from repro.libp2p.peer_id import PeerId
@@ -115,45 +116,59 @@ def iterative_lookup(
 ) -> LookupResult:
     """Iteratively converge on the ``count`` peers closest to ``target``.
 
-    Standard Kademlia: repeatedly query the ``alpha`` closest not-yet queried
-    candidates, merge the replies, stop when no candidate closer than the
-    current best remains or ``max_queries`` is exhausted.  ``on_found`` is
-    invoked for every peer a reply carries (nodes use it to refresh their
-    routing tables; table-less callers pass nothing).  ``stop`` is re-checked
-    after every reply; content-routing walks use it to end the walk early the
-    moment their side-goal (enough provider records) is met.  ``give_up`` is
-    the failure-side twin: re-checked after every query, it abandons the walk
-    when its budget (e.g. a netmodel's simulated-time lookup timeout) is
-    exhausted — the result keeps whatever was found, but does not count as a
-    satisfied early stop.  ``retry`` is an optional duck-typed executor with
-    a ``call(fn, *args)`` method (:class:`repro.faults.retry.RetryState`)
-    that re-issues ``None``-answered queries with backoff; ``None`` keeps the
-    single-shot behaviour.  ``trace`` is an optional duck-typed span tracer
+    Each round queries the ``alpha`` closest not-yet-queried candidates and
+    merges their replies.  The walk stops after a round that adds no new
+    candidate, when every candidate has been queried, or when ``max_queries``
+    is exhausted.  This walks longer than the textbook rule ("stop when no
+    candidate closer than the current best remains"): a round that only
+    learns *farther* peers still counts as progress.  The candidate set only
+    ever grows, and only where a round records progress, so "no progress"
+    already implies "same best ``count``" and the best set is never compared
+    before and after a round.
+
+    Cost model: a candidate's XOR distance is computed once, when it is first
+    seen, and kept in a ``pid -> distance`` dict; not-yet-queried candidates
+    wait in a heap keyed on it, so a round costs O(new · log n) and nothing is
+    re-sorted.  Distinct peers have distinct distances, so heap order never
+    falls through to comparing PeerIds and the iteration order of ``seeds``
+    is irrelevant.
+
+    ``on_found`` is invoked for every peer a reply carries (nodes use it to
+    refresh their routing tables; table-less callers pass nothing).  ``stop``
+    is re-checked after every reply; content-routing walks use it to end the
+    walk early the moment their side-goal (enough provider records) is met.
+    ``give_up`` is the failure-side twin: re-checked after every query, it
+    abandons the walk when its budget (e.g. a netmodel's simulated-time
+    lookup timeout) is exhausted — the result keeps whatever was found, but
+    does not count as a satisfied early stop.  ``retry`` is an optional
+    duck-typed executor with a ``call(fn, *args)`` method
+    (:class:`repro.faults.retry.RetryState`) that re-issues ``None``-answered
+    queries with backoff; ``None`` keeps the single-shot behaviour.  ``trace``
+    is an optional duck-typed span tracer
     (:class:`repro.obs.spans.SpanTracer`) whose ``hop(n)`` is told the
     current batch number so the fabric's RPC leaves carry it; the walk never
     reads anything back from it.
     """
-    candidates: Set[PeerId] = set(seeds)
+    #: every candidate ever seen -> its XOR distance to the target
+    distance = {peer: peer.kad_key() ^ target for peer in seeds}
     if self_id is not None:
-        candidates.discard(self_id)
+        distance.pop(self_id, None)
+    #: the not-yet-queried candidates, closest first
+    frontier = [(d, peer) for peer, d in distance.items()]
+    heapq.heapify(frontier)
     queried: Set[PeerId] = set()
-    discovered: Set[PeerId] = set(candidates)
     hops = 0
-    stopped = False
-    expired = False
+    done = False
 
-    def dist(peer: PeerId) -> int:
-        return xor_distance(key_for_peer(peer), target)
-
-    while len(queried) < max_queries and not stopped and not expired:
+    while len(queried) < max_queries and not done:
         if give_up is not None and give_up():
             break
-        remaining = sorted(candidates - queried, key=dist)
-        if not remaining:
+        if not frontier:
             break
-        best_known = sorted(candidates, key=dist)[:count]
-        budget = max_queries - len(queried)
-        batch = remaining[: min(alpha, budget)]
+        batch = [
+            heapq.heappop(frontier)[1]
+            for _ in range(min(alpha, max_queries - len(queried), len(frontier)))
+        ]
         progressed = False
         hops += 1
         if trace is not None:
@@ -165,36 +180,33 @@ def iterative_lookup(
             else:
                 reply = retry.call(query, peer, target, count)
             if give_up is not None and give_up():
-                expired = True
+                done = True
             if reply is None:
-                if expired:
+                if done:
                     break
                 continue
             for found in reply:
-                if found == self_id:
-                    continue
-                discovered.add(found)
-                if found not in candidates:
-                    candidates.add(found)
+                if found not in distance:
+                    # self_id is never a key of ``distance``
+                    if found == self_id:
+                        continue
+                    d = distance[found] = found.kad_key() ^ target
+                    heapq.heappush(frontier, (d, found))
                     progressed = True
                 if on_found is not None:
                     on_found(found)
             if stop is not None and stop():
-                stopped = True
-            if stopped or expired:
+                done = True
+            if done:
                 break
-        if stopped or expired:
-            break
-        new_best = sorted(candidates, key=dist)[:count]
-        if not progressed and new_best == best_known:
+        if not progressed:
             break
 
-    closest = sorted(candidates, key=dist)[:count]
     return LookupResult(
         target=target,
-        closest=closest,
+        closest=sorted(distance, key=distance.__getitem__)[:count],
         queried=queried,
-        discovered=discovered,
+        discovered=set(distance),
         hops=hops,
     )
 
@@ -387,9 +399,11 @@ class KademliaNode:
     ) -> LookupResult:
         """Iteratively converge on the ``count`` peers closest to ``target``.
 
-        Standard Kademlia: repeatedly query the ``alpha`` closest not-yet
-        queried candidates, merge the replies, stop when no candidate closer
-        than the current best remains or ``max_queries`` is exhausted.
+        Seeds :func:`iterative_lookup` with our own ``count`` closest table
+        entries (plus ``seeds``) and refreshes the table with every peer a
+        reply carries.  The walk stops after a round that adds no new
+        candidate — not at the textbook "no closer candidate remains" — or
+        when ``max_queries`` is exhausted; see :func:`iterative_lookup`.
         """
         self.lookups_performed += 1
         candidates: Set[PeerId] = set(seeds or [])

@@ -8,24 +8,34 @@ horizon comparison (Fig. 2) relies on.
 
 Lookup performance matters here: every FIND_NODE a simulated DHT-Server
 answers goes through :meth:`RoutingTable.closest_peers`.  Buckets therefore
-store precomputed ``(key, pid)`` pairs in an insertion-ordered mapping (O(1)
+store ``pid -> kad key`` in an insertion-ordered mapping (O(1)
 ``touch``/``remove``), and ``closest_peers`` walks buckets in ascending
 distance order instead of sorting the whole table:  for a fixed target, the
-XOR distances of any two non-empty buckets occupy *disjoint* ranges, so
-traversal can stop as soon as enough candidates have been collected and only
-those candidates go through ``heapq.nsmallest``.
+XOR distances of any two non-empty buckets occupy *disjoint* ranges, so each
+visited bucket is ranked on its own with a plain sort of ``(distance, pid)``
+pairs, the ranked buckets are concatenated, and traversal stops as soon as
+``count`` peers have been collected.
+
+A walk to a popular key asks the same servers for the same target over and
+over, so each table memoises its answers per ``(target, count)``.  The memo is
+allocated on first query, dropped by every ``add_peer`` / ``remove_peer``,
+cleared when it reaches :data:`CLOSEST_MEMO_CAPACITY` entries, and only ever
+hands out copies.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.kademlia.keys import KEY_BITS, bucket_index, key_for_peer
 from repro.libp2p.peer_id import PeerId
 
 #: IPFS bucket size.
 DEFAULT_BUCKET_SIZE = 20
+#: Answers one table memoises before its memo is cleared.  Walks to hot keys
+#: repeat a few targets per server; a crawler's random bucket targets never
+#: repeat, so the cap is what keeps its tables from growing with run length.
+CLOSEST_MEMO_CAPACITY = 32
 
 
 class KBucket:
@@ -57,11 +67,6 @@ class KBucket:
     @property
     def is_full(self) -> bool:
         return len(self._entries) >= self.capacity
-
-    def entries(self) -> Iterator[Tuple[int, PeerId]]:
-        """Iterate ``(kad key, pid)`` pairs in LRU order."""
-        for pid, key in self._entries.items():
-            yield key, pid
 
     def touch(self, peer: PeerId, key: Optional[int] = None) -> bool:
         """Record activity from ``peer``.
@@ -111,6 +116,9 @@ class RoutingTable:
         self.local_key = key_for_peer(local_peer)
         self.bucket_size = bucket_size
         self._buckets: Dict[int, KBucket] = {}
+        #: (target, count) -> closest_peers answer; None until the first query
+        #: and again after any add_peer / remove_peer
+        self._closest_memo: Optional[Dict[Tuple[int, int], List[PeerId]]] = None
 
     # -- updates ---------------------------------------------------------------
 
@@ -118,6 +126,7 @@ class RoutingTable:
         """Try to insert/refresh ``peer``; returns True if it is (now) present."""
         if peer == self.local_peer:
             return False
+        self._closest_memo = None
         key = key_for_peer(peer)
         index = (key ^ self.local_key).bit_length() - 1
         bucket = self._buckets.get(index)
@@ -136,6 +145,7 @@ class RoutingTable:
     def remove_peer(self, peer: PeerId) -> bool:
         if peer == self.local_peer:
             return False
+        self._closest_memo = None
         index = bucket_index(self.local_key, key_for_peer(peer))
         bucket = self._buckets.get(index)
         if bucket is None:
@@ -176,25 +186,35 @@ class RoutingTable:
         """Return up to ``count`` known peers closest (XOR) to ``target``.
 
         Buckets are visited in ascending order of their minimum distance to the
-        target; because per-bucket distance ranges are disjoint, traversal
-        stops once ``count`` candidates have been collected and only those are
-        ranked, instead of sorting the entire table per query.
+        target; because per-bucket distance ranges are disjoint, each bucket is
+        ranked on its own and traversal stops once ``count`` peers have been
+        collected, instead of sorting the entire table per query.  Distances
+        within a table are unique, so the ``(distance, pid)`` pairs never
+        compare PeerIds.  The returned list is the caller's to mutate.
         """
         if count <= 0:
             return []
+        memo = self._closest_memo
+        if memo is None:
+            memo = self._closest_memo = {}
+        else:
+            known = memo.get((target, count))
+            if known is not None:
+                return list(known)
         buckets = self._buckets
         diff = self.local_key ^ target
-        order = sorted(buckets, key=lambda i: _bucket_min_distance(diff, i))
-        candidates: List[Tuple[int, PeerId]] = []
-        for index in order:
-            candidates.extend(buckets[index].entries())
-            if len(candidates) >= count:
+        ranked: List[Tuple[int, PeerId]] = []
+        for index in sorted(buckets, key=lambda i: _bucket_min_distance(diff, i)):
+            ranked.extend(
+                sorted([(key ^ target, pid) for pid, key in buckets[index]._entries.items()])
+            )
+            if len(ranked) >= count:
                 break
-        if len(candidates) <= count:
-            candidates.sort(key=lambda kp: kp[0] ^ target)
-            return [pid for _, pid in candidates]
-        best = heapq.nsmallest(count, candidates, key=lambda kp: kp[0] ^ target)
-        return [pid for _, pid in best]
+        closest = [pid for _, pid in ranked[:count]]
+        if len(memo) >= CLOSEST_MEMO_CAPACITY:
+            memo.clear()
+        memo[(target, count)] = closest
+        return list(closest)
 
     def neighborhood(self, count: int) -> List[PeerId]:
         """Peers closest to the local key (the node's DHT neighbourhood)."""

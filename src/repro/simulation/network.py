@@ -846,17 +846,17 @@ class SimulatedNetwork:
         """The honest FIND_NODE reply of an online DHT-Server."""
         if peer.routing_table is None:
             return []
+        peers_by_pid = self.peers_by_pid
         now = self.engine.now
-        entries = peer.routing_table.closest_peers(target, count * 2)
+        expiry = self.config.routing_entry_expiry
         fresh: List[PeerId] = []
-        for pid in entries:
-            entry_peer = self.peers_by_pid.get(pid)
+        for pid in peer.routing_table.closest_peers(target, count * 2):
+            entry_peer = peers_by_pid.get(pid)
             if entry_peer is None:
                 continue
             # Stale entries (peer long offline) have been cleaned from real
             # routing tables; the crawler then no longer sees those nodes.
-            offline_for = now - entry_peer.last_online_at
-            if not entry_peer.online and offline_for > self.config.routing_entry_expiry:
+            if not entry_peer.online and now - entry_peer.last_online_at > expiry:
                 continue
             fresh.append(pid)
             if len(fresh) >= count:

@@ -3,7 +3,7 @@
 import random
 
 from repro.kademlia.keys import key_for_peer, xor_distance
-from repro.kademlia.routing_table import KBucket, RoutingTable
+from repro.kademlia.routing_table import CLOSEST_MEMO_CAPACITY, KBucket, RoutingTable
 from repro.libp2p.peer_id import PeerId
 
 
@@ -127,21 +127,33 @@ def _reference_closest(table, target, count):
 
 
 class TestClosestPeersEquivalence:
-    """The heap/bucket-ordered lookup must match the full-sort reference exactly."""
+    """The bucket-ordered, memoised lookup must match the full-sort reference exactly."""
 
     def test_randomized_tables_match_reference(self):
+        # Queries repeat a small pool of (target, count) pairs between
+        # mutations, so an answer memoised before an add / remove / re-touch
+        # and served after it would differ from the reference.
         rng = random.Random(1234)
         for trial in range(20):
             n = rng.randrange(1, 120)
             pids = [PeerId.random(rng) for _ in range(n + 1)]
             table = RoutingTable(pids[0], bucket_size=rng.choice([4, 8, 20]))
-            table.add_peers(pids[1:])
-            for _ in range(10):
-                target = rng.getrandbits(256)
-                count = rng.randrange(1, 30)
-                assert table.closest_peers(target, count) == _reference_closest(
-                    table, target, count
-                )
+            table.add_peers(pids[1 : 1 + n // 2])
+            pool = [(rng.getrandbits(256), rng.randrange(1, 30)) for _ in range(4)]
+            for _ in range(60):
+                action = rng.choice(["query", "query", "add", "remove", "touch"])
+                members = table.all_peers()
+                if action == "add":
+                    table.add_peer(rng.choice(pids[1:]))
+                elif action == "remove" and members:
+                    table.remove_peer(rng.choice(members))
+                elif action == "touch" and members:
+                    table.add_peer(rng.choice(members))
+                else:
+                    target, count = rng.choice(pool)
+                    assert table.closest_peers(target, count) == _reference_closest(
+                        table, target, count
+                    )
 
     def test_target_equal_to_member_key(self):
         rng = random.Random(99)
@@ -172,3 +184,58 @@ class TestClosestPeersEquivalence:
         table.add_peers(pids[1:])
         assert table.closest_peers(123, 0) == []
         assert table.closest_peers(123, -3) == []
+
+    def test_count_around_table_size_and_single_entry_bucket(self):
+        rng = random.Random(77)
+        pids = [PeerId.random(rng) for _ in range(13)]
+        table = RoutingTable(pids[0])
+        table.add_peers(pids[1:])
+        size = len(table)
+        assert any(len(table._buckets[i]) == 1 for i in table.nonempty_bucket_indices())
+        for target in [rng.getrandbits(256) for _ in range(5)] + [table.local_key]:
+            everyone = _reference_closest(table, target, size)
+            assert len(everyone) == size
+            for count in (1, size - 1, size, size + 1, size * 3):
+                assert table.closest_peers(target, count) == everyone[:count]
+
+
+class TestClosestPeersMemo:
+    def _table(self):
+        pids = make_pids(60, seed=5)
+        table = RoutingTable(pids[0])
+        table.add_peers(pids[1:])
+        return table, random.Random(5)
+
+    def test_unqueried_table_has_no_memo(self):
+        table, _ = self._table()
+        assert table._closest_memo is None
+        assert table.closest_peers(1, 0) == []
+        assert table._closest_memo is None
+
+    def test_mutations_drop_the_memo(self):
+        table, _ = self._table()
+        member = table.all_peers()[0]
+        for mutate in (table.add_peer, table.remove_peer):
+            table.closest_peers(123, 5)
+            assert table._closest_memo
+            mutate(member)
+            assert table._closest_memo is None
+
+    def test_returned_list_is_the_callers(self):
+        table, rng = self._table()
+        target = rng.getrandbits(256)
+        first = table.closest_peers(target, 10)
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        second = table.closest_peers(target, 10)
+        assert second == expected
+        second.clear()
+        assert table.closest_peers(target, 10) == expected
+
+    def test_memo_is_bounded(self):
+        table, rng = self._table()
+        for _ in range(CLOSEST_MEMO_CAPACITY * 3 + 1):
+            target = rng.getrandbits(256)
+            assert table.closest_peers(target, 7) == _reference_closest(table, target, 7)
+            assert 1 <= len(table._closest_memo) <= CLOSEST_MEMO_CAPACITY
