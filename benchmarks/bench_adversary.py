@@ -30,17 +30,11 @@ from dataclasses import replace
 from functools import lru_cache
 from statistics import mean
 
-from conftest import _env_float, _env_int, BENCH_SEED
+from conftest import BENCH_SEED, bench_scale, registered_config, run_registered
 
 from repro.analysis.attack_report import attack_metrics
 from repro.core.netsize import estimate_by_neighborhood_density
 from repro.libp2p.peer_id import PeerId
-from repro.scenarios.catalog import (
-    eclipse_provider_config,
-    poisoned_routing_config,
-    spoofed_churn_config,
-    sybil_netsize_config,
-)
 from repro.simulation.scenario import Scenario
 
 ADVERSARY_PEERS = 300
@@ -52,22 +46,16 @@ POISON_COUNTS = (0, 24, 60)
 SPOOF_COUNTS = (0, 75)
 
 
-def _bench_scale():
-    peers = _env_int("REPRO_BENCH_PEERS") or ADVERSARY_PEERS
-    days = _env_float("REPRO_BENCH_DAYS") or ADVERSARY_DAYS
-    return peers, days
-
-
 def _without_adversary(config):
     return replace(config, population=replace(config.population, adversary=None))
 
 
-def _run(builder, count_kwarg, count):
-    peers, days = _bench_scale()
-    config = builder(peers, days, BENCH_SEED, **{count_kwarg: count or None})
+def _run(name, count_key, count):
     if count == 0:
-        config = _without_adversary(config)
-    return Scenario(config).run()
+        # The attack-free twin: no override, adversary stripped.
+        config = registered_config(name, ADVERSARY_PEERS, ADVERSARY_DAYS)
+        return Scenario(_without_adversary(config)).run()
+    return run_registered(name, ADVERSARY_PEERS, ADVERSARY_DAYS, **{count_key: count})
 
 
 def density_estimate(result) -> float:
@@ -84,22 +72,22 @@ def density_estimate(result) -> float:
 
 @lru_cache(maxsize=None)
 def sybil_runs():
-    return {c: _run(sybil_netsize_config, "sybil_count", c) for c in SYBIL_COUNTS}
+    return {c: _run("sybil-netsize-inflation", "sybil_count", c) for c in SYBIL_COUNTS}
 
 
 @lru_cache(maxsize=None)
 def eclipse_runs():
-    return {c: _run(eclipse_provider_config, "eclipse_count", c) for c in ECLIPSE_COUNTS}
+    return {c: _run("eclipse-provider", "eclipse_count", c) for c in ECLIPSE_COUNTS}
 
 
 @lru_cache(maxsize=None)
 def poison_runs():
-    return {c: _run(poisoned_routing_config, "poison_count", c) for c in POISON_COUNTS}
+    return {c: _run("poisoned-routing-under-churn", "poison_count", c) for c in POISON_COUNTS}
 
 
 @lru_cache(maxsize=None)
 def spoof_runs():
-    return {c: _run(spoofed_churn_config, "spoof_count", c) for c in SPOOF_COUNTS}
+    return {c: _run("spoofed-churn-classification", "spoof_count", c) for c in SPOOF_COUNTS}
 
 
 def _replicas_per_provide(content) -> float:
@@ -109,7 +97,7 @@ def _replicas_per_provide(content) -> float:
 
 def build_payload():
     """The BENCH_adversary.json payload: per-family strength → distortion."""
-    peers, days = _bench_scale()
+    peers, days = bench_scale(ADVERSARY_PEERS, ADVERSARY_DAYS)
     payload = {
         "schema": "repro-bench-adversary/1",
         "n_peers": peers,

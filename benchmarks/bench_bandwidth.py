@@ -24,15 +24,10 @@ import json
 import sys
 from functools import lru_cache
 
-from conftest import _env_float, _env_int, BENCH_SEED
+from conftest import BENCH_SEED, bench_scale, run_registered
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.transfer_report import transfer_metrics
-from repro.scenarios.catalog import (
-    mixed_size_catalog_config,
-    provider_hotspot_config,
-)
-from repro.simulation.scenario import Scenario
 
 BANDWIDTH_PEERS = 300
 BANDWIDTH_DAYS = 0.15
@@ -43,21 +38,13 @@ SIZE_SCALES = (1.0, 4.0, 16.0)
 UPLINK_SCALES = (1.0, 0.25, 0.0625)
 
 
-def _bench_scale():
-    peers = _env_int("REPRO_BENCH_PEERS") or BANDWIDTH_PEERS
-    days = _env_float("REPRO_BENCH_DAYS") or BANDWIDTH_DAYS
-    return peers, days
-
-
-def _run(builder, kwarg, value):
-    peers, days = _bench_scale()
-    config = builder(peers, days, BENCH_SEED, **{kwarg: value})
-    return Scenario(config).run()
+def _run(name, **overrides):
+    return run_registered(name, BANDWIDTH_PEERS, BANDWIDTH_DAYS, **overrides)
 
 
 @lru_cache(maxsize=None)
 def size_runs():
-    return {s: _run(mixed_size_catalog_config, "size_scale", s) for s in SIZE_SCALES}
+    return {s: _run("mixed-size-catalog", size_scale=s) for s in SIZE_SCALES}
 
 
 #: the uplink regime runs over 4x blocks so the starved endpoint actually
@@ -67,13 +54,8 @@ UPLINK_SIZE_SCALE = 4.0
 
 @lru_cache(maxsize=None)
 def uplink_runs():
-    peers, days = _bench_scale()
     return {
-        s: Scenario(
-            provider_hotspot_config(
-                peers, days, BENCH_SEED, uplink_scale=s, size_scale=UPLINK_SIZE_SCALE
-            )
-        ).run()
+        s: _run("provider-hotspot", uplink_scale=s, size_scale=UPLINK_SIZE_SCALE)
         for s in UPLINK_SCALES
     }
 
@@ -96,7 +78,7 @@ def transfer_p90(result) -> float:
 def build_payload():
     """The BENCH_bandwidth.json payload: per-regime strength → data-plane
     metrics."""
-    peers, days = _bench_scale()
+    peers, days = bench_scale(BANDWIDTH_PEERS, BANDWIDTH_DAYS)
     payload = {
         "schema": "repro-bench-bandwidth/1",
         "n_peers": peers,

@@ -27,17 +27,11 @@ import json
 import sys
 from functools import lru_cache
 
-from conftest import _env_float, _env_int, BENCH_SEED
+from conftest import BENCH_SEED, bench_scale, run_registered
 
 from repro.analysis.resilience_report import resilience_metrics
-from repro.scenarios.catalog import (
-    PARTITION_RECOVERY_FRACTION,
-    crash_storm_config,
-    lossy_links_config,
-    partition_heal_config,
-)
+from repro.scenarios.catalog import PARTITION_RECOVERY_FRACTION
 from repro.simulation.churn_models import DAY
-from repro.simulation.scenario import Scenario
 
 FAULTS_PEERS = 300
 FAULTS_DAYS = 0.15
@@ -46,21 +40,14 @@ FAULTS_DAYS = 0.15
 LOSS_RATES = (0.0, 0.2, 0.45)
 
 
-def _bench_scale():
-    peers = _env_int("REPRO_BENCH_PEERS") or FAULTS_PEERS
-    days = _env_float("REPRO_BENCH_DAYS") or FAULTS_DAYS
-    return peers, days
-
-
-def _run(builder, **kwargs):
-    peers, days = _bench_scale()
-    return Scenario(builder(peers, days, BENCH_SEED, **kwargs)).run()
+def _run(name, **overrides):
+    return run_registered(name, FAULTS_PEERS, FAULTS_DAYS, **overrides)
 
 
 @lru_cache(maxsize=None)
 def loss_runs():
     return {
-        (rate, retry): _run(lossy_links_config, loss_rate=rate, retry=retry)
+        (rate, retry): _run("lossy-links", loss_rate=rate, retry=retry)
         for rate in LOSS_RATES
         for retry in (False, True)
     }
@@ -68,12 +55,12 @@ def loss_runs():
 
 @lru_cache(maxsize=None)
 def partition_run():
-    return _run(partition_heal_config)
+    return _run("partition-heal")
 
 
 @lru_cache(maxsize=None)
 def crash_run():
-    return _run(crash_storm_config)
+    return _run("crash-storm")
 
 
 def success_rate(result) -> float:
@@ -83,7 +70,7 @@ def success_rate(result) -> float:
 
 def build_payload():
     """The BENCH_faults.json payload: per-regime strength → resilience."""
-    peers, days = _bench_scale()
+    peers, days = bench_scale(FAULTS_PEERS, FAULTS_DAYS)
     payload = {
         "schema": "repro-bench-faults/1",
         "n_peers": peers,
@@ -148,7 +135,8 @@ def assert_regime_shapes():
 
     # A healed partition recovers within the configured reconnect spread.
     stats = partition_run().faults
-    spread = max(_bench_scale()[1] * DAY * PARTITION_RECOVERY_FRACTION, 60.0)
+    _, days = bench_scale(FAULTS_PEERS, FAULTS_DAYS)
+    spread = max(days * DAY * PARTITION_RECOVERY_FRACTION, 60.0)
     assert stats.heal_time is not None
     assert stats.recovered_peers > 0
     assert stats.recovery_delays

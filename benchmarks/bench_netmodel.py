@@ -24,15 +24,10 @@ import json
 import sys
 from functools import lru_cache
 
-from conftest import _env_float, _env_int, BENCH_SEED
+from conftest import BENCH_SEED, bench_scale, run_registered
 
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.reachability_report import crawler_coverage, reachability_metrics
-from repro.scenarios.catalog import (
-    high_latency_retrieval_config,
-    nat_heavy_crawl_config,
-)
-from repro.simulation.scenario import Scenario
 
 NETMODEL_PEERS = 300
 NETMODEL_DAYS = 0.15
@@ -43,26 +38,18 @@ NAT_SHARES = (0.05, 0.35, 0.7)
 RTT_SCALES = (1.0, 4.0, 12.0)
 
 
-def _bench_scale():
-    peers = _env_int("REPRO_BENCH_PEERS") or NETMODEL_PEERS
-    days = _env_float("REPRO_BENCH_DAYS") or NETMODEL_DAYS
-    return peers, days
-
-
-def _run(builder, kwarg, value):
-    peers, days = _bench_scale()
-    config = builder(peers, days, BENCH_SEED, **{kwarg: value})
-    return Scenario(config).run()
+def _run(name, **overrides):
+    return run_registered(name, NETMODEL_PEERS, NETMODEL_DAYS, **overrides)
 
 
 @lru_cache(maxsize=None)
 def nat_runs():
-    return {s: _run(nat_heavy_crawl_config, "nat_share", s) for s in NAT_SHARES}
+    return {s: _run("nat-heavy-crawl", nat_share=s) for s in NAT_SHARES}
 
 
 @lru_cache(maxsize=None)
 def latency_runs():
-    return {s: _run(high_latency_retrieval_config, "rtt_scale", s) for s in RTT_SCALES}
+    return {s: _run("high-latency-retrieval", rtt_scale=s) for s in RTT_SCALES}
 
 
 def undercount(result) -> float:
@@ -79,7 +66,7 @@ def retrieve_p90(result) -> float:
 
 def build_payload():
     """The BENCH_netmodel.json payload: per-regime strength → distortion."""
-    peers, days = _bench_scale()
+    peers, days = bench_scale(NETMODEL_PEERS, NETMODEL_DAYS)
     payload = {
         "schema": "repro-bench-netmodel/1",
         "n_peers": peers,

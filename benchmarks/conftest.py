@@ -26,6 +26,7 @@ from typing import Optional
 import pytest
 
 from repro.experiments.runner import run_period_cached
+from repro.scenarios import build_scenario_config, run_scenario_by_name
 
 
 def _env_int(name: str) -> Optional[int]:
@@ -50,6 +51,27 @@ def run_bench_period(period_id: str, run_crawler: Optional[bool] = None):
         seed=BENCH_SEED,
         run_crawler=run_crawler,
     )
+
+
+def bench_scale(default_peers: int, default_days: float):
+    """A regime benchmark's ``(peers, days)``: its own defaults unless the
+    ``REPRO_BENCH_*`` knobs override them."""
+    peers = _env_int("REPRO_BENCH_PEERS") or default_peers
+    days = _env_float("REPRO_BENCH_DAYS") or default_days
+    return peers, days
+
+
+def registered_config(name: str, default_peers: int, default_days: float, **overrides):
+    """The config of one registered scenario at benchmark scale; ``overrides``
+    go through the registry's validation like ``--set`` does."""
+    peers, days = bench_scale(default_peers, default_days)
+    return build_scenario_config(name, peers, days, BENCH_SEED, overrides)
+
+
+def run_registered(name: str, default_peers: int, default_days: float, **overrides):
+    """Build (as :func:`registered_config` does) and run one registered scenario."""
+    peers, days = bench_scale(default_peers, default_days)
+    return run_scenario_by_name(name, peers, days, BENCH_SEED, overrides)
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,9 @@ PAPER_SCALE_PIDS = 62_204
 WATERMARK_HEADROOM = 4.0
 #: lower bound for any scaled LowWater (keeps tiny test populations sane)
 MIN_SCALED_LOW_WATER = 20
+#: hydra-booster's (unscaled) connection-manager watermarks
+HYDRA_BASE_LOW_WATER = 15_000
+HYDRA_BASE_HIGH_WATER = 20_000
 
 
 def scale_watermarks(
@@ -109,8 +112,8 @@ class PeriodSpec:
         return scale_watermarks(self.low_water, self.high_water, n_peers)
 
     def scaled_hydra_watermarks(self, n_peers: int) -> Tuple[int, int]:
-        low = self.hydra_low_water if self.hydra_low_water is not None else 15_000
-        high = self.hydra_high_water if self.hydra_high_water is not None else 20_000
+        low = HYDRA_BASE_LOW_WATER if self.hydra_low_water is None else self.hydra_low_water
+        high = HYDRA_BASE_HIGH_WATER if self.hydra_high_water is None else self.hydra_high_water
         return scale_watermarks(low, high, n_peers)
 
     def scenario_config(

@@ -1,6 +1,6 @@
 """The built-in scenario catalog.
 
-Six families are registered at import time:
+Seven families are registered at import time:
 
 * the six paper measurement periods (``p0`` … ``p4``, ``p14``), thin wrappers
   around :mod:`repro.experiments.periods` so the sweep CLI can run Table I
@@ -13,16 +13,16 @@ Six families are registered at import time:
   (provider records with TTL expiry and republish, Zipf-popular items,
   Bitswap fetches) against the churning fabric: steady publishing under paper
   churn, a retrieval flash crowd, and a record-expiry regime with republish
-  disabled, and
+  disabled,
 * four adversarial scenarios (:mod:`repro.adversary`) that attack the
   measurements themselves: a Sybil flood inflating density-based network-size
   estimates, an eclipse ring capturing provider records, routing
   poisoners/droppers degrading lookups and the crawler, and churn spoofers
-  polluting the Table IV classification, and
+  polluting the Table IV classification,
 * four network-realism scenarios (:mod:`repro.netmodel`) that drop the
   idealised zero-latency, fully-dialable fabric: a NAT-heavy population the
   crawler undercounts, a high-RTT regime stretching retrieval latencies, a
-  relay-assisted content workload, and time-bounded lookups that give up, and
+  relay-assisted content workload, and time-bounded lookups that give up,
 * four fault-injection scenarios (:mod:`repro.faults`) that pair injected
   failures with retry/backoff resilience: lossy links dropping RPCs, a
   regional partition with a scheduled heal, a crash storm leaving dirty
@@ -32,21 +32,30 @@ Six families are registered at import time:
   relayed plurality on starved uplinks, a provider hotspot saturating its
   uplink, and a mixed-size catalog spreading transfer percentiles.
 
-Every stress scenario derives its connection-manager watermarks through the
-same :func:`repro.experiments.periods.scale_watermarks` helper the paper
-periods use, so watermark mechanics stay comparable across the catalog.
-Content and adversarial scenarios derive their workload intervals and attack
-windows from the scenario duration, so even heavily compressed sweep cells
-run the whole publish → resolve → expire (and join → attack → distort)
-cycle.  The adversarial builders take an optional strength override
-(``sybil_count`` etc.) so benchmarks can sweep attack power.
+Like Table I, everything below the paper periods is a set of *deltas* over one
+deployment: each scenario is a small builder that computes the fields it
+changes and hands them to :func:`_compose`, the only place a
+:class:`ScenarioConfig` is assembled.  The :func:`_entry` decorator registers
+the builder (600 peers x 0.5 d unless it says otherwise) and derives the
+spec's ``knobs`` — what ``--list`` shows and ``--set`` accepts — from the
+builder's own keyword parameters, so the two cannot drift apart.
+
+Every scenario derives its connection-manager watermarks through the same
+:func:`repro.experiments.periods.scale_watermarks` helper the paper periods
+use (2000/4000 scaled unless the description says otherwise), so watermark
+mechanics stay comparable across the catalog.  Content and adversarial
+scenarios derive their workload intervals and attack windows from the
+scenario duration, so even heavily compressed sweep cells run the whole
+publish → resolve → expire (and join → attack → distort) cycle.  The
+adversarial builders take an optional strength override (``sybil_count``
+etc.) so benchmarks can sweep attack power.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.adversary.config import (
     AdversaryConfig,
@@ -56,7 +65,12 @@ from repro.adversary.config import (
     SybilFloodConfig,
 )
 from repro.bandwidth.config import BandwidthConfig
-from repro.experiments.periods import PERIODS, scale_watermarks
+from repro.experiments.periods import (
+    HYDRA_BASE_HIGH_WATER,
+    HYDRA_BASE_LOW_WATER,
+    PERIODS,
+    scale_watermarks,
+)
 from repro.faults.config import (
     CrashConfig,
     FaultConfig,
@@ -87,14 +101,94 @@ from repro.simulation.population import (
     default_session_model,
 )
 from repro.simulation.scenario import ScenarioConfig
-from repro.scenarios.registry import ScenarioSpec, register
+from repro.scenarios.registry import (
+    ScenarioBuilder,
+    ScenarioSpec,
+    override_parameters,
+    register,
+)
 
-#: hydra-booster's (unscaled) connection-manager watermarks
-HYDRA_BASE_LOW_WATER = 15_000
-HYDRA_BASE_HIGH_WATER = 20_000
+# -- the one scenario skeleton ------------------------------------------------------
+
+
+def _compose(
+    n_peers: int,
+    duration_days: float,
+    seed: int,
+    *,
+    watermarks: Optional[tuple] = (2_000, 4_000),
+    population: Optional[dict] = None,
+    content: Optional[dict] = None,
+    crawler: bool = False,
+    **scenario_fields,
+) -> ScenarioConfig:
+    """Assemble one catalog scenario from its deltas over the base deployment.
+
+    The base is the paper-calibrated population in front of a DHT-Server
+    go-ipfs vantage point.  ``watermarks`` are its unscaled connection-manager
+    watermarks (``None``: no go-ipfs node is deployed), ``population`` holds
+    :class:`PopulationConfig` field deltas, ``content`` the
+    :func:`_content_workload` keyword deltas (``None``: no workload, ``{}``:
+    the base workload), ``crawler`` runs the active crawler baseline, and any
+    other keyword is a :class:`ScenarioConfig` field.
+    """
+    duration = duration_days * DAY
+    go_ipfs = None
+    if watermarks is not None:
+        low, high = scale_watermarks(*watermarks, n_peers)
+        go_ipfs = IpfsConfig(low_water=low, high_water=high, dht_mode=DHTMode.SERVER)
+    if crawler:
+        # Crawl often enough that at least one crawl lands inside a burst
+        # even for heavily compressed sweep durations.
+        scenario_fields.update(run_crawler=True, crawl_interval=max(duration / 3.0, 600.0))
+    return ScenarioConfig(
+        duration=duration,
+        population=replace(
+            PopulationConfig.scaled_to_paper(n_peers, seed=seed), **(population or {})
+        ),
+        go_ipfs=go_ipfs,
+        content=None if content is None else _content_workload(duration, **content),
+        seed=seed,
+        **scenario_fields,
+    )
+
+
+def _entry(
+    name: str, description: str, *tags: str, days: float = 0.5
+) -> Callable[[ScenarioBuilder], ScenarioBuilder]:
+    """Register the decorated builder as scenario ``name`` (600 peers x ``days``).
+
+    The spec's ``knobs`` are the builder's override parameters with their live
+    defaults, i.e. exactly the keys ``--set`` accepts; the regime's fixed
+    numbers belong in ``description``.
+    """
+
+    def decorate(builder: ScenarioBuilder) -> ScenarioBuilder:
+        knobs = {key: param.default for key, param in override_parameters(builder).items()}
+        register(
+            ScenarioSpec(
+                name=name,
+                description=description,
+                builder=builder,
+                tags=tags,
+                default_peers=600,
+                default_duration_days=days,
+                knobs=knobs,
+            )
+        )
+        return builder
+
+    return decorate
+
+
+def _attackers(count: Optional[int], n_peers: int, share: float, floor: int) -> int:
+    """An attacker head-count: the override if given, else ``share`` of the
+    honest population (at least ``floor`` — identities are cheap)."""
+    return count if count is not None else max(floor, int(round(n_peers * share)))
 
 
 # -- the paper's measurement periods ------------------------------------------------
+
 
 def _register_paper_periods() -> None:
     for period_id, spec in PERIODS.items():
@@ -131,6 +225,9 @@ def _register_paper_periods() -> None:
         )
 
 
+_register_paper_periods()
+
+
 # -- stress scenarios ---------------------------------------------------------------
 
 #: class shares of a one-time-dominated crowd population
@@ -153,19 +250,24 @@ MASS_OUTAGE_REGION_SHARE = 0.45
 
 CLIENT_HEAVY_SERVER_FACTOR = 0.15
 CLIENT_HEAVY_NAT_SHARE = 0.70
+#: go-ipfs' default watermarks (paper period P0)
+CLIENT_HEAVY_WATERMARKS = (600, 900)
 
 HYDRA_SCALING_HEADS = 6
 
+#: the barely-trimming vantage point of paper periods P2 – P14
+WIDE_WATERMARKS = (18_000, 20_000)
 
-def _burst_window(duration: float) -> tuple:
-    """Burst placement shared by the flash-crowd scenarios: starts at 30 % of
-    the window and lasts a quarter of it (capped at two hours)."""
+
+def _flash_crowd_population(duration_days: float) -> dict:
+    """Population deltas shared by the flash-crowd scenarios: a
+    one-time-dominated class mix whose arrivals concentrate in a burst that
+    starts at 30 % of the window and lasts a quarter of it (capped at two
+    hours)."""
+    duration = duration_days * DAY
     burst_start = duration * 0.30
     burst_duration = min(2 * HOUR, max(duration * 0.25, 60.0))
-    return burst_start, burst_duration
 
-
-def _flash_crowd_factory(burst_start: float, burst_duration: float):
     def factory(peer_class: PeerClass, rng: random.Random) -> ChurnModel:
         return FlashCrowdChurnModel(
             base=default_session_model(peer_class, rng),
@@ -175,29 +277,25 @@ def _flash_crowd_factory(burst_start: float, burst_duration: float):
             arrival_share=FLASH_CROWD_ARRIVAL_SHARE,
         )
 
-    return factory
-
-
-def _server_vantage(low_water: int, high_water: int, n_peers: int) -> IpfsConfig:
-    low, high = scale_watermarks(low_water, high_water, n_peers)
-    return IpfsConfig(low_water=low, high_water=high, dht_mode=DHTMode.SERVER)
-
-
-def _flash_crowd(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
-    duration = duration_days * DAY
-    burst_start, burst_duration = _burst_window(duration)
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
+    return dict(
         class_shares=dict(FLASH_CROWD_SHARES),
-        churn_model_factory=_flash_crowd_factory(burst_start, burst_duration),
+        churn_model_factory=factory,
         discovery_scale=FLASH_CROWD_DISCOVERY_SCALE,
     )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        seed=seed,
-    )
+
+
+@_entry(
+    "flash-crowd",
+    f"A one-time-heavy ({FLASH_CROWD_SHARES[PeerClass.ONE_TIME]:.0%}) population floods in "
+    "during a burst window 30 % into the run, 25 % long (≤ 2 h): "
+    f"{FLASH_CROWD_ARRIVAL_SHARE:.0%} of arrivals concentrated, reconnects accelerated "
+    f"x{FLASH_CROWD_INTENSITY:g}, vantage discovery time x{FLASH_CROWD_DISCOVERY_SCALE:g}",
+    "stress",
+    "burst",
+)
+def _flash_crowd(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
+    population = _flash_crowd_population(duration_days)
+    return _compose(n_peers, duration_days, seed, population=population)
 
 
 def _diurnal_factory(peer_class: PeerClass, rng: random.Random) -> ChurnModel:
@@ -208,105 +306,115 @@ def _diurnal_factory(peer_class: PeerClass, rng: random.Random) -> ChurnModel:
     )
 
 
+@_entry(
+    "diurnal-week",
+    f"Sine-modulated day/night activity (amplitude {DIURNAL_AMPLITUDE:g}) over a multi-day "
+    f"window (peak {DIURNAL_PEAK / HOUR:g}:00, trough 06:00); watermarks "
+    f"{WIDE_WATERMARKS[0]}/{WIDE_WATERMARKS[1]} scaled",
+    "stress",
+    "diurnal",
+    days=2.0,
+)
 def _diurnal_week(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        churn_model_factory=_diurnal_factory,
-    )
-    return ScenarioConfig(
-        duration=duration_days * DAY,
-        population=population,
-        go_ipfs=_server_vantage(18_000, 20_000, n_peers),
-        seed=seed,
+    population = dict(churn_model_factory=_diurnal_factory)
+    return _compose(
+        n_peers, duration_days, seed, watermarks=WIDE_WATERMARKS, population=population
     )
 
 
-def _mass_outage_factory(outage_start: float, outage_duration: float):
+@_entry(
+    "mass-outage",
+    f"A correlated region failure drops ~{MASS_OUTAGE_REGION_SHARE * 100:g} % of peers "
+    "mid-window (40 % in, for 15 % of it), followed by a reconnect stampede",
+    "stress",
+    "outage",
+)
+def _mass_outage(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
+    duration = duration_days * DAY
+    outage_start = duration * 0.40
+    outage_duration = max(duration * 0.15, 60.0)
+
     def factory(peer_class: PeerClass, rng: random.Random) -> ChurnModel:
         base = default_session_model(peer_class, rng)
         if rng.random() >= MASS_OUTAGE_REGION_SHARE:
             return base
         return MassOutageChurnModel(
-            base=base,
-            outage_start=outage_start,
-            outage_duration=outage_duration,
+            base=base, outage_start=outage_start, outage_duration=outage_duration
         )
 
-    return factory
+    return _compose(n_peers, duration_days, seed, population=dict(churn_model_factory=factory))
 
 
-def _mass_outage(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
-    duration = duration_days * DAY
-    outage_start = duration * 0.40
-    outage_duration = max(duration * 0.15, 60.0)
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        churn_model_factory=_mass_outage_factory(outage_start, outage_duration),
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        seed=seed,
-    )
-
-
+@_entry(
+    "client-heavy",
+    f"A DHT-Client-dominated (server shares x{CLIENT_HEAVY_SERVER_FACTOR:g}), heavily NATed "
+    f"({CLIENT_HEAVY_NAT_SHARE:.0%}) population against a default-watermark "
+    f"({CLIENT_HEAVY_WATERMARKS[0]}/{CLIENT_HEAVY_WATERMARKS[1]}) server vantage point",
+    "stress",
+    "composition",
+)
 def _client_heavy(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
     base = PopulationConfig.scaled_to_paper(n_peers, seed=seed)
-    population = replace(
-        base,
+    population = dict(
         server_share_per_class={
             cls: share * CLIENT_HEAVY_SERVER_FACTOR
             for cls, share in base.server_share_per_class.items()
         },
         nat_share=CLIENT_HEAVY_NAT_SHARE,
     )
-    return ScenarioConfig(
-        duration=duration_days * DAY,
-        population=population,
-        go_ipfs=_server_vantage(600, 900, n_peers),
-        seed=seed,
+    return _compose(
+        n_peers, duration_days, seed, watermarks=CLIENT_HEAVY_WATERMARKS, population=population
     )
 
 
+@_entry(
+    "hydra-scaling",
+    f"A {HYDRA_SCALING_HEADS}-head hydra as the only vantage point (head-count scaling of the "
+    f"union dataset; watermarks {HYDRA_BASE_LOW_WATER}/{HYDRA_BASE_HIGH_WATER} scaled)",
+    "stress",
+    "hydra",
+)
 def _hydra_scaling(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
     low, high = scale_watermarks(HYDRA_BASE_LOW_WATER, HYDRA_BASE_HIGH_WATER, n_peers)
-    return ScenarioConfig(
-        duration=duration_days * DAY,
-        population=PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        go_ipfs=None,
+    return _compose(
+        n_peers,
+        duration_days,
+        seed,
+        watermarks=None,
         hydra_heads=HYDRA_SCALING_HEADS,
         hydra_low_water=low,
         hydra_high_water=high,
-        seed=seed,
     )
 
 
+@_entry(
+    "crawler-vs-passive-under-burst",
+    "The active crawler baseline races the passive vantage point through the flash-crowd "
+    "burst (crawls every third of the window, ≥ 10 min apart; watermarks "
+    f"{WIDE_WATERMARKS[0]}/{WIDE_WATERMARKS[1]} scaled)",
+    "stress",
+    "burst",
+    "crawler",
+)
 def _crawler_vs_passive_under_burst(
     n_peers: int, duration_days: float, seed: int
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    burst_start, burst_duration = _burst_window(duration)
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        class_shares=dict(FLASH_CROWD_SHARES),
-        churn_model_factory=_flash_crowd_factory(burst_start, burst_duration),
-        discovery_scale=FLASH_CROWD_DISCOVERY_SCALE,
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(18_000, 20_000, n_peers),
-        run_crawler=True,
-        # Crawl often enough that at least one crawl lands inside the burst
-        # even for heavily compressed sweep durations.
-        crawl_interval=max(duration / 3.0, 600.0),
-        seed=seed,
+    return _compose(
+        n_peers,
+        duration_days,
+        seed,
+        watermarks=WIDE_WATERMARKS,
+        population=_flash_crowd_population(duration_days),
+        crawler=True,
     )
 
 
 # -- content-routing scenarios ------------------------------------------------------
 
+#: the base workload: who publishes, who retrieves, how skewed the popularity
+CONTENT_PUBLISHER_SHARE = 0.06
+CONTENT_RETRIEVER_SHARE = 0.3
+CONTENT_ZIPF_EXPONENT = 1.05
 #: workload intervals relative to the scenario duration (so compressed cells
 #: still see several publish/retrieve rounds per participant)
 CONTENT_PUBLISH_FRACTION = 1 / 8
@@ -318,20 +426,28 @@ EXPIRY_TTL_FRACTION = 0.12
 
 FLASH_RETRIEVER_SHARE = 0.6
 FLASH_ZIPF_EXPONENT = 1.4
+#: the retrieval flash crowd's workload: a retrieving majority on a steep head
+FLASH_CONTENT = dict(
+    retriever_share=FLASH_RETRIEVER_SHARE,
+    zipf_exponent=FLASH_ZIPF_EXPONENT,
+    retrieve_fraction=1 / 24,
+)
 
 
 def _content_workload(
     duration: float,
-    publisher_share: float = 0.06,
-    retriever_share: float = 0.3,
-    zipf_exponent: float = 1.05,
+    publisher_share: float = CONTENT_PUBLISHER_SHARE,
+    retriever_share: float = CONTENT_RETRIEVER_SHARE,
+    zipf_exponent: float = CONTENT_ZIPF_EXPONENT,
     ttl_fraction: float = CONTENT_TTL_FRACTION,
     republish_fraction: Optional[float] = CONTENT_REPUBLISH_FRACTION,
     retrieve_fraction: float = CONTENT_RETRIEVE_FRACTION,
+    n_items: int = 32,
+    block_size_classes: Optional[tuple] = None,
 ) -> ContentRoutingConfig:
     """A duration-relative content workload shared by the content scenarios."""
     return ContentRoutingConfig(
-        n_items=32,
+        n_items=n_items,
         zipf_exponent=zipf_exponent,
         publisher_share=publisher_share,
         retriever_share=retriever_share,
@@ -341,361 +457,160 @@ def _content_workload(
         republish_interval=(
             None if republish_fraction is None else duration * republish_fraction
         ),
+        block_size_classes=block_size_classes,
     )
 
 
+@_entry(
+    "provide-churn",
+    f"Publishers ({CONTENT_PUBLISHER_SHARE:.0%} of peers; {CONTENT_RETRIEVER_SHARE:.0%} "
+    f"retrieve, Zipf {CONTENT_ZIPF_EXPONENT:g}) keep provider records alive (TTL "
+    f"{CONTENT_TTL_FRACTION:g} x duration, republish at TTL/2 pace) against the "
+    "paper-calibrated churning population",
+    "content",
+    "churn",
+)
 def _provide_churn(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
-    duration = duration_days * DAY
-    return ScenarioConfig(
-        duration=duration,
-        population=PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    return _compose(n_peers, duration_days, seed, content={})
 
 
+@_entry(
+    "retrieval-flash-crowd",
+    f"A one-time-heavy crowd floods in mid-window and hammers ({FLASH_RETRIEVER_SHARE:.0%} "
+    f"retrieve) the hottest items (steep Zipf head, exponent {FLASH_ZIPF_EXPONENT:g}) with "
+    "FIND_PROVIDERS + fetches",
+    "content",
+    "burst",
+)
 def _retrieval_flash_crowd(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
-    duration = duration_days * DAY
-    burst_start, burst_duration = _burst_window(duration)
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        class_shares=dict(FLASH_CROWD_SHARES),
-        churn_model_factory=_flash_crowd_factory(burst_start, burst_duration),
-        discovery_scale=FLASH_CROWD_DISCOVERY_SCALE,
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(
-            duration,
-            retriever_share=FLASH_RETRIEVER_SHARE,
-            zipf_exponent=FLASH_ZIPF_EXPONENT,
-            retrieve_fraction=1 / 24,
-        ),
-        seed=seed,
-    )
+    population = _flash_crowd_population(duration_days)
+    return _compose(n_peers, duration_days, seed, population=population, content=FLASH_CONTENT)
 
 
+@_entry(
+    "provider-record-expiry",
+    f"Short-TTL ({EXPIRY_TTL_FRACTION:g} x duration) provider records with republish "
+    "disabled: retrieval success decays as records expire out",
+    "content",
+    "expiry",
+)
 def _provider_record_expiry(n_peers: int, duration_days: float, seed: int) -> ScenarioConfig:
-    duration = duration_days * DAY
-    return ScenarioConfig(
-        duration=duration,
-        population=PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(
-            duration,
-            ttl_fraction=EXPIRY_TTL_FRACTION,
-            republish_fraction=None,
-        ),
-        seed=seed,
-    )
+    content = dict(ttl_fraction=EXPIRY_TTL_FRACTION, republish_fraction=None)
+    return _compose(n_peers, duration_days, seed, content=content)
 
 
-def _register_content_scenarios() -> None:
-    register(
-        ScenarioSpec(
-            name="provide-churn",
-            description=(
-                "Publishers keep provider records alive (republish at TTL/2 "
-                "pace) against the paper-calibrated churning population"
-            ),
-            builder=_provide_churn,
-            tags=("content", "churn"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "publisher_share": 0.06,
-                "retriever_share": 0.3,
-                "ttl": f"{CONTENT_TTL_FRACTION:g} x duration",
-                "republish": f"{CONTENT_REPUBLISH_FRACTION:g} x duration",
-                "zipf": 1.05,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="retrieval-flash-crowd",
-            description=(
-                "A one-time-heavy crowd floods in mid-window and hammers the "
-                "hottest items (steep Zipf head) with FIND_PROVIDERS + fetches"
-            ),
-            builder=_retrieval_flash_crowd,
-            tags=("content", "burst"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "retriever_share": FLASH_RETRIEVER_SHARE,
-                "zipf": FLASH_ZIPF_EXPONENT,
-                "intensity": FLASH_CROWD_INTENSITY,
-                "burst": "30 % into the window, 25 % long (≤ 2 h)",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="provider-record-expiry",
-            description=(
-                "Short-TTL provider records with republish disabled: "
-                "retrieval success decays as records expire out"
-            ),
-            builder=_provider_record_expiry,
-            tags=("content", "expiry"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "ttl": f"{EXPIRY_TTL_FRACTION:g} x duration",
-                "republish": "off",
-                "publisher_share": 0.06,
-                "retriever_share": 0.3,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
+# -- adversarial scenarios ----------------------------------------------------------
+
+#: sybils as a share of the honest population (identities are cheap)
+SYBIL_SHARE = 0.30
+SYBIL_CLOSENESS_BITS = 12
+#: sybil join ramp, as fractions of the window
+SYBIL_ARRIVAL_SPAN = (0.05, 0.5)
+
+ECLIPSE_SHARE = 0.05
+ECLIPSE_MIN = 16
+ECLIPSE_VICTIM_ITEMS = 2
+ECLIPSE_CLOSENESS_BITS = 24
+
+POISON_SHARE = 0.08
+POISON_DROP_SHARE = 0.5
+
+SPOOF_SHARE = 0.25
+#: spoofer session/downtime as fractions of the window (≥ the floors below)
+SPOOF_SESSION_FRACTION = 1 / 40
+SPOOF_DOWNTIME_FRACTION = 1 / 60
 
 
-# -- data-plane (bandwidth) scenarios -----------------------------------------------
-
-#: a mixed catalog: metadata-sized blocks up to video-chunk large objects
-MIXED_BLOCK_CLASSES = (
-    (16_000, 0.45),
-    (262_144, 0.30),
-    (4_000_000, 0.20),
-    (33_554_432, 0.05),
+@_entry(
+    "sybil-netsize-inflation",
+    f"A Sybil flood ({SYBIL_SHARE:.0%} of the honest population unless sybil_count is set, "
+    f"{SYBIL_CLOSENESS_BITS} prefix bits close) mined into the vantage point's neighbourhood "
+    f"over {SYBIL_ARRIVAL_SPAN[0]:.0%}–{SYBIL_ARRIVAL_SPAN[1]:.0%} of the window inflates "
+    "density-based network-size estimates",
+    "adversary",
+    "sybil",
 )
-#: a large-object distribution (the flash-crowd and hotspot regimes)
-LARGE_BLOCK_CLASSES = (
-    (4_000_000, 0.55),
-    (16_000_000, 0.35),
-    (67_108_864, 0.10),
+def _sybil_netsize_config(
+    n_peers: int, duration_days: float, seed: int, sybil_count: Optional[int] = None
+) -> ScenarioConfig:
+    duration = duration_days * DAY
+    low, high = SYBIL_ARRIVAL_SPAN
+    sybil = SybilFloodConfig(
+        count=_attackers(sybil_count, n_peers, SYBIL_SHARE, floor=8),
+        closeness_bits=SYBIL_CLOSENESS_BITS,
+        arrival_window=(duration * low, duration * high),
+    )
+    population = dict(adversary=AdversaryConfig(sybil=sybil))
+    return _compose(n_peers, duration_days, seed, population=population)
+
+
+@_entry(
+    "eclipse-provider",
+    f"An eclipse ring ({ECLIPSE_SHARE:.0%} of the honest population, ≥ {ECLIPSE_MIN}, unless "
+    f"eclipse_count is set) mined {ECLIPSE_CLOSENESS_BITS} bits around the "
+    f"{ECLIPSE_VICTIM_ITEMS} hottest content keys captures provider records (shadow-published "
+    "every duration/6) and starves retrievals",
+    "adversary",
+    "eclipse",
 )
-#: bandwidth-starved-relays: every uplink cut to a quarter
-STARVED_UPLINK_SCALE = 0.25
-STARVED_RELAY_SHARE = 0.35
-STARVED_NAT_SHARE = 0.20
-#: provider-hotspot: a couple of publishers serve a steep-Zipf handful of items
-HOTSPOT_PUBLISHER_SHARE = 0.02
-HOTSPOT_RETRIEVER_SHARE = 0.5
-HOTSPOT_ZIPF = 1.6
-HOTSPOT_ITEMS = 8
-
-
-def _scaled_blocks(classes: tuple, size_scale: float) -> tuple:
-    """Multiply every block size in a ``(size, weight)`` mix by ``size_scale``."""
-    if size_scale <= 0:
-        raise ValueError(f"size_scale must be positive, got {size_scale}")
-    return tuple(
-        (max(1, int(round(size * size_scale))), weight) for size, weight in classes
+def _eclipse_provider_config(
+    n_peers: int, duration_days: float, seed: int, eclipse_count: Optional[int] = None
+) -> ScenarioConfig:
+    eclipse = EclipseConfig(
+        count=_attackers(eclipse_count, n_peers, ECLIPSE_SHARE, floor=ECLIPSE_MIN),
+        victim_items=ECLIPSE_VICTIM_ITEMS,
+        closeness_bits=ECLIPSE_CLOSENESS_BITS,
+        shadow_publish_interval=duration_days * DAY / 6.0,
     )
+    population = dict(adversary=AdversaryConfig(eclipse=eclipse))
+    return _compose(n_peers, duration_days, seed, population=population, content={})
 
 
-def flash_crowd_large_blocks_config(
+@_entry(
+    "poisoned-routing-under-churn",
+    f"Malicious DHT servers ({POISON_SHARE:.0%} of the honest population unless poison_count "
+    "is set) drop queries or answer with bogus closer-peers while the crawler (every third "
+    "of the window, ≥ 10 min apart) and a content workload run",
+    "adversary",
+    "poison",
+    "crawler",
+)
+def _poisoned_routing_config(
     n_peers: int,
     duration_days: float,
     seed: int,
-    size_scale: float = 1.0,
-    uplink_scale: float = 1.0,
+    poison_count: Optional[int] = None,
+    drop_share: float = POISON_DROP_SHARE,
+) -> ScenarioConfig:
+    poison = RoutingPoisonConfig(
+        count=_attackers(poison_count, n_peers, POISON_SHARE, floor=12), drop_share=drop_share
+    )
+    population = dict(adversary=AdversaryConfig(poison=poison))
+    return _compose(
+        n_peers, duration_days, seed, population=population, content={}, crawler=True
+    )
+
+
+@_entry(
+    "spoofed-churn-classification",
+    f"Aggressive PID rotation ({SPOOF_SHARE:.0%} of the honest population unless spoof_count "
+    f"is set) over short sessions ({SPOOF_SESSION_FRACTION:g} x duration up, "
+    f"{SPOOF_DOWNTIME_FRACTION:.3g} x duration down) floods the Table IV classification with "
+    "fake one-time/light peers",
+    "adversary",
+    "spoof",
+)
+def _spoofed_churn_config(
+    n_peers: int, duration_days: float, seed: int, spoof_count: Optional[int] = None
 ) -> ScenarioConfig:
     duration = duration_days * DAY
-    burst_start, burst_duration = _burst_window(duration)
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        class_shares=dict(FLASH_CROWD_SHARES),
-        churn_model_factory=_flash_crowd_factory(burst_start, burst_duration),
-        discovery_scale=FLASH_CROWD_DISCOVERY_SCALE,
-        netmodel=NetModelConfig(),
-        bandwidth=BandwidthConfig(uplink_scale=uplink_scale),
+    spoof = ChurnSpoofConfig(
+        count=_attackers(spoof_count, n_peers, SPOOF_SHARE, floor=10),
+        session_mean=max(duration * SPOOF_SESSION_FRACTION, 30.0),
+        downtime_mean=max(duration * SPOOF_DOWNTIME_FRACTION, 20.0),
     )
-    content = replace(
-        _content_workload(
-            duration,
-            retriever_share=FLASH_RETRIEVER_SHARE,
-            zipf_exponent=FLASH_ZIPF_EXPONENT,
-            retrieve_fraction=1 / 24,
-        ),
-        block_size_classes=_scaled_blocks(LARGE_BLOCK_CLASSES, size_scale),
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=content,
-        seed=seed,
-    )
-
-
-def bandwidth_starved_relays_config(
-    n_peers: int,
-    duration_days: float,
-    seed: int,
-    uplink_scale: float = STARVED_UPLINK_SCALE,
-    relay_share: float = STARVED_RELAY_SHARE,
-) -> ScenarioConfig:
-    duration = duration_days * DAY
-    netmodel = NetModelConfig(
-        reachability=ReachabilityConfig(
-            nat_share=STARVED_NAT_SHARE,
-            relay_share=relay_share,
-            relay_penalty=RELAY_PENALTY,
-        ),
-    )
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        netmodel=netmodel,
-        bandwidth=BandwidthConfig(uplink_scale=uplink_scale),
-    )
-    content = replace(
-        _content_workload(duration, retriever_share=0.4),
-        block_size_classes=MIXED_BLOCK_CLASSES,
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=content,
-        seed=seed,
-    )
-
-
-def provider_hotspot_config(
-    n_peers: int,
-    duration_days: float,
-    seed: int,
-    uplink_scale: float = 1.0,
-    size_scale: float = 1.0,
-) -> ScenarioConfig:
-    duration = duration_days * DAY
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        bandwidth=BandwidthConfig(uplink_scale=uplink_scale),
-    )
-    content = replace(
-        _content_workload(
-            duration,
-            publisher_share=HOTSPOT_PUBLISHER_SHARE,
-            retriever_share=HOTSPOT_RETRIEVER_SHARE,
-            zipf_exponent=HOTSPOT_ZIPF,
-            retrieve_fraction=1 / 24,
-        ),
-        n_items=HOTSPOT_ITEMS,
-        block_size_classes=_scaled_blocks(LARGE_BLOCK_CLASSES, size_scale),
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=content,
-        seed=seed,
-    )
-
-
-def mixed_size_catalog_config(
-    n_peers: int,
-    duration_days: float,
-    seed: int,
-    size_scale: float = 1.0,
-    uplink_scale: float = 1.0,
-) -> ScenarioConfig:
-    duration = duration_days * DAY
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        bandwidth=BandwidthConfig(uplink_scale=uplink_scale),
-    )
-    content = replace(
-        _content_workload(duration, retriever_share=0.4),
-        block_size_classes=_scaled_blocks(MIXED_BLOCK_CLASSES, size_scale),
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=content,
-        seed=seed,
-    )
-
-
-def _register_bandwidth_scenarios() -> None:
-    register(
-        ScenarioSpec(
-            name="flash-crowd-large-blocks",
-            description=(
-                "A flash crowd hammers a large-object catalog: popular "
-                "providers' uplinks queue up and transfers start timing out"
-            ),
-            builder=flash_crowd_large_blocks_config,
-            tags=("bandwidth", "burst", "content"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "blocks": "4/16/64 MB mix",
-                "retriever_share": FLASH_RETRIEVER_SHARE,
-                "zipf": FLASH_ZIPF_EXPONENT,
-                "intensity": FLASH_CROWD_INTENSITY,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="bandwidth-starved-relays",
-            description=(
-                "A relayed plurality on quarter-rate uplinks: relay latency "
-                "penalties stack on top of real serialization delay"
-            ),
-            builder=bandwidth_starved_relays_config,
-            tags=("bandwidth", "relay", "content"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "uplink_scale": STARVED_UPLINK_SCALE,
-                "relay_share": STARVED_RELAY_SHARE,
-                "relay_penalty": RELAY_PENALTY,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="provider-hotspot",
-            description=(
-                "Two-ish publishers serve a steep-Zipf handful of large "
-                "items: the hot provider's uplink saturates and queues"
-            ),
-            builder=provider_hotspot_config,
-            tags=("bandwidth", "hotspot", "content"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "publisher_share": HOTSPOT_PUBLISHER_SHARE,
-                "retriever_share": HOTSPOT_RETRIEVER_SHARE,
-                "zipf": HOTSPOT_ZIPF,
-                "n_items": HOTSPOT_ITEMS,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="mixed-size-catalog",
-            description=(
-                "A metadata-to-video block-size mix over the default access "
-                "classes: transfer percentiles spread across four decades"
-            ),
-            builder=mixed_size_catalog_config,
-            tags=("bandwidth", "content"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "blocks": "16 KB – 32 MB mix",
-                "retriever_share": 0.4,
-                "classes": "datacenter/fiber/cable/dsl/mobile",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
+    population = dict(adversary=AdversaryConfig(churn_spoof=spoof))
+    return _compose(n_peers, duration_days, seed, population=population)
 
 
 # -- network-realism scenarios ------------------------------------------------------
@@ -717,176 +632,81 @@ TIMEOUT_BOUND_NAT_SHARE = 0.45
 TIMEOUT_BOUND_RTT_SCALE = 2.0
 
 
-def nat_heavy_crawl_config(
-    n_peers: int, duration_days: float, seed: int, nat_share: Optional[float] = None
+@_entry(
+    "nat-heavy-crawl",
+    f"A NAT-heavy population ({NAT_HEAVY_RELAY_SHARE:.0%} relayed) the active crawler "
+    "(every third of the window, ≥ 10 min apart) cannot dial: the passive vantage point "
+    "sees peers the crawler undercounts",
+    "netmodel",
+    "nat",
+    "crawler",
+)
+def _nat_heavy_crawl_config(
+    n_peers: int, duration_days: float, seed: int, nat_share: float = NAT_HEAVY_NAT_SHARE
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    share = NAT_HEAVY_NAT_SHARE if nat_share is None else nat_share
-    netmodel = NetModelConfig(
-        reachability=ReachabilityConfig(
-            nat_share=share, relay_share=NAT_HEAVY_RELAY_SHARE
-        ),
-    )
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed), netmodel=netmodel
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        run_crawler=True,
-        crawl_interval=max(duration / 3.0, 600.0),
-        seed=seed,
-    )
+    reachability = ReachabilityConfig(nat_share=nat_share, relay_share=NAT_HEAVY_RELAY_SHARE)
+    population = dict(netmodel=NetModelConfig(reachability=reachability))
+    return _compose(n_peers, duration_days, seed, population=population, crawler=True)
 
 
-def high_latency_retrieval_config(
-    n_peers: int, duration_days: float, seed: int, rtt_scale: Optional[float] = None
+@_entry(
+    "high-latency-retrieval",
+    f"Every inter-region RTT multiplied ({HIGH_LATENCY_NAT_SHARE:.0%} NATed): retrieval "
+    f"latency percentiles stretch and {HIGH_LATENCY_LOOKUP_TIMEOUT:g} s time-bounded walks "
+    "start expiring",
+    "netmodel",
+    "latency",
+)
+def _high_latency_retrieval_config(
+    n_peers: int, duration_days: float, seed: int, rtt_scale: float = HIGH_LATENCY_SCALE
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    scale = HIGH_LATENCY_SCALE if rtt_scale is None else rtt_scale
     netmodel = NetModelConfig(
-        regions=replace(RegionModelConfig(), scale=scale),
-        reachability=ReachabilityConfig(
-            nat_share=HIGH_LATENCY_NAT_SHARE, relay_share=0.10
-        ),
+        regions=replace(RegionModelConfig(), scale=rtt_scale),
+        reachability=ReachabilityConfig(nat_share=HIGH_LATENCY_NAT_SHARE, relay_share=0.10),
         lookup_timeout=HIGH_LATENCY_LOOKUP_TIMEOUT,
     )
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed), netmodel=netmodel
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    return _compose(n_peers, duration_days, seed, population=dict(netmodel=netmodel), content={})
 
 
-def relay_assisted_content_config(
-    n_peers: int, duration_days: float, seed: int, relay_share: Optional[float] = None
+@_entry(
+    "relay-assisted-content",
+    f"A relayed plurality ({RELAY_ASSISTED_NAT_SHARE:.0%} more NATed outright) keeps content "
+    f"retrievable — at the relay's x{RELAY_PENALTY:g} latency penalty on every fetch",
+    "netmodel",
+    "relay",
+)
+def _relay_assisted_content_config(
+    n_peers: int,
+    duration_days: float,
+    seed: int,
+    relay_share: float = RELAY_ASSISTED_RELAY_SHARE,
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    share = RELAY_ASSISTED_RELAY_SHARE if relay_share is None else relay_share
-    netmodel = NetModelConfig(
-        reachability=ReachabilityConfig(
-            nat_share=RELAY_ASSISTED_NAT_SHARE,
-            relay_share=share,
-            relay_penalty=RELAY_PENALTY,
-        ),
+    reachability = ReachabilityConfig(
+        nat_share=RELAY_ASSISTED_NAT_SHARE, relay_share=relay_share, relay_penalty=RELAY_PENALTY
     )
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed), netmodel=netmodel
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    population = dict(netmodel=NetModelConfig(reachability=reachability))
+    return _compose(n_peers, duration_days, seed, population=population, content={})
 
 
-def timeout_bound_lookups_config(
-    n_peers: int, duration_days: float, seed: int, lookup_timeout: Optional[float] = None
+@_entry(
+    "timeout-bound-lookups",
+    f"A tight simulated-time walk budget against a NATed ({TIMEOUT_BOUND_NAT_SHARE:.0%}), "
+    f"slowed (RTT x{TIMEOUT_BOUND_RTT_SCALE:g}) fabric: lookups give up instead of converging",
+    "netmodel",
+    "timeout",
+)
+def _timeout_bound_lookups_config(
+    n_peers: int,
+    duration_days: float,
+    seed: int,
+    lookup_timeout: float = TIMEOUT_BOUND_LOOKUP_BUDGET,
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    budget = TIMEOUT_BOUND_LOOKUP_BUDGET if lookup_timeout is None else lookup_timeout
     netmodel = NetModelConfig(
         regions=replace(RegionModelConfig(), scale=TIMEOUT_BOUND_RTT_SCALE),
         reachability=ReachabilityConfig(nat_share=TIMEOUT_BOUND_NAT_SHARE),
-        lookup_timeout=budget,
+        lookup_timeout=lookup_timeout,
     )
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed), netmodel=netmodel
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
-
-
-def _register_netmodel_scenarios() -> None:
-    register(
-        ScenarioSpec(
-            name="nat-heavy-crawl",
-            description=(
-                "A NAT-heavy population the active crawler cannot dial: the "
-                "passive vantage point sees peers the crawler undercounts"
-            ),
-            builder=nat_heavy_crawl_config,
-            tags=("netmodel", "nat", "crawler"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "nat_share": NAT_HEAVY_NAT_SHARE,
-                "relay_share": NAT_HEAVY_RELAY_SHARE,
-                "crawl_interval": "duration/3 (≥ 10 min)",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="high-latency-retrieval",
-            description=(
-                "Every inter-region RTT multiplied: retrieval latency "
-                "percentiles stretch and time-bounded walks start expiring"
-            ),
-            builder=high_latency_retrieval_config,
-            tags=("netmodel", "latency"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "rtt_scale": HIGH_LATENCY_SCALE,
-                "nat_share": HIGH_LATENCY_NAT_SHARE,
-                "lookup_timeout": f"{HIGH_LATENCY_LOOKUP_TIMEOUT:g} s",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="relay-assisted-content",
-            description=(
-                "A relayed plurality keeps content retrievable — at the "
-                "relay's latency penalty on every fetch"
-            ),
-            builder=relay_assisted_content_config,
-            tags=("netmodel", "relay"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "relay_share": RELAY_ASSISTED_RELAY_SHARE,
-                "nat_share": RELAY_ASSISTED_NAT_SHARE,
-                "relay_penalty": RELAY_PENALTY,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="timeout-bound-lookups",
-            description=(
-                "A tight simulated-time walk budget against a NATed, slowed "
-                "fabric: lookups give up instead of converging"
-            ),
-            builder=timeout_bound_lookups_config,
-            tags=("netmodel", "timeout"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "lookup_timeout": f"{TIMEOUT_BOUND_LOOKUP_BUDGET:g} s",
-                "nat_share": TIMEOUT_BOUND_NAT_SHARE,
-                "rtt_scale": TIMEOUT_BOUND_RTT_SCALE,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
+    return _compose(n_peers, duration_days, seed, population=dict(netmodel=netmodel), content={})
 
 
 # -- fault-injection scenarios ------------------------------------------------------
@@ -913,534 +733,233 @@ SLOW_TAIL_LOOKUP_TIMEOUT = 15.0
 FAULT_RETRY = RetryPolicy()
 
 
-def _faulted_population(
-    n_peers: int, seed: int, faults: FaultConfig
-) -> PopulationConfig:
-    return replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed), faults=faults
-    )
-
-
-def lossy_links_config(
+@_entry(
+    "lossy-links",
+    "Every RPC rolls against per-link loss (and occasional, "
+    f"{LOSSY_LINK_DUPLICATE:.0%}, duplication); capped-backoff retries "
+    f"({FAULT_RETRY.max_attempts} attempts, {FAULT_RETRY.base_delay:g} s base "
+    f"x{FAULT_RETRY.multiplier:g}, cap {FAULT_RETRY.max_delay:g} s) claw success back",
+    "faults",
+    "loss",
+)
+def _lossy_links_config(
     n_peers: int,
     duration_days: float,
     seed: int,
-    loss_rate: Optional[float] = None,
+    loss_rate: float = LOSSY_LINK_LOSS,
     retry: bool = True,
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    loss = LOSSY_LINK_LOSS if loss_rate is None else loss_rate
     faults = FaultConfig(
-        links=LinkFaultConfig(loss_rate=loss, duplicate_rate=LOSSY_LINK_DUPLICATE),
+        links=LinkFaultConfig(loss_rate=loss_rate, duplicate_rate=LOSSY_LINK_DUPLICATE),
         retry=FAULT_RETRY if retry else None,
     )
-    return ScenarioConfig(
-        duration=duration,
-        population=_faulted_population(n_peers, seed, faults),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    return _compose(n_peers, duration_days, seed, population=dict(faults=faults), content={})
 
 
-def partition_heal_config(
-    n_peers: int,
-    duration_days: float,
-    seed: int,
-    partition_share: Optional[float] = None,
+@_entry(
+    "partition-heal",
+    "A regional split severs a minority mid-window "
+    f"({PARTITION_START_FRACTION:g}–{PARTITION_START_FRACTION + PARTITION_DURATION_FRACTION:g} "
+    "x duration), then heals with a bounded reconnect spread "
+    f"({PARTITION_RECOVERY_FRACTION:g} x duration, ≥ 60 s: time-to-recover)",
+    "faults",
+    "partition",
+)
+def _partition_heal_config(
+    n_peers: int, duration_days: float, seed: int, partition_share: float = PARTITION_SHARE
 ) -> ScenarioConfig:
     duration = duration_days * DAY
-    share = PARTITION_SHARE if partition_share is None else partition_share
-    faults = FaultConfig(
-        partition=PartitionConfig(
-            start=duration * PARTITION_START_FRACTION,
-            duration=duration * PARTITION_DURATION_FRACTION,
-            share=share,
-            recovery_spread=max(duration * PARTITION_RECOVERY_FRACTION, 60.0),
-        ),
-        retry=FAULT_RETRY,
+    partition = PartitionConfig(
+        start=duration * PARTITION_START_FRACTION,
+        duration=duration * PARTITION_DURATION_FRACTION,
+        share=partition_share,
+        recovery_spread=max(duration * PARTITION_RECOVERY_FRACTION, 60.0),
     )
-    return ScenarioConfig(
-        duration=duration,
-        population=_faulted_population(n_peers, seed, faults),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    faults = FaultConfig(partition=partition, retry=FAULT_RETRY)
+    return _compose(n_peers, duration_days, seed, population=dict(faults=faults), content={})
 
 
-def crash_storm_config(
-    n_peers: int,
-    duration_days: float,
-    seed: int,
-    crash_share: Optional[float] = None,
+@_entry(
+    "crash-storm",
+    f"Abrupt crash/restart cycles (MTBF {CRASH_MTBF_FRACTION:g} x duration, restart after "
+    f"{CRASH_RESTART_FRACTION:g} x duration) leave dirty provider records behind; recovered "
+    "providers republish their items",
+    "faults",
+    "crash",
+)
+def _crash_storm_config(
+    n_peers: int, duration_days: float, seed: int, crash_share: float = CRASH_SHARE
 ) -> ScenarioConfig:
     duration = duration_days * DAY
-    share = CRASH_SHARE if crash_share is None else crash_share
-    faults = FaultConfig(
-        crash=CrashConfig(
-            mtbf=duration * CRASH_MTBF_FRACTION,
-            restart_mean=duration * CRASH_RESTART_FRACTION,
-            share=share,
-        ),
-        retry=FAULT_RETRY,
-        republish_on_recovery=True,
+    crash = CrashConfig(
+        mtbf=duration * CRASH_MTBF_FRACTION,
+        restart_mean=duration * CRASH_RESTART_FRACTION,
+        share=crash_share,
     )
-    return ScenarioConfig(
-        duration=duration,
-        population=_faulted_population(n_peers, seed, faults),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    faults = FaultConfig(crash=crash, retry=FAULT_RETRY, republish_on_recovery=True)
+    return _compose(n_peers, duration_days, seed, population=dict(faults=faults), content={})
 
 
-def slow_node_tail_config(
-    n_peers: int,
-    duration_days: float,
-    seed: int,
-    slow_share: Optional[float] = None,
+@_entry(
+    "slow-node-tail",
+    f"A slow tail answers with {SLOW_TAIL_MIN_FACTOR:g}–{SLOW_TAIL_MAX_FACTOR:g}x RTT spikes "
+    f"against {SLOW_TAIL_LOOKUP_TIMEOUT:g} s time-bounded walks: budgets drain without any "
+    "packet loss",
+    "faults",
+    "slow",
+)
+def _slow_node_tail_config(
+    n_peers: int, duration_days: float, seed: int, slow_share: float = SLOW_TAIL_SHARE
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    share = SLOW_TAIL_SHARE if slow_share is None else slow_share
-    faults = FaultConfig(
-        slow=SlowNodeConfig(
-            share=share,
-            min_factor=SLOW_TAIL_MIN_FACTOR,
-            max_factor=SLOW_TAIL_MAX_FACTOR,
-        ),
+    slow = SlowNodeConfig(
+        share=slow_share, min_factor=SLOW_TAIL_MIN_FACTOR, max_factor=SLOW_TAIL_MAX_FACTOR
     )
     # Slow nodes only bite when walks carry a time budget, so this scenario
     # pairs the fault with the latency model and a bounded lookup clock.
-    netmodel = NetModelConfig(
-        regions=RegionModelConfig(),
-        lookup_timeout=SLOW_TAIL_LOOKUP_TIMEOUT,
+    population = dict(
+        netmodel=NetModelConfig(
+            regions=RegionModelConfig(), lookup_timeout=SLOW_TAIL_LOOKUP_TIMEOUT
+        ),
+        faults=FaultConfig(slow=slow),
     )
-    population = replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed),
-        netmodel=netmodel,
-        faults=faults,
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=population,
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
+    return _compose(n_peers, duration_days, seed, population=population, content={})
 
 
-def _register_fault_scenarios() -> None:
-    register(
-        ScenarioSpec(
-            name="lossy-links",
-            description=(
-                "Every RPC rolls against per-link loss (and occasional "
-                "duplication); capped-backoff retries claw success back"
-            ),
-            builder=lossy_links_config,
-            tags=("faults", "loss"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "loss_rate": LOSSY_LINK_LOSS,
-                "duplicate_rate": LOSSY_LINK_DUPLICATE,
-                "retry": "3 attempts, 0.25 s base x2, cap 8 s",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="partition-heal",
-            description=(
-                "A regional split severs a 40 % minority mid-window, then "
-                "heals with a bounded reconnect spread (time-to-recover)"
-            ),
-            builder=partition_heal_config,
-            tags=("faults", "partition"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "share": PARTITION_SHARE,
-                "window": (
-                    f"{PARTITION_START_FRACTION:g}–"
-                    f"{PARTITION_START_FRACTION + PARTITION_DURATION_FRACTION:g} "
-                    "x duration"
-                ),
-                "recovery_spread": f"{PARTITION_RECOVERY_FRACTION:g} x duration (≥ 60 s)",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="crash-storm",
-            description=(
-                "Abrupt crash/restart cycles leave dirty provider records "
-                "behind; recovered providers republish their items"
-            ),
-            builder=crash_storm_config,
-            tags=("faults", "crash"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "share": CRASH_SHARE,
-                "mtbf": f"{CRASH_MTBF_FRACTION:g} x duration",
-                "restart": f"{CRASH_RESTART_FRACTION:g} x duration",
-                "republish_on_recovery": True,
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="slow-node-tail",
-            description=(
-                "A slow tail answers with 4–15x RTT spikes against "
-                "time-bounded walks: budgets drain without any packet loss"
-            ),
-            builder=slow_node_tail_config,
-            tags=("faults", "slow"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "share": SLOW_TAIL_SHARE,
-                "factor": f"{SLOW_TAIL_MIN_FACTOR:g}–{SLOW_TAIL_MAX_FACTOR:g}x",
-                "lookup_timeout": f"{SLOW_TAIL_LOOKUP_TIMEOUT:g} s",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
+# -- data-plane (bandwidth) scenarios -----------------------------------------------
+
+#: a mixed catalog: metadata-sized blocks up to video-chunk large objects
+MIXED_BLOCK_CLASSES = (
+    (16_000, 0.45),
+    (262_144, 0.30),
+    (4_000_000, 0.20),
+    (33_554_432, 0.05),
+)
+#: a large-object distribution (the flash-crowd and hotspot regimes)
+LARGE_BLOCK_CLASSES = (
+    (4_000_000, 0.55),
+    (16_000_000, 0.35),
+    (67_108_864, 0.10),
+)
+#: retrievers of the two mixed-catalog regimes
+MIXED_RETRIEVER_SHARE = 0.4
+#: bandwidth-starved-relays: every uplink cut to a quarter
+STARVED_UPLINK_SCALE = 0.25
+STARVED_RELAY_SHARE = 0.35
+STARVED_NAT_SHARE = 0.20
+#: provider-hotspot: a couple of publishers serve a steep-Zipf handful of items
+HOTSPOT_PUBLISHER_SHARE = 0.02
+HOTSPOT_RETRIEVER_SHARE = 0.5
+HOTSPOT_ZIPF = 1.6
+HOTSPOT_ITEMS = 8
 
 
-# -- adversarial scenarios ----------------------------------------------------------
-
-#: sybils as a share of the honest population (identities are cheap)
-SYBIL_SHARE = 0.30
-SYBIL_CLOSENESS_BITS = 12
-#: sybil join ramp, as fractions of the window
-SYBIL_ARRIVAL_SPAN = (0.05, 0.5)
-
-ECLIPSE_SHARE = 0.05
-ECLIPSE_MIN = 16
-ECLIPSE_VICTIM_ITEMS = 2
-ECLIPSE_CLOSENESS_BITS = 24
-
-POISON_SHARE = 0.08
-POISON_DROP_SHARE = 0.5
-
-SPOOF_SHARE = 0.25
-#: spoofer session/downtime as fractions of the window (≥ the floors below)
-SPOOF_SESSION_FRACTION = 1 / 40
-SPOOF_DOWNTIME_FRACTION = 1 / 60
+def _scaled_blocks(classes: tuple, size_scale: float) -> tuple:
+    """Multiply every block size in a ``(size, weight)`` mix by ``size_scale``."""
+    if size_scale <= 0:
+        raise ValueError(f"size_scale must be positive, got {size_scale}")
+    return tuple((max(1, int(round(size * size_scale))), weight) for size, weight in classes)
 
 
-def _adversarial_population(
-    n_peers: int, seed: int, adversary: AdversaryConfig
-) -> PopulationConfig:
-    return replace(
-        PopulationConfig.scaled_to_paper(n_peers, seed=seed), adversary=adversary
-    )
-
-
-def sybil_netsize_config(
-    n_peers: int, duration_days: float, seed: int, sybil_count: Optional[int] = None
-) -> ScenarioConfig:
-    duration = duration_days * DAY
-    count = sybil_count if sybil_count is not None else max(8, int(round(n_peers * SYBIL_SHARE)))
-    low, high = SYBIL_ARRIVAL_SPAN
-    adversary = AdversaryConfig(
-        sybil=SybilFloodConfig(
-            count=count,
-            closeness_bits=SYBIL_CLOSENESS_BITS,
-            arrival_window=(duration * low, duration * high),
-        )
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=_adversarial_population(n_peers, seed, adversary),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        seed=seed,
-    )
-
-
-def eclipse_provider_config(
-    n_peers: int, duration_days: float, seed: int, eclipse_count: Optional[int] = None
-) -> ScenarioConfig:
-    duration = duration_days * DAY
-    count = (
-        eclipse_count
-        if eclipse_count is not None
-        else max(ECLIPSE_MIN, int(round(n_peers * ECLIPSE_SHARE)))
-    )
-    adversary = AdversaryConfig(
-        eclipse=EclipseConfig(
-            count=count,
-            victim_items=ECLIPSE_VICTIM_ITEMS,
-            closeness_bits=ECLIPSE_CLOSENESS_BITS,
-            shadow_publish_interval=duration / 6.0,
-        )
-    )
-    return ScenarioConfig(
-        duration=duration,
-        population=_adversarial_population(n_peers, seed, adversary),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        seed=seed,
-    )
-
-
-def poisoned_routing_config(
+@_entry(
+    "flash-crowd-large-blocks",
+    "A flash crowd hammers a large-object catalog (4/16/64 MB mix): popular providers' "
+    "uplinks queue up and transfers start timing out",
+    "bandwidth",
+    "burst",
+    "content",
+)
+def _flash_crowd_large_blocks_config(
     n_peers: int,
     duration_days: float,
     seed: int,
-    poison_count: Optional[int] = None,
-    drop_share: float = POISON_DROP_SHARE,
+    size_scale: float = 1.0,
+    uplink_scale: float = 1.0,
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    count = (
-        poison_count
-        if poison_count is not None
-        else max(12, int(round(n_peers * POISON_SHARE)))
+    population = dict(
+        _flash_crowd_population(duration_days),
+        netmodel=NetModelConfig(),
+        bandwidth=BandwidthConfig(uplink_scale=uplink_scale),
     )
-    adversary = AdversaryConfig(
-        poison=RoutingPoisonConfig(count=count, drop_share=drop_share)
+    content = dict(
+        FLASH_CONTENT, block_size_classes=_scaled_blocks(LARGE_BLOCK_CLASSES, size_scale)
     )
-    return ScenarioConfig(
-        duration=duration,
-        population=_adversarial_population(n_peers, seed, adversary),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        content=_content_workload(duration),
-        run_crawler=True,
-        crawl_interval=max(duration / 3.0, 600.0),
-        seed=seed,
-    )
+    return _compose(n_peers, duration_days, seed, population=population, content=content)
 
 
-def spoofed_churn_config(
-    n_peers: int, duration_days: float, seed: int, spoof_count: Optional[int] = None
+@_entry(
+    "bandwidth-starved-relays",
+    f"A relayed plurality ({STARVED_NAT_SHARE:.0%} more NATed outright) on quarter-rate "
+    f"uplinks over the mixed catalog: relay latency penalties (x{RELAY_PENALTY:g}) stack on "
+    "top of real serialization delay",
+    "bandwidth",
+    "relay",
+    "content",
+)
+def _bandwidth_starved_relays_config(
+    n_peers: int,
+    duration_days: float,
+    seed: int,
+    uplink_scale: float = STARVED_UPLINK_SCALE,
+    relay_share: float = STARVED_RELAY_SHARE,
 ) -> ScenarioConfig:
-    duration = duration_days * DAY
-    count = (
-        spoof_count
-        if spoof_count is not None
-        else max(10, int(round(n_peers * SPOOF_SHARE)))
+    reachability = ReachabilityConfig(
+        nat_share=STARVED_NAT_SHARE, relay_share=relay_share, relay_penalty=RELAY_PENALTY
     )
-    adversary = AdversaryConfig(
-        churn_spoof=ChurnSpoofConfig(
-            count=count,
-            session_mean=max(duration * SPOOF_SESSION_FRACTION, 30.0),
-            downtime_mean=max(duration * SPOOF_DOWNTIME_FRACTION, 20.0),
-        )
+    population = dict(
+        netmodel=NetModelConfig(reachability=reachability),
+        bandwidth=BandwidthConfig(uplink_scale=uplink_scale),
     )
-    return ScenarioConfig(
-        duration=duration,
-        population=_adversarial_population(n_peers, seed, adversary),
-        go_ipfs=_server_vantage(2_000, 4_000, n_peers),
-        seed=seed,
-    )
+    content = dict(retriever_share=MIXED_RETRIEVER_SHARE, block_size_classes=MIXED_BLOCK_CLASSES)
+    return _compose(n_peers, duration_days, seed, population=population, content=content)
 
 
-def _register_adversary_scenarios() -> None:
-    register(
-        ScenarioSpec(
-            name="sybil-netsize-inflation",
-            description=(
-                "A Sybil flood mined into the vantage point's neighbourhood "
-                "inflates density-based network-size estimates"
-            ),
-            builder=sybil_netsize_config,
-            tags=("adversary", "sybil"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "sybil_share": SYBIL_SHARE,
-                "closeness_bits": SYBIL_CLOSENESS_BITS,
-                "arrival": "5–50 % of the window",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
+@_entry(
+    "provider-hotspot",
+    f"Two-ish publishers ({HOTSPOT_PUBLISHER_SHARE:.0%}) serve a steep-Zipf "
+    f"({HOTSPOT_ZIPF:g}) handful ({HOTSPOT_ITEMS}) of large items to "
+    f"{HOTSPOT_RETRIEVER_SHARE:.0%} of the peers: the hot provider's uplink saturates and "
+    "queues",
+    "bandwidth",
+    "hotspot",
+    "content",
+)
+def _provider_hotspot_config(
+    n_peers: int,
+    duration_days: float,
+    seed: int,
+    uplink_scale: float = 1.0,
+    size_scale: float = 1.0,
+) -> ScenarioConfig:
+    content = dict(
+        publisher_share=HOTSPOT_PUBLISHER_SHARE,
+        retriever_share=HOTSPOT_RETRIEVER_SHARE,
+        zipf_exponent=HOTSPOT_ZIPF,
+        retrieve_fraction=1 / 24,
+        n_items=HOTSPOT_ITEMS,
+        block_size_classes=_scaled_blocks(LARGE_BLOCK_CLASSES, size_scale),
     )
-    register(
-        ScenarioSpec(
-            name="eclipse-provider",
-            description=(
-                "An eclipse ring mined around the hottest content keys "
-                "captures provider records and starves retrievals"
-            ),
-            builder=eclipse_provider_config,
-            tags=("adversary", "eclipse"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "eclipse_share": ECLIPSE_SHARE,
-                "victim_items": ECLIPSE_VICTIM_ITEMS,
-                "closeness_bits": ECLIPSE_CLOSENESS_BITS,
-                "shadow_publish": "every duration/6",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="poisoned-routing-under-churn",
-            description=(
-                "Malicious DHT servers drop queries or answer with bogus "
-                "closer-peers while the crawler and a content workload run"
-            ),
-            builder=poisoned_routing_config,
-            tags=("adversary", "poison", "crawler"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "poison_share": POISON_SHARE,
-                "drop_share": POISON_DROP_SHARE,
-                "crawl_interval": "duration/3 (≥ 10 min)",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="spoofed-churn-classification",
-            description=(
-                "Aggressive PID rotation over short sessions floods the "
-                "Table IV classification with fake one-time/light peers"
-            ),
-            builder=spoofed_churn_config,
-            tags=("adversary", "spoof"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "spoof_share": SPOOF_SHARE,
-                "session": f"{SPOOF_SESSION_FRACTION:g} x duration",
-                "downtime": f"{SPOOF_DOWNTIME_FRACTION:g} x duration",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
+    population = dict(bandwidth=BandwidthConfig(uplink_scale=uplink_scale))
+    return _compose(n_peers, duration_days, seed, population=population, content=content)
 
 
-def _register_stress_scenarios() -> None:
-    register(
-        ScenarioSpec(
-            name="flash-crowd",
-            description=(
-                "A one-time-heavy population floods in during a burst window "
-                "(arrivals concentrated, reconnects accelerated)"
-            ),
-            builder=_flash_crowd,
-            tags=("stress", "burst"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "one_time_share": FLASH_CROWD_SHARES[PeerClass.ONE_TIME],
-                "intensity": FLASH_CROWD_INTENSITY,
-                "arrival_share": FLASH_CROWD_ARRIVAL_SHARE,
-                "discovery_scale": FLASH_CROWD_DISCOVERY_SCALE,
-                "burst": "30 % into the window, 25 % long (≤ 2 h)",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
+@_entry(
+    "mixed-size-catalog",
+    "A metadata-to-video block-size mix (16 KB – 32 MB) over the default access classes "
+    f"(datacenter/fiber/cable/dsl/mobile), {MIXED_RETRIEVER_SHARE:.0%} retrieving: transfer "
+    "percentiles spread across four decades",
+    "bandwidth",
+    "content",
+)
+def _mixed_size_catalog_config(
+    n_peers: int,
+    duration_days: float,
+    seed: int,
+    size_scale: float = 1.0,
+    uplink_scale: float = 1.0,
+) -> ScenarioConfig:
+    content = dict(
+        retriever_share=MIXED_RETRIEVER_SHARE,
+        block_size_classes=_scaled_blocks(MIXED_BLOCK_CLASSES, size_scale),
     )
-    register(
-        ScenarioSpec(
-            name="diurnal-week",
-            description=(
-                "Sine-modulated day/night activity over a multi-day window "
-                "(peak 18:00, trough 06:00)"
-            ),
-            builder=_diurnal_week,
-            tags=("stress", "diurnal"),
-            default_peers=600,
-            default_duration_days=2.0,
-            knobs={
-                "amplitude": DIURNAL_AMPLITUDE,
-                "peak_time": "18 h",
-                "watermarks": "18000/20000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="mass-outage",
-            description=(
-                "A correlated region failure drops ~45 % of peers mid-window, "
-                "followed by a reconnect stampede"
-            ),
-            builder=_mass_outage,
-            tags=("stress", "outage"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "region_share": MASS_OUTAGE_REGION_SHARE,
-                "outage": "40 % into the window, 15 % long",
-                "watermarks": "2000/4000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="client-heavy",
-            description=(
-                "A DHT-Client-dominated, heavily NATed population against a "
-                "default-watermark (600/900) server vantage point"
-            ),
-            builder=_client_heavy,
-            tags=("stress", "composition"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "server_share_factor": CLIENT_HEAVY_SERVER_FACTOR,
-                "nat_share": CLIENT_HEAVY_NAT_SHARE,
-                "watermarks": "600/900 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="hydra-scaling",
-            description=(
-                f"A {HYDRA_SCALING_HEADS}-head hydra as the only vantage point "
-                "(head-count scaling of the union dataset)"
-            ),
-            builder=_hydra_scaling,
-            tags=("stress", "hydra"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "hydra_heads": HYDRA_SCALING_HEADS,
-                "watermarks": "15000/20000 scaled",
-            },
-        )
-    )
-    register(
-        ScenarioSpec(
-            name="crawler-vs-passive-under-burst",
-            description=(
-                "The active crawler baseline races the passive vantage point "
-                "through a flash crowd (crawls every third of the window)"
-            ),
-            builder=_crawler_vs_passive_under_burst,
-            tags=("stress", "burst", "crawler"),
-            default_peers=600,
-            default_duration_days=0.5,
-            knobs={
-                "one_time_share": FLASH_CROWD_SHARES[PeerClass.ONE_TIME],
-                "intensity": FLASH_CROWD_INTENSITY,
-                "discovery_scale": FLASH_CROWD_DISCOVERY_SCALE,
-                "crawl_interval": "duration/3 (≥ 10 min)",
-                "watermarks": "18000/20000 scaled",
-            },
-        )
-    )
-
-
-_register_paper_periods()
-_register_stress_scenarios()
-_register_content_scenarios()
-_register_adversary_scenarios()
-_register_netmodel_scenarios()
-_register_fault_scenarios()
-_register_bandwidth_scenarios()
+    population = dict(bandwidth=BandwidthConfig(uplink_scale=uplink_scale))
+    return _compose(n_peers, duration_days, seed, population=population, content=content)

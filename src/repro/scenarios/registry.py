@@ -5,7 +5,9 @@ knobs it exposes, and a builder that maps ``(n_peers, duration_days, seed)``
 onto a :class:`~repro.simulation.scenario.ScenarioConfig`.  Everything that
 runs a workload (the sweep CLI, benchmarks, tests, examples) resolves
 scenarios by name through this registry, so a new workload is one
-``register()`` call instead of a new script.
+``register()`` call instead of a new script.  Any further keyword parameter
+of the builder is an override key (``--set key=value``), validated here by
+name and by annotated type.
 
 The catalog module registers the six paper measurement periods plus the
 stress scenarios at import time; :func:`run_scenario_by_name` is the
@@ -31,15 +33,31 @@ class UnknownOverrideError(ValueError):
     """An override key the scenario's builder does not accept."""
 
 
+class OverrideTypeError(ValueError):
+    """An override value of the wrong type for the builder parameter it sets."""
+
+
+#: builder-parameter annotation -> (name shown in errors, accepted value types);
+#: parameters annotated otherwise (or not at all) are not type-checked
+_OVERRIDE_TYPES = {
+    bool: ("bool", (bool,)),
+    float: ("float", (int, float)),
+    int: ("int", (int,)),
+    Optional[int]: ("int", (int,)),
+}
+
+
 def override_parameters(builder: ScenarioBuilder) -> Dict[str, inspect.Parameter]:
     """The override keys a builder exposes: every keyword parameter after the
     ``(n_peers, duration_days, seed)`` triple.
 
     Parameters named with a leading underscore are builder-internal plumbing
     (e.g. the default-bound spec of a registered lambda) and are not
-    overridable.
+    overridable.  Annotations come back evaluated (``float``, not
+    ``"float"``), which is what :meth:`ScenarioSpec.validate_overrides` checks
+    values against.
     """
-    params = list(inspect.signature(builder).parameters.values())
+    params = list(inspect.signature(builder, eval_str=True).parameters.values())
     keyword_kinds = (
         inspect.Parameter.POSITIONAL_OR_KEYWORD,
         inspect.Parameter.KEYWORD_ONLY,
@@ -62,7 +80,8 @@ class ScenarioSpec:
     tags: Tuple[str, ...] = ()
     default_peers: int = 500
     default_duration_days: float = 0.25
-    #: human-readable knob values, rendered by ``--list`` and the README table
+    #: rendered by ``--list``: a catalog scenario's override keys with their
+    #: defaults (derived from the builder), a paper period's Table I columns
     knobs: Mapping[str, object] = field(default_factory=dict)
 
     def override_keys(self) -> List[str]:
@@ -73,20 +92,32 @@ class ScenarioSpec:
         """Check ``overrides`` against the builder's keyword parameters.
 
         Returns a plain dict safe to splat into the builder; raises
-        :class:`UnknownOverrideError` naming the known keys otherwise — the
-        one validation path shared by :meth:`build`, the sweep CLI, and the
-        benchmarks.
+        :class:`UnknownOverrideError` naming the known keys for a key the
+        builder does not take, and :class:`OverrideTypeError` for a value of
+        the wrong type (a ``bool`` parameter takes only a bool, a ``float``
+        one an int or float, an ``int`` one only an int) — the one validation
+        path shared by :meth:`build`, the sweep CLI, and the benchmarks.
+        Range checks stay with the config dataclasses the builder fills.
         """
         if not overrides:
             return {}
-        known = self.override_keys()
-        unknown = sorted(set(overrides) - set(known))
+        params = override_parameters(self.builder)
+        unknown = sorted(set(overrides) - set(params))
         if unknown:
-            known_text = ", ".join(known) if known else "(none)"
+            known_text = ", ".join(sorted(params)) if params else "(none)"
             raise UnknownOverrideError(
                 f"scenario {self.name!r} does not accept override(s) "
                 f"{', '.join(unknown)}; known keys: {known_text}"
             )
+        for key, value in overrides.items():
+            checked = _OVERRIDE_TYPES.get(params[key].annotation)
+            # Exact types, not isinstance: bool subclasses int, but only a
+            # bool parameter takes one.
+            if checked is not None and type(value) not in checked[1]:
+                raise OverrideTypeError(
+                    f"scenario {self.name!r} override {key} expects {checked[0]}, "
+                    f"got {value!r} ({type(value).__name__})"
+                )
         return dict(overrides)
 
     def build(

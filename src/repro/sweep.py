@@ -57,7 +57,11 @@ from repro.obs.spans import TraceConfig
 from repro.obs.progress import PROGRESS_ENV
 from repro.perf import dataset_counts
 from repro.scenarios import run_scenario_by_name, scenario, scenarios
-from repro.scenarios.registry import UnknownOverrideError, build_scenario_config
+from repro.scenarios.registry import (
+    OverrideTypeError,
+    UnknownOverrideError,
+    build_scenario_config,
+)
 from repro.simulation.scenario import run_scenario
 
 #: default output directory of sweep artifacts
@@ -412,8 +416,9 @@ def run_sweep(
     Neither knob touches the artifacts' bytes beyond the metrics block itself.
     """
     for name in scenario_names:
-        # Fail fast on unknown names and unknown override keys (the shared
-        # ScenarioSpec validation), before any simulation.
+        # Fail fast on unknown names, unknown override keys and mistyped
+        # override values (the shared ScenarioSpec validation), before any
+        # simulation.
         scenario(name).validate_overrides(overrides)
     planned = [
         _resolve_cell(
@@ -524,7 +529,7 @@ def run_sweep(
 
 def catalog_table(tag: Optional[str] = None) -> TextTable:
     """The ``--list`` output: registered scenarios (optionally one tag) and
-    their knobs."""
+    their knobs — for catalog scenarios the ``--set`` keys with their defaults."""
     title = "Registered scenarios" if tag is None else f"Registered scenarios [{tag}]"
     table = TextTable(
         headers=["Name", "Tags", "Peers", "Days", "Description", "Knobs"],
@@ -572,8 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=[], metavar="KEY=VALUE",
         help=(
             "override a scenario builder knob (repeatable), e.g. "
-            "--set uplink_scale=0.25 --set size_scale=4; unknown keys are "
-            "rejected with the scenario's known keys"
+            "--set uplink_scale=0.25 --set size_scale=4 (--list shows each "
+            "scenario's keys and defaults); unknown keys and mistyped values "
+            "are rejected before anything runs"
         ),
     )
     parser.add_argument(
@@ -694,7 +700,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides=overrides, metrics_window=metrics_window,
             trace_sample=trace_sample, progress=args.progress,
         )
-    except (SweepOutputError, UnknownOverrideError) as exc:
+    except (SweepOutputError, UnknownOverrideError, OverrideTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_aggregate(summaries, failures), end="")

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.attack_report import attack_metrics
 from repro.scenarios import run_scenario_by_name
-from repro.scenarios.catalog import sybil_netsize_config
-from repro.simulation.scenario import Scenario
 
 ADVERSARY_NAMES = [
     "sybil-netsize-inflation",
@@ -61,8 +59,9 @@ class TestEventStreamDeterminism:
     @settings(max_examples=12, deadline=None)
     def test_sybil_stream_is_a_function_of_seed_and_count(self, seed, count):
         def run():
-            config = sybil_netsize_config(50, 0.015, seed, sybil_count=count)
-            return Scenario(config).run()
+            return run_scenario_by_name(
+                "sybil-netsize-inflation", 50, 0.015, seed, overrides={"sybil_count": count}
+            )
 
         first, second = run(), run()
         assert _fingerprint(first) == _fingerprint(second)

@@ -7,6 +7,8 @@ be deliberate and explained — the same contract the P1 golden in
 ``test_perf_and_runner.py`` enforces for the core.
 """
 
+import json
+import operator
 import random
 
 import pytest
@@ -22,6 +24,8 @@ from repro.scenarios import (
     scenario_names,
     scenarios,
 )
+from repro.scenarios.catalog import LARGE_BLOCK_CLASSES, MIXED_BLOCK_CLASSES
+from repro.scenarios.registry import OverrideTypeError
 from repro.simulation.churn_models import (
     DiurnalChurnModel,
     FlashCrowdChurnModel,
@@ -29,6 +33,7 @@ from repro.simulation.churn_models import (
 )
 from repro.simulation.population import PeerClass, PopulationConfig, generate_population
 from repro.simulation.scenario import ScenarioConfig
+from repro.sweep import main as sweep_main
 
 STRESS_NAMES = [
     "flash-crowd",
@@ -123,9 +128,23 @@ class TestRegistry:
     def test_specs_document_their_knobs(self):
         for spec in scenarios():
             assert spec.description
-            assert spec.knobs, f"{spec.name} has no documented knobs"
             assert spec.default_peers > 0
             assert spec.default_duration_days > 0
+            if "paper" in spec.tags:
+                # Table I columns, not overridable: the period is the spec.
+                assert spec.knobs and spec.override_keys() == []
+                continue
+            # The Knobs column *is* the --set key list, with live defaults.
+            assert set(spec.knobs) == set(spec.override_keys())
+            defaults = {k: v for k, v in spec.knobs.items() if v is not None}
+            assert spec.validate_overrides(defaults) == defaults
+
+    def test_catalog_cells_default_to_600_peers_half_a_day(self):
+        for spec in scenarios():
+            if "paper" in spec.tags:
+                continue
+            expected_days = 2.0 if spec.name == "diurnal-week" else 0.5
+            assert (spec.default_peers, spec.default_duration_days) == (600, expected_days)
 
     def test_period_entries_match_period_specs(self):
         config = build_scenario_config("p3", n_peers=120, duration_days=0.05)
@@ -346,6 +365,114 @@ class TestAdversaryScenarioConfigs:
         twin = generate_population(twin_config, random.Random(1))
         assert [p.public_ip for p in twin] == [p.public_ip for p in honest]
         assert [p.peer_class for p in twin] == [p.peer_class for p in honest]
+
+
+def _doubled(classes):
+    return tuple((2 * size, weight) for size, weight in classes)
+
+
+class TestOverridesReachTheirField:
+    """Every ``--set`` key of the catalog lands in the config field it names."""
+
+    #: where each override key lands in the built config
+    FIELD = {
+        "sybil_count": "population.adversary.sybil.count",
+        "eclipse_count": "population.adversary.eclipse.count",
+        "poison_count": "population.adversary.poison.count",
+        "drop_share": "population.adversary.poison.drop_share",
+        "spoof_count": "population.adversary.churn_spoof.count",
+        "nat_share": "population.netmodel.reachability.nat_share",
+        "rtt_scale": "population.netmodel.regions.scale",
+        "relay_share": "population.netmodel.reachability.relay_share",
+        "lookup_timeout": "population.netmodel.lookup_timeout",
+        "loss_rate": "population.faults.links.loss_rate",
+        "retry": "population.faults.retry",
+        "partition_share": "population.faults.partition.share",
+        "crash_share": "population.faults.crash.share",
+        "slow_share": "population.faults.slow.share",
+        "size_scale": "content.block_size_classes",
+        "uplink_scale": "population.bandwidth.uplink_scale",
+    }
+    #: (scenario, override key, non-default value, what lands in the field)
+    TARGETS = [
+        ("sybil-netsize-inflation", "sybil_count", 17, 17),
+        ("eclipse-provider", "eclipse_count", 9, 9),
+        ("poisoned-routing-under-churn", "poison_count", 21, 21),
+        ("poisoned-routing-under-churn", "drop_share", 0.25, 0.25),
+        ("spoofed-churn-classification", "spoof_count", 13, 13),
+        ("nat-heavy-crawl", "nat_share", 0.33, 0.33),
+        ("high-latency-retrieval", "rtt_scale", 7.0, 7.0),
+        ("relay-assisted-content", "relay_share", 0.12, 0.12),
+        ("timeout-bound-lookups", "lookup_timeout", 5.5, 5.5),
+        ("lossy-links", "loss_rate", 0.11, 0.11),
+        ("lossy-links", "retry", False, None),
+        ("partition-heal", "partition_share", 0.22, 0.22),
+        ("crash-storm", "crash_share", 0.6, 0.6),
+        ("slow-node-tail", "slow_share", 0.3, 0.3),
+        ("flash-crowd-large-blocks", "size_scale", 2.0, _doubled(LARGE_BLOCK_CLASSES)),
+        ("flash-crowd-large-blocks", "uplink_scale", 0.5, 0.5),
+        ("bandwidth-starved-relays", "uplink_scale", 0.5, 0.5),
+        ("bandwidth-starved-relays", "relay_share", 0.12, 0.12),
+        ("provider-hotspot", "uplink_scale", 0.5, 0.5),
+        ("provider-hotspot", "size_scale", 2.0, _doubled(LARGE_BLOCK_CLASSES)),
+        ("mixed-size-catalog", "size_scale", 2.0, _doubled(MIXED_BLOCK_CLASSES)),
+        ("mixed-size-catalog", "uplink_scale", 0.5, 0.5),
+    ]
+
+    def test_table_covers_every_override_key(self):
+        registered = {(spec.name, key) for spec in scenarios() for key in spec.override_keys()}
+        assert registered == {(name, key) for name, key, *_ in self.TARGETS}
+
+    @pytest.mark.parametrize(
+        "name,key,value,landed", TARGETS, ids=[f"{t[0]}-{t[1]}" for t in TARGETS]
+    )
+    def test_override_lands_in_its_field(self, name, key, value, landed):
+        field = operator.attrgetter(self.FIELD[key])
+        plain = build_scenario_config(name, n_peers=120, duration_days=0.05)
+        config = build_scenario_config(
+            name, n_peers=120, duration_days=0.05, overrides={key: value}
+        )
+        assert field(config) == landed
+        assert field(plain) != landed
+
+
+class TestOverrideValueTypes:
+    """Mistyped ``--set`` values fail at the boundary, before anything runs."""
+
+    BAD = [
+        ("lossy-links", "retry", "no", "bool"),
+        ("lossy-links", "loss_rate", True, "float"),
+        ("mixed-size-catalog", "size_scale", "abc", "float"),
+        ("sybil-netsize-inflation", "sybil_count", 2.5, "int"),
+        ("sybil-netsize-inflation", "sybil_count", False, "int"),
+    ]
+
+    @pytest.mark.parametrize("name,key,value,expected", BAD)
+    def test_build_rejects_the_value_naming_everything(self, name, key, value, expected):
+        with pytest.raises(OverrideTypeError) as caught:
+            build_scenario_config(name, n_peers=40, duration_days=0.01, overrides={key: value})
+        for part in (name, key, expected, repr(value)):
+            assert part in str(caught.value)
+
+    @pytest.mark.parametrize("name,key,value,expected", BAD)
+    def test_cli_exits_2_before_any_cell_runs(self, name, key, value, expected, tmp_path, capsys):
+        raw = str(value).lower()  # the CLI spells bools true/false
+        flags = f"--scenarios {name} --peers 40 --duration 0.01d --set {key}={raw}"
+        assert sweep_main([*flags.split(), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and key in err and expected in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_int_is_a_valid_float(self, tmp_path):
+        contents = [
+            build_scenario_config("mixed-size-catalog", overrides={"size_scale": scale}).content
+            for scale in (4, 4.0)
+        ]
+        assert contents[0] == contents[1]
+        flags = "--scenarios mixed-size-catalog --peers 40 --duration 0.01d --set size_scale=4"
+        assert sweep_main([*flags.split(), "--out", str(tmp_path)]) == 0
+        cell = json.loads((tmp_path / "mixed-size-catalog__n40__s7.json").read_text())
+        assert cell["overrides"] == {"size_scale": 4}
 
 
 class TestScenarioConfigValidation:
