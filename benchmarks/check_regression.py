@@ -13,22 +13,10 @@ against the committed ``BENCH_core.json`` baseline:
   match *exactly*: those are machine-independent fingerprints, so a mismatch
   means the simulation's behaviour changed, not that the machine was slow.
 
-The script also understands the scaling-curve snapshots produced by
-``benchmarks/bench_scaling.py`` (detected by their ``points`` list): besides
-the per-point throughput floor and exact ``events_processed`` fingerprints,
-the **shape** of the curve is gated — the throughput ratio between adjacent
-scale points must not degrade more than the tolerance relative to the
-baseline's ratio.  A uniformly slower runner passes; a change that makes
-per-event cost grow superlinearly with population does not.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/benchlib.py BENCH_current.json
     python benchmarks/check_regression.py --current BENCH_current.json
-
-    PYTHONPATH=src python benchmarks/bench_scaling.py BENCH_scaling_current.json
-    python benchmarks/check_regression.py \
-        --baseline BENCH_scaling.json --current BENCH_scaling_current.json
 """
 
 from __future__ import annotations
@@ -105,68 +93,6 @@ def check_regression(
     return problems
 
 
-def _point_key(point: Dict) -> tuple:
-    return (
-        point["n_peers"],
-        point["duration_days"],
-        point["seed"],
-        point["engine"],
-        point["shards"],
-    )
-
-
-def is_scaling_snapshot(snapshot: Dict) -> bool:
-    return "points" in snapshot
-
-
-def check_scaling(
-    baseline: Dict, current: Dict, tolerance: float = DEFAULT_TOLERANCE
-) -> List[str]:
-    """Gate a scaling-curve snapshot; returns problems (empty = pass).
-
-    Per matching point: exact ``events_processed`` fingerprint and an
-    events/sec floor of ``baseline * (1 - tolerance)``.  Per adjacent pair of
-    matched points: the current throughput ratio (smaller scale → larger
-    scale) must stay within tolerance of the baseline's ratio, so a slow
-    machine passes but superlinear degradation with population does not.
-    """
-    problems: List[str] = []
-    base_points = {_point_key(p): p for p in baseline["points"]}
-    matched = []
-    for point in current["points"]:
-        base = base_points.get(_point_key(point))
-        if base is None:
-            # Different scale (e.g. a REPRO_SCALING_SCALES smoke run).
-            continue
-        matched.append((base, point))
-        label = f"{point['n_peers']} peers ({point['engine']})"
-        if point["events_processed"] != base["events_processed"]:
-            problems.append(
-                f"{label}: events_processed changed "
-                f"{base['events_processed']} -> {point['events_processed']} "
-                "(same scale and seed: simulation behaviour changed)"
-            )
-        floor = base["events_per_sec"] * (1.0 - tolerance)
-        if point["events_per_sec"] < floor:
-            problems.append(
-                f"{label}: throughput regression — {point['events_per_sec']:.1f} "
-                f"events/sec is below {floor:.1f} "
-                f"(baseline {base['events_per_sec']:.1f}, tolerance {tolerance:.0%})"
-            )
-    for (base_a, cur_a), (base_b, cur_b) in zip(matched, matched[1:]):
-        if not (base_a["events_per_sec"] and cur_a["events_per_sec"]):
-            continue
-        base_ratio = base_b["events_per_sec"] / base_a["events_per_sec"]
-        cur_ratio = cur_b["events_per_sec"] / cur_a["events_per_sec"]
-        if cur_ratio < base_ratio * (1.0 - tolerance):
-            problems.append(
-                f"superlinear degradation between {cur_a['n_peers']} and "
-                f"{cur_b['n_peers']} peers: throughput ratio fell to "
-                f"{cur_ratio:.2f} (baseline {base_ratio:.2f}, tolerance {tolerance:.0%})"
-            )
-    return problems
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Fail when a perf snapshot regresses against the baseline.",
@@ -192,26 +118,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     baseline = load_snapshot(args.baseline)
     current = load_snapshot(args.current)
 
-    if is_scaling_snapshot(baseline) != is_scaling_snapshot(current):
-        raise SystemExit(
-            "snapshot kind mismatch: one is a scaling curve, the other a core "
-            "period snapshot — pass matching --baseline/--current files"
-        )
-    if is_scaling_snapshot(current):
-        for point in current["points"]:
-            print(
-                f"{point['n_peers']:>8} peers ({point['engine']}): "
-                f"{point['events_per_sec']:.1f} events/sec"
-            )
-        problems = check_scaling(baseline, current, tolerance)
-    else:
-        base_rate = baseline["totals"]["events_per_sec"]
-        cur_rate = current["totals"]["events_per_sec"]
-        print(
-            f"baseline {base_rate:.1f} events/sec, current {cur_rate:.1f} "
-            f"({cur_rate / base_rate:.1%} of baseline, tolerance {tolerance:.0%})"
-        )
-        problems = check_regression(baseline, current, tolerance)
+    base_rate = baseline["totals"]["events_per_sec"]
+    cur_rate = current["totals"]["events_per_sec"]
+    print(
+        f"baseline {base_rate:.1f} events/sec, current {cur_rate:.1f} "
+        f"({cur_rate / base_rate:.1%} of baseline, tolerance {tolerance:.0%})"
+    )
+    problems = check_regression(baseline, current, tolerance)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     if problems:

@@ -89,7 +89,7 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
 
     Single pass over the connection list: durations, the per-direction
     buckets, and the close-reason histogram are collected together, so a
-    sharded million-connection dataset is walked once instead of four times.
+    million-connection dataset is walked once instead of four times.
     The per-bucket lists preserve record order, which keeps every float
     reduction identical to the multi-pass version.
     """

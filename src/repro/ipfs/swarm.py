@@ -8,7 +8,8 @@ is the component that actually closes the victims and reports why.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+import itertools
+from typing import Dict, Iterator, List, Optional, Protocol
 
 from repro.libp2p.connection import CloseReason, Connection, Direction
 from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
@@ -36,6 +37,10 @@ class Swarm:
         self.connmgr = ConnectionManager(connmgr_config)
         self._listeners: List[SwarmListener] = []
         self._open_by_id: Dict[int, Connection] = {}
+        #: where connection ids come from: this swarm's own sequence, until a
+        #: SimulatedNetwork points every swarm it hosts at its shared one (ids
+        #: are then unique fabric-wide and a run never depends on earlier runs)
+        self.connection_ids: Iterator[int] = itertools.count(1)
         self.total_opened = 0
         self.total_closed = 0
 
@@ -86,6 +91,7 @@ class Swarm:
             direction=direction,
             remote_addr=remote_addr,
             opened_at=now,
+            connection_id=next(self.connection_ids),
         )
         self._open_by_id[conn.connection_id] = conn
         self.connmgr.add_connection(conn, now)

@@ -10,8 +10,7 @@ the resulting durations.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.libp2p.multiaddr import Multiaddr
@@ -37,9 +36,6 @@ class CloseReason(enum.Enum):
     STILL_OPEN = "still-open"          # never closed; measurement end counts as close
 
 
-_connection_ids = itertools.count(1)
-
-
 @dataclass
 class Connection:
     """A single (possibly still open) connection to a remote peer."""
@@ -48,9 +44,10 @@ class Connection:
     direction: Direction
     remote_addr: Multiaddr
     opened_at: float
+    #: handed out by the opening swarm (see ``Swarm.connection_ids``)
+    connection_id: int
     closed_at: Optional[float] = None
     close_reason: Optional[CloseReason] = None
-    connection_id: int = field(default_factory=lambda: next(_connection_ids))
 
     @property
     def is_open(self) -> bool:

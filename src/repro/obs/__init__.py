@@ -16,8 +16,8 @@ in-memory result:
   walks), deterministically sampled per operation key and riding the
   simulated clocks only.
 * :mod:`repro.obs.trace_export` — the single render path behind the
-  byte-identical ``traces.jsonl``, the picklable :class:`TraceSummary`, the
-  shard merge, and the shared critical-path decomposition.
+  byte-identical ``traces.jsonl``, the picklable :class:`TraceSummary`, and
+  the shared critical-path decomposition.
 * :mod:`repro.obs.critical_path` — ``python -m repro.obs.critical_path``:
   top-k slowest traces printed as indented trees with attribution.
 * :mod:`repro.obs.progress` — wall-clock progress heartbeat on the engine's
@@ -34,16 +34,13 @@ from repro.obs.hub import (
     METRICS_SCHEMA,
     MetricsHub,
     MetricsSummary,
-    merge_summaries,
     render_line,
-    write_jsonl,
 )
 from repro.obs.spans import SpanTracer, TraceConfig
 from repro.obs.trace_export import (
     TRACE_SCHEMA,
     TraceSummary,
     leaf_attribution,
-    merge_trace_summaries,
     read_traces,
     render_trace_line,
     write_traces,
@@ -60,11 +57,8 @@ __all__ = [
     "TraceConfig",
     "TraceSummary",
     "leaf_attribution",
-    "merge_summaries",
-    "merge_trace_summaries",
     "read_traces",
     "render_line",
     "render_trace_line",
-    "write_jsonl",
     "write_traces",
 ]

@@ -22,10 +22,6 @@ class ObsConfig:
     ring_capacity: int = 288
     #: stream every closed window to this JSONL file (None: in-memory only)
     jsonl_path: Optional[str] = None
-    #: keep *every* closed window in memory regardless of ``ring_capacity``
-    #: (sharded mode sets this on the per-shard configs so the merge sees
-    #: complete per-shard series; unbounded — leave off for long runs)
-    retain_windows: bool = False
 
     def __post_init__(self) -> None:
         if self.window <= 0:

@@ -1,8 +1,8 @@
 """``python -m repro.obs.critical_path`` — top-k slowest traces as trees.
 
-Reads a ``traces.jsonl`` written by the span tracer (directly, or merged by
-a sharded run) and prints the slowest traces as indented span trees with a
-per-trace critical-path attribution line.  Pure post-processing: nothing
+Reads a ``traces.jsonl`` written by the span tracer and prints the slowest
+traces as indented span trees with a per-trace critical-path attribution
+line.  Pure post-processing: nothing
 here touches a simulation, and the output is deterministic for a given
 input file.
 

@@ -22,10 +22,6 @@ Determinism contract (pinned by ``tests/test_obs.py``):
   feeds shuffled interleavings and asserts byte-identical JSONL.
 * **Serialization** is canonical: ``json.dumps(sort_keys=True)`` with compact
   separators and floats rounded to 6 decimals, one line per closed window.
-
-Sharded runs give every shard its own hub (windows retained in memory); the
-merge in :func:`merge_summaries` combines same-index windows field-wise in
-shard order, so the merged series is byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -61,37 +57,9 @@ class _Window:
         self.histograms: Dict[str, List[float]] = {}
 
 
-def render_window(
-    index: int,
-    window_seconds: float,
-    counters: Dict[str, int],
-    gauges: Dict[str, Dict[str, float]],
-    histograms: Dict[str, Dict[str, object]],
-) -> Dict:
-    """The canonical payload of one closed window (shared by close and merge,
-    so merged shard windows render byte-identically to single-hub ones)."""
-    return {
-        "schema": METRICS_SCHEMA,
-        "index": index,
-        "start": _round6(index * window_seconds),
-        "end": _round6((index + 1) * window_seconds),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }
-
-
 def render_line(payload: Dict) -> str:
     """One metrics.jsonl line (canonical key order, compact separators)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def write_jsonl(windows: Sequence[Dict], path: str) -> None:
-    """Write a full window series as a metrics.jsonl file."""
-    with open(path, "w") as handle:
-        for payload in windows:
-            handle.write(render_line(payload))
-            handle.write("\n")
 
 
 @dataclass
@@ -108,16 +76,13 @@ class MetricsSummary:
     counters: Dict[str, int] = field(default_factory=dict)
     #: upper bucket edges per histogram instrument
     histogram_bounds: Dict[str, List[float]] = field(default_factory=dict)
-    #: retained window payloads — the complete series when ``retained``,
-    #: otherwise the ring-buffer tail
+    #: the ring-buffer tail: the last ``ring_capacity`` window payloads
     windows: List[Dict] = field(default_factory=list)
     #: closed windows no longer in memory (flushed to JSONL, then evicted)
     windows_dropped: int = 0
-    #: whether ``windows`` holds the complete series
-    retained: bool = False
 
     def as_jsonl(self) -> str:
-        """The retained windows rendered as metrics.jsonl content."""
+        """The in-memory windows rendered as metrics.jsonl content."""
         return "".join(render_line(payload) + "\n" for payload in self.windows)
 
 
@@ -129,7 +94,6 @@ class MetricsHub:
         window: float,
         ring_capacity: int = 288,
         jsonl_path: Optional[str] = None,
-        retain_windows: bool = False,
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
@@ -138,7 +102,6 @@ class MetricsHub:
         self.window = float(window)
         self.jsonl_path = jsonl_path
         self.recent: deque = deque(maxlen=ring_capacity)
-        self._retained: Optional[List[Dict]] = [] if retain_windows else None
         self._open: Dict[int, _Window] = {}
         self._next_to_close = 0
         self._n_windows: Optional[int] = None
@@ -261,13 +224,19 @@ class MetricsHub:
                 "sum": _round6(math.fsum(samples)),
                 "buckets": buckets,
             }
-        payload = render_window(index, self.window, counters, gauges, histograms)
+        payload = {
+            "schema": METRICS_SCHEMA,
+            "index": index,
+            "start": _round6(index * self.window),
+            "end": _round6((index + 1) * self.window),
+            "counters": counters,
+            "gauges": gauges,
+            "histograms": histograms,
+        }
         self.windows_closed += 1
         for name, value in counters.items():
             self.counter_totals[name] = self.counter_totals.get(name, 0) + value
         self.recent.append(payload)
-        if self._retained is not None:
-            self._retained.append(payload)
         if self.jsonl_path is not None:
             if self._handle is None:
                 self._handle = open(self.jsonl_path, "w")
@@ -291,7 +260,7 @@ class MetricsHub:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        windows = list(self._retained) if self._retained is not None else list(self.recent)
+        windows = list(self.recent)
         return MetricsSummary(
             window_seconds=self.window,
             windows_closed=self.windows_closed,
@@ -302,107 +271,4 @@ class MetricsHub:
             },
             windows=windows,
             windows_dropped=self.windows_closed - len(windows),
-            retained=self._retained is not None,
         )
-
-
-# -- sharded merge -------------------------------------------------------------------
-
-
-def merge_summaries(summaries: Sequence[MetricsSummary]) -> MetricsSummary:
-    """Merge complete per-shard window series into one federation-wide series.
-
-    Same-index windows combine field-wise: counters and bucket counts sum
-    exactly (ints), gauge sums via :func:`math.fsum` over the shard sums with
-    min-of-mins / max-of-maxes, and every merged window re-renders through
-    :func:`render_window` — so the merged series is byte-identical for every
-    worker count and shard completion order (shards are walked in index
-    order, which the sharded runner fixes).
-    """
-    if not summaries:
-        raise ValueError("cannot merge zero metrics summaries")
-    window_seconds = summaries[0].window_seconds
-    for summary in summaries:
-        if summary.window_seconds != window_seconds:
-            raise ValueError("cannot merge summaries with different window widths")
-        if not summary.retained:
-            raise ValueError(
-                "sharded metrics merge needs complete per-shard series "
-                "(ObsConfig.retain_windows on the shard configs)"
-            )
-    bounds: Dict[str, List[float]] = {}
-    for summary in summaries:
-        for name, edges in summary.histogram_bounds.items():
-            if bounds.setdefault(name, edges) != edges:
-                raise ValueError(f"histogram {name!r} has mismatched shard bounds")
-    n_windows = max(s.windows_closed for s in summaries)
-    by_index: List[List[Dict]] = [[] for _ in range(n_windows)]
-    for summary in summaries:
-        for payload in summary.windows:
-            by_index[payload["index"]].append(payload)
-    merged_windows: List[Dict] = []
-    counter_totals: Dict[str, int] = {}
-    for index in range(n_windows):
-        counters: Dict[str, int] = {}
-        gauge_parts: Dict[str, List[Dict]] = {}
-        hist_parts: Dict[str, List[Dict]] = {}
-        for payload in by_index[index]:
-            for name, value in payload["counters"].items():
-                counters[name] = counters.get(name, 0) + value
-            for name, stats in payload["gauges"].items():
-                gauge_parts.setdefault(name, []).append(stats)
-            for name, stats in payload["histograms"].items():
-                hist_parts.setdefault(name, []).append(stats)
-        gauges = {
-            name: {
-                "count": sum(p["count"] for p in parts),
-                "min": _round6(min(p["min"] for p in parts)),
-                "max": _round6(max(p["max"] for p in parts)),
-                "sum": _round6(math.fsum(p["sum"] for p in parts)),
-            }
-            for name, parts in sorted(gauge_parts.items())
-        }
-        histograms = {
-            name: {
-                "count": sum(p["count"] for p in parts),
-                "sum": _round6(math.fsum(p["sum"] for p in parts)),
-                "buckets": [
-                    sum(p["buckets"][i] for p in parts)
-                    for i in range(len(parts[0]["buckets"]))
-                ],
-            }
-            for name, parts in sorted(hist_parts.items())
-        }
-        counters = {name: counters[name] for name in sorted(counters)}
-        for name, value in counters.items():
-            counter_totals[name] = counter_totals.get(name, 0) + value
-        merged_windows.append(
-            render_window(index, window_seconds, counters, gauges, histograms)
-        )
-    return MetricsSummary(
-        window_seconds=window_seconds,
-        windows_closed=n_windows,
-        observations=sum(s.observations for s in summaries),
-        counters=dict(sorted(counter_totals.items())),
-        histogram_bounds={name: list(edges) for name, edges in sorted(bounds.items())},
-        windows=merged_windows,
-        windows_dropped=0,
-        retained=True,
-    )
-
-
-def ring_tail(summary: MetricsSummary, ring_capacity: int) -> MetricsSummary:
-    """Bound a retained summary back to its ring-buffer view (the sharded
-    runner retains every shard window for the merge, then re-applies the
-    requested cap so the merged result matches single-fabric memory bounds)."""
-    windows = summary.windows[-ring_capacity:]
-    return MetricsSummary(
-        window_seconds=summary.window_seconds,
-        windows_closed=summary.windows_closed,
-        observations=summary.observations,
-        counters=summary.counters,
-        histogram_bounds=summary.histogram_bounds,
-        windows=windows,
-        windows_dropped=summary.windows_closed - len(windows),
-        retained=False,
-    )

@@ -4,7 +4,7 @@ Everything in :mod:`repro.obs.hub` is deterministic simulated-time data;
 wall-clock throughput is the one signal that must *never* enter the metrics
 artifacts (it would break byte-identity).  This tracer keeps it on stderr:
 enabled via the ``REPRO_PROGRESS`` environment variable (inherited by
-fork-based sweep/shard worker processes), it rides the engine's progress
+fork-based sweep worker processes), it rides the engine's progress
 hook and prints one line roughly per simulated hour::
 
     [n=1500 seed=7] t=4.0h  1.21M events  heap=20.3k  54.1k ev/s

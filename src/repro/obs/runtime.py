@@ -79,7 +79,6 @@ class MetricsRuntime(FabricRuntime):
             config.window,
             ring_capacity=config.ring_capacity,
             jsonl_path=config.jsonl_path,
-            retain_windows=config.retain_windows,
         )
         # Latency histograms share the default simulated-seconds buckets.
         self.hub.register_histogram("content.retrieve_seconds")

@@ -288,7 +288,6 @@ class SpanTracer:
         only — render."""
         summary = TraceSummary(
             sample=self.config.sample,
-            max_traces=self.config.max_traces,
             ops=dict(sorted(self.ops.items())),
             sampled=dict(sorted(self.sampled.items())),
             traces_dropped=self.traces_dropped,

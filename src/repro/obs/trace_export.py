@@ -4,8 +4,7 @@ Mirrors the discipline of :mod:`repro.obs.hub`'s metrics export: every trace
 payload is rendered exactly once, by exactly one function
 (:func:`build_trace`), with sorted keys, compact separators, and floats
 rounded to six decimals — so a fixed-seed run produces a byte-identical
-``traces.jsonl`` every time, a sharded run merges to the same bytes
-regardless of worker count, and CI can diff the file directly.
+``traces.jsonl`` every time and CI can diff the file directly.
 
 Rendering is *lazy*: the tracer's hot path only appends primitive event
 tuples (see :mod:`repro.obs.spans`), and :class:`TraceSummary` replays them
@@ -14,10 +13,7 @@ the simulation's timed region, which is what keeps the
 ``benchmarks/bench_trace.py`` overhead gate honest.
 
 :class:`TraceSummary` is the picklable carrier riding
-``ScenarioResult.spans`` across shard process boundaries;
-:func:`merge_trace_summaries` concatenates shard traces in shard order and
-re-applies the retention cap, keeping the merged artifact independent of
-how many workers produced it.  :func:`leaf_attribution` is the shared
+``ScenarioResult.spans``.  :func:`leaf_attribution` is the shared
 critical-path decomposition used by both the sweep-cell report
 (:mod:`repro.analysis.trace_report`) and the ``repro.obs.critical_path``
 CLI.
@@ -181,27 +177,22 @@ def read_traces(path: str) -> List[Dict]:
 class TraceSummary:
     """Picklable end-of-run tracing summary (``ScenarioResult.spans``).
 
-    Holds either already-rendered trace payloads (``traces=...``, e.g. after
-    a shard merge) or the tracer's raw records (``pending=...``), which are
-    replayed through :func:`build_trace` on first access of :attr:`traces` —
-    lazily, so the simulation's timed region never pays the render cost.
+    Holds the tracer's raw records (``pending=...``), which are replayed
+    through :func:`build_trace` on first access of :attr:`traces` — lazily,
+    so the simulation's timed region never pays the render cost.
     """
 
     def __init__(
         self,
         sample: float,
-        max_traces: int,
         ops: Optional[Dict[str, int]] = None,
         sampled: Optional[Dict[str, int]] = None,
-        traces: Optional[List[Dict]] = None,
         traces_dropped: int = 0,
         pending: Optional[List[TraceRecord]] = None,
         max_children: int = 64,
     ) -> None:
-        #: configured sample rate (must match across merged shards)
+        #: configured sample rate
         self.sample = sample
-        #: retention cap the traces list was built under
-        self.max_traces = max_traces
         #: operations begun per kind (counted whether or not sampled)
         self.ops = ops if ops is not None else {}
         #: traces kept per kind (sampled or force-kept on failure/timeout)
@@ -210,7 +201,7 @@ class TraceSummary:
         self.traces_dropped = traces_dropped
         #: per-span leaf cap applied when pending records render
         self.max_children = max_children
-        self._traces = traces
+        self._traces: Optional[List[Dict]] = None
         self._pending = pending if pending is not None else []
 
     @property
@@ -226,48 +217,6 @@ class TraceSummary:
     def as_jsonl(self) -> str:
         """The exact ``traces.jsonl`` content for the retained traces."""
         return "".join(render_trace_line(payload) + "\n" for payload in self.traces)
-
-
-def merge_trace_summaries(summaries: Sequence[TraceSummary]) -> TraceSummary:
-    """Merge per-shard summaries into the single-run equivalent.
-
-    Traces concatenate in shard order (each shard's list is already in its
-    own completion order), then the retention cap is re-applied — so the
-    merged artifact depends only on the shard partition, never on how many
-    workers ran the shards or in what order they finished.
-    """
-    if not summaries:
-        raise ValueError("cannot merge zero trace summaries")
-    first = summaries[0]
-    for summary in summaries[1:]:
-        if summary.sample != first.sample:
-            raise ValueError(
-                "cannot merge trace summaries with different sample rates: "
-                f"{first.sample} vs {summary.sample}"
-            )
-    ops: Dict[str, int] = {}
-    sampled: Dict[str, int] = {}
-    traces: List[Dict] = []
-    dropped = 0
-    for summary in summaries:
-        for kind, count in summary.ops.items():
-            ops[kind] = ops.get(kind, 0) + count
-        for kind, count in summary.sampled.items():
-            sampled[kind] = sampled.get(kind, 0) + count
-        traces.extend(summary.traces)
-        dropped += summary.traces_dropped
-    if len(traces) > first.max_traces:
-        dropped += len(traces) - first.max_traces
-        traces = traces[: first.max_traces]
-    return TraceSummary(
-        sample=first.sample,
-        max_traces=first.max_traces,
-        ops=dict(sorted(ops.items())),
-        sampled=dict(sorted(sampled.items())),
-        traces=traces,
-        traces_dropped=dropped,
-        max_children=first.max_children,
-    )
 
 
 def leaf_attribution(root_payload: Dict) -> Dict[str, float]:

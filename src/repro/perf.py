@@ -158,7 +158,7 @@ def load_snapshot(path: str, expected_schema: Optional[str] = SNAPSHOT_SCHEMA) -
     clear :class:`SnapshotSchemaError` naming the file and the found/expected
     schemas.  Pass ``expected_schema=None`` to skip the exact-match check
     (the field must still exist); pass another tag to validate a different
-    snapshot family (e.g. the scaling benchmark's).
+    snapshot family.
     """
     with open(path) as handle:
         payload = json.load(handle)

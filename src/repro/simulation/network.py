@@ -43,6 +43,7 @@ This module wires the synthetic population to the measurement identities
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
@@ -264,6 +265,8 @@ class SimulatedNetwork:
         self.config = config or NetworkConfig()
         self.identities: List[MeasurementIdentity] = []
         self._identities_by_label: Dict[str, MeasurementIdentity] = {}
+        #: one connection-id sequence for every vantage point on this fabric
+        self.connection_ids = itertools.count(1)
         self.peers: List[SimPeer] = [SimPeer(p, self.rng) for p in population]
         self.peers_by_pid: Dict[PeerId, SimPeer] = {p.current_pid: p for p in self.peers}
         #: peers currently online, keyed by peer_index (kept incrementally so
@@ -349,6 +352,7 @@ class SimulatedNetwork:
             raise RuntimeError("identities must be added before start()")
         self.identities.append(identity)
         self._identities_by_label[identity.label] = identity
+        identity.node.swarm.connection_ids = self.connection_ids
 
     def start(self, duration: float) -> None:
         """Schedule every process for a measurement of ``duration`` seconds."""

@@ -38,9 +38,6 @@ from repro.simulation.network import (
 )
 from repro.simulation.population import Population, PopulationConfig, generate_population
 
-#: recognised values of ``ScenarioConfig.engine``
-ENGINE_KINDS = frozenset({"vectorized", "sharded"})
-
 #: dataset label of the go-ipfs vantage point
 GO_IPFS_LABEL = "go-ipfs"
 #: label prefix of hydra heads ("hydra-H0", "hydra-H1", ...)
@@ -70,22 +67,8 @@ class ScenarioConfig:
     #: scenarios without one are bit-identical to pre-content builds
     content: Optional[ContentRoutingConfig] = None
     seed: int = 7
-    #: execution mode: "vectorized" (default — one fabric on the one
-    #: :class:`~repro.simulation.engine.Engine`) or "sharded" (opt-in:
-    #: partition the population over independently-seeded sub-simulations
-    #: and merge deterministically; same-seed deterministic but *not*
-    #: byte-identical to the single fabric — see repro.simulation.sharded)
-    engine: str = "vectorized"
-    #: number of population shards when ``engine == "sharded"``
-    engine_shards: int = 4
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_KINDS:
-            raise ValueError(
-                f"engine must be one of {sorted(ENGINE_KINDS)}, got {self.engine!r}"
-            )
-        if self.engine_shards < 1:
-            raise ValueError(f"engine_shards must be >= 1, got {self.engine_shards}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.hydra_heads < 0:
@@ -159,11 +142,6 @@ class Scenario:
     """Builds and runs one simulated measurement period."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        if config.engine == "sharded":
-            raise ValueError(
-                "sharded scenarios do not run on a single Scenario; use "
-                "run_scenario() (or repro.simulation.sharded.run_sharded_scenario)"
-            )
         self.config = config
         self.engine = Engine()
         # REPRO_PROGRESS=1 prints per-simulated-hour liveness lines to stderr
@@ -341,9 +319,5 @@ class Scenario:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Build and run a scenario in one call, dispatching on ``config.engine``."""
-    if config.engine == "sharded":
-        from repro.simulation.sharded import run_sharded_scenario
-
-        return run_sharded_scenario(config)
+    """Build and run a scenario in one call."""
     return Scenario(config).run()

@@ -33,8 +33,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.attack_report import attack_metrics
@@ -237,8 +239,10 @@ def summarize_cell_safe(
     """Run one cell, catching failures so one bad cell cannot sink a sweep.
 
     Returns either a regular cell summary or a failure record carrying the
-    exception; the sweep reports failures and exits nonzero.  Module-level so
-    the process pool can ship it to workers by reference.
+    exception, its traceback, the cell's content address and a command line
+    that re-runs just this cell; the sweep reports failures and exits
+    nonzero.  Module-level so the process pool can ship it to workers by
+    reference.
     """
     try:
         return summarize_cell(
@@ -246,13 +250,48 @@ def summarize_cell_safe(
             metrics_window, metrics_path, trace_sample, trace_path,
         )
     except Exception as exc:  # noqa: BLE001 - any cell failure must be reported
+        key = cell_key(
+            name, n_peers, duration_days, seed, overrides, metrics_window, trace_sample
+        )
         return {
             "scenario": name,
             "n_peers": n_peers,
             "duration_days": duration_days,
             "seed": seed,
             "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+            "key": key,
+            "repro": _repro_command(
+                name, n_peers, duration_days, seed, overrides,
+                metrics_window, trace_sample, key,
+            ),
         }
+
+
+def _repro_command(
+    name: str,
+    n_peers: Optional[int],
+    duration_days: Optional[float],
+    seed: int,
+    overrides: Optional[Dict],
+    metrics_window: Optional[float],
+    trace_sample: Optional[float],
+    key: str,
+) -> str:
+    """The ``python -m repro.sweep`` line that runs exactly one cell (into
+    an output directory of its own, named after the cell's key)."""
+    argv = ["python", "-m", "repro.sweep", "--scenarios", name, "--seeds", str(seed)]
+    if n_peers is not None:
+        argv += ["--peers", str(n_peers)]
+    if duration_days is not None:
+        argv += ["--duration", f"{duration_days!r}d"]
+    for knob, value in sorted((overrides or {}).items()):
+        argv += ["--set", f"{knob}={value}"]
+    if metrics_window is not None:
+        argv += ["--metrics-window", repr(metrics_window)]
+    if trace_sample is not None:
+        argv += ["--trace-sample", repr(trace_sample)]
+    return shlex.join(argv + ["--out", f"repro-{key}"])
 
 
 def cell_filename(summary: Dict) -> str:
@@ -370,9 +409,18 @@ def _load_completed_cells(out_dir: str, planned: Sequence[Dict]) -> Dict[int, Di
 
 
 def _write_json(path: str, payload: Dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    """Write ``payload`` to ``path`` atomically (tmp file in the same
+    directory, then ``os.replace``): a killed or failing write leaves the
+    previous file or the complete new one, never a truncated one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def run_sweep(
@@ -396,13 +444,14 @@ def run_sweep(
     given flag set even when the cells themselves run in parallel workers.
     A non-empty ``out_dir`` is refused unless ``force`` or ``resume`` is set:
     ``force`` deletes the previous run's artifacts (``*.json``, ``*.jsonl``,
-    ``sweep_table.txt``) up front, so a re-run can never silently mix stale
-    and fresh cell JSON; ``resume`` instead reuses every completed cell whose
-    content address matches the manifest of the interrupted run and only
-    simulates the rest.  Cell summaries are written to disk as they complete
-    (checkpointing), and the aggregate artifacts are rebuilt from the full
-    reused + fresh set, so an interrupted sweep resumed with the same flags
-    produces byte-identical artifacts to an uninterrupted one.
+    ``sweep_table.txt``, and any ``*.tmp`` a killed write left) up front, so
+    a re-run can never silently mix stale and fresh cell JSON; ``resume``
+    instead reuses every completed cell whose content address matches the
+    manifest of the interrupted run and only simulates the rest.  Cell
+    summaries are written to disk as they complete (checkpointing), and the
+    aggregate artifacts are rebuilt from the full reused + fresh set, so an
+    interrupted sweep resumed with the same flags produces byte-identical
+    artifacts to an uninterrupted one.
 
     ``metrics_window`` attaches the streaming-metrics runtime to every cell:
     each cell writes a ``*__metrics.jsonl`` time series next to its summary
@@ -444,6 +493,7 @@ def run_sweep(
                 if (
                     name.endswith(".json")
                     or name.endswith(".jsonl")
+                    or name.endswith(".tmp")
                     or name == "sweep_table.txt"
                 ):
                     os.remove(os.path.join(out_dir, name))

@@ -151,99 +151,3 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         assert "perf gate passed" in result.stdout
-
-
-from check_regression import check_scaling, is_scaling_snapshot  # noqa: E402
-
-
-def scaling_point(n_peers, rate, events=1000, engine="vectorized", shards=1):
-    return {
-        "n_peers": n_peers,
-        "duration_days": 0.01,
-        "seed": 7,
-        "engine": engine,
-        "shards": shards,
-        "setup_seconds": 0.1,
-        "run_seconds": 1.0,
-        "wall_seconds": 1.1,
-        "events_processed": events,
-        "events_per_sec": rate,
-    }
-
-
-def scaling_snapshot(points):
-    return {
-        "schema": "repro-bench-scaling/1",
-        "scenario": "p2",
-        "duration_days": 0.01,
-        "seed": 7,
-        "points": points,
-    }
-
-
-class TestScalingGate:
-    def test_identical_curve_passes(self):
-        base = scaling_snapshot([scaling_point(1000, 9000.0), scaling_point(10000, 5000.0)])
-        assert check_scaling(base, base) == []
-
-    def test_uniformly_slower_machine_passes(self):
-        base = scaling_snapshot([scaling_point(1000, 9000.0), scaling_point(10000, 5000.0)])
-        cur = scaling_snapshot([scaling_point(1000, 7200.0), scaling_point(10000, 4000.0)])
-        assert check_scaling(base, cur, tolerance=0.30) == []
-
-    def test_per_point_throughput_floor(self):
-        base = scaling_snapshot([scaling_point(1000, 9000.0)])
-        cur = scaling_snapshot([scaling_point(1000, 5000.0)])
-        problems = check_scaling(base, cur, tolerance=0.30)
-        assert any("throughput regression" in p for p in problems)
-
-    def test_superlinear_degradation_fails_even_within_floors(self):
-        # Both points are individually above their 40% floors, but the curve
-        # bends: the large-scale point got relatively far slower than the
-        # small-scale one (ratio 0.50 vs baseline 0.89).
-        base = scaling_snapshot([scaling_point(1000, 9000.0), scaling_point(10000, 8000.0)])
-        cur = scaling_snapshot([scaling_point(1000, 12000.0), scaling_point(10000, 6000.0)])
-        problems = check_scaling(base, cur, tolerance=0.40)
-        assert any("superlinear degradation" in p for p in problems)
-
-    def test_event_fingerprint_change_fails(self):
-        base = scaling_snapshot([scaling_point(1000, 9000.0, events=1000)])
-        cur = scaling_snapshot([scaling_point(1000, 9000.0, events=1001)])
-        problems = check_scaling(base, cur)
-        assert any("events_processed changed" in p for p in problems)
-
-    def test_unmatched_scales_are_skipped(self):
-        # a REPRO_SCALING_SCALES smoke run must not trip the gate
-        base = scaling_snapshot([scaling_point(1000, 9000.0)])
-        cur = scaling_snapshot([scaling_point(200, 100.0, events=5)])
-        assert check_scaling(base, cur) == []
-
-    def test_snapshot_kind_detection(self):
-        assert is_scaling_snapshot(scaling_snapshot([]))
-        assert not is_scaling_snapshot(snapshot(1000.0))
-
-    def test_cli_dispatches_on_scaling_snapshots(self, tmp_path, capsys):
-        base = scaling_snapshot([scaling_point(1000, 9000.0)])
-        cur = scaling_snapshot([scaling_point(1000, 8500.0)])
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(base))
-        cur_path.write_text(json.dumps(cur))
-        assert main(["--baseline", str(base_path), "--current", str(cur_path)]) == 0
-        assert "perf gate passed" in capsys.readouterr().out
-
-    def test_cli_rejects_mixed_snapshot_kinds(self, tmp_path):
-        base_path = tmp_path / "base.json"
-        cur_path = tmp_path / "cur.json"
-        base_path.write_text(json.dumps(snapshot(1000.0)))
-        cur_path.write_text(json.dumps(scaling_snapshot([scaling_point(1000, 9000.0)])))
-        with pytest.raises(SystemExit, match="kind mismatch"):
-            main(["--baseline", str(base_path), "--current", str(cur_path)])
-
-    def test_committed_scaling_baseline_is_green_against_itself(self, tmp_path):
-        committed = os.path.join(REPO_ROOT, "BENCH_scaling.json")
-        with open(committed) as handle:
-            baseline = json.load(handle)
-        cur_path = tmp_path / "cur.json"
-        cur_path.write_text(json.dumps(baseline))
-        assert main(["--baseline", committed, "--current", str(cur_path)]) == 0

@@ -7,18 +7,13 @@ reproduce that table **byte for byte** under the canonical serialization of
 :mod:`repro.simulation.equivalence` — every peer record, connection, change,
 snapshot, crawl, and stats block.  A scenario that changes behaviour on
 purpose regenerates its row from the engine it changed; a refactor never does.
-
-Connection ids come from a process-global counter, so each run resets it;
-that counter is bookkeeping, not simulation state.
 """
 
-import itertools
 import json
 import pathlib
 
 import pytest
 
-import repro.libp2p.connection as connection_module
 from repro.scenarios import build_scenario_config, scenario_names
 from repro.simulation.equivalence import block_fingerprints, result_fingerprint
 from repro.simulation.scenario import run_scenario
@@ -28,7 +23,6 @@ with open(pathlib.Path(__file__).parent / "golden" / "scenario_fingerprints.json
 
 
 def run_micro(name: str, seed: int = TABLE["seed"]):
-    connection_module._connection_ids = itertools.count(1)
     return run_scenario(
         build_scenario_config(
             name, n_peers=TABLE["n_peers"], duration_days=TABLE["duration_days"], seed=seed
@@ -66,6 +60,15 @@ def test_first_divergence_names_the_block():
 
 def test_fingerprint_is_stable_across_reruns():
     assert result_fingerprint(run_micro("p2")) == result_fingerprint(run_micro("p2"))
+
+
+def test_result_does_not_depend_on_what_ran_before_it():
+    """Connection ids belong to the fabric, not the process: the same config
+    gives the same bytes whether it runs first or after another scenario."""
+    config = build_scenario_config("p0", n_peers=60, duration_days=0.02, seed=7)
+    first = result_fingerprint(run_scenario(config))
+    run_micro("hydra-scaling")
+    assert result_fingerprint(run_scenario(config)) == first
 
 
 def test_fingerprint_distinguishes_different_seeds():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.ipfs.swarm import Swarm
 from repro.libp2p.connection import CloseReason, Connection, Direction
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
@@ -15,6 +16,7 @@ def make_connection(opened_at=0.0, direction=Direction.INBOUND):
         direction=direction,
         remote_addr=Multiaddr.tcp("9.9.9.9"),
         opened_at=opened_at,
+        connection_id=1,
     )
 
 
@@ -50,8 +52,18 @@ class TestConnection:
         assert conn.duration(now=35.0) == 30.0
 
     def test_connection_ids_are_unique(self):
-        a, b = make_connection(), make_connection()
-        assert a.connection_id != b.connection_id
+        # Ids are handed out by the opening swarm, not by the dataclass.
+        swarm = Swarm(PeerId.random(random.Random(2)))
+        a, b = (
+            swarm.open_connection(
+                PeerId.random(random.Random(seed)),
+                Multiaddr.tcp("9.9.9.9"),
+                Direction.INBOUND,
+                now=0.0,
+            )
+            for seed in (3, 4)
+        )
+        assert (a.connection_id, b.connection_id) == (1, 2)
 
     def test_as_dict_contains_direction_and_addr(self):
         conn = make_connection(direction=Direction.OUTBOUND)

@@ -5,6 +5,7 @@ trimmed from HighWater down to LowWater, protected/graced connections survive,
 and higher thresholds mean longer-lived connections.
 """
 
+import itertools
 
 import pytest
 
@@ -22,12 +23,16 @@ def make_manager(low=3, high=5, grace=0.0, silence=0.0):
     )
 
 
+_connection_ids = itertools.count(1)
+
+
 def add_conn(manager, now, rng):
     conn = Connection(
         remote_peer=PeerId.random(rng),
         direction=Direction.INBOUND,
         remote_addr=Multiaddr.tcp("8.8.8.8"),
         opened_at=now,
+        connection_id=next(_connection_ids),
     )
     manager.add_connection(conn, now)
     return conn

@@ -1,13 +1,9 @@
-"""Streaming metrics (repro.obs): determinism, merging, progress tracing.
+"""Streaming metrics (repro.obs): determinism and progress tracing.
 
 The load-bearing guarantees pinned here:
 
 * any interleaving of the same observations renders byte-identical
   metrics.jsonl (hypothesis property);
-* splitting observations across shard hubs and merging gives the same bytes
-  as one hub (for integer-valued observations, where shard-local rounding
-  cannot differ), and at scenario level the sharded worker count never
-  changes the merged metrics;
 * enabling metrics never changes a run's datasets with metrics *disabled*
   (``obs=None`` draws nothing), and metrics-enabled reruns are byte-identical;
 * the engine progress hooks fire cheaply and the tracer stays out of
@@ -28,15 +24,12 @@ from repro.obs import (
     METRICS_SCHEMA,
     MetricsHub,
     ObsConfig,
-    merge_summaries,
     render_line,
 )
-from repro.obs.hub import ring_tail
 from repro.obs.progress import PROGRESS_ENV, EngineTracer, progress_enabled
 from repro.scenarios import build_scenario_config
 from repro.simulation.engine import Engine
 from repro.simulation.scenario import Scenario, run_scenario
-from repro.simulation.sharded import run_sharded_scenario
 
 HOUR = 3_600.0
 
@@ -68,7 +61,7 @@ class TestHubBasics:
             hub.register_histogram("h", bounds=(1.0, 3.0))
 
     def test_horizon_fills_empty_windows_without_gaps(self):
-        hub = MetricsHub(window=10.0, retain_windows=True)
+        hub = MetricsHub(window=10.0)
         hub.set_horizon(45.0)
         hub.inc("a", 2.0)
         hub.inc("a", 41.0)
@@ -79,7 +72,7 @@ class TestHubBasics:
         assert summary.counters == {"a": 2}
 
     def test_observation_at_horizon_boundary_folds_into_final_window(self):
-        hub = MetricsHub(window=10.0, retain_windows=True)
+        hub = MetricsHub(window=10.0)
         hub.set_horizon(30.0)
         hub.inc("edge", 30.0)  # t == duration: window 3 does not exist
         summary = hub.finalize()
@@ -87,7 +80,7 @@ class TestHubBasics:
         assert summary.windows[-1]["counters"] == {"edge": 1}
 
     def test_closed_windows_never_reopen(self):
-        hub = MetricsHub(window=10.0, retain_windows=True)
+        hub = MetricsHub(window=10.0)
         hub.set_horizon(40.0)
         hub.advance(25.0)  # closes windows 0 and 1
         hub.inc("late", 3.0)  # would land in window 0 — folds into frontier
@@ -96,7 +89,7 @@ class TestHubBasics:
         assert summary.windows[2]["counters"] == {"late": 1}
 
     def test_final_window_closes_only_at_finalize(self):
-        hub = MetricsHub(window=10.0, retain_windows=True)
+        hub = MetricsHub(window=10.0)
         hub.set_horizon(20.0)
         hub.advance(1e9)
         assert hub.windows_closed == 1  # window 1 is the final horizon window
@@ -119,12 +112,11 @@ class TestHubBasics:
         assert summary.windows_closed == 10
         assert [w["index"] for w in summary.windows] == [7, 8, 9]
         assert summary.windows_dropped == 7
-        assert summary.retained is False
         assert summary.counters == {"n": 10}  # totals survive eviction
 
     def test_jsonl_lines_match_summary_rendering(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        hub = MetricsHub(window=10.0, jsonl_path=str(path), retain_windows=True)
+        hub = MetricsHub(window=10.0, jsonl_path=str(path))
         hub.set_horizon(30.0)
         hub.inc("a", 5.0)
         hub.gauge("g", 15.0, 2.5)
@@ -170,7 +162,7 @@ def _apply(hub, kind, name, now, value):
 
 
 def _run_hub(observations):
-    hub = MetricsHub(window=10.0, retain_windows=True)
+    hub = MetricsHub(window=10.0)
     hub.set_horizon(100.0)
     for kind, name, now, value in observations:
         _apply(hub, kind, name, now, value)
@@ -194,61 +186,6 @@ class TestOrderIndependence:
         reordered = _run_hub(shuffled)
         assert reordered.as_jsonl() == baseline.as_jsonl()
         assert reordered.counters == baseline.counters
-
-    @settings(max_examples=40)
-    @given(
-        observations=_observations,
-        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=3),
-    )
-    def test_sharded_split_merges_to_serial_bytes(self, observations, cuts):
-        """Partitioning integer-valued observations across shard hubs and
-        merging reproduces the single-hub series byte for byte.  Integer
-        values keep shard-local rounding exact, which is the regime the
-        sharded runner's determinism contract covers."""
-        integral = [
-            (kind, name, now, float(int(value)))
-            for kind, name, now, value in observations
-        ]
-        baseline = _run_hub(integral)
-        edges = sorted(min(c, len(integral)) for c in cuts)
-        parts, start = [], 0
-        for edge in edges + [len(integral)]:
-            parts.append(integral[start:edge])
-            start = edge
-        shards = [_run_hub(part) for part in parts]
-        merged = merge_summaries(shards)
-        assert merged.as_jsonl() == baseline.as_jsonl()
-        assert merged.counters == baseline.counters
-        assert merged.observations == baseline.observations
-
-
-class TestMergeGuards:
-    def test_merge_rejects_mismatched_windows(self):
-        a = _run_hub([])
-        hub = MetricsHub(window=5.0, retain_windows=True)
-        hub.set_horizon(10.0)
-        b = hub.finalize()
-        with pytest.raises(ValueError, match="window widths"):
-            merge_summaries([a, b])
-
-    def test_merge_rejects_unretained_series(self):
-        hub = MetricsHub(window=10.0)  # ring view only
-        hub.set_horizon(10.0)
-        summary = hub.finalize()
-        with pytest.raises(ValueError, match="retain_windows"):
-            merge_summaries([summary])
-
-    def test_merge_rejects_empty_input(self):
-        with pytest.raises(ValueError):
-            merge_summaries([])
-
-    def test_ring_tail_rebounds_a_merged_summary(self):
-        summary = _run_hub([("inc", "alpha", float(i * 10) + 0.5, 1.0) for i in range(10)])
-        bounded = ring_tail(summary, 4)
-        assert [w["index"] for w in bounded.windows] == [6, 7, 8, 9]
-        assert bounded.windows_dropped == 6
-        assert bounded.retained is False
-        assert bounded.counters == summary.counters
 
 
 # -- scenario integration -----------------------------------------------------------
@@ -274,30 +211,6 @@ class TestScenarioMetrics:
         assert first.metrics.as_jsonl() == second.metrics.as_jsonl()
         assert first.metrics.observations > 0
         assert first.metrics.counters.get("fabric.connect", 0) > 0
-
-    def test_sharded_merged_metrics_identical_across_worker_counts(self):
-        def sharded(workers):
-            config = _obs_config(name="p2", n_peers=45, seed=11)
-            config = dataclasses.replace(config, engine="sharded", engine_shards=3)
-            return run_sharded_scenario(config, workers=workers)
-
-        serial = sharded(1)
-        pooled = sharded(2)
-        assert serial.metrics is not None
-        assert serial.metrics == pooled.metrics
-        assert serial.metrics.as_jsonl() == pooled.metrics.as_jsonl()
-        # The merged view is re-bounded to the requested ring capacity.
-        assert serial.metrics.retained is False
-
-    def test_sharded_jsonl_written_once_after_merge(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        config = _obs_config(
-            name="p2", n_peers=45, seed=11, jsonl_path=str(path), retain_windows=True
-        )
-        config = dataclasses.replace(config, engine="sharded", engine_shards=3)
-        result = run_sharded_scenario(config, workers=2)
-        assert path.read_text() == result.metrics.as_jsonl()
-        assert result.metrics.retained is True
 
 
 # -- engine progress hooks ----------------------------------------------------------

@@ -98,19 +98,19 @@ class TestPerfModule:
 
     def test_load_snapshot_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"schema": "repro-bench-scaling/1"}))
+        path.write_text(json.dumps({"schema": "repro-bench-obs/1"}))
         with pytest.raises(perf.SnapshotSchemaError) as excinfo:
             perf.load_snapshot(str(path))
         message = str(excinfo.value)
         assert str(path) in message
-        assert "repro-bench-scaling/1" in message
+        assert "repro-bench-obs/1" in message
         assert perf.SNAPSHOT_SCHEMA in message
 
     def test_load_snapshot_custom_and_relaxed_schema(self, tmp_path):
-        path = tmp_path / "scaling.json"
-        path.write_text(json.dumps({"schema": "repro-bench-scaling/1"}))
-        loaded = perf.load_snapshot(str(path), expected_schema="repro-bench-scaling/1")
-        assert loaded["schema"] == "repro-bench-scaling/1"
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({"schema": "repro-bench-obs/1"}))
+        loaded = perf.load_snapshot(str(path), expected_schema="repro-bench-obs/1")
+        assert loaded["schema"] == "repro-bench-obs/1"
         # None skips the exact match but still demands the field itself.
         assert perf.load_snapshot(str(path), expected_schema=None) == loaded
         path.write_text(json.dumps([1, 2, 3]))

@@ -222,12 +222,13 @@ class TestConnManagerProperties:
             low_water=low, high_water=low + extra, grace_period=0.0, silence_period=0.0
         )
         manager = ConnectionManager(config)
-        for _ in range(n_conns):
+        for connection_id in range(n_conns):
             conn = Connection(
                 remote_peer=PeerId.random(rng),
                 direction=Direction.INBOUND,
                 remote_addr=Multiaddr.tcp("1.1.1.1"),
                 opened_at=0.0,
+                connection_id=connection_id,
             )
             manager.add_connection(conn, 0.0)
         manager.trim(now=100.0)

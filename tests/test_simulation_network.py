@@ -223,9 +223,10 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(duration=0.0)
 
-    def test_removed_legacy_engine_is_rejected_naming_the_valid_kinds(self):
-        with pytest.raises(ValueError, match=r"engine .*'sharded', 'vectorized'.*'legacy'"):
-            ScenarioConfig(engine="legacy")
+    def test_engine_is_not_a_config_field(self):
+        # One fabric on one engine: there is no execution mode to select.
+        with pytest.raises(TypeError, match="engine"):
+            ScenarioConfig(engine="sharded")
 
 
 class TestScenarioRun:

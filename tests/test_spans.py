@@ -10,48 +10,34 @@ Three layers of coverage for :mod:`repro.obs.spans` and
   exhaustion inside a traced span recording the full attempt sequence;
 * scenario tests prove the fleet-level contract: attaching the tracer is
   behaviour-neutral (identical result fingerprints), the exported
-  ``traces.jsonl`` is byte-identical across reruns and across serial vs
-  sharded execution, and per-trace critical-path attribution telescopes to
-  the measured operation latency.
+  ``traces.jsonl`` is byte-identical across reruns, and per-trace
+  critical-path attribution telescopes to the measured operation latency.
 """
 
 import dataclasses
-import itertools
 import types
 
 import pytest
 
-import repro.libp2p.connection as connection_module
-
 from repro.obs.spans import SpanTracer, TraceConfig
 from repro.obs.trace_export import (
-    TraceSummary,
     build_trace,
     leaf_attribution,
-    merge_trace_summaries,
     read_traces,
     render_trace_line,
     write_traces,
 )
 from repro.faults.retry import RetryPolicy, RetryState
+from repro.netmodel.config import NetModelConfig
 from repro.scenarios import build_scenario_config
 from repro.simulation.equivalence import result_fingerprint
 from repro.simulation.scenario import run_scenario
-from repro.simulation.sharded import run_sharded_scenario
 
 
 def make_tracer(sample=1.0, **kwargs) -> SpanTracer:
     """A tracer on a stub engine whose clock never advances."""
     config = TraceConfig(sample=sample, **kwargs)
     return SpanTracer(config, types.SimpleNamespace(now=0.0))
-
-
-def fresh_run(config):
-    """Run a scenario with the process-global connection-id counter reset, so
-    result fingerprints compare across runs in one test process (the counter
-    is bookkeeping, not simulation state)."""
-    connection_module._connection_ids = itertools.count(1)
-    return run_scenario(config)
 
 
 def traced_config(name, *, n_peers, duration_days=0.02, seed=7, **trace_kwargs):
@@ -237,31 +223,6 @@ class TestSpanTracerUnit:
         line = render_trace_line(summary.traces[0])
         assert ": " not in line and ", " not in line
 
-    def test_merge_concat_in_shard_order_and_recaps(self):
-        def shard(kind_index):
-            tracer = make_tracer(max_traces=3)
-            for _ in range(2):
-                tracer.begin("content.retrieve", kind_index)
-                tracer.finish_root(1.0)
-            return tracer.finalize(0.0)
-
-        merged = merge_trace_summaries([shard(0), shard(1)])
-        assert [t["key"] for t in merged.traces] == [
-            "content.retrieve:0:0", "content.retrieve:0:1",
-            "content.retrieve:1:0",
-        ]
-        assert merged.traces_dropped == 1
-        assert merged.ops == {"content.retrieve": 4}
-
-    def test_merge_rejects_mismatched_sample_rates(self):
-        with pytest.raises(ValueError, match="sample"):
-            merge_trace_summaries([
-                TraceSummary(sample=1.0, max_traces=10),
-                TraceSummary(sample=0.5, max_traces=10),
-            ])
-        with pytest.raises(ValueError, match="zero"):
-            merge_trace_summaries([])
-
 
 class TestLeafAttribution:
     def test_buckets_sum_to_root_duration_with_residual(self):
@@ -377,10 +338,10 @@ class TestRetryTracing:
 class TestScenarioTracing:
     @pytest.fixture(scope="class")
     def traced_run(self):
-        return fresh_run(traced_config("high-latency-retrieval", n_peers=60))
+        return run_scenario(traced_config("high-latency-retrieval", n_peers=60))
 
     def test_tracing_is_behaviour_neutral(self, traced_run):
-        off = fresh_run(
+        off = run_scenario(
             build_scenario_config(
                 "high-latency-retrieval", n_peers=60, duration_days=0.02, seed=7
             )
@@ -404,19 +365,8 @@ class TestScenarioTracing:
         assert traced_run.spans.sampled == traced_run.spans.ops  # full sampling
 
     def test_rerun_renders_byte_identical_jsonl(self, traced_run):
-        again = fresh_run(traced_config("high-latency-retrieval", n_peers=60))
+        again = run_scenario(traced_config("high-latency-retrieval", n_peers=60))
         assert again.spans.as_jsonl() == traced_run.spans.as_jsonl()
-
-    def test_sharded_merge_is_worker_count_invariant(self):
-        config = dataclasses.replace(
-            traced_config("p2", n_peers=60, seed=11),
-            engine="sharded", engine_shards=3,
-        )
-        few = run_sharded_scenario(config, workers=1)
-        many = run_sharded_scenario(config, workers=3)
-        assert few.spans is not None
-        assert few.spans.as_jsonl() == many.spans.as_jsonl()
-        assert few.spans.ops == many.spans.ops
 
     def test_jsonl_path_streams_at_finalize(self, tmp_path):
         path = tmp_path / "traces.jsonl"
@@ -424,3 +374,48 @@ class TestScenarioTracing:
             traced_config("lossy-links", n_peers=50, jsonl_path=str(path))
         )
         assert path.read_text() == result.spans.as_jsonl()
+
+    def test_adversary_on_a_netmodel_fabric_traces_dropped_replies(self):
+        """No registered scenario puts attackers on a clocked fabric, so one
+        is composed here: a walk that an attacker's dropped reply cost a
+        round trip must still account for every second it spent."""
+
+        def run():
+            config = traced_config("poisoned-routing-under-churn", n_peers=60)
+            return run_scenario(
+                dataclasses.replace(
+                    config,
+                    population=dataclasses.replace(
+                        config.population, netmodel=NetModelConfig()
+                    ),
+                )
+            )
+
+        result = run()
+        again = run()
+        assert result_fingerprint(again) == result_fingerprint(result)
+        assert again.spans.as_jsonl() == result.spans.as_jsonl()
+
+        dropped = []
+
+        def check(span):
+            children = span.get("children")
+            if not children:
+                if (span.get("attrs") or {}).get("outcome") == "dropped":
+                    dropped.append(span["seconds"])
+                return
+            # Children never outlast their parent (the residual is never
+            # negative); every exported duration is rounded to 6 decimals,
+            # so allow half a unit in the last place per term.
+            slack = 5e-7 * (len(children) + 1)
+            assert sum(c["seconds"] for c in children) <= span["seconds"] + slack
+            for child in children:
+                check(child)
+
+        for trace in result.spans.traces:
+            root = trace["root"]
+            check(root)
+            assert sum(leaf_attribution(root).values()) == pytest.approx(
+                root["seconds"], abs=1e-9
+            )
+        assert dropped and all(seconds > 0.0 for seconds in dropped)

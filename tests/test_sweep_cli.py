@@ -8,6 +8,7 @@ output across two runs with the same flags.
 
 import json
 import os
+import shlex
 
 import pytest
 
@@ -380,6 +381,19 @@ class TestCheckpointResume:
         run_sweep(self.NAMES, self.SEEDS, self.PEERS, 0.02, str(out), resume=True)
         assert len(rerun) == 4
 
+    def test_interrupted_write_leaves_the_previous_file_intact(self, tmp_path):
+        from repro.sweep import _write_json
+
+        path = tmp_path / "sweep_manifest.json"
+        _write_json(str(path), {"cells": [1, 2, 3]})
+        before = path.read_bytes()
+        # The unserialisable value fails json.dump after it has already
+        # streamed the head of the document to the handle.
+        with pytest.raises(TypeError):
+            _write_json(str(path), {"cells": [1, 2, object()]})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["sweep_manifest.json"]
+
     def test_force_and_resume_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -406,7 +420,7 @@ class TestFailingCells:
         err = capsys.readouterr().err
         assert "sweep cell failed" in err and "n_peers" in err
 
-    def test_failure_is_recorded_in_the_artifacts(self, tmp_path):
+    def test_failure_is_recorded_in_the_artifacts(self, tmp_path, monkeypatch):
         out = tmp_path / "bad"
         main(self.BAD_FLAGS + ["--out", str(out)])
         with open(out / "sweep_summary.json") as handle:
@@ -417,6 +431,20 @@ class TestFailingCells:
         assert failure["scenario"] == "p1"
         assert "ValueError" in failure["error"]
         assert "FAILED p1" in (out / "sweep_table.txt").read_text()
+        # The evidence: where it raised, which planned cell it was, and a
+        # command line that re-runs just that cell to the same failure.
+        assert failure["traceback"].startswith("Traceback (most recent call last)")
+        assert "raise ValueError" in failure["traceback"]
+        assert failure["error"] in failure["traceback"]
+        with open(out / "sweep_manifest.json") as handle:
+            (planned,) = json.load(handle)["cells"]
+        assert failure["key"] == planned["key"]
+        argv = shlex.split(failure["repro"])
+        assert argv[:3] == ["python", "-m", "repro.sweep"]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv[3:]) == 1
+        with open(tmp_path / f"repro-{failure['key']}" / "sweep_summary.json") as handle:
+            assert json.load(handle)["failures"] == [failure]
 
     def test_good_cells_still_run_alongside_a_failure(self, tmp_path, monkeypatch):
         import repro.sweep as sweep_mod
