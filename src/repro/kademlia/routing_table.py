@@ -18,9 +18,9 @@ pairs, the ranked buckets are concatenated, and traversal stops as soon as
 
 A walk to a popular key asks the same servers for the same target over and
 over, so each table memoises its answers per ``(target, count)``.  The memo is
-allocated on first query, dropped by every ``add_peer`` / ``remove_peer``,
-cleared when it reaches :data:`CLOSEST_MEMO_CAPACITY` entries, and only ever
-hands out copies.
+allocated on first query, dropped by every ``add_peer`` / ``add_peers`` /
+``remove_peer``, cleared when it reaches :data:`CLOSEST_MEMO_CAPACITY` entries,
+and only ever hands out copies.
 """
 
 from __future__ import annotations
@@ -135,11 +135,36 @@ class RoutingTable:
         return bucket.touch(peer, key)
 
     def add_peers(self, peers: Iterable[PeerId]) -> int:
-        """Insert many peers; returns how many ended up in the table."""
+        """Insert many peers; returns how many ended up in the table.
+
+        Bucket by bucket the same as calling :meth:`add_peer` on each peer in
+        order (known peer → tail, new with room → appended, new and full →
+        dropped, local peer skipped), with the table lookups hoisted out of
+        the loop and the memo dropped once; this is how the fabric seeds its
+        tables at start-up.
+        """
+        local_key = self.local_key
+        buckets = self._buckets
+        capacity = self.bucket_size
+        self._closest_memo = None
         added = 0
         for peer in peers:
-            if self.add_peer(peer):
-                added += 1
+            key = peer._kad_key
+            diff = key ^ local_key
+            if not diff:
+                continue
+            index = diff.bit_length() - 1
+            bucket = buckets.get(index)
+            if bucket is None:
+                bucket = buckets[index] = KBucket(capacity)
+            entries = bucket._entries
+            if entries.pop(peer, None) is not None:
+                entries[peer] = key
+            elif len(entries) < capacity:
+                entries[peer] = key
+            else:
+                continue
+            added += 1
         return added
 
     def remove_peer(self, peer: PeerId) -> bool:

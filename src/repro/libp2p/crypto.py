@@ -13,18 +13,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 RSA_2048 = "rsa-2048"
 ED25519 = "ed25519"
 
 _KEY_SIZES = {RSA_2048: 256, ED25519: 32}
-
-# One getrandbits(8) call per key byte, exactly like the original generator
-# expression — bytes(map(...)) over a pre-built width tuple consumes the
-# identical RNG stream while skipping the per-byte generator frame, and key
-# generation is the single hottest leaf of large-population setup.
-_BYTE_WIDTHS = {size: (8,) * size for size in _KEY_SIZES.values()}
 
 
 @dataclass(frozen=True)
@@ -49,6 +43,22 @@ class KeyPair:
         return self.public_digest()[:6].hex()
 
 
+def draw_key_material(rng: Optional[random.Random], key_type: str) -> Tuple[bytes, bytes]:
+    """Draw the (public, private) bytes of one simulated key from ``rng``.
+
+    Each key byte is one ``getrandbits(8)``: the top byte of one 32-bit
+    Mersenne word.  ``getrandbits(32 * n)`` is ``n`` such words, least
+    significant first, so one call for both halves and a stride-4 slice over
+    its little-endian bytes yields the same bytes from the same stream
+    position (pinned against the per-byte loop in ``tests/test_libp2p_peer_id.py``).
+    """
+    size = _KEY_SIZES.get(key_type)
+    if size is None:
+        raise ValueError(f"unsupported key type: {key_type!r}")
+    raw = (rng or random).getrandbits(64 * size).to_bytes(8 * size, "little")[3::4]
+    return raw[:size], raw[size:]
+
+
 def generate_keypair(
     rng: Optional[random.Random] = None, key_type: str = RSA_2048
 ) -> KeyPair:
@@ -57,11 +67,5 @@ def generate_keypair(
     ``rng`` makes generation deterministic for a seeded simulation; omitting it
     falls back to the module-level RNG which is fine for examples.
     """
-    if key_type not in _KEY_SIZES:
-        raise ValueError(f"unsupported key type: {key_type!r}")
-    rng = rng or random
-    widths = _BYTE_WIDTHS[_KEY_SIZES[key_type]]
-    getrandbits = rng.getrandbits
-    public = bytes(map(getrandbits, widths))
-    private = bytes(map(getrandbits, widths))
+    public, private = draw_key_material(rng, key_type)
     return KeyPair(key_type=key_type, public_key=public, private_key=private)

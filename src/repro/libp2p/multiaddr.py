@@ -151,16 +151,25 @@ class Multiaddr:
         return f"Multiaddr({str(self)!r})"
 
 
+#: First octets under which every private / loopback / link-local / reserved
+#: IPv4 block lives (multicast and class E start at 224, above the draw).  Any
+#: other first octet is globally routable whatever follows; these fall through
+#: to ``ipaddress``, whose block list differs between interpreter versions.
+_CHECKED_FIRST_OCTETS = frozenset((10, 100, 127, 169, 172, 192, 198, 203))
+
+
 def random_public_ipv4(rng: random.Random) -> str:
     """Draw a random globally-routable IPv4 address."""
+    randint = rng.randint
     while True:
-        octets = [
-            rng.randint(1, 223), rng.randint(0, 255), rng.randint(0, 255), rng.randint(1, 254)
-        ]
-        addr = ipaddress.ip_address(".".join(str(o) for o in octets))
+        first = randint(1, 223)
+        text = "%d.%d.%d.%d" % (first, randint(0, 255), randint(0, 255), randint(1, 254))
+        if first not in _CHECKED_FIRST_OCTETS:
+            return text
+        addr = ipaddress.ip_address(text)
         if not (addr.is_private or addr.is_loopback or addr.is_multicast
                 or addr.is_link_local or addr.is_reserved):
-            return str(addr)
+            return text
 
 
 def random_private_ipv4(rng: random.Random) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Optional
 
-from repro.libp2p.crypto import KeyPair, generate_keypair
+from repro.libp2p.crypto import RSA_2048, KeyPair, draw_key_material
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _SHA256_MULTIHASH_PREFIX = bytes([0x12, 0x20])
@@ -97,8 +97,13 @@ class PeerId:
 
     @classmethod
     def random(cls, rng: Optional[random.Random] = None) -> "PeerId":
-        """Generate a fresh identity (fresh key pair) and return its PeerId."""
-        return cls.from_keypair(generate_keypair(rng))
+        """Generate a fresh identity (fresh key pair) and return its PeerId.
+
+        Draws the whole key pair from ``rng`` — the private half is part of
+        the stream — but only hashes the public half.
+        """
+        public_key, _ = draw_key_material(rng, RSA_2048)
+        return cls.from_public_key(public_key)
 
     def to_base58(self) -> str:
         b58 = self._b58

@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+
+from repro.artifacts import TMP_SUFFIX
 
 #: schema tag carried by every metrics.jsonl line
 METRICS_SCHEMA = "repro-metrics/1"
@@ -239,7 +242,7 @@ class MetricsHub:
         self.recent.append(payload)
         if self.jsonl_path is not None:
             if self._handle is None:
-                self._handle = open(self.jsonl_path, "w")
+                self._handle = open(self.jsonl_path + TMP_SUFFIX, "w")
             self._handle.write(render_line(payload))
             self._handle.write("\n")
         for callback in self._subscribers:
@@ -247,7 +250,8 @@ class MetricsHub:
 
     def finalize(self) -> MetricsSummary:
         """Close the remaining windows (through the horizon when one is set),
-        flush the JSONL export, and return the picklable summary."""
+        move the JSONL export from ``<path>.tmp`` into place (an abandoned hub
+        leaves only the ``.tmp``), and return the picklable summary."""
         if self._finalized:
             raise RuntimeError("MetricsHub.finalize() called twice")
         self._finalized = True
@@ -260,6 +264,7 @@ class MetricsHub:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+            os.replace(self.jsonl_path + TMP_SUFFIX, self.jsonl_path)
         windows = list(self.recent)
         return MetricsSummary(
             window_seconds=self.window,

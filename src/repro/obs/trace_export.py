@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.artifacts import atomic_write
+
 #: schema tag stamped on every trace line; bump on layout changes
 TRACE_SCHEMA = "repro-traces/1"
 
@@ -157,7 +159,7 @@ def render_trace_line(payload: Dict) -> str:
 
 def write_traces(traces: Sequence[Dict], path: str) -> None:
     """Write kept traces, one canonical line each, in completion order."""
-    with open(path, "w") as handle:
+    with atomic_write(path) as handle:
         for payload in traces:
             handle.write(render_trace_line(payload))
             handle.write("\n")

@@ -411,9 +411,7 @@ class SimulatedNetwork:
         for peer in server_peers:
             table = RoutingTable(peer.current_pid)
             if sample_size:
-                for pid in self.rng.sample(server_pids, sample_size):
-                    if pid != peer.current_pid:
-                        table.add_peer(pid)
+                table.add_peers(self.rng.sample(server_pids, sample_size))
             peer.routing_table = table
 
     def _compute_neighborhoods(self) -> None:

@@ -9,9 +9,11 @@ returns the measurement datasets plus the ground truth for validation.
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bandwidth -> fabric)
     from repro.bandwidth.runtime import BandwidthStats
@@ -138,10 +140,40 @@ class ScenarioResult:
         return self.datasets.get(HYDRA_UNION_LABEL)
 
 
+@contextmanager
+def collector_parked(reclaim: bool = False) -> Iterator[None]:
+    """Keep the cyclic garbage collector out of a bulk-construction phase.
+
+    Building a network allocates millions of objects that all live until the
+    run ends; every generational pass the allocations trigger traverses that
+    heap and frees nothing.  Nothing in ``repro`` has a finaliser or a weak
+    reference, so when cycles are collected cannot reach a result.  With
+    ``reclaim`` one full collection runs first: the previous run in this
+    process is a Scenario ↔ network ↔ engine cycle, and parking the collector
+    takes away the passes that used to free it while the next one was built.
+    A caller that already disabled the collector finds it still disabled
+    afterwards, and nothing is collected on its behalf.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    if reclaim:
+        gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class Scenario:
     """Builds and runs one simulated measurement period."""
 
     def __init__(self, config: ScenarioConfig) -> None:
+        with collector_parked(reclaim=True):
+            self._build(config)
+
+    def _build(self, config: ScenarioConfig) -> None:
         self.config = config
         self.engine = Engine()
         # REPRO_PROGRESS=1 prints per-simulated-hour liveness lines to stderr
@@ -215,6 +247,18 @@ class Scenario:
     # -- execution --------------------------------------------------------------------
 
     def run(self) -> ScenarioResult:
+        with collector_parked():
+            self._start()
+        # The built heap is all long-lived: frozen, the collections the drain
+        # triggers no longer traverse it.  (Freezing is process-wide: a caller
+        # that froze a heap of its own finds it unfrozen afterwards.)
+        gc.freeze()
+        try:
+            return self._drain()
+        finally:
+            gc.unfreeze()
+
+    def _start(self) -> None:
         config = self.config
         # Attackers install before start(): routing tables and identity
         # neighbourhoods must be built over the mined attacker IDs.
@@ -240,6 +284,8 @@ class Scenario:
                 start_delay=min(1800.0, config.crawl_interval),
             )
 
+    def _drain(self) -> ScenarioResult:
+        config = self.config
         self.engine.run_until(config.duration)
 
         datasets: Dict[str, MeasurementDataset] = {}

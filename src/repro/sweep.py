@@ -52,6 +52,7 @@ from repro.analysis.sweep_report import (
 from repro.analysis.tables import TextTable, format_count
 from repro.analysis.trace_report import tracing_metrics
 from repro.analysis.transfer_report import transfer_metrics
+from repro.artifacts import TMP_SUFFIX, atomic_write
 from repro.core.churn import connection_statistics, trim_share
 from repro.experiments.runner import run_cells
 from repro.obs.config import ObsConfig
@@ -409,18 +410,11 @@ def _load_completed_cells(out_dir: str, planned: Sequence[Dict]) -> Dict[int, Di
 
 
 def _write_json(path: str, payload: Dict) -> None:
-    """Write ``payload`` to ``path`` atomically (tmp file in the same
-    directory, then ``os.replace``): a killed or failing write leaves the
-    previous file or the complete new one, never a truncated one."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    """Write ``payload`` to ``path`` atomically: a killed or failing write
+    leaves the previous file or the complete new one, never a truncated one."""
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
 
 
 def run_sweep(
@@ -493,7 +487,7 @@ def run_sweep(
                 if (
                     name.endswith(".json")
                     or name.endswith(".jsonl")
-                    or name.endswith(".tmp")
+                    or name.endswith(TMP_SUFFIX)
                     or name == "sweep_table.txt"
                 ):
                     os.remove(os.path.join(out_dir, name))
@@ -572,7 +566,7 @@ def run_sweep(
         os.path.join(out_dir, "sweep_summary.json"),
         aggregate_payload(summaries, failures),
     )
-    with open(os.path.join(out_dir, "sweep_table.txt"), "w") as handle:
+    with atomic_write(os.path.join(out_dir, "sweep_table.txt")) as handle:
         handle.write(render_aggregate(summaries, failures))
     return summaries, failures
 

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.kademlia.keys import key_for_peer, xor_distance
 from repro.kademlia.routing_table import CLOSEST_MEMO_CAPACITY, KBucket, RoutingTable
 from repro.libp2p.peer_id import PeerId
@@ -239,3 +242,49 @@ class TestClosestPeersMemo:
             target = rng.getrandbits(256)
             assert table.closest_peers(target, 7) == _reference_closest(table, target, 7)
             assert 1 <= len(table._closest_memo) <= CLOSEST_MEMO_CAPACITY
+
+
+def _peer_in_bucket(local: PeerId, bucket: int, variant: int) -> PeerId:
+    """A peer whose key differs from ``local``'s first at bit ``bucket``."""
+    diff = (1 << bucket) | (variant % (1 << bucket))
+    return PeerId(digest=(local.kad_key() ^ diff).to_bytes(32, "big"))
+
+
+class TestBulkSeedingEquivalence:
+    """``add_peers`` is the per-peer loop, bucket by bucket (the per-peer loop
+    lives on here as the reference)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        local_seed=st.integers(min_value=0, max_value=2**32),
+        bucket_size=st.sampled_from([1, 2, 3, 20]),
+        # None is the local peer itself; few buckets and few variants per
+        # bucket, so lists repeat peers and overfill buckets past k
+        draws=st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(st.sampled_from([3, 4, 100, 255]), st.integers(0, 7)),
+            ),
+            max_size=60,
+        ),
+        preloaded=st.integers(min_value=0, max_value=20),
+    )
+    def test_add_peers_matches_per_peer_loop(self, local_seed, bucket_size, draws, preloaded):
+        local = PeerId.random(random.Random(local_seed))
+        peers = [local if d is None else _peer_in_bucket(local, *d) for d in draws]
+        bulk = RoutingTable(local, bucket_size=bucket_size)
+        reference = RoutingTable(local, bucket_size=bucket_size)
+        for table in (bulk, reference):
+            for peer in peers[:preloaded]:
+                table.add_peer(peer)
+            table.closest_peers(local.kad_key(), 5)
+        rest = peers[preloaded:]
+
+        added = bulk.add_peers(rest)
+
+        assert added == sum(reference.add_peer(peer) for peer in rest)
+        assert bulk.nonempty_bucket_indices() == reference.nonempty_bucket_indices()
+        for index in reference.nonempty_bucket_indices():
+            assert bulk._buckets[index].peers == reference._buckets[index].peers
+            assert bulk._buckets[index].capacity == bucket_size
+        assert bulk._closest_memo is None

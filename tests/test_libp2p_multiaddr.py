@@ -1,10 +1,14 @@
 """Tests for multiaddress parsing and helpers."""
 
+import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.libp2p.multiaddr import (
+    _CHECKED_FIRST_OCTETS,
     Multiaddr,
     addresses_for_peer,
     random_private_ipv4,
@@ -90,3 +94,56 @@ class TestRandomAddresses:
         addrs = addresses_for_peer("84.44.22.11", rng, behind_nat=True)
         assert all(a.ip() != "84.44.22.11" for a in addrs)
         assert all(a.is_private() for a in addrs)
+
+
+def _reference_is_public(text):
+    addr = ipaddress.ip_address(text)
+    special = (
+        addr.is_private
+        or addr.is_loopback
+        or addr.is_multicast
+        or addr.is_link_local
+        or addr.is_reserved
+    )
+    return not special
+
+
+def _reference_random_public_ipv4(rng):
+    """The ``ipaddress``-only draw ``random_public_ipv4`` used before it
+    stopped parsing addresses whose first octet decides the answer."""
+    while True:
+        octets = [
+            rng.randint(1, 223), rng.randint(0, 255), rng.randint(0, 255), rng.randint(1, 254)
+        ]
+        addr = ipaddress.ip_address(".".join(str(o) for o in octets))
+        if _reference_is_public(str(addr)):
+            return str(addr)
+
+
+#: first octets random_public_ipv4 accepts without asking ``ipaddress``
+_UNCHECKED_FIRST_OCTETS = sorted(set(range(1, 224)) - _CHECKED_FIRST_OCTETS)
+
+
+class TestPublicIpStreamIdentity:
+    def test_matches_the_ipaddress_only_draw(self):
+        # seed 31 rejects and redraws 51 times in these 5 000 (10/8, 127/8, ...)
+        rng, reference_rng = random.Random(31), random.Random(31)
+        for _ in range(5000):
+            drawn = random_public_ipv4(rng)
+            assert drawn == _reference_random_public_ipv4(reference_rng)
+            assert _reference_is_public(drawn)
+        assert rng.getstate() == reference_rng.getstate()
+
+    def test_unchecked_slash_eight_edges_are_public(self):
+        assert len(_UNCHECKED_FIRST_OCTETS) == 215
+        for first in _UNCHECKED_FIRST_OCTETS:
+            assert _reference_is_public(f"{first}.0.0.0"), first
+            assert _reference_is_public(f"{first}.255.255.255"), first
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        first=st.sampled_from(_UNCHECKED_FIRST_OCTETS),
+        rest=st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
+    )
+    def test_unchecked_first_octets_hold_no_special_block(self, first, rest):
+        assert _reference_is_public("%d.%d.%d.%d" % ((first,) + rest))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.libp2p.crypto import ED25519, KeyPair, generate_keypair
+from repro.libp2p.crypto import ED25519, RSA_2048, KeyPair, generate_keypair
 from repro.libp2p.peer_id import PeerId, base58btc_decode, base58btc_encode
 
 
@@ -102,3 +102,36 @@ class TestKeyPair:
         short = keypair.short_id()
         assert len(short) == 12
         int(short, 16)  # must parse as hex
+
+
+def _reference_generate_keypair(rng, key_type=RSA_2048):
+    """The per-byte draw ``generate_keypair`` used before it took each half
+    of the key from one ``getrandbits`` call."""
+    size = {RSA_2048: 256, ED25519: 32}[key_type]
+    public = bytes(rng.getrandbits(8) for _ in range(size))
+    private = bytes(rng.getrandbits(8) for _ in range(size))
+    return KeyPair(key_type=key_type, public_key=public, private_key=private)
+
+
+class TestKeyStreamIdentity:
+    """One-call key draws consume the seeded stream exactly like per-byte
+    draws did; every PeerId of every golden depends on it."""
+
+    DRAWS = 5000
+
+    @pytest.mark.parametrize("key_type", [RSA_2048, ED25519])
+    def test_generate_keypair_matches_per_byte_draws(self, key_type):
+        rng, reference_rng = random.Random(2024), random.Random(2024)
+        for _ in range(self.DRAWS):
+            assert generate_keypair(rng, key_type) == _reference_generate_keypair(
+                reference_rng, key_type
+            )
+        assert rng.getstate() == reference_rng.getstate()
+
+    def test_peer_id_random_matches_per_byte_draws(self):
+        rng, reference_rng = random.Random(77), random.Random(77)
+        for _ in range(self.DRAWS):
+            assert PeerId.random(rng) == PeerId.from_keypair(
+                _reference_generate_keypair(reference_rng)
+            )
+        assert rng.getstate() == reference_rng.getstate()

@@ -13,6 +13,7 @@ The load-bearing guarantees pinned here:
 import dataclasses
 import io
 import json
+import os
 import random
 
 import pytest
@@ -126,6 +127,19 @@ class TestHubBasics:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["schema"] == METRICS_SCHEMA
         assert first["start"] == 0.0 and first["end"] == 10.0
+
+    def test_abandoned_hub_leaves_only_the_tmp_export(self, tmp_path):
+        # A killed cell must not leave a metrics.jsonl that parses as a
+        # shorter, valid file: windows stream to <path>.tmp until finalize.
+        path = tmp_path / "cell__metrics.jsonl"
+        hub = MetricsHub(window=10.0, jsonl_path=str(path))
+        hub.set_horizon(30.0)
+        hub.inc("a", 5.0)
+        hub.advance(25.0)
+        assert hub.windows_closed == 2
+        assert os.listdir(tmp_path) == ["cell__metrics.jsonl.tmp"]
+        hub.finalize()
+        assert os.listdir(tmp_path) == ["cell__metrics.jsonl"]
 
     def test_subscribers_see_each_window_at_close(self):
         seen = []

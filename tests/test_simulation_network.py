@@ -1,5 +1,6 @@
 """Tests for the simulated network fabric and the scenario wiring."""
 
+import gc
 import random
 
 import pytest
@@ -9,13 +10,15 @@ from repro.adversary.behaviors import AttackStats
 from repro.core.churn import connection_statistics
 from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
+from repro.kademlia.routing_table import RoutingTable
 from repro.simulation.churn_models import HOUR
 from repro.netmodel.config import PUBLIC, NetModelConfig
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
 from repro.simulation.engine import Engine
 from repro.simulation.fabric import FabricRuntime
-from repro.simulation.network import MeasurementIdentity, SimulatedNetwork
+from repro.simulation import scenario as scenario_module
+from repro.simulation.network import MeasurementIdentity, SimPeer, SimulatedNetwork
 from repro.simulation.population import PopulationConfig, generate_population
 from repro.simulation.scenario import Scenario, ScenarioConfig
 from repro.ipfs.node import IpfsNode
@@ -108,6 +111,56 @@ class TestNetworkLifecycle:
         network.start(duration=6 * HOUR)
         engine.run_until(6 * HOUR)
         assert network.observed_pid_count() > len(network.peers)
+
+
+def _reference_build_routing_tables(network):
+    """The per-peer seeding loop ``_build_routing_tables`` had before it went
+    through ``RoutingTable.add_peers``."""
+    server_peers = [p for p in network.peers if p.profile.is_dht_server]
+    server_pids = [p.current_pid for p in server_peers]
+    sample_size = min(network.config.routing_table_sample, max(0, len(server_pids) - 1))
+    for peer in server_peers:
+        table = RoutingTable(peer.current_pid)
+        if sample_size:
+            for pid in network.rng.sample(server_pids, sample_size):
+                if pid != peer.current_pid:
+                    table.add_peer(pid)
+        peer.routing_table = table
+
+
+class TestRoutingTableSeeding:
+    # 120 peers: fewer servers than the sample size, so nearly every sample
+    # holds the table's own peer; 900 peers: full samples that overfill the
+    # far buckets.
+    @pytest.mark.parametrize("n_peers", [120, 900])
+    def test_bulk_seeding_matches_the_per_peer_loop(self, n_peers):
+        _, bulk, _ = build_network(n_peers=n_peers)
+        _, reference, _ = build_network(n_peers=n_peers)
+        bulk._build_routing_tables()
+        _reference_build_routing_tables(reference)
+        assert bulk.rng.getstate() == reference.rng.getstate()
+        seeded = 0
+        for peer, twin in zip(bulk.peers, reference.peers):
+            if twin.routing_table is None:
+                assert peer.routing_table is None
+                continue
+            seeded += 1
+            table, expected = peer.routing_table, twin.routing_table
+            assert table.local_peer == expected.local_peer
+            assert table.nonempty_bucket_indices() == expected.nonempty_bucket_indices()
+            for index in expected.nonempty_bucket_indices():
+                assert table._buckets[index].peers == expected._buckets[index].peers
+        assert seeded > 10
+
+    def test_start_makes_no_per_peer_inserts(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            RoutingTable, "add_peer", lambda self, peer: calls.append(peer) or False
+        )
+        _, network, _ = build_network(n_peers=300)
+        network.start(duration=HOUR)
+        assert any(len(p.routing_table) for p in network.peers if p.routing_table)
+        assert calls == []
 
 
 class TestRpcDispatch:
@@ -259,3 +312,86 @@ class TestScenarioRun:
         dataset = small_scenario_result.dataset("go-ipfs")
         if small_scenario_result.role_flips > 0:
             assert dataset.changes_of_kind("protocols")
+
+
+class TestCollectorHygiene:
+    """Scenario parks the cyclic collector while it builds and freezes the
+    built heap while it drains; it must hand both back as it found them."""
+
+    @staticmethod
+    def _config(seed=3):
+        return ScenarioConfig(
+            duration=0.25 * HOUR,
+            population=PopulationConfig(n_peers=60, seed=seed),
+            go_ipfs=IpfsConfig(low_water=20, high_water=30),
+            seed=seed,
+        )
+
+    @pytest.fixture
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_the_callers(self, restore_collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        scenario = Scenario(self._config())
+        assert gc.isenabled() is enabled
+        scenario.run()
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+    def test_a_failing_run_unfreezes_and_reenables(self, restore_collector):
+        gc.enable()
+        scenario = Scenario(self._config())
+
+        def failing_behaviour():
+            # the drain runs with the collector on and the built heap frozen
+            assert gc.isenabled() and gc.get_freeze_count() > 0
+            raise RuntimeError("behaviour failed")
+
+        scenario.engine.schedule(60.0, failing_behaviour)
+        with pytest.raises(RuntimeError, match="behaviour failed"):
+            scenario.run()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_failing_start_reenables(self, restore_collector, monkeypatch):
+        gc.enable()
+        scenario = Scenario(self._config())
+
+        def failing_start(duration):
+            assert not gc.isenabled()
+            raise RuntimeError("start failed")
+
+        monkeypatch.setattr(scenario.network, "start", failing_start)
+        with pytest.raises(RuntimeError, match="start failed"):
+            scenario.run()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_sequential_runs_do_not_accumulate(self, restore_collector, monkeypatch):
+        # A finished run is a Scenario <-> network <-> engine cycle that only
+        # a full collection frees.  With the collector parked during set-up
+        # nothing else triggers one between small runs, so without the
+        # collection on entry a sweep worker keeps every earlier cell alive
+        # (sweep-cli peak RSS 52 -> 93 MB when this was sized).
+        gc.enable()
+        live_at_build = []
+        generate = scenario_module.generate_population
+
+        def counting_generate(config, rng):
+            live_at_build.append(
+                sum(1 for obj in gc.get_objects() if type(obj) is SimPeer)
+            )
+            return generate(config, rng)
+
+        monkeypatch.setattr(scenario_module, "generate_population", counting_generate)
+        for seed in range(6):
+            result = Scenario(self._config(seed)).run()
+            assert result.events_processed > 0
+            del result
+        assert len(live_at_build) == 6
+        assert max(live_at_build) <= 60

@@ -223,6 +223,12 @@ class TestSpanTracerUnit:
         line = render_trace_line(summary.traces[0])
         assert ": " not in line and ", " not in line
 
+    def test_interrupted_export_leaves_no_file(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        with pytest.raises(TypeError):
+            write_traces([{"trace": 1}, {"trace": object()}], str(path))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLeafAttribution:
     def test_buckets_sum_to_root_duration_with_residual(self):
