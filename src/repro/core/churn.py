@@ -87,24 +87,33 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
     Connections still open at the end of the measurement were already closed at
     ``dataset.ended_at`` by the recorder, so they are included.
 
-    Single pass over the connection list: durations, the per-direction
-    buckets, and the close-reason histogram are collected together, so a
-    million-connection dataset is walked once instead of four times.
-    The per-bucket lists preserve record order, which keeps every float
-    reduction identical to the multi-pass version.
+    Single pass over the connection list: each duration is computed once (the
+    ``ConnectionRecord.duration`` formula, without the property call) and
+    lands in the "All" list, its direction bucket and its peer's list, next
+    to the close-reason histogram.  Every list keeps record order and peers
+    keep first-appearance order, so each float reduction adds the same values
+    left to right as a pass per statistic would.
     """
-    connections = dataset.connections
     durations: List[float] = []
     inbound_durations: List[float] = []
     outbound_durations: List[float] = []
+    per_peer: Dict[str, List[float]] = {}
     close_reasons: Dict[str, int] = {}
-    for conn in connections:
-        duration = conn.duration
+    for conn in dataset.connections:
+        duration = conn.closed_at - conn.opened_at
+        if not duration > 0.0:
+            duration = 0.0
         durations.append(duration)
-        if conn.direction == "inbound":
+        direction = conn.direction
+        if direction == "inbound":
             inbound_durations.append(duration)
-        elif conn.direction == "outbound":
+        elif direction == "outbound":
             outbound_durations.append(duration)
+        peer_durations = per_peer.get(conn.peer)
+        if peer_durations is None:
+            per_peer[conn.peer] = [duration]
+        else:
+            peer_durations.append(duration)
         reason = conn.close_reason or "unknown"
         close_reasons[reason] = close_reasons.get(reason, 0) + 1
     if durations:
@@ -117,10 +126,7 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
     else:
         all_stats = ConnectionStats(kind="all", count=0, average=0.0, median_value=0.0)
 
-    per_peer = dataset.connections_by_peer()
-    peer_averages = [
-        sum(c.duration for c in conns) / len(conns) for conns in per_peer.values() if conns
-    ]
+    peer_averages = [sum(values) / len(values) for values in per_peer.values()]
     if peer_averages:
         peer_stats = ConnectionStats(
             kind="peer",

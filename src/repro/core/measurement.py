@@ -120,18 +120,24 @@ class MeasurementRecorder:
     def _to_record(
         conn: Connection, closed_at: float, still_open: bool = False
     ) -> ConnectionRecord:
-        reason = conn.close_reason.value if conn.close_reason else None
+        # Once per recorded connection: positional into the slotted record,
+        # and ``_value_`` is the plain attribute behind an enum's ``.value``
+        # descriptor.
         if still_open:
-            reason = CloseReason.STILL_OPEN.value
+            reason = CloseReason.STILL_OPEN._value_
+        else:
+            close_reason = conn.close_reason
+            reason = close_reason._value_ if close_reason is not None else None
+        remote_addr = conn.remote_addr
         return ConnectionRecord(
-            peer=str(conn.remote_peer),
-            direction=conn.direction.value,
-            opened_at=conn.opened_at,
-            closed_at=closed_at,
-            remote_addr=str(conn.remote_addr),
-            remote_ip=conn.remote_addr.ip(),
-            close_reason=reason,
-            connection_id=conn.connection_id,
+            conn.remote_peer.to_base58(),
+            conn.direction._value_,
+            conn.opened_at,
+            closed_at,
+            str(remote_addr),
+            remote_addr.ip(),
+            reason,
+            conn.connection_id,
         )
 
 

@@ -23,9 +23,13 @@ from repro.libp2p.protocols import KAD_DHT, supports_bitswap
 MISSING_AGENT = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnectionRecord:
-    """One observed connection of the measurement node."""
+    """One observed connection of the measurement node.
+
+    Slotted (a run keeps one per connection it saw) and built positionally by
+    the recorder, so field order is part of the class's contract.
+    """
 
     peer: str
     direction: str              # "inbound" | "outbound"

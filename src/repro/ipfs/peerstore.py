@@ -16,7 +16,7 @@ snapshot.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.libp2p.identify import IdentifyRecord
@@ -58,6 +58,12 @@ class PeerEntry:
     connected: bool = False
     #: multiaddress the peer most recently connected from (observed address)
     observed_addr: Optional[Multiaddr] = None
+    #: the identify record merged last; entries change only inside
+    #: ``Peerstore.record_identify``, so the same (frozen) object arriving
+    #: again cannot change anything
+    merged_record: Optional[IdentifyRecord] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def is_dht_server(self) -> bool:
         return KAD_DHT in self.protocols
@@ -96,20 +102,14 @@ class Peerstore:
 
     # -- updates ------------------------------------------------------------------
 
-    def _ensure_entry(self, peer: PeerId, now: float) -> PeerEntry:
-        entry = self._entries.get(peer)
-        if entry is None:
-            entry = PeerEntry(peer=peer, first_seen=now, last_seen=now)
-            self._entries[peer] = entry
-            self._changes.append(
-                MetaChange(now, peer, ChangeKind.FIRST_SEEN, None, None)
-            )
-        return entry
-
     def touch(self, peer: PeerId, now: float) -> PeerEntry:
         """Record that the peer was seen at ``now`` (connection, message, ...)."""
-        entry = self._ensure_entry(peer, now)
-        entry.last_seen = max(entry.last_seen, now)
+        entry = self._entries.get(peer)
+        if entry is None:
+            entry = self._entries[peer] = PeerEntry(peer=peer, first_seen=now, last_seen=now)
+            self._changes.append(MetaChange(now, peer, ChangeKind.FIRST_SEEN, None, None))
+        elif now > entry.last_seen:
+            entry.last_seen = now
         return entry
 
     def set_connected(
@@ -127,6 +127,11 @@ class Peerstore:
     def record_identify(self, peer: PeerId, record: IdentifyRecord, now: float) -> List[MetaChange]:
         """Merge an identify exchange into the store; returns emitted changes."""
         entry = self.touch(peer, now)
+        if record is entry.merged_record:
+            # Simulated peers memoise their record, so most deliveries hand
+            # over the object this entry merged last: nothing to compare.
+            return []
+        entry.merged_record = record
         emitted: List[MetaChange] = []
 
         if record.agent_version is not None and record.agent_version != entry.agent_version:

@@ -86,14 +86,9 @@ class Swarm:
         now: float,
     ) -> Connection:
         """Open (register) a new connection and notify listeners."""
-        conn = Connection(
-            remote_peer=remote_peer,
-            direction=direction,
-            remote_addr=remote_addr,
-            opened_at=now,
-            connection_id=next(self.connection_ids),
-        )
-        self._open_by_id[conn.connection_id] = conn
+        connection_id = next(self.connection_ids)
+        conn = Connection(remote_peer, direction, remote_addr, now, connection_id)
+        self._open_by_id[connection_id] = conn
         self.connmgr.add_connection(conn, now)
         self.total_opened += 1
         for listener in self._listeners:
@@ -102,10 +97,11 @@ class Swarm:
 
     def close_connection(self, conn: Connection, reason: CloseReason, now: float) -> None:
         """Close one connection; safe to call only for open connections."""
-        if conn.connection_id not in self._open_by_id:
-            raise KeyError(f"connection {conn.connection_id} is not open in this swarm")
+        connection_id = conn.connection_id
+        if connection_id not in self._open_by_id:
+            raise KeyError(f"connection {connection_id} is not open in this swarm")
         conn.close(now, reason)
-        del self._open_by_id[conn.connection_id]
+        del self._open_by_id[connection_id]
         self.connmgr.remove_connection(conn)
         self.total_closed += 1
         for listener in self._listeners:
@@ -122,14 +118,17 @@ class Swarm:
     def trim(self, now: float, force: bool = False) -> List[Connection]:
         """Run the connection manager and close its victims."""
         victims = self.connmgr.trim(now, force=force)
+        open_by_id = self._open_by_id
+        listeners = self._listeners
         for conn in victims:
             # The connmgr already dropped its own bookkeeping for the victims;
             # the swarm still owns the close (and the notification).
-            if conn.connection_id in self._open_by_id:
+            connection_id = conn.connection_id
+            if connection_id in open_by_id:
                 conn.close(now, CloseReason.LOCAL_TRIM)
-                del self._open_by_id[conn.connection_id]
+                del open_by_id[connection_id]
                 self.total_closed += 1
-                for listener in self._listeners:
+                for listener in listeners:
                     listener.on_disconnected(conn, now)
         return victims
 

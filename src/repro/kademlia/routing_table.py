@@ -18,9 +18,9 @@ pairs, the ranked buckets are concatenated, and traversal stops as soon as
 
 A walk to a popular key asks the same servers for the same target over and
 over, so each table memoises its answers per ``(target, count)``.  The memo is
-allocated on first query, dropped by every ``add_peer`` / ``add_peers`` /
-``remove_peer``, cleared when it reaches :data:`CLOSEST_MEMO_CAPACITY` entries,
-and only ever hands out copies.
+allocated on first query, dropped by every ``add_peer`` / ``add_peers`` and by
+a ``remove_peer`` that removed something, cleared when it reaches
+:data:`CLOSEST_MEMO_CAPACITY` entries, and only ever hands out copies.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class RoutingTable:
         self.bucket_size = bucket_size
         self._buckets: Dict[int, KBucket] = {}
         #: (target, count) -> closest_peers answer; None until the first query
-        #: and again after any add_peer / remove_peer
+        #: and again after any add_peer / successful remove_peer
         self._closest_memo: Optional[Dict[Tuple[int, int], List[PeerId]]] = None
 
     # -- updates ---------------------------------------------------------------
@@ -168,17 +168,23 @@ class RoutingTable:
         return added
 
     def remove_peer(self, peer: PeerId) -> bool:
-        if peer == self.local_peer:
+        """Forget ``peer``; returns True if it was in the table.
+
+        Mostly asked about peers that were never added (every identify from a
+        DHT-Client ends here), so a miss costs one XOR and one dict lookup and
+        leaves the memo alone: the table did not change.
+        """
+        diff = peer._kad_key ^ self.local_key
+        if not diff:
+            return False
+        index = diff.bit_length() - 1
+        bucket = self._buckets.get(index)
+        if bucket is None or not bucket.remove(peer):
             return False
         self._closest_memo = None
-        index = bucket_index(self.local_key, key_for_peer(peer))
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            return False
-        removed = bucket.remove(peer)
-        if removed and not len(bucket):
+        if not len(bucket):
             del self._buckets[index]
-        return removed
+        return True
 
     # -- queries ---------------------------------------------------------------
 

@@ -36,9 +36,14 @@ class CloseReason(enum.Enum):
     STILL_OPEN = "still-open"          # never closed; measurement end counts as close
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
-    """A single (possibly still open) connection to a remote peer."""
+    """A single (possibly still open) connection to a remote peer.
+
+    Slotted: a vantage point opens one per contact, hundreds of thousands a
+    run.  The fabric builds it positionally, so field order is part of the
+    class's contract.
+    """
 
     remote_peer: PeerId
     direction: Direction
@@ -54,7 +59,7 @@ class Connection:
         return self.closed_at is None
 
     def close(self, now: float, reason: CloseReason) -> None:
-        if not self.is_open:
+        if self.closed_at is not None:
             raise RuntimeError(f"connection {self.connection_id} already closed")
         if now < self.opened_at:
             raise ValueError("close time precedes open time")

@@ -48,6 +48,8 @@ class ConnManagerConfig:
             raise ValueError("LowWater must not exceed HighWater")
         if self.grace_period < 0:
             raise ValueError("grace_period must be non-negative")
+        if self.silence_period < 0:
+            raise ValueError("silence_period must be non-negative")
 
     @classmethod
     def defaults(cls) -> "ConnManagerConfig":
@@ -87,12 +89,22 @@ class ConnectionManager:
 
     def add_connection(self, conn: Connection, now: float) -> None:
         """Register a newly opened connection."""
-        if conn.connection_id in self._connections:
-            raise ValueError(f"connection {conn.connection_id} already tracked")
-        self._connections[conn.connection_id] = conn
-        self._peer_conns.setdefault(conn.remote_peer, set()).add(conn.connection_id)
-        info = self._tags.setdefault(conn.remote_peer, TagInfo(first_seen=now))
-        if not info.first_seen:
+        cid = conn.connection_id
+        if cid in self._connections:
+            raise ValueError(f"connection {cid} already tracked")
+        self._connections[cid] = conn
+        peer = conn.remote_peer
+        ids = self._peer_conns.get(peer)
+        if ids is None:
+            self._peer_conns[peer] = {cid}
+        else:
+            ids.add(cid)
+        # One TagInfo per distinct remote peer, built on the miss only: a
+        # vantage point sees each PID hundreds of times.
+        info = self._tags.get(peer)
+        if info is None:
+            self._tags[peer] = TagInfo(first_seen=now)
+        elif not info.first_seen:
             info.first_seen = now
 
     def remove_connection(self, conn: Connection) -> None:
@@ -130,9 +142,15 @@ class ConnectionManager:
 
     # -- tagging / protection ---------------------------------------------------
 
+    def _tag_entry(self, peer: PeerId) -> TagInfo:
+        info = self._tags.get(peer)
+        if info is None:
+            info = self._tags[peer] = TagInfo()
+        return info
+
     def tag_peer(self, peer: PeerId, tag: str, value: int) -> None:
         """Attach a weighted tag (e.g. the DHT tags its routing-table peers)."""
-        self._tags.setdefault(peer, TagInfo()).tags[tag] = value
+        self._tag_entry(peer).tags[tag] = value
 
     def untag_peer(self, peer: PeerId, tag: str) -> None:
         info = self._tags.get(peer)
@@ -141,7 +159,7 @@ class ConnectionManager:
 
     def protect_peer(self, peer: PeerId, tag: str) -> None:
         """Protected peers are never trimmed (used for bootstrap peers)."""
-        self._tags.setdefault(peer, TagInfo()).protected.add(tag)
+        self._tag_entry(peer).protected.add(tag)
 
     def unprotect_peer(self, peer: PeerId, tag: str) -> None:
         info = self._tags.get(peer)
@@ -149,7 +167,8 @@ class ConnectionManager:
             info.protected.discard(tag)
 
     def tag_info(self, peer: PeerId) -> TagInfo:
-        return self._tags.get(peer, TagInfo())
+        info = self._tags.get(peer)
+        return info if info is not None else TagInfo()
 
     def peer_score(self, peer: PeerId) -> int:
         return self.tag_info(peer).value
@@ -167,20 +186,29 @@ class ConnectionManager:
         value (ascending) and, within equal value, by connection age (youngest
         closed first — go-libp2p keeps long-standing connections).
         """
-        excess = self.connection_count() - self.config.low_water
+        excess = len(self._connections) - self.config.low_water
         if excess <= 0:
             return []
-        candidates: List[Tuple[int, float, Connection]] = []
+        tags = self._tags
+        grace_period = self.config.grace_period
+        # (value, -opened_at, candidate position, conn): lowest score first,
+        # among equals youngest first, and the unique position both reproduces
+        # a stable sort's tie-break and keeps Connections from being compared.
+        candidates: List[Tuple[int, float, int, Connection]] = []
         for conn in self._connections.values():
-            info = self.tag_info(conn.remote_peer)
-            if info.is_protected:
+            opened_at = conn.opened_at
+            if now - opened_at < grace_period:
                 continue
-            if now - conn.opened_at < self.config.grace_period:
+            info = tags.get(conn.remote_peer)
+            if info is None:
+                value = 0
+            elif info.protected:
                 continue
-            candidates.append((info.value, conn.opened_at, conn))
-        # Lowest score first; among equals, youngest first (largest opened_at).
-        candidates.sort(key=lambda item: (item[0], -item[1]))
-        return [conn for _, _, conn in candidates[:excess]]
+            else:
+                value = sum(info.tags.values())
+            candidates.append((value, -opened_at, len(candidates), conn))
+        candidates.sort()
+        return [item[3] for item in candidates[:excess]]
 
     def trim(self, now: float, force: bool = False) -> List[Connection]:
         """Run a trim cycle; returns the victims (caller actually closes them).

@@ -581,11 +581,14 @@ class SimulatedNetwork:
                 # delay; try again then.
                 self.engine.schedule_drop(retry, self._attempt_contact, peer, identity)
                 return
-        if identity.label in peer.connections and peer.connections[identity.label].is_open:
+        label = identity.label
+        conn = peer.connections.get(label)
+        if conn is not None and conn.closed_at is None:
             return
-        conn = identity.node.handle_inbound_connection(peer.current_pid, peer.dial_addr(), now)
-        peer.connections[identity.label] = conn
-        self.peers_by_pid[peer.current_pid] = peer
+        pid = peer.current_pid
+        conn = identity.node.handle_inbound_connection(pid, peer.dial_addr(), now)
+        peer.connections[label] = conn
+        self.peers_by_pid[pid] = peer
         for runtime in self.runtimes:
             runtime.note_contact_made(peer)
         self._schedule_identify(peer, identity)
@@ -628,12 +631,13 @@ class SimulatedNetwork:
         self.engine.schedule_drop(delay, self._deliver_identify, peer, identity)
 
     def _deliver_identify(self, peer: SimPeer, identity: MeasurementIdentity) -> None:
-        conn = peer.connections.get(identity.label)
-        if conn is None or not conn.is_open:
+        label = identity.label
+        conn = peer.connections.get(label)
+        if conn is None or conn.closed_at is not None:
             return
         identity.node.receive_identify(peer.current_pid, peer.identify_record(), self.engine.now)
         for runtime in self.runtimes:
-            runtime.on_identify_delivered(identity.label, peer)
+            runtime.on_identify_delivered(label, peer)
 
     def push_identify(self, peer: SimPeer) -> None:
         """Push an updated identify record to every identity the peer is connected to."""
@@ -681,12 +685,13 @@ class SimulatedNetwork:
         conn: Connection,
         reason: CloseReason,
     ) -> None:
-        if not conn.is_open:
+        if conn.closed_at is not None:
             return
-        if peer.connections.get(identity.label) is not conn:
+        label = identity.label
+        if peer.connections.get(label) is not conn:
             return
         identity.node.close_connection(conn, reason, self.engine.now)
-        peer.connections.pop(identity.label, None)
+        peer.connections.pop(label, None)
         self._maybe_reconnect(peer, identity, reason)
 
     def _maybe_reconnect(

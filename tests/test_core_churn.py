@@ -1,8 +1,18 @@
 """Tests for the connection churn statistics (Table II)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.churn import churn_reports, connection_statistics, trim_share
+from repro.analysis.stats import median
+from repro.core.churn import (
+    ConnectionStats,
+    PeriodChurnReport,
+    _direction_stats,
+    churn_reports,
+    connection_statistics,
+    trim_share,
+)
 from repro.core.records import ConnectionRecord, MeasurementDataset
 
 HOUR = 3_600.0
@@ -68,6 +78,108 @@ class TestConnectionStatistics:
         reports = churn_reports({"a": tiny_dataset, "b": tiny_dataset})
         assert set(reports) == {"a", "b"}
         assert reports["a"].all_stats.count == reports["b"].all_stats.count
+
+
+def _reference_connection_statistics(dataset):
+    """``connection_statistics`` as it was before the Table II fast path: the
+    ``duration`` property once per record for the "All" row, then
+    ``connections_by_peer()`` and the property again for the "Peer" row."""
+    connections = dataset.connections
+    durations = []
+    inbound_durations = []
+    outbound_durations = []
+    close_reasons = {}
+    for conn in connections:
+        duration = conn.duration
+        durations.append(duration)
+        if conn.direction == "inbound":
+            inbound_durations.append(duration)
+        elif conn.direction == "outbound":
+            outbound_durations.append(duration)
+        reason = conn.close_reason or "unknown"
+        close_reasons[reason] = close_reasons.get(reason, 0) + 1
+    if durations:
+        all_stats = ConnectionStats(
+            kind="all",
+            count=len(durations),
+            average=sum(durations) / len(durations),
+            median_value=median(durations),
+        )
+    else:
+        all_stats = ConnectionStats(kind="all", count=0, average=0.0, median_value=0.0)
+
+    per_peer = dataset.connections_by_peer()
+    peer_averages = [
+        sum(c.duration for c in conns) / len(conns) for conns in per_peer.values() if conns
+    ]
+    if peer_averages:
+        peer_stats = ConnectionStats(
+            kind="peer",
+            count=len(peer_averages),
+            average=sum(peer_averages) / len(peer_averages),
+            median_value=median(peer_averages),
+        )
+    else:
+        peer_stats = ConnectionStats(kind="peer", count=0, average=0.0, median_value=0.0)
+
+    return PeriodChurnReport(
+        label=dataset.label,
+        all_stats=all_stats,
+        peer_stats=peer_stats,
+        inbound=_direction_stats(inbound_durations, "inbound"),
+        outbound=_direction_stats(outbound_durations, "outbound"),
+        close_reasons=close_reasons,
+    )
+
+
+#: awkward floats on purpose: sums of these round differently in a different
+#: order, so a regrouped or re-ordered reduction shows up under ``==``
+_times = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-9, 1e9, 86_400.0 / 7]),
+    st.floats(min_value=0.0, max_value=2e5, allow_nan=False),
+)
+_records = st.lists(
+    st.builds(
+        ConnectionRecord,
+        peer=st.sampled_from(["heavy", "normal", "light", "once", "Qm1", "Qm2", "Qm3"]),
+        direction=st.sampled_from(["inbound", "inbound", "outbound", "relayed"]),
+        opened_at=_times,
+        closed_at=_times,  # independent of opened_at: closes before it opened, too
+        close_reason=st.sampled_from([None, "", "local-trim", "remote-trim", "still-open"]),
+    ),
+    max_size=40,
+)
+
+
+class TestConnectionStatisticsEquivalence:
+    """One pass over precomputed durations reports the two-pass reference's
+    numbers bit for bit (``==`` on every float, no ``approx``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=_records)
+    def test_every_float_identical(self, records):
+        dataset = MeasurementDataset(label="ds", started_at=0.0, ended_at=2e5)
+        dataset.connections = records
+        report = connection_statistics(dataset)
+        expected = _reference_connection_statistics(dataset)
+        assert report == expected
+        assert list(report.close_reasons.items()) == list(expected.close_reasons.items())
+
+    def test_tiny_dataset_and_empty(self, tiny_dataset):
+        assert connection_statistics(tiny_dataset) == _reference_connection_statistics(
+            tiny_dataset
+        )
+        empty = MeasurementDataset(label="empty", started_at=0.0, ended_at=1.0)
+        assert connection_statistics(empty) == _reference_connection_statistics(empty)
+
+    def test_duration_property_is_never_called(self, tiny_dataset, monkeypatch):
+        expected = _reference_connection_statistics(tiny_dataset)
+
+        def forbidden(self):
+            raise AssertionError("connection_statistics read ConnectionRecord.duration")
+
+        monkeypatch.setattr(ConnectionRecord, "duration", property(forbidden))
+        assert connection_statistics(tiny_dataset) == expected
 
 
 class TestScenarioChurnShape:

@@ -1,6 +1,10 @@
 """Tests for the measurement record schema."""
 
+import dataclasses
 import json
+import pickle
+
+import pytest
 
 from repro.core.records import (
     ConnectionRecord,
@@ -27,6 +31,29 @@ class TestConnectionRecord:
             close_reason="remote-trim", connection_id=7,
         )
         assert ConnectionRecord.from_dict(record.as_dict()) == record
+
+    def test_slotted_and_still_copyable(self):
+        # Sweep workers pickle datasets back to the parent and the JSON export
+        # goes through as_dict; neither may depend on an instance __dict__.
+        record = ConnectionRecord(
+            "p", "inbound", 1.0, 2.0, "/ip4/1.2.3.4/tcp/4001", "1.2.3.4", "local-trim", 7
+        )
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.scratch = 1
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert dataclasses.replace(record, closed_at=5.0).duration == 4.0
+        assert ConnectionRecord.from_dict(json.loads(json.dumps(record.as_dict()))) == record
+        assert [f.name for f in dataclasses.fields(ConnectionRecord)] == [
+            "peer",
+            "direction",
+            "opened_at",
+            "closed_at",
+            "remote_addr",
+            "remote_ip",
+            "close_reason",
+            "connection_id",
+        ]
 
 
 class TestPeerRecord:

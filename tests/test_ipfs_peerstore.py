@@ -1,7 +1,12 @@
 """Tests for the peerstore and its change log."""
 
+import random
 
-from repro.ipfs.peerstore import ChangeKind, Peerstore
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.ipfs.peerstore as peerstore_module
+from repro.ipfs.peerstore import ChangeKind, MetaChange, PeerEntry, Peerstore
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
@@ -97,3 +102,125 @@ class TestPeerstore:
         histogram = store.agent_histogram()
         assert histogram["go-ipfs/0.11.0"] == 3
         assert histogram["storm"] == 1
+
+
+def _reference_record_identify(store, peer, record, now):
+    """``touch`` + ``record_identify`` as they were before the identify fast
+    path: every delivery re-derives the protocol set and the address tuple
+    and compares all three fields, whatever object it was handed."""
+    entry = store._entries.get(peer)
+    if entry is None:
+        entry = PeerEntry(peer=peer, first_seen=now, last_seen=now)
+        store._entries[peer] = entry
+        store._changes.append(MetaChange(now, peer, ChangeKind.FIRST_SEEN, None, None))
+    entry.last_seen = max(entry.last_seen, now)
+    emitted = []
+
+    if record.agent_version is not None and record.agent_version != entry.agent_version:
+        change = MetaChange(
+            now, peer, ChangeKind.AGENT, entry.agent_version, record.agent_version
+        )
+        entry.agent_version = record.agent_version
+        store._changes.append(change)
+        emitted.append(change)
+
+    new_protocols = frozenset(record.protocols)
+    if new_protocols and new_protocols != entry.protocols:
+        change = MetaChange(now, peer, ChangeKind.PROTOCOLS, entry.protocols, new_protocols)
+        entry.protocols = new_protocols
+        store._changes.append(change)
+        emitted.append(change)
+        if KAD_DHT in new_protocols:
+            store._ever_dht_server.add(peer)
+
+    new_addrs = tuple(record.listen_addrs)
+    if new_addrs and new_addrs != entry.addrs:
+        change = MetaChange(now, peer, ChangeKind.ADDRS, entry.addrs, new_addrs)
+        entry.addrs = new_addrs
+        store._changes.append(change)
+        emitted.append(change)
+    return emitted
+
+
+_PEERS = [PeerId.random(random.Random(seed)) for seed in range(4)]
+_ADDRS = [Multiaddr.tcp("4.4.4.4"), Multiaddr.tcp("5.5.5.5")]
+#: every combination is built twice, so a pool index pair (i, i + 1) is two
+#: equal-but-distinct records and (i, i) the same object delivered again
+_RECORDS = [
+    IdentifyRecord.make(agent, protocols, addrs)
+    for agent in (None, "go-ipfs/0.11.0/abc", "storm")
+    for protocols in ((), (IPFS_ID,), (IPFS_ID, KAD_DHT))
+    for addrs in ((), _ADDRS[:1], _ADDRS)
+    for _twin in range(2)
+]
+
+_deliveries = st.lists(
+    st.tuples(
+        st.sampled_from(["identify", "identify", "identify", "touch", "connect"]),
+        st.integers(0, len(_PEERS) - 1),
+        st.integers(0, len(_RECORDS) - 1),
+        st.sampled_from([0.0, 1.0, 1.0, 7.5, 30.0]),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+class TestRecordIdentifyEquivalence:
+    """Remembering the record merged last changes no entry, no change-log
+    line and no return value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(deliveries=_deliveries)
+    def test_same_entries_changes_and_return_values(self, deliveries):
+        fast, reference = Peerstore(), Peerstore()
+        previous = 0
+        for action, peer_index, record_index, now, repeat in deliveries:
+            peer = _PEERS[peer_index]
+            if action == "touch":
+                fast.touch(peer, now)
+                reference.touch(peer, now)
+                continue
+            if action == "connect":
+                fast.set_connected(peer, repeat, now, observed_addr=_ADDRS[0])
+                reference.set_connected(peer, repeat, now, observed_addr=_ADDRS[0])
+                continue
+            # ``repeat`` re-delivers the previous delivery's object, often to
+            # another peer or at an earlier time
+            previous = previous if repeat else record_index
+            record = _RECORDS[previous]
+            emitted = fast.record_identify(peer, record, now)
+            assert emitted == _reference_record_identify(reference, peer, record, now)
+        assert fast.entries() == reference.entries()
+        assert fast.peers() == reference.peers()
+        assert fast.changes() == reference.changes()
+        assert fast.ever_dht_servers() == reference.ever_dht_servers()
+
+
+class TestIdentifyCostModel:
+    def test_repeat_delivery_of_one_record_object_is_a_touch(self, rng, monkeypatch):
+        built = []
+
+        def counting_frozenset(*args):
+            built.append(args)
+            return frozenset(*args)
+
+        monkeypatch.setattr(peerstore_module, "frozenset", counting_frozenset, raising=False)
+        store = Peerstore()
+        pid, other = PeerId.random(rng), PeerId.random(rng)
+        record = make_identify()
+        assert len(store.record_identify(pid, record, 10.0)) == 3
+        logged, derived = len(store.changes()), len(built)
+        assert derived == 1
+
+        assert store.record_identify(pid, record, 20.0) == []
+        assert store.record_identify(pid, record, 15.0) == []
+        assert len(store.changes()) == logged
+        assert len(built) == derived
+        assert store.get(pid).last_seen == 20.0
+
+        # equal content in another object, and the same object for another
+        # peer, both take the full merge
+        assert store.record_identify(pid, make_identify(), 30.0) == []
+        assert len(store.record_identify(other, record, 30.0)) == 3
+        assert len(built) == derived + 2

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kademlia.keys import key_for_peer, xor_distance
+from repro.kademlia.keys import bucket_index, key_for_peer, xor_distance
 from repro.kademlia.routing_table import CLOSEST_MEMO_CAPACITY, KBucket, RoutingTable
 from repro.libp2p.peer_id import PeerId
 
@@ -224,6 +224,26 @@ class TestClosestPeersMemo:
             mutate(member)
             assert table._closest_memo is None
 
+    def test_removing_a_peer_that_is_not_there_keeps_the_memo(self):
+        # Every identify from a DHT-Client asks the table to forget a peer it
+        # never held; the table is unchanged, so its answers still stand.
+        table, rng = self._table()
+        populated = table.nonempty_bucket_indices()[-1]
+        empty = next(i for i in range(255, 0, -1) if i not in table._buckets)
+        strangers = [
+            table.local_peer,
+            _peer_in_bucket(table.local_peer, populated, 12345),
+            _peer_in_bucket(table.local_peer, empty, 12345),
+        ]
+        answer = table.closest_peers(123, 5)
+        memo = table._closest_memo
+        before = table.all_peers()
+        for stranger in strangers:
+            assert table.remove_peer(stranger) is False
+            assert table._closest_memo is memo and (123, 5) in memo
+        assert table.all_peers() == before
+        assert table.closest_peers(123, 5) == answer == _reference_closest(table, 123, 5)
+
     def test_returned_list_is_the_callers(self):
         table, rng = self._table()
         target = rng.getrandbits(256)
@@ -288,3 +308,55 @@ class TestBulkSeedingEquivalence:
             assert bulk._buckets[index].peers == reference._buckets[index].peers
             assert bulk._buckets[index].capacity == bucket_size
         assert bulk._closest_memo is None
+
+
+def _reference_remove_peer(table, peer):
+    """``remove_peer`` before the role-flip fast path (PeerId ``__eq__``,
+    ``key_for_peer`` and ``bucket_index`` per call; memo dropped up front)."""
+    if peer == table.local_peer:
+        return False
+    table._closest_memo = None
+    index = bucket_index(table.local_key, key_for_peer(peer))
+    bucket = table._buckets.get(index)
+    if bucket is None:
+        return False
+    removed = bucket.remove(peer)
+    if removed and not len(bucket):
+        del table._buckets[index]
+    return removed
+
+
+class TestRemovePeerEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        local_seed=st.integers(min_value=0, max_value=2**32),
+        members=st.lists(
+            st.tuples(st.sampled_from([3, 4, 100, 255]), st.integers(0, 7)), max_size=30
+        ),
+        # None is the local peer itself; bucket 9 is never populated
+        removals=st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(st.sampled_from([3, 4, 9, 100, 255]), st.integers(0, 7)),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_same_results_and_same_table(self, local_seed, members, removals):
+        local = PeerId.random(random.Random(local_seed))
+        fast, reference = RoutingTable(local, bucket_size=3), RoutingTable(local, bucket_size=3)
+        for table in (fast, reference):
+            table.add_peers(_peer_in_bucket(local, *m) for m in members)
+        for removal in removals:
+            peer = local if removal is None else _peer_in_bucket(local, *removal)
+            query = (peer.kad_key(), 4)
+            before = fast.closest_peers(*query)
+            removed = fast.remove_peer(peer)
+            assert removed is _reference_remove_peer(reference, peer)
+            # a miss leaves the memoised answer in place, and it is still right
+            assert (fast._closest_memo is None) == removed
+            assert removed or fast.closest_peers(*query) == before
+            assert fast.closest_peers(*query) == _reference_closest(reference, *query)
+        assert fast.nonempty_bucket_indices() == reference.nonempty_bucket_indices()
+        for index in reference.nonempty_bucket_indices():
+            assert fast._buckets[index].peers == reference._buckets[index].peers

@@ -1,5 +1,7 @@
 """Tests for the connection object."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -50,6 +52,25 @@ class TestConnection:
         with pytest.raises(ValueError):
             conn.duration()
         assert conn.duration(now=35.0) == 30.0
+
+    def test_slotted_and_still_copyable(self):
+        conn = make_connection(opened_at=3.0)
+        assert not hasattr(conn, "__dict__")
+        with pytest.raises(AttributeError):
+            conn.scratch = 1
+        conn.close(9.0, CloseReason.LOCAL_TRIM)
+        assert pickle.loads(pickle.dumps(conn)) == conn
+        reopened = dataclasses.replace(conn, closed_at=None, close_reason=None)
+        assert reopened.is_open and reopened.connection_id == conn.connection_id
+        assert conn.as_dict()["close_reason"] == "local-trim"
+        # the swarm builds connections positionally
+        assert [f.name for f in dataclasses.fields(Connection)][:5] == [
+            "remote_peer",
+            "direction",
+            "remote_addr",
+            "opened_at",
+            "connection_id",
+        ]
 
     def test_connection_ids_are_unique(self):
         # Ids are handed out by the opening swarm, not by the dataclass.

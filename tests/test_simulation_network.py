@@ -9,12 +9,14 @@ from repro.adversary.attackers import QueryDropper
 from repro.adversary.behaviors import AttackStats
 from repro.core.churn import connection_statistics
 from repro.ipfs.config import IpfsConfig
+from repro.libp2p import connmgr as connmgr_module
 from repro.kademlia.dht import DHTMode
 from repro.kademlia.routing_table import RoutingTable
 from repro.simulation.churn_models import HOUR
 from repro.netmodel.config import PUBLIC, NetModelConfig
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.engine import Engine
 from repro.simulation.fabric import FabricRuntime
 from repro.simulation import scenario as scenario_module
@@ -312,6 +314,32 @@ class TestScenarioRun:
         dataset = small_scenario_result.dataset("go-ipfs")
         if small_scenario_result.role_flips > 0:
             assert dataset.changes_of_kind("protocols")
+
+
+class TestConnectionLifecycleCostModel:
+    """Count-based guard on what the connection path allocates (no timing)."""
+
+    def test_one_taginfo_per_identity_and_remote_pid(self, monkeypatch):
+        built = []
+        real_tag_info = connmgr_module.TagInfo
+
+        def counting_tag_info(*args, **kwargs):
+            built.append(None)
+            return real_tag_info(*args, **kwargs)
+
+        monkeypatch.setattr(connmgr_module, "TagInfo", counting_tag_info)
+        scenario = Scenario(build_scenario_config("p0", n_peers=200, duration_days=0.05, seed=7))
+        scenario.run()
+        monkeypatch.undo()
+
+        managers = [identity.node.swarm.connmgr for identity in scenario.identities]
+        distinct_pairs = sum(len(manager._tags) for manager in managers)
+        opened = sum(identity.node.swarm.total_opened for identity in scenario.identities)
+        # the run reconnects and trims, so per-connection or per-trim
+        # construction would show
+        assert opened > 2 * distinct_pairs
+        assert sum(manager.trim_count for manager in managers) > 10
+        assert len(built) <= distinct_pairs
 
 
 class TestCollectorHygiene:
