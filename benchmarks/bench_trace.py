@@ -53,17 +53,11 @@ import sys
 import time
 from typing import List, Tuple
 
-# Pin the BLAS pool before anything imports numpy: ``process_time`` sums the
-# CPU seconds of *every* thread, so OpenBLAS spin-waiting workers would
-# charge random extra time to whichever variant they wake up under.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+from conftest import BENCH_SEED, _env_float, _env_int
 
-from conftest import BENCH_SEED, _env_float, _env_int  # noqa: E402
-
-from repro.obs.spans import TraceConfig  # noqa: E402
-from repro.scenarios import build_scenario_config  # noqa: E402
-from repro.simulation.scenario import Scenario  # noqa: E402
+from repro.obs.spans import TraceConfig
+from repro.scenarios import build_scenario_config
+from repro.simulation.scenario import Scenario
 
 DEFAULT_SNAPSHOT = "BENCH_trace.json"
 SNAPSHOT_SCHEMA = "repro-bench-trace/1"

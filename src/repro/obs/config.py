@@ -24,8 +24,8 @@ class ObsConfig:
     jsonl_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not 0 < self.window < float("inf"):
+            raise ValueError(f"window must be positive and finite, got {self.window}")
         if self.ring_capacity < 1:
             raise ValueError(
                 f"ring_capacity must be >= 1, got {self.ring_capacity}"

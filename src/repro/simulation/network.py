@@ -43,13 +43,13 @@ This module wires the synthetic population to the measurement identities
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.ipfs.bitswap import BitswapEngine
-from repro.kademlia.keys import key_for_peer
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connection import CloseReason, Connection
@@ -63,7 +63,6 @@ from repro.netmodel.runtime import NetModelRuntime, WalkClock
 from repro.simulation.churn_models import HOUR, MINUTE
 from repro.simulation.engine import Engine, PeriodicTask
 from repro.simulation.fabric import FabricRuntime
-from repro.simulation.peerstate import PeerStateArrays
 from repro.simulation.population import PeerClass, PeerProfile, Population
 
 
@@ -334,9 +333,6 @@ class SimulatedNetwork:
             if slot:
                 for peer in self.peers:
                     setattr(peer, slot, runtime.assign_peer(peer.profile))
-        #: struct-of-arrays peer keys, built at start() (kad-key limbs and
-        #: server flags for the neighbourhood computation)
-        self.state: Optional[PeerStateArrays] = None
         self._duration: Optional[float] = None
         self._tasks: List[PeriodicTask] = []
         self._started = False
@@ -363,7 +359,6 @@ class SimulatedNetwork:
         for runtime in self.runtimes:
             for identity in self.identities:
                 runtime.assign_identity(identity.label)
-        self.state = PeerStateArrays.from_network(self)
         self._build_routing_tables()
         self._compute_neighborhoods()
         for identity in self.identities:
@@ -415,21 +410,19 @@ class SimulatedNetwork:
             peer.routing_table = table
 
     def _compute_neighborhoods(self) -> None:
-        """Peers closest to a measurement identity discover it quickly.
-
-        The closest-by-XOR selection runs over the struct-of-arrays key limbs
-        (broadcast XOR + lexsort); the limb order is exactly the 256-bit
-        integer order (pinned by ``tests/test_peerstate.py``).
-        """
-        server_positions = self.state.server_indices()
+        """Peers closest to a measurement identity discover it quickly: the
+        ``neighborhood_size`` DHT-Servers nearest to it by XOR distance."""
+        servers = [p for p in self.peers if p.profile.is_dht_server]
         for identity in self.identities:
-            if not identity.is_dht_server or not server_positions:
+            if not identity.is_dht_server:
                 continue
-            target = key_for_peer(identity.peer_id)
-            closest = self.state.closest_to(
-                target, self.config.neighborhood_size, candidates=server_positions
+            target = identity.peer_id.kad_key()
+            closest = heapq.nsmallest(
+                self.config.neighborhood_size,
+                servers,
+                key=lambda p: p.current_pid.kad_key() ^ target,
             )
-            identity.neighborhood = {self.peers[i].current_pid for i in closest}
+            identity.neighborhood = {p.current_pid for p in closest}
 
     # --------------------------------------------------------------- sessions ----
 

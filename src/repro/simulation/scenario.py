@@ -71,8 +71,8 @@ class ScenarioConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < float("inf"):  # NaN or inf would never stop draining
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if self.hydra_heads < 0:
             raise ValueError(f"hydra_heads must be >= 0, got {self.hydra_heads}")
         if self.go_ipfs is None and self.hydra_heads == 0:

@@ -97,16 +97,25 @@ def parse_duration_days(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"invalid duration {text!r} (expected e.g. 0.02d, 12h, 1800s)"
         ) from None
-    if days <= 0:
-        raise argparse.ArgumentTypeError(f"duration must be positive, got {text!r}")
+    if not 0 < days < float("inf"):  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"duration must be positive and finite, got {text!r}")
     return days
 
 
-def _parse_int_list(text: str, flag: str) -> List[int]:
+def _parse_int_list(text: str) -> List[int]:
+    """argparse ``type=`` (``--seeds``): comma-separated integers."""
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {flag} list: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid integer list {text!r}") from None
+
+
+def _parse_peers(text: str) -> List[int]:
+    """argparse ``type=`` (``--peers``): comma-separated positive integers."""
+    peers = _parse_int_list(text)
+    if any(n < 1 for n in peers):
+        raise argparse.ArgumentTypeError(f"population sizes must be >= 1, got {text!r}")
+    return peers
 
 
 def parse_override(text: str) -> Tuple[str, object]:
@@ -602,11 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated registered scenario names (see --list)",
     )
     parser.add_argument(
-        "--seeds", default="7",
+        "--seeds", type=_parse_int_list, default="7",
         help="comma-separated simulation seeds (default: 7)",
     )
     parser.add_argument(
-        "--peers", default=None,
+        "--peers", type=_parse_peers, default=None,
         help="comma-separated population sizes (default: each scenario's own)",
     )
     parser.add_argument(
@@ -716,11 +725,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--scenarios is required (or use --list)")
 
     names = [part.strip().lower() for part in args.scenarios.split(",") if part.strip()]
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    peers_list: List[Optional[int]] = (
-        list(_parse_int_list(args.peers, "--peers")) if args.peers else [None]
-    )
-    if not names or not seeds:
+    peers_list: List[Optional[int]] = args.peers or [None]
+    if not names or not args.seeds:
         parser.error("need at least one scenario and one seed")
     if args.force and args.resume:
         parser.error("--force and --resume are mutually exclusive")
@@ -728,9 +734,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics_window: Optional[float] = None
     if args.metrics or args.metrics_window is not None:
         metrics_window = args.metrics_window if args.metrics_window is not None else 300.0
-        if metrics_window <= 0:
+        if not 0 < metrics_window < float("inf"):
             # Rejected up front, before anything simulates: exit 2, no cells.
-            parser.error(f"--metrics-window must be positive, got {metrics_window}")
+            parser.error(f"--metrics-window must be positive and finite, got {metrics_window}")
     trace_sample: Optional[float] = None
     if args.trace or args.trace_sample is not None:
         trace_sample = args.trace_sample if args.trace_sample is not None else 1.0
@@ -739,7 +745,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         summaries, failures = run_sweep(
-            names, seeds, peers_list, args.duration, args.out,
+            names, args.seeds, peers_list, args.duration, args.out,
             workers=args.workers, force=args.force, resume=args.resume,
             overrides=overrides, metrics_window=metrics_window,
             trace_sample=trace_sample, progress=args.progress,

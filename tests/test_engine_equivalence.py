@@ -43,7 +43,7 @@ def test_table_covers_the_whole_catalog():
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_legacy_and_vectorized_are_byte_identical(name):
+def test_scenario_matches_its_golden_fingerprint(name):
     expected = TABLE["scenarios"][name]
     result = run_micro(name)
     if result_fingerprint(result) != expected["fingerprint"]:

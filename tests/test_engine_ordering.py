@@ -1,21 +1,24 @@
 """The engine is order-equivalent to a sort-by-``(time, seq)`` reference.
 
-Property tests drive the engine and the reference scheduler below through
-identical schedule interleavings — single events, fire-and-forget drops, bulk
-timer columns, mid-drain cascades, cancellations — and assert the fired
-``(time, tag)`` streams are *identical*, including the order of timestamp
-ties.  Times are drawn from a tiny integer pool precisely to force tie
-collisions, which is where batched sequencing would first go wrong.
+``ReferenceScheduler`` below — the re-sort-per-pop queue of SNIPPETS.md
+snippet 2 — *is* the reference: there is one engine, and nothing else to
+compare it with.  Property tests drive both through identical schedule
+interleavings — single events, fire-and-forget drops, bulk batches, mid-drain
+cascades, cancellations — and assert the fired ``(time, tag)`` streams are
+*identical*, including the order of timestamp ties.  Times are drawn from a
+tiny integer pool precisely to force tie collisions, which is where batched
+sequencing would first go wrong.
 """
 
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulation.engine import _COMPACT_THRESHOLD, Engine, PeriodicTask
+from repro.simulation.engine import Engine, PeriodicTask
 
 
 class ReferenceScheduler:
@@ -146,7 +149,7 @@ def test_cancellations_among_drops_match(ops, cancel_picks):
     assert reference == engine
 
 
-class TestVectorizedEngineUnits:
+class TestEngineUnits:
     def test_pending_counts_bulk_remainder(self):
         engine = Engine()
         engine.schedule_bulk([1.0, 2.0, 3.0], lambda _: None, ["a", "b", "c"])
@@ -173,25 +176,29 @@ class TestVectorizedEngineUnits:
         engine.schedule_bulk([], lambda _: None, [])
         assert engine.pending() == 0
 
-    def test_consumed_column_prefix_compacts(self):
-        engine = Engine()
-        n = _COMPACT_THRESHOLD + 500
-        engine.schedule_bulk(
-            [float(i) for i in range(n)], lambda _: None, list(range(n))
-        )
-        engine.run_until(float(n))
-        assert engine.pending() == 0
-        # The consumed prefix was dropped at least once mid-run.
-        assert len(engine._bulk_times) < n
+    def test_drained_bulk_payloads_are_released(self):
+        class Payload:
+            pass
 
-    def test_consumed_entries_release_references(self):
         engine = Engine()
-        engine.schedule_bulk([1.0, 2.0], lambda _: None, ["a", "b"])
+        due, later = Payload(), Payload()
+        refs = [weakref.ref(due), weakref.ref(later)]
+        engine.schedule_bulk([1.0, 2.0], lambda _: None, [due, later])
+        del due, later
         engine.run_until(1.5)
-        assert engine._bulk_payloads[engine._bulk_pos - 1] is None
-        assert engine._bulk_callbacks[engine._bulk_pos - 1] is None
+        assert refs[0]() is None  # fired: must not stay pinned for the rest of the run
+        assert refs[1]() is not None  # not yet due: still queued
 
-    def test_periodic_task_runs_and_stops_on_vectorized_engine(self):
+    def test_int_bulk_times_leave_now_a_float(self):
+        engine = Engine()
+        seen = []
+        engine.schedule_bulk([1, 2], lambda _: seen.append(engine.now), ["a", "b"])
+        engine.run()
+        assert seen == [1.0, 2.0]
+        assert all(type(now) is float for now in seen)
+        assert type(engine.now) is float
+
+    def test_periodic_task_stops_firing_once_stopped(self):
         engine = Engine()
         ticks = []
         task = PeriodicTask(engine, 1.0, ticks.append)

@@ -57,6 +57,14 @@ class TestEngine:
         with pytest.raises(ValueError):
             engine.run_until(5.0)
 
+    def test_run_until_nan_rejected(self):
+        # No event time compares greater than NaN: the drain would never stop.
+        engine = Engine()
+        engine.schedule_drop(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            engine.run_until(float("nan"))
+        assert engine.events_processed == 0
+
     def test_callbacks_can_schedule_more_events(self):
         engine = Engine()
         seen = []

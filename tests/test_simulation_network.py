@@ -20,7 +20,12 @@ from repro.scenarios.registry import build_scenario_config
 from repro.simulation.engine import Engine
 from repro.simulation.fabric import FabricRuntime
 from repro.simulation import scenario as scenario_module
-from repro.simulation.network import MeasurementIdentity, SimPeer, SimulatedNetwork
+from repro.simulation.network import (
+    MeasurementIdentity,
+    NetworkConfig,
+    SimPeer,
+    SimulatedNetwork,
+)
 from repro.simulation.population import PopulationConfig, generate_population
 from repro.simulation.scenario import Scenario, ScenarioConfig
 from repro.ipfs.node import IpfsNode
@@ -165,6 +170,59 @@ class TestRoutingTableSeeding:
         assert calls == []
 
 
+class TestNeighborhoods:
+    """``start()`` gives every DHT-Server vantage point the servers closest to
+    it by exact integer XOR distance, and a DHT-Client vantage point none."""
+
+    @staticmethod
+    def started(n_peers, neighborhood_size, servers=True):
+        engine = Engine()
+        population = generate_population(
+            PopulationConfig(n_peers=n_peers, seed=5), random.Random(5)
+        )
+        if not servers:
+            for profile in population.profiles:
+                profile.role = DHTMode.CLIENT
+        network = SimulatedNetwork(
+            engine,
+            population,
+            random.Random(6),
+            NetworkConfig(neighborhood_size=neighborhood_size),
+        )
+        for seed, (label, is_server) in enumerate(
+            [("server-a", True), ("server-b", True), ("client", False)]
+        ):
+            node = IpfsNode(IpfsConfig(low_water=50, high_water=80), rng=random.Random(seed))
+            network.add_measurement_identity(
+                MeasurementIdentity(label, node, is_dht_server=is_server)
+            )
+        network.start(duration=HOUR)
+        return network
+
+    # 400 peers: many more servers than the neighbourhood; 40 peers with a
+    # size of 500: the whole server population is the neighbourhood.
+    @pytest.mark.parametrize("n_peers, size", [(400, 30), (400, 1), (40, 500)])
+    def test_server_identities_get_the_closest_servers(self, n_peers, size):
+        network = self.started(n_peers, size)
+        server_pids = [p.current_pid for p in network.peers if p.profile.is_dht_server]
+        assert server_pids
+        for identity in network.identities[:2]:
+            target = identity.peer_id.kad_key()
+            reference = sorted(server_pids, key=lambda pid: pid.kad_key() ^ target)[:size]
+            assert identity.neighborhood == set(reference)
+            assert len(identity.neighborhood) == min(size, len(server_pids))
+        if size < len(server_pids):  # the target matters, not just the candidate set
+            assert network.identities[0].neighborhood != network.identities[1].neighborhood
+
+    def test_client_identity_gets_none(self):
+        assert self.started(400, 30).identities[2].neighborhood == set()
+
+    def test_population_without_servers_gives_empty_neighborhoods(self):
+        network = self.started(60, 30, servers=False)
+        assert not any(p.profile.is_dht_server for p in network.peers)
+        assert [identity.neighborhood for identity in network.identities] == [set()] * 3
+
+
 class TestRpcDispatch:
     """The single veto ladder behind dht_query / add_provider / get_providers."""
 
@@ -277,6 +335,11 @@ class TestScenarioConfigValidation:
     def test_scenario_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
             ScenarioConfig(duration=0.0)
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_scenario_rejects_a_duration_that_would_never_end(self, duration):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            ScenarioConfig(duration=duration)
 
     def test_engine_is_not_a_config_field(self):
         # One fabric on one engine: there is no execution mode to select.

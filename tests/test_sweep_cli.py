@@ -8,7 +8,10 @@ output across two runs with the same flags.
 
 import json
 import os
+import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -407,18 +410,21 @@ class TestCheckpointResume:
 class TestFailingCells:
     """Satellite: a failing cell must not sink the sweep, but must exit nonzero."""
 
+    # A value the CLI boundary cannot judge (it is the right type for the
+    # knob); FaultConfig rejects it inside the cell.
     BAD_FLAGS = [
-        "--scenarios", "p1",
+        "--scenarios", "lossy-links",
         "--seeds", "7",
-        "--peers", "-5",          # PopulationConfig rejects n_peers <= 0
+        "--peers", "30",
         "--duration", "0.01d",
+        "--set", "loss_rate=2.0",
     ]
 
     def test_failing_cell_exits_nonzero(self, tmp_path, capsys):
         exit_code = main(self.BAD_FLAGS + ["--out", str(tmp_path / "bad")])
         assert exit_code == 1
         err = capsys.readouterr().err
-        assert "sweep cell failed" in err and "n_peers" in err
+        assert "sweep cell failed" in err and "loss_rate" in err
 
     def test_failure_is_recorded_in_the_artifacts(self, tmp_path, monkeypatch):
         out = tmp_path / "bad"
@@ -428,9 +434,9 @@ class TestFailingCells:
         assert aggregate["totals"]["cells"] == 0
         assert aggregate["totals"]["failed_cells"] == 1
         failure = aggregate["failures"][0]
-        assert failure["scenario"] == "p1"
+        assert failure["scenario"] == "lossy-links"
         assert "ValueError" in failure["error"]
-        assert "FAILED p1" in (out / "sweep_table.txt").read_text()
+        assert "FAILED lossy-links" in (out / "sweep_table.txt").read_text()
         # The evidence: where it raised, which planned cell it was, and a
         # command line that re-runs just that cell to the same failure.
         assert failure["traceback"].startswith("Traceback (most recent call last)")
@@ -552,6 +558,59 @@ class TestFlagValidation:
         assert "--trace-sample must be within (0, 1]" in err
         assert f"got {float(rate)}" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seeds", "7,x"),
+            ("--peers", "50,x"),
+            ("--peers", "0"),
+            ("--peers", "-3"),
+            ("--duration", "nan"),
+            ("--duration", "inf"),
+            ("--metrics-window", "nan"),
+            ("--metrics-window", "inf"),
+        ],
+    )
+    def test_rejects_malformed_lists_and_non_finite_numbers(self, tmp_path, capsys, flag, value):
+        # A NaN or infinite duration would never end the drain, so it must
+        # not reach a worker; a malformed list must not leave main() as a
+        # traceback; an empty population is not worth a failed cell.
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + [flag, value, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+#: run inside ``python -S``: no site-packages, so a third-party import fails
+STDLIB_ONLY_SWEEP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from repro.sweep import main
+code = main(["--scenarios", "p1,crash-storm", "--seeds", "7", "--peers", "40",
+             "--duration", "0.01d", "--metrics", "--trace", "--no-progress",
+             "--workers", "1", "--out", sys.argv[2]])
+allowed = sys.stdlib_module_names | {"repro", "__main__", "__mp_main__"}
+foreign = sorted({name.partition(".")[0] for name in sys.modules} - allowed)
+print(code, foreign)
+"""
+
+
+def test_runtime_is_standard_library_only(tmp_path):
+    """A metrics + trace micro-sweep completes without ``site-packages`` and
+    loads nothing outside the standard library and ``repro`` itself."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY_SWEEP, str(src), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert len(list((tmp_path / "out").glob("*__traces.jsonl"))) == 2
 
 
 class TestTracedCells:
