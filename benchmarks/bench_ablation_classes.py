@@ -10,7 +10,7 @@ from repro.analysis.tables import TextTable
 from repro.core.classification import ClassificationThresholds, PeerClassLabel
 from repro.core.netsize import classify_peers
 
-from benchlib import scale_note
+from conftest import scale_note
 
 HOUR = 3_600.0
 

@@ -9,7 +9,7 @@ from repro.analysis.tables import TextTable
 from repro.core.horizon import compare_horizons
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def build_comparisons(results):

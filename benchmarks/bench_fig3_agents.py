@@ -10,7 +10,7 @@ from repro.analysis.plots import ascii_bar_chart
 from repro.core.metadata import agent_breakdown
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def test_fig3_agent_occurrences(benchmark, p4_result):

@@ -11,7 +11,7 @@ from repro.core.metadata import agent_breakdown, protocol_breakdown
 from repro.experiments.paper_values import PAPER
 from repro.libp2p.protocols import IPFS_ID, IPFS_PING, KAD_DHT
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def test_fig4_protocol_occurrences(benchmark, p4_result):

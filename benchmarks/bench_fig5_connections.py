@@ -11,7 +11,7 @@ from repro.analysis.plots import ascii_series, downsample
 from repro.core.timeseries import connections_over_time
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def build_series(results):

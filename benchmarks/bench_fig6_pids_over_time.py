@@ -16,7 +16,7 @@ from repro.core.timeseries import (
 )
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 DAY = 86_400.0
 

@@ -11,7 +11,7 @@ from repro.analysis.cdf import log_spaced_grid
 from repro.core.netsize import connection_cdfs
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 HOUR = 3_600.0
 DAY = 86_400.0

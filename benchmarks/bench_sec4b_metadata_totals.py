@@ -10,7 +10,7 @@ from repro.analysis.tables import TextTable
 from repro.core.metadata import analyze_metadata
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def test_sec4b_metadata_totals(benchmark, p4_result):

@@ -10,7 +10,7 @@ from repro.analysis.tables import TextTable
 from repro.core.netsize import estimate_by_multiaddress, estimate_network_size
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def test_sec5a_multiaddress_grouping(benchmark, p4_result):

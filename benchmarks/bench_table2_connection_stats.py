@@ -16,7 +16,7 @@ from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.core.churn import connection_statistics
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def collect_reports(results):

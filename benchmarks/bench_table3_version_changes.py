@@ -10,7 +10,7 @@ from repro.analysis.tables import TextTable
 from repro.core.metadata import version_changes
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def test_table3_version_changes(benchmark, p4_result):

@@ -10,7 +10,7 @@ from repro.core.classification import PeerClassLabel
 from repro.core.netsize import classify_peers
 from repro.experiments.paper_values import PAPER
 
-from benchlib import scale_note
+from conftest import scale_note
 
 
 def test_table4_peer_classification(benchmark, p4_result):

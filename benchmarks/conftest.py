@@ -25,7 +25,6 @@ from typing import Optional
 
 import pytest
 
-from repro.experiments.runner import run_period_cached
 from repro.scenarios import build_scenario_config, run_scenario_by_name
 
 
@@ -42,14 +41,21 @@ def _env_float(name: str) -> Optional[float]:
 BENCH_SEED = _env_int("REPRO_BENCH_SEED") or 7
 
 
-def run_bench_period(period_id: str, run_crawler: Optional[bool] = None):
-    """Run one period at benchmark scale, honouring the environment overrides."""
-    return run_period_cached(
-        period_id,
-        n_peers=_env_int("REPRO_BENCH_PEERS"),
-        duration_days=_env_float("REPRO_BENCH_DAYS"),
-        seed=BENCH_SEED,
-        run_crawler=run_crawler,
+def run_bench_period(name: str):
+    """Run one paper period at its registered benchmark scale, honouring the
+    environment overrides."""
+    return run_scenario_by_name(
+        name, _env_int("REPRO_BENCH_PEERS"), _env_float("REPRO_BENCH_DAYS"), BENCH_SEED
+    )
+
+
+def scale_note(result) -> str:
+    """One-line description of the simulated scale, printed by every benchmark."""
+    population = len(result.population)
+    days = result.config.duration / 86_400.0
+    return (
+        f"[simulated scale: {population} peers, {days:.2f} d, seed {result.config.seed}; "
+        f"paper scale: ~62k connected PIDs]"
     )
 
 
@@ -76,32 +82,32 @@ def run_registered(name: str, default_peers: int, default_days: float, **overrid
 
 @pytest.fixture(scope="session")
 def p0_result():
-    return run_bench_period("P0")
+    return run_bench_period("p0")
 
 
 @pytest.fixture(scope="session")
 def p1_result():
-    return run_bench_period("P1")
+    return run_bench_period("p1")
 
 
 @pytest.fixture(scope="session")
 def p2_result():
-    return run_bench_period("P2")
+    return run_bench_period("p2")
 
 
 @pytest.fixture(scope="session")
 def p3_result():
-    return run_bench_period("P3")
+    return run_bench_period("p3")
 
 
 @pytest.fixture(scope="session")
 def p4_result():
-    return run_bench_period("P4")
+    return run_bench_period("p4")
 
 
 @pytest.fixture(scope="session")
 def p14_result():
-    return run_bench_period("P14")
+    return run_bench_period("p14")
 
 
 @pytest.fixture(autouse=True)

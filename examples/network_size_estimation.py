@@ -19,7 +19,8 @@ Run with::
 
 from repro.analysis.tables import TextTable
 from repro.core.netsize import connection_cdfs, estimate_network_size
-from repro.experiments.runner import run_period_cached
+from repro.experiments.periods import period
+from repro.simulation.scenario import run_scenario
 
 import os
 
@@ -37,9 +38,10 @@ def main() -> None:
         f"Simulating a P4-style measurement (DHT-Server vantage point, "
         f"{N_PEERS} peers, {DURATION_DAYS:g} days)…"
     )
-    result = run_period_cached(
-        "P4", n_peers=N_PEERS, duration_days=DURATION_DAYS, seed=11, run_crawler=False
+    config = period("P4").scenario_config(
+        n_peers=N_PEERS, duration_days=DURATION_DAYS, seed=11, run_crawler=False
     )
+    result = run_scenario(config)
     dataset = result.dataset("go-ipfs")
     report = estimate_network_size(dataset)
 

@@ -16,7 +16,7 @@ from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.core.churn import connection_statistics, trim_share
 from repro.core.horizon import compare_horizons
 from repro.core.netsize import estimate_network_size
-from repro.experiments.runner import run_period_cached
+from repro.scenarios import run_scenario_by_name
 
 import os
 
@@ -28,7 +28,7 @@ DURATION_DAYS = float(os.environ.get("REPRO_EXAMPLE_DAYS", "0.5"))
 
 def main() -> None:
     print("Simulating measurement period P2 (go-ipfs server + 2 hydra heads + crawler)…")
-    result = run_period_cached("P2", n_peers=N_PEERS, duration_days=DURATION_DAYS, seed=42)
+    result = run_scenario_by_name("p2", n_peers=N_PEERS, duration_days=DURATION_DAYS, seed=42)
 
     # -- connection churn (Table II style) ---------------------------------------
     table = TextTable(

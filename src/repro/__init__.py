@@ -12,17 +12,17 @@ The package is organised in layers:
   and the offline analyses (churn, meta data, horizon, time series, network
   size).
 * :mod:`repro.experiments` — the measurement periods of Table I and the
-  paper's reference values, plus a cached runner used by the benchmarks.
+  paper's reference values, plus the process pool the sweep runs on.
 * :mod:`repro.scenarios` — the scenario registry: the paper periods plus
   stress scenarios (flash crowds, diurnal weeks, mass outages, …), every
   entry resolvable by name and sweepable via ``python -m repro.sweep``.
 
 Quick start::
 
-    from repro.experiments import run_period_cached
+    from repro.scenarios import run_scenario_by_name
     from repro.core import connection_statistics
 
-    result = run_period_cached("P2", n_peers=500, duration_days=0.25)
+    result = run_scenario_by_name("p2", n_peers=500, duration_days=0.25)
     report = connection_statistics(result.dataset("go-ipfs"))
     print(report.all_stats, report.peer_stats)
 """
@@ -38,7 +38,6 @@ __all__ = [
     "ipfs",
     "kademlia",
     "libp2p",
-    "perf",
     "scenarios",
     "simulation",
     "sweep",

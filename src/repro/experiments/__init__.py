@@ -1,22 +1,15 @@
 """Experiment definitions: the paper's measurement periods and reference values.
 
 ``periods`` maps the paper's Table I onto runnable scenario configurations
-(with population-scaled connection-manager watermarks), ``paper_values`` holds
-every number the paper reports that the benchmarks compare against, and
-``runner`` executes periods with in-session caching so multiple benchmarks can
-share one simulation run.
+(with population-scaled connection-manager watermarks; the scenario registry
+runs them as ``p0`` … ``p14``), ``paper_values`` holds every number the paper
+reports that the benchmarks compare against, and ``runner`` is the process
+pool the sweep fans its cells out over.
 """
 
 from repro.experiments.paper_values import PAPER, PaperReference
 from repro.experiments.periods import PERIODS, PeriodSpec, period, scale_watermarks
-from repro.experiments.runner import (
-    bench_workers,
-    measure_periods,
-    run_cells,
-    run_period,
-    run_period_cached,
-    run_periods,
-)
+from repro.experiments.runner import bench_workers, run_cells
 
 __all__ = [
     "PAPER",
@@ -24,11 +17,7 @@ __all__ = [
     "PERIODS",
     "PeriodSpec",
     "bench_workers",
-    "measure_periods",
     "period",
     "run_cells",
-    "run_period",
-    "run_period_cached",
-    "run_periods",
     "scale_watermarks",
 ]

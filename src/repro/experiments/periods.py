@@ -107,6 +107,14 @@ class PeriodSpec:
     def duration_seconds(self) -> float:
         return self.duration_days * DAY
 
+    @property
+    def bench_days(self) -> float:
+        """The duration a run gets when none is asked for: the compressed
+        benchmark duration where the period has one, else the paper's."""
+        if self.bench_duration_days is not None:
+            return self.bench_duration_days
+        return self.duration_days
+
     def scaled_watermarks(self, n_peers: int) -> Tuple[int, int]:
         """Scale the Table I watermarks to the simulated population size."""
         return scale_watermarks(self.low_water, self.high_water, n_peers)
@@ -129,13 +137,7 @@ class PeriodSpec:
         multi-day periods; tests shrink them much further).
         """
         peers = n_peers if n_peers is not None else self.bench_peers
-        days = duration_days
-        if days is None:
-            days = (
-                self.bench_duration_days
-                if self.bench_duration_days is not None
-                else self.duration_days
-            )
+        days = duration_days if duration_days is not None else self.bench_days
         low, high = self.scaled_watermarks(peers)
         go_ipfs_config: Optional[IpfsConfig] = None
         if self.go_ipfs_mode is not None:

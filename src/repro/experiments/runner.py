@@ -1,83 +1,19 @@
-"""Running measurement periods, with in-session caching and parallelism.
+"""The process pool behind the scenario sweep.
 
-Several benchmarks analyse the same period (P4 feeds Fig. 3, Fig. 4, Fig. 7,
-Table III, Table IV, and both Section V estimators), so the runner memoises
-scenario results by their exact parameters.  A simulation run is deterministic
-for a given (period, n_peers, duration, seed), so caching does not change any
-result — it only avoids re-simulating.
-
-Independent periods can also run in separate worker processes: set
-``REPRO_BENCH_WORKERS`` (or pass ``workers=``) and :func:`run_periods` /
-:func:`measure_periods` will fan the six benchmark periods (P0–P14) out over a
-process pool.  Each period is still simulated single-threaded and seeded, so
-parallelism changes wall time only — never results.
+:func:`run_cells` applies a module-level function to a list of argument
+tuples, in this process or fanned out over ``REPRO_BENCH_WORKERS`` (or
+``workers=``) worker processes.  Every cell is simulated single-threaded and
+independently seeded, so the pool changes wall time only — never results.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
-from repro.experiments.periods import period
-from repro.perf import PeriodPerf, measure_period
-from repro.simulation.scenario import ScenarioResult, run_scenario
-
-#: environment knob: number of worker processes for multi-period runs
+#: environment knob: number of worker processes for multi-cell runs
 BENCH_WORKERS_ENV = "REPRO_BENCH_WORKERS"
-
-_CacheKey = Tuple[str, int, float, int, bool]
-_CACHE: Dict[_CacheKey, ScenarioResult] = {}
-
-
-def run_period(
-    period_id: str,
-    n_peers: Optional[int] = None,
-    duration_days: Optional[float] = None,
-    seed: int = 7,
-    run_crawler: Optional[bool] = None,
-) -> ScenarioResult:
-    """Run one measurement period without caching."""
-    spec = period(period_id)
-    config = spec.scenario_config(
-        n_peers=n_peers, seed=seed, duration_days=duration_days, run_crawler=run_crawler
-    )
-    return run_scenario(config)
-
-
-def run_period_cached(
-    period_id: str,
-    n_peers: Optional[int] = None,
-    duration_days: Optional[float] = None,
-    seed: int = 7,
-    run_crawler: Optional[bool] = None,
-) -> ScenarioResult:
-    """Run one measurement period, memoising the result for this process."""
-    spec = period(period_id)
-    peers = n_peers if n_peers is not None else spec.bench_peers
-    days = duration_days
-    if days is None:
-        days = (
-            spec.bench_duration_days
-            if spec.bench_duration_days is not None
-            else spec.duration_days
-        )
-    crawler = spec.run_crawler if run_crawler is None else run_crawler
-    key: _CacheKey = (period_id, peers, days, seed, crawler)
-    if key not in _CACHE:
-        _CACHE[key] = run_period(
-            period_id, n_peers=peers, duration_days=days, seed=seed, run_crawler=crawler
-        )
-    return _CACHE[key]
-
-
-def clear_cache() -> None:
-    """Drop every cached scenario result (used by tests)."""
-    _CACHE.clear()
-
-
-# -- multi-period / parallel execution ------------------------------------------
 
 
 def bench_workers(default: int = 1) -> int:
@@ -95,11 +31,9 @@ def run_cells(
 ) -> List:
     """Apply ``fn(*cell)`` to every cell, optionally in a process pool.
 
-    The generic fan-out behind both the multi-period benchmark runner and the
-    scenario sweep CLI: results come back in input order, and because every
-    cell is independently seeded the pool changes wall time only — never
-    results.  ``fn`` must be a module-level callable (workers import it by
-    name) and each cell a tuple of its positional arguments.
+    Results come back in input order.  ``fn`` must be a module-level callable
+    (workers import it by name) and each cell a tuple of its positional
+    arguments.
 
     ``on_result(index, result)`` is invoked in input order as each result
     becomes available — the sweep's checkpoint hook: a killed run has every
@@ -125,52 +59,3 @@ def run_cells(
                 on_result(len(results), result)
             results.append(result)
         return results
-
-
-def _fan_out(fn, period_ids: Iterable[str], workers: Optional[int], **kwargs) -> List:
-    """Apply ``fn(period_id, **kwargs)`` to every period, optionally in a pool."""
-    return run_cells(partial(fn, **kwargs), [(pid,) for pid in period_ids], workers)
-
-
-def run_periods(
-    period_ids: Iterable[str],
-    n_peers: Optional[int] = None,
-    duration_days: Optional[float] = None,
-    seed: int = 7,
-    run_crawler: Optional[bool] = None,
-    workers: Optional[int] = None,
-) -> Dict[str, ScenarioResult]:
-    """Run several measurement periods, optionally in parallel processes.
-
-    Returns ``{period_id: ScenarioResult}`` in the order given.  With
-    ``workers > 1`` each period runs in its own process; results are identical
-    to the sequential path because every period is independently seeded.
-    """
-    ids = list(period_ids)
-    results = _fan_out(
-        run_period, ids, workers,
-        n_peers=n_peers, duration_days=duration_days, seed=seed, run_crawler=run_crawler,
-    )
-    return dict(zip(ids, results))
-
-
-def measure_periods(
-    period_ids: Iterable[str],
-    n_peers: Optional[int] = None,
-    duration_days: Optional[float] = None,
-    seed: int = 7,
-    run_crawler: Optional[bool] = None,
-    workers: Optional[int] = None,
-) -> List[PeriodPerf]:
-    """Time several periods (see :func:`repro.perf.measure_period`).
-
-    The parallel path ships only the compact :class:`PeriodPerf` summaries
-    back from the workers, not whole scenario results, which keeps the
-    benchmark harness cheap even for large populations.  Wall times measured
-    with ``workers > 1`` reflect a loaded machine; use ``workers=1`` when the
-    per-period numbers themselves are the benchmark.
-    """
-    return _fan_out(
-        measure_period, period_ids, workers,
-        n_peers=n_peers, duration_days=duration_days, seed=seed, run_crawler=run_crawler,
-    )

@@ -11,8 +11,8 @@ hook and prints one line roughly per simulated hour::
 
 The hook itself is a cheap integer comparison per drained event (see
 ``Engine.set_progress``), so leaving the env var unset costs nothing
-measurable — the metrics-overhead benchmark (``benchmarks/bench_obs.py``)
-gates the whole subsystem.
+measurable — the overhead gate (``benchmarks/bench_overhead.py obs``)
+bounds the whole subsystem.
 """
 
 from __future__ import annotations

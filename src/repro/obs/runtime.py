@@ -26,8 +26,8 @@ fixed order:
 The hot fabric hooks (``on_rpc``, ``on_dial``, ...) fire once per simulated
 network event, so they do the cheapest thing Python allows — a plain integer
 attribute increment — and defer the hub bookkeeping to the once-per-window
-flush.  The overhead gate (``benchmarks/bench_obs.py``) pins this: metrics
-enabled must stay within a few percent of disabled.
+flush.  The overhead gate (``benchmarks/bench_overhead.py obs``) bounds this:
+metrics enabled must stay within its measured ``TOLERANCE`` of disabled.
 
 Instrument catalog (the README's "Streaming observability" section mirrors
 this):

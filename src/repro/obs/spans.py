@@ -35,7 +35,7 @@ The tracer hangs off the fabric as ``network.tracer`` but is deliberately
 *not* a :class:`~repro.simulation.fabric.FabricRuntime`: it never vetoes,
 charges, or contributes identify delay, so all recording happens at the
 explicitly instrumented call sites and no hook dispatch pays for it.
-``benchmarks/bench_trace.py`` gates the enabled cost at a few percent.
+``benchmarks/bench_overhead.py trace`` bounds the enabled cost.
 """
 
 from __future__ import annotations

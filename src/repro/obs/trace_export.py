@@ -10,7 +10,7 @@ Rendering is *lazy*: the tracer's hot path only appends primitive event
 tuples (see :mod:`repro.obs.spans`), and :class:`TraceSummary` replays them
 into payload dicts on first access of :attr:`TraceSummary.traces` — after
 the simulation's timed region, which is what keeps the
-``benchmarks/bench_trace.py`` overhead gate honest.
+``benchmarks/bench_overhead.py trace`` gate honest.
 
 :class:`TraceSummary` is the picklable carrier riding
 ``ScenarioResult.spans``.  :func:`leaf_attribution` is the shared

@@ -196,11 +196,6 @@ def _register_paper_periods() -> None:
             vantage = "hydra only"
         else:
             vantage = "Server" if spec.go_ipfs_mode is DHTMode.SERVER else "Client"
-        default_days = (
-            spec.bench_duration_days
-            if spec.bench_duration_days is not None
-            else spec.duration_days
-        )
         register(
             ScenarioSpec(
                 name=period_id.lower(),
@@ -213,7 +208,7 @@ def _register_paper_periods() -> None:
                 ),
                 tags=("paper",),
                 default_peers=spec.bench_peers,
-                default_duration_days=default_days,
+                default_duration_days=spec.bench_days,
                 knobs={
                     "low_water": spec.low_water,
                     "high_water": spec.high_water,

@@ -2,13 +2,12 @@
 
 Runs every combination of the requested scenarios × seeds × population sizes
 through the registry, one simulation per cell, optionally fanned out over
-worker processes (the same pool the parallel period runner uses).  Each cell
-writes one JSON summary; the sweep writes an aggregate JSON plus a rendered
-table.  A cell that raises does not abort the sweep: the remaining cells
-still run, the failure is reported in the artifacts and on stderr, and the
-CLI exits nonzero.  All artifacts are deterministic — no timestamps, no
-wall-clock fields — so two sweeps with the same flags produce byte-identical
-files.
+worker processes.  Each cell writes one JSON summary; the sweep writes an
+aggregate JSON plus a rendered table.  A cell that raises does not abort the
+sweep: the remaining cells still run, the failure is reported in the
+artifacts and on stderr, and the CLI exits nonzero.  All artifacts are
+deterministic — no timestamps, no wall-clock fields — so two sweeps with the
+same flags produce byte-identical files.
 
 Sweeps checkpoint as they go: a manifest of content-addressed cells
 (``sweep_manifest.json``) is written before any simulation and every cell
@@ -32,6 +31,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shlex
 import sys
@@ -58,7 +58,6 @@ from repro.experiments.runner import run_cells
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
 from repro.obs.progress import PROGRESS_ENV
-from repro.perf import dataset_counts
 from repro.scenarios import run_scenario_by_name, scenario, scenarios
 from repro.scenarios.registry import (
     OverrideTypeError,
@@ -123,7 +122,9 @@ def parse_override(text: str) -> Tuple[str, object]:
 
     Values are coerced ``int`` → ``float`` → ``bool`` (``true``/``false``) →
     string, in that order, so ``--set uplink_scale=0.25`` reaches the builder
-    as a float and ``--set retry=false`` as a bool.
+    as a float and ``--set retry=false`` as a bool.  ``nan`` / ``inf`` parse
+    as floats but pass every range check a builder makes, so they are
+    rejected here.
     """
     key, separator, raw = text.partition("=")
     key = key.strip()
@@ -134,12 +135,29 @@ def parse_override(text: str) -> Tuple[str, object]:
     raw = raw.strip()
     for cast in (int, float):
         try:
-            return key, cast(raw)
+            value = cast(raw)
         except ValueError:
             continue
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"--set {key} must be finite, got {raw!r}")
+        return key, value
     if raw.lower() in ("true", "false"):
         return key, raw.lower() == "true"
     return key, raw
+
+
+def dataset_counts(result) -> Dict[str, Dict[str, int]]:
+    """Summarise a :class:`ScenarioResult`'s datasets as plain counts."""
+    counts: Dict[str, Dict[str, int]] = {}
+    for label in sorted(result.datasets):
+        dataset = result.datasets[label]
+        counts[label] = {
+            "peers": len(dataset.peers),
+            "connections": len(dataset.connections),
+            "snapshots": len(dataset.snapshots),
+            "changes": len(dataset.changes),
+        }
+    return counts
 
 
 def summarize_cell(
@@ -728,6 +746,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     peers_list: List[Optional[int]] = args.peers or [None]
     if not names or not args.seeds:
         parser.error("need at least one scenario and one seed")
+    for flag, values in (
+        ("--scenarios", names), ("--seeds", args.seeds), ("--peers", peers_list)
+    ):
+        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        if repeated:
+            # A repeated value is the same cell run (and counted) again, and
+            # with --workers two processes writing one file.
+            parser.error(f"{flag} repeats {', '.join(repeated)}")
     if args.force and args.resume:
         parser.error("--force and --resume are mutually exclusive")
     overrides: Dict[str, object] = dict(args.overrides)

@@ -24,8 +24,8 @@ from repro.core.records import (
     PeerRecord,
     SnapshotRecord,
 )
-from repro.experiments.runner import run_period_cached
 from repro.libp2p.protocols import AUTONAT, BITSWAP_120, IPFS_ID, IPFS_PING, KAD_DHT
+from repro.scenarios import run_scenario_by_name
 
 HOUR = 3_600.0
 DAY = 86_400.0
@@ -171,19 +171,19 @@ def small_scenario_result():
 
     300 peers, a quarter of a simulated day, go-ipfs + 2 hydra heads + crawler.
     """
-    return run_period_cached("P2", n_peers=300, duration_days=0.25, seed=11)
+    return run_scenario_by_name("p2", n_peers=300, duration_days=0.25, seed=11)
 
 
 @pytest.fixture(scope="session")
 def small_p0_result():
     """A small P0-style scenario (tight watermarks → local trimming)."""
-    return run_period_cached("P0", n_peers=300, duration_days=0.25, seed=11)
+    return run_scenario_by_name("p0", n_peers=300, duration_days=0.25, seed=11)
 
 
 @pytest.fixture(scope="session")
 def small_p3_result():
     """A small P3-style scenario (DHT-Client vantage point)."""
-    return run_period_cached("P3", n_peers=300, duration_days=0.25, seed=11)
+    return run_scenario_by_name("p3", n_peers=300, duration_days=0.25, seed=11)
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ import pytest
 
 from repro.experiments.paper_values import PAPER
 from repro.experiments.periods import PERIODS, period
-from repro.experiments.runner import clear_cache, run_period_cached
 from repro.kademlia.dht import DHTMode
+from repro.scenarios import run_scenario_by_name, scenario
 from repro.simulation.churn_models import DAY
 
 
@@ -86,21 +86,17 @@ class TestPeriodSpecs:
     def test_duration_seconds(self):
         assert PERIODS["P4"].duration_seconds == pytest.approx(3 * DAY)
 
+    def test_bench_days_is_the_one_default_duration(self):
+        assert PERIODS["P0"].bench_days == 1.5  # compressed from the paper's 3 d
+        assert PERIODS["P1"].bench_days == 1.0  # no compression: the paper's own
+        for period_id, spec in PERIODS.items():
+            assert spec.scenario_config(n_peers=50).duration == spec.bench_days * DAY
+            assert scenario(period_id).default_duration_days == spec.bench_days
+
 
 class TestRunner:
-    def test_cached_runner_returns_same_object(self):
-        clear_cache()
-        a = run_period_cached("P2", n_peers=120, duration_days=0.05, seed=3)
-        b = run_period_cached("P2", n_peers=120, duration_days=0.05, seed=3)
-        assert a is b
-
-    def test_different_parameters_are_not_conflated(self):
-        a = run_period_cached("P2", n_peers=120, duration_days=0.05, seed=3)
-        b = run_period_cached("P2", n_peers=120, duration_days=0.05, seed=4)
-        assert a is not b
-
     def test_runner_respects_period_vantage_points(self):
-        result = run_period_cached("P3", n_peers=120, duration_days=0.05, seed=3)
+        result = run_scenario_by_name("p3", n_peers=120, duration_days=0.05, seed=3)
         assert result.go_ipfs() is not None
         assert result.hydra_union() is None
         assert result.dataset("go-ipfs").measurement_role == "client"

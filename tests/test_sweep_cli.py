@@ -571,17 +571,37 @@ class TestFlagValidation:
             ("--duration", "inf"),
             ("--metrics-window", "nan"),
             ("--metrics-window", "inf"),
+            ("--scenarios", "p1,P1"),
+            ("--seeds", "7,8,7"),
+            ("--peers", "30,40,30"),
         ],
     )
     def test_rejects_malformed_lists_and_non_finite_numbers(self, tmp_path, capsys, flag, value):
         # A NaN or infinite duration would never end the drain, so it must
         # not reach a worker; a malformed list must not leave main() as a
-        # traceback; an empty population is not worth a failed cell.
+        # traceback; an empty population is not worth a failed cell; a
+        # repeated value is one cell file counted twice in the aggregate
+        # (and, with workers, written by two processes at once).
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE + [flag, value, "--out", str(out)])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override", ["uplink_scale=nan", "size_scale=inf", "size_scale=-1e999"]
+    )
+    def test_rejects_non_finite_set_values(self, tmp_path, capsys, override):
+        # nan passes every `<= 0` range check and simulates; inf dies inside
+        # the worker as an OverflowError that names no field.
+        out = tmp_path / "never"
+        argv = ["--scenarios", "flash-crowd-large-blocks", "--peers", "40", "--duration", "0.01d"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--set", override, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert override.partition("=")[0] in err and "finite" in err
         assert not out.exists()
 
 
