@@ -10,29 +10,20 @@ import pytest
 
 from repro.analysis.tables import TextTable
 from repro.core.netsize import estimate_by_multiaddress
-from repro.simulation.churn_models import DAY
-from repro.simulation.population import PopulationConfig
-from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.scenarios import run_scenario_by_name
 
 N_PEERS = 400
-DURATION = 0.5 * DAY
+DAYS = 0.5
 HEAD_COUNTS = [1, 2, 4]
 
 
 def run_sweep():
     unions = {}
     for heads in HEAD_COUNTS:
-        config = ScenarioConfig(
-            duration=DURATION,
-            population=PopulationConfig.scaled_to_paper(N_PEERS, seed=23),
-            go_ipfs=None,
-            hydra_heads=heads,
-            hydra_low_water=max(10, N_PEERS),
-            hydra_high_water=max(12, N_PEERS + 50),
-            run_crawler=False,
-            seed=23,
-        )
-        result = Scenario(config).run()
+        # P1's deployment (go-ipfs plus a hydra at its stock watermarks) with
+        # the head count swapped out
+        overrides = {"hydra_heads": heads, "crawler": False}
+        result = run_scenario_by_name("p1", N_PEERS, DAYS, 23, overrides)
         unions[heads] = result.hydra_union()
     return unions
 
@@ -52,7 +43,7 @@ def test_ablation_hydra_head_count(benchmark, head_sweep):
     )
 
     print()
-    print(f"[ablation scale: {N_PEERS} peers, {DURATION / DAY:.2f} d per head count]")
+    print(f"[ablation scale: {N_PEERS} peers, {DAYS:.2f} d per head count]")
     table = TextTable(
         headers=["heads", "union PIDs", "union DHT-Servers", "IP groups"],
         title="Ablation — hydra horizon vs number of heads",

@@ -11,34 +11,22 @@ import pytest
 
 from repro.analysis.tables import TextTable, format_seconds
 from repro.core.churn import connection_statistics, trim_share
-from repro.experiments.periods import PAPER_SCALE_PIDS
-from repro.ipfs.config import IpfsConfig
-from repro.simulation.churn_models import DAY
-from repro.simulation.population import PopulationConfig
-from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.scenarios import run_scenario_by_name
 
 N_PEERS = 500
-DURATION = 0.5 * DAY
-#: watermark pairs expressed at paper scale (they are scaled to the population)
+DAYS = 0.5
+#: watermark pairs expressed at paper scale; the period builder scales them to
+#: the population with the rule every catalog entry uses
 WATERMARK_SWEEP = [(600, 900), (2_000, 4_000), (6_000, 8_000), (18_000, 20_000)]
 
 
 def run_sweep():
     reports = {}
     for low, high in WATERMARK_SWEEP:
-        scale = N_PEERS / PAPER_SCALE_PIDS
-        scaled_low = max(3, int(round(low * scale)))
-        scaled_high = max(scaled_low + 2, int(round(high * scale)))
-        config = ScenarioConfig(
-            duration=DURATION,
-            population=PopulationConfig.scaled_to_paper(N_PEERS, seed=17),
-            go_ipfs=IpfsConfig(low_water=scaled_low, high_water=scaled_high),
-            hydra_heads=0,
-            run_crawler=False,
-            seed=17,
-        )
-        dataset = Scenario(config).run().dataset("go-ipfs")
-        reports[(low, high)] = connection_statistics(dataset)
+        # P4 (a lone DHT-Server go-ipfs node) with the watermarks swapped out
+        overrides = {"low_water": low, "high_water": high, "crawler": False}
+        result = run_scenario_by_name("p4", N_PEERS, DAYS, 17, overrides)
+        reports[(low, high)] = connection_statistics(result.dataset("go-ipfs"))
     return reports
 
 
@@ -54,7 +42,7 @@ def test_ablation_watermark_sweep(benchmark, sweep_reports):
     )
 
     print()
-    print(f"[ablation scale: {N_PEERS} peers, {DURATION / DAY:.2f} d per configuration]")
+    print(f"[ablation scale: {N_PEERS} peers, {DAYS:.2f} d per configuration]")
     table = TextTable(
         headers=[
             "Low/High (paper scale)", "connections", "avg (all)", "avg (peer)", "trim share"

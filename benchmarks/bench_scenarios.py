@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from conftest import _env_float, _env_int, BENCH_SEED
 
-from repro.analysis.sweep_report import aggregate_table, primary_dataset_label
+from repro.analysis.sweep_report import aggregate_table
+from repro.core.records import primary_dataset_label
 from repro.scenarios import run_scenario_by_name, scenario_names
 from repro.simulation.churn_models import DAY
 from repro.sweep import summarize_cell
@@ -46,10 +47,10 @@ def test_stress_scenario_catalog(benchmark):
     print(table.render())
 
     def primary(summary):
-        return summary["datasets"][primary_dataset_label(summary)]
+        return summary["datasets"][primary_dataset_label(summary["datasets"])]
 
     def churn(summary):
-        return summary["churn"][primary_dataset_label(summary)]
+        return summary["churn"][primary_dataset_label(summary["datasets"])]
 
     # The flash crowd concentrates connection arrivals inside its burst
     # window: the per-second arrival rate in the burst clearly exceeds the

@@ -7,6 +7,7 @@ scenario builder faithfully maps them onto scaled simulator configurations.
 from repro.analysis.tables import TextTable
 from repro.experiments.periods import PERIODS
 from repro.kademlia.dht import DHTMode
+from repro.scenarios import build_scenario_config
 
 
 def build_table1():
@@ -16,17 +17,13 @@ def build_table1():
     )
     for period_id in ("P0", "P1", "P2", "P3", "P4", "P14"):
         spec = PERIODS[period_id]
-        if spec.go_ipfs_mode is None:
-            role = "-"
-        else:
-            role = "Server" if spec.go_ipfs_mode is DHTMode.SERVER else "Client"
         table.add_row(
             spec.period_id,
             f"{spec.start_date} – {spec.end_date}",
             f"{spec.duration_days:g}",
             spec.low_water,
             spec.high_water,
-            role,
+            spec.go_ipfs_mode.value.capitalize(),
             spec.hydra_heads or "-",
         )
     return table
@@ -47,7 +44,7 @@ def test_table1_periods(benchmark):
 
     # and the scaled scenario configs preserve the mechanism ordering
     for n_peers in (800, 2_000, 10_000):
-        p0_low, p0_high = PERIODS["P0"].scaled_watermarks(n_peers)
-        p2_low, p2_high = PERIODS["P2"].scaled_watermarks(n_peers)
-        assert p0_low < p0_high <= p2_high
-        assert p0_low < p2_low
+        p0 = build_scenario_config("p0", n_peers=n_peers).go_ipfs
+        p2 = build_scenario_config("p2", n_peers=n_peers).go_ipfs
+        assert p0.low_water < p0.high_water <= p2.high_water
+        assert p0.low_water < p2.low_water

@@ -27,8 +27,8 @@ import os
 
 from repro.analysis.plots import ascii_bar_chart
 from repro.core.metadata import analyze_metadata
-from repro.experiments.periods import period
 from repro.obs import ObsConfig
+from repro.scenarios import build_scenario_config
 from repro.simulation.scenario import Scenario
 
 #: fast-mode knobs: CI's examples-smoke job shrinks every example through
@@ -50,9 +50,8 @@ def _hours(seconds: float) -> str:
 
 def streaming_run() -> "Scenario":
     """Run P4 with the metrics hub attached, narrating each closed window."""
-    spec = period("P4")
-    config = spec.scenario_config(
-        n_peers=N_PEERS, seed=5, duration_days=DURATION_DAYS, run_crawler=False
+    config = build_scenario_config(
+        "p4", N_PEERS, DURATION_DAYS, seed=5, overrides={"crawler": False}
     )
     config = dataclasses.replace(
         config,

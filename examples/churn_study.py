@@ -18,7 +18,7 @@ Run with::
 from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.core.churn import connection_statistics, trim_share
 from repro.experiments.periods import PERIODS
-from repro.simulation.scenario import run_scenario
+from repro.scenarios import run_scenario_by_name
 
 import os
 
@@ -35,10 +35,9 @@ def main() -> None:
     )
     reports = {}
     for period_id in ("P0", "P1", "P2", "P3"):
-        config = PERIODS[period_id].scenario_config(
-            n_peers=N_PEERS, duration_days=DURATION_DAYS, seed=7, run_crawler=False
+        result = run_scenario_by_name(
+            period_id, N_PEERS, DURATION_DAYS, seed=7, overrides={"crawler": False}
         )
-        result = run_scenario(config)
         reports[period_id] = connection_statistics(result.dataset("go-ipfs"))
 
     table = TextTable(

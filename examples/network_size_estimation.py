@@ -19,8 +19,7 @@ Run with::
 
 from repro.analysis.tables import TextTable
 from repro.core.netsize import connection_cdfs, estimate_network_size
-from repro.experiments.periods import period
-from repro.simulation.scenario import run_scenario
+from repro.scenarios import run_scenario_by_name
 
 import os
 
@@ -38,10 +37,9 @@ def main() -> None:
         f"Simulating a P4-style measurement (DHT-Server vantage point, "
         f"{N_PEERS} peers, {DURATION_DAYS:g} days)…"
     )
-    config = period("P4").scenario_config(
-        n_peers=N_PEERS, duration_days=DURATION_DAYS, seed=11, run_crawler=False
+    result = run_scenario_by_name(
+        "p4", N_PEERS, DURATION_DAYS, seed=11, overrides={"crawler": False}
     )
-    result = run_scenario(config)
     dataset = result.dataset("go-ipfs")
     report = estimate_network_size(dataset)
 

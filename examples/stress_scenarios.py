@@ -12,7 +12,8 @@ Run with::
     python examples/stress_scenarios.py
 """
 
-from repro.analysis.sweep_report import primary_dataset_label, render_aggregate
+from repro.analysis.sweep_report import render_aggregate
+from repro.core.records import primary_dataset_label
 from repro.scenarios import scenario, scenario_names
 from repro.sweep import summarize_cell
 
@@ -41,13 +42,14 @@ def main() -> None:
 
     client_heavy = next(s for s in summaries if s["scenario"] == "client-heavy")
     diurnal = next(s for s in summaries if s["scenario"] == "diurnal-week")
-    label = primary_dataset_label(client_heavy)
+    label = primary_dataset_label(client_heavy["datasets"])
+    diurnal_label = primary_dataset_label(diurnal["datasets"])
     print(
         "The paper's central claim survives every regime: trimming dominates "
         f"closes (client-heavy at 600/900 watermarks: trim share "
         f"{client_heavy['churn'][label]['trim_share']:.2f}, average duration "
         f"{client_heavy['churn'][label]['avg_duration']:.0f} s vs. "
-        f"{diurnal['churn'][primary_dataset_label(diurnal)]['avg_duration']:.0f} s "
+        f"{diurnal['churn'][diurnal_label]['avg_duration']:.0f} s "
         "under relaxed 18k/20k watermarks)."
     )
 

@@ -37,6 +37,7 @@ from repro.core.netsize import (
     estimate_by_neighborhood_density,
     peer_connection_summaries,
 )
+from repro.core.records import primary_dataset_label
 from repro.libp2p.peer_id import PeerId
 
 #: neighbourhood size the density estimator reads (the go-ipfs bucket size)
@@ -48,13 +49,6 @@ _CLASS_ORDER = (
     PeerClassLabel.LIGHT,
     PeerClassLabel.ONE_TIME,
 )
-
-
-def _primary_label(result) -> Optional[str]:
-    for label in ("go-ipfs", "hydra"):
-        if label in result.datasets:
-            return label
-    return next(iter(sorted(result.datasets)), None)
 
 
 def _identity_target_key(result, label: Optional[str]) -> Optional[int]:
@@ -92,7 +86,7 @@ def attack_metrics(result) -> Optional[Dict]:
     stats = getattr(result, "adversary", None)
     if stats is None:
         return None
-    label = _primary_label(result)
+    label = primary_dataset_label(result.datasets)
     dataset = result.datasets[label] if label is not None else None
     attacker_pids = stats.attacker_pids
     honest_truth = len(result.population.honest())

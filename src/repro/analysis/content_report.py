@@ -3,8 +3,7 @@
 The content scenarios report a :class:`~repro.simulation.content.ContentRoutingStats`
 per run; this module reduces it to the deterministic, JSON-serialisable block
 the sweep CLI embeds in every cell summary — lookup success rates plus CDF
-quantiles of hop counts and simulated lookup latencies — and exposes the raw
-:class:`~repro.analysis.cdf.EmpiricalCDF` objects for plotting.
+quantiles of hop counts and simulated lookup latencies.
 
 Everything rounds to fixed precision so two identical runs serialise to
 byte-identical artifacts.
@@ -28,18 +27,6 @@ def quantile_block(values: Sequence[float], precision: int) -> Dict[str, float]:
     return {
         f"p{int(q * 100)}": round(cdf.quantile(q), precision) for q in QUANTILES
     }
-
-
-def hop_cdf(stats, kind: str = "retrieve") -> EmpiricalCDF:
-    """The hop-count CDF of a stats object (``kind``: retrieve | provide)."""
-    values = stats.retrieve_hops if kind == "retrieve" else stats.provide_hops
-    return EmpiricalCDF(values)
-
-
-def latency_cdf(stats, kind: str = "retrieve") -> EmpiricalCDF:
-    """The lookup-latency CDF of a stats object (``kind``: retrieve | provide)."""
-    values = stats.retrieve_latencies if kind == "retrieve" else stats.provide_latencies
-    return EmpiricalCDF(values)
 
 
 def content_metrics(stats) -> Optional[Dict]:

@@ -21,13 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.analysis.content_report import quantile_block
-
-
-def _primary_label(result) -> Optional[str]:
-    for label in ("go-ipfs", "hydra"):
-        if label in result.datasets:
-            return label
-    return next(iter(sorted(result.datasets)), None)
+from repro.core.records import primary_dataset_label
 
 
 def crawler_coverage(result) -> Optional[Dict]:
@@ -46,7 +40,7 @@ def crawler_coverage(result) -> Optional[Dict]:
     for snapshot in snapshots:
         discovered.update(snapshot.discovered)
         reachable.update(snapshot.reachable)
-    label = _primary_label(result)
+    label = primary_dataset_label(result.datasets)
     passive_pids = result.datasets[label].pid_count() if label is not None else 0
     return {
         "crawls": len(snapshots),

@@ -12,7 +12,7 @@ output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.attack_report import attack_headline
 from repro.analysis.reachability_report import reachability_headline
@@ -20,19 +20,11 @@ from repro.analysis.resilience_report import resilience_headline
 from repro.analysis.tables import TextTable, format_count
 from repro.analysis.trace_report import tracing_headline
 from repro.analysis.transfer_report import transfer_headline
+from repro.core.records import primary_dataset_label
 
 #: schema tags of the sweep artifacts (cell /4: causal-tracing block)
 CELL_SCHEMA = "repro-sweep-cell/4"
 SWEEP_SCHEMA = "repro-sweep/1"
-
-
-def primary_dataset_label(summary: Dict) -> Optional[str]:
-    """The dataset a cell is judged by: go-ipfs if deployed, else the hydra union."""
-    datasets = summary.get("datasets", {})
-    for label in ("go-ipfs", "hydra"):
-        if label in datasets:
-            return label
-    return next(iter(sorted(datasets)), None)
 
 
 def aggregate_payload(summaries: Sequence[Dict], failures: Sequence[Dict] = ()) -> Dict:
@@ -120,7 +112,7 @@ def aggregate_table(summaries: Sequence[Dict]) -> TextTable:
         title="Scenario sweep",
     )
     for summary in summaries:
-        label = primary_dataset_label(summary)
+        label = primary_dataset_label(summary["datasets"])
         counts = summary["datasets"].get(label, {}) if label else {}
         churn = summary.get("churn", {}).get(label, {}) if label else {}
         content = summary.get("content")

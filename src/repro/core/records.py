@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Collection, Dict, List, Optional, Sequence, Set
 
 from repro.libp2p.protocols import KAD_DHT, supports_bitswap
 
@@ -313,6 +313,15 @@ class MeasurementDataset:
         merged.changes.sort(key=lambda c: c.timestamp)
         merged.snapshots.sort(key=lambda s: s.timestamp)
         return merged
+
+
+def primary_dataset_label(labels: Collection[str]) -> Optional[str]:
+    """The dataset a run is judged by, out of its dataset labels (any mapping
+    keyed by them will do): go-ipfs if deployed, else the hydra union."""
+    for label in ("go-ipfs", "hydra"):
+        if label in labels:
+            return label
+    return min(labels, default=None)
 
 
 def _jsonable(value: object) -> object:

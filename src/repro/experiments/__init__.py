@@ -1,23 +1,18 @@
 """Experiment definitions: the paper's measurement periods and reference values.
 
-``periods`` maps the paper's Table I onto runnable scenario configurations
-(with population-scaled connection-manager watermarks; the scenario registry
-runs them as ``p0`` … ``p14``), ``paper_values`` holds every number the paper
-reports that the benchmarks compare against, and ``runner`` is the process
-pool the sweep fans its cells out over.
+``periods`` holds the paper's Table I as data plus the rule that scales
+connection-manager watermarks to a simulated population (the scenario catalog
+registers the rows as ``p0`` … ``p14``), and ``paper_values`` holds every
+number the paper reports that the benchmarks compare against.
 """
 
 from repro.experiments.paper_values import PAPER, PaperReference
-from repro.experiments.periods import PERIODS, PeriodSpec, period, scale_watermarks
-from repro.experiments.runner import bench_workers, run_cells
+from repro.experiments.periods import PERIODS, PeriodSpec, scale_watermarks
 
 __all__ = [
     "PAPER",
     "PaperReference",
     "PERIODS",
     "PeriodSpec",
-    "bench_workers",
-    "period",
-    "run_cells",
     "scale_watermarks",
 ]

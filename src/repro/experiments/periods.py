@@ -1,4 +1,4 @@
-"""The paper's measurement periods (Table I) as runnable scenario configs.
+"""The paper's measurement periods (Table I) as data, plus the watermark scaling rule.
 
 Table I of the paper:
 
@@ -17,10 +17,13 @@ P14     2022-03-29 – 2022-04-12  ~14 d     18k    20k    Server   –
 P02: a hydra with 3 heads and 1.2k/1.8k); we model them as one scenario with
 both vantage points.  "P14" is the additional ~14 day measurement behind Fig. 6.
 
-Because the simulated population is much smaller than the live network, the
-connection-manager watermarks are scaled by ``n_peers / 62'204`` (the paper's
-connected-PID count) so the *mechanism* — does the vantage point trim its own
-connections, and how aggressively — is preserved.
+Each row is registered as a runnable scenario (``p0`` … ``p14``) by
+:mod:`repro.scenarios.catalog`, whose builder takes the row's values as its
+``--set`` defaults.  Because the simulated population is much smaller than the
+live network, the connection-manager watermarks are scaled by
+``n_peers / 62'204`` (the paper's connected-PID count, :func:`scale_watermarks`)
+so the *mechanism* — does the vantage point trim its own connections, and how
+aggressively — is preserved.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
-from repro.simulation.churn_models import DAY
-from repro.simulation.population import PopulationConfig
-from repro.simulation.scenario import ScenarioConfig
 
 #: the paper's connected-PID count used as the watermark scaling denominator
 PAPER_SCALE_PIDS = 62_204
@@ -92,10 +91,10 @@ class PeriodSpec:
     duration_days: float
     low_water: int
     high_water: int
-    go_ipfs_mode: Optional[DHTMode]      # None: no go-ipfs vantage point
+    go_ipfs_mode: DHTMode
     hydra_heads: int
-    hydra_low_water: Optional[int] = None
-    hydra_high_water: Optional[int] = None
+    hydra_low_water: int = HYDRA_BASE_LOW_WATER
+    hydra_high_water: int = HYDRA_BASE_HIGH_WATER
     run_crawler: bool = True
     #: compressed duration used by the benchmark harness (simulated days);
     #: ``None`` means "use the paper's duration"
@@ -104,59 +103,12 @@ class PeriodSpec:
     bench_peers: int = 1500
 
     @property
-    def duration_seconds(self) -> float:
-        return self.duration_days * DAY
-
-    @property
     def bench_days(self) -> float:
         """The duration a run gets when none is asked for: the compressed
         benchmark duration where the period has one, else the paper's."""
         if self.bench_duration_days is not None:
             return self.bench_duration_days
         return self.duration_days
-
-    def scaled_watermarks(self, n_peers: int) -> Tuple[int, int]:
-        """Scale the Table I watermarks to the simulated population size."""
-        return scale_watermarks(self.low_water, self.high_water, n_peers)
-
-    def scaled_hydra_watermarks(self, n_peers: int) -> Tuple[int, int]:
-        low = HYDRA_BASE_LOW_WATER if self.hydra_low_water is None else self.hydra_low_water
-        high = HYDRA_BASE_HIGH_WATER if self.hydra_high_water is None else self.hydra_high_water
-        return scale_watermarks(low, high, n_peers)
-
-    def scenario_config(
-        self,
-        n_peers: Optional[int] = None,
-        seed: int = 7,
-        duration_days: Optional[float] = None,
-        run_crawler: Optional[bool] = None,
-    ) -> ScenarioConfig:
-        """Build a :class:`ScenarioConfig` for this period.
-
-        ``duration_days`` overrides the period duration (benchmarks compress the
-        multi-day periods; tests shrink them much further).
-        """
-        peers = n_peers if n_peers is not None else self.bench_peers
-        days = duration_days if duration_days is not None else self.bench_days
-        low, high = self.scaled_watermarks(peers)
-        go_ipfs_config: Optional[IpfsConfig] = None
-        if self.go_ipfs_mode is not None:
-            go_ipfs_config = IpfsConfig(
-                low_water=low,
-                high_water=high,
-                dht_mode=self.go_ipfs_mode,
-            )
-        hydra_low, hydra_high = self.scaled_hydra_watermarks(peers)
-        return ScenarioConfig(
-            duration=days * DAY,
-            population=PopulationConfig.scaled_to_paper(peers, seed=seed),
-            go_ipfs=go_ipfs_config,
-            hydra_heads=self.hydra_heads,
-            hydra_low_water=hydra_low if self.hydra_heads else None,
-            hydra_high_water=hydra_high if self.hydra_heads else None,
-            run_crawler=self.run_crawler if run_crawler is None else run_crawler,
-            seed=seed,
-        )
 
 
 PERIODS: Dict[str, PeriodSpec] = {
@@ -234,10 +186,3 @@ PERIODS: Dict[str, PeriodSpec] = {
     ),
 }
 
-
-def period(period_id: str) -> PeriodSpec:
-    """Look up a period spec by its paper name (``"P0"`` ... ``"P4"``, ``"P14"``)."""
-    try:
-        return PERIODS[period_id]
-    except KeyError:
-        raise KeyError(f"unknown measurement period: {period_id!r}") from None

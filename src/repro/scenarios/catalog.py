@@ -2,9 +2,9 @@
 
 Seven families are registered at import time:
 
-* the six paper measurement periods (``p0`` … ``p4``, ``p14``), thin wrappers
-  around :mod:`repro.experiments.periods` so the sweep CLI can run Table I
-  rows by name,
+* the six paper measurement periods (``p0`` … ``p4``, ``p14``), one entry per
+  Table I row of :mod:`repro.experiments.periods` with the row's watermarks,
+  hydra head count and crawler switch as its ``--set`` defaults,
 * six stress scenarios that exercise churn regimes the paper's live
   measurement could not control: flash crowds, diurnal weeks, correlated mass
   outages, client-heavy populations, hydra head scaling, and the active
@@ -32,18 +32,18 @@ Seven families are registered at import time:
   relayed plurality on starved uplinks, a provider hotspot saturating its
   uplink, and a mixed-size catalog spreading transfer percentiles.
 
-Like Table I, everything below the paper periods is a set of *deltas* over one
-deployment: each scenario is a small builder that computes the fields it
-changes and hands them to :func:`_compose`, the only place a
-:class:`ScenarioConfig` is assembled.  The :func:`_entry` decorator registers
-the builder (600 peers x 0.5 d unless it says otherwise) and derives the
-spec's ``knobs`` — what ``--list`` shows and ``--set`` accepts — from the
-builder's own keyword parameters, so the two cannot drift apart.
+Like Table I, every entry is a set of *deltas* over one deployment: each
+scenario is a small builder that computes the fields it changes and hands
+them to :func:`_compose`, the only place a :class:`ScenarioConfig` is
+assembled.  The :func:`_entry` decorator registers the builder (600 peers x
+0.5 d unless it says otherwise) and derives the spec's ``knobs`` — what
+``--list`` shows and ``--set`` accepts — from the builder's own keyword
+parameters, so the two cannot drift apart.
 
-Every scenario derives its connection-manager watermarks through the same
-:func:`repro.experiments.periods.scale_watermarks` helper the paper periods
-use (2000/4000 scaled unless the description says otherwise), so watermark
-mechanics stay comparable across the catalog.  Content and adversarial
+Every scenario derives its connection-manager watermarks through
+:func:`repro.experiments.periods.scale_watermarks` (2000/4000 scaled unless
+the description or a knob says otherwise), so watermark mechanics stay
+comparable across the catalog.  Content and adversarial
 scenarios derive their workload intervals and attack windows from the
 scenario duration, so even heavily compressed sweep cells run the whole
 publish → resolve → expire (and join → attack → distort) cycle.  The
@@ -69,6 +69,7 @@ from repro.experiments.periods import (
     HYDRA_BASE_HIGH_WATER,
     HYDRA_BASE_LOW_WATER,
     PERIODS,
+    PeriodSpec,
     scale_watermarks,
 )
 from repro.faults.config import (
@@ -117,6 +118,7 @@ def _compose(
     seed: int,
     *,
     watermarks: Optional[tuple] = (2_000, 4_000),
+    dht_mode: DHTMode = DHTMode.SERVER,
     population: Optional[dict] = None,
     content: Optional[dict] = None,
     crawler: bool = False,
@@ -124,8 +126,8 @@ def _compose(
 ) -> ScenarioConfig:
     """Assemble one catalog scenario from its deltas over the base deployment.
 
-    The base is the paper-calibrated population in front of a DHT-Server
-    go-ipfs vantage point.  ``watermarks`` are its unscaled connection-manager
+    The base is the paper-calibrated population in front of a go-ipfs vantage
+    point in ``dht_mode``.  ``watermarks`` are its unscaled connection-manager
     watermarks (``None``: no go-ipfs node is deployed), ``population`` holds
     :class:`PopulationConfig` field deltas, ``content`` the
     :func:`_content_workload` keyword deltas (``None``: no workload, ``{}``:
@@ -136,7 +138,7 @@ def _compose(
     go_ipfs = None
     if watermarks is not None:
         low, high = scale_watermarks(*watermarks, n_peers)
-        go_ipfs = IpfsConfig(low_water=low, high_water=high, dht_mode=DHTMode.SERVER)
+        go_ipfs = IpfsConfig(low_water=low, high_water=high, dht_mode=dht_mode)
     if crawler:
         # Crawl often enough that at least one crawl lands inside a burst
         # even for heavily compressed sweep durations.
@@ -154,9 +156,9 @@ def _compose(
 
 
 def _entry(
-    name: str, description: str, *tags: str, days: float = 0.5
+    name: str, description: str, *tags: str, peers: int = 600, days: float = 0.5
 ) -> Callable[[ScenarioBuilder], ScenarioBuilder]:
-    """Register the decorated builder as scenario ``name`` (600 peers x ``days``).
+    """Register the decorated builder as scenario ``name`` (``peers`` x ``days``).
 
     The spec's ``knobs`` are the builder's override parameters with their live
     defaults, i.e. exactly the keys ``--set`` accepts; the regime's fixed
@@ -171,7 +173,7 @@ def _entry(
                 description=description,
                 builder=builder,
                 tags=tags,
-                default_peers=600,
+                default_peers=peers,
                 default_duration_days=days,
                 knobs=knobs,
             )
@@ -190,37 +192,49 @@ def _attackers(count: Optional[int], n_peers: int, share: float, floor: int) -> 
 # -- the paper's measurement periods ------------------------------------------------
 
 
-def _register_paper_periods() -> None:
-    for period_id, spec in PERIODS.items():
-        if spec.go_ipfs_mode is None:
-            vantage = "hydra only"
-        else:
-            vantage = "Server" if spec.go_ipfs_mode is DHTMode.SERVER else "Client"
-        register(
-            ScenarioSpec(
-                name=period_id.lower(),
-                description=(
-                    f"Paper period {period_id} ({spec.start_date} – {spec.end_date}, "
-                    f"watermarks {spec.low_water}/{spec.high_water})"
-                ),
-                builder=lambda peers, days, seed, _spec=spec: _spec.scenario_config(
-                    n_peers=peers, duration_days=days, seed=seed
-                ),
-                tags=("paper",),
-                default_peers=spec.bench_peers,
-                default_duration_days=spec.bench_days,
-                knobs={
-                    "low_water": spec.low_water,
-                    "high_water": spec.high_water,
-                    "go_ipfs": vantage,
-                    "hydra_heads": spec.hydra_heads,
-                    "crawler": spec.run_crawler,
-                },
+def _register_period(row: PeriodSpec) -> None:
+    """Register one Table I row; the row's values are its knob defaults."""
+
+    @_entry(
+        row.period_id.lower(),
+        f"Paper period {row.period_id} ({row.start_date} – {row.end_date}): a "
+        f"DHT-{row.go_ipfs_mode.value.capitalize()} go-ipfs vantage point; hydra watermarks "
+        f"{row.hydra_low_water}/{row.hydra_high_water} scaled; the crawler, when on, every 8 h",
+        "paper",
+        peers=row.bench_peers,
+        days=row.bench_days,
+    )
+    def build(
+        n_peers: int,
+        duration_days: float,
+        seed: int,
+        low_water: int = row.low_water,
+        high_water: int = row.high_water,
+        hydra_heads: int = row.hydra_heads,
+        crawler: bool = row.run_crawler,
+    ) -> ScenarioConfig:
+        hydra_low = hydra_high = None
+        if hydra_heads:
+            hydra_low, hydra_high = scale_watermarks(
+                row.hydra_low_water, row.hydra_high_water, n_peers
             )
+        # run_crawler, not _compose(crawler=True): the periods crawl at the
+        # paper's 8 h interval, not every third of the window.
+        return _compose(
+            n_peers,
+            duration_days,
+            seed,
+            watermarks=(low_water, high_water),
+            dht_mode=row.go_ipfs_mode,
+            hydra_heads=hydra_heads,
+            hydra_low_water=hydra_low,
+            hydra_high_water=hydra_high,
+            run_crawler=crawler,
         )
 
 
-_register_paper_periods()
+for _row in PERIODS.values():
+    _register_period(_row)
 
 
 # -- stress scenarios ---------------------------------------------------------------

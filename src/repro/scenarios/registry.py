@@ -9,10 +9,9 @@ scenarios by name through this registry, so a new workload is one
 of the builder is an override key (``--set key=value``), validated here by
 name and by annotated type.
 
-The catalog module registers the six paper measurement periods plus the
-stress scenarios at import time; :func:`run_scenario_by_name` is the
-module-level (and therefore picklable) unit of work the process-parallel
-sweep runner fans out.
+The catalog module registers the six paper measurement periods and the
+other scenario families at import time, all through the same builder
+skeleton; :func:`run_scenario_by_name` builds and runs one by name.
 """
 
 from __future__ import annotations
@@ -51,9 +50,7 @@ def override_parameters(builder: ScenarioBuilder) -> Dict[str, inspect.Parameter
     """The override keys a builder exposes: every keyword parameter after the
     ``(n_peers, duration_days, seed)`` triple.
 
-    Parameters named with a leading underscore are builder-internal plumbing
-    (e.g. the default-bound spec of a registered lambda) and are not
-    overridable.  Annotations come back evaluated (``float``, not
+    Annotations come back evaluated (``float``, not
     ``"float"``), which is what :meth:`ScenarioSpec.validate_overrides` checks
     values against.
     """
@@ -65,7 +62,7 @@ def override_parameters(builder: ScenarioBuilder) -> Dict[str, inspect.Parameter
     return {
         param.name: param
         for param in params[3:]
-        if param.kind in keyword_kinds and not param.name.startswith("_")
+        if param.kind in keyword_kinds
     }
 
 
@@ -80,8 +77,8 @@ class ScenarioSpec:
     tags: Tuple[str, ...] = ()
     default_peers: int = 500
     default_duration_days: float = 0.25
-    #: rendered by ``--list``: a catalog scenario's override keys with their
-    #: defaults (derived from the builder), a paper period's Table I columns
+    #: rendered by ``--list``: the override keys with their defaults (the
+    #: catalog derives them from the builder's keyword parameters)
     knobs: Mapping[str, object] = field(default_factory=dict)
 
     def override_keys(self) -> List[str]:
@@ -192,10 +189,5 @@ def run_scenario_by_name(
     seed: int = 7,
     overrides: Optional[Mapping[str, object]] = None,
 ) -> ScenarioResult:
-    """Build and run one registered scenario.
-
-    Module-level so the process-parallel sweep runner can ship
-    ``(name, peers, days, seed, overrides)`` tuples to workers instead of
-    pickling configs with closures in them.
-    """
+    """Build and run one registered scenario."""
     return _run(build_scenario_config(name, n_peers, duration_days, seed, overrides))

@@ -2,12 +2,14 @@
 
 Runs every combination of the requested scenarios × seeds × population sizes
 through the registry, one simulation per cell, optionally fanned out over
-worker processes.  Each cell writes one JSON summary; the sweep writes an
-aggregate JSON plus a rendered table.  A cell that raises does not abort the
-sweep: the remaining cells still run, the failure is reported in the
-artifacts and on stderr, and the CLI exits nonzero.  All artifacts are
-deterministic — no timestamps, no wall-clock fields — so two sweeps with the
-same flags produce byte-identical files.
+``--workers`` processes (every cell is simulated single-threaded and
+independently seeded, so the pool changes wall time only — never results).
+Each cell writes one JSON summary; the sweep writes an aggregate JSON plus a
+rendered table.  A cell that raises does not abort the sweep: the remaining
+cells still run, the failure is reported in the artifacts and on stderr, and
+the CLI exits nonzero.  All artifacts are deterministic — no timestamps, no
+wall-clock fields — so two sweeps with the same flags produce byte-identical
+files.
 
 Sweeps checkpoint as they go: a manifest of content-addressed cells
 (``sweep_manifest.json``) is written before any simulation and every cell
@@ -21,8 +23,9 @@ Examples::
     python -m repro.sweep --list
     python -m repro.sweep --scenarios p1,flash-crowd --seeds 7,8 \\
         --peers 50 --duration 0.02d
-    REPRO_BENCH_WORKERS=4 python -m repro.sweep \\
+    python -m repro.sweep --workers 4 \\
         --scenarios p0,p1,p2,p3,p4,p14 --seeds 7 --peers 400 --duration 0.1d
+    python -m repro.sweep --scenarios p2 --set low_water=600 --set high_water=900
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -37,6 +41,7 @@ import shlex
 import sys
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.attack_report import attack_metrics
@@ -54,11 +59,10 @@ from repro.analysis.trace_report import tracing_metrics
 from repro.analysis.transfer_report import transfer_metrics
 from repro.artifacts import TMP_SUFFIX, atomic_write
 from repro.core.churn import connection_statistics, trim_share
-from repro.experiments.runner import run_cells
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
 from repro.obs.progress import PROGRESS_ENV
-from repro.scenarios import run_scenario_by_name, scenario, scenarios
+from repro.scenarios import scenario, scenarios
 from repro.scenarios.registry import (
     OverrideTypeError,
     UnknownOverrideError,
@@ -185,23 +189,18 @@ def summarize_cell(
     spec = scenario(name)
     peers = n_peers if n_peers is not None else spec.default_peers
     days = duration_days if duration_days is not None else spec.default_duration_days
-    if metrics_window is None and trace_sample is None:
-        result = run_scenario_by_name(
-            name, n_peers=peers, duration_days=days, seed=seed, overrides=overrides
-        )
-    else:
-        config = build_scenario_config(
-            name, n_peers=peers, duration_days=days, seed=seed, overrides=overrides
-        )
-        population = config.population
-        if metrics_window is not None:
-            obs = ObsConfig(window=metrics_window, jsonl_path=metrics_path)
-            population = dataclasses.replace(population, obs=obs)
-        if trace_sample is not None:
-            trace = TraceConfig(sample=trace_sample, jsonl_path=trace_path)
-            population = dataclasses.replace(population, trace=trace)
+    config = build_scenario_config(
+        name, n_peers=peers, duration_days=days, seed=seed, overrides=overrides
+    )
+    telemetry = {}
+    if metrics_window is not None:
+        telemetry["obs"] = ObsConfig(window=metrics_window, jsonl_path=metrics_path)
+    if trace_sample is not None:
+        telemetry["trace"] = TraceConfig(sample=trace_sample, jsonl_path=trace_path)
+    if telemetry:
+        population = dataclasses.replace(config.population, **telemetry)
         config = dataclasses.replace(config, population=population)
-        result = run_scenario(config)
+    result = run_scenario(config)
     return summarize_result(spec.name, peers, days, seed, result, overrides=overrides)
 
 
@@ -450,7 +449,7 @@ def run_sweep(
     peers_list: Sequence[Optional[int]],
     duration_days: Optional[float],
     out_dir: str,
-    workers: Optional[int] = None,
+    workers: int = 1,
     force: bool = False,
     resume: bool = False,
     overrides: Optional[Dict] = None,
@@ -462,11 +461,13 @@ def run_sweep(
 
     Returns ``(summaries, failures)``.  Cell order (and therefore aggregate
     order) is scenarios × populations × seeds as given — deterministic for a
-    given flag set even when the cells themselves run in parallel workers.
-    A non-empty ``out_dir`` is refused unless ``force`` or ``resume`` is set:
-    ``force`` deletes the previous run's artifacts (``*.json``, ``*.jsonl``,
-    ``sweep_table.txt``, and any ``*.tmp`` a killed write left) up front, so
-    a re-run can never silently mix stale and fresh cell JSON; ``resume``
+    given flag set even when the cells themselves run in a pool of ``workers``
+    processes (more than one cell and more than one worker; otherwise they
+    run in this process).  A non-empty ``out_dir`` is refused unless ``force``
+    or ``resume`` is set: ``force`` deletes the previous run's artifacts
+    (``*.json``, ``*.jsonl``, ``sweep_table.txt``, and any ``*.tmp`` a killed
+    write left) up front, so a re-run can never silently mix stale and fresh
+    cell JSON; ``resume``
     instead reuses every completed cell whose content address matches the
     manifest of the interrupted run and only simulates the rest.  Cell
     summaries are written to disk as they complete (checkpointing), and the
@@ -545,22 +546,25 @@ def run_sweep(
 
     show_progress = sys.stderr.isatty() if progress is None else progress
     started = time.perf_counter()
-    heartbeat = {"cells": 0, "events": 0}
+    outcomes: List[Dict] = []
+    events = 0
 
-    def _checkpoint(position: int, outcome: Dict) -> None:
-        heartbeat["cells"] += 1
-        heartbeat["events"] += int(outcome.get("events_processed", 0) or 0)
+    def _checkpoint(outcome: Dict) -> None:
+        """Called in cell order as results arrive: a killed run has every
+        completed prefix cell on disk, which is all ``--resume`` needs."""
+        nonlocal events
+        outcomes.append(outcome)
+        events += int(outcome.get("events_processed", 0) or 0)
         if "error" not in outcome:
             _write_json(os.path.join(out_dir, cell_filename(outcome)), outcome)
         if show_progress:
             # Heartbeat only — wall-clock never reaches the artifacts.
             elapsed = max(time.perf_counter() - started, 1e-9)
-            remaining = len(todo) - heartbeat["cells"]
-            eta = elapsed / heartbeat["cells"] * remaining
+            eta = elapsed / len(outcomes) * (len(todo) - len(outcomes))
             print(
-                f"sweep: {heartbeat['cells'] + len(completed)}/{len(planned)} cells  "
-                f"{format_count(heartbeat['events'])} events  "
-                f"{format_count(int(heartbeat['events'] / elapsed))} ev/s  "
+                f"sweep: {len(outcomes) + len(completed)}/{len(planned)} cells  "
+                f"{format_count(events)} events  "
+                f"{format_count(int(events / elapsed))} ev/s  "
                 f"ETA {eta:.0f}s",
                 file=sys.stderr,
             )
@@ -572,9 +576,15 @@ def run_sweep(
     if show_progress:
         os.environ[PROGRESS_ENV] = "1"
     try:
-        outcomes: List[Dict] = run_cells(
-            summarize_cell_safe, cells, workers, on_result=_checkpoint
-        )
+        if workers > 1 and len(cells) > 1:
+            # Results come back in cell order whichever worker finishes first
+            # (a slow early cell delays the checkpoints of later ones).
+            with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+                for outcome in pool.map(summarize_cell_safe, *zip(*cells)):
+                    _checkpoint(outcome)
+        else:
+            for outcome in itertools.starmap(summarize_cell_safe, cells):
+                _checkpoint(outcome)
     finally:
         if show_progress:
             if env_before is None:
@@ -600,7 +610,7 @@ def run_sweep(
 
 def catalog_table(tag: Optional[str] = None) -> TextTable:
     """The ``--list`` output: registered scenarios (optionally one tag) and
-    their knobs — for catalog scenarios the ``--set`` keys with their defaults."""
+    their knobs — each scenario's ``--set`` keys with their defaults."""
     title = "Registered scenarios" if tag is None else f"Registered scenarios [{tag}]"
     table = TextTable(
         headers=["Name", "Tags", "Peers", "Days", "Description", "Knobs"],
@@ -669,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: REPRO_BENCH_WORKERS or 1)",
+        "--workers", type=int, default=1,
+        help="worker processes to fan the cells out over (default: 1, in this process)",
     )
     parser.add_argument(
         "--metrics", action="store_true",
@@ -747,15 +757,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not names or not args.seeds:
         parser.error("need at least one scenario and one seed")
     for flag, values in (
-        ("--scenarios", names), ("--seeds", args.seeds), ("--peers", peers_list)
+        ("--scenarios", names),
+        ("--seeds", args.seeds),
+        ("--peers", peers_list),
+        ("--set", [key for key, _value in args.overrides]),
     ):
         repeated = sorted({str(v) for v in values if values.count(v) > 1})
         if repeated:
             # A repeated value is the same cell run (and counted) again, and
-            # with --workers two processes writing one file.
+            # with --workers two processes writing one file; a repeated --set
+            # key would silently run only its last value.
             parser.error(f"{flag} repeats {', '.join(repeated)}")
     if args.force and args.resume:
         parser.error("--force and --resume are mutually exclusive")
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     overrides: Dict[str, object] = dict(args.overrides)
     metrics_window: Optional[float] = None
     if args.metrics or args.metrics_window is not None:

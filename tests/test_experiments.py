@@ -1,11 +1,11 @@
-"""Tests for the experiment definitions (periods, paper values, runner)."""
+"""Tests for the experiment definitions (Table I periods, paper values)."""
 
 import pytest
 
 from repro.experiments.paper_values import PAPER
-from repro.experiments.periods import PERIODS, period
+from repro.experiments.periods import PERIODS, scale_watermarks
 from repro.kademlia.dht import DHTMode
-from repro.scenarios import run_scenario_by_name, scenario
+from repro.scenarios import build_scenario_config, run_scenario_by_name, scenario
 from repro.simulation.churn_models import DAY
 
 
@@ -60,37 +60,35 @@ class TestPeriodSpecs:
         assert PERIODS["P14"].duration_days == 14.0
 
     def test_unknown_period_rejected(self):
-        with pytest.raises(KeyError):
-            period("P9")
+        with pytest.raises(KeyError, match="P9"):
+            build_scenario_config("P9")
 
     def test_watermark_scaling_preserves_ordering(self):
         spec = PERIODS["P0"]
-        low_small, high_small = spec.scaled_watermarks(600)
-        low_large, high_large = spec.scaled_watermarks(6_000)
+        low_small, high_small = scale_watermarks(spec.low_water, spec.high_water, 600)
+        low_large, high_large = scale_watermarks(spec.low_water, spec.high_water, 6_000)
         assert low_small < high_small
         assert low_large < high_large
         assert low_large > low_small
         # P2's scaled watermarks always exceed P0's at the same population
-        p2_low, _ = PERIODS["P2"].scaled_watermarks(600)
+        p2_low, _ = scale_watermarks(PERIODS["P2"].low_water, PERIODS["P2"].high_water, 600)
         assert p2_low > low_small
 
     def test_scenario_config_reflects_period(self):
-        config = PERIODS["P3"].scenario_config(n_peers=400, duration_days=0.5)
+        config = build_scenario_config("p3", n_peers=400, duration_days=0.5)
         assert config.duration == pytest.approx(0.5 * DAY)
         assert config.go_ipfs.dht_mode is DHTMode.CLIENT
         assert config.hydra_heads == 0
-        config_p0 = PERIODS["P0"].scenario_config(n_peers=400)
+        config_p0 = build_scenario_config("p0", n_peers=400)
         assert config_p0.hydra_heads == 3
         assert config_p0.go_ipfs.low_water < config_p0.go_ipfs.high_water
-
-    def test_duration_seconds(self):
-        assert PERIODS["P4"].duration_seconds == pytest.approx(3 * DAY)
 
     def test_bench_days_is_the_one_default_duration(self):
         assert PERIODS["P0"].bench_days == 1.5  # compressed from the paper's 3 d
         assert PERIODS["P1"].bench_days == 1.0  # no compression: the paper's own
         for period_id, spec in PERIODS.items():
-            assert spec.scenario_config(n_peers=50).duration == spec.bench_days * DAY
+            config = build_scenario_config(period_id, n_peers=50)
+            assert config.duration == spec.bench_days * DAY
             assert scenario(period_id).default_duration_days == spec.bench_days
 
 

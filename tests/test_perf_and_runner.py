@@ -6,11 +6,8 @@ overhaul (cached keys, heap-based routing lookups, O(1) network bookkeeping)
 must not change a single count.
 """
 
-from repro.experiments.periods import period
-from repro.experiments.runner import bench_workers, run_cells
 from repro.scenarios import run_scenario_by_name
-from repro.simulation.scenario import run_scenario
-from repro.sweep import dataset_counts
+from repro.sweep import dataset_counts, run_sweep
 
 
 def _counts(result):
@@ -40,10 +37,10 @@ class TestDeterminism:
     }
 
     def test_fixed_seed_matches_seed_implementation(self):
-        config = period("P1").scenario_config(
-            n_peers=300, duration_days=0.25, seed=11, run_crawler=False
+        result = run_scenario_by_name(
+            "p1", n_peers=300, duration_days=0.25, seed=11, overrides={"crawler": False}
         )
-        assert _counts(run_scenario(config)) == self.GOLDEN
+        assert _counts(result) == self.GOLDEN
 
     def test_fixed_seed_is_reproducible_across_runs(self):
         kwargs = dict(n_peers=200, duration_days=0.1, seed=5)
@@ -60,23 +57,18 @@ class TestDeterminism:
 
 
 class TestParallelRunner:
-    def test_bench_workers_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-        assert bench_workers() == 1
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "4")
-        assert bench_workers() == 4
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "0")
-        assert bench_workers() == 1
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "nonsense")
-        assert bench_workers() == 1
-
-    def test_run_cells_parallel_matches_sequential(self):
-        cells = [("p1", 100, 0.05, 13), ("p3", 100, 0.05, 13)]
-        sequential = run_cells(run_scenario_by_name, cells, workers=1)
-        parallel = run_cells(run_scenario_by_name, cells, workers=2)
-        assert len(sequential) == len(parallel) == 2
+    def test_run_sweep_parallel_matches_serial(self, tmp_path):
+        names = ["p1", "p3"]
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            summaries, failures = run_sweep(names, [13], [100], 0.05, str(out), workers=workers)
+            assert [s["scenario"] for s in summaries] == names and not failures
+            runs[workers] = summaries
         # identical simulations, in input order: the pool changes wall time only
-        for seq, par in zip(sequential, parallel):
-            assert seq.events_processed == par.events_processed > 0
-            assert dataset_counts(seq) == dataset_counts(par)
-        assert "hydra" in sequential[0].datasets and "hydra" not in sequential[1].datasets
+        for name in ("sweep_summary.json", "p1__n100__s13.json", "p3__n100__s13.json"):
+            assert (tmp_path / "workers1" / name).read_bytes() == (
+                tmp_path / "workers2" / name
+            ).read_bytes()
+        assert runs[1][0]["events_processed"] > 0
+        assert "hydra" in runs[1][0]["datasets"] and "hydra" not in runs[1][1]["datasets"]

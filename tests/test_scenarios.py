@@ -7,13 +7,16 @@ be deliberate and explained — the same contract the P1 golden in
 ``test_perf_and_runner.py`` enforces for the core.
 """
 
+import dataclasses
 import json
 import operator
 import random
 
 import pytest
 
+from repro.crawler.monitor import DEFAULT_CRAWL_INTERVAL
 from repro.experiments.periods import PERIODS, scale_watermarks
+from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
 from repro.scenarios import (
     ScenarioSpec,
@@ -27,6 +30,7 @@ from repro.scenarios import (
 from repro.scenarios.catalog import LARGE_BLOCK_CLASSES, MIXED_BLOCK_CLASSES
 from repro.scenarios.registry import OverrideTypeError
 from repro.simulation.churn_models import (
+    DAY,
     DiurnalChurnModel,
     FlashCrowdChurnModel,
     MassOutageChurnModel,
@@ -130,14 +134,23 @@ class TestRegistry:
             assert spec.description
             assert spec.default_peers > 0
             assert spec.default_duration_days > 0
-            if "paper" in spec.tags:
-                # Table I columns, not overridable: the period is the spec.
-                assert spec.knobs and spec.override_keys() == []
-                continue
             # The Knobs column *is* the --set key list, with live defaults.
             assert set(spec.knobs) == set(spec.override_keys())
             defaults = {k: v for k, v in spec.knobs.items() if v is not None}
             assert spec.validate_overrides(defaults) == defaults
+
+    def test_listed_defaults_are_the_defaults(self):
+        # Passing a spec's printed defaults back as overrides changes nothing.
+        def comparable(config):
+            # a flash-crowd churn factory is a fresh closure per build
+            population = dataclasses.replace(config.population, churn_model_factory=None)
+            return dataclasses.replace(config, population=population)
+
+        for spec in scenarios():
+            defaults = {k: v for k, v in spec.knobs.items() if v is not None}
+            assert comparable(spec.build(60, 0.05, overrides=defaults)) == comparable(
+                spec.build(60, 0.05)
+            )
 
     def test_catalog_cells_default_to_600_peers_half_a_day(self):
         for spec in scenarios():
@@ -147,11 +160,38 @@ class TestRegistry:
             assert (spec.default_peers, spec.default_duration_days) == (600, expected_days)
 
     def test_period_entries_match_period_specs(self):
-        config = build_scenario_config("p3", n_peers=120, duration_days=0.05)
-        reference = PERIODS["P3"].scenario_config(n_peers=120, duration_days=0.05)
-        assert config.go_ipfs == reference.go_ipfs
-        assert config.hydra_heads == reference.hydra_heads
-        assert config.duration == reference.duration
+        for period_id, row in PERIODS.items():
+            spec = scenario(period_id)
+            assert (spec.default_peers, spec.default_duration_days) == (
+                row.bench_peers,
+                row.bench_days,
+            )
+            assert spec.knobs == {
+                "low_water": row.low_water,
+                "high_water": row.high_water,
+                "hydra_heads": row.hydra_heads,
+                "crawler": row.run_crawler,
+            }
+            for n_peers in (60, 600, 6000):
+                config = spec.build(n_peers, 0.05)
+                low, high = scale_watermarks(row.low_water, row.high_water, n_peers)
+                assert config.go_ipfs == IpfsConfig(
+                    low_water=low, high_water=high, dht_mode=row.go_ipfs_mode
+                )
+                assert config.duration == 0.05 * DAY
+                assert config.hydra_heads == row.hydra_heads
+                assert config.run_crawler == row.run_crawler
+                assert config.crawl_interval == DEFAULT_CRAWL_INTERVAL
+        p0 = build_scenario_config("p0", n_peers=600)
+        assert (p0.hydra_low_water, p0.hydra_high_water) == scale_watermarks(1_200, 1_800, 600)
+        p4 = build_scenario_config("p4", n_peers=600)
+        assert (p4.hydra_heads, p4.hydra_low_water, p4.hydra_high_water) == (0, None, None)
+
+    def test_a_period_with_another_periods_thresholds(self):
+        tight = {"low_water": 600, "high_water": 900}
+        p2_as_p0 = build_scenario_config("p2", n_peers=300, overrides=tight)
+        assert p2_as_p0.go_ipfs == build_scenario_config("p0", n_peers=300).go_ipfs
+        assert p2_as_p0.hydra_heads == 2  # everything else stays P2's
 
 
 class TestStressScenarioConfigs:
@@ -367,6 +407,9 @@ class TestAdversaryScenarioConfigs:
         assert [p.peer_class for p in twin] == [p.peer_class for p in honest]
 
 
+PERIOD_NAMES = [period_id.lower() for period_id in PERIODS]
+
+
 def _doubled(classes):
     return tuple((2 * size, weight) for size, weight in classes)
 
@@ -392,6 +435,10 @@ class TestOverridesReachTheirField:
         "slow_share": "population.faults.slow.share",
         "size_scale": "content.block_size_classes",
         "uplink_scale": "population.bandwidth.uplink_scale",
+        "low_water": "go_ipfs.low_water",
+        "high_water": "go_ipfs.high_water",
+        "hydra_heads": "hydra_heads",
+        "crawler": "run_crawler",
     }
     #: (scenario, override key, non-default value, what lands in the field)
     TARGETS = [
@@ -417,6 +464,13 @@ class TestOverridesReachTheirField:
         ("provider-hotspot", "size_scale", 2.0, _doubled(LARGE_BLOCK_CLASSES)),
         ("mixed-size-catalog", "size_scale", 2.0, _doubled(MIXED_BLOCK_CLASSES)),
         ("mixed-size-catalog", "uplink_scale", 0.5, 0.5),
+        # the Table I knobs of the six paper periods; at 6 000 peers the shared
+        # rule scales LowWater 500 to 193 and HighWater 90 000 to 34 724
+        *((name, "low_water", 500, 193) for name in PERIOD_NAMES),
+        *((name, "high_water", 90_000, 34_724) for name in PERIOD_NAMES),
+        *((name, "hydra_heads", 5, 5) for name in PERIOD_NAMES),
+        # flipped: only P14 runs without the crawler
+        *((name, "crawler", name == "p14", name == "p14") for name in PERIOD_NAMES),
     ]
 
     def test_table_covers_every_override_key(self):
@@ -428,9 +482,10 @@ class TestOverridesReachTheirField:
     )
     def test_override_lands_in_its_field(self, name, key, value, landed):
         field = operator.attrgetter(self.FIELD[key])
-        plain = build_scenario_config(name, n_peers=120, duration_days=0.05)
+        # large enough that no scaled watermark sits on its floor of 20
+        plain = build_scenario_config(name, n_peers=6_000, duration_days=0.05)
         config = build_scenario_config(
-            name, n_peers=120, duration_days=0.05, overrides={key: value}
+            name, n_peers=6_000, duration_days=0.05, overrides={key: value}
         )
         assert field(config) == landed
         assert field(plain) != landed
@@ -445,6 +500,14 @@ class TestOverrideValueTypes:
         ("mixed-size-catalog", "size_scale", "abc", "float"),
         ("sybil-netsize-inflation", "sybil_count", 2.5, "int"),
         ("sybil-netsize-inflation", "sybil_count", False, "int"),
+        ("p1", "low_water", 1.5, "int"),
+        ("p1", "crawler", 1, "bool"),
+    ]
+    #: well-typed but out of range: (overrides, the field the error names)
+    OUT_OF_RANGE = [
+        ({"high_water": 1_000}, "high_water"),  # below p1's LowWater of 2 000
+        ({"low_water": 0}, "low_water"),
+        ({"hydra_heads": -1}, "hydra_heads"),
     ]
 
     @pytest.mark.parametrize("name,key,value,expected", BAD)
@@ -462,6 +525,11 @@ class TestOverrideValueTypes:
         err = capsys.readouterr().err
         assert name in err and key in err and expected in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("overrides,field", OUT_OF_RANGE)
+    def test_out_of_range_period_knobs_fail_the_build(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            build_scenario_config("p1", n_peers=40, duration_days=0.01, overrides=overrides)
 
     def test_an_int_is_a_valid_float(self, tmp_path):
         contents = [
@@ -503,14 +571,7 @@ class TestScenarioConfigValidation:
 
 
 class TestScaleWatermarksHelper:
-    """Satellite: one shared scaling helper behind periods and catalog."""
-
-    def test_matches_period_spec_methods(self):
-        for period_id, spec in PERIODS.items():
-            for n_peers in (60, 600, 6000):
-                assert spec.scaled_watermarks(n_peers) == scale_watermarks(
-                    spec.low_water, spec.high_water, n_peers
-                )
+    """One shared scaling helper behind every catalog entry."""
 
     def test_floor_and_ordering(self):
         low, high = scale_watermarks(600, 900, 10)

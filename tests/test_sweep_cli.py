@@ -15,12 +15,8 @@ import sys
 
 import pytest
 
-from repro.analysis.sweep_report import (
-    CELL_SCHEMA,
-    SWEEP_SCHEMA,
-    aggregate_payload,
-    primary_dataset_label,
-)
+from repro.analysis.sweep_report import CELL_SCHEMA, SWEEP_SCHEMA, aggregate_payload
+from repro.core.records import primary_dataset_label
 from repro.sweep import (
     cell_filename,
     main,
@@ -68,7 +64,7 @@ class TestMicroSweep:
             assert cell_filename(summary) == name
             assert summary["n_peers"] == 50
             assert summary["events_processed"] > 0
-            label = primary_dataset_label(summary)
+            label = primary_dataset_label(summary["datasets"])
             assert label == "go-ipfs"
             counts = summary["datasets"][label]
             assert set(counts) == {"peers", "connections", "snapshots", "changes"}
@@ -262,7 +258,7 @@ class TestOutputHygiene:
         def boom(*args, **kwargs):  # pragma: no cover - must not be reached
             raise AssertionError("cells ran despite a dirty output directory")
 
-        monkeypatch.setattr(sweep_mod, "run_cells", boom)
+        monkeypatch.setattr(sweep_mod, "summarize_cell_safe", boom)
         with pytest.raises(SweepOutputError, match="not empty"):
             run_sweep(["p1"], [7], [30], 0.01, str(out))
 
@@ -383,6 +379,15 @@ class TestCheckpointResume:
 
         run_sweep(self.NAMES, self.SEEDS, self.PEERS, 0.02, str(out), resume=True)
         assert len(rerun) == 4
+
+    def test_cell_addresses_are_pinned(self):
+        # --resume finds an interrupted sweep's cells by these addresses: a
+        # refactor that changes them silently orphans every sweep on disk.
+        from repro.sweep import cell_key
+
+        assert cell_key("p1", 40, 0.01, 7) == "7ef976849d8aeaa6"
+        overrides = {"retry": False, "loss_rate": 0.2}
+        assert cell_key("lossy-links", 60, 0.02, 7, overrides, 300.0, 1.0) == "ab280493cb26b5d7"
 
     def test_interrupted_write_leaves_the_previous_file_intact(self, tmp_path):
         from repro.sweep import _write_json
@@ -574,6 +579,9 @@ class TestFlagValidation:
             ("--scenarios", "p1,P1"),
             ("--seeds", "7,8,7"),
             ("--peers", "30,40,30"),
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--workers", "two"),
         ],
     )
     def test_rejects_malformed_lists_and_non_finite_numbers(self, tmp_path, capsys, flag, value):
@@ -581,13 +589,32 @@ class TestFlagValidation:
         # not reach a worker; a malformed list must not leave main() as a
         # traceback; an empty population is not worth a failed cell; a
         # repeated value is one cell file counted twice in the aggregate
-        # (and, with workers, written by two processes at once).
+        # (and, with workers, written by two processes at once); a worker
+        # count below one used to mean one, silently.
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE + [flag, value, "--out", str(out)])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rejects_a_repeated_set_key(self, tmp_path, capsys):
+        # The second value used to win silently: the cell ran loss_rate=0.4.
+        out = tmp_path / "never"
+        argv = ["--scenarios", "lossy-links", "--peers", "40", "--duration", "0.01d"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--set", "loss_rate=0.1", "--set", "loss_rate=0.4", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "--set repeats loss_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_period_knobs_reach_the_cell(self, tmp_path):
+        flags = "--scenarios p2 --peers 40 --duration 0.01d --set low_water=600"
+        flags += " --set high_water=900 --set crawler=false"
+        assert main([*flags.split(), "--out", str(tmp_path)]) == 0
+        cell = json.loads((tmp_path / "p2__n40__s7.json").read_text())
+        assert cell["overrides"] == {"crawler": False, "high_water": 900, "low_water": 600}
+        assert cell["crawls"] == 0
 
     @pytest.mark.parametrize(
         "override", ["uplink_scale=nan", "size_scale=inf", "size_scale=-1e999"]
