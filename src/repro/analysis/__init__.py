@@ -7,13 +7,7 @@ could be reused on data exported from a real go-ipfs measurement node.
 """
 
 from repro.analysis.cdf import EmpiricalCDF, binned_cdf
-from repro.analysis.stats import (
-    StreamingStats,
-    SummaryStats,
-    median,
-    percentile,
-    summarize,
-)
+from repro.analysis.stats import median
 from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.analysis.plots import ascii_bar_chart, ascii_series, sparkline
 from repro.analysis.sweep_report import (
@@ -25,11 +19,7 @@ from repro.analysis.sweep_report import (
 __all__ = [
     "EmpiricalCDF",
     "binned_cdf",
-    "StreamingStats",
-    "SummaryStats",
     "median",
-    "percentile",
-    "summarize",
     "TextTable",
     "format_count",
     "format_seconds",

@@ -17,10 +17,10 @@ p50/p90/p99 per histogram.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from repro.artifacts import read_jsonl
 from repro.obs.hub import DEFAULT_TIME_BUCKETS
 
 #: windows embedded verbatim into a cell summary (the full series lives in
@@ -79,11 +79,6 @@ def _percentile(bounds: Sequence[float], buckets: Sequence[int], q: float) -> st
     return f">{bounds[-1]:g}"
 
 
-def _read_windows(path: str) -> List[Dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.metrics_report",
@@ -103,9 +98,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.top < 1:
         parser.error(f"--top must be positive, got {args.top}")
     try:
-        windows = _read_windows(args.path)
+        windows = read_jsonl(args.path, required=("start", "end"))
     except OSError as exc:
         parser.error(f"cannot read {args.path}: {exc}")
+    except ValueError as exc:
+        parser.error(str(exc))
 
     counters: Dict[str, int] = {}
     histograms: Dict[str, Dict] = {}

@@ -1,16 +1,13 @@
-"""Small, dependency-light statistics helpers.
+"""The median, as the paper's Table II reports it.
 
 The paper reports per-period connection statistics as *sum of observations*,
-*average*, and *median* (Table II).  These helpers compute exactly those
-aggregates plus a few extras (percentiles, min/max, standard deviation) that
-the ablation benchmarks use.
+*average*, and *median* (Table II); sums and averages are one-liners at the
+call site, the median is the one helper shared.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Sequence
 
 
 def median(values: Sequence[float]) -> float:
@@ -26,167 +23,3 @@ def median(values: Sequence[float]) -> float:
     if n % 2 == 1:
         return float(ordered[mid])
     return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Return the ``q``-th percentile (0–100) using linear interpolation."""
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("percentile q must be within [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return float(ordered[low])
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Immutable summary of a numeric sample."""
-
-    count: int
-    total: float
-    mean: float
-    median: float
-    minimum: float
-    maximum: float
-    stdev: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "median": self.median,
-            "min": self.minimum,
-            "max": self.maximum,
-            "stdev": self.stdev,
-        }
-
-
-def summarize(values: Iterable[float]) -> SummaryStats:
-    """Compute :class:`SummaryStats` for ``values``.
-
-    An empty iterable yields an all-zero summary rather than raising, because
-    the churn analysis routinely summarises subsets (e.g. outbound connections
-    of a peer that only ever had inbound ones).
-    """
-    data: List[float] = [float(v) for v in values]
-    if not data:
-        return SummaryStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    total = sum(data)
-    mean = total / len(data)
-    var = sum((v - mean) ** 2 for v in data) / len(data)
-    return SummaryStats(
-        count=len(data),
-        total=total,
-        mean=mean,
-        median=median(data),
-        minimum=min(data),
-        maximum=max(data),
-        stdev=math.sqrt(var),
-    )
-
-
-@dataclass
-class StreamingStats:
-    """Welford-style streaming mean/variance with min/max tracking.
-
-    Used by the measurement node to keep running statistics without retaining
-    every observation in memory (the paper's go-ipfs exporter records millions
-    of connection events per period).
-    """
-
-    count: int = 0
-    _mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = field(default=math.inf)
-    maximum: float = field(default=-math.inf)
-    total: float = 0.0
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "StreamingStats") -> "StreamingStats":
-        """Return a new :class:`StreamingStats` combining two streams."""
-        if self.count == 0:
-            return other.copy()
-        if other.count == 0:
-            return self.copy()
-        merged = StreamingStats()
-        merged.count = self.count + other.count
-        merged.total = self.total + other.total
-        delta = other._mean - self._mean
-        merged._mean = self._mean + delta * other.count / merged.count
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / merged.count
-        )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
-    def copy(self) -> "StreamingStats":
-        clone = StreamingStats()
-        clone.count = self.count
-        clone.total = self.total
-        clone._mean = self._mean
-        clone._m2 = self._m2
-        clone.minimum = self.minimum
-        clone.maximum = self.maximum
-        return clone
-
-    def as_summary(self, median_value: Optional[float] = None) -> SummaryStats:
-        """Convert to :class:`SummaryStats`; the median must be supplied."""
-        if self.count == 0:
-            return SummaryStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return SummaryStats(
-            count=self.count,
-            total=self.total,
-            mean=self.mean,
-            median=self.mean if median_value is None else median_value,
-            minimum=self.minimum,
-            maximum=self.maximum,
-            stdev=self.stdev,
-        )
-
-
-def ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
-    """Safe division used throughout the analysis code."""
-    if denominator == 0:
-        return default
-    return numerator / denominator

@@ -1,14 +1,13 @@
 """A model of the hydra-booster node.
 
 Hydra-booster accelerates IPFS content routing by running many DHT "heads" —
-each with its own PeerId, hence its own position in the Kademlia keyspace —
-that all share a single record store (the "belly").  The paper uses a hydra
-with two or three heads as its second passive vantage point: more heads mean a
-wider horizon, because peers near each head's keyspace position seek
-connections to it.
+each with its own PeerId, hence its own position in the Kademlia keyspace.
+The paper uses a hydra with two or three heads as its second passive vantage
+point: more heads mean a wider horizon, because peers near each head's
+keyspace position seek connections to it.
 """
 
 from repro.hydra.head import HydraHead, HYDRA_AGENT_VERSION
-from repro.hydra.hydra import HydraNode, Belly
+from repro.hydra.hydra import HydraNode
 
-__all__ = ["HydraHead", "HydraNode", "Belly", "HYDRA_AGENT_VERSION"]
+__all__ = ["HydraHead", "HydraNode", "HYDRA_AGENT_VERSION"]

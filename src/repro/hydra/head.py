@@ -1,9 +1,13 @@
 """A single hydra head.
 
-A head provides "basic networking functionality and DHT management": it is a
-DHT-Server with its own PeerId, swarm, peerstore, and connection manager, but
-no Bitswap (hydras never exchange content).  Heads are deliberately spread over
-the keyspace so the hydra as a whole covers more of the DHT.
+A head provides "basic networking functionality and DHT management": it
+announces itself as a DHT-Server with its own PeerId, swarm, peerstore, and
+connection manager, but no Bitswap (hydras never exchange content).  Heads
+are deliberately spread over the keyspace so the hydra as a whole covers more
+of the DHT.  As a vantage point a head is passive: it accepts connections,
+records identify (DHT-Servers enter its routing table and get the ``kad``
+tag) and trims; the routing those peers do happens in the simulated network,
+not in the head.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import List, Optional
 
 from repro.ipfs.peerstore import Peerstore
 from repro.ipfs.swarm import Swarm
-from repro.kademlia.dht import DHTMode, KademliaNode
+from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connection import CloseReason, Connection, Direction
 from repro.libp2p.connmgr import ConnManagerConfig
 from repro.libp2p.crypto import generate_keypair
@@ -51,7 +55,8 @@ class HydraHead:
             self.peer_id,
             ConnManagerConfig(low_water=low_water, high_water=high_water),
         )
-        self.dht = KademliaNode(self.peer_id, mode=DHTMode.SERVER, rng=self.rng)
+        #: the DHT-Servers identify has announced
+        self.routing_table = RoutingTable(self.peer_id)
 
     def own_identify_record(self) -> IdentifyRecord:
         return IdentifyRecord.make(
@@ -81,10 +86,10 @@ class HydraHead:
     def receive_identify(self, remote_peer: PeerId, record: IdentifyRecord, now: float) -> None:
         self.peerstore.record_identify(remote_peer, record, now)
         if KAD_DHT in record.protocols:
-            self.dht.observe_peer(remote_peer, is_server=True)
+            self.routing_table.add_peer(remote_peer)
             self.swarm.tag_peer(remote_peer, "kad", 5)
         else:
-            self.dht.observe_peer(remote_peer, is_server=False)
+            self.routing_table.remove_peer(remote_peer)
 
     def tick(self, now: float) -> List[Connection]:
         return self.swarm.trim(now)

@@ -1,6 +1,7 @@
-"""The hydra-booster node: many heads, one belly.
+"""The hydra-booster node: many heads on one machine.
 
-The belly is a shared datastore for provider/IPNS records.  For the
+A real hydra's heads share a record store (the "belly"); the passive
+measurement never stores or serves records, so none is modelled.  For the
 measurement it only matters that all heads are one operational node on one
 machine — the paper notes that grouping by IP collapses ~1'026 hydra heads into
 a handful of "peers", one of the weaknesses of the multiaddress-based
@@ -10,38 +11,14 @@ network-size estimate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.hydra.head import HydraHead
 from repro.libp2p.peer_id import PeerId
 
 
-@dataclass
-class Belly:
-    """Shared record store of all heads (provider and IPNS records)."""
-
-    provider_records: Dict[str, Set[PeerId]] = field(default_factory=dict)
-    ipns_records: Dict[str, bytes] = field(default_factory=dict)
-
-    def add_provider(self, key: str, provider: PeerId) -> None:
-        self.provider_records.setdefault(key, set()).add(provider)
-
-    def providers_for(self, key: str) -> Set[PeerId]:
-        return set(self.provider_records.get(key, set()))
-
-    def put_ipns(self, name: str, record: bytes) -> None:
-        self.ipns_records[name] = record
-
-    def get_ipns(self, name: str) -> Optional[bytes]:
-        return self.ipns_records.get(name)
-
-    def record_count(self) -> int:
-        return len(self.provider_records) + len(self.ipns_records)
-
-
 class HydraNode:
-    """A hydra-booster with ``n_heads`` heads sharing one belly."""
+    """A hydra-booster with ``n_heads`` heads."""
 
     def __init__(
         self,
@@ -54,7 +31,6 @@ class HydraNode:
         if n_heads <= 0:
             raise ValueError("a hydra needs at least one head")
         self.rng = rng or random.Random()
-        self.belly = Belly()
         head_kwargs = {}
         if low_water is not None:
             head_kwargs["low_water"] = low_water
@@ -102,7 +78,3 @@ class HydraNode:
     def shutdown(self, now: float) -> None:
         for head in self.heads:
             head.shutdown(now)
-
-    def store_provider_record(self, key: str, provider: PeerId) -> None:
-        """Any head receiving a provider record stores it in the shared belly."""
-        self.belly.add_provider(key, provider)

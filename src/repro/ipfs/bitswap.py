@@ -4,8 +4,8 @@ The measurement nodes in the paper never request or serve content, so Bitswap
 only matters in two places: the protocol announcement (go-ipfs peers that do
 *not* announce Bitswap are one of the paper's anomalies) and the fact that
 Bitswap broadcasts can cause remote peers to open connections to us.  The
-engine below implements a wantlist/ledger just far enough to support the
-examples and to keep the node composition faithful.
+engine below implements a wantlist/ledger just far enough for the simulated
+peers of the content-routing scenarios to serve and fetch blocks.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class BitswapEngine:
 
     def has_block(self, cid: str) -> bool:
         return cid in self._blockstore
-
-    def get_block(self, cid: str) -> Optional[bytes]:
-        return self._blockstore.get(cid)
 
     def want(self, cid: str) -> None:
         if not self.has_block(cid):

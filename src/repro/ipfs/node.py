@@ -1,35 +1,25 @@
-"""The go-ipfs node composition.
+"""The go-ipfs node composition: the passive measurement vantage point.
 
 An :class:`IpfsNode` bundles identity, peerstore, swarm (with connection
-manager), Kademlia DHT state (including provider records), and a Bitswap
-engine into the object the simulation deploys — both as the passive
-measurement node and, in scaled-down form, inside tests and examples.
-
-Content routing runs end-to-end through this composition: ``publish_block``
-stores a block and announces the node as its provider on the DHT,
-``fetch_block`` resolves providers via GET_PROVIDERS, dials one, and pulls the
-block over Bitswap (both peers' ledgers record the exchange).
+manager) and the routing table identify fills into the object the simulation
+deploys as the paper's go-ipfs node.  It is passive, like the paper's: it
+accepts connections, reads identify, tags DHT-Servers for the connection
+manager and trims.  It issues and answers no DHT queries — the simulated
+network's DHT lives in the fabric
+(:class:`~repro.simulation.network.SimulatedNetwork`) and the walks in
+:mod:`repro.kademlia.dht`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-from repro.ipfs.bitswap import BitswapEngine
 from repro.ipfs.config import IpfsConfig
 from repro.ipfs.peerstore import Peerstore
 from repro.ipfs.swarm import Swarm
-from repro.kademlia.dht import (
-    AddProviderFn,
-    DHTMode,
-    FindProvidersResult,
-    GetProvidersFn,
-    KademliaNode,
-    ProvideResult,
-    QueryFn,
-)
-from repro.kademlia.keys import key_for_content
+from repro.kademlia.dht import DHTMode
+from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connection import CloseReason, Connection, Direction
 from repro.libp2p.crypto import KeyPair, generate_keypair
 from repro.libp2p.identify import IdentifyRecord
@@ -37,14 +27,9 @@ from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import KAD_DHT, goipfs_protocols
 
-#: resolves a provider PeerId to its Bitswap engine and dialable address
-#: (``None``: provider unreachable — offline, NATed, or not speaking Bitswap)
-DialProviderFn = Callable[[PeerId], Optional[Tuple[BitswapEngine, Multiaddr]]]
-
 #: connection-manager tag used for peers in our DHT routing table
 _KAD_TAG = "kad"
 _KAD_TAG_VALUE = 5
-_BOOTSTRAP_TAG = "bootstrap"
 
 
 class IpfsNode:
@@ -62,17 +47,14 @@ class IpfsNode:
         self.peer_id = PeerId.from_keypair(self.keypair)
         self.peerstore = Peerstore()
         self.swarm = Swarm(self.peer_id, self.config.connmgr_config())
-        self.dht = KademliaNode(self.peer_id, mode=self.config.dht_mode, rng=self.rng)
-        self.bitswap = BitswapEngine(enabled=self.config.enable_bitswap)
+        #: the DHT-Servers identify has announced (go-libp2p tags these peers)
+        self.routing_table = RoutingTable(self.peer_id)
 
     # -- identity / identify ----------------------------------------------------------
 
     @property
     def is_dht_server(self) -> bool:
-        return self.dht.is_server
-
-    def set_dht_mode(self, mode: DHTMode) -> None:
-        self.dht.set_mode(mode)
+        return self.config.dht_mode is DHTMode.SERVER
 
     def own_identify_record(self, listen_addrs: Iterable[Multiaddr] = ()) -> IdentifyRecord:
         """The identify record this node announces to remote peers."""
@@ -119,7 +101,7 @@ class IpfsNode:
     def receive_identify(self, remote_peer: PeerId, record: IdentifyRecord, now: float) -> None:
         """Process the identify (or identify-push) message of a remote peer.
 
-        Besides updating the peerstore, the DHT learns about the peer's role:
+        Besides updating the peerstore, the peer's DHT role is recorded:
         peers announcing ``/ipfs/kad/1.0.0`` enter the routing table and get a
         connection-manager tag (go-libp2p tags routing-table peers, which is
         what protects them from trimming); peers that stop announcing it are
@@ -128,111 +110,11 @@ class IpfsNode:
         """
         self.peerstore.record_identify(remote_peer, record, now)
         if KAD_DHT in record.protocols:
-            self.dht.observe_peer(remote_peer, is_server=True)
+            self.routing_table.add_peer(remote_peer)
             self.swarm.tag_peer(remote_peer, _KAD_TAG, _KAD_TAG_VALUE)
         else:
-            self.dht.observe_peer(remote_peer, is_server=False)
+            self.routing_table.remove_peer(remote_peer)
             self.swarm.connmgr.untag_peer(remote_peer, _KAD_TAG)
-
-    # -- DHT ---------------------------------------------------------------------------------
-
-    def bootstrap(self, bootstrap_peers: Iterable[PeerId], query: QueryFn) -> None:
-        """Join the DHT via the given bootstrap peers (go-ipfs protects them)."""
-        peers = list(bootstrap_peers)
-        for peer in peers:
-            self.swarm.protect_peer(peer, _BOOTSTRAP_TAG)
-        self.dht.bootstrap(peers, query)
-
-    def handle_find_node(self, target: int, count: int = 20) -> Optional[List[PeerId]]:
-        """Answer a DHT query if we are a server."""
-        return self.dht.handle_find_node(target, count)
-
-    def handle_add_provider(self, key: int, provider: PeerId, now: float) -> Optional[bool]:
-        """Accept a provider record if we are a server."""
-        return self.dht.handle_add_provider(key, provider, now)
-
-    def handle_get_providers(
-        self, key: int, now: float, count: int = 20
-    ) -> Optional[Tuple[List[PeerId], List[PeerId]]]:
-        """Answer a GET_PROVIDERS query if we are a server."""
-        return self.dht.handle_get_providers(key, now, count)
-
-    # -- content routing ----------------------------------------------------------------
-
-    @staticmethod
-    def content_key(cid: str) -> int:
-        """The Kademlia key a CID's provider records live at."""
-        return key_for_content(cid.encode())
-
-    def provide(
-        self,
-        cid: str,
-        query: QueryFn,
-        add_provider: AddProviderFn,
-        now: float,
-        replication: int = 20,
-    ) -> ProvideResult:
-        """Announce this node as a provider of ``cid`` on the DHT."""
-        return self.dht.provide(
-            self.content_key(cid), query, add_provider, now, replication=replication
-        )
-
-    def publish_block(
-        self,
-        cid: str,
-        data: bytes,
-        query: QueryFn,
-        add_provider: AddProviderFn,
-        now: float,
-        replication: int = 20,
-    ) -> ProvideResult:
-        """Store a block locally and publish its provider record."""
-        self.bitswap.add_block(cid, data)
-        return self.provide(cid, query, add_provider, now, replication=replication)
-
-    def find_providers(
-        self,
-        cid: str,
-        get_providers: GetProvidersFn,
-        now: float,
-        max_providers: int = 20,
-    ) -> FindProvidersResult:
-        """Resolve the providers of ``cid`` (local records first)."""
-        return self.dht.find_providers(
-            self.content_key(cid), get_providers, now, max_providers=max_providers
-        )
-
-    def fetch_block(
-        self,
-        cid: str,
-        get_providers: GetProvidersFn,
-        dial_provider: DialProviderFn,
-        now: float,
-        max_providers: int = 20,
-    ) -> Optional[bytes]:
-        """The full retrieval path: resolve, dial a provider, fetch via Bitswap.
-
-        Providers are tried in discovery order; a provider that dials but does
-        not deliver the block is disconnected again.  Returns the block, or
-        ``None`` when no resolved provider served it.
-        """
-        local = self.bitswap.get_block(cid)
-        if local is not None:
-            return local
-        result = self.find_providers(cid, get_providers, now, max_providers=max_providers)
-        for provider in result.providers:
-            if provider == self.peer_id:
-                continue
-            resolved = dial_provider(provider)
-            if resolved is None:
-                continue
-            remote_bitswap, addr = resolved
-            conn = self.dial(provider, addr, now)
-            block = self.bitswap.fetch_from(self.peer_id, provider, remote_bitswap, cid)
-            if block is not None:
-                return block
-            self.close_connection(conn, CloseReason.PROTOCOL_DONE, now)
-        return None
 
     # -- periodic work --------------------------------------------------------------------------
 

@@ -11,9 +11,10 @@ properties matter for the paper:
   freshly bootstrapped measurement node quickly accumulates thousands of
   inbound connections.
 
-The implementation provides the XOR metric, k-bucket routing tables, and
-iterative lookups over an abstract query transport so the same code serves the
-simulated nodes, the hydra heads, and the active crawler baseline.
+The implementation provides the XOR metric, k-bucket routing tables, provider
+stores, and iterative lookups over an abstract query transport; the simulation
+fabric answers those queries from its peers' tables, and the crawler walks the
+same tables.
 """
 
 from repro.kademlia.keys import (
@@ -28,7 +29,6 @@ from repro.kademlia.routing_table import KBucket, RoutingTable
 from repro.kademlia.dht import (
     DHTMode,
     FindProvidersResult,
-    KademliaNode,
     LookupResult,
     ProvideResult,
     iterative_find_providers,
@@ -47,7 +47,6 @@ __all__ = [
     "KBucket",
     "RoutingTable",
     "DHTMode",
-    "KademliaNode",
     "LookupResult",
     "ProvideResult",
     "FindProvidersResult",

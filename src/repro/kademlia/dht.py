@@ -1,31 +1,28 @@
-"""Kademlia node logic: server/client modes and iterative lookups.
+"""Kademlia walks: the DHT modes and the three iterative lookups.
 
 The transport is abstracted as *query functions*: ``query(remote, target,
 count)`` asks ``remote`` for its ``count`` closest known peers to ``target``
 and returns ``None`` when the remote is unreachable (offline, NATed, or not a
-DHT-Server).  The simulation network, the hydra heads, and the crawler all
-provide such a function, so the same lookup code is reused everywhere.
+DHT-Server).  The simulation fabric answers these from its peers' routing
+tables (``SimulatedNetwork.dht_query``), so the same walk serves simulated
+peers, adversaries and tests.
 
 Content routing reuses the same convergence machinery with two more RPCs:
 ``add_provider(remote, key, provider)`` stores a provider record on a remote
 server and ``get_providers(remote, key)`` returns ``(providers, closer_peers)``
-— the combined reply real GET_PROVIDERS messages carry.  The module-level
-:func:`iterative_lookup` / :func:`iterative_find_providers` functions run the
-walks for callers that are not full :class:`KademliaNode` instances (simulated
-remote peers publish and resolve content without owning a node object).
+— the combined reply real GET_PROVIDERS messages carry.  There is no per-node
+DHT object: the walks are plain functions over those callbacks, and the
+fabric's peers hold the routing tables they query and the only provider
+stores.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
-from repro.kademlia.keys import key_for_peer, random_key
-from repro.kademlia.provider_store import ProviderStore
-from repro.kademlia.routing_table import DEFAULT_BUCKET_SIZE, RoutingTable
 from repro.libp2p.peer_id import PeerId
 
 #: go-libp2p-kad-dht concurrency parameter (alpha).
@@ -108,7 +105,6 @@ def iterative_lookup(
     alpha: int = DEFAULT_ALPHA,
     count: int = DEFAULT_CLOSER_PEERS,
     max_queries: int = 64,
-    on_found: Optional[Callable[[PeerId], None]] = None,
     stop: Optional[Callable[[], bool]] = None,
     give_up: Optional[Callable[[], bool]] = None,
     retry=None,
@@ -133,10 +129,9 @@ def iterative_lookup(
     falls through to comparing PeerIds and the iteration order of ``seeds``
     is irrelevant.
 
-    ``on_found`` is invoked for every peer a reply carries (nodes use it to
-    refresh their routing tables; table-less callers pass nothing).  ``stop``
-    is re-checked after every reply; content-routing walks use it to end the
-    walk early the moment their side-goal (enough provider records) is met.
+    ``stop`` is re-checked after every reply; content-routing walks use it to
+    end the walk early the moment their side-goal (enough provider records)
+    is met.
     ``give_up`` is the failure-side twin: re-checked after every query, it
     abandons the walk when its budget (e.g. a netmodel's simulated-time
     lookup timeout) is exhausted — the result keeps whatever was found, but
@@ -186,15 +181,11 @@ def iterative_lookup(
                     break
                 continue
             for found in reply:
-                if found not in distance:
-                    # self_id is never a key of ``distance``
-                    if found == self_id:
-                        continue
+                # self_id is never a key of ``distance``
+                if found not in distance and found != self_id:
                     d = distance[found] = found.kad_key() ^ target
                     heapq.heappush(frontier, (d, found))
                     progressed = True
-                if on_found is not None:
-                    on_found(found)
             if stop is not None and stop():
                 done = True
             if done:
@@ -220,7 +211,6 @@ def iterative_provide(
     replication: int = DEFAULT_CLOSER_PEERS,
     alpha: int = DEFAULT_ALPHA,
     max_queries: int = 64,
-    on_found: Optional[Callable[[PeerId], None]] = None,
     give_up: Optional[Callable[[], bool]] = None,
     retry=None,
     trace=None,
@@ -239,7 +229,6 @@ def iterative_provide(
         alpha=alpha,
         count=max(replication, DEFAULT_CLOSER_PEERS),
         max_queries=max_queries,
-        on_found=on_found,
         give_up=give_up,
         retry=retry,
         trace=trace,
@@ -268,7 +257,6 @@ def iterative_find_providers(
     count: int = DEFAULT_CLOSER_PEERS,
     max_queries: int = 64,
     max_providers: int = DEFAULT_CLOSER_PEERS,
-    on_found: Optional[Callable[[PeerId], None]] = None,
     give_up: Optional[Callable[[], bool]] = None,
     retry=None,
     trace=None,
@@ -304,7 +292,6 @@ def iterative_find_providers(
         alpha=alpha,
         count=count,
         max_queries=max_queries,
-        on_found=on_found,
         stop=lambda: len(providers) >= max_providers,
         give_up=give_up,
         retry=retry,
@@ -318,216 +305,3 @@ def iterative_find_providers(
         satisfied=len(providers) >= max_providers,
     )
 
-
-class KademliaNode:
-    """The DHT state machine of a single peer."""
-
-    def __init__(
-        self,
-        peer_id: PeerId,
-        mode: DHTMode = DHTMode.SERVER,
-        bucket_size: int = DEFAULT_BUCKET_SIZE,
-        alpha: int = DEFAULT_ALPHA,
-        rng: Optional[random.Random] = None,
-        provider_store: Optional[ProviderStore] = None,
-    ) -> None:
-        self.peer_id = peer_id
-        self.mode = mode
-        self.alpha = alpha
-        self.rng = rng or random.Random()
-        self.routing_table = RoutingTable(peer_id, bucket_size=bucket_size)
-        self.provider_store = provider_store or ProviderStore()
-        self.lookups_performed = 0
-        self.provides_performed = 0
-        self.provider_lookups_performed = 0
-
-    # -- mode handling ----------------------------------------------------------
-
-    def set_mode(self, mode: DHTMode) -> None:
-        self.mode = mode
-
-    @property
-    def is_server(self) -> bool:
-        return self.mode is DHTMode.SERVER
-
-    # -- local RPC handlers ------------------------------------------------------
-
-    def handle_find_node(
-        self, target: int, count: int = DEFAULT_CLOSER_PEERS
-    ) -> Optional[List[PeerId]]:
-        """Answer a FIND_NODE request; clients do not answer."""
-        if not self.is_server:
-            return None
-        return self.routing_table.closest_peers(target, count)
-
-    def handle_add_provider(self, key: int, provider: PeerId, now: float) -> Optional[bool]:
-        """Store a provider record; clients do not accept them."""
-        if not self.is_server:
-            return None
-        self.provider_store.add(key, provider, now)
-        return True
-
-    def handle_get_providers(
-        self, key: int, now: float, count: int = DEFAULT_CLOSER_PEERS
-    ) -> Optional[Tuple[List[PeerId], List[PeerId]]]:
-        """Answer a GET_PROVIDERS request: (known providers, closer peers)."""
-        if not self.is_server:
-            return None
-        providers = self.provider_store.providers(key, now, limit=count)
-        closer = self.routing_table.closest_peers(key, count)
-        return providers, closer
-
-    def observe_peer(self, peer: PeerId, is_server: bool = True) -> None:
-        """Record that we heard from ``peer`` (only servers enter the table)."""
-        if is_server:
-            self.routing_table.add_peer(peer)
-        else:
-            self.routing_table.remove_peer(peer)
-
-    def forget_peer(self, peer: PeerId) -> None:
-        self.routing_table.remove_peer(peer)
-
-    # -- iterative lookup ---------------------------------------------------------
-
-    def iterative_find_node(
-        self,
-        target: int,
-        query: QueryFn,
-        count: int = DEFAULT_CLOSER_PEERS,
-        max_queries: int = 64,
-        seeds: Optional[Iterable[PeerId]] = None,
-    ) -> LookupResult:
-        """Iteratively converge on the ``count`` peers closest to ``target``.
-
-        Seeds :func:`iterative_lookup` with our own ``count`` closest table
-        entries (plus ``seeds``) and refreshes the table with every peer a
-        reply carries.  The walk stops after a round that adds no new
-        candidate — not at the textbook "no closer candidate remains" — or
-        when ``max_queries`` is exhausted; see :func:`iterative_lookup`.
-        """
-        self.lookups_performed += 1
-        candidates: Set[PeerId] = set(seeds or [])
-        candidates.update(self.routing_table.closest_peers(target, count))
-        return iterative_lookup(
-            target,
-            query,
-            candidates,
-            self_id=self.peer_id,
-            alpha=self.alpha,
-            count=count,
-            max_queries=max_queries,
-            on_found=self.routing_table.add_peer,
-        )
-
-    # -- content routing ----------------------------------------------------------
-
-    def provide(
-        self,
-        key: int,
-        query: QueryFn,
-        add_provider: AddProviderFn,
-        now: float,
-        replication: int = DEFAULT_CLOSER_PEERS,
-        max_queries: int = 64,
-        seeds: Optional[Iterable[PeerId]] = None,
-    ) -> ProvideResult:
-        """Publish a provider record for ``key`` under our own PeerId.
-
-        Converges on the key, asks the ``replication`` closest servers to
-        store the record, and keeps a local copy (go-ipfs also serves its own
-        records while online).
-        """
-        self.provides_performed += 1
-        candidates: Set[PeerId] = set(seeds or [])
-        candidates.update(self.routing_table.closest_peers(key, replication))
-        result = iterative_provide(
-            key,
-            query,
-            add_provider,
-            self.peer_id,
-            candidates,
-            replication=replication,
-            alpha=self.alpha,
-            max_queries=max_queries,
-            on_found=self.routing_table.add_peer,
-        )
-        self.provider_store.add(key, self.peer_id, now)
-        return result
-
-    def find_providers(
-        self,
-        key: int,
-        query_providers: GetProvidersFn,
-        now: float,
-        count: int = DEFAULT_CLOSER_PEERS,
-        max_queries: int = 64,
-        max_providers: int = DEFAULT_CLOSER_PEERS,
-        seeds: Optional[Iterable[PeerId]] = None,
-    ) -> FindProvidersResult:
-        """Resolve the providers of ``key``, checking the local store first."""
-        self.provider_lookups_performed += 1
-        local = self.provider_store.providers(key, now, limit=max_providers)
-        if len(local) >= max_providers:
-            return FindProvidersResult(
-                key=key, providers=local, queried=set(), hops=0, satisfied=True
-            )
-        candidates: Set[PeerId] = set(seeds or [])
-        candidates.update(self.routing_table.closest_peers(key, count))
-        result = iterative_find_providers(
-            key,
-            query_providers,
-            candidates,
-            self_id=self.peer_id,
-            alpha=self.alpha,
-            count=count,
-            max_queries=max_queries,
-            max_providers=max_providers,
-            on_found=self.routing_table.add_peer,
-        )
-        if local:
-            merged = list(local)
-            seen = set(local)
-            for provider in result.providers:
-                if provider not in seen:
-                    seen.add(provider)
-                    merged.append(provider)
-            result = FindProvidersResult(
-                key=key,
-                providers=merged[:max_providers],
-                queried=result.queried,
-                hops=result.hops,
-                satisfied=result.satisfied or len(merged) >= max_providers,
-            )
-        return result
-
-    def bootstrap(
-        self,
-        bootstrap_peers: Iterable[PeerId],
-        query: QueryFn,
-        refresh_lookups: int = 3,
-    ) -> LookupResult:
-        """Join the DHT: seed the table with bootstrap peers and self-lookup.
-
-        Afterwards a few random-key refresh lookups spread the table across the
-        keyspace, like go-libp2p's routing table refresh.
-        """
-        seeds = list(bootstrap_peers)
-        for peer in seeds:
-            self.routing_table.add_peer(peer)
-        result = self.iterative_find_node(key_for_peer(self.peer_id), query, seeds=seeds)
-        for _ in range(refresh_lookups):
-            self.iterative_find_node(random_key(self.rng), query)
-        return result
-
-    def refresh(self, query: QueryFn, lookups: int = 1) -> None:
-        """Periodic routing-table refresh (random-target lookups)."""
-        for _ in range(lookups):
-            self.iterative_find_node(random_key(self.rng), query)
-
-    # -- introspection -----------------------------------------------------------
-
-    def table_size(self) -> int:
-        return len(self.routing_table)
-
-    def neighborhood(self, count: int = DEFAULT_CLOSER_PEERS) -> List[PeerId]:
-        return self.routing_table.neighborhood(count)

@@ -41,7 +41,6 @@ from repro.obs.trace_export import (
     TRACE_SCHEMA,
     TraceSummary,
     leaf_attribution,
-    read_traces,
     render_trace_line,
     write_traces,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TraceConfig",
     "TraceSummary",
     "leaf_attribution",
-    "read_traces",
     "render_line",
     "render_trace_line",
     "write_traces",

@@ -17,7 +17,8 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from repro.obs.trace_export import leaf_attribution, read_traces
+from repro.artifacts import read_jsonl
+from repro.obs.trace_export import leaf_attribution
 
 
 def format_span(payload: Dict, depth: int = 0) -> List[str]:
@@ -82,9 +83,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.top < 1:
         parser.error(f"--top must be positive, got {args.top}")
     try:
-        traces = read_traces(args.path)
+        traces = read_jsonl(args.path, required=("key", "op", "outcome", "root", "seconds"))
     except OSError as exc:
         parser.error(f"cannot read {args.path}: {exc}")
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.op is not None:
         traces = [payload for payload in traces if payload["op"] == args.op]
     # Slowest first; ties break on the (unique) operation key so the

@@ -165,17 +165,6 @@ def write_traces(traces: Sequence[Dict], path: str) -> None:
             handle.write("\n")
 
 
-def read_traces(path: str) -> List[Dict]:
-    """Load a ``traces.jsonl`` back into payloads (report/CLI input)."""
-    traces: List[Dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                traces.append(json.loads(line))
-    return traces
-
-
 class TraceSummary:
     """Picklable end-of-run tracing summary (``ScenarioResult.spans``).
 

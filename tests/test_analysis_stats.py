@@ -1,17 +1,8 @@
-"""Tests for the statistics helpers."""
-
-import math
+"""Tests for the median helper."""
 
 import pytest
 
-from repro.analysis.stats import (
-    StreamingStats,
-    SummaryStats,
-    median,
-    percentile,
-    ratio,
-    summarize,
-)
+from repro.analysis.stats import median
 
 
 class TestMedianAndPercentile:
@@ -25,88 +16,3 @@ class TestMedianAndPercentile:
     def test_median_of_empty_rejected(self):
         with pytest.raises(ValueError):
             median([])
-
-    def test_percentile_endpoints(self):
-        data = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 5.0
-        assert percentile(data, 50) == 3.0
-
-    def test_percentile_interpolates(self):
-        assert percentile([0.0, 10.0], 25) == 2.5
-
-    def test_percentile_bounds_checked(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-
-class TestSummarize:
-    def test_summary_values(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.total == 10.0
-        assert summary.mean == 2.5
-        assert summary.median == 2.5
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.stdev == pytest.approx(math.sqrt(1.25))
-
-    def test_summary_of_empty_is_zero(self):
-        assert summarize([]) == SummaryStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_as_dict(self):
-        assert summarize([2.0]).as_dict()["mean"] == 2.0
-
-
-class TestStreamingStats:
-    def test_matches_batch_summary(self):
-        data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
-        stream = StreamingStats()
-        stream.extend(data)
-        batch = summarize(data)
-        assert stream.count == batch.count
-        assert stream.mean == pytest.approx(batch.mean)
-        assert stream.stdev == pytest.approx(batch.stdev)
-        assert stream.minimum == batch.minimum
-        assert stream.maximum == batch.maximum
-        assert stream.total == pytest.approx(batch.total)
-
-    def test_merge_equivalent_to_concatenation(self):
-        a_data, b_data = [1.0, 2.0, 3.0], [10.0, 20.0]
-        a, b = StreamingStats(), StreamingStats()
-        a.extend(a_data)
-        b.extend(b_data)
-        merged = a.merge(b)
-        batch = summarize(a_data + b_data)
-        assert merged.count == batch.count
-        assert merged.mean == pytest.approx(batch.mean)
-        assert merged.stdev == pytest.approx(batch.stdev)
-
-    def test_merge_with_empty(self):
-        a = StreamingStats()
-        a.extend([1.0, 2.0])
-        assert a.merge(StreamingStats()).mean == pytest.approx(1.5)
-        assert StreamingStats().merge(a).count == 2
-
-    def test_empty_stream_properties(self):
-        stream = StreamingStats()
-        assert stream.mean == 0.0
-        assert stream.variance == 0.0
-
-    def test_as_summary_with_median(self):
-        stream = StreamingStats()
-        stream.extend([1.0, 2.0, 3.0])
-        summary = stream.as_summary(median_value=2.0)
-        assert summary.median == 2.0
-        assert summary.count == 3
-
-
-class TestRatio:
-    def test_ratio(self):
-        assert ratio(10, 4) == 2.5
-
-    def test_ratio_by_zero_returns_default(self):
-        assert ratio(10, 0) == 0.0
-        assert ratio(10, 0, default=math.inf) == math.inf

@@ -2,11 +2,14 @@
 
 Three layers, mirroring the real stack:
 
-* the DHT layer — iterative PROVIDE / FIND_PROVIDERS against a mesh of
-  :class:`KademliaNode` servers,
-* the node layer — :class:`IpfsNode` publishing a block and another node
-  resolving the provider, dialling it, and fetching the block through the
-  Bitswap ledgers, and
+* the DHT layer — the module-level PROVIDE / FIND_PROVIDERS walks against a
+  test-local mesh of servers, each a :class:`RoutingTable` plus a
+  :class:`ProviderStore` (the shape the simulated network's peers have); the
+  simulated network, the one server of those RPCs, refuses them at
+  DHT-Clients;
+* the exchange layer — a published block resolved through the walks and
+  pulled through the Bitswap ledgers on both sides, and a retriever that
+  already holds the block answering from its own store without a walk;
 * the simulation layer — the Zipf publish/retrieve workload of the content
   scenarios, including the pinned micro-scale golden for ``provide-churn``
   and the success-decay signature of ``provider-record-expiry``.
@@ -16,196 +19,187 @@ import random
 
 import pytest
 
-from repro.kademlia.dht import DHTMode, KademliaNode
+from repro.ipfs.bitswap import BitswapEngine
+from repro.kademlia.dht import iterative_find_providers, iterative_provide
 from repro.kademlia.keys import key_for_content, key_for_peer, xor_distance
-from repro.libp2p.multiaddr import Multiaddr
+from repro.kademlia.provider_store import ProviderStore
+from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.peer_id import PeerId
-from repro.ipfs.node import IpfsNode
 from repro.scenarios import run_scenario_by_name
+from repro.simulation import behaviors as behaviors_module
+from repro.simulation.behaviors import ContentBehaviors
+from repro.simulation.churn_models import HOUR
 from repro.simulation.content import ContentRoutingConfig, ZipfCatalog
+from repro.simulation.engine import Engine
+from repro.simulation.network import SimulatedNetwork
+from repro.simulation.population import PopulationConfig, generate_population
 
 NOW = 1_000.0
 
 
-def build_server_mesh(n=14, seed=3):
-    """A fully-meshed set of DHT servers, keyed by PeerId."""
-    rng = random.Random(seed)
-    nodes = [KademliaNode(PeerId.random(rng)) for _ in range(n)]
-    for node in nodes:
-        for other in nodes:
-            if other is not node:
-                node.routing_table.add_peer(other.peer_id)
-    return {node.peer_id: node for node in nodes}
+class ServerMesh:
+    """A fully meshed set of DHT servers answering the walks' three RPCs."""
+
+    def __init__(self, n=14, seed=3):
+        rng = random.Random(seed)
+        peers = [PeerId.random(rng) for _ in range(n)]
+        self.tables = {}
+        self.stores = {}
+        for peer in peers:
+            self.tables[peer] = RoutingTable(peer)
+            self.tables[peer].add_peers(other for other in peers if other != peer)
+            self.stores[peer] = ProviderStore()
+
+    def seeds(self):
+        return list(self.tables)[:3]
+
+    def query(self, remote, target, count):
+        table = self.tables.get(remote)
+        return None if table is None else table.closest_peers(target, count)
+
+    def add_provider(self, remote, key, provider):
+        store = self.stores.get(remote)
+        if store is None:
+            return None
+        store.add(key, provider, NOW)
+        return True
+
+    def get_providers(self, now=NOW):
+        def ask(remote, key):
+            if remote not in self.tables:
+                return None
+            providers = self.stores[remote].providers(key, now, limit=20)
+            return providers, self.tables[remote].closest_peers(key, 20)
+
+        return ask
 
 
-def mesh_query(mesh):
-    return lambda remote, target, count: (
-        mesh[remote].handle_find_node(target, count) if remote in mesh else None
+PUBLISHER = PeerId.random(random.Random(99))
+RETRIEVER = PeerId.random(random.Random(77))
+
+
+def provide(mesh, key, **kwargs):
+    return iterative_provide(
+        key, mesh.query, mesh.add_provider, PUBLISHER, mesh.seeds(), **kwargs
     )
 
 
-def mesh_add_provider(mesh):
-    return lambda remote, key, provider: (
-        mesh[remote].handle_add_provider(key, provider, NOW) if remote in mesh else None
-    )
-
-
-def mesh_get_providers(mesh, now=NOW):
-    return lambda remote, key: (
-        mesh[remote].handle_get_providers(key, now) if remote in mesh else None
+def find_providers(mesh, key, now=NOW, **kwargs):
+    return iterative_find_providers(
+        key, mesh.get_providers(now), mesh.seeds(), self_id=RETRIEVER, **kwargs
     )
 
 
 class TestDhtContentRouting:
     def test_provide_stores_on_the_closest_servers(self):
-        mesh = build_server_mesh()
-        publisher = KademliaNode(PeerId.random(random.Random(99)))
+        mesh = ServerMesh()
         key = key_for_content(b"some content")
-        seeds = list(mesh)[:3]
-        result = publisher.provide(
-            key, mesh_query(mesh), mesh_add_provider(mesh), NOW,
-            replication=4, seeds=seeds,
-        )
+        result = provide(mesh, key, replication=4)
         assert result.succeeded()
-        closest = sorted(mesh, key=lambda p: xor_distance(key_for_peer(p), key))[:4]
+        closest = sorted(mesh.tables, key=lambda p: xor_distance(key_for_peer(p), key))[:4]
         assert result.stored_on == closest
-        for pid in closest:
-            assert mesh[pid].provider_store.providers(key, NOW) == [publisher.peer_id]
-        # the publisher also keeps a local copy of its own record
-        assert publisher.provider_store.providers(key, NOW) == [publisher.peer_id]
+        for pid in mesh.stores:
+            expected = [PUBLISHER] if pid in closest else []
+            assert mesh.stores[pid].providers(key, NOW) == expected
 
     def test_find_providers_resolves_a_published_record(self):
-        mesh = build_server_mesh()
-        publisher = KademliaNode(PeerId.random(random.Random(99)))
-        retriever = KademliaNode(PeerId.random(random.Random(77)))
+        mesh = ServerMesh()
         key = key_for_content(b"some content")
-        seeds = list(mesh)[:3]
-        publisher.provide(
-            key, mesh_query(mesh), mesh_add_provider(mesh), NOW,
-            replication=4, seeds=seeds,
-        )
-        result = retriever.find_providers(
-            key, mesh_get_providers(mesh), NOW, seeds=seeds, max_providers=1
-        )
+        provide(mesh, key, replication=4)
+        result = find_providers(mesh, key, max_providers=1)
         assert result.succeeded()
-        assert result.providers == [publisher.peer_id]
+        assert result.providers == [PUBLISHER]
         assert result.satisfied
         assert result.hops >= 1
 
     def test_unpublished_key_resolves_to_nothing(self):
-        mesh = build_server_mesh()
-        retriever = KademliaNode(PeerId.random(random.Random(77)))
-        result = retriever.find_providers(
-            key_for_content(b"never published"),
-            mesh_get_providers(mesh), NOW, seeds=list(mesh)[:3],
-        )
+        result = find_providers(ServerMesh(), key_for_content(b"never published"))
         assert not result.succeeded()
         assert result.providers == []
 
     def test_records_expire_out_of_resolution(self):
-        mesh = build_server_mesh()
-        publisher = KademliaNode(PeerId.random(random.Random(99)))
-        retriever = KademliaNode(PeerId.random(random.Random(77)))
+        mesh = ServerMesh()
         key = key_for_content(b"short-lived")
-        seeds = list(mesh)[:3]
-        publisher.provide(key, mesh_query(mesh), mesh_add_provider(mesh), NOW, seeds=seeds)
-        ttl = next(iter(mesh.values())).provider_store.ttl
-        late = NOW + ttl + 1.0
-        result = retriever.find_providers(
-            key, mesh_get_providers(mesh, now=late), late, seeds=seeds
-        )
-        assert result.providers == []
+        provide(mesh, key)
+        late = NOW + next(iter(mesh.stores.values())).ttl + 1.0
+        assert find_providers(mesh, key, now=late).providers == []
 
     def test_clients_refuse_provider_rpcs(self):
-        client = KademliaNode(PeerId.random(random.Random(5)), mode=DHTMode.CLIENT)
-        other = PeerId.random(random.Random(6))
-        assert client.handle_add_provider(1234, other, NOW) is None
-        assert client.handle_get_providers(1234, NOW) is None
+        engine, network = started_network()
+        client = next(p for p in network.peers if p.online and not p.is_dht_server)
+        assert network.add_provider(client.current_pid, 1234, PUBLISHER, ttl=60.0) is None
+        assert network.get_providers(client.current_pid, 1234) is None
+        assert network.dht_query(client.current_pid, 1234, 20) is None
 
-    def test_local_records_satisfy_the_lookup_without_a_walk(self):
-        node = KademliaNode(PeerId.random(random.Random(5)))
-        key = key_for_content(b"mine")
-        node.provider_store.add(key, node.peer_id, NOW)
-        result = node.find_providers(
-            key, lambda remote, k: None, NOW, max_providers=1
-        )
-        assert result.providers == [node.peer_id]
-        assert result.hops == 0 and result.satisfied
+    def test_servers_store_and_serve_records_until_they_expire(self):
+        engine, network = started_network()
+        server = next(p for p in network.peers if p.online and p.is_dht_server)
+        key = key_for_content(b"fabric record")
+        assert network.add_provider(server.current_pid, key, PUBLISHER, ttl=60.0) is True
+        providers, closer = network.get_providers(server.current_pid, key)
+        assert providers == [PUBLISHER]
+        assert closer == network.honest_find_node(server, key, 20)
+        engine.run_until(engine.now + 61.0)
+        assert network.get_providers(server.current_pid, key)[0] == []
+
+
+def started_network():
+    """A 120-peer simulated network one hour into a run."""
+    engine = Engine()
+    population = generate_population(PopulationConfig(n_peers=120, seed=5), random.Random(5))
+    network = SimulatedNetwork(engine, population, random.Random(6))
+    network.start(duration=HOUR)
+    engine.run_until(HOUR)
+    return engine, network
 
 
 class TestIpfsNodeContentE2E:
-    def build_cluster(self, n=8, seed=11):
-        rng = random.Random(seed)
-        nodes = [IpfsNode(rng=random.Random(rng.getrandbits(32))) for _ in range(n)]
-        registry = {node.peer_id: node for node in nodes}
-        addrs = {
-            node.peer_id: Multiaddr.tcp(f"10.1.0.{i + 1}", 4001)
-            for i, node in enumerate(nodes)
-        }
-        for node in nodes:
-            for other in nodes:
-                if other is not node:
-                    node.dht.observe_peer(other.peer_id)
-        def query(remote, target, count):
-            return registry[remote].handle_find_node(target, count) if remote in registry else None
-
-        def add_provider(remote, key, provider):
-            if remote not in registry:
-                return None
-            return registry[remote].handle_add_provider(key, provider, NOW)
-
-        def get_providers(remote, key):
-            return registry[remote].handle_get_providers(key, NOW) if remote in registry else None
-
-        def dial_provider(pid):
-            return (registry[pid].bitswap, addrs[pid]) if pid in registry else None
-
-        return nodes, registry, query, add_provider, get_providers, dial_provider
+    """Publish, resolve, exchange: the walks over the mesh, then the one
+    want/block round trip a simulated retriever runs against the provider's
+    Bitswap engine (``ContentBehaviors._retrieve``)."""
 
     def test_publish_then_fetch_moves_the_block_over_bitswap(self):
-        nodes, registry, query, add_provider, get_providers, dial_provider = (
-            self.build_cluster()
-        )
-        publisher, retriever = nodes[0], nodes[-1]
+        mesh = ServerMesh()
+        publisher, retriever = BitswapEngine(), BitswapEngine()
         data = b"x" * 512
-        provide = publisher.publish_block("bafytest", data, query, add_provider, NOW)
-        assert provide.succeeded()
-        assert publisher.bitswap.has_block("bafytest")
+        publisher.add_block("bafytest", data)
+        key = key_for_content(b"bafytest")
+        assert provide(mesh, key).succeeded()
+        providers = find_providers(mesh, key, max_providers=1).providers
+        assert providers == [PUBLISHER]
 
-        block = retriever.fetch_block("bafytest", get_providers, dial_provider, NOW)
+        block = retriever.fetch_from(RETRIEVER, providers[0], publisher, "bafytest")
         assert block == data
-        assert retriever.bitswap.has_block("bafytest")
+        assert retriever.has_block("bafytest")
         # the Bitswap ledgers on both sides account for the exchange
-        ledger = publisher.bitswap.ledger_for(retriever.peer_id)
+        ledger = publisher.ledger_for(RETRIEVER)
         assert ledger.blocks_sent == 1 and ledger.bytes_sent == len(data)
-        back = retriever.bitswap.ledger_for(publisher.peer_id)
+        back = retriever.ledger_for(PUBLISHER)
         assert back.blocks_received == 1 and back.bytes_received == len(data)
-        # the provider was dialled for the exchange
-        assert retriever.swarm.is_connected(publisher.peer_id)
 
     def test_fetch_of_unpublished_cid_returns_none(self):
-        nodes, registry, query, add_provider, get_providers, dial_provider = (
-            self.build_cluster()
-        )
-        assert (
-            nodes[0].fetch_block("bafy-missing", get_providers, dial_provider, NOW)
-            is None
-        )
+        mesh = ServerMesh()
+        key = key_for_content(b"bafy-missing")
+        assert find_providers(mesh, key).providers == []
+        # a peer without the block serves nothing, and nothing is stored
+        retriever = BitswapEngine()
+        assert retriever.fetch_from(RETRIEVER, PUBLISHER, BitswapEngine(), "bafy-missing") is None
+        assert not retriever.has_block("bafy-missing")
 
-    def test_fetch_prefers_the_local_blockstore(self):
-        nodes, registry, query, add_provider, get_providers, dial_provider = (
-            self.build_cluster()
-        )
-        node = nodes[0]
-        node.bitswap.add_block("bafylocal", b"here already")
+    def test_fetch_prefers_the_local_blockstore(self, monkeypatch):
+        engine, network = started_network()
+        content = ContentBehaviors(engine, network, random.Random(7))
+        peer = next(p for p in network.peers if p.online)
+        monkeypatch.setattr(content.catalog, "sample", lambda rng: 0)
+        peer.ensure_bitswap().add_block(content.catalog.cid(0), b"here already")
 
-        def exploding_get_providers(remote, key):  # pragma: no cover - must not run
+        def exploding_find_providers(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("local block should not trigger a lookup")
 
-        block = node.fetch_block(
-            "bafylocal", exploding_get_providers, dial_provider, NOW
-        )
-        assert block == b"here already"
+        monkeypatch.setattr(behaviors_module, "iterative_find_providers", exploding_find_providers)
+        content._retrieve(peer)
+        assert content.stats.retrievals_local == 1
+        assert content.stats.retrievals == 0
 
 
 class TestZipfCatalog:

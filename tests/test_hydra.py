@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.hydra.head import HYDRA_AGENT_VERSION, HydraHead
-from repro.hydra.hydra import Belly, HydraNode
+from repro.hydra.hydra import HydraNode
 from repro.libp2p.connection import CloseReason
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
@@ -43,7 +43,7 @@ class TestHydraHead:
         head.receive_identify(
             remote, IdentifyRecord.make("go-ipfs/0.11.0", {IPFS_ID, KAD_DHT}), 1.0
         )
-        assert remote in head.dht.routing_table
+        assert remote in head.routing_table
 
     def test_head_trim_with_small_watermarks(self, rng):
         head = HydraHead(0, rng=random.Random(5), low_water=2, high_water=3)
@@ -76,19 +76,6 @@ class TestHydraNode:
             server, IdentifyRecord.make("go-ipfs/0.11.0", {IPFS_ID, KAD_DHT}), 0.0
         )
         assert hydra.union_dht_servers() == {server}
-
-    def test_shared_belly(self, rng):
-        hydra = HydraNode(3, rng=random.Random(8))
-        provider = PeerId.random(rng)
-        hydra.store_provider_record("some-cid", provider)
-        assert hydra.belly.providers_for("some-cid") == {provider}
-        assert hydra.belly.record_count() == 1
-
-    def test_belly_ipns(self):
-        belly = Belly()
-        belly.put_ipns("name", b"record")
-        assert belly.get_ipns("name") == b"record"
-        assert belly.get_ipns("missing") is None
 
     def test_shutdown_closes_all_heads(self, rng):
         hydra = HydraNode(2, rng=random.Random(9))

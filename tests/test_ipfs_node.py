@@ -10,6 +10,10 @@ from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import IPFS_ID, KAD_DHT
+from repro.simulation.churn_models import HOUR
+from repro.simulation.engine import Engine
+from repro.simulation.network import MeasurementIdentity, SimulatedNetwork
+from repro.simulation.population import PopulationConfig, generate_population
 
 
 def make_node(low=5, high=8, mode=DHTMode.SERVER):
@@ -58,7 +62,7 @@ class TestIpfsNode:
         remote = PeerId.random(rng)
         node.handle_inbound_connection(remote, Multiaddr.tcp("2.2.2.2"), 0.0)
         node.receive_identify(remote, identify(server=True), 1.0)
-        assert remote in node.dht.routing_table
+        assert remote in node.routing_table
         assert node.swarm.connmgr.peer_score(remote) > 0
 
     def test_identify_role_flip_removes_from_routing_table(self, rng):
@@ -67,7 +71,7 @@ class TestIpfsNode:
         node.handle_inbound_connection(remote, Multiaddr.tcp("2.2.2.2"), 0.0)
         node.receive_identify(remote, identify(server=True), 1.0)
         node.receive_identify(remote, identify(server=False), 2.0)
-        assert remote not in node.dht.routing_table
+        assert remote not in node.routing_table
         assert node.swarm.connmgr.peer_score(remote) == 0
 
     def test_tick_trims_above_high_water(self, rng):
@@ -86,22 +90,19 @@ class TestIpfsNode:
         assert len(closed) == 5
         assert node.connection_count() == 0
 
-    def test_bootstrap_protects_bootstrap_peers(self, rng):
-        node = make_node(low=0, high=1)
-        bootstrap = [PeerId.random(rng) for _ in range(2)]
-
-        def query(remote, target, count):
-            return []
-
-        node.bootstrap(bootstrap, query)
-        for peer in bootstrap:
-            assert node.swarm.connmgr.tag_info(peer).is_protected
-
-    def test_handle_find_node_respects_mode(self, rng):
-        server = make_node(mode=DHTMode.SERVER)
-        client = make_node(mode=DHTMode.CLIENT)
-        assert server.handle_find_node(0) == []
-        assert client.handle_find_node(0) is None
+    def test_handle_find_node_respects_mode(self):
+        # The simulated network answers the DHT; the node's mode decides
+        # whether it is deployed there as a DHT-Server (with the servers
+        # closest to it as its neighbourhood) or as a DHT-Client (none).
+        population = generate_population(PopulationConfig(n_peers=120, seed=5), random.Random(5))
+        network = SimulatedNetwork(Engine(), population, random.Random(6))
+        for seed, mode in enumerate((DHTMode.SERVER, DHTMode.CLIENT)):
+            node = IpfsNode(IpfsConfig(dht_mode=mode), rng=random.Random(seed))
+            network.add_measurement_identity(MeasurementIdentity(mode.name, node))
+        network.start(duration=HOUR)
+        server, client = network.identities
+        assert server.is_dht_server and server.neighborhood
+        assert not client.is_dht_server and client.neighborhood == set()
 
     def test_known_peer_count_accumulates(self, rng):
         node = make_node(low=1, high=2)

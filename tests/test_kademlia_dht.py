@@ -1,8 +1,10 @@
-"""Tests for the Kademlia node: modes, lookups, bootstrap.
+"""Tests for the DHT modes and the iterative Kademlia walk.
 
 The lookups run against an in-memory "oracle network": a dict of routing
 tables, with a query function that only answers for online server peers —
-the same shape the simulation and the crawler use.
+the same shape the simulation and the crawler use.  The modes are checked
+where they live: the simulated network answers FIND_NODE for DHT-Servers
+only, and the passive vantage points keep the DHT-Servers identify announces.
 """
 
 import builtins
@@ -13,10 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kademlia.dht import DHTMode, KademliaNode, LookupResult, iterative_lookup
+from repro.hydra.head import HydraHead
+from repro.ipfs.node import IpfsNode
+from repro.kademlia.dht import DEFAULT_ALPHA, LookupResult, iterative_lookup
 from repro.kademlia.keys import key_for_peer, xor_distance
 from repro.kademlia.routing_table import RoutingTable
+from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.peer_id import PeerId
+from repro.libp2p.protocols import IPFS_ID, KAD_DHT
+from repro.simulation.churn_models import HOUR
+from repro.simulation.engine import Engine
+from repro.simulation.network import SimulatedNetwork
+from repro.simulation.population import PopulationConfig, generate_population
 
 
 class OracleNetwork:
@@ -43,97 +53,124 @@ def oracle():
     return OracleNetwork()
 
 
+def lookup(oracle, target, seed, **kwargs):
+    """A walk by an outside peer, seeded with three of the oracle's servers."""
+    self_id = PeerId.random(random.Random(seed))
+    return iterative_lookup(target, oracle.query, oracle.peers[:3], self_id=self_id, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def fabric():
+    """A 120-peer simulated network one hour into a run."""
+    engine = Engine()
+    population = generate_population(PopulationConfig(n_peers=120, seed=5), random.Random(5))
+    network = SimulatedNetwork(engine, population, random.Random(6))
+    network.start(duration=HOUR)
+    engine.run_until(HOUR)
+    return network
+
+
+def online_peer(network, server):
+    return next(p for p in network.peers if p.online and p.is_dht_server == server)
+
+
+def identify(server):
+    protocols = {IPFS_ID, KAD_DHT} if server else {IPFS_ID}
+    return IdentifyRecord.make("go-ipfs/0.11.0", protocols)
+
+
+def vantage_points():
+    return [IpfsNode(rng=random.Random(40)), HydraHead(0, rng=random.Random(41))]
+
+
 class TestModes:
-    def test_server_answers_find_node(self):
-        node = KademliaNode(PeerId.random(random.Random(1)), mode=DHTMode.SERVER)
-        assert node.handle_find_node(0) == []
+    def test_server_answers_find_node(self, fabric):
+        server = online_peer(fabric, server=True)
+        reply = fabric.dht_query(server.current_pid, 0, 10)
+        assert reply and len(reply) <= 10
+        assert all(pid in server.routing_table for pid in reply)
+        assert reply == fabric.honest_find_node(server, 0, 10)
 
-    def test_client_does_not_answer(self):
-        node = KademliaNode(PeerId.random(random.Random(2)), mode=DHTMode.CLIENT)
-        assert node.handle_find_node(0) is None
+    def test_client_does_not_answer(self, fabric):
+        client = online_peer(fabric, server=False)
+        assert fabric.dht_query(client.current_pid, 0, 10) is None
 
-    def test_mode_switch(self):
-        node = KademliaNode(PeerId.random(random.Random(3)), mode=DHTMode.SERVER)
-        node.set_mode(DHTMode.CLIENT)
-        assert not node.is_server
-        node.set_mode(DHTMode.SERVER)
-        assert node.is_server
+    def test_mode_switch(self, fabric):
+        # a role flip retracts /ipfs/kad/1.0.0; the peer stops answering
+        # until it announces it again
+        server = online_peer(fabric, server=True)
+        server.kad_announced = False
+        try:
+            assert not server.is_dht_server
+            assert fabric.dht_query(server.current_pid, 0, 10) is None
+        finally:
+            server.kad_announced = True
+        assert server.is_dht_server
+        assert fabric.dht_query(server.current_pid, 0, 10) is not None
 
     def test_observe_peer_only_adds_servers(self):
         rng = random.Random(4)
-        node = KademliaNode(PeerId.random(rng))
-        server, client = PeerId.random(rng), PeerId.random(rng)
-        node.observe_peer(server, is_server=True)
-        node.observe_peer(client, is_server=False)
-        assert server in node.routing_table
-        assert client not in node.routing_table
+        for node in vantage_points():
+            server, client = PeerId.random(rng), PeerId.random(rng)
+            node.receive_identify(server, identify(server=True), 1.0)
+            node.receive_identify(client, identify(server=False), 1.0)
+            assert server in node.routing_table
+            assert client not in node.routing_table
 
     def test_observe_peer_demotion_removes_from_table(self):
         rng = random.Random(5)
-        node = KademliaNode(PeerId.random(rng))
-        peer = PeerId.random(rng)
-        node.observe_peer(peer, is_server=True)
-        node.observe_peer(peer, is_server=False)
-        assert peer not in node.routing_table
+        for node in vantage_points():
+            peer = PeerId.random(rng)
+            node.receive_identify(peer, identify(server=True), 1.0)
+            node.receive_identify(peer, identify(server=False), 2.0)
+            assert peer not in node.routing_table
 
 
 class TestLookup:
     def test_bootstrap_populates_routing_table(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(10)), rng=random.Random(10))
-        node.bootstrap(oracle.peers[:3], oracle.query)
-        assert node.table_size() > 10
+        # a bootstrap is a walk to one's own key from the bootstrap peers;
+        # what the walk discovers fills the table
+        self_id = PeerId.random(random.Random(10))
+        result = iterative_lookup(
+            key_for_peer(self_id), oracle.query, oracle.peers[:3], self_id=self_id
+        )
+        table = RoutingTable(self_id)
+        table.add_peers(result.discovered)
+        assert len(table) > 10
+
+    def test_lookup_counts(self, oracle):
+        result = lookup(oracle, 123, 15)
+        assert result.hops >= 1
+        assert len(result.queried) <= DEFAULT_ALPHA * result.hops
+        assert result.queried <= result.discovered
 
     def test_lookup_finds_closest_peers(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(11)), rng=random.Random(11))
-        node.bootstrap(oracle.peers[:3], oracle.query)
-        target = key_for_peer(oracle.peers[-1])
-        result = node.iterative_find_node(target, oracle.query, count=5)
+        result = lookup(oracle, key_for_peer(oracle.peers[-1]), 11, count=5)
         assert result.succeeded()
         # the true closest peer to its own key is the peer itself
         assert oracle.peers[-1] in result.closest
 
     def test_lookup_converges_to_global_closest(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(12)), rng=random.Random(12))
-        node.bootstrap(oracle.peers[:3], oracle.query)
         target = random.Random(99).getrandbits(256)
-        result = node.iterative_find_node(target, oracle.query, count=3)
-        found = set(result.closest)
+        result = lookup(oracle, target, 12, count=3)
         truly_closest = sorted(
             oracle.peers, key=lambda p: xor_distance(key_for_peer(p), target)
         )[:3]
         # with a fully connected oracle the lookup must find the exact closest set
-        assert found == set(truly_closest)
+        assert set(result.closest) == set(truly_closest)
 
     def test_lookup_with_unreachable_peers_still_succeeds(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(13)), rng=random.Random(13))
-        node.bootstrap(oracle.peers[:3], oracle.query)
         oracle.offline = set(oracle.peers[5:15])
         try:
-            result = node.iterative_find_node(0, oracle.query, count=5)
+            result = lookup(oracle, 0, 13, count=5)
             assert result.succeeded()
             assert result.queried
         finally:
             oracle.offline = set()
 
     def test_lookup_respects_max_queries(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(14)), rng=random.Random(14))
-        node.routing_table.add_peers(oracle.peers)
-        result = node.iterative_find_node(0, oracle.query, max_queries=5)
+        result = iterative_lookup(0, oracle.query, oracle.peers, max_queries=5)
         assert len(result.queried) <= 5
-
-    def test_lookup_counts(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(15)), rng=random.Random(15))
-        node.routing_table.add_peers(oracle.peers[:10])
-        before = node.lookups_performed
-        node.iterative_find_node(123, oracle.query)
-        assert node.lookups_performed == before + 1
-
-    def test_refresh_runs_requested_lookups(self, oracle):
-        node = KademliaNode(PeerId.random(random.Random(16)), rng=random.Random(16))
-        node.routing_table.add_peers(oracle.peers[:10])
-        before = node.lookups_performed
-        node.refresh(oracle.query, lookups=3)
-        assert node.lookups_performed == before + 3
 
 
 def reference_lookup(
@@ -144,7 +181,6 @@ def reference_lookup(
     alpha=3,
     count=20,
     max_queries=64,
-    on_found=None,
     stop=None,
     give_up=None,
     retry=None,
@@ -196,8 +232,6 @@ def reference_lookup(
                 if found not in candidates:
                     candidates.add(found)
                     progressed = True
-                if on_found is not None:
-                    on_found(found)
             if stop is not None and stop():
                 stopped = True
             if stopped or expired:
@@ -251,7 +285,6 @@ class WalkProbe:
         self.give_up_after = give_up_after
         self.retry = self if with_retry else None
         self.queries = []
-        self.found = []
         self.hops = []
         self.stop_calls = 0
         self.give_up_calls = 0
@@ -290,7 +323,6 @@ class WalkProbe:
             alpha=alpha,
             count=count,
             max_queries=max_queries,
-            on_found=self.found.append,
             stop=None if self.stop_after is None else self.stop,
             give_up=None if self.give_up_after is None else self.give_up,
             retry=self.retry,
@@ -302,7 +334,6 @@ class WalkProbe:
             result.discovered,
             result.hops,
             self.queries,
-            self.found,
             self.hops,
             self.stop_calls,
             self.give_up_calls,
@@ -327,7 +358,7 @@ class TestWalkEquivalence:
         self, graph_seed, n_peers, alpha, count, max_queries, stop_after, give_up_after, with_retry
     ):
         # RPC order drives walk clocks and RNG draws in the fabric, so the
-        # ordered query / on_found / hop logs are compared, not just the result.
+        # ordered query / hop logs are compared, not just the result.
         graph = ReplyGraph(random.Random(graph_seed), n_peers)
         observed = [
             WalkProbe(graph, stop_after, give_up_after, with_retry).run(

@@ -1,12 +1,16 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import json
+import os
 import random
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import EmpiricalCDF
-from repro.analysis.stats import StreamingStats, median, summarize
+from repro.analysis.stats import median
+from repro.artifacts import atomic_write, read_jsonl
 from repro.core.classification import ClassificationThresholds, PeerClassLabel, classify_peer
 from repro.core.churn import connection_statistics
 from repro.core.netsize import classify_peers, estimate_by_multiaddress
@@ -126,14 +130,6 @@ class TestStatisticsProperties:
         assert min(values) <= m <= max(values)
 
     @given(st.lists(durations, min_size=1, max_size=200))
-    def test_streaming_matches_batch(self, values):
-        stream = StreamingStats()
-        stream.extend(values)
-        batch = summarize(values)
-        assert stream.count == batch.count
-        assert abs(stream.mean - batch.mean) < 1e-6 * max(1.0, abs(batch.mean))
-
-    @given(st.lists(durations, min_size=1, max_size=200))
     def test_cdf_is_monotone_and_reaches_one(self, values):
         cdf = EmpiricalCDF(values)
         points = cdf.points()
@@ -236,3 +232,24 @@ class TestConnManagerProperties:
             assert manager.connection_count() == config.low_water
         else:
             assert manager.connection_count() == n_conns
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+class TestJsonlProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.dictionaries(st.text(max_size=6), json_values, max_size=4), max_size=6))
+    def test_read_jsonl_returns_what_was_written(self, rows):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "rows.jsonl")
+            with atomic_write(path) as handle:
+                for row in rows:
+                    handle.write(json.dumps(row) + "\n")
+            assert read_jsonl(path) == rows

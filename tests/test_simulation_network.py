@@ -8,6 +8,7 @@ import pytest
 from repro.adversary.attackers import QueryDropper
 from repro.adversary.behaviors import AttackStats
 from repro.core.churn import connection_statistics
+from repro.hydra.head import HydraHead
 from repro.ipfs.config import IpfsConfig
 from repro.libp2p import connmgr as connmgr_module
 from repro.kademlia.dht import DHTMode
@@ -97,6 +98,19 @@ class TestNetworkLifecycle:
         assert reply is not None
         if offline_peer is not None:
             assert network.dht_query(offline_peer.current_pid, 0, 10) is None
+
+    def test_vantage_points_answer_no_dht_rpc(self):
+        # Passive even in DHT-Server mode: the fabric serves its own peers,
+        # never a vantage point, so no walk can reach one.
+        engine, network, identity = build_network()
+        network.start(duration=HOUR)
+        engine.run_until(HOUR)
+        assert identity.is_dht_server and identity.node.swarm.total_opened > 0
+        pid = identity.peer_id
+        assert pid not in network.peers_by_pid
+        assert network.dht_query(pid, 0, 10) is None
+        assert network.add_provider(pid, 1, pid, ttl=60.0) is None
+        assert network.get_providers(pid, 1) is None
 
     def test_bootstrap_peers_are_servers(self):
         engine, network, _ = build_network()
@@ -403,6 +417,47 @@ class TestConnectionLifecycleCostModel:
         assert opened > 2 * distinct_pairs
         assert sum(manager.trim_count for manager in managers) > 10
         assert len(built) <= distinct_pairs
+
+    def test_one_routing_table_write_per_identify_and_no_dht(self, monkeypatch):
+        # The vantage points are passive: their only routing-table write is
+        # the one each identify makes, they carry no DHT object, and once the
+        # fabric has seeded its tables the drain never writes one of those.
+        writes = []
+        armed = []
+        for name in ("add_peer", "remove_peer"):
+            real = getattr(RoutingTable, name)
+
+            def counting(table, peer, _real=real):
+                if armed:
+                    writes.append(table)
+                return _real(table, peer)
+
+            monkeypatch.setattr(RoutingTable, name, counting)
+        identifies = []
+        for cls in (IpfsNode, HydraHead):
+            real_identify = cls.receive_identify
+
+            def counting_identify(node, *args, _real=real_identify):
+                if armed:
+                    identifies.append(node)
+                return _real(node, *args)
+
+            monkeypatch.setattr(cls, "receive_identify", counting_identify)
+        scenario = Scenario(build_scenario_config("p0", n_peers=200, duration_days=0.05, seed=7))
+        real_start = scenario.network.start
+
+        def start_then_count(duration):
+            real_start(duration)
+            armed.append(True)
+
+        monkeypatch.setattr(scenario.network, "start", start_then_count)
+        result = scenario.run()
+        monkeypatch.undo()
+
+        nodes = [identity.node for identity in scenario.identities]
+        assert len(nodes) >= 2 and result.dataset("go-ipfs").connection_count() > 100
+        assert [table.local_peer for table in writes] == [node.peer_id for node in identifies]
+        assert not any(hasattr(node, "dht") for node in nodes)
 
 
 class TestCollectorHygiene:

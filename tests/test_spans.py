@@ -19,11 +19,10 @@ import types
 
 import pytest
 
+from repro.artifacts import read_jsonl
 from repro.obs.spans import SpanTracer, TraceConfig
 from repro.obs.trace_export import (
-    build_trace,
     leaf_attribution,
-    read_traces,
     render_trace_line,
     write_traces,
 )
@@ -219,7 +218,7 @@ class TestSpanTracerUnit:
         path = tmp_path / "traces.jsonl"
         write_traces(summary.traces, str(path))
         assert path.read_text() == summary.as_jsonl()
-        assert read_traces(str(path)) == summary.traces
+        assert read_jsonl(str(path)) == summary.traces
         line = render_trace_line(summary.traces[0])
         assert ": " not in line and ", " not in line
 

@@ -136,6 +136,14 @@ class TestMetricsReportCLI:
         assert "windows: 0" in out
         assert "histogram observations: 0" in out
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = metrics_file(tmp_path)
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+        assert metrics_main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "windows: 3" in out
+        assert "rpc.sent: 30" in out
+
     def test_rejects_bad_top_and_missing_file(self, tmp_path, capsys):
         path = metrics_file(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -146,3 +154,63 @@ class TestMetricsReportCLI:
             metrics_main([str(tmp_path / "absent.jsonl")])
         assert excinfo.value.code == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_field"])
+@pytest.mark.parametrize(
+    "main, make_file, field",
+    [(critical_main, traces_file, "seconds"), (metrics_main, metrics_file, "end")],
+    ids=["critical_path", "metrics_report"],
+)
+def test_bad_line_exits_2_naming_the_line(main, make_file, field, damage, tmp_path, capsys):
+    path = make_file(tmp_path)
+    lines = path.read_text().splitlines()
+    if damage == "truncated":
+        bad, reason = lines[0][:-7], "invalid JSON"
+    else:
+        payload = json.loads(lines[0])
+        del payload[field]
+        bad, reason = json.dumps(payload), f"missing field {field}"
+    path.write_text("\n".join(lines + [bad]) + "\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(path)])
+    assert excinfo.value.code == 2
+    assert f"{path}:{len(lines) + 1}: {reason}" in capsys.readouterr().err
+
+
+# ``seconds`` and ``end`` are the missing-field cases above.
+@pytest.mark.parametrize(
+    "main, make_file, field",
+    [
+        pytest.param(critical_main, traces_file, field, id=f"critical_path-{field}")
+        for field in ("key", "op", "outcome", "root")
+    ]
+    + [pytest.param(metrics_main, metrics_file, "start", id="metrics_report-start")],
+)
+def test_every_field_the_cli_reads_is_required(main, make_file, field, tmp_path, capsys):
+    path = make_file(tmp_path)
+    lines = path.read_text().splitlines()
+    payload = json.loads(lines[1])
+    del payload[field]
+    lines[1] = json.dumps(payload)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(path)])
+    assert excinfo.value.code == 2
+    assert f"{path}:2: missing field {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "main, make_file",
+    [(critical_main, traces_file), (metrics_main, metrics_file)],
+    ids=["critical_path", "metrics_report"],
+)
+def test_a_line_that_is_not_an_object_exits_2(main, make_file, tmp_path, capsys):
+    path = make_file(tmp_path)
+    with path.open("a") as handle:
+        handle.write("[1, 2]\n")
+    lines = len(path.read_text().splitlines())
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(path)])
+    assert excinfo.value.code == 2
+    assert f"{path}:{lines}: not a JSON object" in capsys.readouterr().err
