@@ -140,8 +140,8 @@ class RoutingTable:
         Bucket by bucket the same as calling :meth:`add_peer` on each peer in
         order (known peer → tail, new with room → appended, new and full →
         dropped, local peer skipped), with the table lookups hoisted out of
-        the loop and the memo dropped once; this is how the fabric seeds its
-        tables at start-up.
+        the loop and the memo dropped once; this is how the fabric builds a
+        table from its start-up sample.
         """
         local_key = self.local_key
         buckets = self._buckets

@@ -87,7 +87,6 @@ class MetricsRuntime(FabricRuntime):
         self.network: Optional["SimulatedNetwork"] = None
         #: last sampled value per sibling cumulative stat (delta cursors)
         self._cursors: Dict[str, int] = {}
-        self._task: Optional[PeriodicTask] = None
         # Per-event tallies, flushed into the just-ended window each tick.
         self._n_contact = 0
         self._n_connect = 0
@@ -100,9 +99,7 @@ class MetricsRuntime(FabricRuntime):
     def install(self, network: "SimulatedNetwork", duration: float) -> None:
         self.network = network
         self.hub.set_horizon(duration)
-        self._task = PeriodicTask(
-            self.engine, self.hub.window, self._tick, start_delay=0.0
-        )
+        PeriodicTask(self.engine, self.hub.window, self._tick, start_delay=0.0)
 
     def on_contact(self, peer: "SimPeer") -> Optional[float]:
         self._n_contact += 1
@@ -186,8 +183,6 @@ class MetricsRuntime(FabricRuntime):
     def finalize(self, duration: float) -> MetricsSummary:
         """Close the books at the end of the run: the final sibling deltas go
         into the last window, then the hub closes out the horizon."""
-        if self._task is not None:
-            self._task.stop()
         last = (self.hub._n_windows or 1) - 1
         self._sample_deltas(last)
         return self.hub.finalize()

@@ -174,7 +174,6 @@ class ContentBehaviors:
         )
         self.stats = ContentRoutingStats()
         self._duration = 0.0
-        self._sweep_task: Optional[PeriodicTask] = None
         #: items each publisher has provided, kept only under fault injection
         #: so crash recovery knows what to republish (peer_index -> items)
         self._published: Dict[int, Set[int]] = {}
@@ -206,7 +205,7 @@ class ContentBehaviors:
                 self.stats.retrievers += 1
                 delay = self.rng.uniform(0.0, min(config.retrieve_interval, duration))
                 self.engine.schedule_drop(delay, self._retrieve, peer)
-        self._sweep_task = PeriodicTask(self.engine, config.sweep_interval(), self._sweep)
+        PeriodicTask(self.engine, config.sweep_interval(), self._sweep)
 
     def finalize(self, now: float) -> ContentRoutingStats:
         """Close the books: count the records still live on the fabric."""
@@ -224,8 +223,9 @@ class ContentBehaviors:
     def _seeds(self, peer: SimPeer, key: int):
         """Lookup entry points: bootstrap servers plus own table neighbours."""
         seeds = list(self.network.bootstrap_peers(self.config.bootstrap_count))
-        if peer.routing_table is not None:
-            seeds.extend(peer.routing_table.closest_peers(key, self.config.bootstrap_count))
+        table = peer.routing_table
+        if table is not None:
+            seeds.extend(table.closest_peers(key, self.config.bootstrap_count))
         return seeds
 
     def _lookup_latency(self, hops: int) -> float:

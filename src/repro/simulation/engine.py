@@ -32,6 +32,17 @@ Determinism invariant: every schedule call consumes sequence numbers from the
 in schedule order whichever way they were scheduled.
 ``tests/test_engine_ordering.py`` checks arbitrary interleavings against a
 sort-by-``(time, seq)`` reference scheduler.
+
+Every entry point rejects a time before ``now`` and a non-finite delay or
+time: a NaN would compare false against every other key and fire out of order
+with ``now == nan``.  The checks are written ``not lo <= x < inf`` so that a
+NaN fails them too.
+
+Queued callbacks are mostly bound methods of objects that hold the engine, so
+a queue is a reference cycle.  :meth:`Engine.clear` drops it, and with it the
+callbacks of every handle still queued, which is how a finished
+:class:`~repro.simulation.scenario.Scenario` leaves nothing that only the
+cyclic collector could free.
 """
 
 from __future__ import annotations
@@ -40,9 +51,11 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+_INF = float("inf")
+
 
 class Event:
-    """A scheduled callback; cancellation simply marks it dead."""
+    """A scheduled callback; cancelling marks it dead and drops the callback."""
 
     __slots__ = ("time", "callback", "args", "cancelled", "_engine")
 
@@ -57,6 +70,9 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
+        # A PeriodicTask holds its pending event, whose callback is the task's
+        # bound method: forgetting it leaves no cycle behind.
+        self.callback = self.args = None
         engine = self._engine
         if engine is not None:
             engine._cancelled_pending += 1
@@ -124,8 +140,8 @@ class Engine:
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
+        if not self._now <= time < _INF:
+            raise ValueError(f"event time must be finite and >= now ({self._now}), got {time}")
         event = Event(time, callback, args)
         event._engine = self
         heapq.heappush(self._heap, (time, next(self._sequence), event))
@@ -133,8 +149,8 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be non-negative and finite, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_drop(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
@@ -145,8 +161,8 @@ class Engine:
         can never be cancelled, so no :class:`Event` is allocated.  Hot paths
         that never cancel should prefer it.
         """
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be non-negative and finite, got {delay}")
         heapq.heappush(self._heap, (self._now + delay, next(self._sequence), callback, args))
 
     def schedule_bulk(
@@ -161,14 +177,12 @@ class Engine:
         identical timestamps resolve exactly as ``len(times)`` individual
         :meth:`schedule_at` calls would.  Bulk events cannot be cancelled.
         """
-        n = len(times)
-        if n != len(payloads):
+        if len(times) != len(payloads):
             raise ValueError("times and payloads must have equal length")
-        if n == 0:
-            return
-        earliest = min(times)
-        if earliest < self._now:
-            raise ValueError(f"cannot schedule in the past ({float(earliest)} < {self._now})")
+        now = self._now
+        for time in times:
+            if not now <= time < _INF:
+                raise ValueError(f"event time must be finite and >= now ({now}), got {time}")
         # float(): an int time must not leak into `now` and from there into
         # dataset timestamps.  The heap is mutated in place because a callback
         # may call this mid-drain, while _drain holds an alias to it.
@@ -181,6 +195,15 @@ class Engine:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._heap) - self._cancelled_pending
+
+    def clear(self) -> None:
+        """Drop every queued event; a handle still held elsewhere ends up
+        cancelled, without its callback."""
+        for entry in self._heap:
+            if len(entry) == 3:
+                entry[2].cancel()
+        self._heap.clear()
+        self._cancelled_pending = 0
 
     # -- draining ----------------------------------------------------------------
 
@@ -235,8 +258,8 @@ class PeriodicTask:
         callback: Callable[[float], None],
         start_delay: Optional[float] = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if not 0.0 < interval < _INF:
+            raise ValueError(f"interval must be positive and finite, got {interval}")
         self.engine = engine
         self.interval = interval
         self.callback = callback

@@ -47,7 +47,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.ipfs.bitswap import BitswapEngine
 from repro.kademlia.provider_store import ProviderStore
@@ -115,7 +115,8 @@ class SimPeer:
         "kad_announced",
         "autonat_announced",
         "agent",
-        "routing_table",
+        "_routing_table",
+        "_table_seed",
         "last_online_at",
         "addrs",
         "_dial_addr",
@@ -140,7 +141,10 @@ class SimPeer:
         self.kad_announced = profile.is_dht_server
         self.autonat_announced = AUTONAT in profile.protocols
         self.agent = profile.agent
-        self.routing_table: Optional[RoutingTable] = None
+        self._routing_table: Optional[RoutingTable] = None
+        #: the start-up sample of a DHT-Server's table, until the first read
+        #: builds the table from it (most tables are never read)
+        self._table_seed: Optional[Sequence[PeerId]] = None
         #: content-routing state, created lazily when a workload touches the
         #: peer (scenarios without content routing never allocate either)
         self.provider_store: Optional[ProviderStore] = None
@@ -170,8 +174,21 @@ class SimPeer:
     def rotate_pid(self) -> None:
         self.current_pid = PeerId.random(self.rng)
         self.all_pids.add(self.current_pid)
-        if self.routing_table is not None:
-            self.routing_table = RoutingTable(self.current_pid)
+        if self._routing_table is not None or self._table_seed is not None:
+            # A new identity starts from an empty table.
+            self._routing_table = None
+            self._table_seed = ()
+
+    @property
+    def routing_table(self) -> Optional[RoutingTable]:
+        """A DHT-Server's routing table (None for the others), built from its
+        start-up sample on first read."""
+        seed = self._table_seed
+        if seed is not None:
+            self._table_seed = None
+            self._routing_table = RoutingTable(self.current_pid)
+            self._routing_table.add_peers(seed)
+        return self._routing_table
 
     def dial_addr(self) -> Multiaddr:
         """The multiaddr the measurement node observes for this peer's connections."""
@@ -334,7 +351,6 @@ class SimulatedNetwork:
                 for peer in self.peers:
                     setattr(peer, slot, runtime.assign_peer(peer.profile))
         self._duration: Optional[float] = None
-        self._tasks: List[PeriodicTask] = []
         self._started = False
 
     # ------------------------------------------------------------------ setup ----
@@ -362,26 +378,16 @@ class SimulatedNetwork:
         self._build_routing_tables()
         self._compute_neighborhoods()
         for identity in self.identities:
-            self._tasks.append(
-                PeriodicTask(
-                    self.engine,
-                    identity.poll_interval,
-                    lambda now, ident=identity: ident.measurement.poll(now),
-                )
+            PeriodicTask(self.engine, identity.poll_interval, identity.measurement.poll)
+            PeriodicTask(
+                self.engine,
+                self.config.identity_tick_interval,
+                lambda now, ident=identity: self._identity_tick(ident, now),
             )
-            self._tasks.append(
-                PeriodicTask(
-                    self.engine,
-                    self.config.identity_tick_interval,
-                    lambda now, ident=identity: self._identity_tick(ident, now),
-                )
-            )
-            self._tasks.append(
-                PeriodicTask(
-                    self.engine,
-                    self.config.outbound_dial_interval,
-                    lambda now, ident=identity: self._identity_outbound(ident, now),
-                )
+            PeriodicTask(
+                self.engine,
+                self.config.outbound_dial_interval,
+                lambda now, ident=identity: self._identity_outbound(ident, now),
             )
         # Initial arrivals: the RNG draws happen per peer in peer-index order
         # (peers already online enter their session inline), the rest go to
@@ -399,15 +405,14 @@ class SimulatedNetwork:
             runtime.install(self, duration)
 
     def _build_routing_tables(self) -> None:
-        """Seed each simulated DHT-Server's routing table with other servers."""
+        """Draw each simulated DHT-Server's routing-table sample of other
+        servers; the table itself is built on first read
+        (:attr:`SimPeer.routing_table`)."""
         server_peers = [p for p in self.peers if p.profile.is_dht_server]
         server_pids = [p.current_pid for p in server_peers]
         sample_size = min(self.config.routing_table_sample, max(0, len(server_pids) - 1))
         for peer in server_peers:
-            table = RoutingTable(peer.current_pid)
-            if sample_size:
-                table.add_peers(self.rng.sample(server_pids, sample_size))
-            peer.routing_table = table
+            peer._table_seed = self.rng.sample(server_pids, sample_size) if sample_size else ()
 
     def _compute_neighborhoods(self) -> None:
         """Peers closest to a measurement identity discover it quickly: the
@@ -844,13 +849,14 @@ class SimulatedNetwork:
         self, peer: SimPeer, target: int, count: int
     ) -> Optional[List[PeerId]]:
         """The honest FIND_NODE reply of an online DHT-Server."""
-        if peer.routing_table is None:
+        table = peer.routing_table
+        if table is None:
             return []
         peers_by_pid = self.peers_by_pid
         now = self.engine.now
         expiry = self.config.routing_entry_expiry
         fresh: List[PeerId] = []
-        for pid in peer.routing_table.closest_peers(target, count * 2):
+        for pid in table.closest_peers(target, count * 2):
             entry_peer = peers_by_pid.get(pid)
             if entry_peer is None:
                 continue

@@ -141,24 +141,21 @@ class ScenarioResult:
 
 
 @contextmanager
-def collector_parked(reclaim: bool = False) -> Iterator[None]:
+def collector_parked() -> Iterator[None]:
     """Keep the cyclic garbage collector out of a bulk-construction phase.
 
     Building a network allocates millions of objects that all live until the
     run ends; every generational pass the allocations trigger traverses that
     heap and frees nothing.  Nothing in ``repro`` has a finaliser or a weak
-    reference, so when cycles are collected cannot reach a result.  With
-    ``reclaim`` one full collection runs first: the previous run in this
-    process is a Scenario ↔ network ↔ engine cycle, and parking the collector
-    takes away the passes that used to free it while the next one was built.
-    A caller that already disabled the collector finds it still disabled
-    afterwards, and nothing is collected on its behalf.
+    reference, so when cycles are collected cannot reach a result.  Parking
+    never keeps an earlier run alive, because a finished run holds no cycle
+    (:meth:`Scenario.run` releases it) and reference counting frees it.  A
+    caller that already disabled the collector finds it still disabled
+    afterwards.
     """
     if not gc.isenabled():
         yield
         return
-    if reclaim:
-        gc.collect()
     gc.disable()
     try:
         yield
@@ -170,7 +167,7 @@ class Scenario:
     """Builds and runs one simulated measurement period."""
 
     def __init__(self, config: ScenarioConfig) -> None:
-        with collector_parked(reclaim=True):
+        with collector_parked():
             self._build(config)
 
     def _build(self, config: ScenarioConfig) -> None:
@@ -247,16 +244,39 @@ class Scenario:
     # -- execution --------------------------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        with collector_parked():
-            self._start()
-        # The built heap is all long-lived: frozen, the collections the drain
-        # triggers no longer traverse it.  (Freezing is process-wide: a caller
-        # that froze a heap of its own finds it unfrozen afterwards.)
-        gc.freeze()
+        """Start and drain the run once; whether it returns or raises, it is
+        then released (:meth:`_release`)."""
         try:
-            return self._drain()
+            with collector_parked():
+                self._start()
+            # The built heap is all long-lived: frozen, the collections the
+            # drain triggers no longer traverse it.  (Freezing is
+            # process-wide: a caller that froze a heap of its own finds it
+            # unfrozen afterwards.)
+            gc.freeze()
+            try:
+                return self._drain()
+            finally:
+                gc.unfreeze()
         finally:
-            gc.unfreeze()
+            self._release()
+
+    def _release(self) -> None:
+        """Cut every reference cycle the run holds, so reference counting
+        frees it the moment the caller drops this Scenario, instead of a
+        collector pass traversing it.
+
+        The queue holds bound methods of objects that hold the engine (and a
+        started network refuses a second ``start()``, so it is never drained
+        again); the rest are back-references the drain needed.
+        """
+        self.engine.clear()
+        network = self.network
+        network.adversary_monitor = None
+        if network.faults is not None:
+            network.faults.content = None
+        if network.obs is not None:
+            network.obs.network = None
 
     def _start(self) -> None:
         config = self.config

@@ -65,6 +65,18 @@ class TestEngine:
             engine.run_until(float("nan"))
         assert engine.events_processed == 0
 
+    def test_clear_drops_the_queue_and_cancels_handles(self):
+        engine = Engine()
+        fired = []
+        handle = engine.schedule(1.0, fired.append, "handle")
+        engine.schedule_drop(2.0, fired.append, "drop")
+        engine.clear()
+        assert engine.pending() == 0
+        assert handle.cancelled and handle.callback is None and handle.args is None
+        engine.schedule(3.0, fired.append, "after")
+        engine.run()
+        assert fired == ["after"] and engine.pending() == 0
+
     def test_callbacks_can_schedule_more_events(self):
         engine = Engine()
         seen = []
@@ -121,6 +133,45 @@ class TestPeriodicTask:
     def test_zero_interval_rejected(self):
         with pytest.raises(ValueError):
             PeriodicTask(Engine(), 0.0, lambda now: None)
+
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+class TestNonFiniteRejected:
+    """A NaN key compares false against every other: accepted, it fired before
+    a t = 5 event with ``now == nan`` inside its callback."""
+
+    def test_schedule_at(self, value):
+        engine = Engine()
+        with pytest.raises(ValueError, match=str(value)):
+            engine.schedule_at(value, lambda: None)
+        assert engine.pending() == 0
+
+    def test_schedule(self, value):
+        engine = Engine()
+        with pytest.raises(ValueError, match=str(value)):
+            engine.schedule(value, lambda: None)
+        assert engine.pending() == 0
+
+    def test_schedule_drop(self, value):
+        engine = Engine()
+        with pytest.raises(ValueError, match=str(value)):
+            engine.schedule_drop(value, lambda: None)
+        assert engine.pending() == 0
+
+    def test_schedule_bulk(self, value):
+        engine = Engine()
+        with pytest.raises(ValueError, match=str(value)):
+            engine.schedule_bulk([1.0, value], lambda payload: None, ["a", "b"])
+        assert engine.pending() == 0
+
+    def test_periodic_task_interval(self, value):
+        engine = Engine()
+        with pytest.raises(ValueError, match=str(value)):
+            PeriodicTask(engine, value, lambda now: None)
+        assert engine.pending() == 0
 
 
 class TestPendingCounter:

@@ -136,17 +136,20 @@ class TestNetworkLifecycle:
 
 def _reference_build_routing_tables(network):
     """The per-peer seeding loop ``_build_routing_tables`` had before it went
-    through ``RoutingTable.add_peers``."""
+    through ``RoutingTable.add_peers`` and before tables were built on first
+    read: ``peer_index -> table`` for every DHT-Server."""
     server_peers = [p for p in network.peers if p.profile.is_dht_server]
     server_pids = [p.current_pid for p in server_peers]
     sample_size = min(network.config.routing_table_sample, max(0, len(server_pids) - 1))
+    tables = {}
     for peer in server_peers:
         table = RoutingTable(peer.current_pid)
         if sample_size:
             for pid in network.rng.sample(server_pids, sample_size):
                 if pid != peer.current_pid:
                     table.add_peer(pid)
-        peer.routing_table = table
+        tables[peer.profile.peer_index] = table
+    return tables
 
 
 class TestRoutingTableSeeding:
@@ -158,15 +161,16 @@ class TestRoutingTableSeeding:
         _, bulk, _ = build_network(n_peers=n_peers)
         _, reference, _ = build_network(n_peers=n_peers)
         bulk._build_routing_tables()
-        _reference_build_routing_tables(reference)
+        tables = _reference_build_routing_tables(reference)
         assert bulk.rng.getstate() == reference.rng.getstate()
         seeded = 0
-        for peer, twin in zip(bulk.peers, reference.peers):
-            if twin.routing_table is None:
+        for peer in bulk.peers:
+            expected = tables.get(peer.profile.peer_index)
+            if expected is None:
                 assert peer.routing_table is None
                 continue
             seeded += 1
-            table, expected = peer.routing_table, twin.routing_table
+            table = peer.routing_table
             assert table.local_peer == expected.local_peer
             assert table.nonempty_bucket_indices() == expected.nonempty_bucket_indices()
             for index in expected.nonempty_bucket_indices():
@@ -182,6 +186,33 @@ class TestRoutingTableSeeding:
         network.start(duration=HOUR)
         assert any(len(p.routing_table) for p in network.peers if p.routing_table)
         assert calls == []
+
+    def test_rotating_before_the_first_read_gives_an_empty_table(self):
+        _, network, _ = build_network(n_peers=300)
+        network.start(duration=HOUR)
+        servers = [p for p in network.peers if p.profile.is_dht_server]
+        rotated, kept = servers[0], servers[1]
+        old_pid = rotated.current_pid
+        rotated.rotate_pid()
+        assert rotated.current_pid != old_pid
+        table = rotated.routing_table
+        assert table.local_peer == rotated.current_pid and len(table) == 0
+        assert len(kept.routing_table) > 0
+
+    def test_a_run_without_find_node_builds_no_table(self, monkeypatch):
+        queries = []
+        real = SimulatedNetwork.honest_find_node
+        monkeypatch.setattr(
+            SimulatedNetwork,
+            "honest_find_node",
+            lambda network, *args: queries.append(args) or real(network, *args),
+        )
+        scenario = Scenario(build_scenario_config("p2", n_peers=300, duration_days=0.02, seed=7))
+        result = scenario.run()
+        assert result.events_processed > 0 and queries == []
+        peers = scenario.network.peers
+        assert sum(p._table_seed is not None for p in peers) > 10
+        assert all(p._routing_table is None for p in peers)
 
 
 class TestNeighborhoods:
@@ -420,8 +451,8 @@ class TestConnectionLifecycleCostModel:
 
     def test_one_routing_table_write_per_identify_and_no_dht(self, monkeypatch):
         # The vantage points are passive: their only routing-table write is
-        # the one each identify makes, they carry no DHT object, and once the
-        # fabric has seeded its tables the drain never writes one of those.
+        # the one each identify makes, they carry no DHT object, and the
+        # fabric builds its own tables (on first read) without either call.
         writes = []
         armed = []
         for name in ("add_peer", "remove_peer"):
@@ -519,19 +550,22 @@ class TestCollectorHygiene:
         assert gc.get_freeze_count() == 0
 
     def test_sequential_runs_do_not_accumulate(self, restore_collector, monkeypatch):
-        # A finished run is a Scenario <-> network <-> engine cycle that only
-        # a full collection frees.  With the collector parked during set-up
-        # nothing else triggers one between small runs, so without the
-        # collection on entry a sweep worker keeps every earlier cell alive
-        # (sweep-cli peak RSS 52 -> 93 MB when this was sized).
-        gc.enable()
+        # A finished run holds no reference cycle, so reference counting
+        # frees each run as it is dropped and a sweep worker never carries
+        # an earlier cell while it builds the next.  The collector stays off
+        # for the whole test, and the count is taken against a baseline:
+        # garbage earlier tests left for the collector is not this test's.
+        gc.disable()
+
+        def live_peers():
+            return sum(1 for obj in gc.get_objects() if type(obj) is SimPeer)
+
+        baseline = live_peers()
         live_at_build = []
         generate = scenario_module.generate_population
 
         def counting_generate(config, rng):
-            live_at_build.append(
-                sum(1 for obj in gc.get_objects() if type(obj) is SimPeer)
-            )
+            live_at_build.append(live_peers())
             return generate(config, rng)
 
         monkeypatch.setattr(scenario_module, "generate_population", counting_generate)
@@ -539,5 +573,5 @@ class TestCollectorHygiene:
             result = Scenario(self._config(seed)).run()
             assert result.events_processed > 0
             del result
-        assert len(live_at_build) == 6
-        assert max(live_at_build) <= 60
+        assert live_at_build == [baseline] * 6
+        assert live_peers() == baseline
