@@ -12,7 +12,6 @@ from repro.adversary.attackers import (
 )
 from repro.adversary.behaviors import AdversaryBehaviors, AttackStats
 from repro.adversary.config import (
-    ALL_KINDS,
     CHURN_SPOOFER,
     DROPPER,
     ECLIPSE,
@@ -31,7 +30,6 @@ from repro.adversary.profiles import (
 )
 
 __all__ = [
-    "ALL_KINDS",
     "CHURN_SPOOFER",
     "DROPPER",
     "ECLIPSE",

@@ -32,7 +32,7 @@ pre-existing fixed-seed golden byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 # Time constants duplicated from repro.simulation.churn_models: importing any
 # repro.simulation module would pull the whole simulation package (its
@@ -47,8 +47,6 @@ ECLIPSE = "eclipse"
 POISONER = "poisoner"
 DROPPER = "dropper"
 CHURN_SPOOFER = "churn-spoofer"
-
-ALL_KINDS = (SYBIL, ECLIPSE, POISONER, DROPPER, CHURN_SPOOFER)
 
 
 @dataclass(frozen=True)
@@ -207,34 +205,6 @@ class AdversaryConfig:
 
     def enabled(self) -> bool:
         return any((self.sybil, self.eclipse, self.poison, self.churn_spoof))
-
-    def attacker_count(self) -> int:
-        """Total attacker peers this config adds to the population."""
-        total = 0
-        if self.sybil is not None:
-            total += self.sybil.count
-        if self.eclipse is not None:
-            total += self.eclipse.count
-        if self.poison is not None:
-            total += self.poison.count
-        if self.churn_spoof is not None:
-            total += self.churn_spoof.count
-        return total
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Attacker count per kind label (droppers split out of poisoners)."""
-        counts = {kind: 0 for kind in ALL_KINDS}
-        if self.sybil is not None:
-            counts[SYBIL] = self.sybil.count
-        if self.eclipse is not None:
-            counts[ECLIPSE] = self.eclipse.count
-        if self.poison is not None:
-            droppers = int(round(self.poison.count * self.poison.drop_share))
-            counts[DROPPER] = droppers
-            counts[POISONER] = self.poison.count - droppers
-        if self.churn_spoof is not None:
-            counts[CHURN_SPOOFER] = self.churn_spoof.count
-        return counts
 
 
 #: re-exported for catalog builders (sybil uptime etc. live here so the

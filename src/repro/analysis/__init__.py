@@ -6,7 +6,7 @@ that the analysis code in :mod:`repro.core` stays testable in isolation and
 could be reused on data exported from a real go-ipfs measurement node.
 """
 
-from repro.analysis.cdf import EmpiricalCDF, binned_cdf
+from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.stats import median
 from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.analysis.plots import ascii_bar_chart, ascii_series, sparkline
@@ -18,7 +18,6 @@ from repro.analysis.sweep_report import (
 
 __all__ = [
     "EmpiricalCDF",
-    "binned_cdf",
     "median",
     "TextTable",
     "format_count",

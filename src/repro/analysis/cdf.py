@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -67,28 +67,6 @@ class EmpiricalCDF:
     def sampled(self, xs: Sequence[float]) -> List[Tuple[float, float]]:
         """Evaluate the CDF at each x in ``xs`` (for plotting on a fixed grid)."""
         return [(x, self.fraction_at(x)) for x in xs]
-
-
-def binned_cdf(values: Iterable[float], bin_width: float) -> Dict[float, float]:
-    """Return a CDF evaluated on bin edges ``bin_width, 2*bin_width, ...``.
-
-    The paper groups connection durations into 30 s intervals before plotting;
-    this helper reproduces that presentation.  The returned dict maps the upper
-    bin edge to the cumulative fraction of values that fall at or below it.
-    """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    data = sorted(float(v) for v in values)
-    if not data:
-        return {}
-    max_value = data[-1]
-    edges: List[float] = []
-    edge = bin_width
-    while edge < max_value + bin_width:
-        edges.append(edge)
-        edge += bin_width
-    cdf = EmpiricalCDF(data)
-    return {round(e, 9): cdf.fraction_at(e) for e in edges}
 
 
 def log_spaced_grid(minimum: float, maximum: float, points_per_decade: int = 10) -> List[float]:

@@ -8,7 +8,7 @@ to diff against the paper's values recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_seconds(value: float) -> str:
@@ -36,10 +36,6 @@ class TextTable:
                 f"row has {len(row)} cells, expected {len(self.headers)}"
             )
         self.rows.append(row)
-
-    def add_rows(self, rows: Iterable[Sequence[object]]) -> None:
-        for row in rows:
-            self.add_row(*row)
 
     def render(self) -> str:
         widths = [len(h) for h in self.headers]

@@ -57,12 +57,6 @@ class PeriodChurnReport:
     outbound: DirectionStats
     close_reasons: Dict[str, int]
 
-    @property
-    def inbound_outbound_count_ratio(self) -> float:
-        if self.outbound.count == 0:
-            return float("inf") if self.inbound.count else 0.0
-        return self.inbound.count / self.outbound.count
-
     def rows(self) -> List[tuple]:
         return [self.all_stats.as_row(), self.peer_stats.as_row()]
 
@@ -145,11 +139,6 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
         outbound=_direction_stats(outbound_durations, "outbound"),
         close_reasons=close_reasons,
     )
-
-
-def churn_reports(datasets: Dict[str, MeasurementDataset]) -> Dict[str, PeriodChurnReport]:
-    """Compute churn reports for every dataset of a scenario."""
-    return {label: connection_statistics(ds) for label, ds in datasets.items()}
 
 
 def trim_share(report: PeriodChurnReport) -> float:

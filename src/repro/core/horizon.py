@@ -31,10 +31,6 @@ class HorizonEntry:
     dht_client_pids: int
     role_unknown_pids: int
 
-    @property
-    def client_share(self) -> float:
-        return self.dht_client_pids / self.total_pids if self.total_pids else 0.0
-
 
 @dataclass
 class HorizonComparison:

@@ -51,9 +51,6 @@ class AgentBreakdown:
             + self.missing_peers
         )
 
-    def top_agents(self, n: int = 10) -> List[Tuple[str, int]]:
-        return sorted(self.grouped.items(), key=lambda kv: kv[1], reverse=True)[:n]
-
 
 def agent_breakdown(dataset: MeasurementDataset, group_threshold: int = 0) -> AgentBreakdown:
     """Compute the Fig. 3 histogram and Section IV.B composition totals.
@@ -262,14 +259,6 @@ class MetadataReport:
     versions: VersionChangeReport
     kad_flaps: ProtocolFlapReport
     autonat_flaps: ProtocolFlapReport
-
-    def anomalies(self) -> Dict[str, int]:
-        """The anomaly indicators the paper calls out."""
-        return {
-            "goipfs_without_bitswap": self.protocols.goipfs_without_bitswap,
-            "goipfs_with_sbptp": self.protocols.goipfs_with_sbptp,
-            "missing_agent": self.agents.missing_peers,
-        }
 
 
 def analyze_metadata(dataset: MeasurementDataset, group_threshold: int = 0) -> MetadataReport:

@@ -81,9 +81,6 @@ class ConnectionCDFs:
     def fraction_connected_more_than(self, seconds: float) -> float:
         return self.max_duration.fraction_above(seconds)
 
-    def fraction_with_at_most_connections(self, count: int) -> float:
-        return self.connection_count.fraction_at(count)
-
 
 def connection_cdfs(
     dataset: MeasurementDataset,
@@ -246,10 +243,6 @@ class ClassCount:
     label: PeerClassLabel
     peers: int
     dht_servers: int
-
-    @property
-    def dht_clients(self) -> int:
-        return self.peers - self.dht_servers
 
 
 @dataclass

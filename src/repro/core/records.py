@@ -13,7 +13,6 @@ go-ipfs measurement export with a thin adapter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Sequence, Set
 
@@ -192,20 +191,6 @@ class MeasurementDataset:
     def connection_count(self) -> int:
         return len(self.connections)
 
-    def peers_with_connections(self) -> List[str]:
-        """PIDs for which at least one connection was recorded.
-
-        The paper's connection statistics "consider only peers with recorded
-        connection information"; peers that only ever appeared in the peerstore
-        (e.g. learned via the DHT but never connected) are excluded.
-        """
-        seen: Set[str] = set()
-        for conn in self.connections:
-            seen.add(conn.peer)
-        return [pid for pid in self.peers if pid in seen] + [
-            pid for pid in seen if pid not in self.peers
-        ]
-
     def connections_by_peer(self) -> Dict[str, List[ConnectionRecord]]:
         grouped: Dict[str, List[ConnectionRecord]] = {}
         for conn in self.connections:
@@ -259,9 +244,6 @@ class MeasurementDataset:
             "snapshots": [s.as_dict() for s in self.snapshots],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementDataset":
         dataset = cls(
@@ -279,10 +261,6 @@ class MeasurementDataset:
         dataset.changes = [MetaChangeRecord.from_dict(c) for c in data.get("changes", ())]
         dataset.snapshots = [SnapshotRecord.from_dict(s) for s in data.get("snapshots", ())]
         return dataset
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementDataset":
-        return cls.from_dict(json.loads(text))
 
     # -- dataset combination ---------------------------------------------------------------
 

@@ -38,10 +38,6 @@ class CrawlSnapshot:
     def reachable_count(self) -> int:
         return len(self.reachable)
 
-    @property
-    def unreachable_count(self) -> int:
-        return len(self.unreachable)
-
     def duration(self) -> float:
         return self.finished_at - self.started_at
 

@@ -9,7 +9,7 @@ calibration targets of the population generator auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,6 @@ class PaperReference:
             if row.peer_class == peer_class:
                 return row
         raise KeyError(peer_class)
-
-    def table4_class_shares(self) -> Dict[str, float]:
-        total = sum(row.peers for row in self.table4)
-        return {row.peer_class: row.peers / total for row in self.table4}
 
 
 #: the singleton reference object used throughout benchmarks and EXPERIMENTS.md

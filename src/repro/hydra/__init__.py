@@ -7,7 +7,7 @@ point: more heads mean a wider horizon, because peers near each head's
 keyspace position seek connections to it.
 """
 
-from repro.hydra.head import HydraHead, HYDRA_AGENT_VERSION
+from repro.hydra.head import HydraHead
 from repro.hydra.hydra import HydraNode
 
-__all__ = ["HydraHead", "HydraNode", "HYDRA_AGENT_VERSION"]
+__all__ = ["HydraHead", "HydraNode"]

@@ -24,9 +24,7 @@ from repro.libp2p.crypto import generate_keypair
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
-from repro.libp2p.protocols import KAD_DHT, hydra_protocols
-
-HYDRA_AGENT_VERSION = "hydra-booster/0.7.4"
+from repro.libp2p.protocols import KAD_DHT
 
 #: hydra-booster does not apply go-ipfs's tight defaults; heads keep many more
 #: connections before trimming (modelled after its much higher limits).
@@ -58,12 +56,6 @@ class HydraHead:
         #: the DHT-Servers identify has announced
         self.routing_table = RoutingTable(self.peer_id)
 
-    def own_identify_record(self) -> IdentifyRecord:
-        return IdentifyRecord.make(
-            agent_version=HYDRA_AGENT_VERSION,
-            protocols=hydra_protocols(),
-        )
-
     # -- connection handling (mirrors IpfsNode's surface) ---------------------------
 
     def handle_inbound_connection(
@@ -93,12 +85,6 @@ class HydraHead:
 
     def tick(self, now: float) -> List[Connection]:
         return self.swarm.trim(now)
-
-    def shutdown(self, now: float) -> List[Connection]:
-        closed = self.swarm.close_all(CloseReason.LOCAL_SHUTDOWN, now)
-        for conn in closed:
-            self.peerstore.set_connected(conn.remote_peer, False, now)
-        return closed
 
     def connection_count(self) -> int:
         return self.swarm.connection_count()

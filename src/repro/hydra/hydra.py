@@ -11,10 +11,9 @@ network-size estimate.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.hydra.head import HydraHead
-from repro.libp2p.peer_id import PeerId
 
 
 class HydraNode:
@@ -47,34 +46,9 @@ class HydraNode:
     def head(self, index: int) -> HydraHead:
         return self.heads[index]
 
-    def peer_ids(self) -> List[PeerId]:
-        return [head.peer_id for head in self.heads]
-
-    # -- aggregate views over all heads (what the paper reports as "the Hydra") -----
-
-    def union_known_peers(self) -> Set[PeerId]:
-        """The union of all heads' peerstores — Fig. 2 reports exactly this."""
-        union: Set[PeerId] = set()
-        for head in self.heads:
-            union.update(head.peerstore.peers())
-        return union
-
-    def union_dht_servers(self) -> Set[PeerId]:
-        union: Set[PeerId] = set()
-        for head in self.heads:
-            union.update(head.peerstore.dht_servers())
-        return union
-
-    def total_connections(self) -> int:
-        return sum(head.connection_count() for head in self.heads)
-
     def tick(self, now: float) -> int:
         """Run every head's trim cycle; returns the number of trimmed connections."""
         trimmed = 0
         for head in self.heads:
             trimmed += len(head.tick(now))
         return trimmed
-
-    def shutdown(self, now: float) -> None:
-        for head in self.heads:
-            head.shutdown(now)

@@ -11,7 +11,7 @@ peers of the content-routing scenarios to serve and fetch blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.libp2p.peer_id import PeerId
 
@@ -25,10 +25,6 @@ class Ledger:
     bytes_received: int = 0
     blocks_sent: int = 0
     blocks_received: int = 0
-
-    @property
-    def debt_ratio(self) -> float:
-        return self.bytes_sent / (self.bytes_received + 1.0)
 
 
 class BitswapEngine:
@@ -52,9 +48,6 @@ class BitswapEngine:
     def want(self, cid: str) -> None:
         if not self.has_block(cid):
             self._wantlist.add(cid)
-
-    def wantlist(self) -> List[str]:
-        return sorted(self._wantlist)
 
     # -- message handling ----------------------------------------------------------
 
@@ -127,6 +120,3 @@ class BitswapEngine:
             return None
         self.handle_block(remote_peer, cid, block)
         return block
-
-    def known_peers(self) -> List[PeerId]:
-        return list(self._ledgers.keys())

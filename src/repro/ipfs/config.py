@@ -9,7 +9,7 @@ measurement period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.kademlia.dht import DHTMode
 from repro.libp2p.connmgr import (
@@ -21,7 +21,6 @@ from repro.libp2p.connmgr import (
 
 #: Agent versions of the clients the paper deployed.
 GO_IPFS_011_DEV = "go-ipfs/0.11.0-dev/0c2f9d5"
-GO_IPFS_013_DEV = "go-ipfs/0.13.0-dev/b2efcf5"
 
 
 @dataclass(frozen=True)
@@ -50,15 +49,6 @@ class IpfsConfig:
             high_water=self.high_water,
             grace_period=self.grace_period,
         )
-
-    def as_server(self) -> "IpfsConfig":
-        return replace(self, dht_mode=DHTMode.SERVER)
-
-    def as_client(self) -> "IpfsConfig":
-        return replace(self, dht_mode=DHTMode.CLIENT)
-
-    def with_watermarks(self, low_water: int, high_water: int) -> "IpfsConfig":
-        return replace(self, low_water=low_water, high_water=high_water)
 
     @classmethod
     def defaults(cls) -> "IpfsConfig":

@@ -13,7 +13,7 @@ network's DHT lives in the fabric
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.ipfs.config import IpfsConfig
 from repro.ipfs.peerstore import Peerstore
@@ -25,7 +25,7 @@ from repro.libp2p.crypto import KeyPair, generate_keypair
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
-from repro.libp2p.protocols import KAD_DHT, goipfs_protocols
+from repro.libp2p.protocols import KAD_DHT
 
 #: connection-manager tag used for peers in our DHT routing table
 _KAD_TAG = "kad"
@@ -56,18 +56,6 @@ class IpfsNode:
     def is_dht_server(self) -> bool:
         return self.config.dht_mode is DHTMode.SERVER
 
-    def own_identify_record(self, listen_addrs: Iterable[Multiaddr] = ()) -> IdentifyRecord:
-        """The identify record this node announces to remote peers."""
-        protocols = goipfs_protocols(
-            dht_server=self.is_dht_server,
-            bitswap=self.config.enable_bitswap,
-        )
-        return IdentifyRecord.make(
-            agent_version=self.config.agent_version,
-            protocols=protocols,
-            listen_addrs=listen_addrs,
-        )
-
     # -- connection handling ------------------------------------------------------------
 
     def handle_inbound_connection(
@@ -88,13 +76,6 @@ class IpfsNode:
         self.swarm.close_connection(conn, reason, now)
         if not self.swarm.is_connected(conn.remote_peer):
             self.peerstore.set_connected(conn.remote_peer, False, now)
-
-    def shutdown(self, now: float) -> List[Connection]:
-        """Close every connection (end of a measurement period)."""
-        closed = self.swarm.close_all(CloseReason.LOCAL_SHUTDOWN, now)
-        for conn in closed:
-            self.peerstore.set_connected(conn.remote_peer, False, now)
-        return closed
 
     # -- identify / peerstore -------------------------------------------------------------
 

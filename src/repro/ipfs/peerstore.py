@@ -169,14 +169,5 @@ class Peerstore:
         """Peers that announced the DHT server protocol at any point (read-only)."""
         return self._ever_dht_server
 
-    def agent_histogram(self) -> Dict[Optional[str], int]:
-        histogram: Dict[Optional[str], int] = {}
-        for entry in self._entries.values():
-            histogram[entry.agent_version] = histogram.get(entry.agent_version, 0) + 1
-        return histogram
-
-    def changes_for(self, peer: PeerId) -> List[MetaChange]:
-        return [c for c in self._changes if c.peer == peer]
-
     def changes_of_kind(self, kind: ChangeKind) -> List[MetaChange]:
         return [c for c in self._changes if c.kind == kind]

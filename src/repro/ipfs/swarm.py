@@ -49,9 +49,6 @@ class Swarm:
     def add_listener(self, listener: SwarmListener) -> None:
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: SwarmListener) -> None:
-        self._listeners.remove(listener)
-
     # -- queries ------------------------------------------------------------------
 
     def connection_count(self) -> int:
@@ -59,9 +56,6 @@ class Swarm:
 
     def connections(self) -> List[Connection]:
         return list(self._open_by_id.values())
-
-    def connections_to(self, peer: PeerId) -> List[Connection]:
-        return self.connmgr.connections_to(peer)
 
     def is_connected(self, peer: PeerId) -> bool:
         # The connection manager indexes connections per peer; O(1) versus
@@ -72,9 +66,6 @@ class Swarm:
     def connected_peer_count(self) -> int:
         """Distinct peers with an open connection (the snapshot 'connected PIDs')."""
         return self.connmgr.connected_peer_count()
-
-    def connected_peers(self) -> List[PeerId]:
-        return self.connmgr.connected_peers()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -107,14 +98,6 @@ class Swarm:
         for listener in self._listeners:
             listener.on_disconnected(conn, now)
 
-    def close_all(self, reason: CloseReason, now: float) -> List[Connection]:
-        """Close every open connection (measurement shutdown)."""
-        closed = []
-        for conn in list(self._open_by_id.values()):
-            self.close_connection(conn, reason, now)
-            closed.append(conn)
-        return closed
-
     def trim(self, now: float, force: bool = False) -> List[Connection]:
         """Run the connection manager and close its victims."""
         victims = self.connmgr.trim(now, force=force)
@@ -136,6 +119,3 @@ class Swarm:
 
     def tag_peer(self, peer: PeerId, tag: str, value: int) -> None:
         self.connmgr.tag_peer(peer, tag, value)
-
-    def protect_peer(self, peer: PeerId, tag: str) -> None:
-        self.connmgr.protect_peer(peer, tag)

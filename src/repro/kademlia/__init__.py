@@ -20,7 +20,6 @@ same tables.
 from repro.kademlia.keys import (
     KEY_BITS,
     bucket_index,
-    common_prefix_length,
     key_for_peer,
     random_key_in_bucket,
     xor_distance,
@@ -40,7 +39,6 @@ from repro.kademlia.provider_store import ProviderRecord, ProviderStore
 __all__ = [
     "KEY_BITS",
     "xor_distance",
-    "common_prefix_length",
     "bucket_index",
     "key_for_peer",
     "random_key_in_bucket",

@@ -35,14 +35,6 @@ def xor_distance(a: int, b: int) -> int:
     return (a ^ b) & _KEY_MASK
 
 
-def common_prefix_length(a: int, b: int) -> int:
-    """Number of leading bits shared by ``a`` and ``b`` (0..KEY_BITS)."""
-    dist = xor_distance(a, b)
-    if dist == 0:
-        return KEY_BITS
-    return KEY_BITS - dist.bit_length()
-
-
 def bucket_index(local: int, remote: int) -> int:
     """Bucket index of ``remote`` in ``local``'s routing table (0..KEY_BITS-1).
 
@@ -70,9 +62,3 @@ def random_key_in_bucket(local: int, index: int, rng: Optional[random.Random] = 
     top_bit = ((local >> index) & 1) ^ 1
     lower = rng.getrandbits(index) if index > 0 else 0
     return prefix | (top_bit << index) | lower
-
-
-def random_key(rng: Optional[random.Random] = None) -> int:
-    """Uniformly random key, e.g. for routing-table refresh lookups."""
-    rng = rng or random
-    return rng.getrandbits(KEY_BITS)

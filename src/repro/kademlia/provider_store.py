@@ -138,9 +138,6 @@ class ProviderStore:
             return []
         return [r for r in per_key.values() if not r.is_expired(now)]
 
-    def has_providers(self, key: int, now: float) -> bool:
-        return bool(self.providers(key, now, limit=1))
-
     def keys(self) -> Iterable[int]:
         """Every key with at least one stored (possibly expired) record."""
         return self._records.keys()

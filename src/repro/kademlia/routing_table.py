@@ -64,10 +64,6 @@ class KBucket:
         """Peers in LRU order (oldest first)."""
         return list(self._entries)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
     def touch(self, peer: PeerId, key: Optional[int] = None) -> bool:
         """Record activity from ``peer``.
 
@@ -89,9 +85,6 @@ class KBucket:
 
     def remove(self, peer: PeerId) -> bool:
         return self._entries.pop(peer, None) is not None
-
-    def oldest(self) -> Optional[PeerId]:
-        return next(iter(self._entries), None)
 
 
 def _bucket_min_distance(diff: int, index: int) -> int:
@@ -203,15 +196,6 @@ class RoutingTable:
         for index in sorted(self._buckets):
             peers.extend(self._buckets[index].peers)
         return peers
-
-    def bucket_for(self, peer: PeerId) -> Optional[KBucket]:
-        if peer == self.local_peer:
-            return None
-        index = bucket_index(self.local_key, key_for_peer(peer))
-        return self._buckets.get(index)
-
-    def nonempty_bucket_indices(self) -> List[int]:
-        return sorted(self._buckets)
 
     def closest_peers(self, target: int, count: int) -> List[PeerId]:
         """Return up to ``count`` known peers closest (XOR) to ``target``.

@@ -24,7 +24,6 @@ from repro.libp2p.protocols import (
     IPFS_ID,
     IPFS_PING,
     KAD_DHT,
-    ProtocolRegistry,
     baseline_protocols,
 )
 from repro.libp2p.identify import IdentifyRecord
@@ -36,7 +35,6 @@ __all__ = [
     "generate_keypair",
     "PeerId",
     "Multiaddr",
-    "ProtocolRegistry",
     "baseline_protocols",
     "AUTONAT",
     "BITSWAP_120",

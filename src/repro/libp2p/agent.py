@@ -46,13 +46,6 @@ class GoIpfsVersion:
     def release_string(self) -> str:
         return f"{self.major}.{self.minor}.{self.patch}{self.suffix}"
 
-    def agent_string(self) -> str:
-        parts = [GO_IPFS_PREFIX, self.release_string]
-        if self.commit or self.dirty:
-            commit = self.commit + ("-dirty" if self.dirty else "")
-            parts.append(commit)
-        return "/".join(parts)
-
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, GoIpfsVersion):
             return NotImplemented

@@ -30,7 +30,6 @@ class CloseReason(enum.Enum):
     LOCAL_TRIM = "local-trim"          # our connection manager trimmed it
     REMOTE_TRIM = "remote-trim"        # the remote's connection manager trimmed it
     REMOTE_LEFT = "remote-left"        # the remote node went offline
-    LOCAL_SHUTDOWN = "local-shutdown"  # measurement node shut down
     PROTOCOL_DONE = "protocol-done"    # short-lived exchange finished (e.g. crawler)
     ERROR = "error"
     STILL_OPEN = "still-open"          # never closed; measurement end counts as close

@@ -2,8 +2,8 @@
 
 go-libp2p's ``BasicConnMgr`` watches the number of open connections.  Once it
 exceeds ``HighWater`` it trims connections down to ``LowWater``, closing the
-lowest-scored, non-protected connections that are past a grace period.  go-ipfs
-defaults to ``LowWater=600`` / ``HighWater=900`` / ``GracePeriod=20 s``.
+lowest-scored connections that are past a grace period.  go-ipfs defaults to
+``LowWater=600`` / ``HighWater=900`` / ``GracePeriod=20 s``.
 
 The paper's central churn finding is that this mechanism — not node churn — is
 responsible for the very short connection durations observed at DHT-Servers:
@@ -11,9 +11,9 @@ connections are mostly closed because either side trims them.  The paper's
 experiments vary exactly these two thresholds per measurement period
 (Table I) and observe durations grow when trimming relaxes (Table II, Fig. 5).
 
-This implementation mirrors the relevant behaviour: tags/scores, protection,
-grace period, and the trim-to-LowWater policy (oldest connections of the
-lowest-scored peers are preferred to be kept; untagged young peers go first).
+This implementation mirrors the relevant behaviour: tags/scores, the grace
+period, and the trim-to-LowWater policy (oldest connections of the lowest-scored
+peers are preferred to be kept; untagged young peers go first).
 """
 
 from __future__ import annotations
@@ -61,16 +61,7 @@ class TagInfo:
     """Per-peer tag bookkeeping (mirrors go-libp2p's ``TagInfo``)."""
 
     tags: Dict[str, int] = field(default_factory=dict)
-    protected: Set[str] = field(default_factory=set)
     first_seen: float = 0.0
-
-    @property
-    def value(self) -> int:
-        return sum(self.tags.values())
-
-    @property
-    def is_protected(self) -> bool:
-        return bool(self.protected)
 
 
 class ConnectionManager:
@@ -116,14 +107,8 @@ class ConnectionManager:
             if not peers:
                 del self._peer_conns[conn.remote_peer]
 
-    def open_connections(self) -> List[Connection]:
-        return list(self._connections.values())
-
     def connection_count(self) -> int:
         return len(self._connections)
-
-    def connected_peers(self) -> List[PeerId]:
-        return list(self._peer_conns.keys())
 
     def is_connected(self, peer: PeerId) -> bool:
         return peer in self._peer_conns
@@ -132,15 +117,7 @@ class ConnectionManager:
         """Number of distinct peers with at least one open connection (O(1))."""
         return len(self._peer_conns)
 
-    def connections_to(self, peer: PeerId) -> List[Connection]:
-        """Open connections to ``peer``, oldest first (ascending connection id)."""
-        ids = self._peer_conns.get(peer)
-        if not ids:
-            return []
-        conns = self._connections
-        return [conns[cid] for cid in sorted(ids)]
-
-    # -- tagging / protection ---------------------------------------------------
+    # -- tagging ---------------------------------------------------------------
 
     def _tag_entry(self, peer: PeerId) -> TagInfo:
         info = self._tags.get(peer)
@@ -157,22 +134,6 @@ class ConnectionManager:
         if info is not None:
             info.tags.pop(tag, None)
 
-    def protect_peer(self, peer: PeerId, tag: str) -> None:
-        """Protected peers are never trimmed (used for bootstrap peers)."""
-        self._tag_entry(peer).protected.add(tag)
-
-    def unprotect_peer(self, peer: PeerId, tag: str) -> None:
-        info = self._tags.get(peer)
-        if info is not None:
-            info.protected.discard(tag)
-
-    def tag_info(self, peer: PeerId) -> TagInfo:
-        info = self._tags.get(peer)
-        return info if info is not None else TagInfo()
-
-    def peer_score(self, peer: PeerId) -> int:
-        return self.tag_info(peer).value
-
     # -- trimming ---------------------------------------------------------------
 
     def needs_trim(self) -> bool:
@@ -181,10 +142,10 @@ class ConnectionManager:
     def select_victims(self, now: float) -> List[Connection]:
         """Return the connections a trim run would close, lowest priority first.
 
-        Mirrors go-libp2p: connections of protected peers and connections still
-        inside the grace period survive; the remainder is sorted by peer tag
-        value (ascending) and, within equal value, by connection age (youngest
-        closed first — go-libp2p keeps long-standing connections).
+        Mirrors go-libp2p: connections still inside the grace period survive;
+        the remainder is sorted by peer tag value (ascending) and, within equal
+        value, by connection age (youngest closed first — go-libp2p keeps
+        long-standing connections).
         """
         excess = len(self._connections) - self.config.low_water
         if excess <= 0:
@@ -200,12 +161,7 @@ class ConnectionManager:
             if now - opened_at < grace_period:
                 continue
             info = tags.get(conn.remote_peer)
-            if info is None:
-                value = 0
-            elif info.protected:
-                continue
-            else:
-                value = sum(info.tags.values())
+            value = 0 if info is None else sum(info.tags.values())
             candidates.append((value, -opened_at, len(candidates), conn))
         candidates.sort()
         return [item[3] for item in candidates[:excess]]

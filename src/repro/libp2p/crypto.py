@@ -39,9 +39,6 @@ class KeyPair:
         """Return the SHA-256 digest of the public key (PeerId preimage)."""
         return hashlib.sha256(self.public_key).digest()
 
-    def short_id(self) -> str:
-        return self.public_digest()[:6].hex()
-
 
 def draw_key_material(rng: Optional[random.Random], key_type: str) -> Tuple[bytes, bytes]:
     """Draw the (public, private) bytes of one simulated key from ``rng``.

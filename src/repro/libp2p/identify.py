@@ -9,7 +9,7 @@ Fig. 3, Fig. 4, Table III).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.libp2p.multiaddr import Multiaddr
@@ -43,24 +43,6 @@ class IdentifyRecord:
 
     def has_bitswap(self) -> bool:
         return supports_bitswap(self.protocols)
-
-    def with_agent(self, agent_version: Optional[str]) -> "IdentifyRecord":
-        return replace(self, agent_version=agent_version)
-
-    def with_protocols(self, protocols: Iterable[str]) -> "IdentifyRecord":
-        return replace(self, protocols=frozenset(protocols))
-
-    def add_protocol(self, protocol: str) -> "IdentifyRecord":
-        return replace(self, protocols=self.protocols | {protocol})
-
-    def remove_protocol(self, protocol: str) -> "IdentifyRecord":
-        return replace(self, protocols=self.protocols - {protocol})
-
-    def protocol_diff(self, other: "IdentifyRecord") -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        """Return (added, removed) protocols from ``self`` to ``other``."""
-        added = other.protocols - self.protocols
-        removed = self.protocols - other.protocols
-        return frozenset(added), frozenset(removed)
 
     def as_dict(self) -> dict:
         return {

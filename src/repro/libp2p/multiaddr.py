@@ -71,18 +71,6 @@ class Multiaddr:
         family = "ip6" if ":" in ip else "ip4"
         return cls(components=((family, ip), ("udp", str(port)), ("quic", None)))
 
-    @classmethod
-    def circuit_relay(cls, relay_ip: str, relay_peer: str) -> "Multiaddr":
-        """A relayed address: the observed IP belongs to the relay, not the peer."""
-        return cls(
-            components=(
-                ("ip4", relay_ip),
-                ("tcp", "4001"),
-                ("p2p", relay_peer),
-                ("p2p-circuit", None),
-            )
-        )
-
     def ip(self) -> Optional[str]:
         """Return the first IP (or DNS name) component's value, if any."""
         for proto, value in self.components:
@@ -90,31 +78,11 @@ class Multiaddr:
                 return value
         return None
 
-    def transport(self) -> Optional[str]:
-        """Return the transport protocol ('tcp', 'quic', 'ws', ...)."""
-        transports = [
-            p for p, _ in self.components if p in ("tcp", "udp", "quic", "quic-v1", "ws", "wss")
-        ]
-        if "quic" in transports or "quic-v1" in transports:
-            return "quic"
-        if "wss" in transports:
-            return "wss"
-        if "ws" in transports:
-            return "ws"
-        if "tcp" in transports:
-            return "tcp"
-        if "udp" in transports:
-            return "udp"
-        return None
-
     def port(self) -> Optional[int]:
         for proto, value in self.components:
             if proto in ("tcp", "udp") and value is not None:
                 return int(value)
         return None
-
-    def is_relayed(self) -> bool:
-        return any(proto == "p2p-circuit" for proto, _ in self.components)
 
     def is_private(self) -> bool:
         """True when the IP component is a private / loopback / link-local address."""
@@ -126,9 +94,6 @@ class Multiaddr:
         except ValueError:
             return False
         return addr.is_private or addr.is_loopback or addr.is_link_local
-
-    def with_peer(self, peer_id: str) -> "Multiaddr":
-        return Multiaddr(components=self.components + (("p2p", peer_id),))
 
     def __str__(self) -> str:
         # Memoised: connection records render the same few addresses over and

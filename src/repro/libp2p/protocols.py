@@ -10,7 +10,7 @@ client types the paper observes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import FrozenSet, Iterable, Set
 
 # Core IPFS / libp2p protocols seen in Fig. 4.
 IPFS_ID = "/ipfs/id/1.0.0"
@@ -36,23 +36,9 @@ X_PROTOCOL = "/x/"
 SBPTP = "/sbptp/1.0.0"           # announced by storm botnet nodes
 SFST_1 = "/sfst/1.0.0"
 SFST_2 = "/sfst/2.0.0"
-IOI_DIAL = "/ioi/dial/1.0.0"
-IOI_PORTSSUB = "/ioi/portssub/1.0.0"
 
 BITSWAP_PROTOCOLS: FrozenSet[str] = frozenset(
     {BITSWAP, BITSWAP_100, BITSWAP_110, BITSWAP_120}
-)
-
-# Message types carried by /ipfs/kad/1.0.0.  Peer routing uses FIND_NODE; the
-# content-routing traffic that dominates the real DHT uses ADD_PROVIDER
-# (publish a provider record) and GET_PROVIDERS (resolve one, the reply also
-# carrying closer peers).  The simulation transports are keyed by these names.
-DHT_FIND_NODE = "FIND_NODE"
-DHT_ADD_PROVIDER = "ADD_PROVIDER"
-DHT_GET_PROVIDERS = "GET_PROVIDERS"
-
-DHT_MESSAGE_TYPES: FrozenSet[str] = frozenset(
-    {DHT_FIND_NODE, DHT_ADD_PROVIDER, DHT_GET_PROVIDERS}
 )
 
 
@@ -117,38 +103,3 @@ def supports_bitswap(protocols: Iterable[str]) -> bool:
 
 def supports_dht_server(protocols: Iterable[str]) -> bool:
     return KAD_DHT in set(protocols)
-
-
-class ProtocolRegistry:
-    """Counts protocol announcements across a set of peers (Fig. 4)."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add_peer(self, protocols: Iterable[str]) -> None:
-        for proto in set(protocols):
-            self._counts[proto] = self._counts.get(proto, 0) + 1
-
-    def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def grouped(self, threshold: int) -> Dict[str, int]:
-        """Group protocols supported by ``threshold`` or fewer peers as 'other'."""
-        grouped: Dict[str, int] = {}
-        other = 0
-        for proto, count in self._counts.items():
-            if count <= threshold:
-                other += count
-            else:
-                grouped[proto] = count
-        if other:
-            grouped["other"] = other
-        return grouped
-
-    def top(self, n: int) -> List[str]:
-        return [
-            proto
-            for proto, _ in sorted(
-                self._counts.items(), key=lambda kv: kv[1], reverse=True
-            )[:n]
-        ]

@@ -7,7 +7,6 @@ fabric byte-identical to earlier builds.
 """
 
 from repro.netmodel.config import (
-    ALL_CLASSES,
     NAT,
     PUBLIC,
     RELAYED,
@@ -18,7 +17,6 @@ from repro.netmodel.config import (
 from repro.netmodel.runtime import NetModelRuntime, NetModelStats, PeerNet, WalkClock
 
 __all__ = [
-    "ALL_CLASSES",
     "NAT",
     "PUBLIC",
     "RELAYED",

@@ -37,8 +37,6 @@ PUBLIC = "public"
 NAT = "nat"
 RELAYED = "relayed"
 
-ALL_CLASSES = (PUBLIC, NAT, RELAYED)
-
 #: default region set, weighted roughly like the live network's continents
 DEFAULT_REGIONS: Tuple[str, ...] = ("eu", "na", "ap", "sa", "af")
 DEFAULT_REGION_WEIGHTS: Tuple[float, ...] = (0.35, 0.30, 0.22, 0.08, 0.05)

@@ -84,10 +84,6 @@ class MetricsSummary:
     #: closed windows no longer in memory (flushed to JSONL, then evicted)
     windows_dropped: int = 0
 
-    def as_jsonl(self) -> str:
-        """The in-memory windows rendered as metrics.jsonl content."""
-        return "".join(render_line(payload) + "\n" for payload in self.windows)
-
 
 class MetricsHub:
     """Owns the named instruments and the deterministic windowing clock."""

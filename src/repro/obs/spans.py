@@ -250,11 +250,6 @@ class SpanTracer:
 
     # -- identify exchanges ----------------------------------------------------------
 
-    @staticmethod
-    def identify_category(runtime_name: str) -> str:
-        """Latency category of one runtime's identify-delay contribution."""
-        return _IDENTIFY_CATEGORIES.get(runtime_name, "other")
-
     def finish_identify(self, delay: float, base: float, parts, label: str) -> None:
         """Record a whole identify exchange in one call (the most frequent
         traced operation): one leaf per nonzero runtime contribution in

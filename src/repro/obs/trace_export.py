@@ -205,10 +205,6 @@ class TraceSummary:
             self._pending = []
         return self._traces
 
-    def as_jsonl(self) -> str:
-        """The exact ``traces.jsonl`` content for the retained traces."""
-        return "".join(render_trace_line(payload) + "\n" for payload in self.traces)
-
 
 def leaf_attribution(root_payload: Dict) -> Dict[str, float]:
     """Critical-path decomposition of one rendered trace root.

@@ -81,10 +81,6 @@ class ScenarioSpec:
     #: catalog derives them from the builder's keyword parameters)
     knobs: Mapping[str, object] = field(default_factory=dict)
 
-    def override_keys(self) -> List[str]:
-        """The override keys this scenario accepts, sorted."""
-        return sorted(override_parameters(self.builder))
-
     def validate_overrides(self, overrides: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """Check ``overrides`` against the builder's keyword parameters.
 
@@ -124,11 +120,23 @@ class ScenarioSpec:
         seed: int = 7,
         overrides: Optional[Mapping[str, object]] = None,
     ) -> ScenarioConfig:
-        """Resolve defaults and build the runnable scenario config."""
+        """Resolve defaults and build the runnable scenario config.
+
+        A range check that fails inside the builder names the config field
+        it guards, which is not always the override key that fed it; such a
+        :class:`ValueError` is re-raised prefixed with the ``key=value``
+        overrides given, so every rejection names its key.
+        """
         peers = n_peers if n_peers is not None else self.default_peers
         days = duration_days if duration_days is not None else self.default_duration_days
         kwargs = self.validate_overrides(overrides)
-        return self.builder(peers, days, seed, **kwargs)
+        try:
+            return self.builder(peers, days, seed, **kwargs)
+        except ValueError as exc:
+            if not kwargs or any(key in str(exc) for key in kwargs):
+                raise
+            given = ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
+            raise ValueError(f"{given}: {exc}") from exc
 
 
 def normalize_name(name: str) -> str:

@@ -13,16 +13,12 @@ from repro.simulation.churn_models import (
     ChurnModel,
     DiurnalChurnModel,
     ExponentialDistribution,
-    FixedDistribution,
     FlashCrowdChurnModel,
     LogNormalDistribution,
     MassOutageChurnModel,
-    ParetoDistribution,
     SessionModel,
-    TraceReplayChurnModel,
     UniformDistribution,
     WeibullDistribution,
-    pareto_session,
 )
 from repro.simulation.agents import AgentCatalog, GoIpfsVersion, parse_goipfs_agent
 from repro.simulation.population import (
@@ -44,16 +40,12 @@ __all__ = [
     "ChurnModelFactory",
     "DiurnalChurnModel",
     "ExponentialDistribution",
-    "FixedDistribution",
     "FlashCrowdChurnModel",
     "LogNormalDistribution",
     "MassOutageChurnModel",
-    "ParetoDistribution",
-    "TraceReplayChurnModel",
     "UniformDistribution",
     "WeibullDistribution",
     "SessionModel",
-    "pareto_session",
     "AgentCatalog",
     "GoIpfsVersion",
     "parse_goipfs_agent",

@@ -10,19 +10,17 @@ the recorded connections, the same way the paper does.
 
 Beyond the stationary :class:`SessionModel` the module provides a small
 library of non-stationary churn models behind one :class:`ChurnModel`
-protocol — diurnal sine-modulated activity, flash-crowd bursts, correlated
-mass outages, heavy-tailed Pareto sessions, and replay of recorded session
-traces.  The network fabric only talks to the protocol, so a scenario swaps
-churn regimes by swapping the model on the peer profiles.
+protocol — diurnal sine-modulated activity, flash-crowd bursts and
+correlated mass outages.  The network fabric only talks to the protocol, so a
+scenario swaps churn regimes by swapping the model on the peer profiles.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Tuple
 
 DAY = 86_400.0
 HOUR = 3_600.0
@@ -37,23 +35,6 @@ class Distribution(Protocol):
 
     def mean(self) -> float:  # pragma: no cover - protocol
         ...
-
-
-@dataclass(frozen=True)
-class FixedDistribution:
-    """Always returns the same value (useful in tests and for crawler probes)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("value must be non-negative")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.value
-
-    def mean(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -129,26 +110,6 @@ class LogNormalDistribution:
         if median <= 0:
             raise ValueError("median must be positive")
         return cls(mu=math.log(median), sigma=sigma)
-
-
-@dataclass(frozen=True)
-class ParetoDistribution:
-    """Pareto durations (power-law tail) with a minimum value ``xm``."""
-
-    xm: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.xm <= 0 or self.alpha <= 0:
-            raise ValueError("xm and alpha must be positive")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.xm * (1.0 + rng.paretovariate(self.alpha) - 1.0)
-
-    def mean(self) -> float:
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.alpha * self.xm / (self.alpha - 1.0)
 
 
 class ChurnModel(Protocol):
@@ -241,29 +202,6 @@ def one_time_session(rng_sessions: int = 1) -> SessionModel:
         downtime=UniformDistribution(10 * MINUTE, 2 * HOUR),
         max_sessions=rng_sessions,
         initially_online_probability=0.0,
-    )
-
-
-def pareto_session(
-    mean_uptime: float,
-    mean_downtime: float,
-    alpha: float = 1.5,
-    initially_online_probability: float = 0.5,
-) -> SessionModel:
-    """Heavy-tailed sessions: Pareto uptime *and* downtime with the given means.
-
-    ``alpha`` must exceed 1 so the requested means are finite; smaller alpha
-    means a heavier tail (more mass in very long sessions/absences).
-    """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1 for a finite mean")
-    if mean_uptime <= 0 or mean_downtime <= 0:
-        raise ValueError("means must be positive")
-    factor = (alpha - 1.0) / alpha
-    return SessionModel(
-        uptime=ParetoDistribution(xm=mean_uptime * factor, alpha=alpha),
-        downtime=ParetoDistribution(xm=mean_downtime * factor, alpha=alpha),
-        initially_online_probability=initially_online_probability,
     )
 
 
@@ -418,113 +356,3 @@ class MassOutageChurnModel:
         if now < self.outage_end and end > self.outage_start and end < self.outage_end:
             return (self.outage_end - now) + rng.uniform(0.0, self.recovery_spread)
         return downtime
-
-
-class TraceReplayChurnModel:
-    """Replays recorded session/intersession intervals (e.g. from a live
-    measurement exported as CSV).
-
-    Each peer should get its own instance (see :meth:`spawn`) so peers walk
-    the trace from different offsets; samples cycle when the trace is
-    exhausted.  Replay is deterministic: the RNG is only used to pick the
-    initial online state.
-    """
-
-    def __init__(
-        self,
-        sessions: Sequence[float],
-        intersessions: Sequence[float],
-        offset: int = 0,
-        max_sessions: Optional[int] = None,
-        initially_online_probability: float = 0.5,
-    ) -> None:
-        if not sessions or not intersessions:
-            raise ValueError("trace needs at least one session and one intersession")
-        for value in list(sessions) + list(intersessions):
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"trace intervals must be positive and finite, got {value!r}")
-        self.sessions: List[float] = list(sessions)
-        self.intersessions: List[float] = list(intersessions)
-        self.max_sessions = max_sessions
-        self.initially_online_probability = initially_online_probability
-        self._up_cursor = offset % len(self.sessions)
-        self._down_cursor = offset % len(self.intersessions)
-
-    @classmethod
-    def from_csv(
-        cls,
-        path: str,
-        session_column: str = "session",
-        intersession_column: str = "intersession",
-        **kwargs,
-    ) -> "TraceReplayChurnModel":
-        """Load a trace from a CSV with session/intersession columns (seconds).
-
-        Malformed input raises one clear :class:`ValueError` naming the file,
-        and — for bad values — the offending row and column, instead of
-        leaking a ``KeyError``/``TypeError`` from the csv plumbing.
-        """
-        sessions: List[float] = []
-        intersessions: List[float] = []
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames
-            missing = [
-                column
-                for column in (session_column, intersession_column)
-                if header is None or column not in header
-            ]
-            if missing:
-                raise ValueError(
-                    f"trace CSV {path!r} is missing column(s) "
-                    f"{', '.join(repr(c) for c in missing)}; "
-                    f"found {header if header is not None else 'an empty file'}"
-                )
-            # enumerate from 2: row 1 is the header line
-            for line, row in enumerate(reader, start=2):
-                for column, target in (
-                    (session_column, sessions),
-                    (intersession_column, intersessions),
-                ):
-                    raw = row.get(column)
-                    try:
-                        target.append(float(raw))
-                    except (TypeError, ValueError):
-                        raise ValueError(
-                            f"trace CSV {path!r} row {line}, column {column!r}: "
-                            f"expected a number, got {raw!r}"
-                        ) from None
-        if not sessions:
-            raise ValueError(f"trace CSV {path!r} holds no data rows")
-        return cls(sessions, intersessions, **kwargs)
-
-    def spawn(self, rng: random.Random) -> "TraceReplayChurnModel":
-        """A fresh per-peer instance starting at an RNG-chosen trace offset."""
-        return TraceReplayChurnModel(
-            self.sessions,
-            self.intersessions,
-            offset=rng.randrange(len(self.sessions)),
-            max_sessions=self.max_sessions,
-            initially_online_probability=self.initially_online_probability,
-        )
-
-    def mean_uptime(self) -> float:
-        return sum(self.sessions) / len(self.sessions)
-
-    def mean_downtime(self) -> float:
-        return sum(self.intersessions) / len(self.intersessions)
-
-    def initial_state(self, rng: random.Random) -> Tuple[bool, float]:
-        online = rng.random() < self.initially_online_probability
-        duration = self.next_uptime(rng) if online else self.next_downtime(rng)
-        return online, duration
-
-    def next_uptime(self, rng: random.Random, now: float = 0.0) -> float:
-        value = self.sessions[self._up_cursor]
-        self._up_cursor = (self._up_cursor + 1) % len(self.sessions)
-        return value
-
-    def next_downtime(self, rng: random.Random, now: float = 0.0) -> float:
-        value = self.intersessions[self._down_cursor]
-        self._down_cursor = (self._down_cursor + 1) % len(self.intersessions)
-        return value

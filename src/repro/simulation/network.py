@@ -1016,6 +1016,3 @@ class SimulatedNetwork:
         # raw attribute (== is_dht_server) keeps the per-window metrics
         # gauge scan off the property protocol.
         return sum(1 for p in self._online.values() if p.kad_announced)
-
-    def observed_pid_count(self) -> int:
-        return sum(len(p.all_pids) for p in self.peers)

@@ -274,26 +274,17 @@ class Population:
     def clients(self) -> List[PeerProfile]:
         return [p for p in self.profiles if not p.is_dht_server]
 
-    def by_class(self, peer_class: PeerClass) -> List[PeerProfile]:
-        return [p for p in self.profiles if p.peer_class == peer_class]
-
     def class_counts(self) -> Dict[PeerClass, int]:
         counts = {cls: 0 for cls in PeerClass}
         for profile in self.profiles:
             counts[profile.peer_class] += 1
         return counts
 
-    def crawlers(self) -> List[PeerProfile]:
-        return [p for p in self.profiles if p.is_crawler]
-
     def hydra_heads(self) -> List[PeerProfile]:
         return [p for p in self.profiles if p.is_hydra_head]
 
     def honest(self) -> List[PeerProfile]:
         return [p for p in self.profiles if not p.is_adversary]
-
-    def adversaries(self) -> List[PeerProfile]:
-        return [p for p in self.profiles if p.is_adversary]
 
     def ip_groups(self) -> Dict[str, List[PeerProfile]]:
         groups: Dict[str, List[PeerProfile]] = {}

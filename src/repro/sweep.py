@@ -740,11 +740,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list:
         if args.tag is not None and not scenarios(args.tag):
             known = sorted({tag for spec in scenarios() for tag in spec.tags})
-            print(
-                f"no scenarios tagged {args.tag!r}; known tags: {', '.join(known)}",
-                file=sys.stderr,
+            parser.error(
+                f"--tag {args.tag!r} matches no scenario; known tags: {', '.join(known)}"
             )
-            return 1
         print(catalog_table(args.tag).render())
         return 0
     if args.tag is not None:
@@ -756,6 +754,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     peers_list: List[Optional[int]] = args.peers or [None]
     if not names or not args.seeds:
         parser.error("need at least one scenario and one seed")
+    known = [spec.name for spec in scenarios()]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(
+            f"--scenarios names unknown scenario(s) {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
     for flag, values in (
         ("--scenarios", names),
         ("--seeds", args.seeds),

@@ -26,7 +26,7 @@ from repro.adversary import (
 )
 from repro.analysis.attack_report import attack_headline, attack_metrics
 from repro.core.netsize import estimate_by_neighborhood_density
-from repro.kademlia.keys import common_prefix_length, key_for_peer
+from repro.kademlia.keys import KEY_BITS, key_for_peer
 from repro.simulation.churn_models import DAY
 from repro.simulation.content import ContentRoutingConfig
 from repro.simulation.population import PopulationConfig
@@ -75,10 +75,11 @@ class TestConfigValidation:
             sybil=SybilFloodConfig(count=10),
             poison=RoutingPoisonConfig(count=9, drop_share=0.5),
         )
-        assert config.attacker_count() == 19
-        counts = config.counts_by_kind()
-        assert counts["sybil"] == 10
-        assert counts["dropper"] + counts["poisoner"] == 9
+        profiles = build_adversary_profiles(config, start_index=0, seed=1)
+        kinds = [p.adversary_kind for p in profiles]
+        assert len(profiles) == 19
+        assert kinds.count("sybil") == 10
+        assert kinds.count("dropper") + kinds.count("poisoner") == 9
 
 
 class TestPidGrinding:
@@ -87,7 +88,8 @@ class TestPidGrinding:
         target = rng.getrandbits(256)
         for bits in (4, 12, 24):
             pid = mine_pid_near(target, bits, rng)
-            assert common_prefix_length(key_for_peer(pid), target) >= bits
+            # the top ``bits`` bits agree: the XOR distance fits below them
+            assert (key_for_peer(pid) ^ target).bit_length() <= KEY_BITS - bits
 
     def test_mined_pids_are_distinct(self):
         rng = random.Random(3)
@@ -134,7 +136,7 @@ class TestAdversaryProfiles:
 
     def test_profiles_cover_every_kind_with_contiguous_indices(self):
         profiles = build_adversary_profiles(self.CONFIG, start_index=100, seed=7)
-        assert len(profiles) == self.CONFIG.attacker_count()
+        assert len(profiles) == 8 + 6 + 6 + 4
         assert [p.peer_index for p in profiles] == list(range(100, 100 + len(profiles)))
         kinds = {p.adversary_kind for p in profiles}
         assert kinds == {"sybil", "eclipse", "poisoner", "dropper", "churn-spoofer"}

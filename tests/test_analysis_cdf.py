@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.cdf import EmpiricalCDF, binned_cdf, log_spaced_grid
+from repro.analysis.cdf import EmpiricalCDF, log_spaced_grid
 
 
 class TestEmpiricalCDF:
@@ -45,21 +45,6 @@ class TestEmpiricalCDF:
 
     def test_len(self):
         assert len(EmpiricalCDF([1, 2, 3])) == 3
-
-
-class TestBinnedCDF:
-    def test_bins_cover_range(self):
-        result = binned_cdf([10.0, 35.0, 65.0], bin_width=30.0)
-        assert result[30.0] == pytest.approx(1 / 3)
-        assert result[60.0] == pytest.approx(2 / 3)
-        assert result[90.0] == pytest.approx(1.0)
-
-    def test_empty_values(self):
-        assert binned_cdf([], 30.0) == {}
-
-    def test_invalid_bin_width(self):
-        with pytest.raises(ValueError):
-            binned_cdf([1.0], 0.0)
 
 
 class TestLogGrid:

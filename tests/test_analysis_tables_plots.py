@@ -32,11 +32,6 @@ class TestTextTable:
         with pytest.raises(ValueError):
             table.add_row("only-one")
 
-    def test_add_rows(self):
-        table = TextTable(headers=["a"])
-        table.add_rows([["1"], ["2"]])
-        assert len(table.rows) == 2
-
 
 class TestPlots:
     def test_sparkline_length_and_extremes(self):

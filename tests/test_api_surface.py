@@ -1,0 +1,141 @@
+"""The program is the API: every definition in ``src/`` is reached by the program.
+
+The program is every ``.py`` file under ``src/``, ``benchmarks/`` and
+``examples/`` except files named ``test_*.py``.  A definition in ``src/`` (a
+module-level function, class or constant, or a method) is reachable when its
+name is used somewhere in the program outside its own lines.  A use is an
+``ast.Name`` id, an ``ast.Attribute`` attr, or a string constant passed as the
+second argument to ``getattr`` / ``hasattr`` / ``setattr``.  Import statements
+and ``__all__`` hold neither, so an ``__init__`` re-export keeps nothing
+alive.  A use inside a definition already found unreachable does not count
+either, so the scan iterates until a dead chain (``a`` only called by ``b``,
+``b`` only by tests) is gone whole.  Catalog builders registered with
+``@_entry(...)``, dunder names and the ``ALLOWED`` names are roots.
+
+The scan reads the AST rather than tokens: an f-string's expressions are
+ordinary AST nodes on every supported Python, while the token stream of an
+f-string changed in 3.12 (PEP 701).
+
+Run ``python tests/test_api_surface.py`` to print the unreachable names.
+"""
+
+from __future__ import annotations
+
+import ast
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_DIRS = ("src", "benchmarks", "examples")
+
+#: name -> one-line reason it is kept though only tests reach it
+ALLOWED: dict[str, str] = {}
+
+
+@dataclass(frozen=True)
+class Definition:
+    name: str
+    path: Path
+    start: int
+    end: int
+
+    def covers(self, path: Path, line: int) -> bool:
+        return path == self.path and self.start <= line <= self.end
+
+    def __str__(self) -> str:
+        return f"{self.path.relative_to(ROOT)}:{self.start}: {self.name}"
+
+
+def program_files() -> list[Path]:
+    return sorted(
+        path
+        for folder in PROGRAM_DIRS
+        for path in (ROOT / folder).rglob("*.py")
+        if not path.name.startswith("test_")
+    )
+
+
+def _is_root(name: str, node: ast.stmt) -> bool:
+    registered = any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_entry"
+        for d in getattr(node, "decorator_list", ())
+    )
+    return registered or name in ALLOWED or (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(path: Path, tree: ast.Module) -> list[Definition]:
+    named: list[tuple[str, ast.stmt]] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            named.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            named.append((node.name, node))
+            named.extend(
+                (member.name, member)
+                for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            named.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return [
+        Definition(name, path, node.lineno, node.end_lineno)
+        for name, node in named
+        if not _is_root(name, node)
+    ]
+
+
+def _uses(tree: ast.Module) -> list[tuple[str, int]]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr", "setattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            found.append((node.args[1].value, node.lineno))
+    return found
+
+
+def unreachable_definitions() -> list[Definition]:
+    definitions: list[Definition] = []
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path in program_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if (ROOT / "src") in path.parents:
+            definitions.extend(_definitions(path, tree))
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+
+    dead: list[Definition] = []
+    alive = definitions
+    while True:
+        newly = [
+            d
+            for d in alive
+            if not any(
+                not d.covers(where, line) and not any(x.covers(where, line) for x in dead)
+                for where, line in uses.get(d.name, ())
+            )
+        ]
+        if not newly:
+            return sorted(dead, key=lambda d: (str(d.path), d.start))
+        dead.extend(newly)
+        alive = [d for d in alive if d not in newly]
+
+
+def test_every_src_definition_is_reached_by_the_program():
+    unreached = "\n".join(map(str, unreachable_definitions()))
+    assert not unreached, f"reached only from tests (delete, or allow with a reason):\n{unreached}"
+
+
+if __name__ == "__main__":
+    for definition in unreachable_definitions():
+        print(definition)

@@ -36,7 +36,7 @@ from repro.bandwidth import (
     PeerLink,
 )
 from repro.scenarios import build_scenario_config, run_scenario_by_name, scenario
-from repro.scenarios.registry import UnknownOverrideError
+from repro.scenarios.registry import UnknownOverrideError, override_parameters
 from repro.simulation.content import ContentRoutingConfig, ZipfCatalog
 from repro.simulation.scenario import Scenario
 from repro.sweep import main, parse_override, summarize_cell
@@ -405,7 +405,7 @@ class TestScenarioEffects:
 class TestOverrides:
     def test_override_keys_derive_from_the_builder(self):
         spec = scenario("mixed-size-catalog")
-        assert spec.override_keys() == ["size_scale", "uplink_scale"]
+        assert sorted(override_parameters(spec.builder)) == ["size_scale", "uplink_scale"]
 
     def test_unknown_overrides_name_the_known_keys(self):
         spec = scenario("mixed-size-catalog")

@@ -9,7 +9,6 @@ from repro.core.churn import (
     ConnectionStats,
     PeriodChurnReport,
     _direction_stats,
-    churn_reports,
     connection_statistics,
     trim_share,
 )
@@ -38,7 +37,6 @@ class TestConnectionStatistics:
         report = connection_statistics(tiny_dataset)
         assert report.inbound.count == 7
         assert report.outbound.count == 1
-        assert report.inbound_outbound_count_ratio == pytest.approx(7.0)
 
     def test_close_reason_histogram(self, tiny_dataset):
         report = connection_statistics(tiny_dataset)
@@ -73,11 +71,6 @@ class TestConnectionStatistics:
     def test_rows_shape(self, tiny_dataset):
         rows = connection_statistics(tiny_dataset).rows()
         assert [r[0] for r in rows] == ["all", "peer"]
-
-    def test_churn_reports_over_multiple_datasets(self, tiny_dataset):
-        reports = churn_reports({"a": tiny_dataset, "b": tiny_dataset})
-        assert set(reports) == {"a", "b"}
-        assert reports["a"].all_stats.count == reports["b"].all_stats.count
 
 
 def _reference_connection_statistics(dataset):

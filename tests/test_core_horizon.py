@@ -26,12 +26,10 @@ class TestHorizonEntry:
         assert entry.dht_server_pids == 5
         assert entry.dht_client_pids == 3
         assert entry.role_unknown_pids == 2
-        assert entry.client_share == pytest.approx(0.3)
 
     def test_empty_dataset(self):
         entry = horizon_entry(make_dataset("x", 0, 0, 0))
         assert entry.total_pids == 0
-        assert entry.client_share == 0.0
 
 
 class TestComparison:

@@ -124,8 +124,7 @@ class TestFullReport:
         assert report.agents.goipfs_peers == 4
         assert report.versions.total == 3
         assert report.kad_flaps.peers == 1
-        anomalies = report.anomalies()
-        assert anomalies["missing_agent"] == 1
+        assert report.agents.missing_peers == 1
 
     def test_scenario_metadata_shape(self, small_scenario_result):
         dataset = small_scenario_result.dataset("go-ipfs")

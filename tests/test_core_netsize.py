@@ -94,7 +94,7 @@ class TestConnectionCDFs:
         # only heavy1 exceeds 24 h
         assert all_cdf.fraction_connected_more_than(24 * HOUR) == pytest.approx(0.2)
         # 4 of 5 peers have at most 2 connections
-        assert all_cdf.fraction_with_at_most_connections(2) == pytest.approx(0.8)
+        assert all_cdf.connection_count.fraction_at(2) == pytest.approx(0.8)
 
     def test_role_split(self, tiny_dataset):
         cdfs = connection_cdfs(tiny_dataset)

@@ -4,9 +4,9 @@
 registered scenario at micro scale on the object-per-event legacy engine, at
 the last commit that still had one.  The single :class:`Engine` must
 reproduce that table **byte for byte** under the canonical serialization of
-:mod:`repro.simulation.equivalence` — every peer record, connection, change,
-snapshot, crawl, and stats block.  A scenario that changes behaviour on
-purpose regenerates its row from the engine it changed; a refactor never does.
+``tests/fingerprint.py`` — every peer record, connection, change, snapshot,
+crawl, and stats block.  A scenario that changes behaviour on purpose
+regenerates its row from the engine it changed; a refactor never does.
 """
 
 import json
@@ -15,8 +15,9 @@ import pathlib
 import pytest
 
 from repro.scenarios import build_scenario_config, scenario_names
-from repro.simulation.equivalence import block_fingerprints, result_fingerprint
 from repro.simulation.scenario import run_scenario
+
+from fingerprint import block_fingerprints, result_fingerprint
 
 with open(pathlib.Path(__file__).parent / "golden" / "scenario_fingerprints.json") as handle:
     TABLE = json.load(handle)

@@ -29,9 +29,7 @@ class TestPaperValues:
 
     def test_table4_lookup_and_shares(self):
         assert PAPER.table4_row("heavy").peers == 10_540
-        shares = PAPER.table4_class_shares()
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert shares["one-time"] > shares["heavy"]
+        assert PAPER.table4_row("one-time").peers > PAPER.table4_row("heavy").peers
 
     def test_table2_orderings_the_benchmarks_rely_on(self):
         # duration grows with relaxed watermarks: P0 < P1 < P2 (go-ipfs, "all")

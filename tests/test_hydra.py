@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.hydra.head import HYDRA_AGENT_VERSION, HydraHead
+from repro.hydra.head import HydraHead
 from repro.hydra.hydra import HydraNode
 from repro.libp2p.connection import CloseReason
 from repro.libp2p.identify import IdentifyRecord
@@ -14,13 +14,6 @@ from repro.libp2p.protocols import IPFS_ID, KAD_DHT
 
 
 class TestHydraHead:
-    def test_head_is_dht_server_with_hydra_agent(self):
-        head = HydraHead(0, rng=random.Random(1))
-        record = head.own_identify_record()
-        assert record.agent_version == HYDRA_AGENT_VERSION
-        assert record.is_dht_server()
-        assert not record.has_bitswap()
-
     def test_heads_have_distinct_identities_and_ports(self):
         rng = random.Random(2)
         heads = [HydraHead(i, rng=rng) for i in range(3)]
@@ -66,8 +59,10 @@ class TestHydraNode:
         hydra.head(0).handle_inbound_connection(a, Multiaddr.tcp("1.1.1.1"), 0.0)
         hydra.head(1).handle_inbound_connection(b, Multiaddr.tcp("2.2.2.2"), 0.0)
         hydra.head(1).handle_inbound_connection(a, Multiaddr.tcp("1.1.1.1"), 0.0)
-        assert hydra.union_known_peers() == {a, b}
-        assert hydra.total_connections() == 3
+        # each head keeps its own peerstore and swarm; together they see both
+        assert set(hydra.head(0).peerstore.peers()) == {a}
+        assert set().union(*(head.peerstore.peers() for head in hydra.heads)) == {a, b}
+        assert sum(head.connection_count() for head in hydra.heads) == 3
 
     def test_union_dht_servers(self, rng):
         hydra = HydraNode(2, rng=random.Random(7))
@@ -75,14 +70,9 @@ class TestHydraNode:
         hydra.head(0).receive_identify(
             server, IdentifyRecord.make("go-ipfs/0.11.0", {IPFS_ID, KAD_DHT}), 0.0
         )
-        assert hydra.union_dht_servers() == {server}
-
-    def test_shutdown_closes_all_heads(self, rng):
-        hydra = HydraNode(2, rng=random.Random(9))
-        for head in hydra.heads:
-            head.handle_inbound_connection(PeerId.random(rng), Multiaddr.tcp("3.3.3.3"), 0.0)
-        hydra.shutdown(now=10.0)
-        assert hydra.total_connections() == 0
+        assert server in hydra.head(0).routing_table
+        assert server not in hydra.head(1).routing_table
+        assert hydra.head(0).peerstore.dht_servers() == [server]
 
     def test_custom_watermarks_propagate(self):
         hydra = HydraNode(2, rng=random.Random(10), low_water=7, high_water=9)

@@ -7,6 +7,7 @@ exceeding simultaneous connections, and a classification whose heavy class is a
 small core.
 """
 
+import json
 
 from repro.core.churn import connection_statistics, trim_share
 from repro.core.horizon import compare_horizons
@@ -81,7 +82,7 @@ class TestEndToEndPipeline:
 
     def test_dataset_json_round_trip_preserves_analysis(self, small_scenario_result):
         dataset = small_scenario_result.dataset("go-ipfs")
-        restored = MeasurementDataset.from_json(dataset.to_json())
+        restored = MeasurementDataset.from_dict(json.loads(json.dumps(dataset.as_dict())))
         original = connection_statistics(dataset)
         round_tripped = connection_statistics(restored)
         assert original.all_stats == round_tripped.all_stats

@@ -1,5 +1,7 @@
 """Tests for the go-ipfs configuration model."""
 
+import dataclasses
+
 import pytest
 
 from repro.ipfs.config import GO_IPFS_011_DEV, IpfsConfig
@@ -24,13 +26,15 @@ class TestIpfsConfig:
 
     def test_as_client_and_server(self):
         config = IpfsConfig.defaults()
-        assert config.as_client().dht_mode is DHTMode.CLIENT
-        assert config.as_client().as_server().dht_mode is DHTMode.SERVER
-        # the original is unchanged (frozen dataclass semantics)
+        client = IpfsConfig(dht_mode=DHTMode.CLIENT)
+        assert client.dht_mode is DHTMode.CLIENT
+        # frozen dataclass: a config is never switched in place
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.dht_mode = DHTMode.CLIENT
         assert config.dht_mode is DHTMode.SERVER
 
     def test_with_watermarks(self):
-        config = IpfsConfig.defaults().with_watermarks(18_000, 20_000)
+        config = IpfsConfig(low_water=18_000, high_water=20_000)
         assert (config.low_water, config.high_water) == (18_000, 20_000)
 
     def test_connmgr_config_propagates_values(self):

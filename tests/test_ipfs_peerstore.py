@@ -1,6 +1,7 @@
 """Tests for the peerstore and its change log."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ class TestPeerstore:
         entry = store.get(pid)
         assert entry is not None
         assert entry.first_seen == 100.0
-        assert [c.kind for c in store.changes_for(pid)] == [ChangeKind.FIRST_SEEN]
+        assert [c.kind for c in store.changes() if c.peer == pid] == [ChangeKind.FIRST_SEEN]
 
     def test_touch_updates_last_seen_only_forward(self, rng):
         store = Peerstore()
@@ -99,7 +100,7 @@ class TestPeerstore:
         for _ in range(3):
             store.record_identify(PeerId.random(rng), make_identify("go-ipfs/0.11.0"), 1.0)
         store.record_identify(PeerId.random(rng), make_identify("storm"), 1.0)
-        histogram = store.agent_histogram()
+        histogram = Counter(entry.agent_version for entry in store.entries())
         assert histogram["go-ipfs/0.11.0"] == 3
         assert histogram["storm"] == 1
 

@@ -7,14 +7,16 @@ import pytest
 from repro.kademlia.keys import (
     KEY_BITS,
     bucket_index,
-    common_prefix_length,
     key_for_content,
     key_for_peer,
-    random_key,
     random_key_in_bucket,
     xor_distance,
 )
 from repro.libp2p.peer_id import PeerId
+
+
+def random_key(rng: random.Random) -> int:
+    return rng.getrandbits(KEY_BITS)
 
 
 class TestXorDistance:
@@ -37,17 +39,20 @@ class TestXorDistance:
 class TestPrefixAndBuckets:
     def test_common_prefix_of_identical_keys(self):
         key = random_key(random.Random(4))
-        assert common_prefix_length(key, key) == KEY_BITS
+        # a key shares all KEY_BITS bits with itself: no bit differs
+        assert xor_distance(key, key) == 0
 
     def test_common_prefix_of_complementary_keys(self):
         key = (1 << KEY_BITS) - 1
-        assert common_prefix_length(key, 0) == 0
+        # no shared prefix: the very first bit differs, the farthest bucket
+        assert bucket_index(key, 0) == KEY_BITS - 1
 
     def test_bucket_index_relationship_with_cpl(self):
         rng = random.Random(5)
         local, remote = random_key(rng), random_key(rng)
         if local != remote:
-            assert bucket_index(local, remote) == KEY_BITS - 1 - common_prefix_length(local, remote)
+            # the bucket is the highest differing bit: KEY_BITS - 1 - shared prefix length
+            assert bucket_index(local, remote) == xor_distance(local, remote).bit_length() - 1
 
     def test_bucket_index_of_self_rejected(self):
         key = random_key(random.Random(6))
@@ -80,4 +85,5 @@ class TestKeyDerivation:
     def test_keys_fit_in_keyspace(self):
         rng = random.Random(9)
         for _ in range(20):
-            assert 0 <= random_key(rng) < (1 << KEY_BITS)
+            assert 0 <= key_for_peer(PeerId.random(rng)) < (1 << KEY_BITS)
+            assert 0 <= key_for_content(rng.randbytes(16)) < (1 << KEY_BITS)

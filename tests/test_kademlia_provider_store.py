@@ -32,14 +32,12 @@ class TestProviderStoreBasics:
         record = store.add(KEY, pid(1), now=10.0)
         assert record.expires_at == 110.0
         assert store.providers(KEY, now=50.0) == [pid(1)]
-        assert store.has_providers(KEY, now=50.0)
         assert store.key_count() == 1
         assert len(store) == 1
 
     def test_unknown_key_is_empty(self):
         store = ProviderStore()
         assert store.providers(KEY, now=0.0) == []
-        assert not store.has_providers(KEY, now=0.0)
 
     def test_expired_records_are_filtered(self):
         store = ProviderStore(ttl=100.0)

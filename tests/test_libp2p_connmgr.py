@@ -1,7 +1,7 @@
 """Tests for the connection manager (the trimming mechanism).
 
 The paper's central churn claim rests on this component: connections are
-trimmed from HighWater down to LowWater, protected/graced connections survive,
+trimmed from HighWater down to LowWater, tagged/graced connections survive,
 and higher thresholds mean longer-lived connections.
 """
 
@@ -82,7 +82,7 @@ class TestBookkeeping:
         manager = make_manager(high=10)
         for _ in range(4):
             add_conn(manager, 0.0, rng)
-        assert len(manager.connected_peers()) == 4
+        assert manager.connected_peer_count() == 4
 
 
 class TestTrimming:
@@ -109,16 +109,6 @@ class TestTrimming:
         # only the old connection is outside the grace period
         assert victims == [old]
 
-    def test_protected_peers_never_trimmed(self, rng):
-        manager = make_manager(low=0, high=1)
-        protected = add_conn(manager, 0.0, rng)
-        manager.protect_peer(protected.remote_peer, "bootstrap")
-        others = [add_conn(manager, 0.0, rng) for _ in range(4)]
-        victims = manager.trim(now=100.0)
-        victim_ids = {c.connection_id for c in victims}
-        assert protected.connection_id not in victim_ids
-        assert victim_ids <= {c.connection_id for c in others}
-
     def test_higher_tag_value_survives(self, rng):
         manager = make_manager(low=1, high=2)
         valued = add_conn(manager, 0.0, rng)
@@ -135,7 +125,7 @@ class TestTrimming:
         conn = add_conn(manager, 0.0, rng)
         manager.tag_peer(conn.remote_peer, "kad", 10)
         manager.untag_peer(conn.remote_peer, "kad")
-        assert manager.peer_score(conn.remote_peer) == 0
+        assert manager._tags[conn.remote_peer].tags == {}
 
     def test_silence_period_rate_limits_trims(self, rng):
         manager = make_manager(low=1, high=2, silence=30.0)
@@ -177,19 +167,17 @@ class TestTrimming:
 
 def _reference_select_victims(manager, now):
     """``select_victims`` as it was before the trim fast path: a ``TagInfo``
-    default built per connection, the ``value`` / ``is_protected`` properties,
-    and a stable sort through a ``key=`` lambda."""
+    default built per connection, its tag values summed, and a stable sort
+    through a ``key=`` lambda."""
     excess = manager.connection_count() - manager.config.low_water
     if excess <= 0:
         return []
     candidates = []
     for conn in manager._connections.values():
         info = manager._tags.get(conn.remote_peer, TagInfo())
-        if info.is_protected:
-            continue
         if now - conn.opened_at < manager.config.grace_period:
             continue
-        candidates.append((info.value, conn.opened_at, conn))
+        candidates.append((sum(info.tags.values()), conn.opened_at, conn))
     # Lowest score first; among equals, youngest first (largest opened_at).
     candidates.sort(key=lambda item: (item[0], -item[1]))
     return [conn for _, _, conn in candidates[:excess]]
@@ -209,7 +197,7 @@ _connection_specs = st.lists(
 _peer_setups = st.lists(
     st.tuples(
         st.integers(0, len(_PEER_POOL) - 1),
-        st.sampled_from(["tag", "tag2", "untag", "protect", "unprotect", "forget"]),
+        st.sampled_from(["tag", "tag2", "untag", "forget"]),
         st.sampled_from([0, 5, 5, 10]),
     ),
     max_size=12,
@@ -242,10 +230,6 @@ class TestSelectVictimsEquivalence:
                 manager.tag_peer(peer, "bitswap", value)
             elif action == "untag":
                 manager.untag_peer(peer, "kad")
-            elif action == "protect":
-                manager.protect_peer(peer, "bootstrap")
-            elif action == "unprotect":
-                manager.unprotect_peer(peer, "bootstrap")
             else:
                 # a connected peer without any tag bookkeeping scores zero
                 manager._tags.pop(peer, None)
@@ -284,15 +268,14 @@ class TestTagBookkeepingCost:
             )
             manager.add_connection(again, now)
             manager.tag_peer(first.remote_peer, "kad", 5)
-            manager.protect_peer(first.remote_peer, "bootstrap")
-            manager.unprotect_peer(first.remote_peer, "bootstrap")
-            assert manager.tag_info(first.remote_peer) is built[0]
-            assert manager.peer_score(first.remote_peer) == 5
+            manager.untag_peer(first.remote_peer, "bitswap")
+            assert manager._tags[first.remote_peer] is built[0]
+            assert built[0].tags == {"kad": 5}
         manager.select_victims(100.0)
         manager.trim(100.0)
         assert len(built) == 1
         assert built[0].first_seen == 1.0
 
         stranger = PeerId.random(rng)
-        assert manager.tag_info(stranger).value == 0
+        manager.untag_peer(stranger, "kad")
         assert stranger not in manager._tags

@@ -24,25 +24,6 @@ class TestIdentifyRecord:
     def test_bitswap_detection(self):
         assert make_record().has_bitswap()
 
-    def test_with_agent_returns_new_record(self):
-        record = make_record()
-        updated = record.with_agent("go-ipfs/0.12.0/def")
-        assert updated.agent_version == "go-ipfs/0.12.0/def"
-        assert record.agent_version == "go-ipfs/0.11.0/abc"
-
-    def test_add_and_remove_protocol(self):
-        record = make_record(server=False)
-        with_kad = record.add_protocol(KAD_DHT)
-        assert with_kad.is_dht_server()
-        assert not with_kad.remove_protocol(KAD_DHT).is_dht_server()
-
-    def test_protocol_diff(self):
-        record = make_record(server=True)
-        flipped = record.remove_protocol(KAD_DHT)
-        added, removed = record.protocol_diff(flipped)
-        assert added == frozenset()
-        assert removed == frozenset({KAD_DHT})
-
     def test_dict_round_trip(self):
         record = make_record()
         restored = IdentifyRecord.from_dict(record.as_dict())

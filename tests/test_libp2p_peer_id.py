@@ -97,12 +97,6 @@ class TestKeyPair:
         assert keypair.public_digest() == keypair.public_digest()
         assert len(keypair.public_digest()) == 32
 
-    def test_short_id_is_hex(self):
-        keypair = generate_keypair(random.Random(7))
-        short = keypair.short_id()
-        assert len(short) == 12
-        int(short, 16)  # must parse as hex
-
 
 def _reference_generate_keypair(rng, key_type=RSA_2048):
     """The per-byte draw ``generate_keypair`` used before it took each half

@@ -1,10 +1,8 @@
-"""Tests for protocol sets and the protocol registry."""
+"""Tests for protocol sets."""
 
 from repro.libp2p.protocols import (
-    BITSWAP_120,
     KAD_DHT,
     SBPTP,
-    ProtocolRegistry,
     baseline_protocols,
     crawler_protocols,
     goipfs_protocols,
@@ -49,30 +47,3 @@ class TestProtocolSets:
 
     def test_baseline_is_subset_of_goipfs(self):
         assert baseline_protocols() <= goipfs_protocols()
-
-
-class TestProtocolRegistry:
-    def test_counts_each_peer_once_per_protocol(self):
-        registry = ProtocolRegistry()
-        registry.add_peer([KAD_DHT, KAD_DHT, BITSWAP_120])
-        registry.add_peer([KAD_DHT])
-        counts = registry.counts()
-        assert counts[KAD_DHT] == 2
-        assert counts[BITSWAP_120] == 1
-
-    def test_grouping_folds_rare_protocols(self):
-        registry = ProtocolRegistry()
-        for _ in range(10):
-            registry.add_peer([KAD_DHT])
-        registry.add_peer(["/exotic/1.0.0"])
-        grouped = registry.grouped(threshold=1)
-        assert "/exotic/1.0.0" not in grouped
-        assert grouped["other"] == 1
-        assert grouped[KAD_DHT] == 10
-
-    def test_top_orders_by_count(self):
-        registry = ProtocolRegistry()
-        for _ in range(3):
-            registry.add_peer([KAD_DHT])
-        registry.add_peer([BITSWAP_120])
-        assert registry.top(2) == [KAD_DHT, BITSWAP_120]

@@ -302,7 +302,6 @@ class TestScenarioEffects:
         for snapshot in result.crawls.snapshots:
             discovered.update(snapshot.discovered)
             reachable.update(snapshot.reachable)
-            assert snapshot.unreachable_count == len(snapshot.unreachable)
         assert reachable < discovered  # strict subset: NATed servers unreached
 
     def test_timeout_bound_lookups_time_out(self):

@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from repro.core.classification import ClassificationThresholds, PeerClassLabel, 
 from repro.core.churn import connection_statistics
 from repro.core.netsize import classify_peers, estimate_by_multiaddress
 from repro.core.records import ConnectionRecord, MeasurementDataset, PeerRecord
-from repro.kademlia.keys import KEY_BITS, bucket_index, common_prefix_length, xor_distance
+from repro.kademlia.keys import KEY_BITS, bucket_index, xor_distance
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
 from repro.libp2p.connection import Connection, Direction
@@ -26,6 +27,12 @@ from repro.libp2p.peer_id import PeerId, base58btc_decode, base58btc_encode
 
 keys = st.integers(min_value=0, max_value=(1 << KEY_BITS) - 1)
 durations = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def common_prefix_length(a: int, b: int) -> int:
+    """Leading bits ``a`` and ``b`` share, counted on their binary renderings."""
+    pairs = zip(format(a, f"0{KEY_BITS}b"), format(b, f"0{KEY_BITS}b"))
+    return next((i for i, (x, y) in enumerate(pairs) if x != y), KEY_BITS)
 
 
 def dataset_from_connections(conn_specs):
@@ -82,7 +89,8 @@ class TestKeyspaceProperties:
     @given(keys, keys)
     def test_cpl_and_bucket_index_are_complements(self, a, b):
         if a == b:
-            assert common_prefix_length(a, b) == KEY_BITS
+            with pytest.raises(ValueError):
+                bucket_index(a, b)
         else:
             assert bucket_index(a, b) == KEY_BITS - 1 - common_prefix_length(a, b)
 
@@ -103,7 +111,7 @@ class TestRoutingTableProperties:
         table = RoutingTable(local, bucket_size=8)
         table.add_peers(PeerId.random(rng) for _ in range(n_peers))
         assert len(table) <= n_peers
-        for index in table.nonempty_bucket_indices():
+        for index in sorted(table._buckets):
             assert len(table._buckets[index]) <= 8
         assert local not in table
 

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import operator
 import random
+from typing import Optional
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.scenarios import (
     scenarios,
 )
 from repro.scenarios.catalog import LARGE_BLOCK_CLASSES, MIXED_BLOCK_CLASSES
-from repro.scenarios.registry import OverrideTypeError
+from repro.scenarios.registry import OverrideTypeError, override_parameters
 from repro.simulation.churn_models import (
     DAY,
     DiurnalChurnModel,
@@ -135,7 +136,7 @@ class TestRegistry:
             assert spec.default_peers > 0
             assert spec.default_duration_days > 0
             # The Knobs column *is* the --set key list, with live defaults.
-            assert set(spec.knobs) == set(spec.override_keys())
+            assert set(spec.knobs) == set(override_parameters(spec.builder))
             defaults = {k: v for k, v in spec.knobs.items() if v is not None}
             assert spec.validate_overrides(defaults) == defaults
 
@@ -396,7 +397,7 @@ class TestAdversaryScenarioConfigs:
         population = generate_population(config.population, random.Random(1))
         honest = population.honest()
         assert len(honest) == 150
-        assert len(population.adversaries()) == config.population.adversary.sybil.count
+        assert len(population) - len(honest) == config.population.adversary.sybil.count
         assert len(population) == 150 + config.population.adversary.sybil.count
         # honest profiles are byte-identical to the adversary-free twin
         from dataclasses import replace as dc_replace
@@ -474,7 +475,9 @@ class TestOverridesReachTheirField:
     ]
 
     def test_table_covers_every_override_key(self):
-        registered = {(spec.name, key) for spec in scenarios() for key in spec.override_keys()}
+        registered = {
+            (spec.name, key) for spec in scenarios() for key in override_parameters(spec.builder)
+        }
         assert registered == {(name, key) for name, key, *_ in self.TARGETS}
 
     @pytest.mark.parametrize(
@@ -530,6 +533,21 @@ class TestOverrideValueTypes:
     def test_out_of_range_period_knobs_fail_the_build(self, overrides, field):
         with pytest.raises(ValueError, match=field):
             build_scenario_config("p1", n_peers=40, duration_days=0.01, overrides=overrides)
+
+    #: every numeric ``--set`` key in the catalog; -1 is out of range for each
+    NUMERIC_KNOBS = [
+        (spec.name, key)
+        for spec in scenarios()
+        for key, param in override_parameters(spec.builder).items()
+        if param.annotation in (int, float, Optional[int])
+    ]
+
+    @pytest.mark.parametrize("name,key", NUMERIC_KNOBS)
+    def test_negative_numeric_knob_fails_naming_its_key(self, name, key):
+        # Some range checks name the config field, not the key ("share must
+        # be within [0, 1]"); the build still has to say which key it was.
+        with pytest.raises(ValueError, match=key):
+            build_scenario_config(name, n_peers=40, duration_days=0.01, overrides={key: -1})
 
     def test_an_int_is_a_valid_float(self, tmp_path):
         contents = [

@@ -11,21 +11,19 @@ from repro.simulation.churn_models import (
     MINUTE,
     DiurnalChurnModel,
     ExponentialDistribution,
-    FixedDistribution,
     FlashCrowdChurnModel,
     LogNormalDistribution,
     MassOutageChurnModel,
-    ParetoDistribution,
     SessionModel,
-    TraceReplayChurnModel,
     UniformDistribution,
     WeibullDistribution,
     always_on_session,
     light_session,
     normal_session,
     one_time_session,
-    pareto_session,
 )
+
+from doubles import FixedDistribution
 
 
 class TestDistributions:
@@ -33,10 +31,6 @@ class TestDistributions:
         dist = FixedDistribution(42.0)
         assert dist.sample(rng) == 42.0
         assert dist.mean() == 42.0
-
-    def test_fixed_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FixedDistribution(-1.0)
 
     def test_uniform_within_bounds(self, rng):
         dist = UniformDistribution(10.0, 20.0)
@@ -70,18 +64,12 @@ class TestDistributions:
         assert 0.8 * 3600.0 < median < 1.2 * 3600.0
         assert dist.mean() > 3600.0  # log-normal mean exceeds the median
 
-    def test_pareto_mean(self):
-        dist = ParetoDistribution(xm=10.0, alpha=2.0)
-        assert dist.mean() == 20.0
-        assert ParetoDistribution(xm=10.0, alpha=0.5).mean() == float("inf")
-
     def test_all_samples_non_negative(self, rng):
         distributions = [
             UniformDistribution(0.0, 5.0),
             ExponentialDistribution(5.0),
             WeibullDistribution(5.0, 0.7),
             LogNormalDistribution(1.0, 1.0),
-            ParetoDistribution(1.0, 1.5),
         ]
         for dist in distributions:
             for _ in range(200):
@@ -136,13 +124,11 @@ def _all_churn_models():
     )
     return [
         base,
-        pareto_session(2 * HOUR, 4 * HOUR, alpha=2.5),
+        light_session(),
         DiurnalChurnModel(base=base, amplitude=0.6),
         FlashCrowdChurnModel(base=base, burst_start=2 * HOUR, burst_duration=1 * HOUR),
         MassOutageChurnModel(base=base, outage_start=6 * HOUR, outage_duration=2 * HOUR),
-        TraceReplayChurnModel(
-            sessions=[120.0, 3600.0, 900.0], intersessions=[600.0, 7200.0]
-        ),
+        one_time_session(),
     ]
 
 
@@ -173,20 +159,6 @@ class TestChurnModelProperties:
     def test_max_sessions_exposed(self, model_index):
         model = _all_churn_models()[model_index]
         assert model.max_sessions is None or model.max_sessions >= 1
-
-    def test_pareto_session_matches_configured_means(self):
-        model = pareto_session(1000.0, 500.0, alpha=3.0)
-        rng = random.Random(42)
-        ups = [model.next_uptime(rng) for _ in range(20_000)]
-        downs = [model.next_downtime(rng) for _ in range(20_000)]
-        assert sum(ups) / len(ups) == pytest.approx(1000.0, rel=0.10)
-        assert sum(downs) / len(downs) == pytest.approx(500.0, rel=0.10)
-
-    def test_pareto_session_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            pareto_session(100.0, 100.0, alpha=1.0)
-        with pytest.raises(ValueError):
-            pareto_session(-1.0, 100.0, alpha=2.0)
 
 
 class TestDiurnalChurnModel:
@@ -301,77 +273,3 @@ class TestMassOutageChurnModel:
         online, duration = model.initial_state(random.Random(2))
         assert online
         assert duration <= 500.0
-
-
-class TestTraceReplayChurnModel:
-    def test_replays_and_cycles(self):
-        model = TraceReplayChurnModel(sessions=[10.0, 20.0], intersessions=[5.0])
-        rng = random.Random(0)
-        assert [model.next_uptime(rng) for _ in range(4)] == [10.0, 20.0, 10.0, 20.0]
-        assert [model.next_downtime(rng) for _ in range(3)] == [5.0, 5.0, 5.0]
-        assert model.mean_uptime() == pytest.approx(15.0)
-        assert model.mean_downtime() == pytest.approx(5.0)
-
-    def test_spawn_gives_independent_cursors(self):
-        trace = TraceReplayChurnModel(sessions=[1.0, 2.0, 3.0], intersessions=[4.0, 5.0])
-        rng = random.Random(9)
-        spawned = [trace.spawn(rng) for _ in range(20)]
-        firsts = {model.next_uptime(rng) for model in spawned}
-        assert len(firsts) > 1  # different offsets actually happen
-        # the parent's cursor is untouched by spawning
-        assert trace.next_uptime(rng) == 1.0
-
-    def test_from_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("session,intersession\n120.5,600\n3600,7200.25\n")
-        model = TraceReplayChurnModel.from_csv(str(path))
-        rng = random.Random(0)
-        assert model.next_uptime(rng) == pytest.approx(120.5)
-        assert model.next_uptime(rng) == pytest.approx(3600.0)
-        assert model.next_downtime(rng) == pytest.approx(600.0)
-        assert model.next_downtime(rng) == pytest.approx(7200.25)
-
-    def test_from_csv_rejects_missing_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("uptime,downtime\n1,2\n")
-        with pytest.raises(ValueError, match="'session'.*'intersession'"):
-            TraceReplayChurnModel.from_csv(str(path))
-
-    def test_from_csv_names_one_missing_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("session,downtime\n1,2\n")
-        with pytest.raises(ValueError, match="missing column.*'intersession'") as excinfo:
-            TraceReplayChurnModel.from_csv(str(path))
-        assert "'session'" not in str(excinfo.value).split("found")[0]
-
-    def test_from_csv_rejects_an_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty file"):
-            TraceReplayChurnModel.from_csv(str(path))
-
-    def test_from_csv_rejects_a_header_only_file(self, tmp_path):
-        path = tmp_path / "headers.csv"
-        path.write_text("session,intersession\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            TraceReplayChurnModel.from_csv(str(path))
-
-    def test_from_csv_names_row_and_column_of_bad_values(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("session,intersession\n120,600\nfast,7200\n")
-        with pytest.raises(ValueError, match=r"row 3, column 'session'.*'fast'"):
-            TraceReplayChurnModel.from_csv(str(path))
-
-    def test_from_csv_names_row_of_short_rows(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("session,intersession\n120,600\n3600\n")
-        with pytest.raises(ValueError, match=r"row 3, column 'intersession'.*None"):
-            TraceReplayChurnModel.from_csv(str(path))
-
-    def test_rejects_non_positive_intervals(self):
-        with pytest.raises(ValueError):
-            TraceReplayChurnModel(sessions=[0.0], intersessions=[5.0])
-        with pytest.raises(ValueError):
-            TraceReplayChurnModel(sessions=[], intersessions=[5.0])
-        with pytest.raises(ValueError):
-            TraceReplayChurnModel(sessions=[float("inf")], intersessions=[5.0])

@@ -81,7 +81,7 @@ class TestNetworkLifecycle:
         assert "remote-trim" in reasons
         valid = {
             "remote-trim", "remote-left", "local-trim", "protocol-done",
-            "still-open", "local-shutdown", "error",
+            "still-open", "error",
         }
         assert reasons <= valid
 
@@ -131,7 +131,7 @@ class TestNetworkLifecycle:
         engine, network, identity = build_network(n_peers=150)
         network.start(duration=6 * HOUR)
         engine.run_until(6 * HOUR)
-        assert network.observed_pid_count() > len(network.peers)
+        assert sum(len(p.all_pids) for p in network.peers) > len(network.peers)
 
 
 def _reference_build_routing_tables(network):
@@ -172,8 +172,8 @@ class TestRoutingTableSeeding:
             seeded += 1
             table = peer.routing_table
             assert table.local_peer == expected.local_peer
-            assert table.nonempty_bucket_indices() == expected.nonempty_bucket_indices()
-            for index in expected.nonempty_bucket_indices():
+            assert sorted(table._buckets) == sorted(expected._buckets)
+            for index in sorted(expected._buckets):
                 assert table._buckets[index].peers == expected._buckets[index].peers
         assert seeded > 10
 

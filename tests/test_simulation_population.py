@@ -76,7 +76,7 @@ class TestGeneratedPopulation:
         assert all(p.rotates_pid for p in farm)
 
     def test_crawler_profiles_exist(self, population):
-        crawlers = population.crawlers()
+        crawlers = [p for p in population if p.is_crawler]
         assert crawlers
         assert all(c.role is DHTMode.CLIENT for c in crawlers)
         assert all(c.peer_class is PeerClass.LIGHT for c in crawlers)

@@ -29,8 +29,14 @@ from repro.obs.trace_export import (
 from repro.faults.retry import RetryPolicy, RetryState
 from repro.netmodel.config import NetModelConfig
 from repro.scenarios import build_scenario_config
-from repro.simulation.equivalence import result_fingerprint
 from repro.simulation.scenario import run_scenario
+
+from fingerprint import result_fingerprint
+
+
+def traces_jsonl(summary) -> str:
+    """The exact traces.jsonl content for a trace summary's retained traces."""
+    return "".join(render_trace_line(payload) + "\n" for payload in summary.traces)
 
 
 def make_tracer(sample=1.0, **kwargs) -> SpanTracer:
@@ -217,7 +223,7 @@ class TestSpanTracerUnit:
         summary = tracer.finalize(0.0)
         path = tmp_path / "traces.jsonl"
         write_traces(summary.traces, str(path))
-        assert path.read_text() == summary.as_jsonl()
+        assert path.read_text() == traces_jsonl(summary)
         assert read_jsonl(str(path)) == summary.traces
         line = render_trace_line(summary.traces[0])
         assert ": " not in line and ", " not in line
@@ -371,14 +377,14 @@ class TestScenarioTracing:
 
     def test_rerun_renders_byte_identical_jsonl(self, traced_run):
         again = run_scenario(traced_config("high-latency-retrieval", n_peers=60))
-        assert again.spans.as_jsonl() == traced_run.spans.as_jsonl()
+        assert traces_jsonl(again.spans) == traces_jsonl(traced_run.spans)
 
     def test_jsonl_path_streams_at_finalize(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         result = run_scenario(
             traced_config("lossy-links", n_peers=50, jsonl_path=str(path))
         )
-        assert path.read_text() == result.spans.as_jsonl()
+        assert path.read_text() == traces_jsonl(result.spans)
 
     def test_adversary_on_a_netmodel_fabric_traces_dropped_replies(self):
         """No registered scenario puts attackers on a clocked fabric, so one
@@ -399,7 +405,7 @@ class TestScenarioTracing:
         result = run()
         again = run()
         assert result_fingerprint(again) == result_fingerprint(result)
-        assert again.spans.as_jsonl() == result.spans.as_jsonl()
+        assert traces_jsonl(again.spans) == traces_jsonl(result.spans)
 
         dropped = []
 

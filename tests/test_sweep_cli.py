@@ -498,8 +498,8 @@ class TestCliParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_duration_days("-1d")
 
-    def test_unknown_scenario_fails_before_running(self, tmp_path):
-        with pytest.raises(KeyError):
+    def test_unknown_scenario_fails_before_running(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main([
                 "--scenarios", "p1,no-such-scenario",
                 "--seeds", "7",
@@ -507,6 +507,9 @@ class TestCliParsing:
                 "--duration", "0.01d",
                 "--out", str(tmp_path / "never"),
             ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scenarios" in err and "no-such-scenario" in err and "flash-crowd" in err
         assert not (tmp_path / "never").exists()
 
     def test_list_flag(self, capsys):
@@ -522,9 +525,11 @@ class TestCliParsing:
         assert "p14" not in out and "flash-crowd" not in out
 
     def test_list_flag_rejects_unknown_tag(self, capsys):
-        assert main(["--list", "--tag", "no-such-tag"]) == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--list", "--tag", "no-such-tag"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "no scenarios tagged" in err and "adversary" in err
+        assert "--tag 'no-such-tag'" in err and "adversary" in err
 
     def test_summarize_cell_uses_spec_defaults_for_peers(self):
         summary = summarize_cell("p1", None, 0.01, 3)
@@ -607,6 +612,17 @@ class TestFlagValidation:
         assert excinfo.value.code == 2
         assert "--set repeats loss_rate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_range_set_value_names_its_key(self, tmp_path, capsys):
+        # The range check lives in the fault config and names its own field
+        # ("share"); the failure line must still say which --set key fed it.
+        argv = ["--scenarios", "crash-storm", "--peers", "40", "--duration", "0.01d"]
+        assert main(argv + ["--set", "crash_share=1.5", "--out", str(tmp_path)]) == 1
+        failures = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("sweep cell failed")
+        ]
+        assert len(failures) == 1 and "crash_share" in failures[0]
 
     def test_period_knobs_reach_the_cell(self, tmp_path):
         flags = "--scenarios p2 --peers 40 --duration 0.01d --set low_water=600"
