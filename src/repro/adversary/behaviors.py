@@ -148,7 +148,7 @@ class AdversaryBehaviors:
         """Swap a peer's identity for a mined one (pre-start only)."""
         self.network.peers_by_pid.pop(peer.current_pid, None)
         peer.current_pid = pid
-        peer.all_pids = {pid}
+        peer.all_pids = [pid]
         self.network.peers_by_pid[pid] = peer
 
     def _compute_victim_keys(self) -> List[int]:

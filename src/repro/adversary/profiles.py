@@ -104,6 +104,7 @@ def build_adversary_profiles(
         # while the neighbourhood-density estimator cannot.
         host_ips = [random_public_ipv4(rng) for _ in range(max(1, sybil.count // 16))]
         agent = catalog.make_goipfs_agent()
+        staged = StagedArrivalSessionModel(sybil.arrival_window)
         for i in range(sybil.count):
             profiles.append(
                 PeerProfile(
@@ -114,7 +115,7 @@ def build_adversary_profiles(
                     protocols=goipfs_protocols(dht_server=sybil.act_as_server),
                     public_ip=host_ips[i % len(host_ips)],
                     behind_nat=False,
-                    session_model=StagedArrivalSessionModel(sybil.arrival_window),
+                    session_model=staged,
                     keep_probability=sybil.keep_probability,
                     reconnect_mean=5 * MINUTE,
                     discovery_mean=sybil.discovery_mean,
@@ -167,6 +168,7 @@ def build_adversary_profiles(
     # -- churn spoofers: fresh PID every short session --------------------------
     if adversary.churn_spoof is not None:
         spoof = adversary.churn_spoof
+        spoof_session = spoofer_session(spoof.session_mean, spoof.downtime_mean)
         for _ in range(spoof.count):
             profiles.append(
                 PeerProfile(
@@ -177,7 +179,7 @@ def build_adversary_profiles(
                     protocols=goipfs_protocols(dht_server=False),
                     public_ip=random_public_ipv4(rng),
                     behind_nat=False,
-                    session_model=spoofer_session(spoof.session_mean, spoof.downtime_mean),
+                    session_model=spoof_session,
                     rotates_pid=True,
                     keep_probability=0.1,
                     reconnect_mean=5 * MINUTE,

@@ -16,9 +16,14 @@ from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.protocols import supports_bitswap, supports_dht_server
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentifyRecord:
-    """A snapshot of the meta data a peer announces via identify."""
+    """A snapshot of the meta data a peer announces via identify.
+
+    ``make`` keeps a frozenset of protocols and a tuple of addresses as they
+    are (``frozenset(x)`` / ``tuple(x)`` return ``x``), so records built from
+    shared values share them.
+    """
 
     agent_version: Optional[str]
     protocols: FrozenSet[str]

@@ -10,9 +10,9 @@ peers.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 _KNOWN_PROTOCOLS = {
@@ -32,11 +32,46 @@ _KNOWN_PROTOCOLS = {
 }
 
 
-@dataclass(frozen=True)
-class Multiaddr:
-    """An immutable multiaddress composed of (protocol, value) components."""
+@functools.cache
+def _port_component(proto: str, port: int) -> Tuple[str, str]:
+    """One shared ``(proto, "port")`` component per transport and port."""
+    return (proto, str(port))
 
-    components: Tuple[Tuple[str, Optional[str]], ...]
+
+class Multiaddr:
+    """An immutable multiaddress composed of (protocol, value) components.
+
+    Every simulated peer advertises several, so the class is slotted and the
+    addresses built by :meth:`tcp` / :meth:`quic` share their port component
+    (and the constant ``("quic", None)``); only the IP component is per
+    address.
+    """
+
+    __slots__ = ("components", "_str")
+
+    def __init__(self, components: Tuple[Tuple[str, Optional[str]], ...]) -> None:
+        init = object.__setattr__
+        init(self, "components", components)
+        #: the rendering, memoised by ``__str__``: connection records render
+        #: the same few addresses over and over during dataset finalisation
+        init(self, "_str", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Multiaddr is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Multiaddr is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return Multiaddr, (self.components,)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Multiaddr):
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.components)
 
     @classmethod
     def parse(cls, text: str) -> "Multiaddr":
@@ -59,17 +94,17 @@ class Multiaddr:
                     raise ValueError(f"protocol {proto!r} expects a value")
                 components.append((proto, parts[i + 1]))
                 i += 2
-        return cls(components=tuple(components))
+        return cls(tuple(components))
 
     @classmethod
     def tcp(cls, ip: str, port: int = 4001) -> "Multiaddr":
         family = "ip6" if ":" in ip else "ip4"
-        return cls(components=((family, ip), ("tcp", str(port))))
+        return cls(((family, ip), _port_component("tcp", port)))
 
     @classmethod
     def quic(cls, ip: str, port: int = 4001) -> "Multiaddr":
         family = "ip6" if ":" in ip else "ip4"
-        return cls(components=((family, ip), ("udp", str(port)), ("quic", None)))
+        return cls(((family, ip), _port_component("udp", port), ("quic", None)))
 
     def ip(self) -> Optional[str]:
         """Return the first IP (or DNS name) component's value, if any."""
@@ -96,11 +131,7 @@ class Multiaddr:
         return addr.is_private or addr.is_loopback or addr.is_link_local
 
     def __str__(self) -> str:
-        # Memoised: connection records render the same few addresses over and
-        # over during dataset finalisation.  The dataclass is frozen, so the
-        # rendering never changes; the cache lives outside the declared fields
-        # and therefore affects neither equality nor hashing.
-        cached = self.__dict__.get("_str")
+        cached = self._str
         if cached is not None:
             return cached
         parts: List[str] = []
@@ -153,11 +184,13 @@ def addresses_for_peer(
     behind_nat: bool = False,
     port: int = 4001,
     include_quic: bool = True,
-) -> List[Multiaddr]:
+) -> Tuple[Multiaddr, ...]:
     """Build a plausible advertised address list for a peer.
 
     go-ipfs nodes usually advertise a private listen address plus (when not
     NATed or after hole punching) their public address, over both TCP and QUIC.
+    The result is a tuple, so identify records and peerstore entries hold it
+    as is instead of copying it.
     """
     addrs: List[Multiaddr] = [Multiaddr.tcp(random_private_ipv4(rng), port)]
     if include_quic:
@@ -166,4 +199,4 @@ def addresses_for_peer(
         addrs.append(Multiaddr.tcp(public_ip, port))
         if include_quic:
             addrs.append(Multiaddr.quic(public_ip, port))
-    return addrs
+    return tuple(addrs)

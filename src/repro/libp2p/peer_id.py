@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Optional
 
@@ -62,23 +61,35 @@ def base58btc_decode(text: str) -> bytes:
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
 class PeerId:
     """A libp2p peer identifier backed by a SHA-256 multihash digest.
 
     Distance checks, swarm bookkeeping, and dataset finalisation all hammer
     ``kad_key()`` / ``hash()`` / ``str()``; the derived values are therefore
     cached at construction (the digest is immutable, so they never change).
+    Every peer and every rotation holds one, so the class is slotted (no
+    per-instance ``__dict__``) and refuses attribute assignment.
     """
 
-    digest: bytes
+    __slots__ = ("digest", "_kad_key", "_hash", "_b58")
 
-    def __post_init__(self) -> None:
-        if len(self.digest) != 32:
+    def __init__(self, digest: bytes) -> None:
+        if len(digest) != 32:
             raise ValueError("PeerId digest must be 32 bytes (sha2-256)")
-        object.__setattr__(self, "_kad_key", int.from_bytes(self.digest, "big"))
-        object.__setattr__(self, "_hash", hash(self.digest))
-        object.__setattr__(self, "_b58", None)
+        init = object.__setattr__
+        init(self, "digest", digest)
+        init(self, "_kad_key", int.from_bytes(digest, "big"))
+        init(self, "_hash", hash(digest))
+        init(self, "_b58", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PeerId is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PeerId is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return PeerId, (self.digest,)
 
     @classmethod
     def from_keypair(cls, keypair: KeyPair) -> "PeerId":

@@ -10,7 +10,8 @@ client types the paper observes.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set
+import functools
+from typing import FrozenSet
 
 # Core IPFS / libp2p protocols seen in Fig. 4.
 IPFS_ID = "/ipfs/id/1.0.0"
@@ -42,64 +43,93 @@ BITSWAP_PROTOCOLS: FrozenSet[str] = frozenset(
 )
 
 
-def baseline_protocols() -> Set[str]:
+# Every simulated peer announces one of a handful of protocol sets, so the
+# helpers below hand out one shared frozenset per distinct set instead of a
+# fresh copy per peer.
+
+
+@functools.cache
+def shared_protocols(protocols: FrozenSet[str]) -> FrozenSet[str]:
+    """The one shared instance of ``protocols``: equal sets are one object.
+
+    Its domain is finite: the sets the helpers below produce, each with or
+    without ``/ipfs/kad/1.0.0`` and autonat.
+    """
+    return protocols
+
+
+_BASELINE: FrozenSet[str] = shared_protocols(
+    frozenset(
+        {
+            IPFS_ID,
+            IPFS_ID_PUSH,
+            IPFS_PING,
+            RELAY_V1,
+            AUTONAT,
+            FLOODSUB,
+            MESHSUB_100,
+            MESHSUB_110,
+            ID_DELTA,
+        }
+    )
+)
+_HYDRA: FrozenSet[str] = shared_protocols(frozenset({IPFS_ID, IPFS_PING, KAD_DHT}))
+_CRAWLER: FrozenSet[str] = shared_protocols(frozenset({IPFS_ID, IPFS_PING}))
+
+
+def baseline_protocols() -> FrozenSet[str]:
     """Protocols announced by essentially every go-ipfs-like client."""
-    return {
-        IPFS_ID,
-        IPFS_ID_PUSH,
-        IPFS_PING,
-        RELAY_V1,
-        AUTONAT,
-        FLOODSUB,
-        MESHSUB_100,
-        MESHSUB_110,
-        ID_DELTA,
-    }
+    return _BASELINE
 
 
+@functools.cache
 def goipfs_protocols(
     dht_server: bool = True,
     bitswap: bool = True,
     modern: bool = True,
-) -> Set[str]:
+) -> FrozenSet[str]:
     """Return the protocol set a go-ipfs client announces.
 
     ``dht_server`` adds ``/ipfs/kad/1.0.0`` (the paper uses exactly this to
     identify DHT-Server nodes), ``bitswap`` adds the Bitswap family, ``modern``
     adds protocols only present in recent releases (relay v2 stop, fetch).
     """
-    protocols = baseline_protocols()
+    protocols = set(baseline_protocols())
     protocols.add(LAN_KAD_DHT)
     if dht_server:
         protocols.add(KAD_DHT)
     if bitswap:
-        protocols.update({BITSWAP, BITSWAP_100, BITSWAP_110, BITSWAP_120})
+        protocols.update(BITSWAP_PROTOCOLS)
     if modern:
         protocols.update({RELAY_V2_STOP, FETCH, X_PROTOCOL})
-    return protocols
+    return shared_protocols(frozenset(protocols))
 
 
-def hydra_protocols() -> Set[str]:
+def hydra_protocols() -> FrozenSet[str]:
     """Hydra heads serve the DHT and identify/ping but no Bitswap."""
-    return {IPFS_ID, IPFS_PING, KAD_DHT}
+    return _HYDRA
 
 
-def crawler_protocols() -> Set[str]:
+def crawler_protocols() -> FrozenSet[str]:
     """Crawlers typically only speak identify + DHT client messages."""
-    return {IPFS_ID, IPFS_PING}
+    return _CRAWLER
 
 
-def storm_protocols() -> Set[str]:
-    """IPStorm botnet nodes announce custom protocols instead of Bitswap."""
-    protocols = baseline_protocols()
-    protocols.update({KAD_DHT, SBPTP, SFST_1, SFST_2})
+@functools.cache
+def storm_protocols(dht_server: bool = True) -> FrozenSet[str]:
+    """IPStorm botnet nodes announce custom protocols instead of Bitswap;
+    ``dht_server`` adds ``/ipfs/kad/1.0.0`` as for go-ipfs."""
+    protocols = set(baseline_protocols())
+    protocols.update({SBPTP, SFST_1, SFST_2})
     protocols.discard(FLOODSUB)
-    return protocols
+    if dht_server:
+        protocols.add(KAD_DHT)
+    return shared_protocols(frozenset(protocols))
 
 
-def supports_bitswap(protocols: Iterable[str]) -> bool:
-    return any(p in BITSWAP_PROTOCOLS for p in protocols)
+def supports_bitswap(protocols: FrozenSet[str]) -> bool:
+    return not BITSWAP_PROTOCOLS.isdisjoint(protocols)
 
 
-def supports_dht_server(protocols: Iterable[str]) -> bool:
-    return KAD_DHT in set(protocols)
+def supports_dht_server(protocols: FrozenSet[str]) -> bool:
+    return KAD_DHT in protocols

@@ -17,6 +17,7 @@ scenario swaps churn regimes by swapping the model on the peer profiles.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -167,7 +168,10 @@ class SessionModel:
 
 
 # -- canonical session models for the paper's peer classes ------------------------
+# Each returns one shared frozen instance per class (and per ``rng_sessions``):
+# every peer of a class holds the same model instead of its own copy.
 
+@functools.cache
 def always_on_session() -> SessionModel:
     """Heavy peers: effectively always online for the whole measurement."""
     return SessionModel(
@@ -177,6 +181,7 @@ def always_on_session() -> SessionModel:
     )
 
 
+@functools.cache
 def normal_session() -> SessionModel:
     """Normal peers: sessions of a few hours to a day, daily usage pattern."""
     return SessionModel(
@@ -186,6 +191,7 @@ def normal_session() -> SessionModel:
     )
 
 
+@functools.cache
 def light_session() -> SessionModel:
     """Light peers: many short sessions (repeated experimentation, flaky nodes)."""
     return SessionModel(
@@ -195,6 +201,7 @@ def light_session() -> SessionModel:
     )
 
 
+@functools.cache
 def one_time_session(rng_sessions: int = 1) -> SessionModel:
     """One-time peers: one or two short appearances, never to return."""
     return SessionModel(

@@ -43,11 +43,12 @@ This module wires the synthetic population to the measurement identities
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.ipfs.bitswap import BitswapEngine
 from repro.kademlia.provider_store import ProviderStore
@@ -56,7 +57,7 @@ from repro.libp2p.connection import CloseReason, Connection
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr, addresses_for_peer
 from repro.libp2p.peer_id import PeerId
-from repro.libp2p.protocols import AUTONAT, KAD_DHT
+from repro.libp2p.protocols import AUTONAT, KAD_DHT, shared_protocols
 from repro.core.measurement import PassiveMeasurement
 from repro.faults.runtime import FaultRuntime
 from repro.netmodel.runtime import NetModelRuntime, WalkClock
@@ -101,6 +102,20 @@ class NetworkConfig:
     crawler_probe_duration: tuple = (10.0, 60.0)
 
 
+@functools.cache
+def _announced(protocols: FrozenSet[str], kad: bool, autonat: bool) -> FrozenSet[str]:
+    """The shared protocol set a peer announces: its profile set with the
+    DHT-Server and autonat protocols as it currently announces them."""
+    announced = set(protocols)
+    announced.discard(KAD_DHT)
+    announced.discard(AUTONAT)
+    if kad:
+        announced.add(KAD_DHT)
+    if autonat:
+        announced.add(AUTONAT)
+    return shared_protocols(frozenset(announced))
+
+
 class SimPeer:
     """Runtime state of one simulated remote peer."""
 
@@ -133,7 +148,9 @@ class SimPeer:
         self.profile = profile
         self.rng = rng
         self.current_pid = PeerId.random(rng)
-        self.all_pids: Set[PeerId] = {self.current_pid}
+        #: every PID this peer has used; each rotation draws a fresh 256-bit
+        #: key, so the PIDs are distinct without a set
+        self.all_pids: List[PeerId] = [self.current_pid]
         self.online = False
         self.sessions_started = 0
         #: label -> open Connection at the corresponding measurement identity
@@ -160,7 +177,7 @@ class SimPeer:
         #: memoised identify record, keyed on the mutable fields it depends on
         self._identify_cache: Optional[tuple] = None
         self.last_online_at = float("-inf")
-        self.addrs: List[Multiaddr] = addresses_for_peer(
+        self.addrs: Tuple[Multiaddr, ...] = addresses_for_peer(
             profile.public_ip, rng, behind_nat=profile.behind_nat
         )
         # The observed dial address only depends on immutable profile fields;
@@ -173,7 +190,7 @@ class SimPeer:
 
     def rotate_pid(self) -> None:
         self.current_pid = PeerId.random(self.rng)
-        self.all_pids.add(self.current_pid)
+        self.all_pids.append(self.current_pid)
         if self._routing_table is not None or self._table_seed is not None:
             # A new identity starts from an empty table.
             self._routing_table = None
@@ -211,23 +228,16 @@ class SimPeer:
         # immutable profile protocols and addresses; identify deliveries are a
         # hot path, so the frozen record is memoised until a behaviour flips
         # one of those fields.  Consumers treat records as immutable (the
-        # dataclass is frozen), so sharing one instance is safe.
+        # dataclass is frozen), so sharing one instance is safe.  The record
+        # holds the peer's address tuple and the shared protocol set as they
+        # are: ``IdentifyRecord.make`` copies neither.
         key = (self.agent, self.kad_announced, self.autonat_announced)
         cached = self._identify_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        protocols = set(self.profile.protocols)
-        if self.kad_announced:
-            protocols.add(KAD_DHT)
-        else:
-            protocols.discard(KAD_DHT)
-        if self.autonat_announced:
-            protocols.add(AUTONAT)
-        else:
-            protocols.discard(AUTONAT)
         record = IdentifyRecord.make(
             agent_version=self.agent,
-            protocols=protocols,
+            protocols=_announced(self.profile.protocols, key[1], key[2]),
             listen_addrs=self.addrs,
         )
         self._identify_cache = (key, record)

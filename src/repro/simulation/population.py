@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.kademlia.dht import DHTMode
 
@@ -54,6 +54,10 @@ from repro.simulation.churn_models import (
     one_time_session,
 )
 
+#: what a peer whose identify never completed announces (one shared empty
+#: set: ``frozenset()`` is a new object per call)
+_NO_PROTOCOLS: FrozenSet[str] = frozenset()
+
 #: builds the churn model for one general-population peer; receives the
 #: peer's ground-truth class and the population RNG
 ChurnModelFactory = Callable[["PeerClass", random.Random], ChurnModel]
@@ -77,15 +81,21 @@ class VersionBehavior(enum.Enum):
     CHANGE = "change"          # same release, different commit
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerProfile:
-    """Ground-truth description of one simulated remote peer."""
+    """Ground-truth description of one simulated remote peer.
+
+    One per peer, so the dataclass is slotted; ``protocols`` and
+    ``session_model`` are shared immutable values (one object per distinct
+    set / model, see :mod:`repro.libp2p.protocols` and the canonical session
+    models of :mod:`repro.simulation.churn_models`).
+    """
 
     peer_index: int
     peer_class: PeerClass
     role: DHTMode
     agent: Optional[str]
-    protocols: Set[str]
+    protocols: FrozenSet[str]
     public_ip: str
     behind_nat: bool
     session_model: ChurnModel
@@ -376,7 +386,7 @@ def generate_population(
                     peer_class=PeerClass.HEAVY,
                     role=DHTMode.SERVER,
                     agent=catalog.hydra_agent(),
-                    protocols=set(hydra_protocols()),
+                    protocols=hydra_protocols(),
                     public_ip=operator_ip,
                     behind_nat=False,
                     session_model=always_on_session(),
@@ -430,7 +440,7 @@ def generate_population(
                 peer_class=PeerClass.LIGHT,
                 role=DHTMode.CLIENT,
                 agent=catalog.sample_crawler_agent(),
-                protocols=set(crawler_protocols()),
+                protocols=crawler_protocols(),
                 public_ip=random_public_ipv4(rng),
                 behind_nat=False,
                 session_model=always_on_session(),
@@ -464,14 +474,12 @@ def generate_population(
             storm_share=config.storm_share_of_goipfs,
         )
         if sample.is_storm:
-            protocols = storm_protocols()
-            if not is_server:
-                protocols.discard("/ipfs/kad/1.0.0")
+            protocols = storm_protocols(dht_server=is_server)
         elif sample.is_goipfs:
             protocols = goipfs_protocols(dht_server=is_server)
         elif sample.agent is None:
             # Identify never completed: protocols unknown as well.
-            protocols = set()
+            protocols = _NO_PROTOCOLS
         else:
             protocols = goipfs_protocols(
                 dht_server=is_server, bitswap=rng.random() < 0.5, modern=False

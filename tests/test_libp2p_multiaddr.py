@@ -1,6 +1,7 @@
 """Tests for multiaddress parsing and helpers."""
 
 import ipaddress
+import pickle
 import random
 
 import pytest
@@ -47,6 +48,37 @@ class TestParsing:
         addr = Multiaddr.tcp("2001:db8::1")
         assert "/ip6/" in str(addr)
         assert addr.ip() == "2001:db8::1"
+
+
+class TestCompactness:
+    def test_slotted_immutable_and_picklable(self):
+        addr = Multiaddr.quic("84.23.11.9", 4002)
+        rendered = str(addr)
+        assert not hasattr(addr, "__dict__")
+        with pytest.raises(AttributeError):
+            addr.components = ()
+        with pytest.raises(AttributeError):
+            addr.scratch = 1
+        clone = pickle.loads(pickle.dumps(addr))
+        assert clone == addr and hash(clone) == hash(addr) and str(clone) == rendered
+
+    def test_builders_share_port_and_quic_components(self):
+        a, b = Multiaddr.quic("1.2.3.4"), Multiaddr.quic("5.6.7.8")
+        assert a.components[1] is b.components[1]
+        assert a.components[2] is b.components[2]
+        assert Multiaddr.tcp("1.2.3.4").components[1] is Multiaddr.tcp("5.6.7.8").components[1]
+        assert Multiaddr.parse(str(a)) == a
+
+    def test_ip_is_the_component_string_itself(self):
+        # Connection records take the IP once per record: a new string per
+        # call would cost one allocation per record.
+        ip = random_public_ipv4(random.Random(1))
+        assert Multiaddr.tcp(ip).ip() is ip
+        assert Multiaddr.quic(ip).ip() is ip
+
+    def test_addresses_for_peer_is_a_tuple(self):
+        addrs = addresses_for_peer("84.44.22.11", random.Random(3))
+        assert isinstance(addrs, tuple) and len(addrs) == 4
 
 
 class TestClassification:

@@ -1,5 +1,6 @@
 """Tests for peer identifiers and base58 encoding."""
 
+import pickle
 import random
 
 import pytest
@@ -81,6 +82,22 @@ class TestPeerId:
     def test_random_with_same_rng_sequence_differs(self):
         rng = random.Random(6)
         assert PeerId.random(rng) != PeerId.random(rng)
+
+    def test_slotted_immutable_and_picklable(self):
+        # Sweep workers pickle datasets and connections back to the parent;
+        # every peer holds one of these, so none may carry a __dict__.
+        pid = PeerId.random(random.Random(7))
+        rendered = pid.to_base58()
+        assert not hasattr(pid, "__dict__")
+        with pytest.raises(AttributeError):
+            pid.digest = bytes(32)
+        with pytest.raises(AttributeError):
+            pid.scratch = 1
+        with pytest.raises(AttributeError):
+            del pid.digest
+        clone = pickle.loads(pickle.dumps(pid))
+        assert clone == pid and hash(clone) == hash(pid)
+        assert clone.kad_key() == pid.kad_key() and clone.to_base58() == rendered
 
 
 class TestKeyPair:

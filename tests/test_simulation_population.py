@@ -1,16 +1,20 @@
 """Tests for the synthetic population generator."""
 
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
 from repro.kademlia.dht import DHTMode
 from repro.libp2p.protocols import KAD_DHT, SBPTP, supports_bitswap
+from repro.scenarios import build_scenario_config
 from repro.simulation.population import (
     PeerClass,
     PopulationConfig,
     generate_population,
 )
+from repro.simulation.scenario import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +121,56 @@ class TestGeneratedPopulation:
         assert any(p.flips_role for p in population)
         assert any(p.flips_autonat for p in population)
         assert any(p.rotates_pid for p in population)
+
+
+class TestSharedValues:
+    """Equal immutable values are one object: a population holds a handful of
+    protocol sets and session models, not one copy per peer."""
+
+    #: traced bytes per peer that building ``p2`` at 2 000 peers may allocate
+    #: (3 920 with per-peer copies, ≈ 2 100 with shared values, Python 3.11)
+    BYTES_PER_PEER_BUDGET = 2_800
+
+    def test_profiles_are_slotted_and_picklable(self, population):
+        profile = population.profiles[-1]
+        assert not hasattr(profile, "__dict__")
+        with pytest.raises(AttributeError):
+            profile.scratch = 1
+        assert pickle.loads(pickle.dumps(profile)) == profile
+
+    def test_equal_protocol_sets_are_one_object(self, population):
+        protocols = [p.protocols for p in population]
+        assert isinstance(protocols[0], frozenset)
+        assert len({id(x) for x in protocols}) == len(set(protocols))
+
+    def test_equal_session_models_are_one_object(self, population):
+        models = [p.session_model for p in population]
+        assert len({id(m) for m in models}) == len(set(models)) < 8
+
+    def test_equal_announcements_share_their_protocol_set(self):
+        scenario = Scenario(build_scenario_config("p2", n_peers=300, duration_days=0.01, seed=7))
+        peers = scenario.network.peers
+        records = [peer.identify_record() for peer in peers]
+        assert all(r.listen_addrs is p.addrs for r, p in zip(records, peers))
+        # A role flip announces the client set: shared with the peers that
+        # announce it from the start.
+        for peer in peers:
+            peer.kad_announced = not peer.kad_announced
+        records += [peer.identify_record() for peer in peers]
+        ids_by_value = {}
+        for record in records:
+            ids_by_value.setdefault(record.protocols, set()).add(id(record.protocols))
+        assert all(len(ids) == 1 for ids in ids_by_value.values())
+        assert len(ids_by_value) < 30
+
+    def test_construction_stays_within_the_per_peer_byte_budget(self):
+        n_peers = 2_000
+        config = build_scenario_config("p2", n_peers=n_peers, duration_days=0.01, seed=7)
+        tracemalloc.start()
+        try:
+            scenario = Scenario(config)
+            per_peer = tracemalloc.get_traced_memory()[0] / n_peers
+        finally:
+            tracemalloc.stop()
+        assert len(scenario.network.peers) == n_peers
+        assert per_peer <= self.BYTES_PER_PEER_BUDGET, per_peer
