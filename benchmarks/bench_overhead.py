@@ -52,9 +52,6 @@ so the committed file is a determinism fingerprint: CI regenerates it and
 compares byte-for-byte, which also proves the layer leaves the simulation's
 event stream untouched.  Timing numbers go to stdout only.
 
-``REPRO_BENCH_PEERS`` / ``REPRO_BENCH_DAYS`` / ``REPRO_BENCH_SEED`` override
-the workload scale, as for every other benchmark here.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_overhead.py obs [BENCH_obs.json]
@@ -70,8 +67,6 @@ import statistics
 import sys
 import time
 from typing import List, Tuple
-
-from conftest import BENCH_SEED, bench_scale
 
 from repro.obs import ObsConfig
 from repro.obs.spans import TraceConfig
@@ -89,6 +84,7 @@ PEERS = 600
 #: some point their cache footprint, not the tracer's code, is what the ratio
 #: measures
 DAYS = 0.5
+SEED = 7
 WINDOW_SECONDS = 300.0
 #: full sampling: the worst case — every operation builds its span tree
 TRACE_SAMPLE = 1.0
@@ -110,8 +106,7 @@ def _timed_run(layer: str, enabled: bool) -> Tuple[float, object]:
     """One run under a CPU timer, GC parked: process_time ignores the other
     tenants of a shared runner, and collector pauses would otherwise swamp
     the bound."""
-    peers, days = bench_scale(PEERS, DAYS)
-    config = build_scenario_config(SCENARIO, peers, days, BENCH_SEED)
+    config = build_scenario_config(SCENARIO, PEERS, DAYS, SEED)
     if enabled:
         population = dataclasses.replace(config.population, **{layer: LAYERS[layer]})
         config = dataclasses.replace(config, population=population)
@@ -161,13 +156,12 @@ def _measure(layer: str) -> Tuple[float, object, float, object, List[float]]:
 
 def snapshot_payload(layer: str, baseline, enabled) -> dict:
     """Machine-independent fingerprint of both variants (no wall-clock)."""
-    peers, days = bench_scale(PEERS, DAYS)
     payload = {
         "schema": f"repro-bench-{layer}/1",
         "scenario": SCENARIO,
-        "n_peers": peers,
-        "duration_days": days,
-        "seed": BENCH_SEED,
+        "n_peers": PEERS,
+        "duration_days": DAYS,
+        "seed": SEED,
         "baseline": {"events_processed": baseline.events_processed},
     }
     if layer == "obs":

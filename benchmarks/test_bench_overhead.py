@@ -1,15 +1,9 @@
 """Unit test of the overhead gate's estimator (collected by the tier-1 command;
 imports ``bench_overhead`` but runs no simulation)."""
 
-import sys
-
 import pytest
 
-# bench_overhead does `from conftest import …` like every script here; when
-# tests/ is collected in the same session its conftest.py may own that name.
-# (pytest itself drops rootless conftest modules from sys.modules this way.)
-sys.modules.pop("conftest", None)
-from bench_overhead import iqr_mean  # noqa: E402
+from bench_overhead import iqr_mean
 
 
 def test_iqr_mean_averages_the_middle_half():

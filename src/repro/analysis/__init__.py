@@ -9,7 +9,7 @@ could be reused on data exported from a real go-ipfs measurement node.
 from repro.analysis.cdf import EmpiricalCDF
 from repro.analysis.stats import median
 from repro.analysis.tables import TextTable, format_count, format_seconds
-from repro.analysis.plots import ascii_bar_chart, ascii_series, sparkline
+from repro.analysis.plots import ascii_bar_chart
 from repro.analysis.sweep_report import (
     aggregate_payload,
     aggregate_table,
@@ -23,8 +23,6 @@ __all__ = [
     "format_count",
     "format_seconds",
     "ascii_bar_chart",
-    "ascii_series",
-    "sparkline",
     "aggregate_payload",
     "aggregate_table",
     "render_aggregate",

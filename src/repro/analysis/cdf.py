@@ -3,9 +3,9 @@
 Fig. 7 of the paper plots two CDFs: the maximum connection duration per PID
 (grouped into 30 s intervals) and the number of connections per PID, each split
 into "all", "DHT-Server", and "DHT-Client" series.  :class:`EmpiricalCDF`
-provides exactly the operations the benchmark harness needs to regenerate those
-series and to check the anchor fractions the paper reports (e.g. "around 53 %
-are connected less than 1 h").
+provides the operations the fidelity checks (``repro.experiments.fidelity``)
+read those series through, e.g. the anchor fractions the paper reports
+("around 53 % are connected less than 1 h").
 """
 
 from __future__ import annotations
@@ -53,42 +53,6 @@ class EmpiricalCDF:
         idx = max(0, min(len(self.values) - 1, int(q * len(self.values) + 0.5) - 1))
         return self.values[idx]
 
-    def points(self) -> List[Tuple[float, float]]:
-        """Return the (value, cumulative fraction) step points of the CDF."""
-        n = len(self.values)
-        pts: List[Tuple[float, float]] = []
-        for i, v in enumerate(self.values, start=1):
-            if pts and pts[-1][0] == v:
-                pts[-1] = (v, i / n)
-            else:
-                pts.append((v, i / n))
-        return pts
-
     def sampled(self, xs: Sequence[float]) -> List[Tuple[float, float]]:
         """Evaluate the CDF at each x in ``xs`` (for plotting on a fixed grid)."""
         return [(x, self.fraction_at(x)) for x in xs]
-
-
-def log_spaced_grid(minimum: float, maximum: float, points_per_decade: int = 10) -> List[float]:
-    """Return a logarithmically spaced grid covering [minimum, maximum].
-
-    Fig. 7 uses a log-scaled x axis from 10^0 to 10^5 seconds; benchmarks use
-    this helper to evaluate CDF series on a comparable grid.
-    """
-    if minimum <= 0 or maximum <= 0:
-        raise ValueError("log grid bounds must be positive")
-    if maximum < minimum:
-        raise ValueError("maximum must be >= minimum")
-    import math
-
-    lo = math.floor(math.log10(minimum))
-    hi = math.ceil(math.log10(maximum))
-    grid: List[float] = []
-    for decade in range(lo, hi + 1):
-        for step in range(points_per_decade):
-            value = 10 ** (decade + step / points_per_decade)
-            if minimum <= value <= maximum:
-                grid.append(value)
-    if not grid or grid[-1] < maximum:
-        grid.append(maximum)
-    return grid

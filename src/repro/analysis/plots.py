@@ -1,31 +1,13 @@
-"""ASCII charts used by examples and benchmark harnesses.
+"""ASCII bar charts for the examples.
 
-The reproduction has no plotting dependency; figures are "regenerated" as the
-numeric series the paper plots, optionally rendered as coarse ASCII charts so a
-reader can eyeball the shape (e.g. the connection-trimming sawtooth of Fig. 5).
+The reproduction has no plotting dependency; a histogram (Fig. 3's agents,
+Fig. 4's protocols) is rendered as a coarse text chart so a reader can eyeball
+its shape.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
-
-_BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """Render ``values`` as a unicode sparkline string."""
-    if not values:
-        return ""
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        return _BLOCKS[4] * len(values)
-    span = hi - lo
-    chars = []
-    for v in values:
-        idx = int((v - lo) / span * (len(_BLOCKS) - 1))
-        chars.append(_BLOCKS[idx])
-    return "".join(chars)
+from typing import List, Mapping, Tuple
 
 
 def ascii_bar_chart(
@@ -51,29 +33,3 @@ def ascii_bar_chart(
         bar = "#" * max(1, int(round(value / peak * width))) if value > 0 else ""
         lines.append(f"{label.ljust(label_width)} | {bar} {value:g}")
     return "\n".join(lines)
-
-
-def ascii_series(
-    series: Mapping[str, Sequence[Tuple[float, float]]],
-    samples: int = 60,
-) -> str:
-    """Render one sparkline per named (x, y) series, downsampled to ``samples``."""
-    lines: List[str] = []
-    label_width = max((len(name) for name in series), default=0)
-    for name, points in series.items():
-        ys = [y for _, y in points]
-        if len(ys) > samples:
-            step = len(ys) / samples
-            ys = [ys[int(i * step)] for i in range(samples)]
-        lines.append(f"{name.ljust(label_width)} | {sparkline(ys)}")
-    return "\n".join(lines)
-
-
-def downsample(points: Sequence[Tuple[float, float]], samples: int) -> List[Tuple[float, float]]:
-    """Downsample an (x, y) series to at most ``samples`` points, keeping ends."""
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if len(points) <= samples:
-        return list(points)
-    step = (len(points) - 1) / (samples - 1)
-    return [points[int(round(i * step))] for i in range(samples)]

@@ -1,8 +1,7 @@
-"""Plain-text table rendering for the benchmark harnesses.
+"""Plain-text table rendering for the sweep CLI and the examples.
 
-Every benchmark prints the rows of the paper table (or the series of the paper
-figure) it regenerates.  :class:`TextTable` keeps that output aligned and easy
-to diff against the paper's values recorded in EXPERIMENTS.md.
+:class:`TextTable` keeps the sweep table and the examples' output aligned
+and easy to diff.
 """
 
 from __future__ import annotations

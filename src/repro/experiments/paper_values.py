@@ -1,8 +1,9 @@
 """Reference values reported in the paper.
 
-Every benchmark prints the paper's reported numbers next to the values measured
-on the simulated network, and EXPERIMENTS.md records both.  Keeping all of them
-in one module avoids magic numbers scattered through benchmarks and makes the
+The fidelity checks (``repro.experiments.fidelity``) record the paper's number
+next to each measured share, fraction or duration it has one for, and
+``FIDELITY.json`` keeps both with their relative error.  Keeping all of them in
+one module avoids magic numbers scattered through the checks and makes the
 calibration targets of the population generator auditable.
 """
 
@@ -146,5 +147,5 @@ class PaperReference:
         raise KeyError(peer_class)
 
 
-#: the singleton reference object used throughout benchmarks and EXPERIMENTS.md
+#: the singleton reference object the fidelity checks read
 PAPER = PaperReference()

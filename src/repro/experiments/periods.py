@@ -96,10 +96,10 @@ class PeriodSpec:
     hydra_low_water: int = HYDRA_BASE_LOW_WATER
     hydra_high_water: int = HYDRA_BASE_HIGH_WATER
     run_crawler: bool = True
-    #: compressed duration used by the benchmark harness (simulated days);
-    #: ``None`` means "use the paper's duration"
+    #: compressed duration of the registered scenario, which the fidelity
+    #: checks run at (simulated days); ``None`` means "use the paper's duration"
     bench_duration_days: Optional[float] = None
-    #: default population size used by the benchmark harness
+    #: population size of the registered scenario
     bench_peers: int = 1500
 
     @property

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.cdf import EmpiricalCDF, log_spaced_grid
+from repro.analysis.cdf import EmpiricalCDF
 
 
 class TestEmpiricalCDF:
@@ -31,12 +31,8 @@ class TestEmpiricalCDF:
 
     def test_points_are_monotone_steps(self):
         cdf = EmpiricalCDF([1.0, 1.0, 2.0, 5.0])
-        points = cdf.points()
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        assert xs == sorted(set(xs))
-        assert ys == sorted(ys)
-        assert ys[-1] == 1.0
+        points = cdf.sampled(sorted(set(cdf.values)))
+        assert points == [(1.0, 0.5), (2.0, 0.75), (5.0, 1.0)]
 
     def test_sampled_on_grid(self):
         cdf = EmpiricalCDF([1.0, 2.0, 3.0])
@@ -45,17 +41,3 @@ class TestEmpiricalCDF:
 
     def test_len(self):
         assert len(EmpiricalCDF([1, 2, 3])) == 3
-
-
-class TestLogGrid:
-    def test_grid_is_monotone_and_bounded(self):
-        grid = log_spaced_grid(1.0, 100_000.0, points_per_decade=5)
-        assert grid == sorted(grid)
-        assert grid[0] >= 1.0
-        assert grid[-1] == pytest.approx(100_000.0)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            log_spaced_grid(0.0, 10.0)
-        with pytest.raises(ValueError):
-            log_spaced_grid(10.0, 1.0)

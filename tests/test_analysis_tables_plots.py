@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plots import ascii_bar_chart, ascii_series, downsample, sparkline
+from repro.analysis.plots import ascii_bar_chart
 from repro.analysis.tables import TextTable, format_count, format_seconds
 
 
@@ -34,16 +34,6 @@ class TestTextTable:
 
 
 class TestPlots:
-    def test_sparkline_length_and_extremes(self):
-        line = sparkline([0.0, 1.0, 2.0, 3.0])
-        assert len(line) == 4
-        assert line[0] == " "
-        assert line[-1] == "█"
-
-    def test_sparkline_constant_series(self):
-        assert sparkline([5.0, 5.0]) == "▄▄"
-        assert sparkline([]) == ""
-
     def test_bar_chart_contains_labels_and_bars(self):
         chart = ascii_bar_chart({"go-ipfs 0.11.0": 100, "storm": 10})
         lines = chart.splitlines()
@@ -52,22 +42,3 @@ class TestPlots:
 
     def test_bar_chart_empty(self):
         assert ascii_bar_chart({}) == "(empty)"
-
-    def test_series_renders_one_line_per_series(self):
-        output = ascii_series({"a": [(0, 1.0), (1, 2.0)], "b": [(0, 5.0)]})
-        assert len(output.splitlines()) == 2
-
-    def test_downsample_keeps_ends(self):
-        points = [(float(i), float(i)) for i in range(100)]
-        sampled = downsample(points, 10)
-        assert len(sampled) == 10
-        assert sampled[0] == (0.0, 0.0)
-        assert sampled[-1] == (99.0, 99.0)
-
-    def test_downsample_short_series_untouched(self):
-        points = [(0.0, 1.0)]
-        assert downsample(points, 10) == points
-
-    def test_downsample_requires_positive_samples(self):
-        with pytest.raises(ValueError):
-            downsample([(0.0, 1.0)], 0)

@@ -51,9 +51,9 @@ class TestPeriodSpecs:
     def test_table_i_values(self):
         assert PERIODS["P0"].low_water == 600 and PERIODS["P0"].high_water == 900
         assert PERIODS["P1"].low_water == 2_000 and PERIODS["P1"].high_water == 4_000
-        assert PERIODS["P2"].low_water == 18_000
+        assert PERIODS["P2"].low_water == 18_000 and PERIODS["P2"].high_water == 20_000
         assert PERIODS["P3"].go_ipfs_mode is DHTMode.CLIENT
-        assert PERIODS["P4"].hydra_heads == 0
+        assert PERIODS["P4"].hydra_heads == 0 and PERIODS["P4"].duration_days == 3.0
         assert PERIODS["P0"].hydra_heads == 3
         assert PERIODS["P14"].duration_days == 14.0
 
@@ -71,6 +71,13 @@ class TestPeriodSpecs:
         # P2's scaled watermarks always exceed P0's at the same population
         p2_low, _ = scale_watermarks(PERIODS["P2"].low_water, PERIODS["P2"].high_water, 600)
         assert p2_low > low_small
+
+    @pytest.mark.parametrize("n_peers", [800, 2_000, 10_000])
+    def test_scaled_configs_keep_p0_watermarks_below_p2(self, n_peers):
+        p0 = build_scenario_config("p0", n_peers=n_peers).go_ipfs
+        p2 = build_scenario_config("p2", n_peers=n_peers).go_ipfs
+        assert p0.low_water < p0.high_water <= p2.high_water
+        assert p0.low_water < p2.low_water
 
     def test_scenario_config_reflects_period(self):
         config = build_scenario_config("p3", n_peers=400, duration_days=0.5)
