@@ -3,66 +3,47 @@
 A check states one claim of the paper (a Table II ordering, a Fig. 7 anchor, a
 Table IV share) or of a regime the simulator adds (more loss => lower
 retrieval success).  Its *band* is a Python expression over measured values
-named ``<run>.<view>.<value>``: ``p4.fig7.under_1h`` is the value
-``under_1h`` of the view ``fig7`` of the run ``p4``.  The band is the check —
-it is what is evaluated and what is recorded.  ``RUNS`` gives each run as
-(scenario, peers, days, overrides) and ``VIEWS`` each view as a function of a
-finished run.  A value with a counterpart in the paper (``PAPER_VALUES``) is
-recorded with it and with its relative error.
+named by dotted paths ``<run>.<key>.<key>...`` into a run's sweep cell
+summary (:func:`repro.sweep.summarize_result`), with every key's ``-`` read as
+``_``: ``p4.fig7.under_1h`` is the value ``under_1h`` of the block ``fig7`` of
+the run ``p4``, ``loss_0.resilience.retry.recoveries`` a value nested one
+level deeper, ``spoof_0.datasets.go_ipfs.peers`` the ``go-ipfs`` dataset's
+PID count.  The band is the check — it is what is evaluated and what is
+recorded.  ``RUNS`` gives each run as (scenario, peers, days, overrides).  A
+path's second key is either a summary block or a claim view
+(:data:`repro.analysis.views.VIEWS`), which the run's cell computes only
+because some band reads it.  A value with a counterpart in the paper
+(``PAPER_VALUES``) is recorded with it and with its relative error.
 
-Every check runs over ``SEEDS``; each distinct run is simulated once per seed,
-and only the views some band reads are computed.  ``python -m
-repro.experiments.fidelity [out]`` writes the canonical report (default
-``FIDELITY.json``: sorted keys, floats rounded to 6 places) and exits 1,
-naming the check, when a check fails on ``GATE_SEED``.  The other seeds are
-recorded, not gated: a check failing there is a finding, not a band to widen.
+Every check runs over ``SEEDS``: each (run, seed) is one sweep cell, and the
+cells run through :func:`repro.sweep.run_cells` in a temporary directory, one
+worker per CPU this process may use (the report does not depend on the
+count).  ``python -m repro.experiments.fidelity [out]`` writes the canonical
+report (default ``FIDELITY.json``: sorted keys, floats rounded to 6 places)
+and exits 1, naming the check, when a check fails on ``GATE_SEED``.  The
+other seeds are recorded, not gated: a check failing there is a finding, not
+a band to widen.  A cell that fails exits 1 with its error and the command
+that re-runs it, and writes no report.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import tempfile
+import time
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from statistics import mean
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis.attack_report import attack_metrics
-from repro.analysis.cdf import EmpiricalCDF
-from repro.analysis.reachability_report import crawler_coverage
+from repro.analysis.views import VIEWS
 from repro.artifacts import atomic_write
-from repro.core.churn import connection_statistics, trim_share
-from repro.core.classification import ClassificationThresholds, PeerClassLabel
-from repro.core.horizon import compare_horizons
-from repro.core.metadata import (
-    agent_breakdown,
-    analyze_metadata,
-    protocol_breakdown,
-    version_changes,
-)
-from repro.core.netsize import (
-    classify_peers,
-    connection_cdfs,
-    estimate_by_multiaddress,
-    estimate_by_neighborhood_density,
-    estimate_network_size,
-)
-from repro.core.records import primary_dataset_label
-from repro.core.timeseries import (
-    connected_peers_over_time,
-    connections_over_time,
-    gone_pids_over_time,
-    pids_over_time,
-    summarize_timeseries,
-)
 from repro.experiments.paper_values import PAPER
-from repro.libp2p.peer_id import PeerId
-from repro.libp2p.protocols import IPFS_ID, IPFS_PING, KAD_DHT
-from repro.scenarios import build_scenario_config, scenario, scenario_names
-from repro.scenarios.catalog import PARTITION_RECOVERY_FRACTION
-from repro.simulation.scenario import run_scenario
+from repro.scenarios import scenario, scenario_names
+from repro.sweep import plan_cell, run_cells
 
 SEEDS = (7, 8, 9, 10, 11)
 #: the seed whose failures fail the command (and CI)
@@ -70,33 +51,17 @@ GATE_SEED = 7
 SCHEMA = "repro-fidelity/1"
 DEFAULT_OUT = "FIDELITY.json"
 
-HOUR = 3_600.0
-DAY = 86_400.0
-
 # -- runs ---------------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Run:
-    """One simulated configuration; the seed comes from ``SEEDS``.
-
-    The pseudo-override ``adversary=None`` is an attack-free twin: the
-    scenario's config with its attackers removed (the registry has no
-    zero-strength override).
-    """
+    """One simulated configuration; the seed comes from ``SEEDS``."""
 
     scenario: str
     peers: int
     days: float
     overrides: Mapping[str, object] = field(default_factory=dict)
-
-    def config(self, seed: int):
-        overrides = dict(self.overrides)
-        attack_free = overrides.pop("adversary", True) is None
-        config = build_scenario_config(self.scenario, self.peers, self.days, seed, overrides)
-        if attack_free:
-            config = replace(config, population=replace(config.population, adversary=None))
-        return config
 
 
 def _period(name: str) -> Run:
@@ -111,10 +76,7 @@ def _alias(name: str) -> str:
 
 def _strengths(prefix: str, name: str, key: str, counts: Sequence[int]) -> Dict[str, Run]:
     """An attack family at 300 peers x 0.15 d; count 0 is the attack-free twin."""
-    return {
-        f"{prefix}_{count}": Run(name, 300, 0.15, {key: count} if count else {"adversary": None})
-        for count in counts
-    }
+    return {f"{prefix}_{count}": Run(name, 300, 0.15, {key: count}) for count in counts}
 
 
 RUNS: Dict[str, Run] = {
@@ -169,416 +131,6 @@ RUNS: Dict[str, Run] = {
     },
 }
 
-# -- views: the values a finished run offers to bands -----------------------------------------
-
-
-def _connections(result) -> Dict[str, object]:
-    report = connection_statistics(result.dataset("go-ipfs"))
-    values = {
-        "all_count": report.all_stats.count,
-        "all_avg": report.all_stats.average,
-        "peer_avg": report.peer_stats.average,
-        "inbound_count": report.inbound.count,
-        "inbound_avg": report.inbound.average,
-        "outbound_count": report.outbound.count,
-        "outbound_avg": report.outbound.average,
-        "trim_share": trim_share(report),
-        "h0_all_count": 0,
-    }
-    head = result.datasets.get("hydra-H0")
-    if head is not None:
-        head_report = connection_statistics(head)
-        values["h0_all_count"] = head_report.all_stats.count
-        values["h0_all_avg"] = head_report.all_stats.average
-        values["h0_peer_avg"] = head_report.peer_stats.average
-    return values
-
-
-def _horizon(result) -> Dict[str, object]:
-    labels = [label for label in ("go-ipfs", "hydra") if label in result.datasets]
-    comparison = compare_horizons(
-        result.datasets, crawler_range=result.crawls.range(), labels=labels
-    )
-    crawler = comparison.crawler
-    values = {
-        "sees_clients": comparison.passive_sees_clients(),
-        "servers_exceed_crawler_min": comparison.passive_servers_exceed_crawler_min("go-ipfs"),
-        "crawler_min": crawler.min_discovered if crawler and crawler.crawls else 0,
-    }
-    for entry in comparison.entries:
-        key = "goipfs" if entry.label == "go-ipfs" else entry.label
-        values[f"{key}_total"] = entry.total_pids
-        values[f"{key}_servers"] = entry.dht_server_pids
-    return values
-
-
-def _fig3(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    agents = agent_breakdown(dataset, 2)
-    return {
-        "goipfs_share": agents.goipfs_peers / max(1, agents.total_peers),
-        "hydra": agents.hydra_peers,
-        "crawler": agents.crawler_peers,
-        "other": agents.other_peers,
-        "missing": agents.missing_peers,
-        "total": agents.total_peers,
-        "pids": dataset.pid_count(),
-        "goipfs_versions": agents.distinct_goipfs_versions,
-    }
-
-
-def _fig4(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    protocols = protocol_breakdown(dataset)
-    speaking = protocols.peers_with_protocols
-    return {
-        "id": protocols.histogram.get(IPFS_ID, 0),
-        "speaking": speaking,
-        "ping": protocols.histogram.get(IPFS_PING, 0),
-        "bitswap": protocols.bitswap_support,
-        "goipfs": agent_breakdown(dataset).goipfs_peers,
-        "goipfs_without_bitswap": protocols.goipfs_without_bitswap,
-        "goipfs_with_sbptp": protocols.goipfs_with_sbptp,
-        "kad": protocols.kad_support,
-        "kad_share": protocols.kad_support / speaking if speaking else 0.0,
-        "kad_listed": KAD_DHT in protocols.histogram,
-    }
-
-
-def _fig5(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    levels = sorted(v for _, v in connections_over_time(dataset, limit=DAY))
-    return {
-        "peak": levels[-1] if levels else 0.0,
-        "median_level": levels[len(levels) // 2] if levels else 0.0,
-        "low_water": result.config.go_ipfs.low_water,
-        "local_trims": sum(c.close_reason == "local-trim" for c in dataset.connections),
-    }
-
-
-def _fig6(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    seen = [v for _, v in pids_over_time(dataset, step=3 * HOUR)]
-    gone = [v for _, v in gone_pids_over_time(dataset, gone_threshold=3 * DAY, step=3 * HOUR)]
-    connected = [v for _, v in connected_peers_over_time(dataset, limit=None)]
-    late = connected[-max(1, len(connected) // 10) :]
-    return {
-        "pids_monotone": seen == sorted(seen),
-        "pids_mid": seen[len(seen) // 2],
-        "pids_final": seen[-1],
-        "gone_monotone": gone == sorted(gone),
-        "gone_final": gone[-1],
-        "plateau": sum(late) / len(late),
-        "pids_per_connection": summarize_timeseries(dataset).pids_per_simultaneous_connection,
-    }
-
-
-def _fig7(result) -> Dict[str, object]:
-    cdfs = connection_cdfs(result.dataset("go-ipfs"), 30.0)
-    everyone = cdfs["all"]
-    return {
-        "under_1h": everyone.fraction_connected_less_than(HOUR),
-        "over_24h": everyone.fraction_connected_more_than(DAY),
-        "single_connection": everyone.connection_count.fraction_at(1),
-        "over_15_connections": 1.0 - everyone.connection_count.fraction_at(15),
-        "server_under_1h": cdfs["dht-server"].fraction_connected_less_than(HOUR),
-        "client_under_1h": cdfs["dht-client"].fraction_connected_less_than(HOUR),
-    }
-
-
-def _table3(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    report = version_changes(dataset)
-    return {
-        "total": report.total,
-        "pids": dataset.pid_count(),
-        "upgrades": report.upgrades,
-        "downgrades": report.downgrades,
-        "changes": report.changes,
-        "stable": report.main_to_main + report.dirty_to_dirty,
-        "crossing": report.dirty_to_main + report.main_to_dirty,
-    }
-
-
-def _table4(result) -> Dict[str, object]:
-    estimate = classify_peers(result.dataset("go-ipfs"))
-    counts = estimate.counts
-    values = {_alias(label.value): counts[label].peers for label in PeerClassLabel}
-    heavy = counts[PeerClassLabel.HEAVY]
-    light = counts[PeerClassLabel.LIGHT]
-    normal = counts[PeerClassLabel.NORMAL]
-    values.update(
-        classified=estimate.classified_peers,
-        class_sum=sum(c.peers for c in counts.values()),
-        heavy_share=heavy.peers / estimate.classified_peers,
-        heavy_servers=heavy.dht_servers,
-        core_user_base=estimate.core_user_base,
-        light_server_share=light.dht_servers / max(1, light.peers),
-        normal_server_share=normal.dht_servers / max(1, normal.peers),
-    )
-    return values
-
-
-#: Table IV cut-offs swept around the paper's 24 h / 2 h / 3 connections
-THRESHOLD_SWEEP = (
-    (
-        "strict",
-        ClassificationThresholds(
-            heavy_duration=36 * HOUR, normal_duration=4 * HOUR, light_min_connections=5
-        ),
-    ),
-    ("paper", ClassificationThresholds()),
-    (
-        "lenient",
-        ClassificationThresholds(
-            heavy_duration=12 * HOUR, normal_duration=1 * HOUR, light_min_connections=2
-        ),
-    ),
-)
-
-
-def _thresholds(result) -> Dict[str, object]:
-    values = {}
-    for name, thresholds in THRESHOLD_SWEEP:
-        estimate = classify_peers(result.dataset("go-ipfs"), thresholds)
-        counts = estimate.counts
-        values[f"{name}_classified"] = estimate.classified_peers
-        values[f"{name}_core"] = estimate.core_size
-        values[f"{name}_stable"] = (
-            counts[PeerClassLabel.HEAVY].peers + counts[PeerClassLabel.NORMAL].peers
-        )
-        values[f"{name}_one_time"] = counts[PeerClassLabel.ONE_TIME].peers
-    return values
-
-
-def _sec4b(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    report = analyze_metadata(dataset)
-    agents, protocols = report.agents, report.protocols
-    return {
-        "goipfs": agents.goipfs_peers,
-        "other": agents.other_peers,
-        "hydra": agents.hydra_peers,
-        "crawler": agents.crawler_peers,
-        "missing": agents.missing_peers,
-        "goipfs_without_bitswap": protocols.goipfs_without_bitswap,
-        "goipfs_with_sbptp": protocols.goipfs_with_sbptp,
-        "kad_flap_peers": report.kad_flaps.peers,
-        "kad_flap_changes_per_peer": report.kad_flaps.changes_per_peer,
-        "autonat_flap_peers": report.autonat_flaps.peers,
-        "pids": dataset.pid_count(),
-    }
-
-
-def _sec5a(result) -> Dict[str, object]:
-    dataset = result.dataset("go-ipfs")
-    estimate = estimate_by_multiaddress(dataset)
-    return {
-        "groups": estimate.groups,
-        "connected_pids": estimate.connected_pids,
-        "singleton_groups": estimate.singleton_groups,
-        "largest_group": estimate.largest_group_size,
-        "grouped_pids": sum(estimate.group_sizes.values()),
-        "pids_per_connection": estimate_network_size(dataset).pids_per_simultaneous_connection,
-    }
-
-
-def _union(result) -> Dict[str, object]:
-    union = result.hydra_union()
-    return {
-        "pids": union.pid_count(),
-        "servers": len(union.dht_server_pids()),
-        "ip_groups": estimate_by_multiaddress(union).groups,
-    }
-
-
-def _content(result) -> Dict[str, object]:
-    content = result.content
-    if content is None:
-        return {"ran": False, "provides": 0, "retrievals": 0}
-    return {
-        "ran": True,
-        "provides": content.provides,
-        "retrievals": content.retrievals,
-        "success_rate": content.retrieval_success_rate,
-        "first_half_success": content.first_half_success_rate,
-        "second_half_success": content.second_half_success_rate,
-        "republishes": content.republishes,
-        "records_expired": content.records_expired,
-        "local_hits": content.retrievals_local,
-    }
-
-
-def _stress(result) -> Dict[str, object]:
-    """The sweep cell's numbers: churn at the primary vantage point (rounded
-    like the cell summary), hydra head counts and crawler queries."""
-    dataset = result.datasets[primary_dataset_label(result.datasets)]
-    trims = avg = 0.0
-    if dataset.connections:
-        report = connection_statistics(dataset)
-        trims = round(trim_share(report), 6)
-        avg = round(report.all_stats.average, 6)
-    heads = [label for label in result.datasets if label.startswith("hydra-H")]
-    union = result.hydra_union()
-    return {
-        "trim_share": trims,
-        "avg_duration": avg,
-        "heads": len(heads),
-        "union_peers": len(union.peers) if union is not None else 0,
-        "max_head_peers": max((len(result.datasets[h].peers) for h in heads), default=0),
-        "queries_sent": sum(s.queries_sent for s in result.crawls.snapshots),
-    }
-
-
-def _burst(result) -> Dict[str, object]:
-    """Connection arrivals per second inside the flash-crowd window vs outside."""
-    duration = result.config.duration
-    start = duration * 0.30
-    end = start + min(2 * HOUR, max(duration * 0.25, 60.0))
-    opened = [c.opened_at for c in result.dataset("go-ipfs").connections]
-    inside = sum(1 for t in opened if start <= t < end)
-    return {
-        "rate": inside / (end - start),
-        "outside_rate": (len(opened) - inside) / (duration - (end - start)),
-    }
-
-
-def _sybil(result) -> Dict[str, object]:
-    """The neighbourhood-density net-size estimate around the go-ipfs node."""
-    dataset = result.dataset("go-ipfs")
-    target = PeerId.from_base58(result.identity_keys["go-ipfs"]).kad_key()
-    observed = [PeerId.from_base58(pid).kad_key() for pid in sorted(dataset.peers)]
-    return {
-        "density_estimate": estimate_by_neighborhood_density(observed, target).estimate,
-        "observed_pids": dataset.pid_count(),
-    }
-
-
-def _eclipse(result) -> Dict[str, object]:
-    eclipse = (attack_metrics(result) or {}).get("eclipse", {})
-    return {
-        "retrieval_success_rate": result.content.retrieval_success_rate,
-        "capture_rate": eclipse.get("capture_rate", 0.0),
-    }
-
-
-def _poison(result) -> Dict[str, object]:
-    content = result.content
-    operations = content.provides + content.republishes
-    return {
-        "replicas_per_provide": content.records_stored / operations if operations else 0.0,
-        "retrieve_hops_mean": mean(content.retrieve_hops) if content.retrieve_hops else 0.0,
-        "crawler_queries": sum(s.queries_sent for s in result.crawls.snapshots),
-    }
-
-
-def _spoof(result) -> Dict[str, object]:
-    churn = (attack_metrics(result) or {}).get("churn", {})
-    return {
-        "misclassification_rate": churn.get("misclassification_rate", 0.0),
-        "observed_pids": result.datasets["go-ipfs"].pid_count(),
-    }
-
-
-def _nat(result) -> Dict[str, object]:
-    coverage = crawler_coverage(result) or {}
-    return {
-        "undercount_vs_discovered": coverage.get("undercount_vs_discovered", 0.0),
-        "undercount_vs_passive": coverage.get("undercount_vs_passive", 0.0),
-        "union_reachable": coverage.get("union_reachable", 0),
-        "passive_pids": coverage.get("passive_pids", 0),
-    }
-
-
-def _latency(result) -> Dict[str, object]:
-    latencies = result.content.retrieve_latencies
-    return {
-        "retrieve_latency_p90": EmpiricalCDF(latencies).quantile(0.9) if latencies else 0.0,
-        "mean_rtt": result.netmodel.mean_rtt,
-        "lookup_timeouts": result.netmodel.lookup_timeouts,
-    }
-
-
-def _loss(result) -> Dict[str, object]:
-    content = result.content
-    return {
-        "success_rate": (
-            content.retrieval_successes / content.retrievals if content.retrievals else 0.0
-        ),
-        "retry_recoveries": result.faults.retry_recoveries,
-        "retry_amplification": result.faults.retry_amplification,
-    }
-
-
-def _partition(result) -> Dict[str, object]:
-    stats = result.faults
-    delays = stats.recovery_delays
-    return {
-        "heal_time": stats.heal_time,
-        "recovered_peers": stats.recovered_peers,
-        "delays": len(delays),
-        "min_delay": min(delays, default=0.0),
-        "max_delay": max(delays, default=0.0),
-        "spread": max(result.config.duration * PARTITION_RECOVERY_FRACTION, 60.0),
-    }
-
-
-def _crash(result) -> Dict[str, object]:
-    stats = result.faults
-    return {
-        "crashes": stats.crashes,
-        "restarts": stats.restarts,
-        "recovery_republishes": stats.recovery_republishes,
-        "stale_provider_hits": stats.stale_provider_hits,
-    }
-
-
-def _transfer(result) -> Dict[str, object]:
-    stats = result.bandwidth
-    totals = [
-        rtt + serialization + queueing
-        for rtt, serialization, queueing in zip(
-            stats.transfer_rtts, stats.transfer_serializations, stats.transfer_queueings
-        )
-    ]
-    return {
-        "p90": EmpiricalCDF(totals).quantile(0.9) if totals else 0.0,
-        "transfers": stats.transfers,
-        "timed_out": stats.transfers_timed_out,
-        "queueing_share": stats.queueing_share,
-        "retrieval_success_rate": result.content.retrieval_success_rate,
-    }
-
-
-VIEWS: Dict[str, Callable[[object], Dict[str, object]]] = {
-    "table2": _connections,
-    "horizon": _horizon,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "table3": _table3,
-    "table4": _table4,
-    "thresholds": _thresholds,
-    "sec4b": _sec4b,
-    "sec5a": _sec5a,
-    "union": _union,
-    "content": _content,
-    "stress": _stress,
-    "burst": _burst,
-    "sybil": _sybil,
-    "eclipse": _eclipse,
-    "poison": _poison,
-    "spoof": _spoof,
-    "nat": _nat,
-    "latency": _latency,
-    "loss": _loss,
-    "partition": _partition,
-    "crash": _crash,
-    "transfer": _transfer,
-}
-
 
 def _paper_values() -> Dict[str, float]:
     """Measured value name -> the paper's number for the same quantity (only
@@ -622,23 +174,27 @@ class Check:
         return compile(self.band, self.name, "eval")
 
     @cached_property
-    def reads(self) -> Tuple[Tuple[str, str, str], ...]:
-        """The ``(run, view, value)`` names the band reads, sorted."""
+    def reads(self) -> Tuple[str, ...]:
+        """The dotted paths (``run.key.key...``) the band reads, sorted."""
+        tree = ast.parse(self.band, mode="eval")
+        inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         found = set()
-        for node in ast.walk(ast.parse(self.band, mode="eval")):
-            view = node.value if isinstance(node, ast.Attribute) else None
-            if isinstance(view, ast.Attribute) and isinstance(view.value, ast.Name):
-                found.add((view.value.id, view.attr, node.attr))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and id(node) not in inner:
+                root = node
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id not in _BAND_GLOBALS:
+                    found.add(ast.unparse(node))
         return tuple(sorted(found))
 
     @property
     def runs(self) -> List[str]:
-        return sorted({run for run, _, _ in self.reads})
+        return sorted({path.split(".")[0] for path in self.reads})
 
     @property
     def paper(self) -> Dict[str, float]:
-        names = (".".join(read) for read in self.reads)
-        return {name: PAPER_VALUES[name] for name in names if name in PAPER_VALUES}
+        return {path: PAPER_VALUES[path] for path in self.reads if path in PAPER_VALUES}
 
 
 #: name | claim | band — one check per line, grouped by the table or figure
@@ -764,80 +320,80 @@ ablation.thresholds.peer_avg_grows | the loosest watermarks hold peers longer th
 ablation.thresholds.connections_shrink | the tightest watermarks produce the most connections | wm_600_900.table2.all_count > wm_18000_20000.table2.all_count
 ablation.thresholds.trims_shrink | the local trim share falls as the watermarks grow | wm_600_900.table2.trim_share >= wm_18000_20000.table2.trim_share
 
-catalog.content.provide_churn_ran | provide-churn runs a content workload | provide_churn.content.ran
+catalog.content.provide_churn_ran | provide-churn runs a content workload | provide_churn.content.publishers
 catalog.content.provide_churn_active | provide-churn provides and retrieves | provide_churn.content.provides > 0 and provide_churn.content.retrievals > 0
-catalog.content.retrieval_flash_crowd_ran | retrieval-flash-crowd runs a content workload | retrieval_flash_crowd.content.ran
+catalog.content.retrieval_flash_crowd_ran | retrieval-flash-crowd runs a content workload | retrieval_flash_crowd.content.publishers
 catalog.content.retrieval_flash_crowd_active | retrieval-flash-crowd provides and retrieves | retrieval_flash_crowd.content.provides > 0 and retrieval_flash_crowd.content.retrievals > 0
-catalog.content.provider_record_expiry_ran | provider-record-expiry runs a content workload | provider_record_expiry.content.ran
+catalog.content.provider_record_expiry_ran | provider-record-expiry runs a content workload | provider_record_expiry.content.publishers
 catalog.content.provider_record_expiry_active | provider-record-expiry provides and retrieves | provider_record_expiry.content.provides > 0 and provider_record_expiry.content.retrievals > 0
-catalog.content.flash_crowd_large_blocks_ran | flash-crowd-large-blocks runs a content workload | flash_crowd_large_blocks.content.ran
+catalog.content.flash_crowd_large_blocks_ran | flash-crowd-large-blocks runs a content workload | flash_crowd_large_blocks.content.publishers
 catalog.content.flash_crowd_large_blocks_active | flash-crowd-large-blocks provides and retrieves | flash_crowd_large_blocks.content.provides > 0 and flash_crowd_large_blocks.content.retrievals > 0
-catalog.content.bandwidth_starved_relays_ran | bandwidth-starved-relays runs a content workload | bandwidth_starved_relays.content.ran
+catalog.content.bandwidth_starved_relays_ran | bandwidth-starved-relays runs a content workload | bandwidth_starved_relays.content.publishers
 catalog.content.bandwidth_starved_relays_active | bandwidth-starved-relays provides and retrieves | bandwidth_starved_relays.content.provides > 0 and bandwidth_starved_relays.content.retrievals > 0
-catalog.content.provider_hotspot_ran | provider-hotspot runs a content workload | provider_hotspot.content.ran
+catalog.content.provider_hotspot_ran | provider-hotspot runs a content workload | provider_hotspot.content.publishers
 catalog.content.provider_hotspot_active | provider-hotspot provides and retrieves | provider_hotspot.content.provides > 0 and provider_hotspot.content.retrievals > 0
-catalog.content.mixed_size_catalog_ran | mixed-size-catalog runs a content workload | mixed_size_catalog.content.ran
+catalog.content.mixed_size_catalog_ran | mixed-size-catalog runs a content workload | mixed_size_catalog.content.publishers
 catalog.content.mixed_size_catalog_active | mixed-size-catalog provides and retrieves | mixed_size_catalog.content.provides > 0 and mixed_size_catalog.content.retrievals > 0
-catalog.content.republish_resolvable | with republishing, records stay resolvable | provide_churn.content.success_rate > 0.2
-catalog.content.republish_holds_up | with republishing, second-half success does not collapse | provide_churn.content.second_half_success > 0.5 * provide_churn.content.first_half_success
+catalog.content.republish_resolvable | with republishing, records stay resolvable | provide_churn.content.retrieval_success_rate > 0.2
+catalog.content.republish_holds_up | with republishing, second-half success does not collapse | provide_churn.content.second_half_success_rate > 0.5 * provide_churn.content.first_half_success_rate
 catalog.content.expiry_never_republishes | the expiry scenario never republishes | provider_record_expiry.content.republishes == 0
 catalog.content.expiry_expires_records | without republishing, records expire | provider_record_expiry.content.records_expired > 0
-catalog.content.expiry_decays | without republishing, second-half success falls below provide-churn's | provider_record_expiry.content.second_half_success < provide_churn.content.second_half_success
-catalog.content.zipf_local_hits | a steep Zipf head turns repeat requests into local hits | retrieval_flash_crowd.content.local_hits > provide_churn.content.local_hits
+catalog.content.expiry_decays | without republishing, second-half success falls below provide-churn's | provider_record_expiry.content.second_half_success_rate < provide_churn.content.second_half_success_rate
+catalog.content.zipf_local_hits | a steep Zipf head turns repeat requests into local hits | retrieval_flash_crowd.content.retrievals_local > provide_churn.content.retrievals_local
 
 catalog.stress.flash_crowd_burst | the flash crowd concentrates connection arrivals in its window | flash_crowd.burst.rate > 1.15 * flash_crowd.burst.outside_rate
-catalog.stress.client_heavy_trims_most | a client-heavy population trims hardest | client_heavy.stress.trim_share == max(flash_crowd.stress.trim_share, diurnal_week.stress.trim_share, mass_outage.stress.trim_share, client_heavy.stress.trim_share, hydra_scaling.stress.trim_share, crawler_vs_passive_under_burst.stress.trim_share)
-catalog.stress.client_heavy_shortest | a client-heavy population keeps connections shortest | client_heavy.stress.avg_duration == min(flash_crowd.stress.avg_duration, diurnal_week.stress.avg_duration, mass_outage.stress.avg_duration, client_heavy.stress.avg_duration, hydra_scaling.stress.avg_duration, crawler_vs_passive_under_burst.stress.avg_duration)
+catalog.stress.client_heavy_trims_most | a client-heavy population trims hardest | client_heavy.churn.go_ipfs.trim_share == max(flash_crowd.churn.go_ipfs.trim_share, diurnal_week.churn.go_ipfs.trim_share, mass_outage.churn.go_ipfs.trim_share, client_heavy.churn.go_ipfs.trim_share, hydra_scaling.churn.hydra.trim_share, crawler_vs_passive_under_burst.churn.go_ipfs.trim_share)
+catalog.stress.client_heavy_shortest | a client-heavy population keeps connections shortest | client_heavy.churn.go_ipfs.avg_duration == min(flash_crowd.churn.go_ipfs.avg_duration, diurnal_week.churn.go_ipfs.avg_duration, mass_outage.churn.go_ipfs.avg_duration, client_heavy.churn.go_ipfs.avg_duration, hydra_scaling.churn.hydra.avg_duration, crawler_vs_passive_under_burst.churn.go_ipfs.avg_duration)
 catalog.stress.hydra_six_heads | hydra-scaling deploys six heads | hydra_scaling.stress.heads == 6
-catalog.stress.hydra_union_aggregates | the hydra union holds at least every head's peers | hydra_scaling.stress.union_peers >= hydra_scaling.stress.max_head_peers
-catalog.stress.crawler_walks | the crawler scenario walks the DHT | crawler_vs_passive_under_burst.stress.queries_sent > 0
-catalog.stress.only_crawler_walks | no other stress scenario walks the DHT | flash_crowd.stress.queries_sent == diurnal_week.stress.queries_sent == mass_outage.stress.queries_sent == client_heavy.stress.queries_sent == hydra_scaling.stress.queries_sent == 0
+catalog.stress.hydra_union_aggregates | the hydra union holds at least every head's peers | hydra_scaling.datasets.hydra.peers >= hydra_scaling.stress.max_head_peers
+catalog.stress.crawler_walks | the crawler scenario walks the DHT | crawler_vs_passive_under_burst.queries_sent > 0
+catalog.stress.only_crawler_walks | no other stress scenario walks the DHT | flash_crowd.queries_sent == diurnal_week.queries_sent == mass_outage.queries_sent == client_heavy.queries_sent == hydra_scaling.queries_sent == 0
 
 regime.adversary.sybil_small_inflates | even a small Sybil flood dwarfs the honest density estimate | sybil_40.sybil.density_estimate > 10 * sybil_0.sybil.density_estimate
 regime.adversary.sybil_monotone | a larger Sybil flood inflates the estimate further | sybil_160.sybil.density_estimate > 1.5 * sybil_40.sybil.density_estimate
-regime.adversary.eclipse_starves | a wide eclipse ring lowers retrieval success below attack-free | eclipse_24.eclipse.retrieval_success_rate < eclipse_0.eclipse.retrieval_success_rate
-regime.adversary.eclipse_wide_beats_narrow | a wide ring lowers retrieval success below a narrow one | eclipse_24.eclipse.retrieval_success_rate < eclipse_6.eclipse.retrieval_success_rate
-regime.adversary.eclipse_wide_captures_all | a ring wider than the replication factor captures every record | eclipse_24.eclipse.capture_rate == 1.0
-regime.adversary.eclipse_narrow_captures_less | a narrow ring captures only part of the records | eclipse_6.eclipse.capture_rate < eclipse_24.eclipse.capture_rate
+regime.adversary.eclipse_starves | a wide eclipse ring lowers retrieval success below attack-free | eclipse_24.content.retrieval_success_rate < eclipse_0.content.retrieval_success_rate
+regime.adversary.eclipse_wide_beats_narrow | a wide ring lowers retrieval success below a narrow one | eclipse_24.content.retrieval_success_rate < eclipse_6.content.retrieval_success_rate
+regime.adversary.eclipse_wide_captures_all | a ring wider than the replication factor captures every record | eclipse_24.adversary.eclipse.capture_rate == 1.0
+regime.adversary.eclipse_narrow_captures_less | a narrow ring captures only part of the records | eclipse_6.adversary.eclipse.capture_rate < eclipse_24.adversary.eclipse.capture_rate
 regime.adversary.poison_fewer_replicas | poisoning leaves fewer real replicas per PROVIDE | poison_0.poison.replicas_per_provide > poison_24.poison.replicas_per_provide > poison_60.poison.replicas_per_provide
 regime.adversary.poison_longer_walks | poisoning lengthens retrieval walks | poison_0.poison.retrieve_hops_mean < poison_60.poison.retrieve_hops_mean
-regime.adversary.poison_wastes_crawler | poisoning makes the crawler chase fabricated peers | poison_0.poison.crawler_queries < poison_24.poison.crawler_queries < poison_60.poison.crawler_queries
-regime.adversary.spoof_misclassifies | churn spoofing floods the classification | spoof_75.spoof.misclassification_rate > 0.3
-regime.adversary.spoof_inflates_pids | churn spoofing inflates the observed PIDs | spoof_75.spoof.observed_pids > spoof_0.spoof.observed_pids
+regime.adversary.poison_wastes_crawler | poisoning makes the crawler chase fabricated peers | poison_0.queries_sent < poison_24.queries_sent < poison_60.queries_sent
+regime.adversary.spoof_misclassifies | churn spoofing floods the classification | spoof_75.adversary.churn.misclassification_rate > 0.3
+regime.adversary.spoof_inflates_pids | churn spoofing inflates the observed PIDs | spoof_75.datasets.go_ipfs.peers > spoof_0.datasets.go_ipfs.peers
 
-regime.netmodel.nat_undercount_monotone | more NATed peers: the crawler reaches less of what it discovers | nat_5.nat.undercount_vs_discovered < nat_35.nat.undercount_vs_discovered < nat_70.nat.undercount_vs_discovered
-regime.netmodel.nat_undercount_vs_passive | more NATed peers: a larger undercount against the passive node | nat_5.nat.undercount_vs_passive < nat_70.nat.undercount_vs_passive
-regime.netmodel.passive_sees_unreachable | the passive node observes peers the crawler cannot reach | nat_70.nat.union_reachable < nat_70.nat.passive_pids
-regime.netmodel.rtt_stretches_p90 | higher RTT stretches the retrieval-latency p90 | rtt_1.latency.retrieve_latency_p90 < rtt_4.latency.retrieve_latency_p90 < rtt_12.latency.retrieve_latency_p90
-regime.netmodel.rtt_scales_mean | the RTT scale raises the mean RTT | rtt_1.latency.mean_rtt < rtt_4.latency.mean_rtt < rtt_12.latency.mean_rtt
-regime.netmodel.rtt_timeouts_monotone | higher RTT: time-bounded lookups expire no less often | rtt_1.latency.lookup_timeouts <= rtt_4.latency.lookup_timeouts <= rtt_12.latency.lookup_timeouts
-regime.netmodel.rtt_timeouts_grow | the highest RTT makes lookups expire | rtt_12.latency.lookup_timeouts > rtt_1.latency.lookup_timeouts
+regime.netmodel.nat_undercount_monotone | more NATed peers: the crawler reaches less of what it discovers | nat_5.netmodel.crawl.undercount_vs_discovered < nat_35.netmodel.crawl.undercount_vs_discovered < nat_70.netmodel.crawl.undercount_vs_discovered
+regime.netmodel.nat_undercount_vs_passive | more NATed peers: a larger undercount against the passive node | nat_5.netmodel.crawl.undercount_vs_passive < nat_70.netmodel.crawl.undercount_vs_passive
+regime.netmodel.passive_sees_unreachable | the passive node observes peers the crawler cannot reach | nat_70.netmodel.crawl.union_reachable < nat_70.netmodel.crawl.passive_pids
+regime.netmodel.rtt_stretches_p90 | higher RTT stretches the retrieval-latency p90 | rtt_1.content.retrieve_latency.p90 < rtt_4.content.retrieve_latency.p90 < rtt_12.content.retrieve_latency.p90
+regime.netmodel.rtt_scales_mean | the RTT scale raises the mean RTT | rtt_1.netmodel.mean_rtt < rtt_4.netmodel.mean_rtt < rtt_12.netmodel.mean_rtt
+regime.netmodel.rtt_timeouts_monotone | higher RTT: time-bounded lookups expire no less often | rtt_1.netmodel.lookup_timeouts <= rtt_4.netmodel.lookup_timeouts <= rtt_12.netmodel.lookup_timeouts
+regime.netmodel.rtt_timeouts_grow | the highest RTT makes lookups expire | rtt_12.netmodel.lookup_timeouts > rtt_1.netmodel.lookup_timeouts
 
-regime.faults.no_retry_success_monotone | more loss: lower retrieval success without retries | loss_0.loss.success_rate > loss_20.loss.success_rate > loss_45.loss.success_rate
-regime.faults.loss_gap | heavy loss opens a success gap without retries | loss_0.loss.success_rate - loss_45.loss.success_rate > 0
-regime.faults.retries_recover_gap | retries claw back at least half of the heavy-loss gap | loss_45_retry.loss.success_rate - loss_45.loss.success_rate >= 0.5 * (loss_0.loss.success_rate - loss_45.loss.success_rate)
-regime.faults.no_loss_no_recoveries | without loss there is nothing to recover | loss_0_retry.loss.retry_recoveries == 0
-regime.faults.recoveries_grow | lossier links: more RPCs saved by retries | loss_20_retry.loss.retry_recoveries < loss_45_retry.loss.retry_recoveries
-regime.faults.amplification_grows | lossier links: more retry amplification | loss_0_retry.loss.retry_amplification < loss_45_retry.loss.retry_amplification
-regime.faults.partition_heals | the partition heals | partition_heal.partition.heal_time is not None
-regime.faults.partition_recovers | minority peers recover after the heal | partition_heal.partition.recovered_peers > 0
+regime.faults.no_retry_success_monotone | more loss: lower retrieval success without retries | loss_0.content.retrieval_success_rate > loss_20.content.retrieval_success_rate > loss_45.content.retrieval_success_rate
+regime.faults.loss_gap | heavy loss opens a success gap without retries | loss_0.content.retrieval_success_rate - loss_45.content.retrieval_success_rate > 0
+regime.faults.retries_recover_gap | retries claw back at least half of the heavy-loss gap | loss_45_retry.content.retrieval_success_rate - loss_45.content.retrieval_success_rate >= 0.5 * (loss_0.content.retrieval_success_rate - loss_45.content.retrieval_success_rate)
+regime.faults.no_loss_no_recoveries | without loss there is nothing to recover | loss_0_retry.resilience.retry.recoveries == 0
+regime.faults.recoveries_grow | lossier links: more RPCs saved by retries | loss_20_retry.resilience.retry.recoveries < loss_45_retry.resilience.retry.recoveries
+regime.faults.amplification_grows | lossier links: more retry amplification | loss_0_retry.resilience.retry.amplification < loss_45_retry.resilience.retry.amplification
+regime.faults.partition_heals | the partition heals | partition_heal.resilience.partition.heal_time is not None
+regime.faults.partition_recovers | minority peers recover after the heal | partition_heal.resilience.partition.recovered_peers > 0
 regime.faults.recovery_delays_recorded | recovery delays are recorded | partition_heal.partition.delays > 0
 regime.faults.recovery_within_spread | every recovery delay lies within the reconnect spread | 0.0 <= partition_heal.partition.min_delay and partition_heal.partition.max_delay <= partition_heal.partition.spread
-regime.faults.crashes | the crash storm crashes peers | crash_storm.crash.crashes > 0
-regime.faults.restarts | some crashed peers restart, never more than crashed | 0 < crash_storm.crash.restarts <= crash_storm.crash.crashes
-regime.faults.recovery_republishes | restarted providers republish | crash_storm.crash.recovery_republishes > 0
-regime.faults.stale_records | crashed providers leave stale records behind | crash_storm.crash.stale_provider_hits > 0
+regime.faults.crashes | the crash storm crashes peers | crash_storm.resilience.crash.crashes > 0
+regime.faults.restarts | some crashed peers restart, never more than crashed | 0 < crash_storm.resilience.crash.restarts <= crash_storm.resilience.crash.crashes
+regime.faults.recovery_republishes | restarted providers republish | crash_storm.resilience.crash.recovery_republishes > 0
+regime.faults.stale_records | crashed providers leave stale records behind | crash_storm.resilience.stale.stale_hits > 0
 
-regime.bandwidth.size_p90_monotone | larger blocks: the transfer p90 does not shrink | size_1.transfer.p90 <= size_4.transfer.p90 <= size_16.transfer.p90
-regime.bandwidth.size_p90_grows | 16x blocks: a larger transfer p90 than 1x | size_1.transfer.p90 < size_16.transfer.p90
-regime.bandwidth.size_1_transfers | 1x blocks transfer | size_1.transfer.transfers > 0
-regime.bandwidth.size_4_transfers | 4x blocks transfer | size_4.transfer.transfers > 0
-regime.bandwidth.size_16_transfers | 16x blocks transfer | size_16.transfer.transfers > 0
-regime.bandwidth.uplink_queueing_grows | a 4x tighter uplink: a larger queueing share | uplink_1.transfer.queueing_share < uplink_1_4.transfer.queueing_share
-regime.bandwidth.uplink_timeouts_monotone | tighter uplinks: no fewer transfer timeouts | uplink_1.transfer.timed_out <= uplink_1_4.transfer.timed_out <= uplink_1_16.transfer.timed_out
-regime.bandwidth.uplink_timeouts_grow | the starved uplink times transfers out | uplink_1.transfer.timed_out < uplink_1_16.transfer.timed_out
-regime.bandwidth.uplink_success_monotone | tighter uplinks: no higher retrieval success | uplink_1.transfer.retrieval_success_rate >= uplink_1_4.transfer.retrieval_success_rate >= uplink_1_16.transfer.retrieval_success_rate
-regime.bandwidth.uplink_success_falls | the starved uplink lowers retrieval success | uplink_1.transfer.retrieval_success_rate > uplink_1_16.transfer.retrieval_success_rate
+regime.bandwidth.size_p90_monotone | larger blocks: the transfer p90 does not shrink | size_1.bandwidth.transfer_time.p90 <= size_4.bandwidth.transfer_time.p90 <= size_16.bandwidth.transfer_time.p90
+regime.bandwidth.size_p90_grows | 16x blocks: a larger transfer p90 than 1x | size_1.bandwidth.transfer_time.p90 < size_16.bandwidth.transfer_time.p90
+regime.bandwidth.size_1_transfers | 1x blocks transfer | size_1.bandwidth.transfers > 0
+regime.bandwidth.size_4_transfers | 4x blocks transfer | size_4.bandwidth.transfers > 0
+regime.bandwidth.size_16_transfers | 16x blocks transfer | size_16.bandwidth.transfers > 0
+regime.bandwidth.uplink_queueing_grows | a 4x tighter uplink: a larger queueing share | uplink_1.bandwidth.queueing_share < uplink_1_4.bandwidth.queueing_share
+regime.bandwidth.uplink_timeouts_monotone | tighter uplinks: no fewer transfer timeouts | uplink_1.bandwidth.transfers_timed_out <= uplink_1_4.bandwidth.transfers_timed_out <= uplink_1_16.bandwidth.transfers_timed_out
+regime.bandwidth.uplink_timeouts_grow | the starved uplink times transfers out | uplink_1.bandwidth.transfers_timed_out < uplink_1_16.bandwidth.transfers_timed_out
+regime.bandwidth.uplink_success_monotone | tighter uplinks: no higher retrieval success | uplink_1.content.retrieval_success_rate >= uplink_1_4.content.retrieval_success_rate >= uplink_1_16.content.retrieval_success_rate
+regime.bandwidth.uplink_success_falls | the starved uplink lowers retrieval success | uplink_1.content.retrieval_success_rate > uplink_1_16.content.retrieval_success_rate
 """
 
 CHECKS: Tuple[Check, ...] = tuple(
@@ -851,57 +407,58 @@ CHECKS: Tuple[Check, ...] = tuple(
 #: what a band may call besides the measured values
 _BAND_GLOBALS = {"__builtins__": {}, "abs": abs, "max": max, "min": min, "PAPER": PAPER}
 
-Measured = Dict[str, Dict[str, Dict[str, object]]]
+#: (run alias, seed) -> the run's planned sweep cell at that seed
+Planned = Dict[Tuple[str, int], Dict]
+#: planned cells, worker count -> (summaries, failures) in planned order
+Measure = Callable[[Sequence[Dict], int], Tuple[List[Dict], List[Dict]]]
 
 
-def measure_seed(needed: Mapping[str, Set[str]], seed: int) -> Measured:
-    """Simulate each needed run once at ``seed`` and compute the needed views.
-
-    Runs whose configs are equal are one simulation; a result is dropped as
-    soon as its views are computed.
-    """
-    pending = [(alias, RUNS[alias].config(seed)) for alias in sorted(needed)]
-    measured: Measured = {}
-    while pending:
-        config = pending[0][1]
-        same = [alias for alias, other in pending if other == config]
-        result = run_scenario(config)
-        for alias in same:
-            measured[alias] = {view: VIEWS[view](result) for view in sorted(needed[alias])}
-        pending = [(alias, other) for alias, other in pending if alias not in same]
-    return measured
-
-
-def _scope(measured: Measured) -> Dict[str, object]:
-    """What a band evaluates in: ``_BAND_GLOBALS`` plus one namespace per run."""
-    scope = dict(_BAND_GLOBALS)
-    for run, views in measured.items():
-        scope[run] = SimpleNamespace(**{v: SimpleNamespace(**vals) for v, vals in views.items()})
-    return scope
-
-
-def evaluate(
-    checks: Sequence[Check],
-    seeds: Sequence[int] = SEEDS,
-    measure: Callable[[Mapping[str, Set[str]], int], Measured] = measure_seed,
-) -> Dict[str, object]:
-    """Run every check over every seed; the report as a JSON-ready dict."""
-    needed: Dict[str, Set[str]] = {}
+def plan(checks: Sequence[Check], seeds: Sequence[int] = SEEDS) -> Planned:
+    """One sweep cell per (run some band reads, seed), asking each run's cell
+    for exactly the claim views its bands read."""
+    views: Dict[str, set] = {}
     for check in checks:
-        for run, view, _ in check.reads:
-            needed.setdefault(run, set()).add(view)
-    per_seed = {seed: measure(needed, seed) for seed in sorted(seeds)}
-    scopes = {seed: _scope(measured) for seed, measured in per_seed.items()}
+        for path in check.reads:
+            run, key = path.split(".")[:2]
+            views.setdefault(run, set()).update({key} & VIEWS.keys())
+    return {
+        (alias, seed): plan_cell(
+            run.scenario, run.peers, run.days, seed, run.overrides,
+            views=sorted(views[alias]), stem=f"{alias}__s{seed}",
+        )
+        for seed in sorted(seeds)
+        for alias, run in RUNS.items()
+        if alias in views
+    }
+
+
+def simulate(cells: Sequence[Dict], workers: int) -> Tuple[List[Dict], List[Dict]]:
+    """Run the planned cells in a scratch directory; ``run_cells``' result."""
+    with tempfile.TemporaryDirectory(prefix="fidelity-") as out_dir:
+        return run_cells(cells, out_dir, workers=workers, progress=False)
+
+
+def _namespace(value):
+    """A summary as nested namespaces, every key's ``-`` read as ``_``."""
+    if isinstance(value, Mapping):
+        return SimpleNamespace(**{_alias(str(k)): _namespace(v) for k, v in value.items()})
+    return value
+
+
+def evaluate(checks: Sequence[Check], planned: Planned, summaries: Sequence[Dict]) -> Dict:
+    """Every check over every planned seed, given the cells' summaries (in
+    planned order); the report as a JSON-ready dict."""
+    seeds = sorted({seed for _, seed in planned})
+    scopes: Dict[int, Dict[str, object]] = {seed: dict(_BAND_GLOBALS) for seed in seeds}
+    for (alias, seed), summary in zip(planned, summaries):
+        scopes[seed][alias] = _namespace(summary)
 
     records = {}
     for check in checks:
         outcomes = {}
-        for seed, measured in per_seed.items():
-            values = {
-                f"{run}.{view}.{name}": measured[run][view][name]
-                for run, view, name in check.reads
-            }
-            outcome = {"pass": bool(eval(check.code, scopes[seed])), "values": values}
+        for seed, scope in scopes.items():
+            values = {path: eval(path, scope) for path in check.reads}
+            outcome = {"pass": bool(eval(check.code, scope)), "values": values}
             if check.paper:
                 outcome["rel_err"] = {
                     name: (values[name] - paper) / paper for name, paper in check.paper.items()
@@ -913,12 +470,12 @@ def evaluate(
             "runs": {run: asdict(RUNS[run]) for run in check.runs},
             "paper": check.paper,
             "seeds": outcomes,
-            "fails_on": [seed for seed in per_seed if not outcomes[str(seed)]["pass"]],
+            "fails_on": [seed for seed in seeds if not outcomes[str(seed)]["pass"]],
         }
     failing = {name: r["fails_on"] for name, r in records.items() if r["fails_on"]}
     return {
         "schema": SCHEMA,
-        "seeds": list(per_seed),
+        "seeds": seeds,
         "gate_seed": GATE_SEED,
         "checks": records,
         "summary": {"checks": len(records), "failing": failing},
@@ -943,21 +500,37 @@ def render(report: Mapping[str, object]) -> str:
 def main(
     argv: Sequence[str] | None = None,
     checks: Sequence[Check] = CHECKS,
-    measure: Callable[[Mapping[str, Set[str]], int], Measured] = measure_seed,
+    measure: Measure = simulate,
 ) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     if len(args) > 1:
         print("usage: python -m repro.experiments.fidelity [out.json]", file=sys.stderr)
         return 2
     out = args[0] if args else DEFAULT_OUT
-    report = evaluate(checks, SEEDS, measure)
+    planned = plan(checks, SEEDS)
+    workers = len(os.sched_getaffinity(0))
+    started = time.perf_counter()
+    summaries, failures = measure(list(planned.values()), workers)
+    wall = time.perf_counter() - started
+    for failure in failures:
+        print(
+            f"fidelity cell failed: {failure['scenario']} (peers={failure['n_peers']}, "
+            f"seed={failure['seed']}): {failure['error']}\n  re-run: {failure['repro']}",
+            file=sys.stderr,
+        )
+    if failures:
+        return 1
+    report = evaluate(checks, planned, summaries)
     with atomic_write(out) as handle:
         handle.write(render(report))
 
     failing = report["summary"]["failing"]
     for name, seeds in failing.items():
         print(f"  {name}: fails on seed(s) {', '.join(map(str, seeds))}")
-    print(f"fidelity: {len(checks)} checks, {len(failing)} fail on ≥ 1 of {len(SEEDS)} seeds")
+    print(
+        f"fidelity: {len(checks)} checks, {len(failing)} fail on ≥ 1 of {len(SEEDS)} seeds "
+        f"({len(planned)} cells, {wall:.0f} s on {workers} workers)"
+    )
     gated = [name for name, seeds in failing.items() if GATE_SEED in seeds]
     for name in gated:
         record = report["checks"][name]

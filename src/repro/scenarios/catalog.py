@@ -47,8 +47,9 @@ comparable across the catalog.  Content and adversarial
 scenarios derive their workload intervals and attack windows from the
 scenario duration, so even heavily compressed sweep cells run the whole
 publish → resolve → expire (and join → attack → distort) cycle.  The
-adversarial builders take an optional strength override (``sybil_count``
-etc.) so benchmarks can sweep attack power.
+adversarial builders take an optional strength override (``sybil_count``,
+``eclipse_count``, ``poison_count``, ``spoof_count``) so a sweep can vary
+attack power; 0 means attack-free, the same scenario with ``adversary=None``.
 """
 
 from __future__ import annotations
@@ -187,6 +188,15 @@ def _attackers(count: Optional[int], n_peers: int, share: float, floor: int) -> 
     """An attacker head-count: the override if given, else ``share`` of the
     honest population (at least ``floor`` — identities are cheap)."""
     return count if count is not None else max(floor, int(round(n_peers * share)))
+
+
+def _attack(kind: str, count: int, make: Callable[..., object], **fields) -> dict:
+    """The population delta deploying ``count`` attackers of one ``kind``
+    (an :class:`AdversaryConfig` field) built by ``make``; a count of 0 is
+    the same scenario without attackers (``adversary=None``)."""
+    if count == 0:
+        return dict(adversary=None)
+    return dict(adversary=AdversaryConfig(**{kind: make(count=count, **fields)}))
 
 
 # -- the paper's measurement periods ------------------------------------------------
@@ -544,12 +554,13 @@ def _sybil_netsize_config(
 ) -> ScenarioConfig:
     duration = duration_days * DAY
     low, high = SYBIL_ARRIVAL_SPAN
-    sybil = SybilFloodConfig(
-        count=_attackers(sybil_count, n_peers, SYBIL_SHARE, floor=8),
+    population = _attack(
+        "sybil",
+        _attackers(sybil_count, n_peers, SYBIL_SHARE, floor=8),
+        SybilFloodConfig,
         closeness_bits=SYBIL_CLOSENESS_BITS,
         arrival_window=(duration * low, duration * high),
     )
-    population = dict(adversary=AdversaryConfig(sybil=sybil))
     return _compose(n_peers, duration_days, seed, population=population)
 
 
@@ -565,13 +576,14 @@ def _sybil_netsize_config(
 def _eclipse_provider_config(
     n_peers: int, duration_days: float, seed: int, eclipse_count: Optional[int] = None
 ) -> ScenarioConfig:
-    eclipse = EclipseConfig(
-        count=_attackers(eclipse_count, n_peers, ECLIPSE_SHARE, floor=ECLIPSE_MIN),
+    population = _attack(
+        "eclipse",
+        _attackers(eclipse_count, n_peers, ECLIPSE_SHARE, floor=ECLIPSE_MIN),
+        EclipseConfig,
         victim_items=ECLIPSE_VICTIM_ITEMS,
         closeness_bits=ECLIPSE_CLOSENESS_BITS,
         shadow_publish_interval=duration_days * DAY / 6.0,
     )
-    population = dict(adversary=AdversaryConfig(eclipse=eclipse))
     return _compose(n_peers, duration_days, seed, population=population, content={})
 
 
@@ -591,10 +603,12 @@ def _poisoned_routing_config(
     poison_count: Optional[int] = None,
     drop_share: float = POISON_DROP_SHARE,
 ) -> ScenarioConfig:
-    poison = RoutingPoisonConfig(
-        count=_attackers(poison_count, n_peers, POISON_SHARE, floor=12), drop_share=drop_share
+    population = _attack(
+        "poison",
+        _attackers(poison_count, n_peers, POISON_SHARE, floor=12),
+        RoutingPoisonConfig,
+        drop_share=drop_share,
     )
-    population = dict(adversary=AdversaryConfig(poison=poison))
     return _compose(
         n_peers, duration_days, seed, population=population, content={}, crawler=True
     )
@@ -613,12 +627,13 @@ def _spoofed_churn_config(
     n_peers: int, duration_days: float, seed: int, spoof_count: Optional[int] = None
 ) -> ScenarioConfig:
     duration = duration_days * DAY
-    spoof = ChurnSpoofConfig(
-        count=_attackers(spoof_count, n_peers, SPOOF_SHARE, floor=10),
+    population = _attack(
+        "churn_spoof",
+        _attackers(spoof_count, n_peers, SPOOF_SHARE, floor=10),
+        ChurnSpoofConfig,
         session_mean=max(duration * SPOOF_SESSION_FRACTION, 30.0),
         downtime_mean=max(duration * SPOOF_DOWNTIME_FRACTION, 20.0),
     )
-    population = dict(adversary=AdversaryConfig(churn_spoof=spoof))
     return _compose(n_peers, duration_days, seed, population=population)
 
 

@@ -5,11 +5,19 @@ through the registry, one simulation per cell, optionally fanned out over
 ``--workers`` processes (every cell is simulated single-threaded and
 independently seeded, so the pool changes wall time only — never results).
 Each cell writes one JSON summary; the sweep writes an aggregate JSON plus a
-rendered table.  A cell that raises does not abort the sweep: the remaining
-cells still run, the failure is reported in the artifacts and on stderr, and
-the CLI exits nonzero.  All artifacts are deterministic — no timestamps, no
-wall-clock fields — so two sweeps with the same flags produce byte-identical
-files.
+rendered table.  Every cell's config is built before anything runs, so an
+override a builder rejects (unknown, mistyped or out of range) exits 2,
+naming the key, with no output written.  A cell that raises does not abort
+the sweep: the remaining cells still run, the failure is reported in the
+artifacts and on stderr, and the CLI exits nonzero.  All artifacts are
+deterministic — no timestamps, no wall-clock fields — so two sweeps with the
+same flags produce byte-identical files.
+
+:func:`run_sweep` plans the cartesian cells (:func:`plan_cell`) and hands
+them to :func:`run_cells`, the executor (build check, manifest, pool,
+checkpoints, aggregate).  Other planners hand it cells of their own: the
+claims registry (:mod:`repro.experiments.fidelity`) plans one cell per run
+and seed, each with its own overrides, file stem and claim views.
 
 Sweeps checkpoint as they go: a manifest of content-addressed cells
 (``sweep_manifest.json``) is written before any simulation and every cell
@@ -57,17 +65,14 @@ from repro.analysis.sweep_report import (
 from repro.analysis.tables import TextTable, format_count
 from repro.analysis.trace_report import tracing_metrics
 from repro.analysis.transfer_report import transfer_metrics
+from repro.analysis.views import VIEWS
 from repro.artifacts import TMP_SUFFIX, atomic_write
 from repro.core.churn import connection_statistics, trim_share
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
 from repro.obs.progress import PROGRESS_ENV
 from repro.scenarios import scenario, scenarios
-from repro.scenarios.registry import (
-    OverrideTypeError,
-    UnknownOverrideError,
-    build_scenario_config,
-)
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import run_scenario
 
 #: default output directory of sweep artifacts
@@ -81,6 +86,12 @@ class SweepOutputError(RuntimeError):
     JSON (stale cells from a previous flag set survive alongside fresh ones),
     so the sweep refuses before simulating anything.
     """
+
+
+class CellConfigError(ValueError):
+    """Raised before anything runs or is written when a planned cell's config
+    does not build: its builder rejects an override (unknown key, wrong type,
+    or out of range), and the message names the key."""
 
 
 def parse_duration_days(text: str) -> float:
@@ -174,6 +185,7 @@ def summarize_cell(
     metrics_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
     trace_path: Optional[str] = None,
+    views: Sequence[str] = (),
 ) -> Dict:
     """Run one sweep cell and reduce it to a deterministic summary dict.
 
@@ -182,9 +194,11 @@ def summarize_cell(
     (one JSONL line per closed window) and the summary gains a ``metrics``
     block.  ``trace_sample`` likewise attaches the causal span tracer: the
     sampled trace trees go to ``trace_path`` and the summary gains a
-    ``tracing`` block with critical-path attribution.  Module-level so the
-    process pool can ship cells to workers by reference; the full
-    :class:`ScenarioResult` stays in the worker, only the summary comes back.
+    ``tracing`` block with critical-path attribution.  ``views`` names claim
+    views (:data:`repro.analysis.views.VIEWS`) to add as blocks of their own.
+    Module-level so the process pool can ship cells to workers by reference;
+    the full :class:`ScenarioResult` stays in the worker, only the summary
+    comes back.
     """
     spec = scenario(name)
     peers = n_peers if n_peers is not None else spec.default_peers
@@ -201,7 +215,9 @@ def summarize_cell(
         population = dataclasses.replace(config.population, **telemetry)
         config = dataclasses.replace(config, population=population)
     result = run_scenario(config)
-    return summarize_result(spec.name, peers, days, seed, result, overrides=overrides)
+    return summarize_result(
+        spec.name, peers, days, seed, result, overrides=overrides, views=views
+    )
 
 
 def summarize_result(
@@ -211,9 +227,11 @@ def summarize_result(
     seed: int,
     result,
     overrides: Optional[Dict] = None,
+    views: Sequence[str] = (),
 ) -> Dict:
     """Reduce an already-run :class:`ScenarioResult` to a cell summary dict
-    (benchmarks reuse this so cached results are not re-simulated)."""
+    (benchmarks reuse this so cached results are not re-simulated), plus one
+    top-level block per claim view named in ``views``."""
     churn: Dict[str, Dict[str, float]] = {}
     for label in sorted(result.datasets):
         dataset = result.datasets[label]
@@ -227,7 +245,7 @@ def summarize_result(
             "trim_share": round(trim_share(report), 6),
         }
 
-    return {
+    summary = {
         "schema": CELL_SCHEMA,
         "scenario": name,
         "n_peers": n_peers,
@@ -250,6 +268,9 @@ def summarize_result(
         "metrics": metrics_metrics(result),
         "tracing": tracing_metrics(result),
     }
+    for view in views:
+        summary[view] = VIEWS[view](result)
+    return summary
 
 
 def summarize_cell_safe(
@@ -262,6 +283,7 @@ def summarize_cell_safe(
     metrics_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
     trace_path: Optional[str] = None,
+    views: Sequence[str] = (),
 ) -> Dict:
     """Run one cell, catching failures so one bad cell cannot sink a sweep.
 
@@ -274,11 +296,12 @@ def summarize_cell_safe(
     try:
         return summarize_cell(
             name, n_peers, duration_days, seed, overrides,
-            metrics_window, metrics_path, trace_sample, trace_path,
+            metrics_window, metrics_path, trace_sample, trace_path, views,
         )
     except Exception as exc:  # noqa: BLE001 - any cell failure must be reported
         key = cell_key(
-            name, n_peers, duration_days, seed, overrides, metrics_window, trace_sample
+            name, n_peers, duration_days, seed, overrides, metrics_window, trace_sample,
+            views,
         )
         return {
             "scenario": name,
@@ -321,10 +344,6 @@ def _repro_command(
     return shlex.join(argv + ["--out", f"repro-{key}"])
 
 
-def cell_filename(summary: Dict) -> str:
-    return f"{summary['scenario']}__n{summary['n_peers']}__s{summary['seed']}.json"
-
-
 #: per-sweep manifest: the planned cells with their content-address keys
 MANIFEST_NAME = "sweep_manifest.json"
 MANIFEST_SCHEMA = "repro-sweep-manifest/1"
@@ -338,14 +357,17 @@ def cell_key(
     overrides: Optional[Dict] = None,
     metrics_window: Optional[float] = None,
     trace_sample: Optional[float] = None,
+    views: Sequence[str] = (),
 ) -> str:
     """Content address of one sweep cell.
 
     A hash over everything that determines the cell's result: the resolved
     scenario coordinates, the builder overrides, the metrics and tracing
-    configuration, plus the cell schema version, so cells written by an older
-    summary format (or under different ``--set`` / ``--metrics`` / ``--trace``
-    values) are never reused by ``--resume``.
+    configuration, the claim views (only when some are asked for, so a
+    plain cell's key is independent of them), plus the cell schema version,
+    so cells written by an older summary format (or under different
+    ``--set`` / ``--metrics`` / ``--trace`` values) are never reused by
+    ``--resume``.
     """
     payload = {
         "schema": CELL_SCHEMA,
@@ -357,13 +379,15 @@ def cell_key(
         "obs": {"window": metrics_window} if metrics_window is not None else None,
         "trace": {"sample": trace_sample} if trace_sample is not None else None,
     }
+    if views:
+        payload["views"] = sorted(views)
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
     return digest[:16]
 
 
-def _resolve_cell(
+def plan_cell(
     name: str,
     n_peers: Optional[int],
     duration_days: Optional[float],
@@ -371,26 +395,38 @@ def _resolve_cell(
     overrides: Optional[Dict] = None,
     metrics_window: Optional[float] = None,
     trace_sample: Optional[float] = None,
+    views: Sequence[str] = (),
+    stem: Optional[str] = None,
 ) -> Dict:
-    """One planned cell with its defaults resolved, filename, and key."""
+    """One planned cell with its defaults resolved, its files and its key.
+
+    The cell's files are named ``<stem>.json`` (and ``<stem>__metrics.jsonl``
+    / ``<stem>__traces.jsonl``); the default stem
+    ``<scenario>__n<peers>__s<seed>`` is unique within a cartesian sweep, and
+    a caller planning cells that differ in overrides or views alone passes
+    stems of its own.
+    """
     spec = scenario(name)
     peers = n_peers if n_peers is not None else spec.default_peers
     days = duration_days if duration_days is not None else spec.default_duration_days
+    stem = stem or f"{spec.name}__n{peers}__s{seed}"
     cell = {
         "scenario": spec.name,
         "n_peers": peers,
         "duration_days": days,
         "seed": seed,
         "overrides": dict(sorted(overrides.items())) if overrides else {},
-        "file": f"{spec.name}__n{peers}__s{seed}.json",
+        "file": f"{stem}.json",
         "key": cell_key(
-            spec.name, peers, days, seed, overrides, metrics_window, trace_sample
+            spec.name, peers, days, seed, overrides, metrics_window, trace_sample, views
         ),
     }
+    if views:
+        cell["views"] = sorted(views)
     if metrics_window is not None:
-        cell["metrics_file"] = f"{spec.name}__n{peers}__s{seed}__metrics.jsonl"
+        cell["metrics_file"] = f"{stem}__metrics.jsonl"
     if trace_sample is not None:
-        cell["trace_file"] = f"{spec.name}__n{peers}__s{seed}__traces.jsonl"
+        cell["trace_file"] = f"{stem}__traces.jsonl"
     return cell
 
 
@@ -457,48 +493,73 @@ def run_sweep(
     trace_sample: Optional[float] = None,
     progress: Optional[bool] = None,
 ) -> Tuple[List[Dict], List[Dict]]:
-    """Run the cartesian sweep and write all artifacts into ``out_dir``.
+    """Plan the cartesian sweep and run it with :func:`run_cells`.
 
-    Returns ``(summaries, failures)``.  Cell order (and therefore aggregate
-    order) is scenarios × populations × seeds as given — deterministic for a
-    given flag set even when the cells themselves run in a pool of ``workers``
-    processes (more than one cell and more than one worker; otherwise they
-    run in this process).  A non-empty ``out_dir`` is refused unless ``force``
-    or ``resume`` is set: ``force`` deletes the previous run's artifacts
-    (``*.json``, ``*.jsonl``, ``sweep_table.txt``, and any ``*.tmp`` a killed
-    write left) up front, so a re-run can never silently mix stale and fresh
-    cell JSON; ``resume``
-    instead reuses every completed cell whose content address matches the
-    manifest of the interrupted run and only simulates the rest.  Cell
-    summaries are written to disk as they complete (checkpointing), and the
-    aggregate artifacts are rebuilt from the full reused + fresh set, so an
-    interrupted sweep resumed with the same flags produces byte-identical
-    artifacts to an uninterrupted one.
-
-    ``metrics_window`` attaches the streaming-metrics runtime to every cell:
-    each cell writes a ``*__metrics.jsonl`` time series next to its summary
-    and the summary gains a ``metrics`` block.  ``trace_sample`` attaches the
-    causal span tracer: each cell writes a ``*__traces.jsonl`` of sampled
-    trace trees and the summary gains a ``tracing`` block with critical-path
-    attribution.  ``progress`` (default: on
-    when stderr is a TTY) prints a heartbeat to stderr as cells complete —
-    cells done/total, cumulative events/sec, ETA — and enables the per-cell
-    progress heartbeat (:mod:`repro.obs.progress`) inside the workers.
-    Neither knob touches the artifacts' bytes beyond the metrics block itself.
+    Cell order (and therefore aggregate order) is scenarios × populations ×
+    seeds as given, every cell with the same ``overrides``.
     """
-    for name in scenario_names:
-        # Fail fast on unknown names, unknown override keys and mistyped
-        # override values (the shared ScenarioSpec validation), before any
-        # simulation.
-        scenario(name).validate_overrides(overrides)
     planned = [
-        _resolve_cell(
+        plan_cell(
             name, peers, duration_days, seed, overrides, metrics_window, trace_sample
         )
         for name in scenario_names
         for peers in peers_list
         for seed in seeds
     ]
+    return run_cells(
+        planned, out_dir, workers=workers, force=force, resume=resume,
+        metrics_window=metrics_window, trace_sample=trace_sample, progress=progress,
+    )
+
+
+def run_cells(
+    planned: Sequence[Dict],
+    out_dir: str,
+    workers: int = 1,
+    force: bool = False,
+    resume: bool = False,
+    metrics_window: Optional[float] = None,
+    trace_sample: Optional[float] = None,
+    progress: Optional[bool] = None,
+) -> Tuple[List[Dict], List[Dict]]:
+    """Run planned cells (:func:`plan_cell`) and write all artifacts into ``out_dir``.
+
+    Returns ``(summaries, failures)``, each in planned order — deterministic
+    even when the cells run in a pool of ``workers`` processes (more than one
+    cell and more than one worker; otherwise they run in this process).
+    Every planned config is built first: a builder's :class:`ValueError`
+    comes out as :class:`CellConfigError` before ``out_dir`` is touched.  A
+    non-empty ``out_dir`` is refused unless ``force`` or ``resume`` is set:
+    ``force`` deletes the previous run's artifacts
+    (``*.json``, ``*.jsonl``, ``sweep_table.txt``, and any ``*.tmp`` a killed
+    write left) up front, so a re-run can never silently mix stale and fresh
+    cell JSON; ``resume`` instead reuses every completed cell whose content
+    address matches the manifest of the interrupted run and only simulates
+    the rest.  Each cell summary is written to its planned ``file`` as it
+    completes (checkpointing), and the aggregate artifacts are rebuilt from
+    the full reused + fresh set, so an interrupted run resumed with the same
+    cells produces byte-identical artifacts to an uninterrupted one.
+
+    ``metrics_window`` attaches the streaming-metrics runtime to every cell:
+    each cell writes its planned ``metrics_file`` time series and the
+    summary gains a ``metrics`` block.  ``trace_sample`` attaches the causal
+    span tracer: each cell writes its planned ``trace_file`` of sampled trace
+    trees and the summary gains a ``tracing`` block with critical-path
+    attribution.  A cell planned with ``views`` gains those claim views as
+    blocks.  ``progress`` (default: on when stderr is a TTY) prints a
+    heartbeat to stderr as cells complete — cells done/total, cumulative
+    events/sec, ETA — and enables the per-cell progress heartbeat
+    (:mod:`repro.obs.progress`) inside the workers.  Neither knob touches the
+    artifacts' bytes beyond the metrics block itself.
+    """
+    for cell in planned:
+        try:
+            build_scenario_config(
+                cell["scenario"], cell["n_peers"], cell["duration_days"], cell["seed"],
+                cell["overrides"],
+            )
+        except ValueError as exc:
+            raise CellConfigError(str(exc)) from exc
     completed: Dict[int, Dict] = {}
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         if resume:
@@ -527,21 +588,15 @@ def run_sweep(
     todo = [index for index in range(len(planned)) if index not in completed]
     cells = [
         (
-            planned[index]["scenario"],
-            planned[index]["n_peers"],
-            planned[index]["duration_days"],
-            planned[index]["seed"],
-            planned[index]["overrides"],
+            cell["scenario"], cell["n_peers"], cell["duration_days"], cell["seed"],
+            cell["overrides"],
             metrics_window,
-            os.path.join(out_dir, planned[index]["metrics_file"])
-            if metrics_window is not None
-            else None,
+            os.path.join(out_dir, cell["metrics_file"]) if metrics_window is not None else None,
             trace_sample,
-            os.path.join(out_dir, planned[index]["trace_file"])
-            if trace_sample is not None
-            else None,
+            os.path.join(out_dir, cell["trace_file"]) if trace_sample is not None else None,
+            cell.get("views", ()),
         )
-        for index in todo
+        for cell in (planned[index] for index in todo)
     ]
 
     show_progress = sys.stderr.isatty() if progress is None else progress
@@ -549,14 +604,14 @@ def run_sweep(
     outcomes: List[Dict] = []
     events = 0
 
-    def _checkpoint(outcome: Dict) -> None:
+    def _checkpoint(index: int, outcome: Dict) -> None:
         """Called in cell order as results arrive: a killed run has every
         completed prefix cell on disk, which is all ``--resume`` needs."""
         nonlocal events
         outcomes.append(outcome)
         events += int(outcome.get("events_processed", 0) or 0)
         if "error" not in outcome:
-            _write_json(os.path.join(out_dir, cell_filename(outcome)), outcome)
+            _write_json(os.path.join(out_dir, planned[index]["file"]), outcome)
         if show_progress:
             # Heartbeat only — wall-clock never reaches the artifacts.
             elapsed = max(time.perf_counter() - started, 1e-9)
@@ -580,11 +635,11 @@ def run_sweep(
             # Results come back in cell order whichever worker finishes first
             # (a slow early cell delays the checkpoints of later ones).
             with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-                for outcome in pool.map(summarize_cell_safe, *zip(*cells)):
-                    _checkpoint(outcome)
+                for index, outcome in zip(todo, pool.map(summarize_cell_safe, *zip(*cells))):
+                    _checkpoint(index, outcome)
         else:
-            for outcome in itertools.starmap(summarize_cell_safe, cells):
-                _checkpoint(outcome)
+            for index, outcome in zip(todo, itertools.starmap(summarize_cell_safe, cells)):
+                _checkpoint(index, outcome)
     finally:
         if show_progress:
             if env_before is None:
@@ -797,7 +852,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides=overrides, metrics_window=metrics_window,
             trace_sample=trace_sample, progress=args.progress,
         )
-    except (SweepOutputError, UnknownOverrideError, OverrideTypeError) as exc:
+    except (SweepOutputError, CellConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_aggregate(summaries, failures), end="")

@@ -22,6 +22,8 @@ from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
 from repro.libp2p.connection import Connection, Direction
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId, base58btc_decode, base58btc_encode
+from repro.scenarios import build_scenario_config, scenarios
+from repro.simulation.scenario import run_scenario
 
 # -- strategies ---------------------------------------------------------------------
 
@@ -260,3 +262,40 @@ class TestJsonlProperties:
                 for row in rows:
                     handle.write(json.dumps(row) + "\n")
             assert read_jsonl(path) == rows
+
+
+#: every (scenario, --set knob) pair; a scenario without knobs runs as is
+KNOBS = [
+    (spec.name, knob) for spec in scenarios() for knob in (list(spec.knobs) or [None])
+]
+
+
+class TestConfigFuzz:
+    """Any ``--set`` value at toy scale: a named rejection or a clean run."""
+
+    @pytest.mark.parametrize("name, knob", KNOBS)
+    @settings(max_examples=8, deadline=None)
+    @given(
+        data=st.data(),
+        peers=st.integers(min_value=1, max_value=5),
+        days=st.floats(min_value=1 / 86_400, max_value=0.01),
+    )
+    def test_a_built_config_runs_and_a_rejection_names_its_knob(
+        self, name, knob, data, peers, days
+    ):
+        overrides = None
+        if knob is not None:
+            default = next(spec for spec in scenarios() if spec.name == name).knobs[knob]
+            value = data.draw(
+                st.sampled_from([0, -1, 1e-9, default])
+                | st.integers(min_value=1, max_value=64)
+                | st.floats(min_value=1e-9, max_value=64.0)
+            )
+            overrides = {knob: value}
+        try:
+            config = build_scenario_config(name, peers, days, 7, overrides)
+        except ValueError as exc:
+            assert knob is not None and knob in str(exc)
+            return
+        result = run_scenario(config)
+        assert result.events_processed >= 0

@@ -407,6 +407,24 @@ class TestAdversaryScenarioConfigs:
         assert [p.public_ip for p in twin] == [p.public_ip for p in honest]
         assert [p.peer_class for p in twin] == [p.peer_class for p in honest]
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("sybil-netsize-inflation", "sybil_count"),
+            ("eclipse-provider", "eclipse_count"),
+            ("poisoned-routing-under-churn", "poison_count"),
+            ("spoofed-churn-classification", "spoof_count"),
+        ],
+    )
+    def test_zero_attackers_is_the_attack_free_scenario(self, name, key):
+        attacked = build_scenario_config(name, n_peers=200, duration_days=0.1)
+        free = build_scenario_config(name, n_peers=200, duration_days=0.1, overrides={key: 0})
+        assert attacked.population.adversary is not None
+        population = dataclasses.replace(attacked.population, adversary=None)
+        assert free == dataclasses.replace(attacked, population=population)
+        with pytest.raises(ValueError, match=f"^{key}=-1: "):
+            build_scenario_config(name, n_peers=200, duration_days=0.1, overrides={key: -1})
+
 
 PERIOD_NAMES = [period_id.lower() for period_id in PERIODS]
 

@@ -18,7 +18,6 @@ import pytest
 from repro.analysis.sweep_report import CELL_SCHEMA, SWEEP_SCHEMA, aggregate_payload
 from repro.core.records import primary_dataset_label
 from repro.sweep import (
-    cell_filename,
     main,
     parse_duration_days,
     summarize_cell,
@@ -61,7 +60,7 @@ class TestMicroSweep:
             with open(micro_sweep / name) as handle:
                 summary = json.load(handle)
             assert summary["schema"] == CELL_SCHEMA
-            assert cell_filename(summary) == name
+            assert name == f"{summary['scenario']}__n{summary['n_peers']}__s{summary['seed']}.json"
             assert summary["n_peers"] == 50
             assert summary["events_processed"] > 0
             label = primary_dataset_label(summary["datasets"])
@@ -386,8 +385,12 @@ class TestCheckpointResume:
         from repro.sweep import cell_key
 
         assert cell_key("p1", 40, 0.01, 7) == "7ef976849d8aeaa6"
+        assert cell_key("p1", 40, 0.01, 5) == "df0d808efd267981"
         overrides = {"retry": False, "loss_rate": 0.2}
         assert cell_key("lossy-links", 60, 0.02, 7, overrides, 300.0, 1.0) == "ab280493cb26b5d7"
+        # claim views are part of the address only when asked for
+        assert cell_key("p1", 40, 0.01, 5, views=()) == "df0d808efd267981"
+        assert cell_key("p1", 40, 0.01, 5, views=["fig7"]) != "df0d808efd267981"
 
     def test_interrupted_write_leaves_the_previous_file_intact(self, tmp_path):
         from repro.sweep import _write_json
@@ -412,28 +415,95 @@ class TestCheckpointResume:
         assert excinfo.value.code == 2
 
 
+class TestPlannedCells:
+    """``run_cells``: planned cells with their own files, overrides and views."""
+
+    #: the top-level keys of a cell summary without views
+    BLOCKS = {
+        "schema", "scenario", "n_peers", "duration_days", "seed", "overrides",
+        "events_processed", "version_changes", "role_flips", "autonat_flips",
+        "queries_sent", "crawls", "datasets", "churn", "content", "adversary",
+        "netmodel", "resilience", "bandwidth", "metrics", "tracing",
+    }
+
+    def test_views_are_extra_blocks_of_an_unchanged_summary(self):
+        from repro.analysis.views import VIEWS
+
+        plain = summarize_cell("p1", 40, 0.01, 5)
+        assert set(plain) == self.BLOCKS
+        viewed = summarize_cell("p1", 40, 0.01, 5, views=["fig7", "table2"])
+        assert set(viewed) == self.BLOCKS | {"fig7", "table2"}
+        assert {key: viewed[key] for key in self.BLOCKS} == plain
+        assert set(viewed["fig7"]) == {
+            "under_1h", "over_24h", "single_connection", "over_15_connections",
+            "server_under_1h", "client_under_1h",
+        }
+        assert not self.BLOCKS & VIEWS.keys()
+
+    def test_cells_differing_only_in_overrides_write_two_files(self, tmp_path):
+        from repro.sweep import plan_cell, run_cells
+
+        planned = [
+            plan_cell("lossy-links", 30, 0.01, 7, {"loss_rate": rate}, stem=stem, views=views)
+            for rate, stem, views in ((0.2, "lossy", ["partition"]), (0.0, "clean", []))
+        ]
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            summaries, failures = run_cells(planned, str(out), workers=workers, progress=False)
+            assert failures == []
+            assert [s["overrides"] for s in summaries] == [{"loss_rate": 0.2}, {"loss_rate": 0.0}]
+            assert "partition" in summaries[0] and "partition" not in summaries[1]
+            with open(out / "sweep_manifest.json") as handle:
+                assert json.load(handle)["cells"] == planned
+            texts.append({name: (out / name).read_bytes() for name in ("lossy.json", "clean.json")})
+            assert json.loads(texts[-1]["lossy.json"]) == summaries[0]
+        assert texts[0] == texts[1]
+        assert texts[0]["lossy.json"] != texts[0]["clean.json"]
+
+
 class TestFailingCells:
     """Satellite: a failing cell must not sink the sweep, but must exit nonzero."""
 
-    # A value the CLI boundary cannot judge (it is the right type for the
-    # knob); FaultConfig rejects it inside the cell.
-    BAD_FLAGS = [
+    FLAGS = [
         "--scenarios", "lossy-links",
         "--seeds", "7",
         "--peers", "30",
         "--duration", "0.01d",
-        "--set", "loss_rate=2.0",
+        "--set", "loss_rate=0.2",
     ]
 
-    def test_failing_cell_exits_nonzero(self, tmp_path, capsys):
-        exit_code = main(self.BAD_FLAGS + ["--out", str(tmp_path / "bad")])
+    @pytest.fixture
+    def broken_cell(self, monkeypatch):
+        """Every cell raises inside the worker, after its config built."""
+        import repro.sweep as sweep_mod
+
+        def broken(*args, **kwargs):
+            raise ValueError("loss_rate broke the cell")
+
+        monkeypatch.setattr(sweep_mod, "summarize_cell", broken)
+
+    def test_failing_cell_exits_nonzero(self, tmp_path, capsys, broken_cell):
+        exit_code = main(self.FLAGS + ["--out", str(tmp_path / "bad")])
         assert exit_code == 1
         err = capsys.readouterr().err
         assert "sweep cell failed" in err and "loss_rate" in err
 
-    def test_failure_is_recorded_in_the_artifacts(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("bad", ["loss_rate=2.0", "loss_rate=-0.5", "sybil_count=-1"])
+    def test_out_of_range_set_exits_2_naming_the_key(self, tmp_path, capsys, bad):
+        name = "sybil-netsize-inflation" if bad.startswith("sybil") else "lossy-links"
         out = tmp_path / "bad"
-        main(self.BAD_FLAGS + ["--out", str(out)])
+        exit_code = main([
+            "--scenarios", name, "--seeds", "7", "--peers", "30", "--duration", "0.01d",
+            "--set", bad, "--out", str(out),
+        ])
+        assert exit_code == 2
+        assert bad.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failure_is_recorded_in_the_artifacts(self, tmp_path, monkeypatch, broken_cell):
+        out = tmp_path / "bad"
+        main(self.FLAGS + ["--out", str(out)])
         with open(out / "sweep_summary.json") as handle:
             aggregate = json.load(handle)
         assert aggregate["totals"]["cells"] == 0
@@ -615,14 +685,13 @@ class TestFlagValidation:
 
     def test_out_of_range_set_value_names_its_key(self, tmp_path, capsys):
         # The range check lives in the fault config and names its own field
-        # ("share"); the failure line must still say which --set key fed it.
+        # ("share"); every config is built before anything runs, so the
+        # rejection is a usage error that still says which --set key fed it.
+        out = tmp_path / "never"
         argv = ["--scenarios", "crash-storm", "--peers", "40", "--duration", "0.01d"]
-        assert main(argv + ["--set", "crash_share=1.5", "--out", str(tmp_path)]) == 1
-        failures = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("sweep cell failed")
-        ]
-        assert len(failures) == 1 and "crash_share" in failures[0]
+        assert main(argv + ["--set", "crash_share=1.5", "--out", str(out)]) == 2
+        assert "error: crash_share=1.5: share must be within" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_period_knobs_reach_the_cell(self, tmp_path):
         flags = "--scenarios p2 --peers 40 --duration 0.01d --set low_water=600"
