@@ -126,7 +126,7 @@ def _fig5(result) -> Dict[str, object]:
         "peak": levels[-1] if levels else 0.0,
         "median_level": levels[len(levels) // 2] if levels else 0.0,
         "low_water": result.config.go_ipfs.low_water,
-        "local_trims": sum(c.close_reason == "local-trim" for c in dataset.connections),
+        "local_trims": dataset.connections.closes("local-trim"),
     }
 
 
@@ -280,7 +280,7 @@ def _burst(result) -> Dict[str, object]:
     duration = result.config.duration
     start = duration * 0.30
     end = start + min(2 * HOUR, max(duration * 0.25, 60.0))
-    opened = [c.opened_at for c in result.dataset("go-ipfs").connections]
+    opened = result.dataset("go-ipfs").connections.opened_at
     inside = sum(1 for t in opened if start <= t < end)
     return {
         "rate": inside / (end - start),

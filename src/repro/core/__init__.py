@@ -14,6 +14,7 @@
 """
 
 from repro.core.records import (
+    ConnectionLog,
     ConnectionRecord,
     MeasurementDataset,
     MetaChangeRecord,
@@ -42,6 +43,7 @@ from repro.core.netsize import (
 )
 
 __all__ = [
+    "ConnectionLog",
     "ConnectionRecord",
     "PeerRecord",
     "MetaChangeRecord",

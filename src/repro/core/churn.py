@@ -15,6 +15,7 @@ trimming (rather than node churn) being the dominant close reason.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -81,35 +82,24 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
     Connections still open at the end of the measurement were already closed at
     ``dataset.ended_at`` by the recorder, so they are included.
 
-    Single pass over the connection list: each duration is computed once (the
-    ``ConnectionRecord.duration`` formula, without the property call) and
-    lands in the "All" list, its direction bucket and its peer's list, next
-    to the close-reason histogram.  Every list keeps record order and peers
+    Reads the log's columns: each duration is computed once
+    (:meth:`~repro.core.records.ConnectionLog.durations`) and lands in the
+    "All" list, its direction bucket and its peer's list; the close-reason
+    histogram counts the code column.  Every list keeps record order and peers
     keep first-appearance order, so each float reduction adds the same values
-    left to right as a pass per statistic would.
+    left to right as a pass per record would.
     """
-    durations: List[float] = []
-    inbound_durations: List[float] = []
-    outbound_durations: List[float] = []
-    per_peer: Dict[str, List[float]] = {}
+    log = dataset.connections
+    durations = log.durations()
+    inbound = log.codes.get("inbound", -1)
+    outbound = log.codes.get("outbound", -1)
+    inbound_durations = [d for d, code in zip(durations, log.direction) if code == inbound]
+    outbound_durations = [d for d, code in zip(durations, log.direction) if code == outbound]
+    per_peer = log.by_peer(durations)
     close_reasons: Dict[str, int] = {}
-    for conn in dataset.connections:
-        duration = conn.closed_at - conn.opened_at
-        if not duration > 0.0:
-            duration = 0.0
-        durations.append(duration)
-        direction = conn.direction
-        if direction == "inbound":
-            inbound_durations.append(duration)
-        elif direction == "outbound":
-            outbound_durations.append(duration)
-        peer_durations = per_peer.get(conn.peer)
-        if peer_durations is None:
-            per_peer[conn.peer] = [duration]
-        else:
-            peer_durations.append(duration)
-        reason = conn.close_reason or "unknown"
-        close_reasons[reason] = close_reasons.get(reason, 0) + 1
+    for code, closes in Counter(log.close_reason).items():
+        reason = log.names[code] or "unknown"
+        close_reasons[reason] = close_reasons.get(reason, 0) + closes
     if durations:
         all_stats = ConnectionStats(
             kind="all",

@@ -11,10 +11,11 @@ to a node plus a polling schedule and produces the final
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Protocol
 
 from repro.core.records import (
-    ConnectionRecord,
+    ConnectionLog,
     MeasurementDataset,
     MetaChangeRecord,
     PeerRecord,
@@ -34,14 +35,24 @@ class MeasuredNode(Protocol):
 
 
 class MeasurementRecorder:
-    """Collects connection events and periodic peerstore snapshots."""
+    """Collects connection events and periodic peerstore snapshots.
+
+    Each connection is one row of a :class:`ConnectionLog`, allocated when it
+    opens (so rows are in open order) and filled in when it closes; the
+    finalised dataset takes the log itself, not a copy.
+    """
 
     def __init__(self, label: str, measurement_role: str = "server") -> None:
         self.label = label
         self.measurement_role = measurement_role
         self.started_at: Optional[float] = None
-        self._open: Dict[int, Connection] = {}
-        self._closed: List[ConnectionRecord] = []
+        self._log = ConnectionLog()
+        #: connection id -> row, for every connection still open
+        self._open: Dict[int, int] = {}
+        #: per row, its place in close order (-1 while open): the order in
+        #: which rows opened at the same time are exported
+        self._close_seq = array("q")
+        self._closes = 0
         self._snapshots: List[SnapshotRecord] = []
 
     # -- SwarmListener interface ---------------------------------------------------
@@ -49,11 +60,32 @@ class MeasurementRecorder:
     def on_connected(self, conn: Connection, now: float) -> None:
         if self.started_at is None:
             self.started_at = now
-        self._open[conn.connection_id] = conn
+        self._open[conn.connection_id] = self._open_row(conn)
 
     def on_disconnected(self, conn: Connection, now: float) -> None:
-        self._open.pop(conn.connection_id, None)
-        self._closed.append(self._to_record(conn, closed_at=now))
+        row = self._open.pop(conn.connection_id, None)
+        if row is None:
+            # A close the recorder never saw open still becomes a row.
+            row = self._open_row(conn)
+        close_reason = conn.close_reason
+        self._log.close(row, now, close_reason._value_ if close_reason is not None else None)
+        self._close_seq[row] = self._closes
+        self._closes += 1
+
+    def _open_row(self, conn: Connection) -> int:
+        # Once per connection: the strings are the ones the PeerId and the
+        # Multiaddr hold, and ``_value_`` is the plain attribute behind an
+        # enum's ``.value`` descriptor.
+        remote_addr = conn.remote_addr
+        self._close_seq.append(-1)
+        return self._log.open(
+            conn.remote_peer.to_base58(),
+            conn.direction._value_,
+            conn.opened_at,
+            str(remote_addr),
+            remote_addr.ip(),
+            conn.connection_id,
+        )
 
     # -- periodic polling ------------------------------------------------------------
 
@@ -71,18 +103,35 @@ class MeasurementRecorder:
     # -- finalisation ------------------------------------------------------------------
 
     def finalize(self, now: float, node: MeasuredNode) -> MeasurementDataset:
-        """Produce the dataset; still-open connections count as closed at ``now``."""
+        """Produce the dataset; still-open connections count as closed at ``now``.
+
+        Connections are exported sorted by open time; those opened at the same
+        time come closed ones first, in close order, then still-open ones in
+        open order.  The dataset shares the recorder's log: recording after a
+        finalize changes the dataset it returned.
+        """
         started = self.started_at if self.started_at is not None else now
+        log = self._log
+        for row in self._open.values():
+            log.close(row, now, CloseReason.STILL_OPEN._value_)
+        # Sort key of equal open times: closed rows by close order, then
+        # still-open rows by open order.
+        closes = self._closes
+        keys = array(
+            "q", (seq if seq >= 0 else closes + row for row, seq in enumerate(self._close_seq))
+        )
+        if log.sort(keys):
+            self._close_seq = array("q", (key if key < closes else -1 for key in keys))
+            self._open = {
+                log.connection_id[row]: row for row, key in enumerate(keys) if key >= closes
+            }
         dataset = MeasurementDataset(
             label=self.label,
             started_at=started,
             ended_at=now,
             measurement_role=self.measurement_role,
+            connections=log,
         )
-        dataset.connections = list(self._closed)
-        for conn in self._open.values():
-            dataset.connections.append(self._to_record(conn, closed_at=now, still_open=True))
-        dataset.connections.sort(key=lambda c: c.opened_at)
         dataset.snapshots = list(self._snapshots)
 
         # The peerstore tracks server announcements as they happen, so later
@@ -95,11 +144,23 @@ class MeasurementRecorder:
                 first_seen=entry.first_seen,
                 last_seen=entry.last_seen,
                 agent_version=entry.agent_version,
-                protocols=set(entry.protocols),
+                protocols=entry.protocols,
                 addrs=[str(a) for a in entry.addrs],
                 observed_ip=entry.observed_addr.ip() if entry.observed_addr else None,
                 ever_dht_server=entry.peer in ever_servers or KAD_DHT in entry.protocols,
             )
+
+        # A set or tuple value is rendered once per distinct value; the
+        # records share the list.
+        rendered: Dict[object, List[str]] = {}
+
+        def render(value: object) -> object:
+            if not isinstance(value, (frozenset, tuple)):
+                return value
+            shared = rendered.get(value)
+            if shared is None:
+                shared = rendered[value] = sorted(str(v) for v in value)
+            return shared
 
         for change in node.peerstore.changes():
             dataset.changes.append(
@@ -107,38 +168,12 @@ class MeasurementRecorder:
                     timestamp=change.timestamp,
                     peer=str(change.peer),
                     kind=change.kind.value,
-                    old_value=_render(change.old_value),
-                    new_value=_render(change.new_value),
+                    old_value=render(change.old_value),
+                    new_value=render(change.new_value),
                 )
             )
         dataset.changes.sort(key=lambda c: c.timestamp)
         return dataset
-
-    # -- helpers ---------------------------------------------------------------------------
-
-    @staticmethod
-    def _to_record(
-        conn: Connection, closed_at: float, still_open: bool = False
-    ) -> ConnectionRecord:
-        # Once per recorded connection: positional into the slotted record,
-        # and ``_value_`` is the plain attribute behind an enum's ``.value``
-        # descriptor.
-        if still_open:
-            reason = CloseReason.STILL_OPEN._value_
-        else:
-            close_reason = conn.close_reason
-            reason = close_reason._value_ if close_reason is not None else None
-        remote_addr = conn.remote_addr
-        return ConnectionRecord(
-            conn.remote_peer.to_base58(),
-            conn.direction._value_,
-            conn.opened_at,
-            closed_at,
-            str(remote_addr),
-            remote_addr.ip(),
-            reason,
-            conn.connection_id,
-        )
 
 
 class PassiveMeasurement:
@@ -168,8 +203,3 @@ class PassiveMeasurement:
     def finalize(self, now: float) -> MeasurementDataset:
         return self.recorder.finalize(now, self.node)
 
-
-def _render(value: object) -> object:
-    if isinstance(value, (set, frozenset, tuple)):
-        return sorted(str(v) for v in value)
-    return value

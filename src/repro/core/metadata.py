@@ -164,17 +164,6 @@ class VersionChangeReport:
     def total(self) -> int:
         return self.upgrades + self.downgrades + self.changes
 
-    def as_dict(self) -> dict:
-        return {
-            "upgrade": self.upgrades,
-            "downgrade": self.downgrades,
-            "change": self.changes,
-            "main-main": self.main_to_main,
-            "dirty-main": self.dirty_to_main,
-            "main-dirty": self.main_to_dirty,
-            "dirty-dirty": self.dirty_to_dirty,
-        }
-
 
 def version_changes(dataset: MeasurementDataset) -> VersionChangeReport:
     """Classify every recorded agent change of a dataset."""

@@ -48,15 +48,15 @@ class PeerConnectionSummary:
 def peer_connection_summaries(dataset: MeasurementDataset) -> Dict[str, PeerConnectionSummary]:
     """Summarise every PID with recorded connections."""
     summaries: Dict[str, PeerConnectionSummary] = {}
-    for peer, connections in dataset.connections_by_peer().items():
-        durations = [c.duration for c in connections]
+    log = dataset.connections
+    for peer, durations in log.by_peer(log.durations()).items():
         record = dataset.peers.get(peer)
         is_server = record.is_dht_server() if record else False
         role_known = record.role_known() if record else False
         summaries[peer] = PeerConnectionSummary(
             peer=peer,
-            connection_count=len(connections),
-            max_duration=max(durations) if durations else 0.0,
+            connection_count=len(durations),
+            max_duration=max(durations),
             total_duration=sum(durations),
             is_dht_server=is_server,
             role_known=role_known,
@@ -201,17 +201,17 @@ def estimate_by_multiaddress(dataset: MeasurementDataset) -> MultiaddrEstimate:
     last_ip: Dict[str, str] = {}
     connected_pids: Set[str] = set()
     observed_ips: Set[str] = set()
-    for conn in dataset.connections:
-        connected_pids.add(conn.peer)
-        ip = conn.remote_ip
-        if ip is None and conn.remote_addr:
-            ip = conn.remote_addr.split("/")[2] if conn.remote_addr.count("/") >= 2 else None
+    log = dataset.connections
+    for peer, ip, remote_addr in zip(log.peer, log.remote_ip, log.remote_addr):
+        connected_pids.add(peer)
+        if ip is None and remote_addr:
+            ip = remote_addr.split("/")[2] if remote_addr.count("/") >= 2 else None
         if ip is None:
             continue
         observed_ips.add(ip)
-        per_peer = ip_counts.setdefault(conn.peer, {})
+        per_peer = ip_counts.setdefault(peer, {})
         per_peer[ip] = per_peer.get(ip, 0) + 1
-        last_ip[conn.peer] = ip
+        last_ip[peer] = ip
 
     pids_by_ip: Dict[str, Set[str]] = {}
     for peer, counts in ip_counts.items():

@@ -6,15 +6,34 @@ changes), and per connection the direction, multiaddress, open time and
 connectedness.  :class:`MeasurementDataset` is the in-memory form of that
 export; every analysis function in :mod:`repro.core` consumes it.
 
-The records deliberately use plain strings for peer IDs and multiaddresses so a
-dataset round-trips through JSON and could equally be loaded from a real
-go-ipfs measurement export with a thin adapter.
+Connections are rows, not objects: a :class:`ConnectionLog` keeps one typed
+column per :class:`ConnectionRecord` field, about 52 bytes per connection
+where a record object with its own floats and ints took about 170.  Peer IDs
+and multiaddresses are the strings the identity objects already hold, and a
+finalised :class:`PeerRecord` references the peerstore's interned protocol
+set.  Indexing or iterating a log yields :class:`ConnectionRecord` rows; the
+analyses read the columns.  Nothing in the program read the dataset's JSON
+round trip (``as_dict`` / ``from_dict``), so it is gone; the records are plain
+strings, numbers and string lists, which an exporter can write as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Sequence, Set
+from array import array
+from dataclasses import dataclass, field, replace
+from heapq import merge
+from itertools import chain, compress, count, islice
+from operator import eq, gt, sub
+from typing import (
+    AbstractSet,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.libp2p.protocols import KAD_DHT, supports_bitswap
 
@@ -24,10 +43,11 @@ MISSING_AGENT = None
 
 @dataclass(slots=True)
 class ConnectionRecord:
-    """One observed connection of the measurement node.
+    """One observed connection of the measurement node: a row of a
+    :class:`ConnectionLog`.
 
-    Slotted (a run keeps one per connection it saw) and built positionally by
-    the recorder, so field order is part of the class's contract.
+    Field order is part of the class's contract: it is the log's column
+    order, and rows are built positionally.
     """
 
     peer: str
@@ -43,26 +63,219 @@ class ConnectionRecord:
     def duration(self) -> float:
         return max(0.0, self.closed_at - self.opened_at)
 
-    def as_dict(self) -> dict:
-        return {
-            "peer": self.peer,
-            "direction": self.direction,
-            "opened_at": self.opened_at,
-            "closed_at": self.closed_at,
-            "remote_addr": self.remote_addr,
-            "remote_ip": self.remote_ip,
-            "close_reason": self.close_reason,
-            "connection_id": self.connection_id,
-        }
+
+#: the log's columns, in :class:`ConnectionRecord` field order
+_COLUMNS = (
+    "peer",
+    "direction",
+    "opened_at",
+    "closed_at",
+    "remote_addr",
+    "remote_ip",
+    "close_reason",
+    "connection_id",
+)
+
+
+class ConnectionLog:
+    """A vantage point's connections, one row of typed columns each.
+
+    ``peer``, ``remote_addr`` and ``remote_ip`` are lists of (shared)
+    strings; ``opened_at`` / ``closed_at`` are ``array("d")``;
+    ``connection_id`` is ``array("q")`` with -1 for ``None``; ``direction``
+    and ``close_reason`` are ``bytearray`` codes into ``names``, the log's
+    table of the distinct strings (and ``None``) those two columns hold, in
+    order of first use (``codes`` maps each back to its code).
+    """
+
+    __slots__ = _COLUMNS + ("names", "codes")
+
+    def __init__(self, rows: Iterable[ConnectionRecord] = ()) -> None:
+        self.peer: List[str] = []
+        self.direction = bytearray()
+        self.opened_at = array("d")
+        self.closed_at = array("d")
+        self.remote_addr: List[Optional[str]] = []
+        self.remote_ip: List[Optional[str]] = []
+        self.close_reason = bytearray()
+        self.connection_id = array("q")
+        self.names: List[Optional[str]] = []
+        self.codes: Dict[Optional[str], int] = {}
+        for row in rows:
+            self.append(row)
+
+    # -- writing --------------------------------------------------------------------
+
+    def code(self, name: Optional[str]) -> int:
+        """The code of ``name`` in this log's table, added on first use."""
+        code = self.codes.get(name)
+        if code is None:
+            code = len(self.names)
+            if code > 255:
+                raise ValueError("a connection log holds at most 256 distinct names")
+            self.codes[name] = code
+            self.names.append(name)
+        return code
+
+    def open(
+        self, peer: str, direction: str, opened_at: float, remote_addr: Optional[str],
+        remote_ip: Optional[str], connection_id: Optional[int],
+    ) -> int:
+        """Append a row for a connection not closed yet; returns its index.
+
+        Until :meth:`close` fills it in, the row's ``closed_at`` is NaN and
+        its close reason ``None``.
+        """
+        row = len(self.peer)
+        self.peer.append(peer)
+        self.direction.append(self.code(direction))
+        self.opened_at.append(opened_at)
+        self.closed_at.append(float("nan"))
+        self.remote_addr.append(remote_addr)
+        self.remote_ip.append(remote_ip)
+        self.close_reason.append(self.code(None))
+        self.connection_id.append(-1 if connection_id is None else connection_id)
+        return row
+
+    def close(self, row: int, closed_at: float, reason: Optional[str]) -> None:
+        self.closed_at[row] = closed_at
+        self.close_reason[row] = self.code(reason)
+
+    def append(self, record: ConnectionRecord) -> None:
+        row = self.open(
+            record.peer,
+            record.direction,
+            record.opened_at,
+            record.remote_addr,
+            record.remote_ip,
+            record.connection_id,
+        )
+        self.close(row, record.closed_at, record.close_reason)
+
+    # -- ordering -------------------------------------------------------------------
+
+    def sort(self, keys: Optional[array] = None) -> bool:
+        """Stable-sort the rows by ``opened_at``, equal times by ``keys[row]``
+        (default: keep their order); ``keys`` is permuted along with the rows.
+        Returns whether any row moved.
+
+        Rows appended in time order are the common case: then only runs of
+        equal open times are reordered, in place.  Otherwise the maximal
+        in-order runs are merged first (a stable k-way merge), one column
+        copy at a time.
+        """
+        opened = self.opened_at
+        moved = False
+        # i is in `descents` when row i opened before row i - 1
+        descents = list(compress(count(1), map(gt, opened, islice(opened, 1, None))))
+        if descents:
+            bounds = [0, *descents, len(opened)]
+            runs = [zip(islice(opened, a, b), count(a)) for a, b in zip(bounds, bounds[1:])]
+            self._reorder(0, array("q", (row for _, row in merge(*runs))), keys)
+            moved = True
+        if keys is None:
+            return moved
+        # i is in `ties` when rows i and i + 1 opened at the same time
+        ties = compress(count(), map(eq, opened, islice(opened, 1, None)))
+        start = last = -2
+        for i in chain(ties, (-2,)):
+            if i == last + 1:
+                last = i
+                continue
+            if start >= 0:
+                rows = range(start, last + 2)
+                order = sorted(rows, key=keys.__getitem__)
+                if order != list(rows):
+                    self._reorder(start, order, keys)
+                    moved = True
+            start = last = i
+        return moved
+
+    def _reorder(self, start: int, order: Sequence[int], keys: Optional[array]) -> None:
+        """Rows ``start …`` become the rows ``order`` names, column by column."""
+        stop = start + len(order)
+        columns = [getattr(self, name) for name in _COLUMNS]
+        for column in columns if keys is None else columns + [keys]:
+            picked = map(column.__getitem__, order)
+            column[start:stop] = (
+                array(column.typecode, picked) if isinstance(column, array) else list(picked)
+            )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ConnectionRecord":
-        return cls(**data)
+    def merged(cls, logs: Sequence["ConnectionLog"]) -> "ConnectionLog":
+        """The stable k-way merge of ``logs`` (each sorted by ``opened_at``)
+        on ``(opened_at, log, row)``: their concatenation, stable-sorted by
+        open time."""
+        union = cls()
+        for log in logs:
+            table = bytearray(range(256))
+            for code, name in enumerate(log.names):
+                table[code] = union.code(name)
+            for name in _COLUMNS:
+                column = getattr(log, name)
+                if isinstance(column, bytearray):
+                    column = column.translate(table)
+                getattr(union, name).extend(column)
+        union.sort()
+        return union
+
+    # -- reading --------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.peer)
+
+    def __getitem__(self, row: int) -> ConnectionRecord:
+        names = self.names
+        connection_id = self.connection_id[row]
+        return ConnectionRecord(
+            self.peer[row],
+            names[self.direction[row]],
+            self.opened_at[row],
+            self.closed_at[row],
+            self.remote_addr[row],
+            self.remote_ip[row],
+            names[self.close_reason[row]],
+            None if connection_id < 0 else connection_id,
+        )
+
+    def __iter__(self) -> Iterator[ConnectionRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConnectionLog):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def durations(self) -> List[float]:
+        """Every row's duration (:attr:`ConnectionRecord.duration`), in row order."""
+        return [d if d > 0.0 else 0.0 for d in map(sub, self.closed_at, self.opened_at)]
+
+    def by_peer(self, values: Iterable[float]) -> Dict[str, List[float]]:
+        """``values`` (one per row) grouped by the row's peer: peers in order
+        of first appearance, each peer's values in row order."""
+        grouped: Dict[str, List[float]] = {}
+        for peer, value in zip(self.peer, values):
+            peer_values = grouped.get(peer)
+            if peer_values is None:
+                grouped[peer] = [value]
+            else:
+                peer_values.append(value)
+        return grouped
+
+    def closes(self, reason: str) -> int:
+        """How many rows were closed for ``reason``."""
+        code = self.codes.get(reason)
+        return 0 if code is None else self.close_reason.count(code)
 
 
 @dataclass
 class MetaChangeRecord:
-    """A timestamped change to a peer's announced meta data."""
+    """A timestamped change to a peer's announced meta data.
+
+    A finalised dataset renders a set or tuple value once per distinct value
+    (a sorted list of strings) and shares that list between its records:
+    treat the values as read-only.
+    """
 
     timestamp: float
     peer: str
@@ -70,35 +283,21 @@ class MetaChangeRecord:
     old_value: Optional[object] = None
     new_value: Optional[object] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "peer": self.peer,
-            "kind": self.kind,
-            "old_value": _jsonable(self.old_value),
-            "new_value": _jsonable(self.new_value),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetaChangeRecord":
-        return cls(
-            timestamp=data["timestamp"],
-            peer=data["peer"],
-            kind=data["kind"],
-            old_value=data.get("old_value"),
-            new_value=data.get("new_value"),
-        )
-
 
 @dataclass
 class PeerRecord:
-    """Everything the measurement node learned about one PID."""
+    """Everything the measurement node learned about one PID.
+
+    ``protocols`` is the peerstore's interned frozenset (shared, never
+    mutated); :meth:`MeasurementDataset.merge_peer` rebinds a field it
+    widens instead of mutating its value.
+    """
 
     peer: str
     first_seen: float
     last_seen: float
     agent_version: Optional[str] = MISSING_AGENT
-    protocols: Set[str] = field(default_factory=set)
+    protocols: AbstractSet[str] = frozenset()
     addrs: List[str] = field(default_factory=list)
     observed_ip: Optional[str] = None
     #: whether the peer announced /ipfs/kad/1.0.0 at any point
@@ -115,31 +314,6 @@ class PeerRecord:
         """True when we received protocol information for this peer at all."""
         return bool(self.protocols)
 
-    def as_dict(self) -> dict:
-        return {
-            "peer": self.peer,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "agent_version": self.agent_version,
-            "protocols": sorted(self.protocols),
-            "addrs": list(self.addrs),
-            "observed_ip": self.observed_ip,
-            "ever_dht_server": self.ever_dht_server,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PeerRecord":
-        return cls(
-            peer=data["peer"],
-            first_seen=data["first_seen"],
-            last_seen=data["last_seen"],
-            agent_version=data.get("agent_version"),
-            protocols=set(data.get("protocols", ())),
-            addrs=list(data.get("addrs", ())),
-            observed_ip=data.get("observed_ip"),
-            ever_dht_server=data.get("ever_dht_server", False),
-        )
-
 
 @dataclass
 class SnapshotRecord:
@@ -149,18 +323,6 @@ class SnapshotRecord:
     simultaneous_connections: int
     known_pids: int
     connected_pids: int
-
-    def as_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "simultaneous_connections": self.simultaneous_connections,
-            "known_pids": self.known_pids,
-            "connected_pids": self.connected_pids,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SnapshotRecord":
-        return cls(**data)
 
 
 @dataclass
@@ -172,7 +334,7 @@ class MeasurementDataset:
     ended_at: float
     measurement_role: str = "server"         # role of the *measurement node*
     peers: Dict[str, PeerRecord] = field(default_factory=dict)
-    connections: List[ConnectionRecord] = field(default_factory=list)
+    connections: ConnectionLog = field(default_factory=ConnectionLog)
     changes: List[MetaChangeRecord] = field(default_factory=list)
     snapshots: List[SnapshotRecord] = field(default_factory=list)
 
@@ -191,12 +353,6 @@ class MeasurementDataset:
     def connection_count(self) -> int:
         return len(self.connections)
 
-    def connections_by_peer(self) -> Dict[str, List[ConnectionRecord]]:
-        grouped: Dict[str, List[ConnectionRecord]] = {}
-        for conn in self.connections:
-            grouped.setdefault(conn.peer, []).append(conn)
-        return grouped
-
     def dht_server_pids(self) -> List[str]:
         """Peers identified as DHT-Servers from exchanged protocol information."""
         return [pid for pid, record in self.peers.items() if record.is_dht_server()]
@@ -213,7 +369,11 @@ class MeasurementDataset:
         return [c for c in self.changes if c.kind == kind]
 
     def merge_peer(self, record: PeerRecord) -> None:
-        """Merge a peer record (union of knowledge) into the dataset."""
+        """Merge a peer record (union of knowledge) into the dataset.
+
+        The first record of a PID is stored as given; later ones widen it by
+        rebinding its fields, never by mutating a value it may share.
+        """
         existing = self.peers.get(record.peer)
         if existing is None:
             self.peers[record.peer] = record
@@ -222,45 +382,14 @@ class MeasurementDataset:
         existing.last_seen = max(existing.last_seen, record.last_seen)
         if record.agent_version is not None:
             existing.agent_version = record.agent_version
-        existing.protocols |= record.protocols
-        for addr in record.addrs:
-            if addr not in existing.addrs:
-                existing.addrs.append(addr)
+        if not record.protocols <= existing.protocols:
+            existing.protocols = existing.protocols | record.protocols
+        added = [addr for addr in dict.fromkeys(record.addrs) if addr not in existing.addrs]
+        if added:
+            existing.addrs = existing.addrs + added
         if record.observed_ip is not None:
             existing.observed_ip = record.observed_ip
         existing.ever_dht_server = existing.ever_dht_server or record.ever_dht_server
-
-    # -- serialisation ----------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "measurement_role": self.measurement_role,
-            "peers": {pid: record.as_dict() for pid, record in self.peers.items()},
-            "connections": [c.as_dict() for c in self.connections],
-            "changes": [c.as_dict() for c in self.changes],
-            "snapshots": [s.as_dict() for s in self.snapshots],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MeasurementDataset":
-        dataset = cls(
-            label=data["label"],
-            started_at=data["started_at"],
-            ended_at=data["ended_at"],
-            measurement_role=data.get("measurement_role", "server"),
-        )
-        dataset.peers = {
-            pid: PeerRecord.from_dict(rec) for pid, rec in data.get("peers", {}).items()
-        }
-        dataset.connections = [
-            ConnectionRecord.from_dict(c) for c in data.get("connections", ())
-        ]
-        dataset.changes = [MetaChangeRecord.from_dict(c) for c in data.get("changes", ())]
-        dataset.snapshots = [SnapshotRecord.from_dict(s) for s in data.get("snapshots", ())]
-        return dataset
 
     # -- dataset combination ---------------------------------------------------------------
 
@@ -268,8 +397,10 @@ class MeasurementDataset:
     def union(cls, datasets: Sequence["MeasurementDataset"], label: str) -> "MeasurementDataset":
         """Union several datasets (e.g. all hydra heads) into one view.
 
-        Fig. 2 reports "the union of all heads" for the hydra; connection and
-        change lists are concatenated, peer records merged.
+        Fig. 2 reports "the union of all heads" for the hydra: connection logs
+        are merged by open time (ties in dataset order), change and snapshot
+        lists concatenated and sorted by time, peer records merged into
+        copies, so no dataset's own record changes.
         """
         if not datasets:
             raise ValueError("union of zero datasets")
@@ -278,16 +409,13 @@ class MeasurementDataset:
             started_at=min(d.started_at for d in datasets),
             ended_at=max(d.ended_at for d in datasets),
             measurement_role=datasets[0].measurement_role,
+            connections=ConnectionLog.merged([d.connections for d in datasets]),
         )
         for dataset in datasets:
             for record in dataset.peers.values():
-                merged.merge_peer(
-                    PeerRecord.from_dict(record.as_dict())
-                )
-            merged.connections.extend(dataset.connections)
+                merged.merge_peer(replace(record))
             merged.changes.extend(dataset.changes)
             merged.snapshots.extend(dataset.snapshots)
-        merged.connections.sort(key=lambda c: c.opened_at)
         merged.changes.sort(key=lambda c: c.timestamp)
         merged.snapshots.sort(key=lambda s: s.timestamp)
         return merged
@@ -300,10 +428,3 @@ def primary_dataset_label(labels: Collection[str]) -> Optional[str]:
         if label in labels:
             return label
     return min(labels, default=None)
-
-
-def _jsonable(value: object) -> object:
-    """Convert frozensets/tuples from the peerstore change log into JSON lists."""
-    if isinstance(value, (set, frozenset, tuple)):
-        return sorted(str(v) for v in value)
-    return value

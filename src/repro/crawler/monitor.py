@@ -29,16 +29,6 @@ class CrawlRange:
     max_discovered: int
     union_discovered: int
 
-    def as_dict(self) -> dict:
-        return {
-            "crawls": self.crawls,
-            "min_reachable": self.min_reachable,
-            "max_reachable": self.max_reachable,
-            "min_discovered": self.min_discovered,
-            "max_discovered": self.max_discovered,
-            "union_discovered": self.union_discovered,
-        }
-
 
 @dataclass
 class CrawlMonitor:

@@ -76,14 +76,3 @@ class Connection:
         if now is None:
             raise ValueError("duration of an open connection requires 'now'")
         return max(0.0, now - self.opened_at)
-
-    def as_dict(self) -> dict:
-        return {
-            "connection_id": self.connection_id,
-            "remote_peer": str(self.remote_peer),
-            "direction": self.direction.value,
-            "remote_addr": str(self.remote_addr),
-            "opened_at": self.opened_at,
-            "closed_at": self.closed_at,
-            "close_reason": self.close_reason.value if self.close_reason else None,
-        }

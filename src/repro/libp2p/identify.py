@@ -48,20 +48,3 @@ class IdentifyRecord:
 
     def has_bitswap(self) -> bool:
         return supports_bitswap(self.protocols)
-
-    def as_dict(self) -> dict:
-        return {
-            "agent_version": self.agent_version,
-            "protocols": sorted(self.protocols),
-            "listen_addrs": [str(a) for a in self.listen_addrs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IdentifyRecord":
-        return cls.make(
-            agent_version=data.get("agent_version"),
-            protocols=data.get("protocols", ()),
-            listen_addrs=tuple(
-                Multiaddr.parse(a) for a in data.get("listen_addrs", ())
-            ),
-        )

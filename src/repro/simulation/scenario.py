@@ -307,6 +307,9 @@ class Scenario:
     def _drain(self) -> ScenarioResult:
         config = self.config
         self.engine.run_until(config.duration)
+        # Nothing below reads a queued event: drop the never-due ones before
+        # finalising rather than carrying them to the end of the run.
+        self.engine.clear()
 
         datasets: Dict[str, MeasurementDataset] = {}
         for identity in self.identities:

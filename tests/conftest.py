@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.records import (
+    ConnectionLog,
     ConnectionRecord,
     MeasurementDataset,
     MetaChangeRecord,
@@ -112,7 +113,7 @@ def tiny_dataset() -> MeasurementDataset:
         protocols=set(), observed_ip="10.0.0.5",
     )
 
-    dataset.connections = [
+    dataset.connections = ConnectionLog([
         make_connection("heavy1", 0.0, 30 * HOUR, ip="10.0.0.1", reason="still-open"),
         make_connection("normal1", HOUR, 4 * HOUR, ip="10.0.0.2"),
         make_connection("light1", 0.0, 600.0, ip="10.0.0.3"),
@@ -121,7 +122,7 @@ def tiny_dataset() -> MeasurementDataset:
         make_connection("light1", 3 * HOUR, 3 * HOUR + 600.0, ip="10.0.0.3", direction="outbound"),
         make_connection("once1", 5 * HOUR, 5 * HOUR + 300.0, ip="10.0.0.3"),
         make_connection("once2", 100.0, 160.0, ip="10.0.0.5"),
-    ]
+    ])
 
     dataset.changes = [
         MetaChangeRecord(0.0, "heavy1", "first-seen"),

@@ -48,6 +48,14 @@ def _canonical(value: object) -> object:
     return str(value)
 
 
+def _dataset_blob(dataset) -> dict:
+    """A measurement dataset field by field, its connection log as one
+    :class:`~repro.core.records.ConnectionRecord` per row."""
+    fields = {f.name: getattr(dataset, f.name) for f in dataclasses.fields(dataset)}
+    fields["connections"] = list(dataset.connections)
+    return _canonical(fields)
+
+
 def _crawl_blobs(result: ScenarioResult) -> List[dict]:
     return [
         {
@@ -70,7 +78,7 @@ def result_blob(result: ScenarioResult) -> dict:
         "role_flips": result.role_flips,
         "autonat_flips": result.autonat_flips,
         "datasets": {
-            label: _canonical(dataset.as_dict())
+            label: _dataset_blob(dataset)
             for label, dataset in sorted(result.datasets.items())
         },
         "crawls": _crawl_blobs(result),

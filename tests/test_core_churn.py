@@ -12,7 +12,7 @@ from repro.core.churn import (
     connection_statistics,
     trim_share,
 )
-from repro.core.records import ConnectionRecord, MeasurementDataset
+from repro.core.records import ConnectionLog, ConnectionRecord, MeasurementDataset
 
 HOUR = 3_600.0
 
@@ -76,7 +76,7 @@ class TestConnectionStatistics:
 def _reference_connection_statistics(dataset):
     """``connection_statistics`` as it was before the Table II fast path: the
     ``duration`` property once per record for the "All" row, then
-    ``connections_by_peer()`` and the property again for the "Peer" row."""
+    the records grouped by peer and the property again for the "Peer" row."""
     connections = dataset.connections
     durations = []
     inbound_durations = []
@@ -101,7 +101,9 @@ def _reference_connection_statistics(dataset):
     else:
         all_stats = ConnectionStats(kind="all", count=0, average=0.0, median_value=0.0)
 
-    per_peer = dataset.connections_by_peer()
+    per_peer = {}
+    for conn in connections:
+        per_peer.setdefault(conn.peer, []).append(conn)
     peer_averages = [
         sum(c.duration for c in conns) / len(conns) for conns in per_peer.values() if conns
     ]
@@ -152,7 +154,7 @@ class TestConnectionStatisticsEquivalence:
     @given(records=_records)
     def test_every_float_identical(self, records):
         dataset = MeasurementDataset(label="ds", started_at=0.0, ended_at=2e5)
-        dataset.connections = records
+        dataset.connections = ConnectionLog(records)
         report = connection_statistics(dataset)
         expected = _reference_connection_statistics(dataset)
         assert report == expected

@@ -1,17 +1,16 @@
 """Tests for the measurement record schema."""
 
 import dataclasses
-import json
 import pickle
+from array import array
 
 import pytest
 
 from repro.core.records import (
+    ConnectionLog,
     ConnectionRecord,
     MeasurementDataset,
-    MetaChangeRecord,
     PeerRecord,
-    SnapshotRecord,
 )
 from repro.libp2p.protocols import IPFS_ID, KAD_DHT
 
@@ -25,16 +24,9 @@ class TestConnectionRecord:
         record = ConnectionRecord("p", "inbound", 70.0, 10.0)
         assert record.duration == 0.0
 
-    def test_dict_round_trip(self):
-        record = ConnectionRecord(
-            "p", "outbound", 1.0, 2.0, remote_ip="1.2.3.4",
-            close_reason="remote-trim", connection_id=7,
-        )
-        assert ConnectionRecord.from_dict(record.as_dict()) == record
-
     def test_slotted_and_still_copyable(self):
-        # Sweep workers pickle datasets back to the parent and the JSON export
-        # goes through as_dict; neither may depend on an instance __dict__.
+        # Sweep workers pickle results back to the parent: that may not
+        # depend on an instance __dict__.
         record = ConnectionRecord(
             "p", "inbound", 1.0, 2.0, "/ip4/1.2.3.4/tcp/4001", "1.2.3.4", "local-trim", 7
         )
@@ -43,7 +35,6 @@ class TestConnectionRecord:
             record.scratch = 1
         assert pickle.loads(pickle.dumps(record)) == record
         assert dataclasses.replace(record, closed_at=5.0).duration == 4.0
-        assert ConnectionRecord.from_dict(json.loads(json.dumps(record.as_dict()))) == record
         assert [f.name for f in dataclasses.fields(ConnectionRecord)] == [
             "peer",
             "direction",
@@ -54,6 +45,60 @@ class TestConnectionRecord:
             "close_reason",
             "connection_id",
         ]
+
+
+
+class TestConnectionLog:
+    def test_rows_round_trip_through_the_columns(self):
+        rows = [
+            ConnectionRecord("a", "inbound", 1.0, 2.0, "/ip4/1.2.3.4/tcp/4001", "1.2.3.4",
+                             "remote-trim", 7),
+            ConnectionRecord("b", "outbound", 1.0, 5.0),
+        ]
+        log = ConnectionLog(rows)
+        assert len(log) == 2 and log
+        assert not ConnectionLog()
+        assert list(log) == rows
+        assert log[-1] == rows[1] and log[-1].connection_id is None
+        assert log.names == ["inbound", None, "remote-trim", "outbound"]
+        assert log.closes("remote-trim") == 1 and log.closes("local-trim") == 0
+        assert pickle.loads(pickle.dumps(log)) == log
+        with pytest.raises(AttributeError):
+            log.scratch = 1
+
+    def test_by_peer(self, tiny_dataset):
+        log = tiny_dataset.connections
+        grouped = log.by_peer(log.durations())
+        assert len(grouped["light1"]) == 4
+        assert len(grouped["heavy1"]) == 1
+        assert list(grouped) == ["heavy1", "normal1", "light1", "once1", "once2"]
+
+    def test_open_rows_are_filled_in_by_close(self):
+        log = ConnectionLog()
+        row = log.open("a", "inbound", 3.0, None, None, 9)
+        log.close(row, 4.0, "error")
+        assert log[row] == ConnectionRecord("a", "inbound", 3.0, 4.0, None, None, "error", 9)
+
+    def test_sort_keeps_equal_open_times_in_order_unless_told(self):
+        log = ConnectionLog(
+            ConnectionRecord(peer, "inbound", opened, opened + 1.0)
+            for peer, opened in (("x", 5.0), ("y", 1.0), ("z", 5.0), ("w", 1.0))
+        )
+        assert log.sort()
+        assert log.peer == ["y", "w", "x", "z"]
+        keys = array("q", [3, 2, 1, 0])
+        assert log.sort(keys)
+        assert log.peer == ["w", "y", "z", "x"]
+        assert list(keys) == [2, 3, 0, 1]
+        assert not log.sort(keys)
+        assert not log.sort()
+
+    def test_too_many_names_rejected(self):
+        log = ConnectionLog()
+        for i in range(256):
+            log.code(str(i))
+        with pytest.raises(ValueError):
+            log.code("one more")
 
 
 class TestPeerRecord:
@@ -70,25 +115,7 @@ class TestPeerRecord:
         record = PeerRecord("a", 0.0, 1.0, protocols={IPFS_ID}, ever_dht_server=True)
         assert record.is_dht_server()
 
-    def test_dict_round_trip(self):
-        record = PeerRecord("a", 0.0, 5.0, agent_version="go-ipfs/0.11.0",
-                            protocols={KAD_DHT}, addrs=["/ip4/1.2.3.4/tcp/4001"],
-                            observed_ip="1.2.3.4", ever_dht_server=True)
-        restored = PeerRecord.from_dict(record.as_dict())
-        assert restored.peer == record.peer
-        assert restored.protocols == record.protocols
-        assert restored.observed_ip == record.observed_ip
-
-
 class TestMeasurementDataset:
-    def test_json_round_trip(self, tiny_dataset):
-        text = json.dumps(tiny_dataset.as_dict())
-        restored = MeasurementDataset.from_dict(json.loads(text))
-        assert restored.pid_count() == tiny_dataset.pid_count()
-        assert restored.connection_count() == tiny_dataset.connection_count()
-        assert len(restored.changes) == len(tiny_dataset.changes)
-        assert len(restored.snapshots) == len(tiny_dataset.snapshots)
-
     def test_duration(self, tiny_dataset):
         assert tiny_dataset.duration == tiny_dataset.ended_at - tiny_dataset.started_at
 
@@ -99,11 +126,6 @@ class TestMeasurementDataset:
         assert "normal1" in clients and "once1" in clients
         # once2 has no protocol information: neither server nor client
         assert "once2" not in servers and "once2" not in clients
-
-    def test_connections_by_peer(self, tiny_dataset):
-        grouped = tiny_dataset.connections_by_peer()
-        assert len(grouped["light1"]) == 4
-        assert len(grouped["heavy1"]) == 1
 
     def test_changes_of_kind(self, tiny_dataset):
         assert len(tiny_dataset.changes_of_kind("agent")) == 4
@@ -136,15 +158,3 @@ class TestMeasurementDataset:
 
         with pytest.raises(ValueError):
             MeasurementDataset.union([], label="empty")
-
-    def test_snapshot_round_trip(self):
-        snapshot = SnapshotRecord(10.0, 5, 20, 4)
-        assert SnapshotRecord.from_dict(snapshot.as_dict()) == snapshot
-
-    def test_metachange_round_trip_with_frozenset(self):
-        change = MetaChangeRecord(1.0, "p", "protocols", frozenset({"a"}), frozenset({"b"}))
-        restored = MetaChangeRecord.from_dict(
-            json.loads(json.dumps(change.as_dict()))
-        )
-        assert restored.kind == "protocols"
-        assert restored.old_value == ["a"]

@@ -7,13 +7,10 @@ exceeding simultaneous connections, and a classification whose heavy class is a
 small core.
 """
 
-import json
-
 from repro.core.churn import connection_statistics, trim_share
 from repro.core.horizon import compare_horizons
 from repro.core.metadata import analyze_metadata
 from repro.core.netsize import connection_cdfs, estimate_network_size
-from repro.core.records import MeasurementDataset
 from repro.core.timeseries import connections_over_time, pids_over_time, summarize_timeseries
 
 
@@ -80,13 +77,6 @@ class TestEndToEndPipeline:
         assert report.multiaddr.groups <= report.multiaddr.connected_pids
         assert report.multiaddr.largest_group_size >= 1
 
-    def test_dataset_json_round_trip_preserves_analysis(self, small_scenario_result):
-        dataset = small_scenario_result.dataset("go-ipfs")
-        restored = MeasurementDataset.from_dict(json.loads(json.dumps(dataset.as_dict())))
-        original = connection_statistics(dataset)
-        round_tripped = connection_statistics(restored)
-        assert original.all_stats == round_tripped.all_stats
-        assert original.peer_stats == round_tripped.peer_stats
 
 
 class TestClientVantage:

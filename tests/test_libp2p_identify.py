@@ -24,13 +24,6 @@ class TestIdentifyRecord:
     def test_bitswap_detection(self):
         assert make_record().has_bitswap()
 
-    def test_dict_round_trip(self):
-        record = make_record()
-        restored = IdentifyRecord.from_dict(record.as_dict())
-        assert restored.agent_version == record.agent_version
-        assert restored.protocols == record.protocols
-        assert [str(a) for a in restored.listen_addrs] == [str(a) for a in record.listen_addrs]
-
     def test_records_are_hashable_value_objects(self):
         assert make_record() == make_record()
         assert len({make_record(), make_record()}) == 1

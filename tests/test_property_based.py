@@ -207,7 +207,7 @@ class TestDatasetProperties:
         estimate = classify_peers(dataset)
         total = sum(c.peers for c in estimate.counts.values())
         assert total == estimate.classified_peers
-        assert estimate.classified_peers == len(dataset.connections_by_peer())
+        assert estimate.classified_peers == len(set(dataset.connections.peer))
 
 
 # -- connection manager -------------------------------------------------------------
