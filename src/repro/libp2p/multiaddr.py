@@ -178,25 +178,19 @@ def random_private_ipv4(rng: random.Random) -> str:
     return f"172.{rng.randint(16, 31)}.{rng.randint(0, 255)}.{rng.randint(1, 254)}"
 
 
-def addresses_for_peer(
-    public_ip: str,
-    rng: random.Random,
-    behind_nat: bool = False,
-    port: int = 4001,
-    include_quic: bool = True,
+def advertised_addrs(
+    private_ips: Tuple[str, str], public_ip: str, behind_nat: bool
 ) -> Tuple[Multiaddr, ...]:
     """Build a plausible advertised address list for a peer.
 
     go-ipfs nodes usually advertise a private listen address plus (when not
     NATed or after hole punching) their public address, over both TCP and QUIC.
-    The result is a tuple, so identify records and peerstore entries hold it
-    as is instead of copying it.
+    ``private_ips`` are the peer's TCP and QUIC listen IPs
+    (:func:`random_private_ipv4` draws).  The result is a tuple, so identify
+    records and peerstore entries hold it as is instead of copying it.
     """
-    addrs: List[Multiaddr] = [Multiaddr.tcp(random_private_ipv4(rng), port)]
-    if include_quic:
-        addrs.append(Multiaddr.quic(random_private_ipv4(rng), port))
-    if not behind_nat:
-        addrs.append(Multiaddr.tcp(public_ip, port))
-        if include_quic:
-            addrs.append(Multiaddr.quic(public_ip, port))
-    return tuple(addrs)
+    tcp_ip, quic_ip = private_ips
+    addrs = (Multiaddr.tcp(tcp_ip), Multiaddr.quic(quic_ip))
+    if behind_nat:
+        return addrs
+    return addrs + (Multiaddr.tcp(public_ip), Multiaddr.quic(public_ip))

@@ -47,6 +47,7 @@ import functools
 import heapq
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -55,7 +56,7 @@ from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connection import CloseReason, Connection
 from repro.libp2p.identify import IdentifyRecord
-from repro.libp2p.multiaddr import Multiaddr, addresses_for_peer
+from repro.libp2p.multiaddr import Multiaddr, advertised_addrs, random_private_ipv4
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import AUTONAT, KAD_DHT, shared_protocols
 from repro.core.measurement import PassiveMeasurement
@@ -117,7 +118,15 @@ def _announced(protocols: FrozenSet[str], kad: bool, autonat: bool) -> FrozenSet
 
 
 class SimPeer:
-    """Runtime state of one simulated remote peer."""
+    """Runtime state of one simulated remote peer.
+
+    Most peers of a run are never contacted, identified or asked for their
+    routing table, so three things are built on first read rather than at
+    construction: the advertised address list (:attr:`addrs`, from the two
+    private IPs drawn here), the observed dial address (:meth:`dial_addr`)
+    and, for a DHT-Server, the routing table (:attr:`routing_table`, from its
+    start-up sample of indices into the fabric's server list).
+    """
 
     __slots__ = (
         "profile",
@@ -132,8 +141,10 @@ class SimPeer:
         "agent",
         "_routing_table",
         "_table_seed",
+        "_table_pool",
         "last_online_at",
-        "addrs",
+        "_private_ips",
+        "_addrs",
         "_dial_addr",
         "provider_store",
         "bitswap",
@@ -159,9 +170,11 @@ class SimPeer:
         self.autonat_announced = AUTONAT in profile.protocols
         self.agent = profile.agent
         self._routing_table: Optional[RoutingTable] = None
-        #: the start-up sample of a DHT-Server's table, until the first read
-        #: builds the table from it (most tables are never read)
-        self._table_seed: Optional[Sequence[PeerId]] = None
+        #: the start-up sample of a DHT-Server's table, as indices into
+        #: ``_table_pool`` (the fabric's server PIDs at start time, one list
+        #: shared by every server), until the first read builds the table
+        self._table_seed: Optional[Sequence[int]] = None
+        self._table_pool: Optional[List[PeerId]] = None
         #: content-routing state, created lazily when a workload touches the
         #: peer (scenarios without content routing never allocate either)
         self.provider_store: Optional[ProviderStore] = None
@@ -177,14 +190,14 @@ class SimPeer:
         #: memoised identify record, keyed on the mutable fields it depends on
         self._identify_cache: Optional[tuple] = None
         self.last_online_at = float("-inf")
-        self.addrs: Tuple[Multiaddr, ...] = addresses_for_peer(
-            profile.public_ip, rng, behind_nat=profile.behind_nat
+        # The private listen IPs (TCP, then QUIC) are drawn now, in the
+        # stream's order; the addresses themselves are built on first read.
+        self._private_ips: Optional[Tuple[str, str]] = (
+            random_private_ipv4(rng),
+            random_private_ipv4(rng),
         )
-        # The observed dial address only depends on immutable profile fields;
-        # memoised because every contact/outbound dial asks for it.
-        self._dial_addr = Multiaddr.tcp(
-            profile.public_ip, port=4001 + (profile.peer_index % 1000)
-        )
+        self._addrs: Optional[Tuple[Multiaddr, ...]] = None
+        self._dial_addr: Optional[Multiaddr] = None
 
     # -- identity ------------------------------------------------------------------
 
@@ -204,12 +217,34 @@ class SimPeer:
         if seed is not None:
             self._table_seed = None
             self._routing_table = RoutingTable(self.current_pid)
-            self._routing_table.add_peers(seed)
+            self._routing_table.add_peers(map(self._table_pool.__getitem__, seed))
         return self._routing_table
 
+    @property
+    def addrs(self) -> Tuple[Multiaddr, ...]:
+        """The advertised address list, built on first read: identify records
+        and peerstore entries hold this tuple as is."""
+        addrs = self._addrs
+        if addrs is None:
+            profile = self.profile
+            addrs = self._addrs = advertised_addrs(
+                self._private_ips, profile.public_ip, profile.behind_nat
+            )
+            # the addresses hold the two strings now
+            self._private_ips = None
+        return addrs
+
     def dial_addr(self) -> Multiaddr:
-        """The multiaddr the measurement node observes for this peer's connections."""
-        return self._dial_addr
+        """The multiaddr the measurement node observes for this peer's
+        connections: a function of immutable profile fields, built on the
+        first contact or dial and memoised for the rest."""
+        addr = self._dial_addr
+        if addr is None:
+            profile = self.profile
+            addr = self._dial_addr = Multiaddr.tcp(
+                profile.public_ip, port=4001 + (profile.peer_index % 1000)
+            )
+        return addr
 
     def ensure_provider_store(self, ttl: float) -> ProviderStore:
         """The peer's provider-record store, created on first use."""
@@ -417,12 +452,22 @@ class SimulatedNetwork:
     def _build_routing_tables(self) -> None:
         """Draw each simulated DHT-Server's routing-table sample of other
         servers; the table itself is built on first read
-        (:attr:`SimPeer.routing_table`)."""
+        (:attr:`SimPeer.routing_table`).
+
+        A sample is kept as 4-byte indices into one shared list of the server
+        PIDs.  ``random.sample`` draws from the population's length and the
+        sample size alone, so sampling ``range(n)`` makes the draws that
+        sampling the PID list did.
+        """
         server_peers = [p for p in self.peers if p.profile.is_dht_server]
         server_pids = [p.current_pid for p in server_peers]
+        indices = range(len(server_pids))
         sample_size = min(self.config.routing_table_sample, max(0, len(server_pids) - 1))
         for peer in server_peers:
-            peer._table_seed = self.rng.sample(server_pids, sample_size) if sample_size else ()
+            peer._table_pool = server_pids
+            peer._table_seed = (
+                array("I", self.rng.sample(indices, sample_size)) if sample_size else ()
+            )
 
     def _compute_neighborhoods(self) -> None:
         """Peers closest to a measurement identity discover it quickly: the

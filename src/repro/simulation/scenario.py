@@ -172,7 +172,9 @@ class Scenario:
 
     def _build(self, config: ScenarioConfig) -> None:
         self.config = config
-        self.engine = Engine()
+        # Nothing runs after the duration, so the engine stores no event due
+        # later (most of a short run's schedules).
+        self.engine = Engine(end=config.duration)
         # REPRO_PROGRESS=1 prints per-simulated-hour liveness lines to stderr
         # (wall-clock data never enters the deterministic artifacts).
         from repro.obs.progress import maybe_trace
@@ -306,10 +308,9 @@ class Scenario:
 
     def _drain(self) -> ScenarioResult:
         config = self.config
+        # The engine ends at the duration, so this leaves its queue empty:
+        # an event due later was never stored.
         self.engine.run_until(config.duration)
-        # Nothing below reads a queued event: drop the never-due ones before
-        # finalising rather than carrying them to the end of the run.
-        self.engine.clear()
 
         datasets: Dict[str, MeasurementDataset] = {}
         for identity in self.identities:

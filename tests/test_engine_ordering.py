@@ -8,6 +8,11 @@ cascades, cancellations — and assert the fired ``(time, tag)`` streams are
 *identical*, including the order of timestamp ties.  Times are drawn from a
 tiny integer pool precisely to force tie collisions, which is where batched
 sequencing would first go wrong.
+
+An engine built with an ``end`` stores nothing due after it.  Random programs
+(every way in, cancels, periodic tasks, stepped ``run_until`` and ``clear``)
+run on an engine with an end and on one without must fire the same events up
+to the end and report the same :meth:`~Engine.pending` after every step.
 """
 
 import itertools
@@ -15,7 +20,7 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.engine import Engine, PeriodicTask
@@ -189,6 +194,16 @@ class TestEngineUnits:
         assert refs[0]() is None  # fired: must not stay pinned for the rest of the run
         assert refs[1]() is not None  # not yet due: still queued
 
+    def test_int_times_leave_now_a_float(self):
+        engine = Engine()
+        seen = []
+        engine.schedule_at(1, lambda: seen.append(engine.now))
+        engine.schedule_at(2, lambda: seen.append(engine.now)).cancel()
+        engine.schedule_at(3, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [1.0, 3.0]
+        assert all(type(now) is float for now in seen)
+
     def test_int_bulk_times_leave_now_a_float(self):
         engine = Engine()
         seen = []
@@ -214,3 +229,136 @@ class TestEngineUnits:
         engine.schedule_bulk([3.0], lambda _: None, ["x"])
         engine.run_until(5.0)
         assert engine.events_processed == 3
+
+
+# -- an engine with an end against one without -------------------------------------
+
+#: the end of the ended engine; programs schedule around and past it
+END = 6.0
+
+#: one program step: (operation, time or delay, pick)
+program_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), tie_times, st.just(0)),
+        st.tuples(st.just("at"), tie_times, st.just(0)),
+        st.tuples(st.just("drop"), tie_times, st.just(0)),
+        st.tuples(st.just("bulk"), st.lists(tie_times, max_size=4), st.just(0)),
+        st.tuples(st.just("cancel"), st.just(0.0), st.integers(0, 40)),
+        st.tuples(st.just("periodic"), st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.integers(0, 3)),
+        st.tuples(st.just("stop"), st.just(0.0), st.integers(0, 40)),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), st.just(0)),
+        st.tuples(st.just("clear"), st.just(0.0), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+def _program(steps, end=None):
+    """Run a program; return the fired ``(time, callback, args)`` stream and
+    ``pending()`` after every step."""
+    engine = Engine() if end is None else Engine(end=end)
+    fired, pendings, handles, tasks = [], [], [], []
+    tags = itertools.count()
+
+    def fire(*args):
+        fired.append((engine.now, "fire", args))
+        if args[0] % 3 == 0:  # a cascade: some events schedule a child
+            engine.schedule_drop(1.5, fire, next(tags))
+
+    def tick(now, name):
+        fired.append((engine.now, "tick", (name, now)))
+
+    for kind, arg, pick in steps:
+        if kind == "schedule":
+            handles.append(engine.schedule(arg, fire, next(tags)))
+        elif kind == "at":
+            handles.append(engine.schedule_at(engine.now + arg, fire, next(tags)))
+        elif kind == "drop":
+            engine.schedule_drop(arg, fire, next(tags))
+        elif kind == "bulk":
+            engine.schedule_bulk([engine.now + t for t in arg], fire, [next(tags) for _ in arg])
+        elif kind == "cancel" and handles:
+            handles[pick % len(handles)].cancel()
+        elif kind == "periodic":
+            name = len(tasks)
+            task = PeriodicTask(
+                engine,
+                arg,
+                lambda now, name=name: tick(now, name),
+                start_delay=None if pick == 0 else float(pick),
+            )
+            tasks.append(task)
+        elif kind == "stop" and tasks:
+            tasks[pick % len(tasks)].stop()
+        elif kind == "run":
+            engine.run_until(min(engine.now + arg, END))
+        elif kind == "clear":
+            engine.clear()
+        pendings.append(engine.pending())
+    engine.run_until(END)
+    pendings.append(engine.pending())
+    for handle in handles:  # a cancel after the end, never-due handles included
+        handle.cancel()
+        pendings.append(engine.pending())
+    return fired, pendings
+
+
+@settings(max_examples=300)
+@given(program_steps)
+def test_an_engine_with_an_end_fires_and_counts_as_one_without(steps):
+    assert _program(steps, end=END) == _program(steps)
+
+
+class TestTheEnd:
+    def test_never_due_events_are_counted_not_stored(self):
+        engine = Engine(end=10.0)
+        handle = engine.schedule(11.0, print, "never")
+        engine.schedule_at(10.5, print)
+        engine.schedule_drop(20.0, print)
+        engine.schedule_bulk([5.0, 12.0, 10.0], print, ["a", "b", "c"])
+        assert [entry[0] for entry in sorted(engine._heap)] == [5.0, 10.0]
+        assert engine.pending() == 6
+        assert handle.callback is None and handle.args is None
+        handle.cancel()
+        assert engine.pending() == 5
+
+    def test_never_due_events_consume_their_sequence_number(self):
+        ended, unended = Engine(end=1.0), Engine()
+        for engine in (ended, unended):
+            engine.schedule_drop(2.0, print)
+            engine.schedule_bulk([3.0, 0.5], print, ["a", "b"])
+            engine.schedule(5.0, print)
+            engine.schedule_drop(1.0, print)
+        assert [entry[:2] for entry in sorted(ended._heap)] == [
+            entry[:2] for entry in sorted(unended._heap) if entry[0] <= 1.0
+        ] == [(0.5, 2), (1.0, 4)]
+
+    def test_a_cancel_after_clear_changes_nothing(self):
+        engine = Engine(end=1.0)
+        handle = engine.schedule(2.0, print)
+        engine.clear()
+        assert engine.pending() == 0
+        handle.cancel()
+        assert engine.pending() == 0
+
+    def test_run_until_past_the_end_is_rejected_before_any_event_runs(self):
+        engine = Engine(end=10.0)
+        fired = []
+        engine.schedule_drop(1.0, fired.append, "due")
+        with pytest.raises(ValueError, match=r"10\.5.*10\.0"):
+            engine.run_until(10.5)
+        assert fired == [] and engine.now == 0.0 and engine.events_processed == 0
+        engine.run_until(10.0)
+        assert fired == ["due"]
+
+    def test_an_end_before_the_start_is_rejected(self):
+        with pytest.raises(ValueError):
+            Engine(start_time=5.0, end=4.0)
+        with pytest.raises(ValueError):
+            Engine(end=float("nan"))
+
+    def test_the_default_end_is_infinity(self):
+        engine = Engine()
+        engine.schedule(1e12, print)
+        engine.run_until(1e13)
+        assert engine.events_processed == 1

@@ -344,6 +344,24 @@ class TestScenarioEffects:
         assert stats.retry_recoveries > 0
         assert stats.retry_amplification > 1.0
 
+    def test_an_int_partition_time_fires_at_a_float_now(self, monkeypatch):
+        # An int time built through the API must not leak into `now`, and
+        # from there into the timestamps the partition's closes record.
+        seen = []
+        real = FaultRuntime._partition_start
+
+        def spy(runtime, network):
+            seen.append(runtime.engine.now)
+            real(runtime, network)
+
+        monkeypatch.setattr(FaultRuntime, "_partition_start", spy)
+        config = build_scenario_config("partition-heal", n_peers=60, duration_days=0.02, seed=7)
+        config.population.faults = replace(
+            config.population.faults, partition=PartitionConfig(start=600, duration=300)
+        )
+        Scenario(config).run()
+        assert seen == [600.0] and type(seen[0]) is float
+
     def test_partition_heal_recovers_within_the_spread(self):
         result = run_scenario_by_name(
             "partition-heal", n_peers=120, duration_days=0.05, seed=7

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from repro.libp2p.multiaddr import (
     _CHECKED_FIRST_OCTETS,
     Multiaddr,
-    addresses_for_peer,
+    advertised_addrs,
     random_private_ipv4,
     random_public_ipv4,
 )
+
+
+def _private_ips(rng):
+    return (random_private_ipv4(rng), random_private_ipv4(rng))
 
 
 class TestParsing:
@@ -77,7 +81,7 @@ class TestCompactness:
         assert Multiaddr.quic(ip).ip() is ip
 
     def test_addresses_for_peer_is_a_tuple(self):
-        addrs = addresses_for_peer("84.44.22.11", random.Random(3))
+        addrs = advertised_addrs(_private_ips(random.Random(3)), "84.44.22.11", False)
         assert isinstance(addrs, tuple) and len(addrs) == 4
 
 
@@ -117,13 +121,11 @@ class TestRandomAddresses:
             assert addr.is_private()
 
     def test_addresses_for_public_peer_include_public_ip(self):
-        rng = random.Random(3)
-        addrs = addresses_for_peer("84.44.22.11", rng, behind_nat=False)
+        addrs = advertised_addrs(_private_ips(random.Random(3)), "84.44.22.11", False)
         assert any(a.ip() == "84.44.22.11" for a in addrs)
 
     def test_addresses_for_nated_peer_hide_public_ip(self):
-        rng = random.Random(4)
-        addrs = addresses_for_peer("84.44.22.11", rng, behind_nat=True)
+        addrs = advertised_addrs(_private_ips(random.Random(4)), "84.44.22.11", True)
         assert all(a.ip() != "84.44.22.11" for a in addrs)
         assert all(a.is_private() for a in addrs)
 

@@ -7,13 +7,14 @@ would have had to free is still in ``gc.get_objects()`` afterwards.
 """
 
 import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from repro.scenarios.registry import build_scenario_config, scenario_names
 from repro.simulation.behaviors import MetadataBehaviors
-from repro.simulation.engine import Engine
+from repro.simulation.engine import Engine, PeriodicTask
 from repro.simulation.network import SimPeer, SimulatedNetwork
 from repro.simulation.scenario import Scenario
 from repro.sweep import summarize_cell
@@ -54,6 +55,30 @@ def test_a_finished_run_is_freed_on_drop(baseline, name):
 def test_a_telemetry_cell_is_freed_on_return(baseline, name):
     summary = summarize_cell(name, PEERS, DAYS, SEED, metrics_window=300.0, trace_sample=1.0)
     assert summary["metrics"] and summary["tracing"]
+    assert live_run_objects() == baseline
+
+
+def test_a_periodic_task_due_past_the_end_is_freed(baseline, monkeypatch):
+    # p2 at 0.01 d: the 300 s outbound tick fires at 300 s and 600 s, and its
+    # next fire falls past the end.  The engine stores no event for it, so
+    # its handle must not hold the task's callback: a task and its handle
+    # would then be a cycle that nothing ever cancels.
+    config = build_scenario_config("p2", n_peers=PEERS, duration_days=0.01, seed=SEED)
+    interval = config.network.outbound_dial_interval
+    assert 2 * interval < config.duration < 3 * interval
+    tasks = []
+    real_init = PeriodicTask.__init__
+
+    def tracked_init(task, *args, **kwargs):
+        real_init(task, *args, **kwargs)
+        tasks.append(weakref.ref(task))
+
+    monkeypatch.setattr(PeriodicTask, "__init__", tracked_init)
+    scenario = Scenario(config)
+    result = scenario.run()
+    assert result.events_processed > 0 and tasks
+    del scenario, result
+    assert [task for task in tasks if task() is not None] == []
     assert live_run_objects() == baseline
 
 
