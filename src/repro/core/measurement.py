@@ -2,17 +2,17 @@
 
 The paper instruments its clients minimally: a listener on connection events
 plus a periodic task that dumps the peerstore.  :class:`MeasurementRecorder`
-implements exactly that against the :class:`~repro.ipfs.swarm.Swarm` /
-:class:`~repro.ipfs.peerstore.Peerstore` interfaces (go-ipfs node and hydra
-head expose the same surface), and :class:`PassiveMeasurement` wires a recorder
-to a node plus a polling schedule and produces the final
+implements exactly that against a vantage point's
+:class:`~repro.ipfs.swarm.Swarm` and :class:`~repro.ipfs.peerstore.Peerstore`
+(an :class:`~repro.ipfs.node.IpfsNode`: the go-ipfs node or a hydra head), and
+:class:`PassiveMeasurement` wires a recorder to a node and produces the final
 :class:`~repro.core.records.MeasurementDataset`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional
 
 from repro.core.records import (
     ConnectionLog,
@@ -21,17 +21,9 @@ from repro.core.records import (
     PeerRecord,
     SnapshotRecord,
 )
-from repro.ipfs.peerstore import Peerstore
-from repro.ipfs.swarm import Swarm
+from repro.ipfs.node import IpfsNode
 from repro.libp2p.connection import CloseReason, Connection
 from repro.libp2p.protocols import KAD_DHT
-
-
-class MeasuredNode(Protocol):
-    """The node surface the recorder needs (IpfsNode and HydraHead provide it)."""
-
-    swarm: Swarm
-    peerstore: Peerstore
 
 
 class MeasurementRecorder:
@@ -89,7 +81,7 @@ class MeasurementRecorder:
 
     # -- periodic polling ------------------------------------------------------------
 
-    def poll(self, now: float, node: MeasuredNode) -> SnapshotRecord:
+    def poll(self, now: float, node: IpfsNode) -> SnapshotRecord:
         """Record one periodic snapshot (every 30 s for go-ipfs, 1 min for hydra)."""
         snapshot = SnapshotRecord(
             timestamp=now,
@@ -102,7 +94,7 @@ class MeasurementRecorder:
 
     # -- finalisation ------------------------------------------------------------------
 
-    def finalize(self, now: float, node: MeasuredNode) -> MeasurementDataset:
+    def finalize(self, now: float, node: IpfsNode) -> MeasurementDataset:
         """Produce the dataset; still-open connections count as closed at ``now``.
 
         Connections are exported sorted by open time; those opened at the same
@@ -185,15 +177,8 @@ class PassiveMeasurement:
     that drive the node directly.
     """
 
-    def __init__(
-        self,
-        node: MeasuredNode,
-        label: str,
-        measurement_role: str = "server",
-        poll_interval: float = 30.0,
-    ) -> None:
+    def __init__(self, node: IpfsNode, label: str, measurement_role: str = "server") -> None:
         self.node = node
-        self.poll_interval = poll_interval
         self.recorder = MeasurementRecorder(label, measurement_role)
         node.swarm.add_listener(self.recorder)
 

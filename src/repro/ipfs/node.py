@@ -1,12 +1,13 @@
-"""The go-ipfs node composition: the passive measurement vantage point.
+"""The passive measurement vantage point.
 
 An :class:`IpfsNode` bundles identity, peerstore, swarm (with connection
-manager) and the routing table identify fills into the object the simulation
-deploys as the paper's go-ipfs node.  It is passive, like the paper's: it
-accepts connections, reads identify, tags DHT-Servers for the connection
-manager and trims.  It issues and answers no DHT queries — the simulated
-network's DHT lives in the fabric
-(:class:`~repro.simulation.network.SimulatedNetwork`) and the walks in
+manager) and the routing table identify fills into the one vantage-point
+class: the simulation deploys it as the paper's go-ipfs node, and every hydra
+head is one too (:class:`~repro.hydra.head.HydraHead` only picks its
+config).  It is passive, like the paper's clients: it accepts connections,
+reads identify, tags DHT-Servers for the connection manager and trims.  It
+issues and answers no DHT queries — the simulated network's DHT lives in the
+fabric (:class:`~repro.simulation.network.SimulatedNetwork`) and the walks in
 :mod:`repro.kademlia.dht`.
 """
 
@@ -34,6 +35,11 @@ _KAD_TAG_VALUE = 5
 
 class IpfsNode:
     """A behavioural stand-in for the go-ipfs reference client."""
+
+    #: whether a peer that stops announcing ``/ipfs/kad/1.0.0`` loses its
+    #: ``kad`` tag, as with go-ipfs; a hydra head keeps it.  A property of
+    #: the client implementation, not a setting, so not an ``IpfsConfig`` field.
+    untags_kad = True
 
     def __init__(
         self,
@@ -86,8 +92,8 @@ class IpfsNode:
         peers announcing ``/ipfs/kad/1.0.0`` enter the routing table and get a
         connection-manager tag (go-libp2p tags routing-table peers, which is
         what protects them from trimming); peers that stop announcing it are
-        dropped again — this is the mechanism behind the paper's observed
-        DHT-Server↔Client role flips.
+        dropped again, and untagged where :attr:`untags_kad` — this is the
+        mechanism behind the paper's observed DHT-Server↔Client role flips.
         """
         self.peerstore.record_identify(remote_peer, record, now)
         if KAD_DHT in record.protocols:
@@ -95,7 +101,8 @@ class IpfsNode:
             self.swarm.tag_peer(remote_peer, _KAD_TAG, _KAD_TAG_VALUE)
         else:
             self.routing_table.remove_peer(remote_peer)
-            self.swarm.connmgr.untag_peer(remote_peer, _KAD_TAG)
+            if self.untags_kad:
+                self.swarm.connmgr.untag_peer(remote_peer, _KAD_TAG)
 
     # -- periodic work --------------------------------------------------------------------------
 

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.ipfs.bitswap import BitswapEngine
+from repro.ipfs.node import IpfsNode
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connection import CloseReason, Connection
@@ -284,25 +285,16 @@ class SimPeer:
 
 
 class MeasurementIdentity:
-    """One passive vantage point (a go-ipfs node or a single hydra head)."""
+    """One passive vantage point (the go-ipfs node or a hydra head), polled at
+    its config's interval and deployed in its config's DHT role."""
 
-    def __init__(
-        self,
-        label: str,
-        node,
-        poll_interval: float = 30.0,
-        is_dht_server: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, label: str, node: IpfsNode) -> None:
         self.label = label
         self.node = node
-        self.poll_interval = poll_interval
-        if is_dht_server is None:
-            is_dht_server = bool(getattr(node, "is_dht_server", True))
-        self.is_dht_server = is_dht_server
-        role = "server" if is_dht_server else "client"
-        self.measurement = PassiveMeasurement(
-            node, label, measurement_role=role, poll_interval=poll_interval
-        )
+        self.poll_interval = node.config.poll_interval
+        self.is_dht_server = node.is_dht_server
+        role = "server" if node.is_dht_server else "client"
+        self.measurement = PassiveMeasurement(node, label, measurement_role=role)
         self.neighborhood: Set[PeerId] = set()
 
     @property

@@ -13,7 +13,7 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bandwidth -> fabric)
     from repro.bandwidth.runtime import BandwidthStats
@@ -25,7 +25,7 @@ from repro.core.records import MeasurementDataset
 from repro.crawler.crawler import Crawler
 from repro.crawler.monitor import DEFAULT_CRAWL_INTERVAL, CrawlMonitor
 from repro.faults.runtime import FaultStats
-from repro.hydra.hydra import HydraNode
+from repro.hydra.head import HYDRA_HIGH_WATER, HYDRA_LOW_WATER, HydraHead
 from repro.ipfs.config import IpfsConfig
 from repro.ipfs.node import IpfsNode
 from repro.netmodel.runtime import NetModelStats
@@ -205,43 +205,22 @@ class Scenario:
                 config.population.adversary,
                 content=config.content,
             )
-        self.identities: List[MeasurementIdentity] = []
-        self.go_ipfs_node: Optional[IpfsNode] = None
-        self.hydra: Optional[HydraNode] = None
         self.crawler: Optional[Crawler] = None
         self.crawls = CrawlMonitor()
-        self._build_identities()
-
-    # -- construction ----------------------------------------------------------------
-
-    def _build_identities(self) -> None:
-        config = self.config
+        vantage_points: List[Tuple[str, IpfsNode]] = []
         if config.go_ipfs is not None:
-            self.go_ipfs_node = IpfsNode(config=config.go_ipfs, rng=random.Random(config.seed + 40))
-            identity = MeasurementIdentity(
-                GO_IPFS_LABEL,
-                self.go_ipfs_node,
-                poll_interval=config.go_ipfs.poll_interval,
-                is_dht_server=self.go_ipfs_node.is_dht_server,
-            )
-            self.identities.append(identity)
+            node = IpfsNode(config=config.go_ipfs, rng=random.Random(config.seed + 40))
+            vantage_points.append((GO_IPFS_LABEL, node))
+        # The heads draw their keys in turn from one generator; the config
+        # rejects non-positive watermarks, so only None means the default.
+        rng = random.Random(config.seed + 50)
+        low = config.hydra_low_water or HYDRA_LOW_WATER
+        high = config.hydra_high_water or HYDRA_HIGH_WATER
+        for index in range(config.hydra_heads):
+            vantage_points.append((f"{HYDRA_LABEL_PREFIX}{index}", HydraHead(rng, low, high)))
+        self.identities = [MeasurementIdentity(label, node) for label, node in vantage_points]
+        for identity in self.identities:
             self.network.add_measurement_identity(identity)
-        if config.hydra_heads > 0:
-            self.hydra = HydraNode(
-                config.hydra_heads,
-                rng=random.Random(config.seed + 50),
-                low_water=config.hydra_low_water,
-                high_water=config.hydra_high_water,
-            )
-            for head in self.hydra.heads:
-                identity = MeasurementIdentity(
-                    f"{HYDRA_LABEL_PREFIX}{head.head_index}",
-                    head,
-                    poll_interval=60.0,
-                    is_dht_server=True,
-                )
-                self.identities.append(identity)
-                self.network.add_measurement_identity(identity)
 
     # -- execution --------------------------------------------------------------------
 

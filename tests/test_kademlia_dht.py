@@ -80,7 +80,7 @@ def identify(server):
 
 
 def vantage_points():
-    return [IpfsNode(rng=random.Random(40)), HydraHead(0, rng=random.Random(41))]
+    return [IpfsNode(rng=random.Random(40)), HydraHead(random.Random(41))]
 
 
 class TestModes:

@@ -37,10 +37,10 @@ def build(
     )
     population = generate_population(config, random.Random(seed))
     network = SimulatedNetwork(engine, population, random.Random(seed + 1))
-    node = IpfsNode(IpfsConfig(low_water=500, high_water=600), rng=random.Random(seed + 2))
-    network.add_measurement_identity(
-        MeasurementIdentity("go-ipfs", node, poll_interval=60.0, is_dht_server=True)
+    node = IpfsNode(
+        IpfsConfig(low_water=500, high_water=600, poll_interval=60.0), rng=random.Random(seed + 2)
     )
+    network.add_measurement_identity(MeasurementIdentity("go-ipfs", node))
     behaviors = MetadataBehaviors(engine, network, random.Random(seed + 3))
     return engine, network, behaviors
 

@@ -42,9 +42,7 @@ def build_network(n_peers=120, seed=5, go_ipfs_config=None):
         go_ipfs_config or IpfsConfig(low_water=50, high_water=80),
         rng=random.Random(seed + 2),
     )
-    identity = MeasurementIdentity(
-        "go-ipfs", node, poll_interval=30.0, is_dht_server=node.is_dht_server
-    )
+    identity = MeasurementIdentity("go-ipfs", node)
     network.add_measurement_identity(identity)
     return engine, network, identity
 
@@ -237,10 +235,10 @@ class TestNeighborhoods:
         for seed, (label, is_server) in enumerate(
             [("server-a", True), ("server-b", True), ("client", False)]
         ):
-            node = IpfsNode(IpfsConfig(low_water=50, high_water=80), rng=random.Random(seed))
-            network.add_measurement_identity(
-                MeasurementIdentity(label, node, is_dht_server=is_server)
-            )
+            mode = DHTMode.SERVER if is_server else DHTMode.CLIENT
+            config = IpfsConfig(low_water=50, high_water=80, dht_mode=mode)
+            node = IpfsNode(config, rng=random.Random(seed))
+            network.add_measurement_identity(MeasurementIdentity(label, node))
         network.start(duration=HOUR)
         return network
 
@@ -464,16 +462,17 @@ class TestConnectionLifecycleCostModel:
                 return _real(table, peer)
 
             monkeypatch.setattr(RoutingTable, name, counting)
+        # Every vantage point is an IpfsNode (a hydra head inherits its
+        # identify), so patching the one class counts every identify once.
         identifies = []
-        for cls in (IpfsNode, HydraHead):
-            real_identify = cls.receive_identify
+        real_identify = IpfsNode.receive_identify
 
-            def counting_identify(node, *args, _real=real_identify):
-                if armed:
-                    identifies.append(node)
-                return _real(node, *args)
+        def counting_identify(node, *args):
+            if armed:
+                identifies.append(node)
+            return real_identify(node, *args)
 
-            monkeypatch.setattr(cls, "receive_identify", counting_identify)
+        monkeypatch.setattr(IpfsNode, "receive_identify", counting_identify)
         scenario = Scenario(build_scenario_config("p0", n_peers=200, duration_days=0.05, seed=7))
         real_start = scenario.network.start
 
@@ -488,6 +487,7 @@ class TestConnectionLifecycleCostModel:
         nodes = [identity.node for identity in scenario.identities]
         assert len(nodes) >= 2 and result.dataset("go-ipfs").connection_count() > 100
         assert [table.local_peer for table in writes] == [node.peer_id for node in identifies]
+        assert any(isinstance(node, HydraHead) for node in identifies)
         assert not any(hasattr(node, "dht") for node in nodes)
 
 
