@@ -1,9 +1,9 @@
 """go-ipfs node configuration.
 
-Only the parts of the go-ipfs config the paper touches are modelled: the swarm
-connection manager's ``LowWater``/``HighWater``/``GracePeriod``, the DHT
-routing mode (``dhtserver`` vs ``dhtclient``), the announced agent version, and
-the swarm port.  Table I of the paper is a list of exactly these knobs per
+Only the parts of the go-ipfs config the measurement reads are modelled: the
+swarm connection manager's ``LowWater``/``HighWater``/``GracePeriod``, the DHT
+routing mode (``dhtserver`` vs ``dhtclient``) and the exporter's poll
+interval.  Table I of the paper lists the watermarks and the DHT mode per
 measurement period.
 """
 
@@ -19,9 +19,6 @@ from repro.libp2p.connmgr import (
     ConnManagerConfig,
 )
 
-#: Agent versions of the clients the paper deployed.
-GO_IPFS_011_DEV = "go-ipfs/0.11.0-dev/0c2f9d5"
-
 
 @dataclass(frozen=True)
 class IpfsConfig:
@@ -31,17 +28,18 @@ class IpfsConfig:
     high_water: int = DEFAULT_HIGH_WATER
     grace_period: float = DEFAULT_GRACE_PERIOD
     dht_mode: DHTMode = DHTMode.SERVER
-    agent_version: str = GO_IPFS_011_DEV
-    swarm_port: int = 4001
-    enable_bitswap: bool = True
     #: interval of the paper's measurement exporter (30 s for go-ipfs)
     poll_interval: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.low_water < 0 or self.high_water < self.low_water:
-            raise ValueError("require 0 <= low_water <= high_water")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
+        if self.low_water < 0:
+            raise ValueError(f"low_water {self.low_water} < 0")
+        if self.high_water < self.low_water:
+            raise ValueError(f"high_water {self.high_water} < low_water {self.low_water}")
+        if self.grace_period < 0:
+            raise ValueError(f"grace_period {self.grace_period} < 0")
+        if not self.poll_interval > 0:
+            raise ValueError(f"poll_interval {self.poll_interval} <= 0")
 
     def connmgr_config(self) -> ConnManagerConfig:
         return ConnManagerConfig(

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.ipfs.config import GO_IPFS_011_DEV, IpfsConfig
+from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
 
 
@@ -14,7 +14,7 @@ class TestIpfsConfig:
         assert config.low_water == 600
         assert config.high_water == 900
         assert config.dht_mode is DHTMode.SERVER
-        assert config.agent_version == GO_IPFS_011_DEV
+        assert config.poll_interval == 30.0
 
     def test_invalid_watermarks_rejected(self):
         with pytest.raises(ValueError):
@@ -23,6 +23,30 @@ class TestIpfsConfig:
     def test_invalid_poll_interval_rejected(self):
         with pytest.raises(ValueError):
             IpfsConfig(poll_interval=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"low_water": -1, "high_water": 10}, "low_water -1 < 0"),
+            ({"low_water": 200, "high_water": 100}, "high_water 100 < low_water 200"),
+            ({"grace_period": -0.5}, "grace_period -0.5 < 0"),
+            ({"poll_interval": 0.0}, "poll_interval 0.0 <= 0"),
+            ({"poll_interval": float("nan")}, "poll_interval nan <= 0"),
+        ],
+    )
+    def test_errors_name_the_field_and_its_value(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            IpfsConfig(**fields)
+        assert str(raised.value) == message
+
+    def test_only_read_settings_are_fields(self):
+        assert [field.name for field in dataclasses.fields(IpfsConfig)] == [
+            "low_water",
+            "high_water",
+            "grace_period",
+            "dht_mode",
+            "poll_interval",
+        ]
 
     def test_as_client_and_server(self):
         config = IpfsConfig.defaults()

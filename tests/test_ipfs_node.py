@@ -38,7 +38,6 @@ class TestIpfsNode:
         client = make_node(mode=DHTMode.CLIENT)
         assert server.is_dht_server
         assert not client.is_dht_server
-        assert server.config.enable_bitswap
 
     def test_inbound_connection_updates_peerstore(self, rng):
         node = make_node()
