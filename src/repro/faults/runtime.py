@@ -40,8 +40,9 @@ class PeerFault:
         self.slow_factor = 1.0
         #: whether the crash process targets this peer
         self.crashable = False
-        #: set at partition heal; cleared (and timed) on the first re-contact
-        self.awaiting = False
+        #: the session a minority peer is in at the partition heal (0: none);
+        #: its first re-contact clears it, timed only within that session
+        self.awaiting = 0
 
 
 @dataclass
@@ -247,13 +248,6 @@ class FaultRuntime(FabricRuntime):
         self.stats.dials_blocked += 1
         return True
 
-    def note_contact(self, flt: Optional[PeerFault]) -> None:
-        """A peer reached a vantage point; record its post-heal recovery."""
-        if flt is None or not flt.awaiting:
-            return
-        flt.awaiting = False
-        self.stats.note_recovery(max(0.0, self.engine.now - self._part_end))
-
     def _partition_start(self, network: "SimulatedNetwork") -> None:
         for _, peer in sorted(network._online.items()):
             flt = peer.flt
@@ -267,7 +261,7 @@ class FaultRuntime(FabricRuntime):
             flt = peer.flt
             if flt is None or flt.side == 0:
                 continue
-            flt.awaiting = True
+            flt.awaiting = peer.sessions_started
             for identity in network.identities:
                 delay = self.rng.uniform(0.0, part.recovery_spread)
                 self.engine.schedule(delay, network._attempt_contact, peer, identity)
@@ -373,7 +367,14 @@ class FaultRuntime(FabricRuntime):
         return None
 
     def note_contact_made(self, peer: "SimPeer") -> None:
-        self.note_contact(peer.flt)
+        # A peer reached a vantage point: its post-heal recovery, unless it
+        # went offline in between (its next session is no recovery).
+        flt = peer.flt
+        if flt is None or not flt.awaiting:
+            return
+        if flt.awaiting == peer.sessions_started:
+            self.stats.note_recovery(max(0.0, self.engine.now - self._part_end))
+        flt.awaiting = 0
 
     def on_dial(self, peer: "SimPeer") -> bool:
         return not self.dial_blocked(peer.flt)

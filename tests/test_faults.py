@@ -19,6 +19,7 @@ Four layers of coverage:
 import json
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -222,6 +223,37 @@ class TestRuntimeAssignment:
             runtime.assign_peer()
         assert runtime.stats.crash_eligible / 2000 == pytest.approx(0.3, abs=0.05)
         assert runtime.stats.slow_nodes / 2000 == pytest.approx(0.6, abs=0.05)
+
+
+class TestPartitionRecovery:
+    """A minority peer's recovery is the delay from the heal to its first
+    re-contact, made in the session it was in at the heal."""
+
+    @staticmethod
+    def _healed():
+        config = FaultConfig(partition=PartitionConfig(start=10.0, duration=5.0, share=1.0))
+        runtime = _runtime(config)
+        peer = SimpleNamespace(flt=runtime.assign_peer(), sessions_started=3)
+        assert peer.flt.side == 1
+        runtime._partition_heal(SimpleNamespace(_online={0: peer}, identities=[]))
+        return runtime, peer
+
+    def test_contact_in_the_heal_session_is_one_recovery(self):
+        runtime, peer = self._healed()
+        runtime.note_contact_made(peer)
+        runtime.note_contact_made(peer)
+        assert runtime.stats.recovered_peers == 1
+        assert len(runtime.stats.recovery_delays) == 1
+
+    def test_peer_that_leaves_before_its_contact_adds_no_sample(self):
+        runtime, peer = self._healed()
+        peer.sessions_started += 1  # went offline, back in a later session
+        runtime.note_contact_made(peer)
+        assert runtime.stats.recovered_peers == 0
+        assert runtime.stats.recovery_delays == []
+        peer.sessions_started += 1
+        runtime.note_contact_made(peer)
+        assert runtime.stats.recovered_peers == 0
 
 
 class TestMessageFaults:
