@@ -367,8 +367,9 @@ class FaultRuntime(FabricRuntime):
         return None
 
     def note_contact_made(self, peer: "SimPeer") -> None:
-        # A peer reached a vantage point: its post-heal recovery, unless it
-        # went offline in between (its next session is no recovery).
+        # The first contact after the heal is the peer's recovery, but only
+        # in the session it was in at the heal: a peer that went offline in
+        # between reconnects because it came back, not because the split healed.
         flt = peer.flt
         if flt is None or not flt.awaiting:
             return

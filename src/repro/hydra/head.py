@@ -1,11 +1,11 @@
 """A hydra-booster head: an :class:`IpfsNode` with hydra's config.
 
-A head is a DHT-Server with its own PeerId, so a hydra's heads sit apart in
-the keyspace and see a wider horizon together.  It is polled every minute and
-keeps a peer's ``kad`` tag when the peer stops announcing the DHT.
+The paper's second vantage point is a hydra of two or three heads.  Each is a
+DHT-Server with its own PeerId, so the heads sit apart in the keyspace and see
+a wider horizon together; their shared record store is not modelled, as the
+measurement stores no records.  A head is polled every minute and keeps a
+peer's ``kad`` tag when the peer stops announcing the DHT.
 """
-
-from __future__ import annotations
 
 import random
 from typing import Optional

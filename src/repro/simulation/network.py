@@ -291,7 +291,6 @@ class MeasurementIdentity:
     def __init__(self, label: str, node: IpfsNode) -> None:
         self.label = label
         self.node = node
-        self.poll_interval = node.config.poll_interval
         self.is_dht_server = node.is_dht_server
         role = "server" if node.is_dht_server else "client"
         self.measurement = PassiveMeasurement(node, label, measurement_role=role)
@@ -415,7 +414,7 @@ class SimulatedNetwork:
         self._build_routing_tables()
         self._compute_neighborhoods()
         for identity in self.identities:
-            PeriodicTask(self.engine, identity.poll_interval, identity.measurement.poll)
+            PeriodicTask(self.engine, identity.node.config.poll_interval, identity.measurement.poll)
             PeriodicTask(
                 self.engine,
                 self.config.identity_tick_interval,

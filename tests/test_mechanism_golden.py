@@ -113,8 +113,8 @@ def test_row_trims_on_every_vantage_point_and_matches(name):
 
 
 def write_table() -> None:
-    table = dict(SIZE, rows={name: render_row(row, run_row(row, SIZE)) for name, row in ROWS.items()})
-    PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    rows = {name: render_row(row, run_row(row, SIZE)) for name, row in ROWS.items()}
+    PATH.write_text(json.dumps(dict(SIZE, rows=rows), indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
