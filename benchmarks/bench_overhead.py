@@ -68,9 +68,9 @@ import sys
 import time
 from typing import List, Tuple
 
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import Scenario
 
 #: a full-stack workload (bandwidth + content runtimes, retrieval latency

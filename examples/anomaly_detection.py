@@ -27,8 +27,8 @@ import os
 
 from repro.analysis.plots import ascii_bar_chart
 from repro.core.metadata import analyze_metadata
-from repro.obs import ObsConfig
-from repro.scenarios import build_scenario_config
+from repro.obs.config import ObsConfig
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import Scenario
 
 #: fast-mode knobs: CI's examples-smoke job shrinks every example through

@@ -18,7 +18,7 @@ Run with::
 from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.core.churn import connection_statistics, trim_share
 from repro.experiments.periods import PERIODS
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 
 import os
 

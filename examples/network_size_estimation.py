@@ -19,7 +19,7 @@ Run with::
 
 from repro.analysis.tables import TextTable
 from repro.core.netsize import connection_cdfs, estimate_network_size
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 
 import os
 

@@ -16,7 +16,7 @@ from repro.analysis.tables import TextTable, format_count, format_seconds
 from repro.core.churn import connection_statistics, trim_share
 from repro.core.horizon import compare_horizons
 from repro.core.netsize import estimate_network_size
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 
 import os
 

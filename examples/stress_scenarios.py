@@ -14,7 +14,7 @@ Run with::
 
 from repro.analysis.sweep_report import render_aggregate
 from repro.core.records import primary_dataset_label
-from repro.scenarios import scenario, scenario_names
+from repro.scenarios.registry import scenario, scenario_names
 from repro.sweep import summarize_cell
 
 import os

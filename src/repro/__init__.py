@@ -17,28 +17,15 @@ The package is organised in layers:
   stress scenarios (flash crowds, diurnal weeks, mass outages, …), every
   entry resolvable by name and sweepable via ``python -m repro.sweep``.
 
+A package holds no names of its own: import each name from the module that
+defines it, so a process loads only the modules its command runs.
+
 Quick start::
 
-    from repro.scenarios import run_scenario_by_name
-    from repro.core import connection_statistics
+    from repro.core.churn import connection_statistics
+    from repro.scenarios.registry import run_scenario_by_name
 
     result = run_scenario_by_name("p2", n_peers=500, duration_days=0.25)
     report = connection_statistics(result.dataset("go-ipfs"))
     print(report.all_stats, report.peer_stats)
 """
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "analysis",
-    "core",
-    "crawler",
-    "experiments",
-    "hydra",
-    "ipfs",
-    "kademlia",
-    "libp2p",
-    "scenarios",
-    "simulation",
-    "sweep",
-]

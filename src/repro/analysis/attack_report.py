@@ -27,28 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.classification import (
-    ClassificationThresholds,
-    PeerClassLabel,
-    classify_peer,
-)
-from repro.core.netsize import (
-    estimate_by_multiaddress,
-    estimate_by_neighborhood_density,
-    peer_connection_summaries,
-)
 from repro.core.records import primary_dataset_label
 from repro.libp2p.peer_id import PeerId
 
 #: neighbourhood size the density estimator reads (the go-ipfs bucket size)
 DENSITY_K = 20
-
-_CLASS_ORDER = (
-    PeerClassLabel.HEAVY,
-    PeerClassLabel.NORMAL,
-    PeerClassLabel.LIGHT,
-    PeerClassLabel.ONE_TIME,
-)
 
 
 def _identity_target_key(result, label: Optional[str]) -> Optional[int]:
@@ -67,15 +50,14 @@ def _ratio(num: float, den: float) -> float:
     return round(num / den, 6) if den else 0.0
 
 
-def _class_counts(
-    summaries, skip_pids: Optional[set] = None,
-    thresholds: ClassificationThresholds = ClassificationThresholds(),
-) -> Dict[str, int]:
-    counts = {label.value: 0 for label in _CLASS_ORDER}
+def _class_counts(summaries, skip_pids: Optional[set] = None) -> Dict[str, int]:
+    from repro.core.classification import PeerClassLabel, classify_peer
+
+    counts = {label.value: 0 for label in PeerClassLabel}
     for summary in summaries.values():
         if skip_pids is not None and summary.peer in skip_pids:
             continue
-        label = classify_peer(summary.max_duration, summary.connection_count, thresholds)
+        label = classify_peer(summary.max_duration, summary.connection_count)
         counts[label.value] += 1
     return counts
 
@@ -86,6 +68,12 @@ def attack_metrics(result) -> Optional[Dict]:
     stats = getattr(result, "adversary", None)
     if stats is None:
         return None
+    from repro.core.netsize import (
+        estimate_by_multiaddress,
+        estimate_by_neighborhood_density,
+        peer_connection_summaries,
+    )
+
     label = primary_dataset_label(result.datasets)
     dataset = result.datasets[label] if label is not None else None
     attacker_pids = stats.attacker_pids

@@ -21,7 +21,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.artifacts import read_jsonl
-from repro.obs.hub import DEFAULT_TIME_BUCKETS
 
 #: windows embedded verbatim into a cell summary (the full series lives in
 #: the cell's metrics.jsonl; the embedded block keeps only this tail)
@@ -136,6 +135,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The export carries bucket counts but not the bucket bounds; the
     # default hub bounds are assumed here (custom-bucket hubs need their
     # own post-processing).
+    from repro.obs.hub import DEFAULT_TIME_BUCKETS
+
     bounds = DEFAULT_TIME_BUCKETS
     print("histograms (assuming default time buckets):")
     for name in sorted(histograms):

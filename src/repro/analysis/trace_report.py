@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs.trace_export import leaf_attribution
-
 #: slowest traces embedded verbatim as (key, op, seconds, outcome) pointers
 #: into the cell's traces.jsonl
 EMBED_SLOWEST = 3
@@ -46,6 +44,8 @@ def tracing_metrics(result, embed_slowest: int = EMBED_SLOWEST) -> Optional[Dict
     summary = getattr(result, "spans", None)
     if summary is None:
         return None
+    from repro.obs.trace_export import leaf_attribution
+
     totals = {category: 0.0 for category in CATEGORIES}
     retrieve_seconds = 0.0
     retrieve_traces = 0

@@ -5,29 +5,3 @@ See :mod:`repro.bandwidth.config` for the model description.  Attach a
 ``None`` (the default) keeps the zero-size fabric byte-identical to earlier
 builds.
 """
-
-from repro.bandwidth.config import (
-    DEFAULT_CLASSES,
-    KB,
-    MB,
-    BandwidthClass,
-    BandwidthConfig,
-)
-from repro.bandwidth.runtime import (
-    BandwidthRuntime,
-    BandwidthStats,
-    PeerLink,
-    TransferPlan,
-)
-
-__all__ = [
-    "DEFAULT_CLASSES",
-    "KB",
-    "MB",
-    "BandwidthClass",
-    "BandwidthConfig",
-    "BandwidthRuntime",
-    "BandwidthStats",
-    "PeerLink",
-    "TransferPlan",
-]

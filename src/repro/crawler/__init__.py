@@ -11,8 +11,3 @@ peers appear.  Two properties matter for the comparison in Fig. 2:
   previous crawl disappear from the results, whereas the passive node's
   peerstore keeps them forever.
 """
-
-from repro.crawler.crawler import Crawler, CrawlSnapshot
-from repro.crawler.monitor import CrawlMonitor, CrawlRange
-
-__all__ = ["Crawler", "CrawlSnapshot", "CrawlMonitor", "CrawlRange"]

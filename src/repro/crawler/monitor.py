@@ -14,9 +14,6 @@ from typing import List, Optional, Set
 from repro.crawler.crawler import CrawlSnapshot
 from repro.libp2p.peer_id import PeerId
 
-#: crawl cadence of the Weizenbaum-Institut crawler
-DEFAULT_CRAWL_INTERVAL = 8 * 3600.0
-
 
 @dataclass(frozen=True)
 class CrawlRange:

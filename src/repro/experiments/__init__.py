@@ -7,14 +7,3 @@ the paper reports that the checks compare against, and ``fidelity`` is the
 claims registry (``python -m repro.experiments.fidelity`` writes
 ``FIDELITY.json``).
 """
-
-from repro.experiments.paper_values import PAPER, PaperReference
-from repro.experiments.periods import PERIODS, PeriodSpec, scale_watermarks
-
-__all__ = [
-    "PAPER",
-    "PaperReference",
-    "PERIODS",
-    "PeriodSpec",
-    "scale_watermarks",
-]

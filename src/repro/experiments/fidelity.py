@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 from repro.analysis.views import VIEWS
 from repro.artifacts import atomic_write
 from repro.experiments.paper_values import PAPER
-from repro.scenarios import scenario, scenario_names
+from repro.scenarios.registry import scenario, scenario_names
 from repro.sweep import plan_cell, run_cells
 
 SEEDS = (7, 8, 9, 10, 11)

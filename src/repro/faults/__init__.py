@@ -1,24 +1,1 @@
 """Deterministic fault injection and resilience for the simulated fabric."""
-
-from repro.faults.config import (
-    CrashConfig,
-    FaultConfig,
-    LinkFaultConfig,
-    PartitionConfig,
-    SlowNodeConfig,
-)
-from repro.faults.retry import RetryPolicy, RetryState
-from repro.faults.runtime import FaultRuntime, FaultStats, PeerFault
-
-__all__ = [
-    "CrashConfig",
-    "FaultConfig",
-    "FaultRuntime",
-    "FaultStats",
-    "LinkFaultConfig",
-    "PartitionConfig",
-    "PeerFault",
-    "RetryPolicy",
-    "RetryState",
-    "SlowNodeConfig",
-]

@@ -249,7 +249,7 @@ class FaultRuntime(FabricRuntime):
         return True
 
     def _partition_start(self, network: "SimulatedNetwork") -> None:
-        for _, peer in sorted(network._online.items()):
+        for peer in network.online_peers():
             flt = peer.flt
             if flt is None or flt.side == 0:
                 continue
@@ -257,7 +257,7 @@ class FaultRuntime(FabricRuntime):
 
     def _partition_heal(self, network: "SimulatedNetwork") -> None:
         part = self.config.partition
-        for _, peer in sorted(network._online.items()):
+        for peer in network.online_peers():
             flt = peer.flt
             if flt is None or flt.side == 0:
                 continue

@@ -15,19 +15,3 @@ the client-side machinery that determines those observations:
 * the :class:`~repro.ipfs.node.IpfsNode` composition, which can run as a
   DHT-Server or DHT-Client.
 """
-
-from repro.ipfs.config import IpfsConfig
-from repro.ipfs.peerstore import PeerEntry, Peerstore
-from repro.ipfs.swarm import Swarm, SwarmListener
-from repro.ipfs.bitswap import BitswapEngine
-from repro.ipfs.node import IpfsNode
-
-__all__ = [
-    "IpfsConfig",
-    "Peerstore",
-    "PeerEntry",
-    "Swarm",
-    "SwarmListener",
-    "BitswapEngine",
-    "IpfsNode",
-]

@@ -80,7 +80,7 @@ class Swarm:
         connection_id = next(self.connection_ids)
         conn = Connection(remote_peer, direction, remote_addr, now, connection_id)
         self._open_by_id[connection_id] = conn
-        self.connmgr.add_connection(conn, now)
+        self.connmgr.add_connection(conn)
         self.total_opened += 1
         for listener in self._listeners:
             listener.on_connected(conn, now)

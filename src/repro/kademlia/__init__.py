@@ -16,41 +16,3 @@ stores, and iterative lookups over an abstract query transport; the simulation
 fabric answers those queries from its peers' tables, and the crawler walks the
 same tables.
 """
-
-from repro.kademlia.keys import (
-    KEY_BITS,
-    bucket_index,
-    key_for_peer,
-    random_key_in_bucket,
-    xor_distance,
-)
-from repro.kademlia.routing_table import KBucket, RoutingTable
-from repro.kademlia.dht import (
-    DHTMode,
-    FindProvidersResult,
-    LookupResult,
-    ProvideResult,
-    iterative_find_providers,
-    iterative_lookup,
-    iterative_provide,
-)
-from repro.kademlia.provider_store import ProviderRecord, ProviderStore
-
-__all__ = [
-    "KEY_BITS",
-    "xor_distance",
-    "bucket_index",
-    "key_for_peer",
-    "random_key_in_bucket",
-    "KBucket",
-    "RoutingTable",
-    "DHTMode",
-    "LookupResult",
-    "ProvideResult",
-    "FindProvidersResult",
-    "ProviderRecord",
-    "ProviderStore",
-    "iterative_lookup",
-    "iterative_provide",
-    "iterative_find_providers",
-]

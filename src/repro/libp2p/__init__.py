@@ -14,37 +14,3 @@ The analysis only depends on a small slice of libp2p behaviour:
 py-libp2p is incomplete, so this package rebuilds exactly that slice in plain
 Python, suitable for driving a discrete-event simulation.
 """
-
-from repro.libp2p.crypto import KeyPair, generate_keypair
-from repro.libp2p.peer_id import PeerId
-from repro.libp2p.multiaddr import Multiaddr
-from repro.libp2p.protocols import (
-    AUTONAT,
-    BITSWAP_120,
-    IPFS_ID,
-    IPFS_PING,
-    KAD_DHT,
-    baseline_protocols,
-)
-from repro.libp2p.identify import IdentifyRecord
-from repro.libp2p.connection import Connection, Direction
-from repro.libp2p.connmgr import ConnectionManager, ConnManagerConfig, TagInfo
-
-__all__ = [
-    "KeyPair",
-    "generate_keypair",
-    "PeerId",
-    "Multiaddr",
-    "baseline_protocols",
-    "AUTONAT",
-    "BITSWAP_120",
-    "IPFS_ID",
-    "IPFS_PING",
-    "KAD_DHT",
-    "IdentifyRecord",
-    "Connection",
-    "Direction",
-    "ConnectionManager",
-    "ConnManagerConfig",
-    "TagInfo",
-]

@@ -18,7 +18,7 @@ peers are preferred to be kept; untagged young peers go first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.libp2p.connection import Connection
@@ -42,26 +42,20 @@ class ConnManagerConfig:
     silence_period: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.low_water < 0 or self.high_water < 0:
-            raise ValueError("watermarks must be non-negative")
+        if self.low_water < 0:
+            raise ValueError(f"low_water {self.low_water} < 0")
+        if self.high_water < 0:
+            raise ValueError(f"high_water {self.high_water} < 0")
         if self.low_water > self.high_water:
-            raise ValueError("LowWater must not exceed HighWater")
+            raise ValueError(f"low_water {self.low_water} > high_water {self.high_water}")
         if self.grace_period < 0:
-            raise ValueError("grace_period must be non-negative")
+            raise ValueError(f"grace_period {self.grace_period} < 0")
         if self.silence_period < 0:
-            raise ValueError("silence_period must be non-negative")
+            raise ValueError(f"silence_period {self.silence_period} < 0")
 
     @classmethod
     def defaults(cls) -> "ConnManagerConfig":
         return cls()
-
-
-@dataclass
-class TagInfo:
-    """Per-peer tag bookkeeping (mirrors go-libp2p's ``TagInfo``)."""
-
-    tags: Dict[str, int] = field(default_factory=dict)
-    first_seen: float = 0.0
 
 
 class ConnectionManager:
@@ -71,14 +65,16 @@ class ConnectionManager:
         self.config = config or ConnManagerConfig.defaults()
         self._connections: Dict[int, Connection] = {}
         self._peer_conns: Dict[PeerId, Set[int]] = {}
-        self._tags: Dict[PeerId, TagInfo] = {}
+        #: tag name -> value per tagged peer (go-libp2p's ``TagInfo.Tags``);
+        #: only :meth:`tag_peer` creates a peer's map
+        self._tags: Dict[PeerId, Dict[str, int]] = {}
         self._last_trim: float = float("-inf")
         self.trim_count: int = 0
         self.trimmed_connections: int = 0
 
     # -- connection bookkeeping -------------------------------------------------
 
-    def add_connection(self, conn: Connection, now: float) -> None:
+    def add_connection(self, conn: Connection) -> None:
         """Register a newly opened connection."""
         cid = conn.connection_id
         if cid in self._connections:
@@ -90,13 +86,6 @@ class ConnectionManager:
             self._peer_conns[peer] = {cid}
         else:
             ids.add(cid)
-        # One TagInfo per distinct remote peer, built on the miss only: a
-        # vantage point sees each PID hundreds of times.
-        info = self._tags.get(peer)
-        if info is None:
-            self._tags[peer] = TagInfo(first_seen=now)
-        elif not info.first_seen:
-            info.first_seen = now
 
     def remove_connection(self, conn: Connection) -> None:
         """Forget a connection that was closed externally."""
@@ -119,20 +108,18 @@ class ConnectionManager:
 
     # -- tagging ---------------------------------------------------------------
 
-    def _tag_entry(self, peer: PeerId) -> TagInfo:
-        info = self._tags.get(peer)
-        if info is None:
-            info = self._tags[peer] = TagInfo()
-        return info
-
     def tag_peer(self, peer: PeerId, tag: str, value: int) -> None:
         """Attach a weighted tag (e.g. the DHT tags its routing-table peers)."""
-        self._tag_entry(peer).tags[tag] = value
+        tags = self._tags.get(peer)
+        if tags is None:
+            self._tags[peer] = {tag: value}
+        else:
+            tags[tag] = value
 
     def untag_peer(self, peer: PeerId, tag: str) -> None:
-        info = self._tags.get(peer)
-        if info is not None:
-            info.tags.pop(tag, None)
+        tags = self._tags.get(peer)
+        if tags is not None:
+            tags.pop(tag, None)
 
     # -- trimming ---------------------------------------------------------------
 
@@ -160,8 +147,8 @@ class ConnectionManager:
             opened_at = conn.opened_at
             if now - opened_at < grace_period:
                 continue
-            info = tags.get(conn.remote_peer)
-            value = 0 if info is None else sum(info.tags.values())
+            peer_tags = tags.get(conn.remote_peer)
+            value = 0 if peer_tags is None else sum(peer_tags.values())
             candidates.append((value, -opened_at, len(candidates), conn))
         candidates.sort()
         return [item[3] for item in candidates[:excess]]

@@ -27,36 +27,3 @@ Enable by setting ``PopulationConfig.obs`` to an :class:`ObsConfig` and/or
 ``PopulationConfig.trace`` to a :class:`TraceConfig`; the default ``None``
 keeps every pre-existing fixed-seed golden byte-identical.
 """
-
-from repro.obs.config import ObsConfig
-from repro.obs.hub import (
-    DEFAULT_TIME_BUCKETS,
-    METRICS_SCHEMA,
-    MetricsHub,
-    MetricsSummary,
-    render_line,
-)
-from repro.obs.spans import SpanTracer, TraceConfig
-from repro.obs.trace_export import (
-    TRACE_SCHEMA,
-    TraceSummary,
-    leaf_attribution,
-    render_trace_line,
-    write_traces,
-)
-
-__all__ = [
-    "DEFAULT_TIME_BUCKETS",
-    "METRICS_SCHEMA",
-    "MetricsHub",
-    "MetricsSummary",
-    "ObsConfig",
-    "SpanTracer",
-    "TRACE_SCHEMA",
-    "TraceConfig",
-    "TraceSummary",
-    "leaf_attribution",
-    "render_line",
-    "render_trace_line",
-    "write_traces",
-]

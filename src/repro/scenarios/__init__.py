@@ -7,26 +7,4 @@ hydra-scaling, crawler-vs-passive-under-burst).  ``python -m repro.sweep``
 runs cartesian sweeps over this catalog.
 """
 
-from repro.scenarios.registry import (
-    ScenarioBuilder,
-    ScenarioSpec,
-    build_scenario_config,
-    register,
-    run_scenario_by_name,
-    scenario,
-    scenario_names,
-    scenarios,
-)
 from repro.scenarios import catalog  # noqa: F401  (registers the built-in entries)
-
-__all__ = [
-    "ScenarioBuilder",
-    "ScenarioSpec",
-    "build_scenario_config",
-    "catalog",
-    "register",
-    "run_scenario_by_name",
-    "scenario",
-    "scenario_names",
-    "scenarios",
-]

@@ -102,7 +102,7 @@ from repro.simulation.population import (
     PopulationConfig,
     default_session_model,
 )
-from repro.simulation.scenario import ScenarioConfig
+from repro.simulation.config import ScenarioConfig
 from repro.scenarios.registry import (
     ScenarioBuilder,
     ScenarioSpec,

@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` is a declarative entry — a name, a description, the
 knobs it exposes, and a builder that maps ``(n_peers, duration_days, seed)``
-onto a :class:`~repro.simulation.scenario.ScenarioConfig`.  Everything that
+onto a :class:`~repro.simulation.config.ScenarioConfig`.  Everything that
 runs a workload (the sweep CLI, benchmarks, tests, examples) resolves
 scenarios by name through this registry, so a new workload is one
 ``register()`` call instead of a new script.  Any further keyword parameter
@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.simulation.scenario import ScenarioConfig, ScenarioResult, run_scenario as _run
+from repro.simulation.config import ScenarioConfig
+
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from repro.simulation.scenario import ScenarioResult
 
 #: builds the scenario config for one sweep cell: (n_peers, duration_days, seed)
 ScenarioBuilder = Callable[[int, float, int], ScenarioConfig]
@@ -198,4 +201,6 @@ def run_scenario_by_name(
     overrides: Optional[Mapping[str, object]] = None,
 ) -> ScenarioResult:
     """Build and run one registered scenario."""
-    return _run(build_scenario_config(name, n_peers, duration_days, seed, overrides))
+    from repro.simulation.scenario import run_scenario
+
+    return run_scenario(build_scenario_config(name, n_peers, duration_days, seed, overrides))

@@ -24,13 +24,12 @@ what makes record liveness a measurable property.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.kademlia.dht import iterative_find_providers, iterative_provide
 from repro.libp2p.agent import parse_goipfs_agent
 from repro.simulation.agents import AgentCatalog
-from repro.simulation.churn_models import HOUR
+from repro.simulation.config import BehaviorConfig
 from repro.simulation.content import (
     ContentRoutingConfig,
     ContentRoutingStats,
@@ -39,22 +38,6 @@ from repro.simulation.content import (
 from repro.simulation.engine import Engine, PeriodicTask
 from repro.simulation.network import SimPeer, SimulatedNetwork
 from repro.simulation.population import VersionBehavior
-
-
-@dataclass
-class BehaviorConfig:
-    """Timing knobs of the meta-data behaviours."""
-
-    #: mean time between two role flips of a flapping peer (~27 flips / 3 d)
-    role_flip_interval: float = 2.6 * HOUR
-    #: mean time between two autonat flips of a flapping peer (~24 flips / 3 d)
-    autonat_flip_interval: float = 2.9 * HOUR
-    #: version changes happen once, somewhere in the middle of the measurement
-    version_change_window: tuple = (0.1, 0.9)
-    #: probability that a dirty build stays dirty after a change (Table III is
-    #: dominated by main–main and dirty–dirty transitions)
-    keep_dirty_probability: float = 0.95
-    keep_main_probability: float = 0.97
 
 
 class MetadataBehaviors:

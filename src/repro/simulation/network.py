@@ -48,8 +48,7 @@ import heapq
 import itertools
 import random
 from array import array
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.ipfs.bitswap import BitswapEngine
 from repro.ipfs.node import IpfsNode
@@ -61,47 +60,15 @@ from repro.libp2p.multiaddr import Multiaddr, advertised_addrs, random_private_i
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import AUTONAT, KAD_DHT, shared_protocols
 from repro.core.measurement import PassiveMeasurement
-from repro.faults.runtime import FaultRuntime
-from repro.netmodel.runtime import NetModelRuntime, WalkClock
-from repro.simulation.churn_models import HOUR, MINUTE
+from repro.simulation.churn_models import HOUR
+from repro.simulation.config import NetworkConfig
 from repro.simulation.engine import Engine, PeriodicTask
 from repro.simulation.fabric import FabricRuntime
 from repro.simulation.population import PeerClass, PeerProfile, Population
 
-
-@dataclass
-class NetworkConfig:
-    """Tunables of the network fabric (not of the population)."""
-
-    #: remote peers' grace period + mean additional delay before they trim a
-    #: connection they do not value (defaults mimic go-ipfs 20 s grace plus a
-    #: trim cycle hitting within a couple of minutes).
-    remote_grace: float = 20.0
-    remote_trim_mean: float = 70.0
-    #: how strongly a DHT-Client measurement node is discovered less often
-    client_discovery_penalty: float = 10.0
-    #: probability that a peer ever bothers contacting a DHT-Client vantage point
-    client_contact_probability: float = 0.15
-    #: how much less a remote values a connection to a DHT-Client vantage point
-    client_keep_factor: float = 0.04
-    #: size of a measurement identity's Kademlia neighbourhood (fast discovery)
-    neighborhood_size: int = 30
-    neighborhood_delay_max: float = 15 * MINUTE
-    #: measurement node's own periodic maintenance
-    identity_tick_interval: float = 60.0
-    outbound_dial_interval: float = 300.0
-    outbound_dial_batch: int = 3
-    #: probability that an identify exchange completes on a new connection
-    identify_success: float = 0.97
-    #: share of one-time peers that reconnect once after losing their connection
-    one_time_reconnect_probability: float = 0.3
-    #: routing-table bootstrap sample per simulated DHT-Server
-    routing_table_sample: int = 120
-    #: entries pointing at peers offline for longer than this are not returned
-    routing_entry_expiry: float = 2 * HOUR
-    #: interval between crawl contacts of crawler-like peers
-    crawler_contact_interval: float = 8 * HOUR
-    crawler_probe_duration: tuple = (10.0, 60.0)
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from repro.faults.runtime import FaultRuntime
+    from repro.netmodel.runtime import NetModelRuntime, WalkClock
 
 
 @functools.cache
@@ -367,9 +334,13 @@ class SimulatedNetwork:
             self.tracer = SpanTracer(tracecfg, engine)
         netcfg = population.config.netmodel
         if netcfg is not None:
+            from repro.netmodel.runtime import NetModelRuntime
+
             self._attach_runtime(NetModelRuntime(netcfg, population.config.seed))
         faultcfg = population.config.faults
         if faultcfg is not None and faultcfg.enabled:
+            from repro.faults.runtime import FaultRuntime
+
             self._attach_runtime(FaultRuntime(faultcfg, population.config.seed, engine))
         bwcfg = population.config.bandwidth
         if bwcfg is not None:
@@ -771,14 +742,7 @@ class SimulatedNetwork:
     def _identity_outbound(self, identity: MeasurementIdentity, now: float) -> None:
         """The measurement node's own modest outbound dialling (DHT queries,
         Bitswap sessions, routing-table maintenance) toward online peers."""
-        # Iterate the online set in peer_index order: identical ordering to a
-        # full population scan (peers are built in ascending index order), so
-        # the rng.sample draws — and thus the datasets — stay byte-identical.
-        dialable = [
-            p
-            for _, p in sorted(self._online.items())
-            if identity.label not in p.connections
-        ]
+        dialable = [p for p in self.online_peers() if identity.label not in p.connections]
         if not dialable:
             return
         batch = min(self.config.outbound_dial_batch, len(dialable))
@@ -1055,6 +1019,13 @@ class SimulatedNetwork:
 
     def online_count(self) -> int:
         return len(self._online)
+
+    def online_peers(self) -> List[SimPeer]:
+        """The online peers in ``peer_index`` order, the order draws over
+        them depend on.  ``self.peers`` is built in that order and ``online``
+        holds exactly for the members of ``_online``, so this filter is
+        ``_online`` sorted by index without the sort."""
+        return [p for p in self.peers if p.online]
 
     def online_server_count(self) -> int:
         # Scans only the online subset; kad_announced can flip at runtime

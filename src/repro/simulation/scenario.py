@@ -15,30 +15,25 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bandwidth -> fabric)
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from repro.adversary.behaviors import AdversaryBehaviors, AttackStats
     from repro.bandwidth.runtime import BandwidthStats
+    from repro.faults.runtime import FaultStats
+    from repro.netmodel.runtime import NetModelStats
     from repro.obs.hub import MetricsSummary
     from repro.obs.trace_export import TraceSummary
 
-from repro.adversary.behaviors import AdversaryBehaviors, AttackStats
 from repro.core.records import MeasurementDataset
 from repro.crawler.crawler import Crawler
-from repro.crawler.monitor import DEFAULT_CRAWL_INTERVAL, CrawlMonitor
-from repro.faults.runtime import FaultStats
+from repro.crawler.monitor import CrawlMonitor
 from repro.hydra.head import HYDRA_HIGH_WATER, HYDRA_LOW_WATER, HydraHead
-from repro.ipfs.config import IpfsConfig
 from repro.ipfs.node import IpfsNode
-from repro.netmodel.runtime import NetModelStats
-from repro.simulation.behaviors import BehaviorConfig, ContentBehaviors, MetadataBehaviors
-from repro.simulation.churn_models import DAY
-from repro.simulation.content import ContentRoutingConfig, ContentRoutingStats
+from repro.simulation.behaviors import ContentBehaviors, MetadataBehaviors
+from repro.simulation.config import ScenarioConfig
+from repro.simulation.content import ContentRoutingStats
 from repro.simulation.engine import Engine, PeriodicTask
-from repro.simulation.network import (
-    MeasurementIdentity,
-    NetworkConfig,
-    SimulatedNetwork,
-)
-from repro.simulation.population import Population, PopulationConfig, generate_population
+from repro.simulation.network import MeasurementIdentity, SimulatedNetwork
+from repro.simulation.population import Population, generate_population
 
 #: dataset label of the go-ipfs vantage point
 GO_IPFS_LABEL = "go-ipfs"
@@ -46,49 +41,6 @@ GO_IPFS_LABEL = "go-ipfs"
 HYDRA_LABEL_PREFIX = "hydra-H"
 #: label of the union-of-heads dataset
 HYDRA_UNION_LABEL = "hydra"
-
-
-@dataclass
-class ScenarioConfig:
-    """Everything needed to run one measurement period."""
-
-    duration: float = 1 * DAY
-    population: PopulationConfig = field(default_factory=PopulationConfig)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    behaviors: BehaviorConfig = field(default_factory=BehaviorConfig)
-    #: go-ipfs measurement node configuration; ``None`` deploys no go-ipfs node
-    go_ipfs: Optional[IpfsConfig] = field(default_factory=IpfsConfig.defaults)
-    #: number of hydra heads; 0 deploys no hydra
-    hydra_heads: int = 0
-    hydra_low_water: Optional[int] = None
-    hydra_high_water: Optional[int] = None
-    #: whether to run the active crawler baseline
-    run_crawler: bool = False
-    crawl_interval: float = DEFAULT_CRAWL_INTERVAL
-    #: content-routing workload; ``None`` (the default) schedules none, so
-    #: scenarios without one are bit-identical to pre-content builds
-    content: Optional[ContentRoutingConfig] = None
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if not 0 < self.duration < float("inf"):  # NaN or inf would never stop draining
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        if self.hydra_heads < 0:
-            raise ValueError(f"hydra_heads must be >= 0, got {self.hydra_heads}")
-        if self.go_ipfs is None and self.hydra_heads == 0:
-            raise ValueError("a scenario needs at least one measurement vantage point")
-        if self.hydra_heads > 0:
-            low, high = self.hydra_low_water, self.hydra_high_water
-            if low is not None and low <= 0:
-                raise ValueError(f"hydra_low_water must be positive, got {low}")
-            if high is not None and high <= 0:
-                raise ValueError(f"hydra_high_water must be positive, got {high}")
-            if low is not None and high is not None and high < low:
-                raise ValueError(
-                    f"hydra watermarks must satisfy low <= high, got {low}/{high}"
-                )
-        if self.run_crawler and self.crawl_interval <= 0:
-            raise ValueError(f"crawl_interval must be positive, got {self.crawl_interval}")
 
 
 @dataclass
@@ -198,6 +150,8 @@ class Scenario:
             )
         self.adversary: Optional[AdversaryBehaviors] = None
         if config.population.adversary is not None:
+            from repro.adversary.behaviors import AdversaryBehaviors
+
             self.adversary = AdversaryBehaviors(
                 self.engine,
                 self.network,

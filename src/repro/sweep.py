@@ -49,7 +49,6 @@ import shlex
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.attack_report import attack_metrics
@@ -65,15 +64,9 @@ from repro.analysis.sweep_report import (
 from repro.analysis.tables import TextTable, format_count
 from repro.analysis.trace_report import tracing_metrics
 from repro.analysis.transfer_report import transfer_metrics
-from repro.analysis.views import VIEWS
 from repro.artifacts import TMP_SUFFIX, atomic_write
 from repro.core.churn import connection_statistics, trim_share
-from repro.obs.config import ObsConfig
-from repro.obs.spans import TraceConfig
-from repro.obs.progress import PROGRESS_ENV
-from repro.scenarios import scenario, scenarios
-from repro.scenarios.registry import build_scenario_config
-from repro.simulation.scenario import run_scenario
+from repro.scenarios.registry import build_scenario_config, scenario, scenarios
 
 #: default output directory of sweep artifacts
 DEFAULT_OUT_DIR = "sweep_out"
@@ -208,12 +201,18 @@ def summarize_cell(
     )
     telemetry = {}
     if metrics_window is not None:
+        from repro.obs.config import ObsConfig
+
         telemetry["obs"] = ObsConfig(window=metrics_window, jsonl_path=metrics_path)
     if trace_sample is not None:
+        from repro.obs.spans import TraceConfig
+
         telemetry["trace"] = TraceConfig(sample=trace_sample, jsonl_path=trace_path)
     if telemetry:
         population = dataclasses.replace(config.population, **telemetry)
         config = dataclasses.replace(config, population=population)
+    from repro.simulation.scenario import run_scenario
+
     result = run_scenario(config)
     return summarize_result(
         spec.name, peers, days, seed, result, overrides=overrides, views=views
@@ -268,8 +267,11 @@ def summarize_result(
         "metrics": metrics_metrics(result),
         "tracing": tracing_metrics(result),
     }
-    for view in views:
-        summary[view] = VIEWS[view](result)
+    if views:
+        from repro.analysis.views import VIEWS
+
+        for view in views:
+            summary[view] = VIEWS[view](result)
     return summary
 
 
@@ -627,13 +629,21 @@ def run_cells(
 
     # With progress on, the workers (fork-based, so they inherit the env)
     # also trace per-cell engine progress once per simulated hour.
+    from repro.obs.progress import PROGRESS_ENV
+
     env_before = os.environ.get(PROGRESS_ENV)
     if show_progress:
         os.environ[PROGRESS_ENV] = "1"
     try:
         if workers > 1 and len(cells) > 1:
             # Results come back in cell order whichever worker finishes first
-            # (a slow early cell delays the checkpoints of later ones).
+            # (a slow early cell delays the checkpoints of later ones).  The
+            # simulator is imported here, before the pool forks, so every
+            # worker inherits it instead of compiling it again.
+            from concurrent.futures import ProcessPoolExecutor
+
+            import repro.simulation.scenario  # noqa: F401
+
             with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
                 for index, outcome in zip(todo, pool.map(summarize_cell_safe, *zip(*cells))):
                     _checkpoint(index, outcome)

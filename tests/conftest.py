@@ -26,7 +26,7 @@ from repro.core.records import (
     SnapshotRecord,
 )
 from repro.libp2p.protocols import AUTONAT, BITSWAP_120, IPFS_ID, IPFS_PING, KAD_DHT
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 
 HOUR = 3_600.0
 DAY = 86_400.0

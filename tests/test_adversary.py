@@ -13,24 +13,24 @@ from dataclasses import replace
 
 import pytest
 
-from repro.adversary import (
-    AdversaryBehaviors,
+from repro.adversary.attackers import mine_pid_near
+from repro.adversary.behaviors import AdversaryBehaviors
+from repro.adversary.config import (
     AdversaryConfig,
     ChurnSpoofConfig,
     EclipseConfig,
     RoutingPoisonConfig,
-    StagedArrivalSessionModel,
     SybilFloodConfig,
-    build_adversary_profiles,
-    mine_pid_near,
 )
+from repro.adversary.profiles import StagedArrivalSessionModel, build_adversary_profiles
 from repro.analysis.attack_report import attack_headline, attack_metrics
 from repro.core.netsize import estimate_by_neighborhood_density
 from repro.kademlia.keys import KEY_BITS, key_for_peer
 from repro.simulation.churn_models import DAY
 from repro.simulation.content import ContentRoutingConfig
 from repro.simulation.population import PopulationConfig
-from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.simulation.config import ScenarioConfig
+from repro.simulation.scenario import Scenario
 
 
 def micro_config(adversary, seed=11, n_peers=60, content=False, duration=0.02 * DAY):

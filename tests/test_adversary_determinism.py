@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.attack_report import attack_metrics
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 
 ADVERSARY_NAMES = [
     "sybil-netsize-inflation",

@@ -27,16 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bandwidth import (
-    DEFAULT_CLASSES,
-    MB,
-    BandwidthClass,
-    BandwidthConfig,
-    BandwidthRuntime,
-    PeerLink,
+from repro.bandwidth.config import BandwidthClass, BandwidthConfig, DEFAULT_CLASSES, MB
+from repro.bandwidth.runtime import BandwidthRuntime, PeerLink
+from repro.scenarios.registry import (
+    UnknownOverrideError,
+    build_scenario_config,
+    override_parameters,
+    run_scenario_by_name,
+    scenario,
 )
-from repro.scenarios import build_scenario_config, run_scenario_by_name, scenario
-from repro.scenarios.registry import UnknownOverrideError, override_parameters
 from repro.simulation.content import ContentRoutingConfig, ZipfCatalog
 from repro.simulation.scenario import Scenario
 from repro.sweep import main, parse_override, summarize_cell

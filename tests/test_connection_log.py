@@ -43,7 +43,7 @@ from repro.libp2p.connection import CloseReason, Connection, Direction
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import IPFS_ID, KAD_DHT
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import Scenario
 
 # -- references: the object-per-connection code the log replaced ----------------------

@@ -25,7 +25,7 @@ from repro.kademlia.keys import key_for_content, key_for_peer, xor_distance
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.peer_id import PeerId
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 from repro.simulation import behaviors as behaviors_module
 from repro.simulation.behaviors import ContentBehaviors
 from repro.simulation.churn_models import HOUR

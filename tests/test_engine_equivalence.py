@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from repro.scenarios import build_scenario_config, scenario_names
+from repro.scenarios.registry import build_scenario_config, scenario_names
 from repro.simulation.scenario import run_scenario
 
 from fingerprint import block_fingerprints, result_fingerprint

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.paper_values import PAPER
 from repro.experiments.periods import PERIODS, scale_watermarks
 from repro.kademlia.dht import DHTMode
-from repro.scenarios import build_scenario_config, run_scenario_by_name, scenario
+from repro.scenarios.registry import build_scenario_config, run_scenario_by_name, scenario
 from repro.simulation.churn_models import DAY
 
 

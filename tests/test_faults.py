@@ -25,18 +25,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.faults import (
+from repro.faults.config import (
     CrashConfig,
     FaultConfig,
-    FaultRuntime,
-    FaultStats,
     LinkFaultConfig,
     PartitionConfig,
-    RetryPolicy,
-    RetryState,
     SlowNodeConfig,
 )
-from repro.scenarios import build_scenario_config, run_scenario_by_name
+from repro.faults.retry import RetryPolicy, RetryState
+from repro.faults.runtime import FaultRuntime, FaultStats
+from repro.scenarios.registry import build_scenario_config, run_scenario_by_name
 from repro.simulation.engine import Engine
 from repro.simulation.scenario import Scenario
 from repro.sweep import summarize_cell, summarize_result
@@ -235,7 +233,7 @@ class TestPartitionRecovery:
         runtime = _runtime(config)
         peer = SimpleNamespace(flt=runtime.assign_peer(), sessions_started=3)
         assert peer.flt.side == 1
-        runtime._partition_heal(SimpleNamespace(_online={0: peer}, identities=[]))
+        runtime._partition_heal(SimpleNamespace(online_peers=lambda: [peer], identities=[]))
         return runtime, peer
 
     def test_contact_in_the_heal_session_is_one_recovery(self):

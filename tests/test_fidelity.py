@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.views import VIEWS
 from repro.experiments import fidelity
 from repro.experiments.fidelity import CHECKS, RUNS, Check, evaluate, main, plan, render
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 
 #: the top-level keys of a cell summary without views (``summarize_cell``;
 #: ``tests/test_sweep_cli.py`` pins them against a real cell)

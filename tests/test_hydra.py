@@ -56,7 +56,7 @@ class TestHydraHead:
             node.receive_identify(remote, server, 0.0)
             node.receive_identify(remote, client, 1.0)
             assert remote not in node.routing_table
-            tags[type(node)] = node.swarm.connmgr._tags[remote].tags
+            tags[type(node)] = node.swarm.connmgr._tags[remote]
         assert tags == {HydraHead: {"kad": 5}, IpfsNode: {}}
 
     def test_head_trim_with_small_watermarks(self, rng):

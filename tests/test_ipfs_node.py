@@ -62,7 +62,7 @@ class TestIpfsNode:
         node.handle_inbound_connection(remote, Multiaddr.tcp("2.2.2.2"), 0.0)
         node.receive_identify(remote, identify(server=True), 1.0)
         assert remote in node.routing_table
-        assert node.swarm.connmgr._tags[remote].tags
+        assert node.swarm.connmgr._tags[remote]
 
     def test_identify_role_flip_removes_from_routing_table(self, rng):
         node = make_node()
@@ -71,7 +71,7 @@ class TestIpfsNode:
         node.receive_identify(remote, identify(server=True), 1.0)
         node.receive_identify(remote, identify(server=False), 2.0)
         assert remote not in node.routing_table
-        assert node.swarm.connmgr._tags[remote].tags == {}
+        assert node.swarm.connmgr._tags[remote] == {}
 
     def test_tick_trims_above_high_water(self, rng):
         node = make_node(low=3, high=5)

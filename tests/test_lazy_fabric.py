@@ -26,7 +26,7 @@ import pytest
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.multiaddr import Multiaddr, random_private_ipv4
 from repro.libp2p.peer_id import PeerId
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.network import SimPeer
 from repro.simulation.scenario import Scenario
 

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.libp2p import connmgr as connmgr_module
 from repro.libp2p.connection import Connection, Direction
-from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager, TagInfo
+from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 
@@ -38,7 +37,7 @@ def add_conn(manager, now, rng):
         opened_at=now,
         connection_id=next(_connection_ids),
     )
-    manager.add_connection(conn, now)
+    manager.add_connection(conn)
     return conn
 
 
@@ -52,9 +51,24 @@ class TestConfig:
             ConnManagerConfig(low_water=-1, high_water=5)
         with pytest.raises(ValueError):
             ConnManagerConfig(grace_period=-1.0)
-        with pytest.raises(ValueError, match="silence_period must be non-negative"):
+        with pytest.raises(ValueError):
             ConnManagerConfig(silence_period=-0.5)
         assert ConnManagerConfig(silence_period=0.0).silence_period == 0.0
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"low_water": -1, "high_water": 5}, "low_water -1 < 0"),
+            ({"low_water": 0, "high_water": -2}, "high_water -2 < 0"),
+            ({"low_water": 900, "high_water": 600}, "low_water 900 > high_water 600"),
+            ({"grace_period": -1.0}, "grace_period -1.0 < 0"),
+            ({"silence_period": -0.5}, "silence_period -0.5 < 0"),
+        ],
+    )
+    def test_errors_name_the_field_and_its_value(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            ConnManagerConfig(**fields)
+        assert str(raised.value) == message
 
     def test_defaults_match_goipfs(self):
         config = ConnManagerConfig.defaults()
@@ -76,7 +90,7 @@ class TestBookkeeping:
         manager = make_manager()
         conn = add_conn(manager, 0.0, rng)
         with pytest.raises(ValueError):
-            manager.add_connection(conn, 1.0)
+            manager.add_connection(conn)
 
     def test_connected_peers_lists_unique_peers(self, rng):
         manager = make_manager(high=10)
@@ -125,7 +139,7 @@ class TestTrimming:
         conn = add_conn(manager, 0.0, rng)
         manager.tag_peer(conn.remote_peer, "kad", 10)
         manager.untag_peer(conn.remote_peer, "kad")
-        assert manager._tags[conn.remote_peer].tags == {}
+        assert manager._tags[conn.remote_peer] == {}
 
     def test_silence_period_rate_limits_trims(self, rng):
         manager = make_manager(low=1, high=2, silence=30.0)
@@ -166,18 +180,18 @@ class TestTrimming:
 
 
 def _reference_select_victims(manager, now):
-    """``select_victims`` as it was before the trim fast path: a ``TagInfo``
-    default built per connection, its tag values summed, and a stable sort
+    """``select_victims`` as it was before the trim fast path: an empty tag
+    map defaulted per connection, its tag values summed, and a stable sort
     through a ``key=`` lambda."""
     excess = manager.connection_count() - manager.config.low_water
     if excess <= 0:
         return []
     candidates = []
     for conn in manager._connections.values():
-        info = manager._tags.get(conn.remote_peer, TagInfo())
+        tags = manager._tags.get(conn.remote_peer, {})
         if now - conn.opened_at < manager.config.grace_period:
             continue
-        candidates.append((sum(info.tags.values()), conn.opened_at, conn))
+        candidates.append((sum(tags.values()), conn.opened_at, conn))
     # Lowest score first; among equals, youngest first (largest opened_at).
     candidates.sort(key=lambda item: (item[0], -item[1]))
     return [conn for _, _, conn in candidates[:excess]]
@@ -221,7 +235,7 @@ class TestSelectVictimsEquivalence:
             conn = Connection(
                 _PEER_POOL[peer_index], Direction.INBOUND, Multiaddr.tcp("8.8.8.8"), opened_at, cid
             )
-            manager.add_connection(conn, opened_at)
+            manager.add_connection(conn)
         for peer_index, action, value in setups:
             peer = _PEER_POOL[peer_index]
             if action == "tag":
@@ -250,31 +264,24 @@ class TestSelectVictimsEquivalence:
 
 
 class TestTagBookkeepingCost:
-    def test_tag_info_is_built_on_a_miss_only(self, rng, monkeypatch):
-        built = []
-
-        def counting_tag_info(*args, **kwargs):
-            info = TagInfo(*args, **kwargs)
-            built.append(info)
-            return info
-
-        monkeypatch.setattr(connmgr_module, "TagInfo", counting_tag_info)
+    def test_only_tag_peer_builds_a_tag_map(self, rng):
         manager = make_manager(low=1, high=2)
         first = add_conn(manager, 1.0, rng)
-        assert len(built) == 1
+        assert first.remote_peer not in manager._tags
+        manager.tag_peer(first.remote_peer, "kad", 5)
+        built = manager._tags[first.remote_peer]
         for now in (2.0, 3.0, 4.0):
             again = Connection(
                 first.remote_peer, Direction.INBOUND, first.remote_addr, now, next(_connection_ids)
             )
-            manager.add_connection(again, now)
+            manager.add_connection(again)
             manager.tag_peer(first.remote_peer, "kad", 5)
             manager.untag_peer(first.remote_peer, "bitswap")
-            assert manager._tags[first.remote_peer] is built[0]
-            assert built[0].tags == {"kad": 5}
+            assert manager._tags[first.remote_peer] is built
+            assert built == {"kad": 5}
         manager.select_victims(100.0)
         manager.trim(100.0)
-        assert len(built) == 1
-        assert built[0].first_seen == 1.0
+        assert list(manager._tags) == [first.remote_peer]
 
         stranger = PeerId.random(rng)
         manager.untag_peer(stranger, "kad")

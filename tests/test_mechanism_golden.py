@@ -26,7 +26,7 @@ import sys
 
 import pytest
 
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import HYDRA_UNION_LABEL, run_scenario
 
 from fingerprint import block_fingerprints, result_fingerprint

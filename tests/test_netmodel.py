@@ -18,16 +18,16 @@ import pytest
 
 from repro.kademlia.dht import iterative_lookup
 from repro.libp2p.peer_id import PeerId
-from repro.netmodel import (
+from repro.netmodel.config import (
     NAT,
+    NetModelConfig,
     PUBLIC,
     RELAYED,
-    NetModelConfig,
-    NetModelRuntime,
     ReachabilityConfig,
     RegionModelConfig,
 )
-from repro.scenarios import run_scenario_by_name
+from repro.netmodel.runtime import NetModelRuntime
+from repro.scenarios.registry import run_scenario_by_name
 from repro.simulation.population import PopulationConfig, generate_population
 from repro.sweep import summarize_cell
 

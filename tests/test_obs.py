@@ -20,15 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    DEFAULT_TIME_BUCKETS,
-    METRICS_SCHEMA,
-    MetricsHub,
-    ObsConfig,
-    render_line,
-)
+from repro.obs.config import ObsConfig
+from repro.obs.hub import DEFAULT_TIME_BUCKETS, METRICS_SCHEMA, MetricsHub, render_line
 from repro.obs.progress import PROGRESS_ENV, EngineTracer, progress_enabled
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.engine import Engine
 from repro.simulation.scenario import Scenario, run_scenario
 

@@ -6,7 +6,7 @@ overhaul (cached keys, heap-based routing lookups, O(1) network bookkeeping)
 must not change a single count.
 """
 
-from repro.scenarios import run_scenario_by_name
+from repro.scenarios.registry import run_scenario_by_name
 from repro.sweep import dataset_counts, run_sweep
 
 

@@ -22,7 +22,7 @@ from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
 from repro.libp2p.connection import Connection, Direction
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId, base58btc_decode, base58btc_encode
-from repro.scenarios import build_scenario_config, scenarios
+from repro.scenarios.registry import build_scenario_config, scenarios
 from repro.simulation.scenario import run_scenario
 
 # -- strategies ---------------------------------------------------------------------
@@ -235,7 +235,7 @@ class TestConnManagerProperties:
                 opened_at=0.0,
                 connection_id=connection_id,
             )
-            manager.add_connection(conn, 0.0)
+            manager.add_connection(conn)
         manager.trim(now=100.0)
         if n_conns > config.high_water:
             assert manager.connection_count() == config.low_water

@@ -15,29 +15,29 @@ from typing import Optional
 
 import pytest
 
-from repro.crawler.monitor import DEFAULT_CRAWL_INTERVAL
 from repro.experiments.periods import PERIODS, scale_watermarks
 from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
-from repro.scenarios import (
+from repro.scenarios.catalog import LARGE_BLOCK_CLASSES, MIXED_BLOCK_CLASSES
+from repro.scenarios.registry import (
+    OverrideTypeError,
     ScenarioSpec,
     build_scenario_config,
+    override_parameters,
     register,
     run_scenario_by_name,
     scenario,
     scenario_names,
     scenarios,
 )
-from repro.scenarios.catalog import LARGE_BLOCK_CLASSES, MIXED_BLOCK_CLASSES
-from repro.scenarios.registry import OverrideTypeError, override_parameters
 from repro.simulation.churn_models import (
     DAY,
     DiurnalChurnModel,
     FlashCrowdChurnModel,
     MassOutageChurnModel,
 )
+from repro.simulation.config import DEFAULT_CRAWL_INTERVAL, ScenarioConfig
 from repro.simulation.population import PeerClass, PopulationConfig, generate_population
-from repro.simulation.scenario import ScenarioConfig
 from repro.sweep import main as sweep_main
 
 STRESS_NAMES = [

@@ -3,7 +3,8 @@
 import random
 
 from repro.libp2p.agent import parse_goipfs_agent
-from repro.simulation.behaviors import BehaviorConfig, MetadataBehaviors
+from repro.simulation.behaviors import MetadataBehaviors
+from repro.simulation.config import BehaviorConfig
 from repro.simulation.churn_models import DAY, HOUR
 from repro.simulation.engine import Engine
 from repro.simulation.network import MeasurementIdentity, SimulatedNetwork

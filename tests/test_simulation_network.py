@@ -4,31 +4,29 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.attackers import QueryDropper
 from repro.adversary.behaviors import AttackStats
 from repro.core.churn import connection_statistics
 from repro.hydra.head import HydraHead
 from repro.ipfs.config import IpfsConfig
-from repro.libp2p import connmgr as connmgr_module
+from repro.libp2p.connmgr import ConnectionManager
 from repro.kademlia.dht import DHTMode
 from repro.kademlia.routing_table import RoutingTable
 from repro.simulation.churn_models import HOUR
 from repro.netmodel.config import PUBLIC, NetModelConfig
 from repro.obs.config import ObsConfig
 from repro.obs.spans import TraceConfig
-from repro.scenarios.registry import build_scenario_config
-from repro.simulation.engine import Engine
+from repro.scenarios.registry import build_scenario_config, scenario_names
+from repro.simulation.engine import Engine, PeriodicTask
 from repro.simulation.fabric import FabricRuntime
 from repro.simulation import scenario as scenario_module
-from repro.simulation.network import (
-    MeasurementIdentity,
-    NetworkConfig,
-    SimPeer,
-    SimulatedNetwork,
-)
+from repro.simulation.config import NetworkConfig, ScenarioConfig
+from repro.simulation.network import MeasurementIdentity, SimPeer, SimulatedNetwork
 from repro.simulation.population import PopulationConfig, generate_population
-from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.simulation.scenario import Scenario
 from repro.ipfs.node import IpfsNode
 
 
@@ -425,27 +423,26 @@ class TestScenarioRun:
 class TestConnectionLifecycleCostModel:
     """Count-based guard on what the connection path allocates (no timing)."""
 
-    def test_one_taginfo_per_identity_and_remote_pid(self, monkeypatch):
-        built = []
-        real_tag_info = connmgr_module.TagInfo
+    def test_tag_maps_only_for_tagged_peers(self, monkeypatch):
+        # A connection alone builds no tag bookkeeping: a vantage point's
+        # tag maps are exactly the peers it tagged, far fewer than it meets.
+        tagged = set()
+        real_tag = ConnectionManager.tag_peer
 
-        def counting_tag_info(*args, **kwargs):
-            built.append(None)
-            return real_tag_info(*args, **kwargs)
+        def recording_tag(manager, peer, tag, value):
+            tagged.add((id(manager), peer))
+            return real_tag(manager, peer, tag, value)
 
-        monkeypatch.setattr(connmgr_module, "TagInfo", counting_tag_info)
+        monkeypatch.setattr(ConnectionManager, "tag_peer", recording_tag)
         scenario = Scenario(build_scenario_config("p0", n_peers=200, duration_days=0.05, seed=7))
-        scenario.run()
+        result = scenario.run()
         monkeypatch.undo()
 
         managers = [identity.node.swarm.connmgr for identity in scenario.identities]
-        distinct_pairs = sum(len(manager._tags) for manager in managers)
-        opened = sum(identity.node.swarm.total_opened for identity in scenario.identities)
-        # the run reconnects and trims, so per-connection or per-trim
-        # construction would show
-        assert opened > 2 * distinct_pairs
-        assert sum(manager.trim_count for manager in managers) > 10
-        assert len(built) <= distinct_pairs
+        maps = {(id(manager), peer) for manager in managers for peer in manager._tags}
+        met = sum(result.dataset(identity.label).pid_count() for identity in scenario.identities)
+        assert maps == tagged
+        assert 0 < len(maps) < met
 
     def test_one_routing_table_write_per_identify_and_no_dht(self, monkeypatch):
         # The vantage points are passive: their only routing-table write is
@@ -489,6 +486,35 @@ class TestConnectionLifecycleCostModel:
         assert [table.local_peer for table in writes] == [node.peer_id for node in identifies]
         assert any(isinstance(node, HydraHead) for node in identifies)
         assert not any(hasattr(node, "dht") for node in nodes)
+
+
+def _sorted_online_walk(network):
+    """The walk ``online_peers`` replaced: the online index sorted per call."""
+    return [peer for _, peer in sorted(network._online.items())]
+
+
+class TestOnlinePeers:
+    """``online_peers`` is the sorted online walk without the sort, at every
+    moment of every scenario (sessions, crashes, partitions, attackers)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(scenario_names()),
+        seed=st.integers(0, 50),
+        every=st.sampled_from([45.0, 300.0, 410.0]),
+    )
+    def test_matches_the_sorted_online_walk(self, name, seed, every):
+        scenario = Scenario(build_scenario_config(name, n_peers=40, duration_days=0.02, seed=seed))
+        sizes = []
+
+        def compare(now):
+            walk = scenario.network.online_peers()
+            assert walk == _sorted_online_walk(scenario.network)
+            sizes.append(len(walk))
+
+        PeriodicTask(scenario.engine, every, compare)
+        scenario.run()
+        assert sizes and max(sizes) > 0
 
 
 class TestCollectorHygiene:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.kademlia.dht import DHTMode
 from repro.libp2p.protocols import KAD_DHT, SBPTP, supports_bitswap
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.population import (
     PeerClass,
     PopulationConfig,

@@ -28,7 +28,7 @@ from repro.obs.trace_export import (
 )
 from repro.faults.retry import RetryPolicy, RetryState
 from repro.netmodel.config import NetModelConfig
-from repro.scenarios import build_scenario_config
+from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import run_scenario
 
 from fingerprint import result_fingerprint
