@@ -2,8 +2,9 @@
 
 ``repro.core`` contains two kinds of code:
 
-* **Recording** (:mod:`repro.core.measurement`): the passive measurement hooks
-  that observe a node's swarm and peerstore and produce a
+* **Recording** (:mod:`repro.core.measurement`): the connection log a node
+  writes as connections open and close, and the snapshots and peerstore dump
+  that turn it into a
   :class:`~repro.core.records.MeasurementDataset` — the JSON-exportable record
   structure the paper's modified go-ipfs / hydra-booster clients write.
 * **Analysis** (everything else): pure functions over datasets that reproduce

@@ -1,18 +1,17 @@
 """Passive measurement recording.
 
 The paper instruments its clients minimally: a listener on connection events
-plus a periodic task that dumps the peerstore.  :class:`MeasurementRecorder`
-implements exactly that against a vantage point's
-:class:`~repro.ipfs.swarm.Swarm` and :class:`~repro.ipfs.peerstore.Peerstore`
-(an :class:`~repro.ipfs.node.IpfsNode`: the go-ipfs node or a hydra head), and
-:class:`PassiveMeasurement` wires a recorder to a node and produces the final
-:class:`~repro.core.records.MeasurementDataset`.
+plus a periodic task that dumps the peerstore.  A vantage point (an
+:class:`~repro.ipfs.node.IpfsNode`: the go-ipfs node or a hydra head) writes
+its connection events itself, one row each, through its
+:class:`MeasurementRecorder`; :class:`PassiveMeasurement` polls the node and
+produces the final :class:`~repro.core.records.MeasurementDataset`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.records import (
     ConnectionLog,
@@ -21,108 +20,138 @@ from repro.core.records import (
     PeerRecord,
     SnapshotRecord,
 )
-from repro.ipfs.node import IpfsNode
-from repro.libp2p.connection import CloseReason, Connection
+from repro.libp2p.connection import CloseReason, Direction
+from repro.libp2p.multiaddr import Multiaddr
+from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import KAD_DHT
+
+if TYPE_CHECKING:  # pragma: no cover - type-only
+    from repro.ipfs.node import IpfsNode
 
 
 class MeasurementRecorder:
-    """Collects connection events and periodic peerstore snapshots.
+    """A vantage point's connection log, written as connections open and close.
 
-    Each connection is one row of a :class:`ConnectionLog`, allocated when it
-    opens (so rows are in open order) and filled in when it closes; the
-    finalised dataset takes the log itself, not a copy.
+    Each connection is one row of a :class:`ConnectionLog`: the row is
+    allocated when it opens (so rows are in open order), its index is the
+    connection's handle, and it is filled in when it closes.  The finalised
+    dataset takes the log itself, not a copy.
     """
 
-    def __init__(self, label: str, measurement_role: str = "server") -> None:
-        self.label = label
-        self.measurement_role = measurement_role
+    def __init__(self) -> None:
         self.started_at: Optional[float] = None
-        self._log = ConnectionLog()
-        #: connection id -> row, for every connection still open
-        self._open: Dict[int, int] = {}
+        self.log = ConnectionLog()
         #: per row, its place in close order (-1 while open): the order in
         #: which rows opened at the same time are exported
         self._close_seq = array("q")
         self._closes = 0
-        self._snapshots: List[SnapshotRecord] = []
 
-    # -- SwarmListener interface ---------------------------------------------------
-
-    def on_connected(self, conn: Connection, now: float) -> None:
+    def on_connected(
+        self,
+        peer: PeerId,
+        direction: Direction,
+        remote_addr: Multiaddr,
+        connection_id: int,
+        now: float,
+    ) -> int:
+        """A connection opened at ``now``; returns its row."""
         if self.started_at is None:
             self.started_at = now
-        self._open[conn.connection_id] = self._open_row(conn)
+        self._close_seq.append(-1)
+        # The strings are the ones the PeerId and the Multiaddr hold, and
+        # ``_value_`` is the plain attribute behind an enum's ``.value``.
+        return self.log.open(
+            peer.to_base58(),
+            direction._value_,
+            now,
+            str(remote_addr),
+            remote_addr.ip(),
+            connection_id,
+        )
 
-    def on_disconnected(self, conn: Connection, now: float) -> None:
-        row = self._open.pop(conn.connection_id, None)
-        if row is None:
-            # A close the recorder never saw open still becomes a row.
-            row = self._open_row(conn)
-        close_reason = conn.close_reason
-        self._log.close(row, now, close_reason._value_ if close_reason is not None else None)
+    def on_disconnected(self, row: int, reason: CloseReason, now: float) -> None:
+        """The connection at ``row`` closed at ``now``."""
+        self.log.close(row, now, reason._value_)
         self._close_seq[row] = self._closes
         self._closes += 1
 
-    def _open_row(self, conn: Connection) -> int:
-        # Once per connection: the strings are the ones the PeerId and the
-        # Multiaddr hold, and ``_value_`` is the plain attribute behind an
-        # enum's ``.value`` descriptor.
-        remote_addr = conn.remote_addr
-        self._close_seq.append(-1)
-        return self._log.open(
-            conn.remote_peer.to_base58(),
-            conn.direction._value_,
-            conn.opened_at,
-            str(remote_addr),
-            remote_addr.ip(),
-            conn.connection_id,
+    def finalize(self, now: float) -> Dict[int, int]:
+        """Count still-open rows as closed at ``now`` and sort the log into
+        export order; returns old -> new row of every still-open row that
+        moved.
+
+        Rows are exported sorted by open time; those opened at the same time
+        come closed ones first, in close order, then still-open ones in open
+        order.  A still-open row stays open: a later close overwrites it.
+        """
+        log = self.log
+        closes = self._closes
+        # Sort key of equal open times: closed rows by close order, then
+        # still-open rows by open order.
+        keys = array(
+            "q", (seq if seq >= 0 else closes + row for row, seq in enumerate(self._close_seq))
         )
+        for row, key in enumerate(keys):
+            if key >= closes:
+                log.close(row, now, CloseReason.STILL_OPEN._value_)
+        if not log.sort(keys):
+            return {}
+        self._close_seq = array("q", (key if key < closes else -1 for key in keys))
+        return {
+            key - closes: row
+            for row, key in enumerate(keys)
+            if key >= closes and key - closes != row
+        }
 
-    # -- periodic polling ------------------------------------------------------------
 
-    def poll(self, now: float, node: IpfsNode) -> SnapshotRecord:
+class PassiveMeasurement:
+    """Polls a vantage point and turns its recording into a dataset.
+
+    The polling schedule itself is owned by the scenario (a
+    :class:`~repro.simulation.engine.PeriodicTask` calling :meth:`poll`), so
+    this class stays usable without the simulation engine — e.g. in unit tests
+    that drive the node directly.
+    """
+
+    def __init__(self, node: IpfsNode, label: str, measurement_role: str = "server") -> None:
+        self.node = node
+        self.label = label
+        self.measurement_role = measurement_role
+        self._snapshots: List[SnapshotRecord] = []
+
+    def poll(self, now: float) -> SnapshotRecord:
         """Record one periodic snapshot (every 30 s for go-ipfs, 1 min for hydra)."""
+        connmgr = self.node.connmgr
         snapshot = SnapshotRecord(
             timestamp=now,
-            simultaneous_connections=node.swarm.connection_count(),
-            known_pids=len(node.peerstore),
-            connected_pids=node.swarm.connected_peer_count(),
+            simultaneous_connections=connmgr.connection_count(),
+            known_pids=len(self.node.peerstore),
+            connected_pids=connmgr.connected_peer_count(),
         )
         self._snapshots.append(snapshot)
         return snapshot
 
     # -- finalisation ------------------------------------------------------------------
 
-    def finalize(self, now: float, node: IpfsNode) -> MeasurementDataset:
+    def finalize(self, now: float) -> MeasurementDataset:
         """Produce the dataset; still-open connections count as closed at ``now``.
 
-        Connections are exported sorted by open time; those opened at the same
-        time come closed ones first, in close order, then still-open ones in
-        open order.  The dataset shares the recorder's log: recording after a
-        finalize changes the dataset it returned.
+        The dataset shares the node's log (see
+        :meth:`MeasurementRecorder.finalize` for its order): recording after a
+        finalize changes the dataset it returned.  A still-open row may move
+        when the log is sorted; the node's table follows it, so a row handle
+        held elsewhere is valid only up to the finalize (the simulation
+        finalizes once, at the end of the run).
         """
-        started = self.started_at if self.started_at is not None else now
-        log = self._log
-        for row in self._open.values():
-            log.close(row, now, CloseReason.STILL_OPEN._value_)
-        # Sort key of equal open times: closed rows by close order, then
-        # still-open rows by open order.
-        closes = self._closes
-        keys = array(
-            "q", (seq if seq >= 0 else closes + row for row, seq in enumerate(self._close_seq))
-        )
-        if log.sort(keys):
-            self._close_seq = array("q", (key if key < closes else -1 for key in keys))
-            self._open = {
-                log.connection_id[row]: row for row, key in enumerate(keys) if key >= closes
-            }
+        node = self.node
+        recorder = node.recorder
+        node.connmgr.renumber(recorder.finalize(now))
         dataset = MeasurementDataset(
             label=self.label,
-            started_at=started,
+            started_at=recorder.started_at if recorder.started_at is not None else now,
             ended_at=now,
             measurement_role=self.measurement_role,
-            connections=log,
+            connections=recorder.log,
         )
         dataset.snapshots = list(self._snapshots)
 
@@ -166,25 +195,4 @@ class MeasurementRecorder:
             )
         dataset.changes.sort(key=lambda c: c.timestamp)
         return dataset
-
-
-class PassiveMeasurement:
-    """Binds a recorder to a node: subscribe, poll, finalise.
-
-    The polling schedule itself is owned by the scenario (a
-    :class:`~repro.simulation.engine.PeriodicTask` calling :meth:`poll`), so
-    this class stays usable without the simulation engine — e.g. in unit tests
-    that drive the node directly.
-    """
-
-    def __init__(self, node: IpfsNode, label: str, measurement_role: str = "server") -> None:
-        self.node = node
-        self.recorder = MeasurementRecorder(label, measurement_role)
-        node.swarm.add_listener(self.recorder)
-
-    def poll(self, now: float) -> SnapshotRecord:
-        return self.recorder.poll(now, self.node)
-
-    def finalize(self, now: float) -> MeasurementDataset:
-        return self.recorder.finalize(now, self.node)
 

@@ -8,10 +8,9 @@ the client-side machinery that determines those observations:
   thresholds the paper tunes per measurement period,
 * a :class:`~repro.ipfs.peerstore.Peerstore` that remembers every peer ever
   seen together with its identify meta data and a change log,
-* a :class:`~repro.ipfs.swarm.Swarm` that owns connections and applies the
-  connection manager's trimming policy,
 * a thin Bitswap engine stub (the measurement never exchanges content, but the
   protocol announcement matters for the meta-data analysis), and
 * the :class:`~repro.ipfs.node.IpfsNode` composition, which can run as a
-  DHT-Server or DHT-Client.
+  DHT-Server or DHT-Client and owns its connections: it writes one row per
+  connection to its log and applies the connection manager's trimming policy.
 """

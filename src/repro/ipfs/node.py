@@ -1,27 +1,29 @@
 """The passive measurement vantage point.
 
-An :class:`IpfsNode` bundles identity, peerstore, swarm (with connection
-manager) and the routing table identify fills into the one vantage-point
-class: the simulation deploys it as the paper's go-ipfs node, and every hydra
-head is one too (:class:`~repro.hydra.head.HydraHead` only picks its
-config).  It is passive, like the paper's clients: it accepts connections,
-reads identify, tags DHT-Servers for the connection manager and trims.  It
-issues and answers no DHT queries — the simulated network's DHT lives in the
-fabric (:class:`~repro.simulation.network.SimulatedNetwork`) and the walks in
-:mod:`repro.kademlia.dht`.
+An :class:`IpfsNode` bundles identity, peerstore, its connections (with the
+connection manager) and the routing table identify fills into the one
+vantage-point class: the simulation deploys it as the paper's go-ipfs node,
+and every hydra head is one too (:class:`~repro.hydra.head.HydraHead` only
+picks its config).  It is passive, like the paper's clients: it accepts
+connections, reads identify, tags DHT-Servers for the connection manager and
+trims.  It issues and answers no DHT queries — the simulated network's DHT
+lives in the fabric (:class:`~repro.simulation.network.SimulatedNetwork`) and
+the walks in :mod:`repro.kademlia.dht`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
+from repro.core.measurement import MeasurementRecorder
 from repro.ipfs.config import IpfsConfig
 from repro.ipfs.peerstore import Peerstore
-from repro.ipfs.swarm import Swarm
 from repro.kademlia.dht import DHTMode
 from repro.kademlia.routing_table import RoutingTable
-from repro.libp2p.connection import CloseReason, Connection, Direction
+from repro.libp2p.connection import CloseReason, Direction
+from repro.libp2p.connmgr import ConnectionManager
 from repro.libp2p.crypto import KeyPair, generate_keypair
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
@@ -34,7 +36,13 @@ _KAD_TAG_VALUE = 5
 
 
 class IpfsNode:
-    """A behavioural stand-in for the go-ipfs reference client."""
+    """A behavioural stand-in for the go-ipfs reference client.
+
+    A connection is a row of the node's connection log
+    (``recorder.log``), and its row index is its handle: the node opens,
+    closes and trims connections by row.  The connection manager's table is
+    the one record of which rows are open.
+    """
 
     #: whether a peer that stops announcing ``/ipfs/kad/1.0.0`` loses its
     #: ``kad`` tag, as with go-ipfs; a hydra head keeps it.  A property of
@@ -52,7 +60,12 @@ class IpfsNode:
         self.keypair = keypair or generate_keypair(self.rng)
         self.peer_id = PeerId.from_keypair(self.keypair)
         self.peerstore = Peerstore()
-        self.swarm = Swarm(self.peer_id, self.config.connmgr_config())
+        self.recorder = MeasurementRecorder()
+        self.connmgr = ConnectionManager(self.config.connmgr_config(), self.recorder.log.opened_at)
+        #: where connection ids come from: this node's own sequence, until a
+        #: SimulatedNetwork points every node it hosts at its shared one (ids
+        #: are then unique fabric-wide and a run never depends on earlier runs)
+        self.connection_ids: Iterator[int] = itertools.count(1)
         #: the DHT-Servers identify has announced (go-libp2p tags these peers)
         self.routing_table = RoutingTable(self.peer_id)
 
@@ -66,22 +79,34 @@ class IpfsNode:
 
     def handle_inbound_connection(
         self, remote_peer: PeerId, remote_addr: Multiaddr, now: float
-    ) -> Connection:
+    ) -> int:
         """A remote peer dialled us; go-ipfs always accepts and trims later."""
-        conn = self.swarm.open_connection(remote_peer, remote_addr, Direction.INBOUND, now)
-        self.peerstore.set_connected(remote_peer, True, now, observed_addr=remote_addr)
-        return conn
+        return self._open(remote_peer, remote_addr, Direction.INBOUND, now)
 
-    def dial(self, remote_peer: PeerId, remote_addr: Multiaddr, now: float) -> Connection:
+    def dial(self, remote_peer: PeerId, remote_addr: Multiaddr, now: float) -> int:
         """Open an outbound connection to a remote peer."""
-        conn = self.swarm.open_connection(remote_peer, remote_addr, Direction.OUTBOUND, now)
-        self.peerstore.set_connected(remote_peer, True, now, observed_addr=remote_addr)
-        return conn
+        return self._open(remote_peer, remote_addr, Direction.OUTBOUND, now)
 
-    def close_connection(self, conn: Connection, reason: CloseReason, now: float) -> None:
-        self.swarm.close_connection(conn, reason, now)
-        if not self.swarm.is_connected(conn.remote_peer):
-            self.peerstore.set_connected(conn.remote_peer, False, now)
+    def _open(
+        self, remote_peer: PeerId, remote_addr: Multiaddr, direction: Direction, now: float
+    ) -> int:
+        row = self.recorder.on_connected(
+            remote_peer, direction, remote_addr, next(self.connection_ids), now
+        )
+        self.connmgr.add_connection(row, remote_peer)
+        self.peerstore.set_connected(remote_peer, now, remote_addr)
+        return row
+
+    def close_connection(self, row: int, reason: CloseReason, now: float) -> None:
+        """Close an open connection (KeyError unless ``row`` is open)."""
+        remote_peer = self._close(row, reason, now)
+        if not self.connmgr.is_connected(remote_peer):
+            self.peerstore.touch(remote_peer, now)
+
+    def _close(self, row: int, reason: CloseReason, now: float) -> PeerId:
+        remote_peer = self.connmgr.remove_connection(row)
+        self.recorder.on_disconnected(row, reason, now)
+        return remote_peer
 
     # -- identify / peerstore -------------------------------------------------------------
 
@@ -98,22 +123,27 @@ class IpfsNode:
         self.peerstore.record_identify(remote_peer, record, now)
         if KAD_DHT in record.protocols:
             self.routing_table.add_peer(remote_peer)
-            self.swarm.tag_peer(remote_peer, _KAD_TAG, _KAD_TAG_VALUE)
+            self.connmgr.tag_peer(remote_peer, _KAD_TAG, _KAD_TAG_VALUE)
         else:
             self.routing_table.remove_peer(remote_peer)
             if self.untags_kad:
-                self.swarm.connmgr.untag_peer(remote_peer, _KAD_TAG)
+                self.connmgr.untag_peer(remote_peer, _KAD_TAG)
 
     # -- periodic work --------------------------------------------------------------------------
 
-    def tick(self, now: float) -> List[Connection]:
-        """Periodic maintenance: run the connection manager's trim cycle."""
-        return self.swarm.trim(now)
+    def tick(self, now: float, force: bool = False) -> List[Tuple[int, PeerId]]:
+        """Periodic maintenance: run the connection manager's trim cycle
+        (``force`` as in :meth:`ConnectionManager.trim`) and close its
+        victims; returns each victim's row and remote peer, in victim order."""
+        return [
+            (row, self._close(row, CloseReason.LOCAL_TRIM, now))
+            for row in self.connmgr.trim(now, force)
+        ]
 
     # -- introspection ----------------------------------------------------------------------------
 
     def connection_count(self) -> int:
-        return self.swarm.connection_count()
+        return self.connmgr.connection_count()
 
     def known_peer_count(self) -> int:
         return len(self.peerstore)

@@ -55,7 +55,6 @@ class PeerEntry:
     agent_version: Optional[str] = None
     protocols: frozenset = frozenset()
     addrs: Tuple[Multiaddr, ...] = ()
-    connected: bool = False
     #: multiaddress the peer most recently connected from (observed address)
     observed_addr: Optional[Multiaddr] = None
     #: the identify record merged last; entries change only inside
@@ -112,17 +111,9 @@ class Peerstore:
             entry.last_seen = now
         return entry
 
-    def set_connected(
-        self,
-        peer: PeerId,
-        connected: bool,
-        now: float,
-        observed_addr: Optional[Multiaddr] = None,
-    ) -> None:
-        entry = self.touch(peer, now)
-        entry.connected = connected
-        if observed_addr is not None:
-            entry.observed_addr = observed_addr
+    def set_connected(self, peer: PeerId, now: float, observed_addr: Multiaddr) -> None:
+        """A connection from ``peer`` opened at ``now`` from ``observed_addr``."""
+        self.touch(peer, now).observed_addr = observed_addr
 
     def record_identify(self, peer: PeerId, record: IdentifyRecord, now: float) -> List[MetaChange]:
         """Merge an identify exchange into the store; returns emitted changes."""

@@ -6,7 +6,7 @@ The analysis only depends on a small slice of libp2p behaviour:
 * peer identities (key pair → PeerId, base58 multihash),
 * multiaddresses (transport addresses, IP extraction, NAT/relay forms),
 * the identify protocol (agent version, supported protocols, multiaddrs),
-* connections with a direction and open/close timestamps, and
+* a connection's direction and close reason, and
 * the connection manager that trims connections between ``LowWater`` and
   ``HighWater`` — the mechanism the paper identifies as the dominant source of
   connection churn.

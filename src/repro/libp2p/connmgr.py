@@ -19,9 +19,8 @@ peers are preferred to be kept; untagged young peers go first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.libp2p.connection import Connection
 from repro.libp2p.peer_id import PeerId
 
 #: go-ipfs default connection-manager thresholds (v0.11).
@@ -59,45 +58,52 @@ class ConnManagerConfig:
 
 
 class ConnectionManager:
-    """Tracks open connections of a node and trims them between watermarks."""
+    """Tracks a vantage point's open connections and trims them between watermarks.
 
-    def __init__(self, config: Optional[ConnManagerConfig] = None) -> None:
-        self.config = config or ConnManagerConfig.defaults()
-        self._connections: Dict[int, Connection] = {}
-        self._peer_conns: Dict[PeerId, Set[int]] = {}
+    A connection is a row of the vantage point's
+    :class:`~repro.core.records.ConnectionLog`.  The manager's row → remote
+    peer table, in open order, with open counts per peer, is the one record
+    of which rows are open; a row's open time is read from the log's
+    ``opened_at`` column.
+    """
+
+    def __init__(self, config: ConnManagerConfig, opened_at: Sequence[float]) -> None:
+        self.config = config
+        self._opened_at = opened_at
+        self._open: Dict[int, PeerId] = {}
+        self._peer_conns: Dict[PeerId, int] = {}
         #: tag name -> value per tagged peer (go-libp2p's ``TagInfo.Tags``);
         #: only :meth:`tag_peer` creates a peer's map
         self._tags: Dict[PeerId, Dict[str, int]] = {}
         self._last_trim: float = float("-inf")
-        self.trim_count: int = 0
-        self.trimmed_connections: int = 0
 
     # -- connection bookkeeping -------------------------------------------------
 
-    def add_connection(self, conn: Connection) -> None:
+    def add_connection(self, row: int, peer: PeerId) -> None:
         """Register a newly opened connection."""
-        cid = conn.connection_id
-        if cid in self._connections:
-            raise ValueError(f"connection {cid} already tracked")
-        self._connections[cid] = conn
-        peer = conn.remote_peer
-        ids = self._peer_conns.get(peer)
-        if ids is None:
-            self._peer_conns[peer] = {cid}
-        else:
-            ids.add(cid)
+        if row in self._open:
+            raise ValueError(f"row {row} already open")
+        self._open[row] = peer
+        peer_conns = self._peer_conns
+        peer_conns[peer] = peer_conns.get(peer, 0) + 1
 
-    def remove_connection(self, conn: Connection) -> None:
-        """Forget a connection that was closed externally."""
-        self._connections.pop(conn.connection_id, None)
-        peers = self._peer_conns.get(conn.remote_peer)
-        if peers is not None:
-            peers.discard(conn.connection_id)
-            if not peers:
-                del self._peer_conns[conn.remote_peer]
+    def remove_connection(self, row: int) -> PeerId:
+        """Forget a closed connection (KeyError unless open); returns its peer."""
+        peer = self._open.pop(row)
+        left = self._peer_conns[peer] - 1
+        if left:
+            self._peer_conns[peer] = left
+        else:
+            del self._peer_conns[peer]
+        return peer
+
+    def renumber(self, moved: Dict[int, int]) -> None:
+        """Open rows moved to new rows (the log was sorted): old -> new."""
+        if moved:
+            self._open = {moved.get(row, row): peer for row, peer in self._open.items()}
 
     def connection_count(self) -> int:
-        return len(self._connections)
+        return len(self._open)
 
     def is_connected(self, peer: PeerId) -> bool:
         return peer in self._peer_conns
@@ -123,52 +129,44 @@ class ConnectionManager:
 
     # -- trimming ---------------------------------------------------------------
 
-    def needs_trim(self) -> bool:
-        return self.connection_count() > self.config.high_water
-
-    def select_victims(self, now: float) -> List[Connection]:
-        """Return the connections a trim run would close, lowest priority first.
+    def select_victims(self, now: float) -> List[int]:
+        """Return the rows a trim run would close, lowest priority first.
 
         Mirrors go-libp2p: connections still inside the grace period survive;
         the remainder is sorted by peer tag value (ascending) and, within equal
         value, by connection age (youngest closed first — go-libp2p keeps
-        long-standing connections).
+        long-standing connections).  Among equals the earlier-opened row goes
+        first: rows that opened at the same time are in open order.
         """
-        excess = len(self._connections) - self.config.low_water
+        excess = len(self._open) - self.config.low_water
         if excess <= 0:
             return []
         tags = self._tags
+        opened = self._opened_at
         grace_period = self.config.grace_period
-        # (value, -opened_at, candidate position, conn): lowest score first,
-        # among equals youngest first, and the unique position both reproduces
-        # a stable sort's tie-break and keeps Connections from being compared.
-        candidates: List[Tuple[int, float, int, Connection]] = []
-        for conn in self._connections.values():
-            opened_at = conn.opened_at
+        # (value, -opened_at, row): lowest score first, among equals youngest
+        # first, then open order
+        candidates: List[Tuple[int, float, int]] = []
+        for row, peer in self._open.items():
+            opened_at = opened[row]
             if now - opened_at < grace_period:
                 continue
-            peer_tags = tags.get(conn.remote_peer)
+            peer_tags = tags.get(peer)
             value = 0 if peer_tags is None else sum(peer_tags.values())
-            candidates.append((value, -opened_at, len(candidates), conn))
+            candidates.append((value, -opened_at, row))
         candidates.sort()
-        return [item[3] for item in candidates[:excess]]
+        return [item[2] for item in candidates[:excess]]
 
-    def trim(self, now: float, force: bool = False) -> List[Connection]:
-        """Run a trim cycle; returns the victims (caller actually closes them).
+    def trim(self, now: float, force: bool = False) -> List[int]:
+        """Run a trim cycle; returns the victim rows (the caller closes them).
 
         ``force`` bypasses the HighWater check and the silence period, which is
         how go-libp2p's manual ``TrimOpenConns`` behaves.
         """
         if not force:
-            if not self.needs_trim():
+            if len(self._open) <= self.config.high_water:
                 return []
             if now - self._last_trim < self.config.silence_period:
                 return []
-        victims = self.select_victims(now)
         self._last_trim = now
-        if victims:
-            self.trim_count += 1
-            self.trimmed_connections += len(victims)
-        for conn in victims:
-            self.remove_connection(conn)
-        return victims
+        return self.select_victims(now)

@@ -54,7 +54,7 @@ from repro.ipfs.bitswap import BitswapEngine
 from repro.ipfs.node import IpfsNode
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
-from repro.libp2p.connection import CloseReason, Connection
+from repro.libp2p.connection import CloseReason
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr, advertised_addrs, random_private_ipv4
 from repro.libp2p.peer_id import PeerId
@@ -132,8 +132,9 @@ class SimPeer:
         self.all_pids: List[PeerId] = [self.current_pid]
         self.online = False
         self.sessions_started = 0
-        #: label -> open Connection at the corresponding measurement identity
-        self.connections: Dict[str, Connection] = {}
+        #: label -> row of the open connection at that measurement identity
+        #: (every close pops the entry, so an entry means open)
+        self.connections: Dict[str, int] = {}
         self.kad_announced = profile.is_dht_server
         self.autonat_announced = AUTONAT in profile.protocols
         self.agent = profile.agent
@@ -371,7 +372,7 @@ class SimulatedNetwork:
             raise RuntimeError("identities must be added before start()")
         self.identities.append(identity)
         self._identities_by_label[identity.label] = identity
-        identity.node.swarm.connection_ids = self.connection_ids
+        identity.node.connection_ids = self.connection_ids
 
     def start(self, duration: float) -> None:
         """Schedule every process for a measurement of ``duration`` seconds."""
@@ -509,11 +510,7 @@ class SimulatedNetwork:
         peer.online = False
         peer.last_online_at = now
         self._online.pop(peer.profile.peer_index, None)
-        for label, conn in list(peer.connections.items()):
-            identity = self._identity_by_label(label)
-            if identity is not None and conn.is_open:
-                identity.node.close_connection(conn, CloseReason.REMOTE_LEFT, now)
-            peer.connections.pop(label, None)
+        self.sever_connections(peer)
         profile = peer.profile
         max_sessions = profile.session_model.max_sessions
         if max_sessions is not None and peer.sessions_started >= max_sessions:
@@ -538,32 +535,26 @@ class SimulatedNetwork:
         peer.online = False
         peer.last_online_at = now
         self._online.pop(peer.profile.peer_index, None)
-        for label, conn in list(peer.connections.items()):
-            identity = self._identity_by_label(label)
-            if identity is not None and conn.is_open:
-                identity.node.close_connection(conn, CloseReason.REMOTE_LEFT, now)
-            peer.connections.pop(label, None)
+        self.sever_connections(peer)
 
     def sever_connections(self, peer: SimPeer) -> int:
-        """Cut every open measurement connection of ``peer`` (partition onset).
+        """Close every open measurement connection of ``peer`` as
+        ``remote-left``; returns how many there were.
 
-        The peer stays online on its own side of the split; returns how many
-        open connections were severed.
+        A session end and a crash call this; so does a partition's onset, after
+        which the peer stays online on its own side of the split.
         """
-        severed = 0
         now = self.engine.now
-        for label, conn in list(peer.connections.items()):
-            identity = self._identity_by_label(label)
-            if identity is not None and conn.is_open:
-                identity.node.close_connection(conn, CloseReason.REMOTE_LEFT, now)
-                severed += 1
-            peer.connections.pop(label, None)
+        connections = peer.connections
+        for label, row in connections.items():
+            self._identities_by_label[label].node.close_connection(
+                row, CloseReason.REMOTE_LEFT, now
+            )
+        severed = len(connections)
+        connections.clear()
         return severed
 
     # --------------------------------------------------------------- contacts ----
-
-    def _identity_by_label(self, label: str) -> Optional[MeasurementIdentity]:
-        return self._identities_by_label.get(label)
 
     def _contact_delay(self, peer: SimPeer, identity: MeasurementIdentity) -> Optional[float]:
         """Time until ``peer`` contacts ``identity`` in this session (None: never)."""
@@ -597,17 +588,16 @@ class SimulatedNetwork:
                 self.engine.schedule_drop(retry, self._attempt_contact, peer, identity)
                 return
         label = identity.label
-        conn = peer.connections.get(label)
-        if conn is not None and conn.closed_at is None:
+        if label in peer.connections:
             return
         pid = peer.current_pid
-        conn = identity.node.handle_inbound_connection(pid, peer.dial_addr(), now)
-        peer.connections[label] = conn
+        row = identity.node.handle_inbound_connection(pid, peer.dial_addr(), now)
+        peer.connections[label] = row
         self.peers_by_pid[pid] = peer
         for runtime in self.runtimes:
             runtime.note_contact_made(peer)
         self._schedule_identify(peer, identity)
-        self._plan_connection_end(peer, identity, conn)
+        self._plan_connection_end(peer, identity, row)
 
     def _schedule_identify(self, peer: SimPeer, identity: MeasurementIdentity) -> None:
         """Roll the identify exchange and schedule its delivery.
@@ -647,8 +637,7 @@ class SimulatedNetwork:
 
     def _deliver_identify(self, peer: SimPeer, identity: MeasurementIdentity) -> None:
         label = identity.label
-        conn = peer.connections.get(label)
-        if conn is None or conn.closed_at is not None:
+        if label not in peer.connections:
             return
         identity.node.receive_identify(peer.current_pid, peer.identify_record(), self.engine.now)
         for runtime in self.runtimes:
@@ -659,26 +648,20 @@ class SimulatedNetwork:
         if peer.agent is None:
             # Peers whose identify exchange never completes cannot push either.
             return
-        for label, conn in peer.connections.items():
-            if not conn.is_open:
-                continue
-            identity = self._identity_by_label(label)
-            if identity is not None:
-                identity.node.receive_identify(
-                    peer.current_pid, peer.identify_record(), self.engine.now
-                )
-                for runtime in self.runtimes:
-                    runtime.on_identify_delivered(label, peer)
+        for label in peer.connections:
+            self._identities_by_label[label].node.receive_identify(
+                peer.current_pid, peer.identify_record(), self.engine.now
+            )
+            for runtime in self.runtimes:
+                runtime.on_identify_delivered(label, peer)
 
-    def _plan_connection_end(
-        self, peer: SimPeer, identity: MeasurementIdentity, conn: Connection
-    ) -> None:
+    def _plan_connection_end(self, peer: SimPeer, identity: MeasurementIdentity, row: int) -> None:
         """Decide who will close this connection, and when."""
         profile = peer.profile
         if profile.is_crawler:
             duration = self.rng.uniform(*self.config.crawler_probe_duration)
             self.engine.schedule_drop(
-                duration, self._remote_close, peer, identity, conn, CloseReason.PROTOCOL_DONE
+                duration, self._remote_close, peer, identity, row, CloseReason.PROTOCOL_DONE
             )
             return
         keep_probability = profile.keep_probability
@@ -690,28 +673,21 @@ class SimulatedNetwork:
             return
         delay = self.config.remote_grace + self.rng.expovariate(1.0 / self.config.remote_trim_mean)
         self.engine.schedule_drop(
-            delay, self._remote_close, peer, identity, conn, CloseReason.REMOTE_TRIM
+            delay, self._remote_close, peer, identity, row, CloseReason.REMOTE_TRIM
         )
 
     def _remote_close(
-        self,
-        peer: SimPeer,
-        identity: MeasurementIdentity,
-        conn: Connection,
-        reason: CloseReason,
+        self, peer: SimPeer, identity: MeasurementIdentity, row: int, reason: CloseReason
     ) -> None:
-        if conn.closed_at is not None:
-            return
         label = identity.label
-        if peer.connections.get(label) is not conn:
+        if peer.connections.get(label) != row:
+            # closed already (and maybe reopened as another row)
             return
-        identity.node.close_connection(conn, reason, self.engine.now)
-        peer.connections.pop(label, None)
-        self._maybe_reconnect(peer, identity, reason)
+        identity.node.close_connection(row, reason, self.engine.now)
+        del peer.connections[label]
+        self._maybe_reconnect(peer, identity)
 
-    def _maybe_reconnect(
-        self, peer: SimPeer, identity: MeasurementIdentity, reason: CloseReason
-    ) -> None:
+    def _maybe_reconnect(self, peer: SimPeer, identity: MeasurementIdentity) -> None:
         if not peer.online:
             return
         profile = peer.profile
@@ -730,14 +706,10 @@ class SimulatedNetwork:
 
     def _identity_tick(self, identity: MeasurementIdentity, now: float) -> None:
         """Run the identity's connection-manager trim and handle the fallout."""
-        victims = identity.node.tick(now)
-        for conn in victims:
-            peer = self.peers_by_pid.get(conn.remote_peer)
-            if peer is None:
-                continue
-            if peer.connections.get(identity.label) is conn:
-                peer.connections.pop(identity.label, None)
-            self._maybe_reconnect(peer, identity, CloseReason.LOCAL_TRIM)
+        for _, remote_peer in identity.node.tick(now):
+            peer = self.peers_by_pid[remote_peer]
+            del peer.connections[identity.label]
+            self._maybe_reconnect(peer, identity)
 
     def _identity_outbound(self, identity: MeasurementIdentity, now: float) -> None:
         """The measurement node's own modest outbound dialling (DHT queries,
@@ -751,8 +723,8 @@ class SimulatedNetwork:
                 # A runtime vetoed the dial (NAT, partition, ...); the attempt
                 # is counted by the vetoing runtime, no connection is recorded.
                 continue
-            conn = identity.node.dial(peer.current_pid, peer.dial_addr(), now)
-            peer.connections[identity.label] = conn
+            row = identity.node.dial(peer.current_pid, peer.dial_addr(), now)
+            peer.connections[identity.label] = row
             self.peers_by_pid[peer.current_pid] = peer
             for runtime in self.runtimes:
                 runtime.note_contact_made(peer)
@@ -768,7 +740,7 @@ class SimulatedNetwork:
             if self.rng.random() < keep:
                 continue
             self.engine.schedule_drop(
-                delay, self._remote_close, peer, identity, conn, CloseReason.REMOTE_TRIM
+                delay, self._remote_close, peer, identity, row, CloseReason.REMOTE_TRIM
             )
 
     # ------------------------------------------------------------- DHT RPCs ----

@@ -16,7 +16,15 @@ The scan reads the AST rather than tokens: an f-string's expressions are
 ordinary AST nodes on every supported Python, while the token stream of an
 f-string changed in 3.12 (PEP 701).
 
-Run ``python tests/test_api_surface.py`` to print the unreachable names.
+A second scan finds write-only state: an attribute the program assigns
+(``x.a = …``, ``x.a += …``) but never reads by name.  A read is an
+``ast.Attribute`` or ``ast.Name`` load, any string constant (``getattr``
+names, ``__slots__``, column-name lists read through ``getattr``) or a
+class-body annotation (a dataclass field, which the generated methods read);
+dunders are exempt.
+
+Run ``python tests/test_api_surface.py`` to print the unreachable names and
+the write-only attributes.
 """
 
 from __future__ import annotations
@@ -131,11 +139,50 @@ def unreachable_definitions() -> list[Definition]:
         alive = [d for d in alive if d not in newly]
 
 
+def write_only_attributes() -> dict[str, list[str]]:
+    """Attribute name -> the ``path:line`` places the program assigns it,
+    for every attribute the program never reads."""
+    stores: dict[str, list[str]] = {}
+    reads: set[str] = set()
+    for path in program_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                    stores.setdefault(node.attr, []).append(where)
+                elif isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+            elif isinstance(node, ast.ClassDef):
+                reads.update(
+                    member.target.id
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                )
+    return {
+        name: places
+        for name, places in sorted(stores.items())
+        if name not in reads and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
 def test_every_src_definition_is_reached_by_the_program():
     unreached = "\n".join(map(str, unreachable_definitions()))
     assert not unreached, f"reached only from tests (delete, or allow with a reason):\n{unreached}"
 
 
+def test_no_attribute_is_written_and_never_read():
+    unread = "\n".join(
+        f"{name}: {', '.join(places)}" for name, places in write_only_attributes().items()
+    )
+    assert not unread, f"assigned but never read (delete the state):\n{unread}"
+
+
 if __name__ == "__main__":
     for definition in unreachable_definitions():
         print(definition)
+    for name, places in write_only_attributes().items():
+        print(f"write-only {name}: {', '.join(places)}")

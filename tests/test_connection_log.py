@@ -1,23 +1,29 @@
 """The connection log against the record-object code it replaced.
 
 A vantage point's connections are rows of typed columns
-(:class:`~repro.core.records.ConnectionLog`).  The object-per-connection
-bodies they replaced live on here as references: the list recorder and its
-``finalize`` sort, the concatenate-and-sort hydra union, and the record-loop
-``connection_statistics``, ``estimate_by_multiaddress`` and
-``peer_connection_summaries``.  Over random open/close traces the log must
-give the same rows in the same order and bit-identical floats.  The memory
-pins hold the layout itself: a few dozen bytes per row, no record object
-alive after a run, and protocol sets shared with the peerstore.
+(:class:`~repro.core.records.ConnectionLog`), and a row's index is the
+connection's handle.  The object-per-connection bodies they replaced live on
+here as references: the ``Connection`` / ``Swarm`` / ``ConnectionManager`` /
+log-recorder quartet that kept each open connection in six places, the list
+recorder and its ``finalize`` sort, the concatenate-and-sort hydra union, and
+the record-loop ``connection_statistics``, ``estimate_by_multiaddress`` and
+``peer_connection_summaries``.  Over random open/close/trim traces a node must
+trim the same victims in the same order, hold the same counts, and its log
+must give the same rows in the same order with bit-identical floats.  The
+memory pins hold the layout itself: a few dozen bytes per row, no record
+object alive after a run, and protocol sets shared with the peerstore.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import sys
+from array import array
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +36,7 @@ from repro.core.churn import (
     _direction_stats,
     connection_statistics,
 )
-from repro.core.measurement import MeasurementRecorder
+from repro.core.measurement import PassiveMeasurement
 from repro.core.netsize import (
     MultiaddrEstimate,
     PeerConnectionSummary,
@@ -38,8 +44,9 @@ from repro.core.netsize import (
     peer_connection_summaries,
 )
 from repro.core.records import ConnectionLog, ConnectionRecord, MeasurementDataset, PeerRecord
-from repro.ipfs.peerstore import Peerstore
-from repro.libp2p.connection import CloseReason, Connection, Direction
+from repro.ipfs.node import IpfsNode
+from repro.libp2p.connection import CloseReason, Direction
+from repro.libp2p.connmgr import ConnManagerConfig
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import IPFS_ID, KAD_DHT
@@ -47,6 +54,181 @@ from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import Scenario
 
 # -- references: the object-per-connection code the log replaced ----------------------
+
+
+@dataclass(slots=True)
+class Connection:
+    """A connection object: the handle before rows were."""
+
+    remote_peer: PeerId
+    direction: Direction
+    remote_addr: Multiaddr
+    opened_at: float
+    connection_id: int
+    closed_at: Optional[float] = None
+    close_reason: Optional[CloseReason] = None
+
+    def close(self, now: float, reason: CloseReason) -> None:
+        if self.closed_at is not None:
+            raise RuntimeError(f"connection {self.connection_id} already closed")
+        self.closed_at = now
+        self.close_reason = reason
+
+
+class ReferenceConnectionManager:
+    """The connection manager over ``Connection`` objects, keyed by id."""
+
+    def __init__(self, config: ConnManagerConfig) -> None:
+        self.config = config
+        self._connections: Dict[int, Connection] = {}
+        self._peer_conns: Dict[PeerId, Set[int]] = {}
+        self._tags: Dict[PeerId, Dict[str, int]] = {}
+        self._last_trim = float("-inf")
+
+    def add_connection(self, conn: Connection) -> None:
+        self._connections[conn.connection_id] = conn
+        self._peer_conns.setdefault(conn.remote_peer, set()).add(conn.connection_id)
+
+    def remove_connection(self, conn: Connection) -> None:
+        self._connections.pop(conn.connection_id, None)
+        peers = self._peer_conns.get(conn.remote_peer)
+        if peers is not None:
+            peers.discard(conn.connection_id)
+            if not peers:
+                del self._peer_conns[conn.remote_peer]
+
+    def connection_count(self) -> int:
+        return len(self._connections)
+
+    def connected_peer_count(self) -> int:
+        return len(self._peer_conns)
+
+    def tag_peer(self, peer: PeerId, tag: str, value: int) -> None:
+        self._tags.setdefault(peer, {})[tag] = value
+
+    def untag_peer(self, peer: PeerId, tag: str) -> None:
+        tags = self._tags.get(peer)
+        if tags is not None:
+            tags.pop(tag, None)
+
+    def select_victims(self, now: float) -> List[Connection]:
+        excess = len(self._connections) - self.config.low_water
+        if excess <= 0:
+            return []
+        # (value, -opened_at, candidate position, conn): the position is the
+        # stable sort's tie-break, in open order
+        candidates: List[Tuple[int, float, int, Connection]] = []
+        for conn in self._connections.values():
+            if now - conn.opened_at < self.config.grace_period:
+                continue
+            peer_tags = self._tags.get(conn.remote_peer)
+            value = 0 if peer_tags is None else sum(peer_tags.values())
+            candidates.append((value, -conn.opened_at, len(candidates), conn))
+        candidates.sort()
+        return [item[3] for item in candidates[:excess]]
+
+    def trim(self, now: float, force: bool = False) -> List[Connection]:
+        if not force:
+            if self.connection_count() <= self.config.high_water:
+                return []
+            if now - self._last_trim < self.config.silence_period:
+                return []
+        victims = self.select_victims(now)
+        self._last_trim = now
+        for conn in victims:
+            self.remove_connection(conn)
+        return victims
+
+
+class ReferenceSwarm:
+    """The swarm: open connections by id, a connection manager, listeners."""
+
+    def __init__(self, config: ConnManagerConfig) -> None:
+        self.connmgr = ReferenceConnectionManager(config)
+        self._listeners: list = []
+        self._open_by_id: Dict[int, Connection] = {}
+        self.connection_ids: Iterator[int] = itertools.count(1)
+
+    def add_listener(self, listener) -> None:
+        self._listeners.append(listener)
+
+    def connection_count(self) -> int:
+        return len(self._open_by_id)
+
+    def connected_peer_count(self) -> int:
+        return self.connmgr.connected_peer_count()
+
+    def open_connection(
+        self, remote_peer: PeerId, remote_addr: Multiaddr, direction: Direction, now: float
+    ) -> Connection:
+        conn = Connection(remote_peer, direction, remote_addr, now, next(self.connection_ids))
+        self._open_by_id[conn.connection_id] = conn
+        self.connmgr.add_connection(conn)
+        for listener in self._listeners:
+            listener.on_connected(conn, now)
+        return conn
+
+    def close_connection(self, conn: Connection, reason: CloseReason, now: float) -> None:
+        if conn.connection_id not in self._open_by_id:
+            raise KeyError(f"connection {conn.connection_id} is not open in this swarm")
+        conn.close(now, reason)
+        del self._open_by_id[conn.connection_id]
+        self.connmgr.remove_connection(conn)
+        for listener in self._listeners:
+            listener.on_disconnected(conn, now)
+
+    def trim(self, now: float, force: bool = False) -> List[Connection]:
+        victims = self.connmgr.trim(now, force=force)
+        for conn in victims:
+            if conn.connection_id in self._open_by_id:
+                conn.close(now, CloseReason.LOCAL_TRIM)
+                del self._open_by_id[conn.connection_id]
+                for listener in self._listeners:
+                    listener.on_disconnected(conn, now)
+        return victims
+
+
+class ReferenceLogRecorder:
+    """The swarm listener that filled a ``ConnectionLog``: connection id ->
+    row while open, the row filled in at close."""
+
+    def __init__(self) -> None:
+        self._log = ConnectionLog()
+        self._open: Dict[int, int] = {}
+        self._close_seq = array("q")
+        self._closes = 0
+
+    def on_connected(self, conn: Connection, now: float) -> None:
+        self._close_seq.append(-1)
+        self._open[conn.connection_id] = self._log.open(
+            conn.remote_peer.to_base58(),
+            conn.direction._value_,
+            conn.opened_at,
+            str(conn.remote_addr),
+            conn.remote_addr.ip(),
+            conn.connection_id,
+        )
+
+    def on_disconnected(self, conn: Connection, now: float) -> None:
+        row = self._open.pop(conn.connection_id)
+        self._log.close(row, now, conn.close_reason._value_)
+        self._close_seq[row] = self._closes
+        self._closes += 1
+
+    def finalize(self, now: float) -> ConnectionLog:
+        log = self._log
+        for row in self._open.values():
+            log.close(row, now, CloseReason.STILL_OPEN._value_)
+        closes = self._closes
+        keys = array(
+            "q", (seq if seq >= 0 else closes + row for row, seq in enumerate(self._close_seq))
+        )
+        if log.sort(keys):
+            self._close_seq = array("q", (key if key < closes else -1 for key in keys))
+            self._open = {
+                log.connection_id[row]: row for row, key in enumerate(keys) if key >= closes
+            }
+        return log
 
 
 class ReferenceRecorder:
@@ -205,54 +387,98 @@ _PEERS = [PeerId.random(random.Random(seed)) for seed in range(6)]
 _ADDRS = [Multiaddr.tcp(f"10.0.0.{i}") for i in range(4)] + [Multiaddr.quic("10.0.0.1")]
 _REASONS = [reason for reason in CloseReason if reason is not CloseReason.STILL_OPEN]
 
-#: one step of a vantage point's trace; ``dt`` is mostly 0 so that many
-#: connections open and close at the same time, as in one event
-_steps = st.tuples(
-    st.sampled_from(["open", "open", "open", "close", "close", "ghost", "finalize"]),
-    st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 30.0]),
-    st.integers(min_value=0, max_value=1_000),
-    st.sampled_from([*_REASONS, None]),
+
+def connection_traces(kinds: List[str], max_size: int):
+    """Traces of (kind, dt, pick, reason) steps; ``dt`` is mostly 0, so
+    many connections open, close and are trimmed at the same time, as in one
+    event, and grace and silence periods end exactly at a step."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(kinds),
+            st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 30.0]),
+            st.integers(min_value=0, max_value=1_000),
+            st.sampled_from(_REASONS),
+        ),
+        max_size=max_size,
+    )
+
+
+#: a connection manager whose watermarks a short trace crosses
+connmgr_configs = st.builds(
+    lambda low, extra, grace, silence: ConnManagerConfig(low, low + extra, grace, silence),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 1.0, 30.0]),
+    st.sampled_from([0.0, 1.0, 30.0]),
 )
-_heads = st.lists(st.lists(_steps, max_size=40), min_size=1, max_size=4)
 
 
-def _play(steps, log_recorder: MeasurementRecorder, reference: ReferenceRecorder):
-    """Feed one trace to both recorders; returns the time it ends at.
+def play_trace(steps, config: ConnManagerConfig, label: str = "go-ipfs"):
+    """Feed one trace to an :class:`IpfsNode` and to the reference swarm.
 
-    A ``finalize`` step finalises the log recorder mid-trace, which may not
-    change what it exports at the end.  A ``ghost`` closes a connection
-    neither recorder saw open.
+    ``open`` / ``dial`` open an inbound / outbound connection, ``close``
+    closes an open one, ``trim`` runs a trim cycle (forced on an even
+    ``pick``), ``tag`` / ``untag`` change a peer's tags and ``finalize``
+    finalises mid-trace.  After every step both sides hold as many
+    connections to as many peers; a trim closes the same victims in the same
+    order; a finalize exports rows bit-identical to both reference recorders,
+    and may not change what is exported at the end.  Returns the time the
+    trace ends at, the node's measurement and the two reference recorders.
     """
-    node = SimpleNamespace(peerstore=Peerstore())
+    node = IpfsNode(rng=random.Random(0))
+    node.connmgr.config = config
+    measurement = PassiveMeasurement(node, label)
+    swarm = ReferenceSwarm(config)
+    log_reference, list_reference = ReferenceLogRecorder(), ReferenceRecorder()
+    swarm.add_listener(log_reference)
+    swarm.add_listener(list_reference)
+    log = node.recorder.log
+    # each open connection: the reference object and the node's row
+    open_conns: List[Tuple[Connection, int]] = []
     now = 0.0
-    open_conns: List[Connection] = []
-    cids = iter(range(1, 10_000))
     for kind, dt, pick, reason in steps:
         now += dt
-        if kind == "finalize":
-            log_recorder.finalize(now, node)
-            continue
-        if kind == "close" and open_conns:
-            conn = open_conns.pop(pick % len(open_conns))
-        else:
-            opened = now if kind == "open" else now - (pick % 3) * 0.25
-            conn = Connection(
-                _PEERS[pick % len(_PEERS)],
-                Direction.INBOUND if pick % 3 else Direction.OUTBOUND,
-                _ADDRS[pick % len(_ADDRS)],
-                max(0.0, opened),
-                next(cids),
-            )
+        peer = _PEERS[pick % len(_PEERS)]
+        if kind in ("open", "dial"):
+            addr = _ADDRS[pick % len(_ADDRS)]
             if kind == "open":
-                for recorder in (log_recorder, reference):
-                    recorder.on_connected(conn, now)
-                open_conns.append(conn)
-                continue
-        if reason is not None:
-            conn.close(now, reason)
-        for recorder in (log_recorder, reference):
-            recorder.on_disconnected(conn, now)
-    return now, node
+                conn = swarm.open_connection(peer, addr, Direction.INBOUND, now)
+                row = node.handle_inbound_connection(peer, addr, now)
+            else:
+                conn = swarm.open_connection(peer, addr, Direction.OUTBOUND, now)
+                row = node.dial(peer, addr, now)
+            assert log.connection_id[row] == conn.connection_id
+            open_conns.append((conn, row))
+        elif kind == "close" and open_conns:
+            conn, row = open_conns.pop(pick % len(open_conns))
+            swarm.close_connection(conn, reason, now)
+            node.close_connection(row, reason, now)
+        elif kind == "trim":
+            force = pick % 2 == 0
+            victims = swarm.trim(now, force=force)
+            closed = node.tick(now, force=force)
+            assert [(log.connection_id[row], peer) for row, peer in closed] == [
+                (conn.connection_id, conn.remote_peer) for conn in victims
+            ]
+            gone = {conn.connection_id for conn in victims}
+            open_conns = [(conn, row) for conn, row in open_conns if conn.connection_id not in gone]
+        elif kind in ("tag", "untag"):
+            tag = ("kad", "bitswap")[pick % 2]
+            for connmgr in (swarm.connmgr, node.connmgr):
+                if kind == "tag":
+                    connmgr.tag_peer(peer, tag, (0, 5, 10)[pick % 3])
+                else:
+                    connmgr.untag_peer(peer, tag)
+        elif kind == "finalize":
+            rows = _exact(measurement.finalize(now).connections)
+            assert rows == _exact(log_reference.finalize(now))
+            assert rows == _exact(list_reference.finalize(now))
+            # finalizing sorts the log; the node's table follows its rows
+            row_of = {cid: row for row, cid in enumerate(log.connection_id)}
+            open_conns = [(conn, row_of[conn.connection_id]) for conn, _ in open_conns]
+        assert node.connection_count() == swarm.connection_count()
+        assert node.connmgr.connected_peer_count() == swarm.connected_peer_count()
+    return now, measurement, log_reference, list_reference
 
 
 def _exact(rows) -> List[tuple]:
@@ -284,17 +510,31 @@ def _reference_analyses(dataset: MeasurementDataset):
 
 class TestLogMatchesTheRecordObjects:
     @settings(max_examples=200, deadline=None)
-    @given(heads=_heads, tail=st.sampled_from([0.0, 0.5, 100.0]))
+    @given(
+        heads=st.lists(
+            st.tuples(
+                connection_traces(
+                    ["open", "open", "dial", "close", "close", "trim", "tag", "finalize"], 40
+                ),
+                connmgr_configs,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        tail=st.sampled_from([0.0, 0.5, 100.0]),
+    )
     def test_recorder_union_and_reducers(self, heads, tail):
         datasets, references = [], []
-        for h, steps in enumerate(heads):
-            recorder, reference = MeasurementRecorder(f"hydra-H{h}"), ReferenceRecorder()
-            now, node = _play(steps, recorder, reference)
-            dataset = recorder.finalize(now + tail, node)
-            expected = reference.finalize(now + tail)
+        for h, (steps, config) in enumerate(heads):
+            now, measurement, log_reference, list_reference = play_trace(
+                steps, config, f"hydra-H{h}"
+            )
+            dataset = measurement.finalize(now + tail)
+            expected = list_reference.finalize(now + tail)
             assert _exact(dataset.connections) == _exact(expected)
+            assert _exact(dataset.connections) == _exact(log_reference.finalize(now + tail))
             # a second finalize exports the same rows
-            again = recorder.finalize(now + tail, node)
+            again = measurement.finalize(now + tail)
             assert _exact(again.connections) == _exact(expected)
             assert again == dataset
             datasets.append(dataset)

@@ -103,3 +103,23 @@ class TestPassiveMeasurement:
         dataset = measurement.finalize(300.0)
         reasons = {c.close_reason for c in dataset.connections}
         assert "local-trim" in reasons
+
+    def test_finalize_moves_a_still_open_row_and_the_node_follows(self, rng):
+        node = make_node(low=0, high=5)
+        measurement = PassiveMeasurement(node, label="go-ipfs")
+        kept, gone = PeerId.random(rng), PeerId.random(rng)
+        assert node.handle_inbound_connection(kept, Multiaddr.tcp("1.1.1.1"), 5.0) == 0
+        node.close_connection(
+            node.handle_inbound_connection(gone, Multiaddr.tcp("2.2.2.2"), 5.0),
+            CloseReason.REMOTE_TRIM,
+            6.0,
+        )
+        # opened at the same time: the closed row is exported first
+        dataset = measurement.finalize(10.0)
+        assert [record.peer for record in dataset.connections] == [str(gone), str(kept)]
+        assert node.connmgr._open == {1: kept}
+        assert node.tick(20.0, force=True) == [(1, kept)]
+        record = measurement.finalize(30.0).connections[1]
+        assert (record.peer, record.closed_at, record.close_reason) == (
+            str(kept), 20.0, "local-trim"
+        )

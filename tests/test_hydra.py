@@ -22,7 +22,7 @@ class TestHydraHead:
         head = HydraHead(random.Random(2))
         assert isinstance(head, IpfsNode) and head.is_dht_server
         assert head.config == IpfsConfig(low_water=15_000, high_water=20_000, poll_interval=60.0)
-        assert head.swarm.connmgr.config == head.config.connmgr_config()
+        assert head.connmgr.config == head.config.connmgr_config()
         # the only code a head has is its constructor and the untag switch
         own = {name for name, value in vars(HydraHead).items() if callable(value)}
         own |= {name for name in vars(HydraHead) if not name.startswith("__")}
@@ -35,7 +35,6 @@ class TestHydraHead:
         assert head.connection_count() == 1
         head.close_connection(conn, CloseReason.REMOTE_LEFT, 1.0)
         assert head.connection_count() == 0
-        assert not head.peerstore.get(remote).connected
 
     def test_head_identify_updates_routing_table(self, rng):
         head = HydraHead(random.Random(4))
@@ -56,12 +55,12 @@ class TestHydraHead:
             node.receive_identify(remote, server, 0.0)
             node.receive_identify(remote, client, 1.0)
             assert remote not in node.routing_table
-            tags[type(node)] = node.swarm.connmgr._tags[remote]
+            tags[type(node)] = node.connmgr._tags[remote]
         assert tags == {HydraHead: {"kad": 5}, IpfsNode: {}}
 
     def test_head_trim_with_small_watermarks(self, rng):
         head = HydraHead(random.Random(5), low_water=2, high_water=3)
-        head.swarm.connmgr.config = head.swarm.connmgr.config.__class__(
+        head.connmgr.config = head.connmgr.config.__class__(
             low_water=2, high_water=3, grace_period=0.0, silence_period=0.0
         )
         for _ in range(6):
@@ -78,7 +77,7 @@ class TestHydraNode:
         heads[0].handle_inbound_connection(a, Multiaddr.tcp("1.1.1.1"), 0.0)
         heads[1].handle_inbound_connection(b, Multiaddr.tcp("2.2.2.2"), 0.0)
         heads[1].handle_inbound_connection(a, Multiaddr.tcp("1.1.1.1"), 0.0)
-        # each head keeps its own peerstore and swarm; together they see both
+        # each head keeps its own peerstore and connections; together they see both
         assert set(heads[0].peerstore.peers()) == {a}
         assert set().union(*(head.peerstore.peers() for head in heads)) == {a, b}
         assert sum(head.connection_count() for head in heads) == 3
@@ -97,5 +96,5 @@ class TestHydraNode:
     def test_custom_watermarks_propagate(self):
         shared = random.Random(10)
         for head in [HydraHead(shared, low_water=7, high_water=9) for _ in range(2)]:
-            assert head.swarm.connmgr.config.low_water == 7
-            assert head.swarm.connmgr.config.high_water == 9
+            assert head.connmgr.config.low_water == 7
+            assert head.connmgr.config.high_water == 9

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.ipfs.config import IpfsConfig
 from repro.ipfs.node import IpfsNode
 from repro.kademlia.dht import DHTMode
@@ -45,16 +47,40 @@ class TestIpfsNode:
         node.handle_inbound_connection(remote, Multiaddr.tcp("3.3.3.3"), now=10.0)
         assert node.connection_count() == 1
         entry = node.peerstore.get(remote)
-        assert entry.connected
         assert entry.observed_addr.ip() == "3.3.3.3"
 
-    def test_close_connection_clears_connected_flag(self, rng):
+    def test_connection_is_a_row_of_the_log(self, rng):
         node = make_node()
         remote = PeerId.random(rng)
-        conn = node.handle_inbound_connection(remote, Multiaddr.tcp("3.3.3.3"), 0.0)
-        node.close_connection(conn, CloseReason.REMOTE_LEFT, 5.0)
-        assert not node.peerstore.get(remote).connected
+        row = node.handle_inbound_connection(remote, Multiaddr.tcp("3.3.3.3"), 2.0)
+        assert node.dial(remote, Multiaddr.tcp("3.3.3.3"), 3.0) == row + 1
+        log = node.recorder.log
+        assert (log.peer[row], log.opened_at[row], list(log.connection_id)) == (
+            str(remote), 2.0, [1, 2]
+        )
+        node.close_connection(row, CloseReason.REMOTE_TRIM, 7.0)
+        record = log[row]
+        assert (record.direction, record.closed_at, record.close_reason) == (
+            "inbound", 7.0, "remote-trim"
+        )
+
+    def test_last_close_touches_the_peer(self, rng):
+        node = make_node()
+        remote = PeerId.random(rng)
+        first = node.handle_inbound_connection(remote, Multiaddr.tcp("3.3.3.3"), 0.0)
+        second = node.dial(remote, Multiaddr.tcp("3.3.3.3"), 1.0)
+        node.close_connection(first, CloseReason.REMOTE_LEFT, 5.0)
+        assert node.peerstore.get(remote).last_seen == 1.0
+        node.close_connection(second, CloseReason.REMOTE_LEFT, 6.0)
+        assert node.peerstore.get(remote).last_seen == 6.0
         assert node.connection_count() == 0
+
+    def test_close_of_a_row_not_open_rejected(self, rng):
+        node = make_node()
+        row = node.handle_inbound_connection(PeerId.random(rng), Multiaddr.tcp("3.3.3.3"), 0.0)
+        node.close_connection(row, CloseReason.ERROR, 1.0)
+        with pytest.raises(KeyError):
+            node.close_connection(row, CloseReason.ERROR, 2.0)
 
     def test_identify_of_server_enters_routing_table_and_tags(self, rng):
         node = make_node()
@@ -62,7 +88,7 @@ class TestIpfsNode:
         node.handle_inbound_connection(remote, Multiaddr.tcp("2.2.2.2"), 0.0)
         node.receive_identify(remote, identify(server=True), 1.0)
         assert remote in node.routing_table
-        assert node.swarm.connmgr._tags[remote]
+        assert node.connmgr._tags[remote]
 
     def test_identify_role_flip_removes_from_routing_table(self, rng):
         node = make_node()
@@ -71,7 +97,7 @@ class TestIpfsNode:
         node.receive_identify(remote, identify(server=True), 1.0)
         node.receive_identify(remote, identify(server=False), 2.0)
         assert remote not in node.routing_table
-        assert node.swarm.connmgr._tags[remote] == {}
+        assert node.connmgr._tags[remote] == {}
 
     def test_tick_trims_above_high_water(self, rng):
         node = make_node(low=3, high=5)
@@ -80,6 +106,16 @@ class TestIpfsNode:
         victims = node.tick(now=120.0)
         assert len(victims) == 5
         assert node.connection_count() == 3
+        log = node.recorder.log
+        assert {log[row].close_reason for row, _ in victims} == {"local-trim"}
+        assert [str(peer) for _, peer in victims] == [log.peer[row] for row, _ in victims]
+
+    def test_tick_below_high_water_is_noop(self, rng):
+        node = make_node(low=2, high=10)
+        for _ in range(5):
+            node.handle_inbound_connection(PeerId.random(rng), Multiaddr.tcp("1.1.1.1"), 0.0)
+        assert node.tick(now=50.0) == []
+        assert node.connection_count() == 5
 
     def test_handle_find_node_respects_mode(self):
         # The simulated network answers the DHT; the node's mode decides

@@ -46,8 +46,8 @@ class TestPeerstore:
         store = Peerstore()
         pids = [PeerId.random(rng) for _ in range(50)]
         for i, pid in enumerate(pids):
-            store.set_connected(pid, True, float(i))
-            store.set_connected(pid, False, float(i) + 1)
+            store.set_connected(pid, float(i), Multiaddr.tcp("9.8.7.6"))
+            store.touch(pid, float(i) + 1)
         assert len(store) == 50
 
     def test_record_identify_emits_changes(self, rng):
@@ -85,15 +85,14 @@ class TestPeerstore:
         protocol_changes = store.changes_of_kind(ChangeKind.PROTOCOLS)
         assert len(protocol_changes) == 2
 
-    def test_connected_flag_and_observed_addr(self, rng):
+    def test_set_connected_touches_and_records_the_observed_addr(self, rng):
         store = Peerstore()
         pid = PeerId.random(rng)
-        addr = Multiaddr.tcp("9.8.7.6")
-        store.set_connected(pid, True, 5.0, observed_addr=addr)
-        assert store.get(pid).connected
-        assert store.get(pid).observed_addr.ip() == "9.8.7.6"
-        store.set_connected(pid, False, 6.0)
-        assert not store.get(pid).connected
+        store.set_connected(pid, 5.0, Multiaddr.tcp("9.8.7.6"))
+        store.set_connected(pid, 6.0, Multiaddr.tcp("9.8.7.5"))
+        entry = store.get(pid)
+        assert (entry.first_seen, entry.last_seen) == (5.0, 6.0)
+        assert entry.observed_addr.ip() == "9.8.7.5"
 
     def test_agent_histogram(self, rng):
         store = Peerstore()
@@ -183,8 +182,8 @@ class TestRecordIdentifyEquivalence:
                 reference.touch(peer, now)
                 continue
             if action == "connect":
-                fast.set_connected(peer, repeat, now, observed_addr=_ADDRS[0])
-                reference.set_connected(peer, repeat, now, observed_addr=_ADDRS[0])
+                fast.set_connected(peer, now, _ADDRS[int(repeat)])
+                reference.set_connected(peer, now, _ADDRS[int(repeat)])
                 continue
             # ``repeat`` re-delivers the previous delivery's object, often to
             # another peer or at an earlier time

@@ -5,14 +5,21 @@ trimmed from HighWater down to LowWater, tagged/graced connections survive,
 and higher thresholds mean longer-lived connections.
 """
 
-import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_connection_log import (
+    Connection,
+    ReferenceConnectionManager,
+    connection_traces,
+    connmgr_configs,
+    play_trace,
+)
 
-from repro.libp2p.connection import Connection, Direction
+from repro.libp2p.connection import Direction
 from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
@@ -22,23 +29,23 @@ def make_manager(low=3, high=5, grace=0.0, silence=0.0):
     return ConnectionManager(
         ConnManagerConfig(
             low_water=low, high_water=high, grace_period=grace, silence_period=silence
-        )
+        ),
+        array("d"),
     )
 
 
-_connection_ids = itertools.count(1)
+def add_conn(manager, now, rng, peer=None):
+    """Open a row at ``now`` to ``peer`` (default: a new one); returns the row."""
+    opened = manager._opened_at
+    opened.append(now)
+    row = len(opened) - 1
+    manager.add_connection(row, PeerId.random(rng) if peer is None else peer)
+    return row
 
 
-def add_conn(manager, now, rng):
-    conn = Connection(
-        remote_peer=PeerId.random(rng),
-        direction=Direction.INBOUND,
-        remote_addr=Multiaddr.tcp("8.8.8.8"),
-        opened_at=now,
-        connection_id=next(_connection_ids),
-    )
-    manager.add_connection(conn)
-    return conn
+def close_all(manager, rows):
+    for row in rows:
+        manager.remove_connection(row)
 
 
 class TestConfig:
@@ -79,24 +86,50 @@ class TestConfig:
 class TestBookkeeping:
     def test_add_and_remove_connection(self, rng):
         manager = make_manager()
-        conn = add_conn(manager, 0.0, rng)
+        row = add_conn(manager, 0.0, rng)
+        peer = manager._open[row]
         assert manager.connection_count() == 1
-        assert manager.is_connected(conn.remote_peer)
-        manager.remove_connection(conn)
+        assert manager.is_connected(peer)
+        assert manager.remove_connection(row) == peer
         assert manager.connection_count() == 0
-        assert not manager.is_connected(conn.remote_peer)
+        assert not manager.is_connected(peer)
 
     def test_duplicate_add_rejected(self, rng):
         manager = make_manager()
-        conn = add_conn(manager, 0.0, rng)
+        row = add_conn(manager, 0.0, rng)
         with pytest.raises(ValueError):
-            manager.add_connection(conn)
+            manager.add_connection(row, manager._open[row])
+
+    def test_remove_of_a_row_not_open_rejected(self, rng):
+        manager = make_manager()
+        row = add_conn(manager, 0.0, rng)
+        manager.remove_connection(row)
+        with pytest.raises(KeyError):
+            manager.remove_connection(row)
 
     def test_connected_peers_lists_unique_peers(self, rng):
         manager = make_manager(high=10)
         for _ in range(4):
             add_conn(manager, 0.0, rng)
         assert manager.connected_peer_count() == 4
+
+    def test_a_peer_stays_connected_until_its_last_row_closes(self, rng):
+        manager = make_manager(high=10)
+        first = add_conn(manager, 0.0, rng)
+        peer = manager._open[first]
+        second = add_conn(manager, 1.0, rng, peer)
+        assert (manager.connection_count(), manager.connected_peer_count()) == (2, 1)
+        manager.remove_connection(first)
+        assert manager.is_connected(peer)
+        manager.remove_connection(second)
+        assert not manager.is_connected(peer)
+
+    def test_renumber_moves_open_rows(self, rng):
+        manager = make_manager(high=10)
+        rows = [add_conn(manager, 0.0, rng) for _ in range(3)]
+        peers = [manager._open[row] for row in rows]
+        manager.renumber({0: 2, 2: 0})
+        assert manager._open == {2: peers[0], 1: peers[1], 0: peers[2]}
 
 
 class TestTrimming:
@@ -112,6 +145,7 @@ class TestTrimming:
             add_conn(manager, 0.0, rng)
         victims = manager.trim(now=100.0)
         assert len(victims) == 3
+        close_all(manager, victims)
         assert manager.connection_count() == 3
 
     def test_grace_period_protects_young_connections(self, rng):
@@ -126,20 +160,19 @@ class TestTrimming:
     def test_higher_tag_value_survives(self, rng):
         manager = make_manager(low=1, high=2)
         valued = add_conn(manager, 0.0, rng)
-        manager.tag_peer(valued.remote_peer, "kad", 10)
+        manager.tag_peer(manager._open[valued], "kad", 10)
         low_value = [add_conn(manager, 0.0, rng) for _ in range(3)]
         victims = manager.trim(now=50.0)
-        victim_ids = {c.connection_id for c in victims}
-        assert valued.connection_id not in victim_ids
+        assert valued not in victims
         assert len(victims) == 3
-        assert victim_ids == {c.connection_id for c in low_value}
+        assert set(victims) == set(low_value)
 
     def test_untag_restores_trim_eligibility(self, rng):
         manager = make_manager(low=0, high=0)
-        conn = add_conn(manager, 0.0, rng)
-        manager.tag_peer(conn.remote_peer, "kad", 10)
-        manager.untag_peer(conn.remote_peer, "kad")
-        assert manager._tags[conn.remote_peer] == {}
+        peer = manager._open[add_conn(manager, 0.0, rng)]
+        manager.tag_peer(peer, "kad", 10)
+        manager.untag_peer(peer, "kad")
+        assert manager._tags[peer] == {}
 
     def test_silence_period_rate_limits_trims(self, rng):
         manager = make_manager(low=1, high=2, silence=30.0)
@@ -147,6 +180,7 @@ class TestTrimming:
             add_conn(manager, 0.0, rng)
         first = manager.trim(now=10.0)
         assert first
+        close_all(manager, first)
         for _ in range(5):
             add_conn(manager, 11.0, rng)
         assert manager.trim(now=12.0) == []        # still inside the silence window
@@ -158,15 +192,8 @@ class TestTrimming:
             add_conn(manager, 0.0, rng)
         victims = manager.trim(now=5.0, force=True)
         assert len(victims) == 3
+        close_all(manager, victims)
         assert manager.connection_count() == 1
-
-    def test_trim_counters_updated(self, rng):
-        manager = make_manager(low=1, high=2)
-        for _ in range(5):
-            add_conn(manager, 0.0, rng)
-        manager.trim(now=10.0)
-        assert manager.trim_count == 1
-        assert manager.trimmed_connections == 4
 
     def test_youngest_untagged_trimmed_first(self, rng):
         manager = make_manager(low=2, high=2)
@@ -175,14 +202,14 @@ class TestTrimming:
         young = add_conn(manager, 20.0, rng)
         victims = manager.trim(now=100.0)
         assert victims == [young]
-        assert manager.is_connected(old.remote_peer)
-        assert manager.is_connected(mid.remote_peer)
+        close_all(manager, victims)
+        assert sorted(manager._open) == [old, mid]
 
 
 def _reference_select_victims(manager, now):
     """``select_victims`` as it was before the trim fast path: an empty tag
     map defaulted per connection, its tag values summed, and a stable sort
-    through a ``key=`` lambda."""
+    through a ``key=`` lambda (over a :class:`ReferenceConnectionManager`)."""
     excess = manager.connection_count() - manager.config.low_water
     if excess <= 0:
         return []
@@ -219,7 +246,7 @@ _peer_setups = st.lists(
 
 
 class TestSelectVictimsEquivalence:
-    """The trim fast path picks the reference's victims, in its order."""
+    """The row table picks the reference's victims, in its order."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -231,57 +258,66 @@ class TestSelectVictimsEquivalence:
     )
     def test_same_victims_in_the_same_order(self, specs, setups, low_water, grace, now):
         manager = make_manager(low=low_water, high=low_water + 5, grace=grace)
-        for cid, (peer_index, opened_at) in enumerate(specs, start=1):
-            conn = Connection(
-                _PEER_POOL[peer_index], Direction.INBOUND, Multiaddr.tcp("8.8.8.8"), opened_at, cid
+        reference = ReferenceConnectionManager(manager.config)
+        for row, (peer_index, opened_at) in enumerate(specs):
+            peer = _PEER_POOL[peer_index]
+            reference.add_connection(
+                Connection(peer, Direction.INBOUND, Multiaddr.tcp("8.8.8.8"), opened_at, row)
             )
-            manager.add_connection(conn)
+            add_conn(manager, opened_at, None, peer)
         for peer_index, action, value in setups:
             peer = _PEER_POOL[peer_index]
-            if action == "tag":
-                manager.tag_peer(peer, "kad", value)
-            elif action == "tag2":
-                manager.tag_peer(peer, "bitswap", value)
-            elif action == "untag":
-                manager.untag_peer(peer, "kad")
-            else:
-                # a connected peer without any tag bookkeeping scores zero
-                manager._tags.pop(peer, None)
+            for connmgr in (manager, reference):
+                if action == "tag":
+                    connmgr.tag_peer(peer, "kad", value)
+                elif action == "tag2":
+                    connmgr.tag_peer(peer, "bitswap", value)
+                elif action == "untag":
+                    connmgr.untag_peer(peer, "kad")
+                else:
+                    # a connected peer without any tag bookkeeping scores zero
+                    connmgr._tags.pop(peer, None)
 
-        expected = _reference_select_victims(manager, now)
-        victims = manager.select_victims(now)
+        expected = reference.select_victims(now)
+        assert expected == _reference_select_victims(reference, now)
+        assert manager.select_victims(now) == [conn.connection_id for conn in expected]
 
-        assert [c.connection_id for c in victims] == [c.connection_id for c in expected]
-        assert all(a is b for a, b in zip(victims, expected))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=connection_traces(
+            ["open", "open", "dial", "close", "trim", "trim", "tag", "untag", "finalize"], 60
+        ),
+        config=connmgr_configs,
+    )
+    def test_traces_close_the_same_victims(self, steps, config):
+        # open, close, (forced) trim, tag, untag and mid-trace finalize
+        # against the reference swarm: same victims in the same order, same
+        # counts after every step (asserted by the player)
+        play_trace(steps, config)
 
     def test_equal_score_and_age_keeps_candidate_order(self, rng):
-        # Nothing but the tie-break decides here: it must be dict order, and
-        # it must never fall through to comparing Connection objects.
+        # Nothing but the tie-break decides here: it must be open order.
         manager = make_manager(low=2, high=4)
-        conns = [add_conn(manager, 5.0, rng) for _ in range(6)]
-        assert manager.select_victims(100.0) == conns[:4]
-        assert manager.select_victims(100.0) == _reference_select_victims(manager, 100.0)
+        rows = [add_conn(manager, 5.0, rng) for _ in range(6)]
+        assert manager.select_victims(100.0) == rows[:4]
 
 
 class TestTagBookkeepingCost:
     def test_only_tag_peer_builds_a_tag_map(self, rng):
         manager = make_manager(low=1, high=2)
-        first = add_conn(manager, 1.0, rng)
-        assert first.remote_peer not in manager._tags
-        manager.tag_peer(first.remote_peer, "kad", 5)
-        built = manager._tags[first.remote_peer]
+        peer = manager._open[add_conn(manager, 1.0, rng)]
+        assert peer not in manager._tags
+        manager.tag_peer(peer, "kad", 5)
+        built = manager._tags[peer]
         for now in (2.0, 3.0, 4.0):
-            again = Connection(
-                first.remote_peer, Direction.INBOUND, first.remote_addr, now, next(_connection_ids)
-            )
-            manager.add_connection(again)
-            manager.tag_peer(first.remote_peer, "kad", 5)
-            manager.untag_peer(first.remote_peer, "bitswap")
-            assert manager._tags[first.remote_peer] is built
+            add_conn(manager, now, rng, peer)
+            manager.tag_peer(peer, "kad", 5)
+            manager.untag_peer(peer, "bitswap")
+            assert manager._tags[peer] is built
             assert built == {"kad": 5}
         manager.select_victims(100.0)
         manager.trim(100.0)
-        assert list(manager._tags) == [first.remote_peer]
+        assert list(manager._tags) == [peer]
 
         stranger = PeerId.random(rng)
         manager.untag_peer(stranger, "kad")

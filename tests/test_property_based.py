@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,6 @@ from repro.core.records import ConnectionRecord, MeasurementDataset, PeerRecord
 from repro.kademlia.keys import KEY_BITS, bucket_index, xor_distance
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
-from repro.libp2p.connection import Connection, Direction
-from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId, base58btc_decode, base58btc_encode
 from repro.scenarios.registry import build_scenario_config, scenarios
 from repro.simulation.scenario import run_scenario
@@ -226,17 +225,11 @@ class TestConnManagerProperties:
         config = ConnManagerConfig(
             low_water=low, high_water=low + extra, grace_period=0.0, silence_period=0.0
         )
-        manager = ConnectionManager(config)
-        for connection_id in range(n_conns):
-            conn = Connection(
-                remote_peer=PeerId.random(rng),
-                direction=Direction.INBOUND,
-                remote_addr=Multiaddr.tcp("1.1.1.1"),
-                opened_at=0.0,
-                connection_id=connection_id,
-            )
-            manager.add_connection(conn)
-        manager.trim(now=100.0)
+        manager = ConnectionManager(config, array("d", [0.0] * n_conns))
+        for row in range(n_conns):
+            manager.add_connection(row, PeerId.random(rng))
+        for row in manager.trim(now=100.0):
+            manager.remove_connection(row)
         if n_conns > config.high_water:
             assert manager.connection_count() == config.low_water
         else:

@@ -101,7 +101,7 @@ class TestNetworkLifecycle:
         engine, network, identity = build_network()
         network.start(duration=HOUR)
         engine.run_until(HOUR)
-        assert identity.is_dht_server and identity.node.swarm.total_opened > 0
+        assert identity.is_dht_server and len(identity.node.recorder.log) > 0
         pid = identity.peer_id
         assert pid not in network.peers_by_pid
         assert network.dht_query(pid, 0, 10) is None
@@ -438,7 +438,7 @@ class TestConnectionLifecycleCostModel:
         result = scenario.run()
         monkeypatch.undo()
 
-        managers = [identity.node.swarm.connmgr for identity in scenario.identities]
+        managers = [identity.node.connmgr for identity in scenario.identities]
         maps = {(id(manager), peer) for manager in managers for peer in manager._tags}
         met = sum(result.dataset(identity.label).pid_count() for identity in scenario.identities)
         assert maps == tagged
