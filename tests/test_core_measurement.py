@@ -2,10 +2,10 @@
 
 import random
 
-from repro.core.measurement import PassiveMeasurement
+from repro.core.measurement import MeasurementRecorder, PassiveMeasurement
 from repro.ipfs.config import IpfsConfig
 from repro.ipfs.node import IpfsNode
-from repro.libp2p.connection import CloseReason
+from repro.libp2p.connection import CloseReason, Direction
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
@@ -15,6 +15,12 @@ from repro.libp2p.protocols import IPFS_ID, KAD_DHT
 def make_node(low=50, high=80):
     return IpfsNode(IpfsConfig(low_water=low, high_water=high, grace_period=0.0),
                     rng=random.Random(0))
+
+
+def open_row(recorder, rng, now, connection_id=1):
+    return recorder.on_connected(
+        PeerId.random(rng), Direction.INBOUND, Multiaddr.tcp("5.5.5.5"), connection_id, now
+    )
 
 
 class TestPassiveMeasurement:
@@ -123,3 +129,47 @@ class TestPassiveMeasurement:
         assert (record.peer, record.closed_at, record.close_reason) == (
             str(kept), 20.0, "local-trim"
         )
+
+
+class TestMeasurementRecorder:
+    def test_started_at_is_the_first_open(self, rng):
+        recorder = MeasurementRecorder()
+        assert recorder.started_at is None
+        assert [open_row(recorder, rng, now) for now in (4.0, 9.0)] == [0, 1]
+        assert recorder.started_at == 4.0
+        assert PassiveMeasurement(make_node(), "go-ipfs").finalize(50.0).started_at == 50.0
+
+    def test_finalize_reports_every_still_open_row_that_moves(self, rng):
+        recorder = MeasurementRecorder()
+        peers = [recorder.log.peer[open_row(recorder, rng, 5.0)] for _ in range(4)]
+        recorder.on_disconnected(3, CloseReason.REMOTE_TRIM, 6.0)
+        recorder.on_disconnected(1, CloseReason.REMOTE_LEFT, 7.0)
+        # equal open times: closed rows in close order (3, 1), then the
+        # still-open ones in open order (0, 2)
+        assert recorder.finalize(10.0) == {0: 2, 2: 3}
+        log = recorder.log
+        assert list(log.peer) == [peers[3], peers[1], peers[0], peers[2]]
+        assert [(record.closed_at, record.close_reason) for record in log] == [
+            (6.0, "remote-trim"),
+            (7.0, "remote-left"),
+            (10.0, "still-open"),
+            (10.0, "still-open"),
+        ]
+
+    def test_a_second_finalize_moves_nothing(self, rng):
+        recorder = MeasurementRecorder()
+        for now in (5.0, 5.0, 5.0):
+            open_row(recorder, rng, now)
+        recorder.on_disconnected(2, CloseReason.REMOTE_LEFT, 6.0)
+        assert recorder.finalize(10.0) == {0: 1, 1: 2}
+        exported = list(recorder.log)
+        assert recorder.finalize(10.0) == {}
+        assert list(recorder.log) == exported
+        # a still-open row closed after a finalize keeps its place
+        recorder.on_disconnected(1, CloseReason.LOCAL_TRIM, 12.0)
+        assert recorder.finalize(15.0) == {}
+        assert [(record.closed_at, record.close_reason) for record in recorder.log] == [
+            (6.0, "remote-left"),
+            (12.0, "local-trim"),
+            (15.0, "still-open"),
+        ]

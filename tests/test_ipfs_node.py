@@ -64,6 +64,18 @@ class TestIpfsNode:
             "inbound", 7.0, "remote-trim"
         )
 
+    def test_connection_count_and_is_connected(self, rng):
+        node = make_node(low=5, high=10)
+        inbound, outbound = PeerId.random(rng), PeerId.random(rng)
+        row = node.handle_inbound_connection(inbound, Multiaddr.tcp("3.3.3.3"), 0.0)
+        node.dial(outbound, Multiaddr.tcp("4.4.4.4"), 1.0)
+        assert node.connection_count() == 2
+        assert node.connmgr.is_connected(inbound) and node.connmgr.is_connected(outbound)
+        node.close_connection(row, CloseReason.REMOTE_LEFT, 2.0)
+        assert node.connection_count() == 1
+        assert not node.connmgr.is_connected(inbound)
+        assert node.connmgr.is_connected(outbound)
+
     def test_last_close_touches_the_peer(self, rng):
         node = make_node()
         remote = PeerId.random(rng)

@@ -1,6 +1,7 @@
 """Tests for the simulated network fabric and the scenario wiring."""
 
 import gc
+import math
 import random
 
 import pytest
@@ -122,6 +123,53 @@ class TestNetworkLifecycle:
         engine.run_until(HOUR)
         assert 0 < network.online_count() <= len(network.peers)
         assert network.online_server_count() <= network.online_count()
+
+    def test_peer_connection_entries_are_exactly_the_open_rows(self):
+        # SimPeer.connections and each node's connection manager both record
+        # which rows are open; every open and close path must keep them equal.
+        engine, network, server = build_network(
+            n_peers=150, go_ipfs_config=IpfsConfig(low_water=10, high_water=20)
+        )
+        client = MeasurementIdentity(
+            "client", IpfsNode(IpfsConfig(dht_mode=DHTMode.CLIENT), rng=random.Random(9))
+        )
+        network.add_measurement_identity(client)
+        network.start(duration=6 * HOUR)
+        for step in range(1, 13):
+            engine.run_until(step * HOUR / 2)
+            for identity in (server, client):
+                log = identity.node.recorder.log
+                entries = {
+                    peer.connections[identity.label]: peer.current_pid
+                    for peer in network.peers
+                    if identity.label in peer.connections
+                }
+                assert entries == identity.node.connmgr._open
+                assert all(math.isnan(log.closed_at[row]) for row in entries)
+                assert sum(math.isnan(t) for t in log.closed_at) == len(entries)
+        assert server.node.recorder.log.closes("local-trim") > 0
+        assert sum(len(p.all_pids) for p in network.peers) > len(network.peers)
+
+    def test_sever_connections_closes_every_row_as_remote_left(self):
+        engine, network, server = build_network()
+        client = MeasurementIdentity(
+            "client", IpfsNode(IpfsConfig(dht_mode=DHTMode.CLIENT), rng=random.Random(9))
+        )
+        network.add_measurement_identity(client)
+        network.start(duration=2 * HOUR)
+        engine.run_until(2 * HOUR)
+        peer = max(network.online_peers(), key=lambda p: len(p.connections))
+        rows = dict(peer.connections)
+        assert rows
+        assert network.sever_connections(peer) == len(rows)
+        assert peer.connections == {}
+        assert peer.online
+        for label, row in rows.items():
+            node = network._identities_by_label[label].node
+            assert row not in node.connmgr._open
+            record = node.recorder.log[row]
+            assert (record.closed_at, record.close_reason) == (2 * HOUR, "remote-left")
+        assert network.sever_connections(peer) == 0
 
     def test_pid_rotation_produces_extra_pids(self):
         engine, network, identity = build_network(n_peers=150)
