@@ -15,7 +15,7 @@ Run with::
 from repro.analysis.sweep_report import render_aggregate
 from repro.core.records import primary_dataset_label
 from repro.scenarios.registry import scenario, scenario_names
-from repro.sweep import summarize_cell
+from repro.sweep import plan_cell, summarize_cell
 
 import os
 
@@ -35,7 +35,7 @@ def main() -> None:
     summaries = []
     for name in names:
         print(f"  {name}: {scenario(name).description}")
-        summaries.append(summarize_cell(name, N_PEERS, DURATION_DAYS, SEED))
+        summaries.append(summarize_cell(plan_cell(name, N_PEERS, DURATION_DAYS, SEED)))
 
     print()
     print(render_aggregate(summaries))

@@ -7,7 +7,7 @@ beyond them — the paper's Table II–IV, Fig. 2–7 and Sec. IV.B / V.A quanti
 the threshold and hydra ablations, and a few regime numbers — is computed here,
 one view per name in ``VIEWS``, from a finished
 :class:`~repro.simulation.scenario.ScenarioResult`.  A cell computes only the
-views it is asked for (``views=`` of :func:`repro.sweep.summarize_cell`) and
+views its planned cell names (``views=`` of :func:`repro.sweep.plan_cell`) and
 adds each as a top-level block of its summary, so no name here may be a
 summary key.
 """
@@ -38,7 +38,6 @@ from repro.core.timeseries import (
     connections_over_time,
     gone_pids_over_time,
     pids_over_time,
-    summarize_timeseries,
 )
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import IPFS_ID, IPFS_PING, KAD_DHT
@@ -136,6 +135,9 @@ def _fig6(result) -> Dict[str, object]:
     gone = [v for _, v in gone_pids_over_time(dataset, gone_threshold=3 * DAY, step=3 * HOUR)]
     connected = [v for _, v in connected_peers_over_time(dataset, limit=None)]
     late = connected[-max(1, len(connected) // 10) :]
+    # The paper's "every peer has around two PIDs" indicator: PIDs ever seen
+    # per peak simultaneous connection.
+    peak = max((s.simultaneous_connections for s in dataset.snapshots), default=0)
     return {
         "pids_monotone": seen == sorted(seen),
         "pids_mid": seen[len(seen) // 2],
@@ -143,7 +145,7 @@ def _fig6(result) -> Dict[str, object]:
         "gone_monotone": gone == sorted(gone),
         "gone_final": gone[-1],
         "plateau": sum(late) / len(late),
-        "pids_per_connection": summarize_timeseries(dataset).pids_per_simultaneous_connection,
+        "pids_per_connection": dataset.pid_count() / peak if peak else 0.0,
     }
 
 

@@ -108,13 +108,11 @@ class BandwidthStats:
     transfer_rtts: List[float] = field(default_factory=list)
     transfer_serializations: List[float] = field(default_factory=list)
     transfer_queueings: List[float] = field(default_factory=list)
-    transfer_samples_dropped: int = 0
     max_transfer_samples: int = 10_000
 
     #: per-node uplink utilization (busy share of the window), recorded at
     #: finalize for every node whose uplink carried any transfer
     utilization_samples: List[float] = field(default_factory=list)
-    utilization_samples_dropped: int = 0
     max_utilization_samples: int = 10_000
 
     @property
@@ -279,8 +277,6 @@ class BandwidthRuntime(FabricRuntime):
             stats.transfer_rtts.append(plan.rtt)
             stats.transfer_serializations.append(plan.serialization)
             stats.transfer_queueings.append(plan.queueing)
-        else:
-            stats.transfer_samples_dropped += 1
         return plan.total
 
     # -- finalize --------------------------------------------------------------------
@@ -294,6 +290,4 @@ class BandwidthRuntime(FabricRuntime):
             sample = min(1.0, link.up_busy_seconds / duration)
             if len(stats.utilization_samples) < stats.max_utilization_samples:
                 stats.utilization_samples.append(sample)
-            else:
-                stats.utilization_samples_dropped += 1
         return stats

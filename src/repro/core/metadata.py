@@ -33,7 +33,6 @@ class AgentBreakdown:
 
     histogram: Dict[str, int] = field(default_factory=dict)       # full agent string -> peers
     grouped: Dict[str, int] = field(default_factory=dict)         # go-ipfs grouped by release
-    distinct_agents: int = 0
     distinct_goipfs_versions: int = 0
     goipfs_peers: int = 0
     hydra_peers: int = 0
@@ -80,7 +79,6 @@ def agent_breakdown(dataset: MeasurementDataset, group_threshold: int = 0) -> Ag
             group = agent
         breakdown.grouped[group] = breakdown.grouped.get(group, 0) + 1
 
-    breakdown.distinct_agents = len(breakdown.histogram)
     breakdown.distinct_goipfs_versions = len(
         {a for a in breakdown.histogram if is_goipfs_agent(a)}
     )
@@ -106,12 +104,10 @@ class ProtocolBreakdown:
     """Occurrence counts of supported protocols plus the paper's key subsets."""
 
     histogram: Dict[str, int] = field(default_factory=dict)
-    distinct_protocols: int = 0
     peers_with_protocols: int = 0
     bitswap_support: int = 0
     kad_support: int = 0
     goipfs_without_bitswap: int = 0
-    sbptp_support: int = 0
     goipfs_with_sbptp: int = 0
 
     def top_protocols(self, n: int = 10) -> List[Tuple[str, int]]:
@@ -132,14 +128,11 @@ def protocol_breakdown(dataset: MeasurementDataset) -> ProtocolBreakdown:
             breakdown.bitswap_support += 1
         if KAD_DHT in record.protocols:
             breakdown.kad_support += 1
-        if SBPTP in record.protocols:
-            breakdown.sbptp_support += 1
         if is_goipfs_agent(record.agent_version):
             if not has_bitswap:
                 breakdown.goipfs_without_bitswap += 1
             if SBPTP in record.protocols:
                 breakdown.goipfs_with_sbptp += 1
-    breakdown.distinct_protocols = len(breakdown.histogram)
     return breakdown
 
 
@@ -157,8 +150,6 @@ class VersionChangeReport:
     dirty_to_main: int = 0
     main_to_dirty: int = 0
     dirty_to_dirty: int = 0
-    non_goipfs_changes: int = 0
-    agent_switches_to_goipfs: int = 0
 
     @property
     def total(self) -> int:
@@ -176,11 +167,8 @@ def version_changes(dataset: MeasurementDataset) -> VersionChangeReport:
             continue
         old = parse_goipfs_agent(old_agent)
         new = parse_goipfs_agent(new_agent)
-        if old is None and new is not None:
-            report.agent_switches_to_goipfs += 1
-            continue
         if old is None or new is None:
-            report.non_goipfs_changes += 1
+            # a switch to or from a non-go-ipfs agent is no release change
             continue
         if new.release > old.release:
             report.upgrades += 1

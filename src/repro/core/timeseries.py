@@ -13,7 +13,6 @@ overcount peers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.records import MeasurementDataset
@@ -99,43 +98,3 @@ def gone_pids_over_time(
         series.append((t - dataset.started_at, float(idx)))
         t += step
     return series
-
-
-@dataclass(frozen=True)
-class TimeSeriesSummary:
-    """Headline numbers of the Fig. 5 / Fig. 6 views for one dataset."""
-
-    label: str
-    peak_simultaneous_connections: int
-    final_simultaneous_connections: int
-    total_pids: int
-    gone_pids: int
-    plateau_connected_pids: int
-
-    @property
-    def pids_per_simultaneous_connection(self) -> float:
-        """The paper's "every peer has around two PIDs" indicator."""
-        if self.peak_simultaneous_connections == 0:
-            return 0.0
-        return self.total_pids / self.peak_simultaneous_connections
-
-
-def summarize_timeseries(
-    dataset: MeasurementDataset, gone_threshold: float = 3 * DAY
-) -> TimeSeriesSummary:
-    """Compute the summary indicators used by the Fig. 5 / Fig. 6 benchmarks."""
-    connections = [s.simultaneous_connections for s in dataset.snapshots]
-    connected = [s.connected_pids for s in dataset.snapshots]
-    gone = gone_pids_over_time(
-        dataset,
-        gone_threshold=gone_threshold,
-        step=max(3600.0, dataset.duration / 50 or 3600.0),
-    )
-    return TimeSeriesSummary(
-        label=dataset.label,
-        peak_simultaneous_connections=max(connections) if connections else 0,
-        final_simultaneous_connections=connections[-1] if connections else 0,
-        total_pids=dataset.pid_count(),
-        gone_pids=int(gone[-1][1]) if gone else 0,
-        plateau_connected_pids=int(sorted(connected)[len(connected) // 2]) if connected else 0,
-    )

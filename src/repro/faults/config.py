@@ -13,8 +13,8 @@ Four orthogonal fault families can be mixed freely:
 * ``links`` — per-RPC message loss and duplication on the simulated wire.
 * ``crash`` — abrupt peer death with *dirty* state: unlike graceful session
   churn, a crashed peer withdraws nothing (provider records it stored for
-  others, its own records on remote servers, and Bitswap ledgers all stay
-  behind) and only re-enters via the fault runtime's restart event.
+  others, its own records on remote servers, and its Bitswap blocks all
+  stay behind) and only re-enters via the fault runtime's restart event.
 * ``partition`` — a regional split: a minority share of peers is unreachable
   for a scheduled window, then heals with a bounded reconnect spread.
 * ``slow`` — slow-node degradation: a share of peers answers with a

@@ -79,7 +79,6 @@ class FaultStats:
     heal_time: Optional[float] = None
     recovered_peers: int = 0
     recovery_delays: List[float] = field(default_factory=list)
-    recovery_samples_dropped: int = 0
     contacts_blocked: int = 0
     dials_blocked: int = 0
 
@@ -124,8 +123,6 @@ class FaultStats:
         self.recovered_peers += 1
         if len(self.recovery_delays) < MAX_RECOVERY_SAMPLES:
             self.recovery_delays.append(delay)
-        else:
-            self.recovery_samples_dropped += 1
 
 
 class FaultRuntime(FabricRuntime):

@@ -53,15 +53,13 @@ class ProviderRecord:
 class ProviderStore:
     """TTL-expiring provider records of one DHT server."""
 
-    __slots__ = ("ttl", "_records", "records_added", "_expiry_heap")
+    __slots__ = ("ttl", "_records", "_expiry_heap")
 
     def __init__(self, ttl: float = DEFAULT_PROVIDER_TTL) -> None:
         if ttl <= 0:
             raise ValueError(f"provider TTL must be positive, got {ttl}")
         self.ttl = ttl
         self._records: Dict[int, Dict[PeerId, ProviderRecord]] = {}
-        #: total ADD_PROVIDER messages accepted (including refreshes)
-        self.records_added = 0
         #: (expires_at, key, provider) min-heap driving incremental sweeps;
         #: may hold stale entries for refreshed/removed records (lazy deletion)
         self._expiry_heap: List[Tuple[float, int, PeerId]] = []
@@ -83,7 +81,6 @@ class ProviderStore:
             expires_at=now + (self.ttl if ttl is None else ttl),
         )
         self._records.setdefault(key, {})[provider] = record
-        self.records_added += 1
         heapq.heappush(self._expiry_heap, (record.expires_at, key, provider))
         return record
 

@@ -66,7 +66,6 @@ class NetModelStats:
     lookup_timeouts: int = 0
     #: per-message RTT samples for the percentile report (first N kept)
     rtt_samples: List[float] = field(default_factory=list)
-    rtt_samples_dropped: int = 0
     max_rtt_samples: int = 10_000
 
     @property
@@ -245,8 +244,6 @@ class NetModelRuntime(FabricRuntime):
         stats.rpc_latency_total += value
         if len(stats.rtt_samples) < stats.max_rtt_samples:
             stats.rtt_samples.append(value)
-        else:
-            stats.rtt_samples_dropped += 1
 
     def clock(self, source: PeerNet) -> WalkClock:
         return WalkClock(self, source)

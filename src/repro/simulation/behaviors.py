@@ -420,11 +420,9 @@ class ContentBehaviors:
                         )
                     continue
             if faults is None:
-                block = bitswap.fetch_from(peer.current_pid, pid, provider.bitswap, cid)
+                block = bitswap.fetch_from(provider.bitswap, cid)
             else:
                 block = bitswap.fetch_from(
-                    peer.current_pid,
-                    pid,
                     provider.bitswap,
                     cid,
                     deliver=lambda p=provider: faults.bitswap_deliver(peer.flt, p.flt),

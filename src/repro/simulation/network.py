@@ -33,7 +33,7 @@ This module wires the synthetic population to the measurement identities
   byte-identical.
 * **fault injection** — with :mod:`repro.faults` attached, RPCs can be lost
   or duplicated on the wire, peers crash abruptly (dirty state: records and
-  ledgers left behind, unlike graceful churn) and restart, a scheduled
+  blocks left behind, unlike graceful churn) and restart, a scheduled
   partition cuts a minority share off from every vantage point until it
   heals, and slow nodes burn walk budgets with RTT spikes.  Resilience rides
   along: retry/backoff on walks and Bitswap, republish after crash recovery.
@@ -524,8 +524,8 @@ class SimulatedNetwork:
         """Abrupt peer death (repro.faults), distinct from graceful churn.
 
         The peer vanishes mid-session with *dirty* state: provider records it
-        stored for others, its own records on remote servers, and Bitswap
-        ledgers are all left behind (stale-record fodder for retrievers).  No
+        stored for others, its own records on remote servers, and its Bitswap
+        blocks are all left behind (stale-record fodder for retrievers).  No
         next-session draw happens here — only the fault runtime's restart
         event re-enters the session machinery via :meth:`_session_start`.
         """

@@ -195,7 +195,6 @@ class PopulationConfig:
 
     # Connection-behaviour knobs.
     server_keep_probability: float = 0.35  # how often a remote keeps a conn to a DHT-Server
-    client_keep_probability: float = 0.05  # ... to a DHT-Client measurement node
 
     #: overrides the per-class session models of the general population (the
     #: stress scenarios plug diurnal/flash-crowd/outage/trace models in here);

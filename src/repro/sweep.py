@@ -17,7 +17,11 @@ same flags produce byte-identical files.
 them to :func:`run_cells`, the executor (build check, manifest, pool,
 checkpoints, aggregate).  Other planners hand it cells of their own: the
 claims registry (:mod:`repro.experiments.fidelity`) plans one cell per run
-and seed, each with its own overrides, file stem and claim views.
+and seed, each with its own overrides, file stem and claim views.  The
+planned cell is the only description of a cell: its coordinates, overrides,
+claim views, metrics window, trace sample, files and key travel in that one
+record through the manifest and the worker into its summary or failure
+record.
 
 Sweeps checkpoint as they go: a manifest of content-addressed cells
 (``sweep_manifest.json``) is written before any simulation and every cell
@@ -41,7 +45,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -168,46 +171,38 @@ def dataset_counts(result) -> Dict[str, Dict[str, int]]:
     return counts
 
 
-def summarize_cell(
-    name: str,
-    n_peers: Optional[int],
-    duration_days: Optional[float],
-    seed: int,
-    overrides: Optional[Dict] = None,
-    metrics_window: Optional[float] = None,
-    metrics_path: Optional[str] = None,
-    trace_sample: Optional[float] = None,
-    trace_path: Optional[str] = None,
-    views: Sequence[str] = (),
-) -> Dict:
-    """Run one sweep cell and reduce it to a deterministic summary dict.
+def summarize_cell(cell: Dict, out_dir: Optional[str] = None) -> Dict:
+    """Run one planned cell (:func:`plan_cell`) and reduce it to a
+    deterministic summary dict.
 
-    With ``metrics_window`` set the cell runs with the streaming-metrics
-    runtime attached: the windowed time series goes to ``metrics_path``
-    (one JSONL line per closed window) and the summary gains a ``metrics``
-    block.  ``trace_sample`` likewise attaches the causal span tracer: the
-    sampled trace trees go to ``trace_path`` and the summary gains a
-    ``tracing`` block with critical-path attribution.  ``views`` names claim
-    views (:data:`repro.analysis.views.VIEWS`) to add as blocks of their own.
-    Module-level so the process pool can ship cells to workers by reference;
-    the full :class:`ScenarioResult` stays in the worker, only the summary
-    comes back.
+    A cell planned with a ``metrics_window`` runs with the streaming-metrics
+    runtime attached and its summary gains a ``metrics`` block; one planned
+    with a ``trace_sample`` runs under the causal span tracer and gains a
+    ``tracing`` block with critical-path attribution.  With ``out_dir`` set,
+    the windowed time series and the sampled trace trees go to the cell's
+    planned ``metrics_file`` / ``trace_file`` in it.  A cell's ``views`` name
+    claim views (:data:`repro.analysis.views.VIEWS`) to add as blocks of
+    their own.  Module-level so the process pool can ship cells to workers by
+    reference; the full :class:`ScenarioResult` stays in the worker, only the
+    summary comes back.
     """
-    spec = scenario(name)
-    peers = n_peers if n_peers is not None else spec.default_peers
-    days = duration_days if duration_days is not None else spec.default_duration_days
     config = build_scenario_config(
-        name, n_peers=peers, duration_days=days, seed=seed, overrides=overrides
+        cell["scenario"], n_peers=cell["n_peers"], duration_days=cell["duration_days"],
+        seed=cell["seed"], overrides=cell["overrides"],
     )
+
+    def path(key: str) -> Optional[str]:
+        return os.path.join(out_dir, cell[key]) if out_dir is not None else None
+
     telemetry = {}
-    if metrics_window is not None:
+    if "metrics_window" in cell:
         from repro.obs.config import ObsConfig
 
-        telemetry["obs"] = ObsConfig(window=metrics_window, jsonl_path=metrics_path)
-    if trace_sample is not None:
+        telemetry["obs"] = ObsConfig(window=cell["metrics_window"], jsonl_path=path("metrics_file"))
+    if "trace_sample" in cell:
         from repro.obs.spans import TraceConfig
 
-        telemetry["trace"] = TraceConfig(sample=trace_sample, jsonl_path=trace_path)
+        telemetry["trace"] = TraceConfig(sample=cell["trace_sample"], jsonl_path=path("trace_file"))
     if telemetry:
         population = dataclasses.replace(config.population, **telemetry)
         config = dataclasses.replace(config, population=population)
@@ -215,7 +210,8 @@ def summarize_cell(
 
     result = run_scenario(config)
     return summarize_result(
-        spec.name, peers, days, seed, result, overrides=overrides, views=views
+        cell["scenario"], cell["n_peers"], cell["duration_days"], cell["seed"], result,
+        overrides=cell["overrides"], views=cell.get("views", ()),
     )
 
 
@@ -275,75 +271,46 @@ def summarize_result(
     return summary
 
 
-def summarize_cell_safe(
-    name: str,
-    n_peers: Optional[int],
-    duration_days: Optional[float],
-    seed: int,
-    overrides: Optional[Dict] = None,
-    metrics_window: Optional[float] = None,
-    metrics_path: Optional[str] = None,
-    trace_sample: Optional[float] = None,
-    trace_path: Optional[str] = None,
-    views: Sequence[str] = (),
-) -> Dict:
-    """Run one cell, catching failures so one bad cell cannot sink a sweep.
+def summarize_cell_safe(cell: Dict, out_dir: Optional[str] = None) -> Dict:
+    """Run one planned cell, catching failures so one bad cell cannot sink a
+    sweep.
 
     Returns either a regular cell summary or a failure record carrying the
-    exception, its traceback, the cell's content address and a command line
-    that re-runs just this cell; the sweep reports failures and exits
-    nonzero.  Module-level so the process pool can ship it to workers by
-    reference.
+    exception, its traceback, the cell's planned content address and a
+    command line that re-runs just this cell; the sweep reports failures and
+    exits nonzero.  Module-level so the process pool can ship it to workers
+    by reference.
     """
     try:
-        return summarize_cell(
-            name, n_peers, duration_days, seed, overrides,
-            metrics_window, metrics_path, trace_sample, trace_path, views,
-        )
+        return summarize_cell(cell, out_dir)
     except Exception as exc:  # noqa: BLE001 - any cell failure must be reported
-        key = cell_key(
-            name, n_peers, duration_days, seed, overrides, metrics_window, trace_sample,
-            views,
-        )
         return {
-            "scenario": name,
-            "n_peers": n_peers,
-            "duration_days": duration_days,
-            "seed": seed,
+            "scenario": cell["scenario"],
+            "n_peers": cell["n_peers"],
+            "duration_days": cell["duration_days"],
+            "seed": cell["seed"],
             "error": f"{type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(),
-            "key": key,
-            "repro": _repro_command(
-                name, n_peers, duration_days, seed, overrides,
-                metrics_window, trace_sample, key,
-            ),
+            "key": cell["key"],
+            "repro": _repro_command(cell),
         }
 
 
-def _repro_command(
-    name: str,
-    n_peers: Optional[int],
-    duration_days: Optional[float],
-    seed: int,
-    overrides: Optional[Dict],
-    metrics_window: Optional[float],
-    trace_sample: Optional[float],
-    key: str,
-) -> str:
-    """The ``python -m repro.sweep`` line that runs exactly one cell (into
-    an output directory of its own, named after the cell's key)."""
-    argv = ["python", "-m", "repro.sweep", "--scenarios", name, "--seeds", str(seed)]
-    if n_peers is not None:
-        argv += ["--peers", str(n_peers)]
-    if duration_days is not None:
-        argv += ["--duration", f"{duration_days!r}d"]
-    for knob, value in sorted((overrides or {}).items()):
+def _repro_command(cell: Dict) -> str:
+    """The ``python -m repro.sweep`` line that runs exactly one planned cell
+    (into an output directory of its own, named after the cell's key)."""
+    argv = [
+        "python", "-m", "repro.sweep", "--scenarios", cell["scenario"],
+        "--seeds", str(cell["seed"]), "--peers", str(cell["n_peers"]),
+        "--duration", f"{cell['duration_days']!r}d",
+    ]
+    for knob, value in sorted(cell["overrides"].items()):
         argv += ["--set", f"{knob}={value}"]
-    if metrics_window is not None:
-        argv += ["--metrics-window", repr(metrics_window)]
-    if trace_sample is not None:
-        argv += ["--trace-sample", repr(trace_sample)]
-    return shlex.join(argv + ["--out", f"repro-{key}"])
+    if "metrics_window" in cell:
+        argv += ["--metrics-window", repr(cell["metrics_window"])]
+    if "trace_sample" in cell:
+        argv += ["--trace-sample", repr(cell["trace_sample"])]
+    return shlex.join(argv + ["--out", f"repro-{cell['key']}"])
 
 
 #: per-sweep manifest: the planned cells with their content-address keys
@@ -400,8 +367,12 @@ def plan_cell(
     views: Sequence[str] = (),
     stem: Optional[str] = None,
 ) -> Dict:
-    """One planned cell with its defaults resolved, its files and its key.
+    """One planned cell: the only description of a cell, from plan to artifact.
 
+    The record holds the cell's coordinates with the scenario's default
+    peers and days resolved, its overrides, claim views, metrics window and
+    trace sample (the last three only when set), its files and its key; the
+    executor, the worker and the failure record read everything from it.
     The cell's files are named ``<stem>.json`` (and ``<stem>__metrics.jsonl``
     / ``<stem>__traces.jsonl``); the default stem
     ``<scenario>__n<peers>__s<seed>`` is unique within a cartesian sweep, and
@@ -426,14 +397,12 @@ def plan_cell(
     if views:
         cell["views"] = sorted(views)
     if metrics_window is not None:
+        cell["metrics_window"] = metrics_window
         cell["metrics_file"] = f"{stem}__metrics.jsonl"
     if trace_sample is not None:
+        cell["trace_sample"] = trace_sample
         cell["trace_file"] = f"{stem}__traces.jsonl"
     return cell
-
-
-def _manifest_payload(planned: Sequence[Dict]) -> Dict:
-    return {"schema": MANIFEST_SCHEMA, "cells": list(planned)}
 
 
 def _load_completed_cells(out_dir: str, planned: Sequence[Dict]) -> Dict[int, Dict]:
@@ -498,7 +467,8 @@ def run_sweep(
     """Plan the cartesian sweep and run it with :func:`run_cells`.
 
     Cell order (and therefore aggregate order) is scenarios × populations ×
-    seeds as given, every cell with the same ``overrides``.
+    seeds as given, every cell with the same ``overrides``, ``metrics_window``
+    and ``trace_sample``.
     """
     planned = [
         plan_cell(
@@ -509,8 +479,7 @@ def run_sweep(
         for seed in seeds
     ]
     return run_cells(
-        planned, out_dir, workers=workers, force=force, resume=resume,
-        metrics_window=metrics_window, trace_sample=trace_sample, progress=progress,
+        planned, out_dir, workers=workers, force=force, resume=resume, progress=progress
     )
 
 
@@ -520,8 +489,6 @@ def run_cells(
     workers: int = 1,
     force: bool = False,
     resume: bool = False,
-    metrics_window: Optional[float] = None,
-    trace_sample: Optional[float] = None,
     progress: Optional[bool] = None,
 ) -> Tuple[List[Dict], List[Dict]]:
     """Run planned cells (:func:`plan_cell`) and write all artifacts into ``out_dir``.
@@ -542,17 +509,16 @@ def run_cells(
     the full reused + fresh set, so an interrupted run resumed with the same
     cells produces byte-identical artifacts to an uninterrupted one.
 
-    ``metrics_window`` attaches the streaming-metrics runtime to every cell:
-    each cell writes its planned ``metrics_file`` time series and the
-    summary gains a ``metrics`` block.  ``trace_sample`` attaches the causal
-    span tracer: each cell writes its planned ``trace_file`` of sampled trace
-    trees and the summary gains a ``tracing`` block with critical-path
-    attribution.  A cell planned with ``views`` gains those claim views as
-    blocks.  ``progress`` (default: on when stderr is a TTY) prints a
-    heartbeat to stderr as cells complete — cells done/total, cumulative
-    events/sec, ETA — and enables the per-cell progress heartbeat
-    (:mod:`repro.obs.progress`) inside the workers.  Neither knob touches the
-    artifacts' bytes beyond the metrics block itself.
+    Each cell runs as planned (:func:`summarize_cell`): one planned with a
+    ``metrics_window`` writes its ``metrics_file`` time series into
+    ``out_dir`` and its summary gains a ``metrics`` block, one planned with a
+    ``trace_sample`` writes its ``trace_file`` of sampled trace trees and
+    gains a ``tracing`` block, and one planned with ``views`` gains those
+    claim views as blocks.  ``progress`` (default: on when stderr is a TTY)
+    prints a heartbeat to stderr as cells complete — cells done/total,
+    cumulative events/sec, ETA — and enables the per-cell progress heartbeat
+    (:mod:`repro.obs.progress`) inside the workers; it never touches the
+    artifacts' bytes.
     """
     for cell in planned:
         try:
@@ -585,21 +551,13 @@ def run_cells(
     os.makedirs(out_dir, exist_ok=True)
     # The manifest goes down before any cell runs: a killed sweep leaves
     # exactly the state --resume needs (planned cells + their keys).
-    _write_json(os.path.join(out_dir, MANIFEST_NAME), _manifest_payload(planned))
+    _write_json(
+        os.path.join(out_dir, MANIFEST_NAME),
+        {"schema": MANIFEST_SCHEMA, "cells": list(planned)},
+    )
 
     todo = [index for index in range(len(planned)) if index not in completed]
-    cells = [
-        (
-            cell["scenario"], cell["n_peers"], cell["duration_days"], cell["seed"],
-            cell["overrides"],
-            metrics_window,
-            os.path.join(out_dir, cell["metrics_file"]) if metrics_window is not None else None,
-            trace_sample,
-            os.path.join(out_dir, cell["trace_file"]) if trace_sample is not None else None,
-            cell.get("views", ()),
-        )
-        for cell in (planned[index] for index in todo)
-    ]
+    cells = [planned[index] for index in todo]
 
     show_progress = sys.stderr.isatty() if progress is None else progress
     started = time.perf_counter()
@@ -645,11 +603,12 @@ def run_cells(
             import repro.simulation.scenario  # noqa: F401
 
             with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-                for index, outcome in zip(todo, pool.map(summarize_cell_safe, *zip(*cells))):
+                runs = pool.map(summarize_cell_safe, cells, [out_dir] * len(cells))
+                for index, outcome in zip(todo, runs):
                     _checkpoint(index, outcome)
         else:
-            for index, outcome in zip(todo, itertools.starmap(summarize_cell_safe, cells)):
-                _checkpoint(index, outcome)
+            for index, cell in zip(todo, cells):
+                _checkpoint(index, summarize_cell_safe(cell, out_dir))
     finally:
         if show_progress:
             if env_before is None:

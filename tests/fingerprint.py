@@ -48,6 +48,37 @@ def _canonical(value: object) -> object:
     return str(value)
 
 
+#: per stats block, the samples-dropped counters the program no longer keeps,
+#: each as (counter, total it was counted against, the samples kept): every
+#: one was that total less the samples kept, so the pinned tables, generated
+#: while the program kept them, still apply to the same runs
+_DROPPED_SAMPLES = {
+    "netmodel": [("rtt_samples_dropped", "rpc_messages", "rtt_samples")],
+    "faults": [("recovery_samples_dropped", "recovered_peers", "recovery_delays")],
+    "bandwidth": [
+        ("transfer_samples_dropped", "transfers", "transfer_sizes"),
+        ("utilization_samples_dropped", None, "utilization_samples"),
+    ],
+}
+
+
+def _stats_blob(block: str, stats) -> object:
+    """A runtime's stats block field by field, plus its dropped-sample counts."""
+    blob = _canonical(stats)
+    if stats is None:
+        return blob
+    for counter, total, samples in _DROPPED_SAMPLES[block]:
+        kept = len(getattr(stats, samples))
+        if total is None:
+            # No total is kept for it, but a sample is dropped only once the
+            # list is full: below the cap nothing was dropped.
+            assert kept < getattr(stats, f"max_{samples}"), counter
+            blob[counter] = 0
+        else:
+            blob[counter] = getattr(stats, total) - kept
+    return blob
+
+
 def _dataset_blob(dataset) -> dict:
     """A measurement dataset field by field, its connection log as one
     :class:`~repro.core.records.ConnectionRecord` per row."""
@@ -84,9 +115,9 @@ def result_blob(result: ScenarioResult) -> dict:
         "crawls": _crawl_blobs(result),
         "content": _canonical(result.content),
         "adversary": _canonical(result.adversary),
-        "netmodel": _canonical(result.netmodel),
-        "faults": _canonical(result.faults),
-        "bandwidth": _canonical(result.bandwidth),
+        "netmodel": _stats_blob("netmodel", result.netmodel),
+        "faults": _stats_blob("faults", result.faults),
+        "bandwidth": _stats_blob("bandwidth", result.bandwidth),
         "identity_keys": dict(sorted(result.identity_keys.items())),
         "population": len(result.population.profiles),
     }

@@ -18,10 +18,11 @@ f-string changed in 3.12 (PEP 701).
 
 A second scan finds write-only state: an attribute the program assigns
 (``x.a = …``, ``x.a += …``) but never reads by name.  A read is an
-``ast.Attribute`` or ``ast.Name`` load, any string constant (``getattr``
-names, ``__slots__``, column-name lists read through ``getattr``) or a
-class-body annotation (a dataclass field, which the generated methods read);
-dunders are exempt.
+``ast.Attribute`` or ``ast.Name`` load, or a string constant outside a
+``__slots__`` assignment (``getattr`` names, column-name lists read through
+``getattr``).  A ``__slots__`` entry and a class-body annotation (a dataclass
+field) only declare an attribute, so a counter kept in either is flagged
+too; dunders are exempt.
 
 Run ``python tests/test_api_surface.py`` to print the unreachable names and
 the write-only attributes.
@@ -145,7 +146,15 @@ def write_only_attributes() -> dict[str, list[str]]:
     stores: dict[str, list[str]] = {}
     reads: set[str] = set()
     for path in program_files():
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        declared = {
+            id(constant)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+            for constant in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 if isinstance(node.ctx, ast.Store):
                     where = f"{path.relative_to(ROOT)}:{node.lineno}"
@@ -154,14 +163,12 @@ def write_only_attributes() -> dict[str, list[str]]:
                     reads.add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add(node.id)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in declared
+            ):
                 reads.add(node.value)
-            elif isinstance(node, ast.ClassDef):
-                reads.update(
-                    member.target.id
-                    for member in node.body
-                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
-                )
     return {
         name: places
         for name, places in sorted(stores.items())

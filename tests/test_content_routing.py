@@ -8,7 +8,7 @@ Three layers, mirroring the real stack:
   simulated network, the one server of those RPCs, refuses them at
   DHT-Clients;
 * the exchange layer — a published block resolved through the walks and
-  pulled through the Bitswap ledgers on both sides, and a retriever that
+  pulled over Bitswap into the retriever's store, and a retriever that
   already holds the block answering from its own store without a walk;
 * the simulation layer — the Zipf publish/retrieve workload of the content
   scenarios, including the pinned micro-scale golden for ``provide-churn``
@@ -168,14 +168,9 @@ class TestIpfsNodeContentE2E:
         providers = find_providers(mesh, key, max_providers=1).providers
         assert providers == [PUBLISHER]
 
-        block = retriever.fetch_from(RETRIEVER, providers[0], publisher, "bafytest")
+        block = retriever.fetch_from(publisher, "bafytest")
         assert block == data
         assert retriever.has_block("bafytest")
-        # the Bitswap ledgers on both sides account for the exchange
-        ledger = publisher.ledger_for(RETRIEVER)
-        assert ledger.blocks_sent == 1 and ledger.bytes_sent == len(data)
-        back = retriever.ledger_for(PUBLISHER)
-        assert back.blocks_received == 1 and back.bytes_received == len(data)
 
     def test_fetch_of_unpublished_cid_returns_none(self):
         mesh = ServerMesh()
@@ -183,7 +178,7 @@ class TestIpfsNodeContentE2E:
         assert find_providers(mesh, key).providers == []
         # a peer without the block serves nothing, and nothing is stored
         retriever = BitswapEngine()
-        assert retriever.fetch_from(RETRIEVER, PUBLISHER, BitswapEngine(), "bafy-missing") is None
+        assert retriever.fetch_from(BitswapEngine(), "bafy-missing") is None
         assert not retriever.has_block("bafy-missing")
 
     def test_fetch_prefers_the_local_blockstore(self, monkeypatch):

@@ -61,7 +61,6 @@ class TestProtocolBreakdown:
         breakdown = protocol_breakdown(dataset)
         assert breakdown.goipfs_without_bitswap == 1
         assert breakdown.goipfs_with_sbptp == 1
-        assert breakdown.sbptp_support == 1
 
 
 class TestVersionChanges:
@@ -92,16 +91,17 @@ class TestVersionChanges:
         assert report.dirty_to_main == 1
         assert report.main_to_dirty == 1
 
-    def test_non_goipfs_switch_counted_separately(self):
+    def test_non_goipfs_switch_is_no_release_change(self):
         dataset = MeasurementDataset(label="x", started_at=0.0, ended_at=1.0)
         dataset.changes = [
             MetaChangeRecord(1.0, "a", "agent", "storm", "go-ipfs/0.11.0/abc"),
             MetaChangeRecord(2.0, "b", "agent", "storm", "other-agent"),
+            MetaChangeRecord(3.0, "c", "agent", "go-ipfs/0.11.0/abc", "storm"),
         ]
         report = version_changes(dataset)
-        assert report.agent_switches_to_goipfs == 1
-        assert report.non_goipfs_changes == 1
         assert report.total == 0
+        assert report.main_to_main + report.main_to_dirty == 0
+        assert report.dirty_to_main + report.dirty_to_dirty == 0
 
 
 class TestProtocolFlaps:

@@ -1,18 +1,25 @@
 """Tests for the time-series views (Fig. 5 and Fig. 6)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.records import MeasurementDataset, PeerRecord
+from repro.analysis.views import VIEWS
+from repro.core.records import MeasurementDataset, PeerRecord, SnapshotRecord
 from repro.core.timeseries import (
     DAY,
     connected_peers_over_time,
     connections_over_time,
     gone_pids_over_time,
     pids_over_time,
-    summarize_timeseries,
 )
 
 HOUR = 3_600.0
+
+
+def fig6(dataset: MeasurementDataset) -> dict:
+    """The ``fig6`` claim view of a result whose go-ipfs dataset is ``dataset``."""
+    return VIEWS["fig6"](SimpleNamespace(dataset={"go-ipfs": dataset}.__getitem__))
 
 
 class TestConnectionsOverTime:
@@ -59,27 +66,25 @@ class TestPidsOverTime:
             pids_over_time(tiny_dataset, step=-1.0)
 
 
-class TestSummary:
-    def test_summary_hand_checked(self, tiny_dataset):
-        summary = summarize_timeseries(tiny_dataset)
-        assert summary.total_pids == 5
-        assert summary.peak_simultaneous_connections == 4
-        assert summary.pids_per_simultaneous_connection == pytest.approx(5 / 4)
+class TestFig6View:
+    def test_pids_per_connection_hand_checked(self, tiny_dataset):
+        # 5 PIDs seen, at most 4 simultaneous connections
+        assert tiny_dataset.pid_count() == 5
+        assert max(s.simultaneous_connections for s in tiny_dataset.snapshots) == 4
+        assert fig6(tiny_dataset)["pids_per_connection"] == pytest.approx(5 / 4)
 
-    def test_summary_of_empty_dataset(self):
+    def test_pids_per_connection_without_connections_is_zero(self):
         dataset = MeasurementDataset(label="x", started_at=0.0, ended_at=1.0)
-        summary = summarize_timeseries(dataset)
-        assert summary.peak_simultaneous_connections == 0
-        assert summary.total_pids == 0
+        dataset.peers["p"] = PeerRecord("p", 0.0, 1.0)
+        dataset.snapshots = [SnapshotRecord(0.5, 0, 1, 0)]
+        assert fig6(dataset)["pids_per_connection"] == 0.0
 
 
 class TestScenarioTimeseries:
     def test_pid_growth_outpaces_simultaneous_connections(self, small_scenario_result):
-        dataset = small_scenario_result.dataset("go-ipfs")
-        summary = summarize_timeseries(dataset)
         # the paper's core observation behind Fig. 6: many more PIDs seen over
         # time than ever connected simultaneously
-        assert summary.total_pids > summary.peak_simultaneous_connections
+        assert VIEWS["fig6"](small_scenario_result)["pids_per_connection"] > 1.0
 
     def test_snapshot_cadence_matches_poll_interval(self, small_scenario_result):
         dataset = small_scenario_result.dataset("go-ipfs")

@@ -37,7 +37,7 @@ from repro.faults.runtime import FaultRuntime, FaultStats
 from repro.scenarios.registry import build_scenario_config, run_scenario_by_name
 from repro.simulation.engine import Engine
 from repro.simulation.scenario import Scenario
-from repro.sweep import summarize_cell, summarize_result
+from repro.sweep import plan_cell, summarize_cell, summarize_result
 
 
 class TestConfigValidation:
@@ -313,7 +313,7 @@ class TestIdentityByDefault:
     def test_plain_scenarios_carry_no_fault_stats(self):
         result = run_scenario_by_name("p1", n_peers=40, duration_days=0.01, seed=5)
         assert result.faults is None
-        summary = summarize_cell("p1", 40, 0.01, 5)
+        summary = summarize_cell(plan_cell("p1", 40, 0.01, 5))
         assert summary["resilience"] is None
 
     def test_zero_rate_config_is_byte_identical_to_none(self):
@@ -404,8 +404,8 @@ class TestScenarioEffects:
         assert all(0.0 <= delay <= spread for delay in stats.recovery_delays)
 
     def test_fault_summaries_are_deterministic(self):
-        first = summarize_cell("lossy-links", 60, 0.02, 7)
-        second = summarize_cell("lossy-links", 60, 0.02, 7)
+        first = summarize_cell(plan_cell("lossy-links", 60, 0.02, 7))
+        second = summarize_cell(plan_cell("lossy-links", 60, 0.02, 7))
         assert first == second
         block = first["resilience"]
         assert block["rpc"]["lost"] > 0

@@ -7,11 +7,12 @@ exceeding simultaneous connections, and a classification whose heavy class is a
 small core.
 """
 
+from repro.analysis.views import VIEWS
 from repro.core.churn import connection_statistics, trim_share
 from repro.core.horizon import compare_horizons
 from repro.core.metadata import analyze_metadata
 from repro.core.netsize import connection_cdfs, estimate_network_size
-from repro.core.timeseries import connections_over_time, pids_over_time, summarize_timeseries
+from repro.core.timeseries import connections_over_time, pids_over_time
 
 
 class TestEndToEndPipeline:
@@ -50,8 +51,7 @@ class TestEndToEndPipeline:
         assert union.pid_count() >= max(h.pid_count() for h in heads)
 
     def test_pids_exceed_simultaneous_connections(self, small_scenario_result):
-        summary = summarize_timeseries(small_scenario_result.dataset("go-ipfs"))
-        assert summary.pids_per_simultaneous_connection > 1.0
+        assert VIEWS["fig6"](small_scenario_result)["pids_per_connection"] > 1.0
 
     def test_pid_growth_is_monotone(self, small_scenario_result):
         series = pids_over_time(small_scenario_result.dataset("go-ipfs"), step=1800.0)

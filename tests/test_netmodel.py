@@ -29,7 +29,7 @@ from repro.netmodel.config import (
 from repro.netmodel.runtime import NetModelRuntime
 from repro.scenarios.registry import run_scenario_by_name
 from repro.simulation.population import PopulationConfig, generate_population
-from repro.sweep import summarize_cell
+from repro.sweep import plan_cell, summarize_cell
 
 
 class TestConfigValidation:
@@ -284,7 +284,7 @@ class TestIdentityByDefault:
         result = run_scenario_by_name("p1", n_peers=40, duration_days=0.01, seed=5)
         assert result.netmodel is None
         # every simulated peer stays on the idealised fabric
-        summary = summarize_cell("p1", 40, 0.01, 5)
+        summary = summarize_cell(plan_cell("p1", 40, 0.01, 5))
         assert summary["netmodel"] is None
 
 
@@ -325,8 +325,8 @@ class TestScenarioEffects:
         assert relayed.netmodel.class_counts[RELAYED] > 0
 
     def test_sweep_summary_is_deterministic(self):
-        first = summarize_cell("nat-heavy-crawl", 60, 0.02, 7)
-        second = summarize_cell("nat-heavy-crawl", 60, 0.02, 7)
+        first = summarize_cell(plan_cell("nat-heavy-crawl", 60, 0.02, 7))
+        second = summarize_cell(plan_cell("nat-heavy-crawl", 60, 0.02, 7))
         assert first == second
         block = first["netmodel"]
         assert block["unreachable_share"] > 0.0

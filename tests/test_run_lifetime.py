@@ -17,7 +17,7 @@ from repro.simulation.behaviors import MetadataBehaviors
 from repro.simulation.engine import Engine, PeriodicTask
 from repro.simulation.network import SimPeer, SimulatedNetwork
 from repro.simulation.scenario import Scenario
-from repro.sweep import summarize_cell
+from repro.sweep import plan_cell, summarize_cell
 
 PEERS = 80
 DAYS = 0.02
@@ -53,7 +53,9 @@ def test_a_finished_run_is_freed_on_drop(baseline, name):
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_a_telemetry_cell_is_freed_on_return(baseline, name):
-    summary = summarize_cell(name, PEERS, DAYS, SEED, metrics_window=300.0, trace_sample=1.0)
+    summary = summarize_cell(
+        plan_cell(name, PEERS, DAYS, SEED, metrics_window=300.0, trace_sample=1.0)
+    )
     assert summary["metrics"] and summary["tracing"]
     assert live_run_objects() == baseline
 

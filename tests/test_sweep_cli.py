@@ -20,6 +20,8 @@ from repro.core.records import primary_dataset_label
 from repro.sweep import (
     main,
     parse_duration_days,
+    plan_cell,
+    run_cells,
     summarize_cell,
     summarize_cell_safe,
 )
@@ -92,9 +94,7 @@ class TestMicroSweep:
     def test_totals_count_hydra_union_connections_once(self):
         # p0 deploys go-ipfs + a 3-head hydra: the "hydra" dataset is the
         # union of the heads and must not be double-counted in the totals
-        from repro.sweep import summarize_cell
-
-        summary = summarize_cell("p0", 40, 0.01, 5)
+        summary = summarize_cell(plan_cell("p0", 40, 0.01, 5))
         totals = aggregate_payload([summary])["totals"]
         distinct = sum(
             counts["connections"]
@@ -313,11 +313,11 @@ class TestCheckpointResume:
         real = sweep_mod.summarize_cell
         calls = []
 
-        def dies_on_third(name, n_peers, duration_days, seed, *rest):
-            calls.append((name, seed))
+        def dies_on_third(cell, out_dir=None):
+            calls.append((cell["scenario"], cell["seed"]))
             if len(calls) == 3:
                 raise KeyboardInterrupt
-            return real(name, n_peers, duration_days, seed, *rest)
+            return real(cell, out_dir)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", dies_on_third)
         with pytest.raises(KeyboardInterrupt):
@@ -331,9 +331,9 @@ class TestCheckpointResume:
         # same artifacts, byte for byte, as the uninterrupted run.
         resumed = []
 
-        def counting(name, n_peers, duration_days, seed, *rest):
-            resumed.append((name, seed))
-            return real(name, n_peers, duration_days, seed, *rest)
+        def counting(cell, out_dir=None):
+            resumed.append((cell["scenario"], cell["seed"]))
+            return real(cell, out_dir)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", counting)
         self._run(out, resume=True)
@@ -369,9 +369,9 @@ class TestCheckpointResume:
         real = sweep_mod.summarize_cell
         rerun = []
 
-        def counting(name, n_peers, duration_days, seed, *rest):
-            rerun.append((name, seed))
-            return real(name, n_peers, duration_days, seed, *rest)
+        def counting(cell, out_dir=None):
+            rerun.append((cell["scenario"], cell["seed"]))
+            return real(cell, out_dir)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", counting)
         from repro.sweep import run_sweep
@@ -429,9 +429,9 @@ class TestPlannedCells:
     def test_views_are_extra_blocks_of_an_unchanged_summary(self):
         from repro.analysis.views import VIEWS
 
-        plain = summarize_cell("p1", 40, 0.01, 5)
+        plain = summarize_cell(plan_cell("p1", 40, 0.01, 5))
         assert set(plain) == self.BLOCKS
-        viewed = summarize_cell("p1", 40, 0.01, 5, views=["fig7", "table2"])
+        viewed = summarize_cell(plan_cell("p1", 40, 0.01, 5, views=["fig7", "table2"]))
         assert set(viewed) == self.BLOCKS | {"fig7", "table2"}
         assert {key: viewed[key] for key in self.BLOCKS} == plain
         assert set(viewed["fig7"]) == {
@@ -441,8 +441,6 @@ class TestPlannedCells:
         assert not self.BLOCKS & VIEWS.keys()
 
     def test_cells_differing_only_in_overrides_write_two_files(self, tmp_path):
-        from repro.sweep import plan_cell, run_cells
-
         planned = [
             plan_cell("lossy-links", 30, 0.01, 7, {"loss_rate": rate}, stem=stem, views=views)
             for rate, stem, views in ((0.2, "lossy", ["partition"]), (0.0, "clean", []))
@@ -460,6 +458,21 @@ class TestPlannedCells:
             assert json.loads(texts[-1]["lossy.json"]) == summaries[0]
         assert texts[0] == texts[1]
         assert texts[0]["lossy.json"] != texts[0]["clean.json"]
+
+    def test_a_cell_planned_with_telemetry_runs_with_it(self, tmp_path):
+        # The planned cell is the only channel: run_cells is given nothing
+        # but the cell, and the manifest's promise is what the cell does.
+        cell = plan_cell("p1", 40, 0.01, 7, metrics_window=300.0, trace_sample=1.0)
+        out = tmp_path / "out"
+        (summary,), failures = run_cells([cell], str(out))
+        assert failures == []
+        with open(out / "sweep_manifest.json") as handle:
+            (planned,) = json.load(handle)["cells"]
+        assert planned["metrics_window"] == 300.0 and planned["trace_sample"] == 1.0
+        assert (out / planned["metrics_file"]).stat().st_size > 0
+        assert (out / planned["trace_file"]).exists()
+        assert summary["metrics"] is not None and summary["tracing"] is not None
+        assert json.loads((out / planned["file"]).read_text()) == summary
 
 
 class TestFailingCells:
@@ -501,9 +514,16 @@ class TestFailingCells:
         assert bad.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
-    def test_failure_is_recorded_in_the_artifacts(self, tmp_path, monkeypatch, broken_cell):
+    @pytest.mark.parametrize(
+        "telemetry",
+        [[], ["--metrics-window", "120"], ["--trace-sample", "0.25"], ["--metrics", "--trace"]],
+        ids=["plain", "metrics", "trace", "metrics+trace"],
+    )
+    def test_failure_is_recorded_in_the_artifacts(
+        self, tmp_path, monkeypatch, broken_cell, telemetry
+    ):
         out = tmp_path / "bad"
-        main(self.FLAGS + ["--out", str(out)])
+        main(self.FLAGS + telemetry + ["--out", str(out)])
         with open(out / "sweep_summary.json") as handle:
             aggregate = json.load(handle)
         assert aggregate["totals"]["cells"] == 0
@@ -532,10 +552,10 @@ class TestFailingCells:
 
         real = sweep_mod.summarize_cell
 
-        def flaky(name, n_peers, duration_days, seed, *rest):
-            if seed == 8:
+        def flaky(cell, out_dir=None):
+            if cell["seed"] == 8:
                 raise RuntimeError("boom")
-            return real(name, n_peers, duration_days, seed, *rest)
+            return real(cell, out_dir)
 
         monkeypatch.setattr(sweep_mod, "summarize_cell", flaky)
         out = tmp_path / "mixed"
@@ -548,7 +568,7 @@ class TestFailingCells:
         assert not (out / "p1__n30__s8.json").exists()
 
     def test_safe_wrapper_returns_an_error_record(self):
-        record = summarize_cell_safe("p1", -5, 0.01, 7)
+        record = summarize_cell_safe(plan_cell("p1", -5, 0.01, 7))
         assert record["scenario"] == "p1"
         assert record["error"].startswith("ValueError")
 
@@ -602,7 +622,7 @@ class TestCliParsing:
         assert "--tag 'no-such-tag'" in err and "adversary" in err
 
     def test_summarize_cell_uses_spec_defaults_for_peers(self):
-        summary = summarize_cell("p1", None, 0.01, 3)
+        summary = summarize_cell(plan_cell("p1", None, 0.01, 3))
         assert summary["n_peers"] == 1500  # the period's bench default
 
 
