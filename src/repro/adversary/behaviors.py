@@ -43,7 +43,6 @@ from repro.adversary.config import (
     AdversaryConfig,
 )
 from repro.kademlia.dht import iterative_provide
-from repro.kademlia.keys import key_for_peer, xor_distance
 from repro.libp2p.peer_id import PeerId
 
 # repro.simulation.* is imported lazily: its package __init__ loads the
@@ -162,7 +161,7 @@ class AdversaryBehaviors:
             return [catalog.key(item) for item in range(min(items, catalog.n_items))]
         # No content workload: eclipse the measurement identities themselves.
         keys = [
-            key_for_peer(identity.peer_id)
+            identity.peer_id.kad_key()
             for identity in self.network.identities
             if identity.is_dht_server
         ]
@@ -174,10 +173,10 @@ class AdversaryBehaviors:
         if sybil is None or not sybils:
             return
         targets = [
-            key_for_peer(identity.peer_id)
+            identity.peer_id.kad_key()
             for identity in self.network.identities
             if identity.is_dht_server
-        ] or [key_for_peer(identity.peer_id) for identity in self.network.identities]
+        ] or [identity.peer_id.kad_key() for identity in self.network.identities]
         for i, peer in enumerate(sybils):
             target = targets[i % len(targets)]
             self._rekey(peer, mine_pid_near(target, sybil.closeness_bits, self.rng))
@@ -319,7 +318,7 @@ class AdversaryBehaviors:
         for victim in sorted(self._victim_keys):
             closest = sorted(
                 online_servers,
-                key=lambda p: xor_distance(key_for_peer(p.current_pid), victim),
+                key=lambda p: p.current_pid ^ victim,
             )[:k]
             if not closest:
                 continue

@@ -45,6 +45,16 @@ class MeasurementRecorder:
         #: which rows opened at the same time are exported
         self._close_seq = array("q")
         self._closes = 0
+        #: PeerId -> base58 rendering; a fabric hands every vantage point on
+        #: it one table, so a PID is rendered once per fabric, not per row
+        self.pid_names: Dict[PeerId, str] = {}
+
+    def pid_name(self, peer: PeerId) -> str:
+        """``str(peer)``, rendered once per table."""
+        name = self.pid_names.get(peer)
+        if name is None:
+            name = self.pid_names[peer] = peer.to_base58()
+        return name
 
     def on_connected(
         self,
@@ -58,10 +68,10 @@ class MeasurementRecorder:
         if self.started_at is None:
             self.started_at = now
         self._close_seq.append(-1)
-        # The strings are the ones the PeerId and the Multiaddr hold, and
+        # The strings are the rendering table's and the Multiaddr's, and
         # ``_value_`` is the plain attribute behind an enum's ``.value``.
         return self.log.open(
-            peer.to_base58(),
+            self.pid_name(peer),
             direction._value_,
             now,
             str(remote_addr),
@@ -159,9 +169,11 @@ class PassiveMeasurement:
         # retractions (role flips) do not erase the fact the peer once was a
         # server.
         ever_servers = node.peerstore.ever_dht_servers()
+        pid_name = recorder.pid_name
         for entry in node.peerstore.entries():
-            dataset.peers[str(entry.peer)] = PeerRecord(
-                peer=str(entry.peer),
+            name = pid_name(entry.peer)
+            dataset.peers[name] = PeerRecord(
+                peer=name,
                 first_seen=entry.first_seen,
                 last_seen=entry.last_seen,
                 agent_version=entry.agent_version,
@@ -187,7 +199,7 @@ class PassiveMeasurement:
             dataset.changes.append(
                 MetaChangeRecord(
                     timestamp=change.timestamp,
-                    peer=str(change.peer),
+                    peer=pid_name(change.peer),
                     kind=change.kind.value,
                     old_value=render(change.old_value),
                     new_value=render(change.new_value),

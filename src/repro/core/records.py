@@ -400,7 +400,8 @@ class MeasurementDataset:
         Fig. 2 reports "the union of all heads" for the hydra: connection logs
         are merged by open time (ties in dataset order), change and snapshot
         lists concatenated and sorted by time, peer records merged into
-        copies, so no dataset's own record changes.
+        copies, so no dataset's own record changes.  The snapshots are the
+        heads' own polls, one per head per poll, not polls of the union.
         """
         if not datasets:
             raise ValueError("union of zero datasets")

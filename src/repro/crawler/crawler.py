@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Iterable, List, Optional, Set
 
-from repro.kademlia.keys import KEY_BITS, key_for_peer, random_key_in_bucket
+from repro.kademlia.keys import KEY_BITS, random_key_in_bucket
 from repro.libp2p.peer_id import PeerId
 
 #: query(remote, target, count) -> closest peers, or None when unreachable.
@@ -72,7 +72,7 @@ class Crawler:
         probe the ``buckets_per_peer`` highest bucket indices plus the peer's
         own key, which in practice harvests nearly the full table.
         """
-        local_key = key_for_peer(peer)
+        local_key = peer.kad_key()
         targets = [local_key]
         for offset in range(self.buckets_per_peer):
             index = KEY_BITS - 1 - offset

@@ -503,7 +503,8 @@ def main(
     measure: Measure = simulate,
 ) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if len(args) > 1:
+    # An option (``--help`` too) is not an output path: nothing is run.
+    if len(args) > 1 or any(arg.startswith("-") for arg in args):
         print("usage: python -m repro.experiments.fidelity [out.json]", file=sys.stderr)
         return 2
     out = args[0] if args else DEFAULT_OUT

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, KeysView, List, Optional, Set, Tuple
 
 from repro.libp2p.peer_id import PeerId
 
@@ -52,13 +52,26 @@ GetProvidersFn = Callable[[PeerId, int], Optional[Tuple[List[PeerId], List[PeerI
 
 @dataclass
 class LookupResult:
-    """Outcome of an iterative lookup."""
+    """Outcome of an iterative lookup; ``closest`` and ``discovered`` are read
+    from ``distance`` when asked for (content resolution asks for neither)."""
 
     target: int
-    closest: List[PeerId]
+    #: every candidate the walk saw -> its XOR distance to ``target``
+    distance: Dict[PeerId, int]
+    #: how many candidates ``closest`` holds at most
+    count: int
     queried: Set[PeerId] = field(default_factory=set)
-    discovered: Set[PeerId] = field(default_factory=set)
     hops: int = 0
+
+    @property
+    def closest(self) -> List[PeerId]:
+        """The ``count`` candidates closest to the target, closest first."""
+        distance = self.distance
+        return sorted(distance, key=distance.__getitem__)[: self.count]
+
+    @property
+    def discovered(self) -> KeysView[PeerId]:
+        return self.distance.keys()
 
     def succeeded(self) -> bool:
         return bool(self.closest)
@@ -122,12 +135,12 @@ def iterative_lookup(
     already implies "same best ``count``" and the best set is never compared
     before and after a round.
 
-    Cost model: a candidate's XOR distance is computed once, when it is first
-    seen, and kept in a ``pid -> distance`` dict; not-yet-queried candidates
-    wait in a heap keyed on it, so a round costs O(new · log n) and nothing is
-    re-sorted.  Distinct peers have distinct distances, so heap order never
-    falls through to comparing PeerIds and the iteration order of ``seeds``
-    is irrelevant.
+    Cost model: a candidate's XOR distance, ``pid ^ target``, is computed
+    once, when it is first seen, into a ``pid -> distance`` dict that a reply
+    is merged into with one set difference; not-yet-queried candidates wait
+    in a heap keyed on it, so a round costs O(new · log n) and nothing is
+    re-sorted.  Distinct peers have distinct distances, so the heap pops one
+    order whatever the order of ``seeds``, of a reply or of the pushes.
 
     ``stop`` is re-checked after every reply; content-routing walks use it to
     end the walk early the moment their side-goal (enough provider records)
@@ -145,9 +158,8 @@ def iterative_lookup(
     reads anything back from it.
     """
     #: every candidate ever seen -> its XOR distance to the target
-    distance = {peer: peer.kad_key() ^ target for peer in seeds}
-    if self_id is not None:
-        distance.pop(self_id, None)
+    distance = {peer: peer ^ target for peer in seeds}
+    distance.pop(self_id, None)
     #: the not-yet-queried candidates, closest first
     frontier = [(d, peer) for peer, d in distance.items()]
     heapq.heapify(frontier)
@@ -180,12 +192,14 @@ def iterative_lookup(
                 if done:
                     break
                 continue
-            for found in reply:
-                # self_id is never a key of ``distance``
-                if found not in distance and found != self_id:
-                    d = distance[found] = found.kad_key() ^ target
+            new = set(reply).difference(distance)
+            # self_id is never a key of ``distance``
+            new.discard(self_id)
+            if new:
+                progressed = True
+                for found in new:
+                    d = distance[found] = found ^ target
                     heapq.heappush(frontier, (d, found))
-                    progressed = True
             if stop is not None and stop():
                 done = True
             if done:
@@ -193,13 +207,7 @@ def iterative_lookup(
         if not progressed:
             break
 
-    return LookupResult(
-        target=target,
-        closest=sorted(distance, key=distance.__getitem__)[:count],
-        queried=queried,
-        discovered=set(distance),
-        hops=hops,
-    )
+    return LookupResult(target=target, distance=distance, count=count, queried=queried, hops=hops)
 
 
 def iterative_provide(

@@ -1,6 +1,7 @@
 """Kademlia keyspace arithmetic.
 
-Keys are 256-bit integers (the SHA-256 digest behind a PeerId).  Distance is
+Keys are 256-bit integers; a :class:`~repro.libp2p.peer_id.PeerId` is its own
+key (the SHA-256 digest behind it, read as an integer).  Distance is
 XOR; the bucket index of a remote key relative to a local key is the position
 of the highest differing bit (equivalently ``KEY_BITS - 1 - cpl`` where ``cpl``
 is the common prefix length).
@@ -12,17 +13,10 @@ import hashlib
 import random
 from typing import Optional
 
-from repro.libp2p.peer_id import PeerId
-
 #: Width of the Kademlia keyspace (SHA-256).
 KEY_BITS = 256
 
 _KEY_MASK = (1 << KEY_BITS) - 1
-
-
-def key_for_peer(peer: PeerId) -> int:
-    """Map a PeerId to its integer Kademlia key."""
-    return peer.kad_key()
 
 
 def key_for_content(data: bytes) -> int:

@@ -8,13 +8,13 @@ horizon comparison (Fig. 2) relies on.
 
 Lookup performance matters here: every FIND_NODE a simulated DHT-Server
 answers goes through :meth:`RoutingTable.closest_peers`.  Buckets therefore
-store ``pid -> kad key`` in an insertion-ordered mapping (O(1)
-``touch``/``remove``), and ``closest_peers`` walks buckets in ascending
-distance order instead of sorting the whole table:  for a fixed target, the
-XOR distances of any two non-empty buckets occupy *disjoint* ranges, so each
-visited bucket is ranked on its own with a plain sort of ``(distance, pid)``
-pairs, the ranked buckets are concatenated, and traversal stops as soon as
-``count`` peers have been collected.
+keep their PIDs in an insertion-ordered mapping (O(1) ``touch``/``remove``);
+a PID is its own Kademlia key, so nothing is stored beside it.
+``closest_peers`` walks buckets in ascending distance order instead of
+sorting the whole table:  for a fixed target, the XOR distances of any two
+non-empty buckets occupy *disjoint* ranges, so each visited bucket is ranked
+on its own by ``pid ^ target``, the ranked buckets are concatenated, and
+traversal stops as soon as ``count`` peers have been collected.
 
 A walk to a popular key asks the same servers for the same target over and
 over, so each table memoises its answers per ``(target, count)``.  The memo is
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.kademlia.keys import KEY_BITS, bucket_index, key_for_peer
+from repro.kademlia.keys import KEY_BITS, bucket_index
 from repro.libp2p.peer_id import PeerId
 
 #: IPFS bucket size.
@@ -41,17 +41,17 @@ CLOSEST_MEMO_CAPACITY = 32
 class KBucket:
     """A single k-bucket with least-recently-seen eviction order.
 
-    Entries are kept in an insertion-ordered mapping ``pid -> kad key`` —
-    oldest (least recently seen) first, like the original Kademlia paper —
-    which makes membership, ``touch`` and ``remove`` O(1) instead of the
-    list-scan the naive representation needs.
+    Entries are the keys of an insertion-ordered mapping (every value is
+    ``True``) — oldest (least recently seen) first, like the original
+    Kademlia paper — which makes membership, ``touch`` and ``remove`` O(1)
+    instead of the list-scan the naive representation needs.
     """
 
     __slots__ = ("capacity", "_entries")
 
     def __init__(self, capacity: int = DEFAULT_BUCKET_SIZE) -> None:
         self.capacity = capacity
-        self._entries: Dict[PeerId, int] = {}
+        self._entries: Dict[PeerId, bool] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -64,7 +64,7 @@ class KBucket:
         """Peers in LRU order (oldest first)."""
         return list(self._entries)
 
-    def touch(self, peer: PeerId, key: Optional[int] = None) -> bool:
+    def touch(self, peer: PeerId) -> bool:
         """Record activity from ``peer``.
 
         Returns True if the peer is now in the bucket.  A known peer moves to
@@ -74,23 +74,19 @@ class KBucket:
         entries.
         """
         entries = self._entries
-        known = entries.pop(peer, None)
-        if known is not None:
-            entries[peer] = known
-            return True
-        if len(entries) < self.capacity:
-            entries[peer] = key if key is not None else key_for_peer(peer)
+        if entries.pop(peer, False) or len(entries) < self.capacity:
+            entries[peer] = True
             return True
         return False
 
     def remove(self, peer: PeerId) -> bool:
-        return self._entries.pop(peer, None) is not None
+        return self._entries.pop(peer, False)
 
 
 def _bucket_min_distance(diff: int, index: int) -> int:
     """Smallest possible XOR distance to the target of any key in bucket ``index``.
 
-    ``diff`` is ``local_key ^ target``.  Keys in bucket ``index`` agree with the
+    ``diff`` is ``local_peer ^ target``.  Keys in bucket ``index`` agree with the
     local key above bit ``index`` and differ at bit ``index``, so their distance
     to the target has ``diff``'s bits above ``index``, the flipped ``diff`` bit
     at ``index``, and anything below — the per-bucket distance ranges are
@@ -106,7 +102,6 @@ class RoutingTable:
 
     def __init__(self, local_peer: PeerId, bucket_size: int = DEFAULT_BUCKET_SIZE) -> None:
         self.local_peer = local_peer
-        self.local_key = key_for_peer(local_peer)
         self.bucket_size = bucket_size
         self._buckets: Dict[int, KBucket] = {}
         #: (target, count) -> closest_peers answer; None until the first query
@@ -120,12 +115,11 @@ class RoutingTable:
         if peer == self.local_peer:
             return False
         self._closest_memo = None
-        key = key_for_peer(peer)
-        index = (key ^ self.local_key).bit_length() - 1
+        index = (peer ^ self.local_peer).bit_length() - 1
         bucket = self._buckets.get(index)
         if bucket is None:
             bucket = self._buckets[index] = KBucket(capacity=self.bucket_size)
-        return bucket.touch(peer, key)
+        return bucket.touch(peer)
 
     def add_peers(self, peers: Iterable[PeerId]) -> int:
         """Insert many peers; returns how many ended up in the table.
@@ -136,14 +130,13 @@ class RoutingTable:
         the loop and the memo dropped once; this is how the fabric builds a
         table from its start-up sample.
         """
-        local_key = self.local_key
+        local_peer = self.local_peer
         buckets = self._buckets
         capacity = self.bucket_size
         self._closest_memo = None
         added = 0
         for peer in peers:
-            key = peer._kad_key
-            diff = key ^ local_key
+            diff = peer ^ local_peer
             if not diff:
                 continue
             index = diff.bit_length() - 1
@@ -151,10 +144,8 @@ class RoutingTable:
             if bucket is None:
                 bucket = buckets[index] = KBucket(capacity)
             entries = bucket._entries
-            if entries.pop(peer, None) is not None:
-                entries[peer] = key
-            elif len(entries) < capacity:
-                entries[peer] = key
+            if entries.pop(peer, False) or len(entries) < capacity:
+                entries[peer] = True
             else:
                 continue
             added += 1
@@ -167,7 +158,7 @@ class RoutingTable:
         DHT-Client ends here), so a miss costs one XOR and one dict lookup and
         leaves the memo alone: the table did not change.
         """
-        diff = peer._kad_key ^ self.local_key
+        diff = peer ^ self.local_peer
         if not diff:
             return False
         index = diff.bit_length() - 1
@@ -184,7 +175,7 @@ class RoutingTable:
     def __contains__(self, peer: PeerId) -> bool:
         if peer == self.local_peer:
             return False
-        index = bucket_index(self.local_key, key_for_peer(peer))
+        index = bucket_index(self.local_peer, peer)
         bucket = self._buckets.get(index)
         return bucket is not None and peer in bucket
 
@@ -204,8 +195,8 @@ class RoutingTable:
         target; because per-bucket distance ranges are disjoint, each bucket is
         ranked on its own and traversal stops once ``count`` peers have been
         collected, instead of sorting the entire table per query.  Distances
-        within a table are unique, so the ``(distance, pid)`` pairs never
-        compare PeerIds.  The returned list is the caller's to mutate.
+        within a table are unique, so a bucket sorted on ``target ^ pid`` has
+        one order.  The returned list is the caller's to mutate.
         """
         if count <= 0:
             return []
@@ -217,15 +208,14 @@ class RoutingTable:
             if known is not None:
                 return list(known)
         buckets = self._buckets
-        diff = self.local_key ^ target
-        ranked: List[Tuple[int, PeerId]] = []
+        diff = self.local_peer ^ target
+        distance = target.__xor__
+        closest: List[PeerId] = []
         for index in sorted(buckets, key=lambda i: _bucket_min_distance(diff, i)):
-            ranked.extend(
-                sorted([(key ^ target, pid) for pid, key in buckets[index]._entries.items()])
-            )
-            if len(ranked) >= count:
+            closest.extend(sorted(buckets[index]._entries, key=distance))
+            if len(closest) >= count:
                 break
-        closest = [pid for _, pid in ranked[:count]]
+        del closest[count:]
         if len(memo) >= CLOSEST_MEMO_CAPACITY:
             memo.clear()
         memo[(target, count)] = closest
@@ -233,7 +223,7 @@ class RoutingTable:
 
     def neighborhood(self, count: int) -> List[PeerId]:
         """Peers closest to the local key (the node's DHT neighbourhood)."""
-        return self.closest_peers(self.local_key, count)
+        return self.closest_peers(self.local_peer, count)
 
     def depth(self) -> int:
         """Highest populated common-prefix length (how 'deep' the table goes)."""

@@ -6,17 +6,17 @@ paper consistently distinguishes peers by this PID and later argues that one
 participant may own several PIDs (rotation, multiple profiles, hydra heads).
 
 This module implements the multihash + base58btc encoding faithfully so that
-IDs look and sort like real IPFS peer IDs, and exposes the raw digest for the
-Kademlia XOR metric (Kademlia keyspace distance is computed over the SHA-256 of
-the PID bytes in go-libp2p-kad-dht; we use the key digest directly, which
-preserves the uniform-keyspace property the DHT relies on).
+IDs look and sort like real IPFS peer IDs.  A ``PeerId`` is the raw digest as
+an integer, which is also its key for the Kademlia XOR metric (Kademlia
+keyspace distance is computed over the SHA-256 of the PID bytes in
+go-libp2p-kad-dht; we use the key digest directly, which preserves the
+uniform-keyspace property the DHT relies on).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from functools import total_ordering
 from typing import Optional
 
 from repro.libp2p.crypto import RSA_2048, KeyPair, draw_key_material
@@ -60,36 +60,31 @@ def base58btc_decode(text: str) -> bytes:
     return b"\x00" * pad + raw
 
 
-@total_ordering
-class PeerId:
-    """A libp2p peer identifier backed by a SHA-256 multihash digest.
+class PeerId(int):
+    """A libp2p peer identifier whose integer value is its Kademlia key.
 
-    Distance checks, swarm bookkeeping, and dataset finalisation all hammer
-    ``kad_key()`` / ``hash()`` / ``str()``; the derived values are therefore
-    cached at construction (the digest is immutable, so they never change).
-    Every peer and every rotation holds one, so the class is slotted (no
-    per-instance ``__dict__``) and refuses attribute assignment.
+    The value is the SHA-256 multihash digest read big-endian, so hashing,
+    equality, ordering and XOR distance are ``int``'s own, and ordering is
+    digest order (the digest is fixed-width).  Nothing derived is stored:
+    ``digest`` and the base58 rendering are computed when asked for, and the
+    simulation renders each PID once per fabric (the vantage points'
+    recorders share one table).  ``__slots__ = ()`` leaves no per-instance
+    ``__dict__``, so an identity refuses attribute assignment.
     """
 
-    __slots__ = ("digest", "_kad_key", "_hash", "_b58")
+    __slots__ = ()
 
-    def __init__(self, digest: bytes) -> None:
+    def __new__(cls, digest: bytes) -> "PeerId":
         if len(digest) != 32:
             raise ValueError("PeerId digest must be 32 bytes (sha2-256)")
-        init = object.__setattr__
-        init(self, "digest", digest)
-        init(self, "_kad_key", int.from_bytes(digest, "big"))
-        init(self, "_hash", hash(digest))
-        init(self, "_b58", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"PeerId is immutable (cannot set {name!r})")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"PeerId is immutable (cannot delete {name!r})")
+        return int.__new__(cls, int.from_bytes(digest, "big"))
 
     def __reduce__(self):
         return PeerId, (self.digest,)
+
+    @property
+    def digest(self) -> bytes:
+        return self.to_bytes(32, "big")
 
     @classmethod
     def from_keypair(cls, keypair: KeyPair) -> "PeerId":
@@ -117,15 +112,11 @@ class PeerId:
         return cls.from_public_key(public_key)
 
     def to_base58(self) -> str:
-        b58 = self._b58
-        if b58 is None:
-            b58 = base58btc_encode(_SHA256_MULTIHASH_PREFIX + self.digest)
-            object.__setattr__(self, "_b58", b58)
-        return b58
+        return base58btc_encode(_SHA256_MULTIHASH_PREFIX + self.digest)
 
     def kad_key(self) -> int:
-        """Return the 256-bit integer used for Kademlia XOR distance."""
-        return self._kad_key
+        """The 256-bit Kademlia key as a plain ``int`` (prints as a number)."""
+        return int(self)
 
     def short(self) -> str:
         """Short human-readable form used in logs and examples."""
@@ -137,16 +128,3 @@ class PeerId:
 
     def __repr__(self) -> str:
         return f"PeerId({self.short()})"
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, PeerId):
-            return NotImplemented
-        return self.digest < other.digest
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PeerId):
-            return self.digest == other.digest
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash

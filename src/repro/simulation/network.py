@@ -139,11 +139,11 @@ class SimPeer:
         self.autonat_announced = AUTONAT in profile.protocols
         self.agent = profile.agent
         self._routing_table: Optional[RoutingTable] = None
-        #: the start-up sample of a DHT-Server's table, as indices into
-        #: ``_table_pool`` (the fabric's server PIDs at start time, one list
-        #: shared by every server), until the first read builds the table
-        self._table_seed: Optional[Sequence[int]] = None
-        self._table_pool: Optional[List[PeerId]] = None
+        #: the start-up sample of a DHT-Server's table, as a run of positions
+        #: in ``_table_pool``'s index column (it and the server PIDs at start
+        #: time, one pair every server shares), until the first read builds it
+        self._table_seed: Optional[range] = None
+        self._table_pool: Optional[Tuple[Sequence[int], List[PeerId]]] = None
         #: content-routing state, created lazily when a workload touches the
         #: peer (scenarios without content routing never allocate either)
         self.provider_store: Optional[ProviderStore] = None
@@ -176,7 +176,7 @@ class SimPeer:
         if self._routing_table is not None or self._table_seed is not None:
             # A new identity starts from an empty table.
             self._routing_table = None
-            self._table_seed = ()
+            self._table_seed = range(0)
 
     @property
     def routing_table(self) -> Optional[RoutingTable]:
@@ -185,8 +185,9 @@ class SimPeer:
         seed = self._table_seed
         if seed is not None:
             self._table_seed = None
+            column, pids = self._table_pool
             self._routing_table = RoutingTable(self.current_pid)
-            self._routing_table.add_peers(map(self._table_pool.__getitem__, seed))
+            self._routing_table.add_peers(map(pids.__getitem__, column[seed.start : seed.stop]))
         return self._routing_table
 
     @property
@@ -287,6 +288,9 @@ class SimulatedNetwork:
         self._identities_by_label: Dict[str, MeasurementIdentity] = {}
         #: one connection-id sequence for every vantage point on this fabric
         self.connection_ids = itertools.count(1)
+        #: one PeerId -> base58 table for every vantage point's recorder on
+        #: this fabric: a PID is rendered once and every log shares the string
+        self.pid_names: Dict[PeerId, str] = {}
         self.peers: List[SimPeer] = [SimPeer(p, self.rng) for p in population]
         self.peers_by_pid: Dict[PeerId, SimPeer] = {p.current_pid: p for p in self.peers}
         #: peers currently online, keyed by peer_index (kept incrementally so
@@ -373,6 +377,7 @@ class SimulatedNetwork:
         self.identities.append(identity)
         self._identities_by_label[identity.label] = identity
         identity.node.connection_ids = self.connection_ids
+        identity.node.recorder.pid_names = self.pid_names
 
     def start(self, duration: float) -> None:
         """Schedule every process for a measurement of ``duration`` seconds."""
@@ -417,20 +422,24 @@ class SimulatedNetwork:
         servers; the table itself is built on first read
         (:attr:`SimPeer.routing_table`).
 
-        A sample is kept as 4-byte indices into one shared list of the server
-        PIDs.  ``random.sample`` draws from the population's length and the
-        sample size alone, so sampling ``range(n)`` makes the draws that
-        sampling the PID list did.
+        The samples are runs of one shared column of indices into one shared
+        list of the server PIDs: 2 bytes an entry while the pool fits 16 bits,
+        and a ``range`` of column positions per server.  ``random.sample``
+        draws from the population's length and the sample size alone, so
+        sampling ``range(n)`` makes the draws that sampling the PID list did.
         """
         server_peers = [p for p in self.peers if p.profile.is_dht_server]
         server_pids = [p.current_pid for p in server_peers]
         indices = range(len(server_pids))
         sample_size = min(self.config.routing_table_sample, max(0, len(server_pids) - 1))
+        column = array("H" if len(server_pids) <= 1 << 16 else "I")
+        pool = (column, server_pids)
         for peer in server_peers:
-            peer._table_pool = server_pids
-            peer._table_seed = (
-                array("I", self.rng.sample(indices, sample_size)) if sample_size else ()
-            )
+            start = len(column)
+            if sample_size:
+                column.extend(self.rng.sample(indices, sample_size))
+            peer._table_pool = pool
+            peer._table_seed = range(start, start + sample_size)
 
     def _compute_neighborhoods(self) -> None:
         """Peers closest to a measurement identity discover it quickly: the
@@ -439,11 +448,11 @@ class SimulatedNetwork:
         for identity in self.identities:
             if not identity.is_dht_server:
                 continue
-            target = identity.peer_id.kad_key()
+            target = identity.peer_id
             closest = heapq.nsmallest(
                 self.config.neighborhood_size,
                 servers,
-                key=lambda p: p.current_pid.kad_key() ^ target,
+                key=lambda p: p.current_pid ^ target,
             )
             identity.neighborhood = {p.current_pid for p in closest}
 

@@ -25,7 +25,7 @@ from repro.adversary.config import (
 from repro.adversary.profiles import StagedArrivalSessionModel, build_adversary_profiles
 from repro.analysis.attack_report import attack_headline, attack_metrics
 from repro.core.netsize import estimate_by_neighborhood_density
-from repro.kademlia.keys import KEY_BITS, key_for_peer
+from repro.kademlia.keys import KEY_BITS
 from repro.simulation.churn_models import DAY
 from repro.simulation.content import ContentRoutingConfig
 from repro.simulation.population import PopulationConfig
@@ -89,7 +89,7 @@ class TestPidGrinding:
         for bits in (4, 12, 24):
             pid = mine_pid_near(target, bits, rng)
             # the top ``bits`` bits agree: the XOR distance fits below them
-            assert (key_for_peer(pid) ^ target).bit_length() <= KEY_BITS - bits
+            assert (pid.kad_key() ^ target).bit_length() <= KEY_BITS - bits
 
     def test_mined_pids_are_distinct(self):
         rng = random.Random(3)
@@ -115,7 +115,7 @@ class TestDensityEstimator:
         target = rng.getrandbits(256)
         honest = [rng.getrandbits(256) for _ in range(500)]
         packed = honest + [
-            key_for_peer(mine_pid_near(target, 16, rng)) for _ in range(30)
+            mine_pid_near(target, 16, rng).kad_key() for _ in range(30)
         ]
         base = estimate_by_neighborhood_density(honest, target).estimate
         inflated = estimate_by_neighborhood_density(packed, target).estimate

@@ -21,7 +21,7 @@ import pytest
 
 from repro.ipfs.bitswap import BitswapEngine
 from repro.kademlia.dht import iterative_find_providers, iterative_provide
-from repro.kademlia.keys import key_for_content, key_for_peer, xor_distance
+from repro.kademlia.keys import key_for_content, xor_distance
 from repro.kademlia.provider_store import ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.peer_id import PeerId
@@ -96,7 +96,7 @@ class TestDhtContentRouting:
         key = key_for_content(b"some content")
         result = provide(mesh, key, replication=4)
         assert result.succeeded()
-        closest = sorted(mesh.tables, key=lambda p: xor_distance(key_for_peer(p), key))[:4]
+        closest = sorted(mesh.tables, key=lambda p: xor_distance(p.kad_key(), key))[:4]
         assert result.stored_on == closest
         for pid in mesh.stores:
             expected = [PUBLISHER] if pid in closest else []

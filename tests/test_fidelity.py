@@ -187,3 +187,15 @@ class TestCli:
         usage = main([str(tmp_path / "a.json"), "b.json"], checks=[SHARE], measure=stub_measure({}))
         assert usage == 2
         assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("option", ["--help", "-h", "-out.json"])
+    def test_an_option_prints_the_usage_line_and_runs_nothing(
+        self, option, tmp_path, monkeypatch, capsys
+    ):
+        def measure(cells, workers):
+            raise AssertionError("an option must not run a cell")
+
+        monkeypatch.chdir(tmp_path)
+        assert main([option], checks=[SHARE], measure=measure) == 2
+        assert capsys.readouterr().err == "usage: python -m repro.experiments.fidelity [out.json]\n"
+        assert list(tmp_path.iterdir()) == []

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.hydra.head import HydraHead
 from repro.ipfs.node import IpfsNode
 from repro.kademlia.dht import DEFAULT_ALPHA, LookupResult, iterative_lookup
-from repro.kademlia.keys import key_for_peer, xor_distance
+from repro.kademlia.keys import xor_distance
 from repro.kademlia.routing_table import RoutingTable
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.peer_id import PeerId
@@ -132,7 +132,7 @@ class TestLookup:
         # what the walk discovers fills the table
         self_id = PeerId.random(random.Random(10))
         result = iterative_lookup(
-            key_for_peer(self_id), oracle.query, oracle.peers[:3], self_id=self_id
+            self_id.kad_key(), oracle.query, oracle.peers[:3], self_id=self_id
         )
         table = RoutingTable(self_id)
         table.add_peers(result.discovered)
@@ -145,7 +145,7 @@ class TestLookup:
         assert result.queried <= result.discovered
 
     def test_lookup_finds_closest_peers(self, oracle):
-        result = lookup(oracle, key_for_peer(oracle.peers[-1]), 11, count=5)
+        result = lookup(oracle, oracle.peers[-1].kad_key(), 11, count=5)
         assert result.succeeded()
         # the true closest peer to its own key is the peer itself
         assert oracle.peers[-1] in result.closest
@@ -154,7 +154,7 @@ class TestLookup:
         target = random.Random(99).getrandbits(256)
         result = lookup(oracle, target, 12, count=3)
         truly_closest = sorted(
-            oracle.peers, key=lambda p: xor_distance(key_for_peer(p), target)
+            oracle.peers, key=lambda p: xor_distance(p.kad_key(), target)
         )[:3]
         # with a fully connected oracle the lookup must find the exact closest set
         assert set(result.closest) == set(truly_closest)
@@ -198,7 +198,7 @@ def reference_lookup(
     expired = False
 
     def dist(peer):
-        return xor_distance(key_for_peer(peer), target)
+        return xor_distance(peer.kad_key(), target)
 
     while len(queried) < max_queries and not stopped and not expired:
         if give_up is not None and give_up():
@@ -242,12 +242,11 @@ def reference_lookup(
         if not progressed and new_best == best_known:
             break
 
-    closest = sorted(candidates, key=dist)[:count]
     return LookupResult(
         target=target,
-        closest=closest,
+        distance={peer: dist(peer) for peer in discovered},
+        count=count,
         queried=queried,
-        discovered=discovered,
         hops=hops,
     )
 
@@ -369,34 +368,49 @@ class TestWalkEquivalence:
         assert observed[0] == observed[1]
 
 
+class CountingPeerId(PeerId):
+    """A PeerId that counts the XOR distances taken of it."""
+
+    __slots__ = ()
+    xors = 0
+
+    def __xor__(self, other):
+        CountingPeerId.xors += 1
+        return int.__xor__(self, other)
+
+    __rxor__ = __xor__
+
+
 class TestWalkCostModel:
     """Count-based guard on the walk's bookkeeping (deterministic, no timing)."""
 
     def test_one_distance_per_candidate_and_no_sort_per_round(self, monkeypatch):
         rng = random.Random(2024)
-        peers = [PeerId(digest=rng.randbytes(32)) for _ in range(200)]
+        peers = [CountingPeerId(digest=rng.randbytes(32)) for _ in range(200)]
         replies = {peer: rng.sample(peers, 6) for peer in peers}
         seeds = peers[:3]
         target = rng.getrandbits(256)
 
-        calls = {"kad_key": 0, "sorted": 0}
-        real_kad_key, real_sorted = PeerId.kad_key, builtins.sorted
-
-        def counting_kad_key(self):
-            calls["kad_key"] += 1
-            return real_kad_key(self)
+        sorts = []
+        real_sorted = builtins.sorted
 
         def counting_sorted(*args, **kwargs):
-            calls["sorted"] += 1
+            sorts.append(args)
             return real_sorted(*args, **kwargs)
 
-        monkeypatch.setattr(PeerId, "kad_key", counting_kad_key)
         monkeypatch.setattr(builtins, "sorted", counting_sorted)
+        monkeypatch.setattr(CountingPeerId, "xors", 0)
         result = iterative_lookup(
             target, lambda peer, _target, _count: replies[peer], seeds, max_queries=64
         )
+        walk_xors, walk_sorts = CountingPeerId.xors, len(sorts)
+        closest = result.closest
+        closest_xors, closest_sorts = CountingPeerId.xors - walk_xors, len(sorts) - walk_sorts
         monkeypatch.undo()
 
         assert result.hops >= 10 and len(result.discovered) > 100
-        assert calls["kad_key"] <= len(result.discovered) + len(seeds)
-        assert calls["sorted"] <= 1
+        assert walk_xors == len(result.discovered)
+        assert walk_sorts == 0
+        # the closest set reads the walk's distances: one sort, no distance
+        assert (closest_xors, closest_sorts) == (0, 1)
+        assert closest == sorted(result.discovered, key=lambda p: int.__xor__(p, target))[:20]

@@ -8,7 +8,6 @@ from repro.kademlia.keys import (
     KEY_BITS,
     bucket_index,
     key_for_content,
-    key_for_peer,
     random_key_in_bucket,
     xor_distance,
 )
@@ -74,10 +73,6 @@ class TestPrefixAndBuckets:
 
 
 class TestKeyDerivation:
-    def test_key_for_peer_matches_peer_id(self):
-        pid = PeerId.random(random.Random(8))
-        assert key_for_peer(pid) == pid.kad_key()
-
     def test_key_for_content_is_deterministic(self):
         assert key_for_content(b"hello") == key_for_content(b"hello")
         assert key_for_content(b"hello") != key_for_content(b"world")
@@ -85,5 +80,5 @@ class TestKeyDerivation:
     def test_keys_fit_in_keyspace(self):
         rng = random.Random(9)
         for _ in range(20):
-            assert 0 <= key_for_peer(PeerId.random(rng)) < (1 << KEY_BITS)
+            assert 0 <= PeerId.random(rng).kad_key() < (1 << KEY_BITS)
             assert 0 <= key_for_content(rng.randbytes(16)) < (1 << KEY_BITS)

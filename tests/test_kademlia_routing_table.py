@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kademlia.keys import bucket_index, key_for_peer, xor_distance
+from repro.kademlia.keys import bucket_index, xor_distance
 from repro.kademlia.routing_table import CLOSEST_MEMO_CAPACITY, KBucket, RoutingTable
 from repro.libp2p.peer_id import PeerId
 
@@ -81,9 +81,9 @@ class TestRoutingTable:
         local = pids[0]
         table = RoutingTable(local)
         table.add_peers(pids[1:])
-        target = key_for_peer(pids[1])
+        target = pids[1].kad_key()
         closest = table.closest_peers(target, 10)
-        distances = [xor_distance(key_for_peer(p), target) for p in closest]
+        distances = [xor_distance(p.kad_key(), target) for p in closest]
         assert distances == sorted(distances)
         assert len(closest) == 10
 
@@ -100,7 +100,7 @@ class TestRoutingTable:
         table.add_peers(pids[1:])
         neighborhood = table.neighborhood(5)
         all_sorted = sorted(
-            table.all_peers(), key=lambda p: xor_distance(key_for_peer(p), key_for_peer(local))
+            table.all_peers(), key=lambda p: xor_distance(p.kad_key(), local.kad_key())
         )
         assert neighborhood == all_sorted[:5]
 
@@ -124,7 +124,7 @@ class TestRoutingTable:
 def _reference_closest(table, target, count):
     """The seed implementation: full sort of every peer by XOR distance."""
     peers = table.all_peers()
-    peers.sort(key=lambda p: xor_distance(key_for_peer(p), target))
+    peers.sort(key=lambda p: xor_distance(p.kad_key(), target))
     return peers[:count]
 
 
@@ -163,7 +163,7 @@ class TestClosestPeersEquivalence:
         table = RoutingTable(pids[0])
         table.add_peers(pids[1:])
         for member in pids[1:10]:
-            target = key_for_peer(member)
+            target = member.kad_key()
             result = table.closest_peers(target, 8)
             assert result == _reference_closest(table, target, 8)
             assert result[0] == member
@@ -176,7 +176,7 @@ class TestClosestPeersEquivalence:
             table.add_peers(pids[1:])
             for count in (1, 5, 20, len(table) + 5):
                 assert table.neighborhood(count) == _reference_closest(
-                    table, table.local_key, count
+                    table, table.local_peer.kad_key(), count
                 )
 
     def test_zero_and_negative_count(self):
@@ -194,7 +194,7 @@ class TestClosestPeersEquivalence:
         table.add_peers(pids[1:])
         size = len(table)
         assert any(len(bucket) == 1 for bucket in table._buckets.values())
-        for target in [rng.getrandbits(256) for _ in range(5)] + [table.local_key]:
+        for target in [rng.getrandbits(256) for _ in range(5)] + [table.local_peer.kad_key()]:
             everyone = _reference_closest(table, target, size)
             assert len(everyone) == size
             for count in (1, size - 1, size, size + 1, size * 3):
@@ -311,11 +311,11 @@ class TestBulkSeedingEquivalence:
 
 def _reference_remove_peer(table, peer):
     """``remove_peer`` before the role-flip fast path (PeerId ``__eq__``,
-    ``key_for_peer`` and ``bucket_index`` per call; memo dropped up front)."""
+    ``kad_key`` and ``bucket_index`` per call; memo dropped up front)."""
     if peer == table.local_peer:
         return False
     table._closest_memo = None
-    index = bucket_index(table.local_key, key_for_peer(peer))
+    index = bucket_index(table.local_peer.kad_key(), peer.kad_key())
     bucket = table._buckets.get(index)
     if bucket is None:
         return False

@@ -2,15 +2,15 @@
 
 A simulated peer draws its two private listen IPs at construction, in the
 stream's order, and builds its advertised addresses and its dial address on
-first read; a DHT-Server keeps its routing-table sample as indices into one
-shared list of the server PIDs.  The eager bodies live on here as references:
-``addresses_for_peer`` (which built every ``Multiaddr`` up front), the dial
-address builder, and ``random.sample`` over the PID list.  Over every peer of
-a 2 000-peer ``p2`` fabric the lazy values must equal the references' and
-leave the RNG where they left it.  The memory pins hold the point of it: no
-peer address alive after construction, built addresses only on peers that
-were dialled or identified, 4 bytes per seed entry, and no engine entry past
-the end of the run.
+first read; a DHT-Server keeps its routing-table sample as a run of one shared
+column of indices into one shared list of the server PIDs. The eager bodies
+live on here as references: ``addresses_for_peer`` (which built every
+``Multiaddr`` up front), the dial address builder, and ``random.sample`` over
+the PID list. Over every peer of a 2 000-peer ``p2`` fabric the lazy values
+must equal the references' and leave the RNG where they left it. The memory
+pins hold the point of it: no peer address alive after construction, built
+addresses only on peers that were dialled or identified, 2 bytes per seed
+entry, and no engine entry past the end of the run.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class TestLazyMatchesEager:
         assert len(servers) > size
         samples = [replay.sample(server_pids, size) for _ in servers]
         for peer, expected in zip(servers, samples):
-            assert [peer._table_pool[i] for i in peer._table_seed] == expected
+            column, pids = peer._table_pool
+            assert [pids[column[i]] for i in peer._table_seed] == expected
         for peer, expected in zip(servers[:20], samples):
             reference = RoutingTable(peer.current_pid)
             reference.add_peers(expected)
@@ -156,18 +157,22 @@ class TestOnlyWhatIsRead:
         assert built and built <= read
         assert len(built) < len(peers) / 2
 
-    def test_a_table_seed_costs_at_most_four_bytes_per_entry(self):
+    def test_table_seeds_share_one_two_byte_column(self):
         scenario = _scenario()
         network = scenario.network
         network.start(scenario.config.duration)
         servers = [peer for peer in network.peers if peer.profile.is_dht_server]
-        empty = sys.getsizeof(array("I"))
         pools = {id(peer._table_pool) for peer in servers}
         assert len(pools) == 1
+        column, _ = servers[0]._table_pool
+        size = network.config.routing_table_sample
+        assert len(column) == size * len(servers)
+        # the array's growth headroom is at most 1/16 of its length
+        assert sys.getsizeof(column) - sys.getsizeof(array("H")) <= 2.2 * len(column)
+        position = 0
         for peer in servers:
-            seed = peer._table_seed
-            assert len(seed) == network.config.routing_table_sample
-            assert sys.getsizeof(seed) - empty <= 4 * len(seed)
+            assert peer._table_seed == range(position, position + size)
+            position += size
 
     def test_no_engine_entry_ever_lies_past_the_end(self):
         scenario = _scenario()

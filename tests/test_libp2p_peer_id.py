@@ -2,11 +2,19 @@
 
 import pickle
 import random
+from functools import total_ordering
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.libp2p.crypto import ED25519, RSA_2048, KeyPair, generate_keypair
-from repro.libp2p.peer_id import PeerId, base58btc_decode, base58btc_encode
+from repro.libp2p.peer_id import (
+    _SHA256_MULTIHASH_PREFIX,
+    PeerId,
+    base58btc_decode,
+    base58btc_encode,
+)
 
 
 class TestBase58:
@@ -98,6 +106,114 @@ class TestPeerId:
         clone = pickle.loads(pickle.dumps(pid))
         assert clone == pid and hash(clone) == hash(pid)
         assert clone.kad_key() == pid.kad_key() and clone.to_base58() == rendered
+
+
+@total_ordering
+class DigestPeerId:
+    """The digest-backed ``PeerId`` the ``int`` subclass replaced, kept as the
+    reference: hash, equality and order over the digest bytes, with the key,
+    the hash and the rendering stored beside it."""
+
+    __slots__ = ("digest", "_kad_key", "_hash", "_b58")
+
+    def __init__(self, digest: bytes) -> None:
+        if len(digest) != 32:
+            raise ValueError("PeerId digest must be 32 bytes (sha2-256)")
+        init = object.__setattr__
+        init(self, "digest", digest)
+        init(self, "_kad_key", int.from_bytes(digest, "big"))
+        init(self, "_hash", hash(digest))
+        init(self, "_b58", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PeerId is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PeerId is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return DigestPeerId, (self.digest,)
+
+    def to_base58(self) -> str:
+        b58 = self._b58
+        if b58 is None:
+            b58 = base58btc_encode(_SHA256_MULTIHASH_PREFIX + self.digest)
+            object.__setattr__(self, "_b58", b58)
+        return b58
+
+    def kad_key(self) -> int:
+        return self._kad_key
+
+    def short(self) -> str:
+        b58 = self.to_base58()
+        return f"{b58[:6]}…{b58[-4:]}"
+
+    def __str__(self) -> str:
+        return self.to_base58()
+
+    def __repr__(self) -> str:
+        return f"PeerId({self.short()})"
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, DigestPeerId):
+            return NotImplemented
+        return self.digest < other.digest
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DigestPeerId):
+            return self.digest == other.digest
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+_digests = st.binary(min_size=32, max_size=32)
+
+
+class TestIntegerIdentityMatchesDigestReference:
+    """The ``int`` subclass behaves like the digest-backed reference on
+    everything the program reads of an identity."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(digests=st.lists(_digests, min_size=1, max_size=12), data=st.data())
+    def test_equality_order_and_hash(self, digests, data):
+        # repeats make equal identities from distinct digest objects
+        digests += data.draw(st.lists(st.sampled_from(digests), max_size=4))
+        pids = [PeerId(digest=bytes(d)) for d in digests]
+        refs = [DigestPeerId(bytes(d)) for d in digests]
+        for a, ref_a in zip(pids, refs):
+            for b, ref_b in zip(pids, refs):
+                assert (a == b) == (ref_a == ref_b)
+                assert (a != b) == (ref_a != ref_b)
+                assert (a < b) == (ref_a < ref_b)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert [p.digest for p in sorted(pids)] == [r.digest for r in sorted(refs)]
+        assert len(set(pids)) == len(set(refs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(digest=_digests)
+    def test_renderings_round_trips_and_immutability(self, digest):
+        pid, ref = PeerId(digest=digest), DigestPeerId(digest)
+        assert str(pid) == str(ref) == pid.to_base58()
+        assert repr(pid) == repr(ref) and pid.short() == ref.short()
+        assert f"{pid}" == f"{ref}" and "%s" % pid == "%s" % ref
+        assert pid.digest == ref.digest == digest
+        parsed = PeerId.from_base58(str(pid))
+        assert type(parsed) is PeerId and parsed == pid
+        clone = pickle.loads(pickle.dumps(pid))
+        assert type(clone) is PeerId and clone == pid and hash(clone) == hash(pid)
+        key = pid.kad_key()
+        assert type(key) is int and key == ref.kad_key()
+        assert str(key) == str(ref.kad_key())  # a key prints as a number
+        with pytest.raises(AttributeError):
+            pid.digest = bytes(32)
+        with pytest.raises(AttributeError):
+            pid.scratch = 1
+        with pytest.raises(AttributeError):
+            del pid.digest
+        assert pid.digest == digest
 
 
 class TestKeyPair:

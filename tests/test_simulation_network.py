@@ -178,6 +178,37 @@ class TestNetworkLifecycle:
         assert sum(len(p.all_pids) for p in network.peers) > len(network.peers)
 
 
+class TestRenderingTable:
+    """A fabric renders each PID once, in one table its vantage points'
+    recorders share; two fabrics in one process share nothing."""
+
+    @staticmethod
+    def run_two_vantage_points():
+        engine, network, go_ipfs = build_network(n_peers=150)
+        head = MeasurementIdentity("hydra-0", HydraHead(random.Random(9)))
+        network.add_measurement_identity(head)
+        network.start(duration=2 * HOUR)
+        engine.run_until(2 * HOUR)
+        return network, [go_ipfs, head]
+
+    def test_two_fabrics_share_no_rendering_table(self):
+        runs = [self.run_two_vantage_points() for _ in range(2)]
+        (network_a, identities_a), (network_b, _) = runs
+        assert network_a.pid_names is not network_b.pid_names
+        # same seeds, so the same PIDs, each rendered by each fabric
+        assert network_a.pid_names == network_b.pid_names
+        assert all(
+            name is not network_b.pid_names[pid] for pid, name in network_a.pid_names.items()
+        )
+        table_ids = {id(name) for name in network_a.pid_names.values()}
+        for identity in identities_a:
+            recorder = identity.node.recorder
+            assert recorder.pid_names is network_a.pid_names
+            assert recorder.log.peer and {id(name) for name in recorder.log.peer} <= table_ids
+        for pid, name in network_a.pid_names.items():
+            assert name == str(pid)
+
+
 def _reference_build_routing_tables(network):
     """The per-peer seeding loop ``_build_routing_tables`` had before it went
     through ``RoutingTable.add_peers`` and before tables were built on first
