@@ -28,6 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fabric imports us no
     from repro.adversary.behaviors import AttackStats
     from repro.simulation.network import SimPeer, SimulatedNetwork
 
+#: fabricated closer-peers per poisoned reply (unreachable PIDs mined near the
+#: query target, crowding real candidates out of the walk)
+BOGUS_PEERS_PER_REPLY = 8
+#: leading target-key bits a fabricated PID shares (closer than anything real,
+#: so walks chase ghosts first)
+POISON_CLOSENESS_BITS = 20
+#: probability that a poisoner poisons a given reply (else it answers honestly)
+POISON_PROBABILITY = 0.9
+
 
 def mine_pid_near(target: int, bits: int, rng: random.Random) -> PeerId:
     """Grind a PeerId whose Kademlia key shares ``bits`` leading bits with
@@ -92,22 +101,18 @@ class EclipseAttacker(AttackerBehavior):
         rng: random.Random,
         victim_keys: Set[int],
         groups: Dict[int, List[PeerId]],
-        capture_records: bool = True,
-        shadow_closer_peers: bool = True,
     ) -> None:
         super().__init__(label, stats, rng)
         self.victim_keys = victim_keys
         #: victim key -> every eclipse PID mined for it (shared, install-time)
         self.groups = groups
-        self.capture_records = capture_records
-        self.shadow_closer_peers = shadow_closer_peers
 
     def _fellows(self, key: int, peer: "SimPeer", count: int) -> List[PeerId]:
         fellows = [pid for pid in self.groups.get(key, ()) if pid != peer.current_pid]
         return fellows[:count]
 
     def on_find_node(self, network, peer, target, count):
-        if target in self.victim_keys and self.shadow_closer_peers:
+        if target in self.victim_keys:
             self.stats.count("queries_shadowed")
             self.stats.note(network.engine.now, "eclipse-shadow", self.label)
             return self._fellows(target, peer, count)
@@ -117,12 +122,11 @@ class EclipseAttacker(AttackerBehavior):
         if key in self.victim_keys:
             self.stats.count("provider_lookups_intercepted")
             self.stats.note(network.engine.now, "eclipse-intercept", self.label)
-            closer = self._fellows(key, peer, count) if self.shadow_closer_peers else []
-            return [], closer
+            return [], self._fellows(key, peer, count)
         return network.honest_get_providers(peer, key, count)
 
     def on_add_provider(self, network, peer, key, provider, ttl):
-        if key in self.victim_keys and self.capture_records:
+        if key in self.victim_keys:
             # Only honest publishers' records count as captures; the ring's
             # own shadow publishes landing back on the ring would otherwise
             # swamp the capture_rate numerator.
@@ -146,24 +150,10 @@ class RoutingPoisoner(AttackerBehavior):
 
     kind = POISONER
 
-    def __init__(
-        self,
-        label: str,
-        stats: "AttackStats",
-        rng: random.Random,
-        bogus_peers_per_reply: int = 8,
-        closeness_bits: int = 20,
-        poison_probability: float = 0.9,
-    ) -> None:
-        super().__init__(label, stats, rng)
-        self.bogus_peers_per_reply = bogus_peers_per_reply
-        self.closeness_bits = closeness_bits
-        self.poison_probability = poison_probability
-
     def _poisoned_reply(self, network, target: int, count: int) -> List[PeerId]:
         bogus = [
-            mine_pid_near(target, self.closeness_bits, self.rng)
-            for _ in range(min(self.bogus_peers_per_reply, count))
+            mine_pid_near(target, POISON_CLOSENESS_BITS, self.rng)
+            for _ in range(min(BOGUS_PEERS_PER_REPLY, count))
         ]
         self.stats.count("queries_poisoned")
         self.stats.count("bogus_peers_returned", len(bogus))
@@ -171,12 +161,12 @@ class RoutingPoisoner(AttackerBehavior):
         return bogus
 
     def on_find_node(self, network, peer, target, count):
-        if self.rng.random() < self.poison_probability:
+        if self.rng.random() < POISON_PROBABILITY:
             return self._poisoned_reply(network, target, count)
         return network.honest_find_node(peer, target, count)
 
     def on_get_providers(self, network, peer, key, count):
-        if self.rng.random() < self.poison_probability:
+        if self.rng.random() < POISON_PROBABILITY:
             return [], self._poisoned_reply(network, key, count)
         return network.honest_get_providers(peer, key, count)
 

@@ -52,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.simulation.engine import Engine
     from repro.simulation.network import SimPeer, SimulatedNetwork
 
+#: extra replicas past the eclipse ring a shadow publish spills onto
+SHADOW_SPILL = 5
+
 
 @dataclass
 class AttackStats:
@@ -108,7 +111,7 @@ class AdversaryBehaviors:
         self.rng = rng or random.Random(network.population.config.seed + 5)
         self.config = config
         self.content = content
-        self.stats = AttackStats(max_events=config.max_events)
+        self.stats = AttackStats()
         self._by_kind: Dict[str, List["SimPeer"]] = {}
         self._attackers: List["SimPeer"] = []
         self._victim_keys: Set[int] = set()
@@ -200,27 +203,17 @@ class AdversaryBehaviors:
                 rng=self.rng,
                 victim_keys=self._victim_keys,
                 groups=self._eclipse_groups,
-                capture_records=eclipse.capture_records,
-                shadow_closer_peers=eclipse.shadow_closer_peers,
             )
             self.stats.note(0.0, "eclipse-mine", f"{ECLIPSE}-{i}", i % len(victims))
         self.stats.count("eclipse_pids_mined", len(nodes))
 
     def _install_poisoners(self) -> None:
-        poison = self.config.poison
-        if poison is None:
+        if self.config.poison is None:
             return
         for i, peer in enumerate(self._by_kind.get(DROPPER, [])):
             peer.attacker = QueryDropper(f"{DROPPER}-{i}", self.stats, self.rng)
         for i, peer in enumerate(self._by_kind.get(POISONER, [])):
-            peer.attacker = RoutingPoisoner(
-                label=f"{POISONER}-{i}",
-                stats=self.stats,
-                rng=self.rng,
-                bogus_peers_per_reply=poison.bogus_peers_per_reply,
-                closeness_bits=poison.closeness_bits,
-                poison_probability=poison.poison_probability,
-            )
+            peer.attacker = RoutingPoisoner(f"{POISONER}-{i}", self.stats, self.rng)
 
     # -- scheduling (post-start) ---------------------------------------------------
 
@@ -247,7 +240,6 @@ class AdversaryBehaviors:
         """Push bogus provider records (naming eclipse nodes, which never serve
         blocks) onto honest servers around each victim key, crowding real
         providers out of retrievers' bounded provider budgets."""
-        assert self.config.eclipse is not None
         network = self.network
         for victim in sorted(self._eclipse_groups):
             group = self._eclipse_groups[victim]
@@ -264,7 +256,7 @@ class AdversaryBehaviors:
                 lambda remote, k, p: network.add_provider(remote, k, p, self._shadow_ttl()),
                 provider,
                 network.bootstrap_peers() + online,
-                replication=len(group) + self.config.eclipse.shadow_spill,
+                replication=len(group) + SHADOW_SPILL,
                 max_queries=32,
             )
             self.stats.count("shadow_publishes")
@@ -304,22 +296,23 @@ class AdversaryBehaviors:
             stats.count("victim_records_live_honest", self._live_honest_victim_records(now))
         return stats
 
-    def _occupancy(self, now: float, k: int = 10) -> float:
-        """Mean attacker share of the k closest online servers per victim key."""
+    def _occupancy(self, now: float) -> float:
+        """Mean attacker share of the record-replication-factor closest online
+        servers per victim key."""
+        from repro.simulation.content import REPLICATION
+
         network = self.network
         online_servers = [
             p for p in network.peers if p.online and p.is_dht_server
         ]
         if not online_servers:
             return 0.0
-        if self.content is not None:
-            k = self.content.replication
         shares: List[float] = []
         for victim in sorted(self._victim_keys):
             closest = sorted(
                 online_servers,
                 key=lambda p: p.current_pid ^ victim,
-            )[:k]
+            )[:REPLICATION]
             if not closest:
                 continue
             attackers = sum(1 for p in closest if p.profile.adversary_kind is not None)

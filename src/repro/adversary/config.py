@@ -48,6 +48,10 @@ POISONER = "poisoner"
 DROPPER = "dropper"
 CHURN_SPOOFER = "churn-spoofer"
 
+#: added to the population seed for the attacker-profile stream, so enabling
+#: an attack never perturbs an honest draw
+SEED_SALT = 9000
+
 
 @dataclass(frozen=True)
 class SybilFloodConfig:
@@ -60,11 +64,6 @@ class SybilFloodConfig:
     closeness_bits: int = 12
     #: absolute join window (seconds): sybils come online spread over it
     arrival_window: Tuple[float, float] = (10 * MINUTE, 4 * HOUR)
-    #: sybils re-dial quickly and value the vantage-point connection
-    keep_probability: float = 0.6
-    discovery_mean: float = 20 * MINUTE
-    #: whether sybils announce /ipfs/kad/1.0.0 (servers enter neighbourhoods)
-    act_as_server: bool = True
 
     def __post_init__(self) -> None:
         if self.count <= 0:
@@ -76,10 +75,6 @@ class SybilFloodConfig:
         low, high = self.arrival_window
         if low < 0 or high < low:
             raise ValueError(f"arrival_window must satisfy 0 <= low <= high, got {low}/{high}")
-        if not 0.0 <= self.keep_probability <= 1.0:
-            raise ValueError(f"keep_probability must be in [0, 1], got {self.keep_probability}")
-        if self.discovery_mean <= 0:
-            raise ValueError(f"discovery_mean must be positive, got {self.discovery_mean}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +88,10 @@ class EclipseConfig:
     #: leading bits of the victim key a mined PID shares — high enough that
     #: every attacker sits closer to the key than any honest server
     closeness_bits: int = 24
-    #: captured records are acknowledged but never served
-    capture_records: bool = True
-    #: replies to victim-key queries name only fellow attackers as closer peers
-    shadow_closer_peers: bool = True
     #: interval of the active shadow-record publishing loop (bogus provider
     #: records naming eclipse nodes, pushed onto honest servers so retrievers
     #: waste their provider budget on non-serving peers); ``None`` disables it
     shadow_publish_interval: Optional[float] = None
-    #: extra replicas past the eclipse ring a shadow publish spills onto
-    shadow_spill: int = 5
 
     def __post_init__(self) -> None:
         if self.count <= 0:
@@ -118,8 +107,6 @@ class EclipseConfig:
                 "shadow_publish_interval must be positive or None, "
                 f"got {self.shadow_publish_interval}"
             )
-        if self.shadow_spill < 0:
-            raise ValueError(f"shadow_spill must be >= 0, got {self.shadow_spill}")
 
 
 @dataclass(frozen=True)
@@ -130,32 +117,12 @@ class RoutingPoisonConfig:
     count: int = 24
     #: share of them that silently drop queries (the rest poison replies)
     drop_share: float = 0.5
-    #: fabricated closer-peers per poisoned reply (unreachable PIDs mined
-    #: near the query target, crowding real candidates out of the walk)
-    bogus_peers_per_reply: int = 8
-    #: leading target-key bits a fabricated PID shares (closer than anything
-    #: real, so walks chase ghosts first)
-    closeness_bits: int = 20
-    #: probability that a poisoner poisons a given reply (else honest answer)
-    poison_probability: float = 0.9
 
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise ValueError(f"poisoner count must be positive, got {self.count}")
         if not 0.0 <= self.drop_share <= 1.0:
             raise ValueError(f"drop_share must be in [0, 1], got {self.drop_share}")
-        if self.bogus_peers_per_reply < 0:
-            raise ValueError(
-                f"bogus_peers_per_reply must be >= 0, got {self.bogus_peers_per_reply}"
-            )
-        if not 0 <= self.closeness_bits <= 64:
-            raise ValueError(
-                f"closeness_bits must be within [0, 64], got {self.closeness_bits}"
-            )
-        if not 0.0 <= self.poison_probability <= 1.0:
-            raise ValueError(
-                f"poison_probability must be in [0, 1], got {self.poison_probability}"
-            )
 
 
 @dataclass(frozen=True)
@@ -168,13 +135,11 @@ class ChurnSpoofConfig:
     session_mean: float = 12 * MINUTE
     #: mean pause between sessions
     downtime_mean: float = 8 * MINUTE
-    #: spoofers seek the vantage point quickly so every fresh PID is observed
-    discovery_mean: float = 15 * MINUTE
 
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise ValueError(f"spoofer count must be positive, got {self.count}")
-        for name in ("session_mean", "downtime_mean", "discovery_mean"):
+        for name in ("session_mean", "downtime_mean"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -185,21 +150,15 @@ class AdversaryConfig:
     """Which attacks run, with what strength.
 
     Any subset of the four blocks may be enabled; ``None`` blocks add no
-    attackers.  ``seed_salt`` decouples the adversary RNG stream from every
-    honest stream, so enabling an attack never perturbs honest draws.
+    attackers.
     """
 
     sybil: Optional[SybilFloodConfig] = None
     eclipse: Optional[EclipseConfig] = None
     poison: Optional[RoutingPoisonConfig] = None
     churn_spoof: Optional[ChurnSpoofConfig] = None
-    seed_salt: int = 9000
-    #: cap on the recorded attack-event stream (oldest kept; excess counted)
-    max_events: int = 20_000
 
     def __post_init__(self) -> None:
-        if self.max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {self.max_events}")
         if not self.enabled():
             raise ValueError("AdversaryConfig needs at least one attack block")
 

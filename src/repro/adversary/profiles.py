@@ -27,6 +27,7 @@ from repro.adversary.config import (
     ECLIPSE,
     MINUTE,
     POISONER,
+    SEED_SALT,
     SYBIL,
     SYBIL_UPTIME,
     AdversaryConfig,
@@ -40,6 +41,12 @@ from repro.libp2p.protocols import goipfs_protocols
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.simulation.churn_models import SessionModel
     from repro.simulation.population import PeerProfile
+
+#: sybils re-dial quickly and value the vantage-point connection
+SYBIL_KEEP_PROBABILITY = 0.6
+SYBIL_DISCOVERY_MEAN = 20 * MINUTE
+#: spoofers seek the vantage point quickly, so every fresh PID is observed
+SPOOF_DISCOVERY_MEAN = 15 * MINUTE
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ def build_adversary_profiles(
     from repro.simulation.churn_models import always_on_session
     from repro.simulation.population import PeerClass, PeerProfile
 
-    rng = random.Random(seed + adversary.seed_salt)
+    rng = random.Random(seed + SEED_SALT)
     catalog = AgentCatalog(rng)
     profiles: List[PeerProfile] = []
     index = start_index
@@ -110,15 +117,16 @@ def build_adversary_profiles(
                 PeerProfile(
                     peer_index=next_index(),
                     peer_class=PeerClass.LIGHT,
-                    role=DHTMode.SERVER if sybil.act_as_server else DHTMode.CLIENT,
+                    # sybils announce /ipfs/kad/1.0.0, so they enter neighbourhoods
+                    role=DHTMode.SERVER,
                     agent=agent,
-                    protocols=goipfs_protocols(dht_server=sybil.act_as_server),
+                    protocols=goipfs_protocols(dht_server=True),
                     public_ip=host_ips[i % len(host_ips)],
                     behind_nat=False,
                     session_model=staged,
-                    keep_probability=sybil.keep_probability,
+                    keep_probability=SYBIL_KEEP_PROBABILITY,
                     reconnect_mean=5 * MINUTE,
-                    discovery_mean=sybil.discovery_mean,
+                    discovery_mean=SYBIL_DISCOVERY_MEAN,
                     adversary_kind=SYBIL,
                 )
             )
@@ -183,7 +191,7 @@ def build_adversary_profiles(
                     rotates_pid=True,
                     keep_probability=0.1,
                     reconnect_mean=5 * MINUTE,
-                    discovery_mean=spoof.discovery_mean,
+                    discovery_mean=SPOOF_DISCOVERY_MEAN,
                     adversary_kind=CHURN_SPOOFER,
                 )
             )

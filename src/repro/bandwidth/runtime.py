@@ -28,7 +28,15 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.bandwidth.config import BandwidthConfig
+from repro.bandwidth.config import (
+    CLASSES,
+    IDENTIFY_BYTES,
+    RPC_REQUEST_BYTES,
+    RPC_RESPONSE_BYTES,
+    SEED_SALT,
+    TRANSFER_TIMEOUT,
+    BandwidthConfig,
+)
 from repro.simulation.fabric import FabricRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,7 +58,7 @@ class PeerLink:
     )
 
     def __init__(self, cls: int, up: float, down: float) -> None:
-        #: index into ``BandwidthConfig.classes``
+        #: index into :data:`~repro.bandwidth.config.CLASSES`
         self.cls = cls
         self.up = up
         self.down = down
@@ -139,6 +147,11 @@ class BandwidthStats:
         return self.latency_total / self.transfers if self.transfers else 0.0
 
 
+#: the class exempt (vantage-point-like) peers are forced into: the fastest
+#: uplink, so the instruments never bottleneck the experiment
+FASTEST = max(range(len(CLASSES)), key=lambda i: CLASSES[i].up)
+
+
 class BandwidthRuntime(FabricRuntime):
     """Per-run state: link assignments, queue frontiers, and stats."""
 
@@ -147,19 +160,14 @@ class BandwidthRuntime(FabricRuntime):
 
     def __init__(self, config: BandwidthConfig, seed: int) -> None:
         self.config = config
-        self.rng = random.Random(seed + config.seed_salt)
+        self.rng = random.Random(seed + SEED_SALT)
         self.stats = BandwidthStats()
-        self.stats.class_counts = {cls.name: 0 for cls in config.classes}
+        self.stats.class_counts = {cls.name: 0 for cls in CLASSES}
         self._cum_shares: List[float] = []
         total = 0.0
-        for cls in config.classes:
+        for cls in CLASSES:
             total += cls.share
             self._cum_shares.append(total)
-        #: the class exempt (vantage-point-like) peers are forced into: the
-        #: fastest uplink, so the instruments never bottleneck the experiment
-        self._fastest = max(
-            range(len(config.classes)), key=lambda i: config.classes[i].up
-        )
         self._links: List[PeerLink] = []
 
     # -- assignment (construction time, deterministic in peer order) ---------------
@@ -185,13 +193,9 @@ class BandwidthRuntime(FabricRuntime):
             exempt = profile.is_hydra_head or profile.is_crawler
         index = self._draw_class()
         if exempt:
-            index = self._fastest
-        cls = self.config.classes[index]
-        link = PeerLink(
-            index,
-            up=cls.up * self.config.uplink_scale,
-            down=cls.down * self.config.downlink_scale,
-        )
+            index = FASTEST
+        cls = CLASSES[index]
+        link = PeerLink(index, up=cls.up * self.config.uplink_scale, down=cls.down)
         self.stats.peers += 1
         self.stats.class_counts[cls.name] += 1
         self._links.append(link)
@@ -199,16 +203,11 @@ class BandwidthRuntime(FabricRuntime):
 
     # -- control plane ---------------------------------------------------------------
 
-    def _count_control_rpc(self) -> int:
-        total = self.config.rpc_request_bytes + self.config.rpc_response_bytes
-        self.stats.control_rpcs += 1
-        self.stats.control_bytes += total
-        return total
-
     def on_rpc(
         self, src: Optional["SimPeer"], dst: "SimPeer", clock: Optional["WalkClock"] = None
     ) -> bool:
-        self._count_control_rpc()
+        self.stats.control_rpcs += 1
+        self.stats.control_bytes += RPC_REQUEST_BYTES + RPC_RESPONSE_BYTES
         if clock is None:
             # The bytes are counted; without a walk clock no simulated time
             # can be charged anywhere.
@@ -216,17 +215,17 @@ class BandwidthRuntime(FabricRuntime):
         # The reply serializes on the responder's uplink, the request on the
         # querier's (a vantage point / crawler source pays nothing).  Control
         # messages are small enough to skip the queue frontier.
-        elapsed = self.config.rpc_response_bytes / dst.link.up
+        elapsed = RPC_RESPONSE_BYTES / dst.link.up
         if src is not None and src.link is not None:
-            elapsed += self.config.rpc_request_bytes / src.link.up
+            elapsed += RPC_REQUEST_BYTES / src.link.up
         clock.elapsed += elapsed
         return True
 
     def identify_delay(self, label: str, peer: "SimPeer") -> float:
         """Serialization of the identify record on the peer's uplink."""
         self.stats.identify_payloads += 1
-        self.stats.identify_bytes += self.config.identify_bytes
-        return self.config.identify_bytes / peer.link.up
+        self.stats.identify_bytes += IDENTIFY_BYTES
+        return IDENTIFY_BYTES / peer.link.up
 
     # -- data plane ------------------------------------------------------------------
 
@@ -237,7 +236,7 @@ class BandwidthRuntime(FabricRuntime):
 
         Returns ``None`` — and counts a timeout — when the would-be latency
         (RTT + queueing behind both frontiers + serialization at the
-        bottleneck rate) exceeds ``transfer_timeout``: the retriever abandons
+        bottleneck rate) exceeds :data:`TRANSFER_TIMEOUT`: the retriever abandons
         the fetch without occupying anyone's link.
         """
         rate = min(src.up, dst.down)
@@ -251,8 +250,7 @@ class BandwidthRuntime(FabricRuntime):
             queueing=start - now,
             serialization=serialization,
         )
-        timeout = self.config.transfer_timeout
-        if timeout is not None and plan.total > timeout:
+        if plan.total > TRANSFER_TIMEOUT:
             self.stats.transfers_timed_out += 1
             return None
         return plan

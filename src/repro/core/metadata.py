@@ -111,7 +111,9 @@ class ProtocolBreakdown:
     goipfs_with_sbptp: int = 0
 
     def top_protocols(self, n: int = 10) -> List[Tuple[str, int]]:
-        return sorted(self.histogram.items(), key=lambda kv: kv[1], reverse=True)[:n]
+        """The ``n`` most supported protocols; a tie goes by name, so the
+        order does not follow the (salted) hash order of the histogram."""
+        return sorted(self.histogram.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 def protocol_breakdown(dataset: MeasurementDataset) -> ProtocolBreakdown:

@@ -1,72 +1,54 @@
-"""Retry policy with capped exponential backoff and deterministic jitter.
+"""Retries with capped exponential backoff and deterministic jitter.
 
-The policy is pure configuration; the per-walk :class:`RetryState` carries the
-RNG (the fault stream), the optional :class:`~repro.netmodel.runtime.WalkClock`
-(so backoff burns the walk's latency budget and retries stop once the budget
-is spent), and the stats sink.  The kademlia walks and the Bitswap engine only
-duck-call ``retry.call(fn, *args)`` — they never import this module at
-runtime, which keeps the protocol layers free of fault dependencies.
+The backoff schedule is fixed (the constants below); the per-walk
+:class:`RetryState` carries the RNG (the fault stream), the optional
+:class:`~repro.netmodel.runtime.WalkClock` (so backoff burns the walk's latency
+budget and retries stop once the budget is spent), and the stats sink.  The
+kademlia walks and the Bitswap engine only duck-call ``retry.call(fn, *args)``
+— they never import this module at runtime, which keeps the protocol layers
+free of fault dependencies.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+#: total attempts per logical RPC, including the first one
+MAX_ATTEMPTS = 3
+#: backoff before the first retry, in seconds
+BASE_DELAY = 0.25
+#: exponential growth factor between consecutive retries
+MULTIPLIER = 2.0
+#: hard cap on a single backoff interval, in seconds
+MAX_DELAY = 8.0
+#: relative jitter: each backoff is scaled by 1 + U(-JITTER, +JITTER)
+JITTER = 0.5
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff: ``base_delay * multiplier**n``, jittered."""
 
-    # Total attempts per logical RPC, including the first one.
-    max_attempts: int = 3
-    # Backoff before the first retry, in seconds.
-    base_delay: float = 0.25
-    # Exponential growth factor between consecutive retries.
-    multiplier: float = 2.0
-    # Hard cap on a single backoff interval, in seconds.
-    max_delay: float = 8.0
-    # Relative jitter: each backoff is scaled by 1 + U(-jitter, +jitter).
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
-        if self.base_delay <= 0.0:
-            raise ValueError(f"base_delay must be positive, got {self.base_delay}")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be at least 1, got {self.multiplier}")
-        if self.max_delay < self.base_delay:
-            raise ValueError(
-                f"max_delay must be at least base_delay, got "
-                f"{self.max_delay} < {self.base_delay}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be within [0, 1), got {self.jitter}")
-
-    def backoff(self, retry_index: int, rng: Optional[random.Random] = None) -> float:
-        """Backoff before retry number ``retry_index`` (0-based), in seconds."""
-        delay = min(self.base_delay * self.multiplier**retry_index, self.max_delay)
-        if rng is not None and self.jitter > 0.0:
-            delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
-        return delay
+def backoff(retry_index: int, rng: Optional[random.Random] = None) -> float:
+    """Backoff before retry number ``retry_index`` (0-based), in seconds:
+    ``BASE_DELAY * MULTIPLIER**retry_index`` capped at ``MAX_DELAY``, jittered
+    by ``rng`` (unjittered without one)."""
+    delay = min(BASE_DELAY * MULTIPLIER**retry_index, MAX_DELAY)
+    if rng is not None:
+        delay *= 1.0 + rng.uniform(-JITTER, JITTER)
+    return delay
 
 
 class RetryState:
     """One walk's retry executor; hand it to the walk as ``retry=``."""
 
-    __slots__ = ("policy", "rng", "clock", "stats", "tracer")
+    __slots__ = ("rng", "clock", "stats", "tracer")
 
     def __init__(
         self,
-        policy: RetryPolicy,
-        rng: random.Random,
+        rng: Optional[random.Random],
         clock: Optional[Any] = None,
         stats: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> None:
-        self.policy = policy
+        #: jitter source (the fault stream); ``None`` backs off unjittered
         self.rng = rng
         self.clock = clock
         self.stats = stats
@@ -90,8 +72,8 @@ class RetryState:
             stats.retry_calls += 1
         result = fn(*args)
         attempt = 1
-        while result is None and attempt < self.policy.max_attempts:
-            delay = self.policy.backoff(attempt - 1, self.rng)
+        while result is None and attempt < MAX_ATTEMPTS:
+            delay = backoff(attempt - 1, self.rng)
             if self.clock is not None:
                 # The backoff wait burns walk budget; if it (or earlier RPCs)
                 # spent the budget, abandon the remaining attempts.

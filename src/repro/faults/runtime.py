@@ -1,7 +1,7 @@
 """Runtime state of the fault-injection subsystem.
 
 The :class:`FaultRuntime` owns its own RNG stream
-(``random.Random(seed + config.seed_salt)``) and every probabilistic gate is
+(``random.Random(seed + SEED_SALT)``) and every probabilistic gate is
 double-checked: a block that is absent **or** zero-rate performs no draws and
 schedules no events, so fixed-seed goldens stay byte-identical unless a fault
 can actually fire.  Peer assignments happen in peer-index order with a fixed
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.faults.config import FaultConfig
+from repro.faults.config import SEED_SALT, FaultConfig
 from repro.faults.retry import RetryState
 from repro.simulation.fabric import FabricRuntime
 
@@ -134,7 +134,7 @@ class FaultRuntime(FabricRuntime):
     def __init__(self, config: FaultConfig, seed: int, engine) -> None:
         self.config = config
         self.engine = engine
-        self.rng = random.Random(seed + config.seed_salt)
+        self.rng = random.Random(seed + SEED_SALT)
         self.stats = FaultStats()
         #: ContentBehaviors registers itself here for republish-on-recovery
         self.content = None
@@ -341,17 +341,15 @@ class FaultRuntime(FabricRuntime):
     # ---------------------------------------------------------------- resilience ----
 
     def retry_state(self, clock=None, tracer=None) -> Optional[RetryState]:
-        """A fresh per-walk retry executor (None when no policy is configured).
+        """A fresh per-walk retry executor (None unless ``retry`` is on).
 
         ``tracer`` (a :class:`~repro.obs.spans.SpanTracer` with an open
         operation) makes charged backoff and retry attempts visible as span
         leaves; it never changes what the executor does.
         """
-        if self.config.retry is None:
+        if not self.config.retry:
             return None
-        return RetryState(
-            self.config.retry, self.rng, clock=clock, stats=self.stats, tracer=tracer
-        )
+        return RetryState(self.rng, clock=clock, stats=self.stats, tracer=tracer)
 
     # -- FabricRuntime hooks ---------------------------------------------------------
 

@@ -26,7 +26,11 @@ from repro.libp2p.peer_id import PeerId
 #: go-ipfs default connection-manager thresholds (v0.11).
 DEFAULT_LOW_WATER = 600
 DEFAULT_HIGH_WATER = 900
-DEFAULT_GRACE_PERIOD = 20.0
+#: go-ipfs's ``GracePeriod``: a connection younger than this is never trimmed
+GRACE_PERIOD = 20.0
+#: minimum simulated time between trim runs (go-libp2p uses 1 min ticks plus
+#: immediate trims on threshold crossing; we model the immediate variant).
+SILENCE_PERIOD = 10.0
 
 
 @dataclass(frozen=True)
@@ -35,10 +39,6 @@ class ConnManagerConfig:
 
     low_water: int = DEFAULT_LOW_WATER
     high_water: int = DEFAULT_HIGH_WATER
-    grace_period: float = DEFAULT_GRACE_PERIOD
-    #: minimum simulated time between trim runs (go-libp2p uses 1 min ticks plus
-    #: immediate trims on threshold crossing; we model the immediate variant).
-    silence_period: float = 10.0
 
     def __post_init__(self) -> None:
         if self.low_water < 0:
@@ -47,10 +47,6 @@ class ConnManagerConfig:
             raise ValueError(f"high_water {self.high_water} < 0")
         if self.low_water > self.high_water:
             raise ValueError(f"low_water {self.low_water} > high_water {self.high_water}")
-        if self.grace_period < 0:
-            raise ValueError(f"grace_period {self.grace_period} < 0")
-        if self.silence_period < 0:
-            raise ValueError(f"silence_period {self.silence_period} < 0")
 
     @classmethod
     def defaults(cls) -> "ConnManagerConfig":
@@ -143,7 +139,7 @@ class ConnectionManager:
             return []
         tags = self._tags
         opened = self._opened_at
-        grace_period = self.config.grace_period
+        grace_period = GRACE_PERIOD
         # (value, -opened_at, row): lowest score first, among equals youngest
         # first, then open order
         candidates: List[Tuple[int, float, int]] = []
@@ -166,7 +162,7 @@ class ConnectionManager:
         if not force:
             if len(self._open) <= self.config.high_water:
                 return []
-            if now - self._last_trim < self.config.silence_period:
+            if now - self._last_trim < SILENCE_PERIOD:
                 return []
         self._last_trim = now
         return self.select_victims(now)

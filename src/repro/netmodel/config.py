@@ -13,11 +13,12 @@ idealisation.  It has two parts:
 
 * a **region/latency model** — peers are assigned to geographic regions with
   an inter-region RTT matrix and per-peer jitter, so every DHT RPC, identify
-  exchange, and Bitswap fetch accrues simulated latency;
+  exchange, and Bitswap fetch accrues simulated latency (``rtt_scale``
+  multiplies every RTT);
 * a **reachability model** — each peer is drawn as ``public`` (dialable),
   ``nat`` (inbound-only: it can dial the vantage point but nobody can dial
   it), or ``relayed`` (dialable at a relay-latency penalty).  Dial attempts
-  to NATed peers fail after ``dial_timeout`` simulated seconds, and
+  to NATed peers fail after :data:`DIAL_TIMEOUT` simulated seconds, and
   iterative walks give up once ``lookup_timeout`` of simulated time is
   spent — which is what bounds crawls and lookups the way real deployments
   are bounded.
@@ -37,12 +38,13 @@ PUBLIC = "public"
 NAT = "nat"
 RELAYED = "relayed"
 
-#: default region set, weighted roughly like the live network's continents
-DEFAULT_REGIONS: Tuple[str, ...] = ("eu", "na", "ap", "sa", "af")
-DEFAULT_REGION_WEIGHTS: Tuple[float, ...] = (0.35, 0.30, 0.22, 0.08, 0.05)
+#: the region set, weighted roughly like the live network's continents; index
+#: order keys the weights and the RTT matrix
+REGIONS: Tuple[str, ...] = ("eu", "na", "ap", "sa", "af")
+REGION_WEIGHTS: Tuple[float, ...] = (0.35, 0.30, 0.22, 0.08, 0.05)
 
 #: symmetric base round-trip times between regions (seconds)
-DEFAULT_RTT_MATRIX: Tuple[Tuple[float, ...], ...] = (
+RTT_MATRIX: Tuple[Tuple[float, ...], ...] = (
     # eu     na     ap     sa     af
     (0.030, 0.090, 0.160, 0.120, 0.100),  # eu
     (0.090, 0.040, 0.130, 0.100, 0.150),  # na
@@ -52,51 +54,16 @@ DEFAULT_RTT_MATRIX: Tuple[Tuple[float, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RegionModelConfig:
-    """The region set and its inter-region RTT structure."""
+#: per-peer multiplicative jitter amplitude: each peer draws a personal factor
+#: in [1 - JITTER, 1 + JITTER] applied to every RTT it is part of
+JITTER = 0.25
 
-    #: region labels; index order keys the weight vector and the RTT matrix
-    names: Tuple[str, ...] = DEFAULT_REGIONS
-    #: probability of a peer landing in each region (sums to 1)
-    weights: Tuple[float, ...] = DEFAULT_REGION_WEIGHTS
-    #: symmetric base RTT between regions, seconds
-    rtt_matrix: Tuple[Tuple[float, ...], ...] = DEFAULT_RTT_MATRIX
-    #: per-peer multiplicative jitter amplitude: each peer draws a personal
-    #: factor in [1 - jitter, 1 + jitter] applied to every RTT it is part of
-    jitter: float = 0.25
-    #: global RTT multiplier (high-latency scenarios crank this)
-    scale: float = 1.0
+#: simulated seconds a failed dial burns before giving up
+DIAL_TIMEOUT = 5.0
 
-    def __post_init__(self) -> None:
-        if not self.names:
-            raise ValueError("the region model needs at least one region")
-        if len(self.weights) != len(self.names):
-            raise ValueError(
-                f"region weights ({len(self.weights)}) must match the "
-                f"region count ({len(self.names)})"
-            )
-        if any(w < 0 for w in self.weights):
-            raise ValueError(f"region weights must be non-negative, got {self.weights}")
-        total = sum(self.weights)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"region weights must sum to 1, got {total}")
-        n = len(self.names)
-        if len(self.rtt_matrix) != n or any(len(row) != n for row in self.rtt_matrix):
-            raise ValueError(f"rtt_matrix must be {n}x{n}")
-        for i in range(n):
-            for j in range(n):
-                if self.rtt_matrix[i][j] <= 0:
-                    raise ValueError("rtt_matrix entries must be positive")
-                if self.rtt_matrix[i][j] != self.rtt_matrix[j][i]:
-                    raise ValueError(
-                        f"rtt_matrix must be symmetric, differs at "
-                        f"({self.names[i]}, {self.names[j]})"
-                    )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be within [0, 1), got {self.jitter}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+#: decouples the netmodel RNG stream from every honest stream, so attaching a
+#: netmodel never perturbs honest draws
+SEED_SALT = 7000
 
 
 @dataclass(frozen=True)
@@ -109,8 +76,6 @@ class ReachabilityConfig:
     nat_share: float = 0.30
     #: share of peers reachable only via a circuit relay (dialable, slower)
     relay_share: float = 0.10
-    #: simulated seconds a failed dial burns before giving up
-    dial_timeout: float = 5.0
     #: RTT multiplier of any path with a relayed endpoint
     relay_penalty: float = 2.2
 
@@ -124,8 +89,6 @@ class ReachabilityConfig:
                 "nat_share + relay_share must be <= 1, got "
                 f"{self.nat_share} + {self.relay_share}"
             )
-        if self.dial_timeout <= 0:
-            raise ValueError(f"dial_timeout must be positive, got {self.dial_timeout}")
         if self.relay_penalty < 1.0:
             raise ValueError(f"relay_penalty must be >= 1, got {self.relay_penalty}")
 
@@ -134,16 +97,16 @@ class ReachabilityConfig:
 class NetModelConfig:
     """The full network-conditions model a scenario runs under."""
 
-    regions: RegionModelConfig = field(default_factory=RegionModelConfig)
+    #: global RTT multiplier (high-latency scenarios crank this)
+    rtt_scale: float = 1.0
     reachability: ReachabilityConfig = field(default_factory=ReachabilityConfig)
     #: simulated-time budget of one iterative walk; a walk stops expanding
     #: once it has spent this much accrued RTT/dial time (``None``: unbounded)
     lookup_timeout: Optional[float] = 45.0
-    #: decouples the netmodel RNG stream from every honest stream, so
-    #: attaching a netmodel never perturbs honest draws
-    seed_salt: int = 7000
 
     def __post_init__(self) -> None:
+        if self.rtt_scale <= 0:
+            raise ValueError(f"rtt_scale must be positive, got {self.rtt_scale}")
         if self.lookup_timeout is not None and self.lookup_timeout <= 0:
             raise ValueError(
                 f"lookup_timeout must be positive or None, got {self.lookup_timeout}"

@@ -19,7 +19,18 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.netmodel.config import NAT, PUBLIC, RELAYED, NetModelConfig
+from repro.netmodel.config import (
+    DIAL_TIMEOUT,
+    JITTER,
+    NAT,
+    PUBLIC,
+    REGION_WEIGHTS,
+    REGIONS,
+    RELAYED,
+    RTT_MATRIX,
+    SEED_SALT,
+    NetModelConfig,
+)
 from repro.simulation.fabric import FabricRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -108,7 +119,7 @@ class WalkClock:
         """Attempt a dial; a NATed target burns the timeout and fails."""
         if self.runtime.dial(target):
             return True
-        self.elapsed += self.runtime.config.reachability.dial_timeout
+        self.elapsed += DIAL_TIMEOUT
         return False
 
     def charge(self, target: PeerNet) -> float:
@@ -140,22 +151,19 @@ class NetModelRuntime(FabricRuntime):
 
     def __init__(self, config: NetModelConfig, seed: int) -> None:
         self.config = config
-        self.rng = random.Random(seed + config.seed_salt)
+        self.rng = random.Random(seed + SEED_SALT)
         self.stats = NetModelStats()
         self.stats.class_counts = {label: 0 for label in (PUBLIC, NAT, RELAYED)}
-        self.stats.region_counts = {name: 0 for name in config.regions.names}
+        self.stats.region_counts = {name: 0 for name in REGIONS}
         #: measurement identities' conditions, keyed by dataset label
         self.identity_net: Dict[str, PeerNet] = {}
-        regions = config.regions
         self._cum_weights: List[float] = []
         total = 0.0
-        for weight in regions.weights:
+        for weight in REGION_WEIGHTS:
             total += weight
             self._cum_weights.append(total)
-        #: rtt_matrix rows pre-scaled so rtt() is two lookups and a multiply
-        self._scaled_matrix = [
-            [value * regions.scale for value in row] for row in regions.rtt_matrix
-        ]
+        #: RTT_MATRIX rows pre-scaled so rtt() is two lookups and a multiply
+        self._scaled_matrix = [[value * config.rtt_scale for value in row] for row in RTT_MATRIX]
 
     # -- assignment (construction time, deterministic in peer order) ---------------
 
@@ -184,11 +192,10 @@ class NetModelRuntime(FabricRuntime):
         if profile is not None:
             behind_nat = profile.behind_nat
             force_public = profile.is_hydra_head or profile.is_crawler
-        regions = self.config.regions
         reach = self.config.reachability
         region = self._draw_region()
         roll = self.rng.random()
-        jitter = self.rng.uniform(1.0 - regions.jitter, 1.0 + regions.jitter)
+        jitter = self.rng.uniform(1.0 - JITTER, 1.0 + JITTER)
         if force_public:
             reachability = PUBLIC
         elif behind_nat or roll < reach.nat_share:
@@ -201,15 +208,13 @@ class NetModelRuntime(FabricRuntime):
         stats = self.stats
         stats.peers += 1
         stats.class_counts[reachability] += 1
-        stats.region_counts[regions.names[region]] += 1
+        stats.region_counts[REGIONS[region]] += 1
         return net
 
     def assign_identity(self, label: str) -> PeerNet:
         """Assign a measurement identity (always public; it runs the study)."""
         region = self._draw_region()
-        jitter = self.rng.uniform(
-            1.0 - self.config.regions.jitter, 1.0 + self.config.regions.jitter
-        )
+        jitter = self.rng.uniform(1.0 - JITTER, 1.0 + JITTER)
         net = PeerNet(region, PUBLIC, jitter)
         self.identity_net[label] = net
         return net

@@ -17,16 +17,9 @@ class ObsConfig:
 
     #: window width in simulated seconds (one metrics.jsonl line per window)
     window: float = 300.0
-    #: closed windows kept in the in-memory ring buffer (older ones are
-    #: dropped from memory once flushed — bounded memory at any horizon)
-    ring_capacity: int = 288
     #: stream every closed window to this JSONL file (None: in-memory only)
     jsonl_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.window < float("inf"):
             raise ValueError(f"window must be positive and finite, got {self.window}")
-        if self.ring_capacity < 1:
-            raise ValueError(
-                f"ring_capacity must be >= 1, got {self.ring_capacity}"
-            )

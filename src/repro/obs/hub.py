@@ -38,6 +38,10 @@ from repro.artifacts import TMP_SUFFIX
 #: schema tag carried by every metrics.jsonl line
 METRICS_SCHEMA = "repro-metrics/1"
 
+#: closed windows kept in the in-memory ring buffer (older ones are dropped
+#: from memory once flushed — bounded memory at any horizon)
+RING_CAPACITY = 288
+
 #: default histogram bounds for durations in simulated seconds (upper edges;
 #: one extra overflow bucket is appended past the last bound)
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
@@ -79,7 +83,7 @@ class MetricsSummary:
     counters: Dict[str, int] = field(default_factory=dict)
     #: upper bucket edges per histogram instrument
     histogram_bounds: Dict[str, List[float]] = field(default_factory=dict)
-    #: the ring-buffer tail: the last ``ring_capacity`` window payloads
+    #: the ring-buffer tail: the last ``RING_CAPACITY`` window payloads
     windows: List[Dict] = field(default_factory=list)
     #: closed windows no longer in memory (flushed to JSONL, then evicted)
     windows_dropped: int = 0
@@ -88,19 +92,12 @@ class MetricsSummary:
 class MetricsHub:
     """Owns the named instruments and the deterministic windowing clock."""
 
-    def __init__(
-        self,
-        window: float,
-        ring_capacity: int = 288,
-        jsonl_path: Optional[str] = None,
-    ) -> None:
+    def __init__(self, window: float, jsonl_path: Optional[str] = None) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        if ring_capacity < 1:
-            raise ValueError(f"ring_capacity must be >= 1, got {ring_capacity}")
         self.window = float(window)
         self.jsonl_path = jsonl_path
-        self.recent: deque = deque(maxlen=ring_capacity)
+        self.recent: deque = deque(maxlen=RING_CAPACITY)
         self._open: Dict[int, _Window] = {}
         self._next_to_close = 0
         self._n_windows: Optional[int] = None

@@ -75,11 +75,7 @@ class MetricsRuntime(FabricRuntime):
     def __init__(self, config: ObsConfig, engine: Engine) -> None:
         self.config = config
         self.engine = engine
-        self.hub = MetricsHub(
-            config.window,
-            ring_capacity=config.ring_capacity,
-            jsonl_path=config.jsonl_path,
-        )
+        self.hub = MetricsHub(config.window, jsonl_path=config.jsonl_path)
         # Latency histograms share the default simulated-seconds buckets.
         self.hub.register_histogram("content.retrieve_seconds")
         self.hub.register_histogram("content.provide_seconds")

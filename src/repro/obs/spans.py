@@ -62,22 +62,16 @@ class TraceConfig:
     #: deterministic per-operation sample rate in (0, 1]; failed and
     #: timed-out operations are always kept regardless
     sample: float = 1.0
-    #: rendered traces retained per run (completion order; the rest only count)
-    max_traces: int = 10_000
-    #: direct children kept per span (crawler walks would otherwise collect
-    #: thousands of RPC leaves); drops are counted on the parent
-    max_children: int = 64
     #: stream every kept trace to this JSONL file at finalize (None: in-memory)
     jsonl_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sample <= 1.0:
             raise ValueError(f"sample must be within (0, 1], got {self.sample}")
-        if self.max_traces < 1:
-            raise ValueError(f"max_traces must be >= 1, got {self.max_traces}")
-        if self.max_children < 1:
-            raise ValueError(f"max_children must be >= 1, got {self.max_children}")
 
+
+#: rendered traces retained per run (completion order; the rest only count)
+MAX_TRACES = 10_000
 
 #: identify-delay contributions per runtime name -> latency category
 _IDENTIFY_CATEGORIES = {"netmodel": "walk", "bandwidth": "serialization"}
@@ -121,7 +115,7 @@ class SpanTracer:
         #: operations begun / traces kept, per kind
         self.ops: Dict[str, int] = {}
         self.sampled: Dict[str, int] = {}
-        #: raw kept records in completion order (capped at max_traces)
+        #: raw kept records in completion order (capped at MAX_TRACES)
         self.records: List[TraceRecord] = []
         self.traces_dropped = 0
 
@@ -196,7 +190,7 @@ class SpanTracer:
         kind = self._kind
         if failed or timed_out or self._keep(self._key):
             self.sampled[kind] = self.sampled.get(kind, 0) + 1
-            if len(self.records) < self.config.max_traces:
+            if len(self.records) < MAX_TRACES:
                 self.records.append((
                     self._key, kind, self._start,
                     "fail" if failed else "ok", timed_out,
@@ -264,7 +258,7 @@ class SpanTracer:
         events.append(("l", "process", "other", base, None))
         kind = self._kind
         self.sampled[kind] = self.sampled.get(kind, 0) + 1
-        if len(self.records) < self.config.max_traces:
+        if len(self.records) < MAX_TRACES:
             self.records.append((
                 self._key, kind, self._start, "ok", False,
                 delay, {"label": label}, events,
@@ -287,7 +281,6 @@ class SpanTracer:
             sampled=dict(sorted(self.sampled.items())),
             traces_dropped=self.traces_dropped,
             pending=list(self.records),
-            max_children=self.config.max_children,
         )
         if self.config.jsonl_path is not None:
             write_traces(summary.traces, self.config.jsonl_path)

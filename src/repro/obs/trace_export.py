@@ -33,6 +33,10 @@ TRACE_SCHEMA = "repro-traces/1"
 #: (scheduling slack, capped leaves, the operation's own bookkeeping)
 RESIDUAL_CATEGORY = "other"
 
+#: direct children kept per span (crawler walks would otherwise collect
+#: thousands of RPC leaves); drops are counted on the parent
+MAX_CHILDREN = 64
+
 
 def _round6(value: float) -> float:
     """One rounding rule for every exported duration (same as metrics)."""
@@ -57,12 +61,12 @@ def _render_attrs(attrs: Dict) -> Dict:
 TraceRecord = Tuple[tuple, str, float, str, bool, float, Optional[Dict], List[tuple]]
 
 
-def build_trace(record: TraceRecord, max_children: int) -> Dict:
+def build_trace(record: TraceRecord) -> Dict:
     """Replay one recorded event stream into its exported trace payload.
 
     Empty attrs/children are omitted so the common leaf renders as three
     keys — the export stays compact at full sampling.  Leaves beyond
-    ``max_children`` per span are dropped and counted on the parent
+    :data:`MAX_CHILDREN` per span are dropped and counted on the parent
     (structural child spans always attach: there are only ever a handful).
     """
     key, kind, start, outcome, timed_out, seconds, root_attrs, events = record
@@ -94,7 +98,7 @@ def build_trace(record: TraceRecord, max_children: int) -> Dict:
             children = node.get("children")
             if children is None:
                 children = node["children"] = []
-            if len(children) >= max_children:
+            if len(children) >= MAX_CHILDREN:
                 node["children_dropped"] = node.get("children_dropped", 0) + 1
                 continue
             leaf: Dict = {
@@ -180,7 +184,6 @@ class TraceSummary:
         sampled: Optional[Dict[str, int]] = None,
         traces_dropped: int = 0,
         pending: Optional[List[TraceRecord]] = None,
-        max_children: int = 64,
     ) -> None:
         #: configured sample rate
         self.sample = sample
@@ -190,18 +193,15 @@ class TraceSummary:
         self.sampled = sampled if sampled is not None else {}
         #: kept-but-not-retained traces beyond the cap
         self.traces_dropped = traces_dropped
-        #: per-span leaf cap applied when pending records render
-        self.max_children = max_children
         self._traces: Optional[List[Dict]] = None
         self._pending = pending if pending is not None else []
 
     @property
     def traces(self) -> List[Dict]:
-        """Rendered trace payloads in completion order, capped at max_traces."""
+        """Rendered trace payloads in completion order, capped at
+        :data:`~repro.obs.spans.MAX_TRACES`."""
         if self._traces is None:
-            self._traces = [
-                build_trace(record, self.max_children) for record in self._pending
-            ]
+            self._traces = [build_trace(record) for record in self._pending]
             self._pending = []
         return self._traces
 

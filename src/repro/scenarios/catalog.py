@@ -80,14 +80,10 @@ from repro.faults.config import (
     PartitionConfig,
     SlowNodeConfig,
 )
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import BASE_DELAY, MAX_ATTEMPTS, MAX_DELAY, MULTIPLIER
 from repro.ipfs.config import IpfsConfig
 from repro.kademlia.dht import DHTMode
-from repro.netmodel.config import (
-    NetModelConfig,
-    ReachabilityConfig,
-    RegionModelConfig,
-)
+from repro.netmodel.config import NetModelConfig, ReachabilityConfig
 from repro.simulation.churn_models import (
     DAY,
     HOUR,
@@ -190,13 +186,10 @@ def _attackers(count: Optional[int], n_peers: int, share: float, floor: int) -> 
     return count if count is not None else max(floor, int(round(n_peers * share)))
 
 
-def _attack(kind: str, count: int, make: Callable[..., object], **fields) -> dict:
-    """The population delta deploying ``count`` attackers of one ``kind``
-    (an :class:`AdversaryConfig` field) built by ``make``; a count of 0 is
+def _attack(count: int, adversary: Callable[[int], AdversaryConfig]) -> dict:
+    """The population delta deploying ``adversary(count)``; a count of 0 is
     the same scenario without attackers (``adversary=None``)."""
-    if count == 0:
-        return dict(adversary=None)
-    return dict(adversary=AdversaryConfig(**{kind: make(count=count, **fields)}))
+    return dict(adversary=adversary(count) if count else None)
 
 
 # -- the paper's measurement periods ------------------------------------------------
@@ -555,11 +548,14 @@ def _sybil_netsize_config(
     duration = duration_days * DAY
     low, high = SYBIL_ARRIVAL_SPAN
     population = _attack(
-        "sybil",
         _attackers(sybil_count, n_peers, SYBIL_SHARE, floor=8),
-        SybilFloodConfig,
-        closeness_bits=SYBIL_CLOSENESS_BITS,
-        arrival_window=(duration * low, duration * high),
+        lambda count: AdversaryConfig(
+            sybil=SybilFloodConfig(
+                count=count,
+                closeness_bits=SYBIL_CLOSENESS_BITS,
+                arrival_window=(duration * low, duration * high),
+            )
+        ),
     )
     return _compose(n_peers, duration_days, seed, population=population)
 
@@ -577,12 +573,15 @@ def _eclipse_provider_config(
     n_peers: int, duration_days: float, seed: int, eclipse_count: Optional[int] = None
 ) -> ScenarioConfig:
     population = _attack(
-        "eclipse",
         _attackers(eclipse_count, n_peers, ECLIPSE_SHARE, floor=ECLIPSE_MIN),
-        EclipseConfig,
-        victim_items=ECLIPSE_VICTIM_ITEMS,
-        closeness_bits=ECLIPSE_CLOSENESS_BITS,
-        shadow_publish_interval=duration_days * DAY / 6.0,
+        lambda count: AdversaryConfig(
+            eclipse=EclipseConfig(
+                count=count,
+                victim_items=ECLIPSE_VICTIM_ITEMS,
+                closeness_bits=ECLIPSE_CLOSENESS_BITS,
+                shadow_publish_interval=duration_days * DAY / 6.0,
+            )
+        ),
     )
     return _compose(n_peers, duration_days, seed, population=population, content={})
 
@@ -604,10 +603,10 @@ def _poisoned_routing_config(
     drop_share: float = POISON_DROP_SHARE,
 ) -> ScenarioConfig:
     population = _attack(
-        "poison",
         _attackers(poison_count, n_peers, POISON_SHARE, floor=12),
-        RoutingPoisonConfig,
-        drop_share=drop_share,
+        lambda count: AdversaryConfig(
+            poison=RoutingPoisonConfig(count=count, drop_share=drop_share)
+        ),
     )
     return _compose(
         n_peers, duration_days, seed, population=population, content={}, crawler=True
@@ -628,11 +627,14 @@ def _spoofed_churn_config(
 ) -> ScenarioConfig:
     duration = duration_days * DAY
     population = _attack(
-        "churn_spoof",
         _attackers(spoof_count, n_peers, SPOOF_SHARE, floor=10),
-        ChurnSpoofConfig,
-        session_mean=max(duration * SPOOF_SESSION_FRACTION, 30.0),
-        downtime_mean=max(duration * SPOOF_DOWNTIME_FRACTION, 20.0),
+        lambda count: AdversaryConfig(
+            churn_spoof=ChurnSpoofConfig(
+                count=count,
+                session_mean=max(duration * SPOOF_SESSION_FRACTION, 30.0),
+                downtime_mean=max(duration * SPOOF_DOWNTIME_FRACTION, 20.0),
+            )
+        ),
     )
     return _compose(n_peers, duration_days, seed, population=population)
 
@@ -685,7 +687,7 @@ def _high_latency_retrieval_config(
     n_peers: int, duration_days: float, seed: int, rtt_scale: float = HIGH_LATENCY_SCALE
 ) -> ScenarioConfig:
     netmodel = NetModelConfig(
-        regions=replace(RegionModelConfig(), scale=rtt_scale),
+        rtt_scale=rtt_scale,
         reachability=ReachabilityConfig(nat_share=HIGH_LATENCY_NAT_SHARE, relay_share=0.10),
         lookup_timeout=HIGH_LATENCY_LOOKUP_TIMEOUT,
     )
@@ -726,7 +728,7 @@ def _timeout_bound_lookups_config(
     lookup_timeout: float = TIMEOUT_BOUND_LOOKUP_BUDGET,
 ) -> ScenarioConfig:
     netmodel = NetModelConfig(
-        regions=replace(RegionModelConfig(), scale=TIMEOUT_BOUND_RTT_SCALE),
+        rtt_scale=TIMEOUT_BOUND_RTT_SCALE,
         reachability=ReachabilityConfig(nat_share=TIMEOUT_BOUND_NAT_SHARE),
         lookup_timeout=lookup_timeout,
     )
@@ -753,16 +755,13 @@ SLOW_TAIL_MIN_FACTOR = 4.0
 SLOW_TAIL_MAX_FACTOR = 15.0
 SLOW_TAIL_LOOKUP_TIMEOUT = 15.0
 
-#: the catalog's resilience policy: 3 attempts, 0.25 s base, x2 capped at 8 s
-FAULT_RETRY = RetryPolicy()
-
 
 @_entry(
     "lossy-links",
     "Every RPC rolls against per-link loss (and occasional, "
     f"{LOSSY_LINK_DUPLICATE:.0%}, duplication); capped-backoff retries "
-    f"({FAULT_RETRY.max_attempts} attempts, {FAULT_RETRY.base_delay:g} s base "
-    f"x{FAULT_RETRY.multiplier:g}, cap {FAULT_RETRY.max_delay:g} s) claw success back",
+    f"({MAX_ATTEMPTS} attempts, {BASE_DELAY:g} s base "
+    f"x{MULTIPLIER:g}, cap {MAX_DELAY:g} s) claw success back",
     "faults",
     "loss",
 )
@@ -775,7 +774,7 @@ def _lossy_links_config(
 ) -> ScenarioConfig:
     faults = FaultConfig(
         links=LinkFaultConfig(loss_rate=loss_rate, duplicate_rate=LOSSY_LINK_DUPLICATE),
-        retry=FAULT_RETRY if retry else None,
+        retry=retry,
     )
     return _compose(n_peers, duration_days, seed, population=dict(faults=faults), content={})
 
@@ -799,7 +798,7 @@ def _partition_heal_config(
         share=partition_share,
         recovery_spread=max(duration * PARTITION_RECOVERY_FRACTION, 60.0),
     )
-    faults = FaultConfig(partition=partition, retry=FAULT_RETRY)
+    faults = FaultConfig(partition=partition, retry=True)
     return _compose(n_peers, duration_days, seed, population=dict(faults=faults), content={})
 
 
@@ -820,7 +819,7 @@ def _crash_storm_config(
         restart_mean=duration * CRASH_RESTART_FRACTION,
         share=crash_share,
     )
-    faults = FaultConfig(crash=crash, retry=FAULT_RETRY, republish_on_recovery=True)
+    faults = FaultConfig(crash=crash, retry=True, republish_on_recovery=True)
     return _compose(n_peers, duration_days, seed, population=dict(faults=faults), content={})
 
 
@@ -841,9 +840,7 @@ def _slow_node_tail_config(
     # Slow nodes only bite when walks carry a time budget, so this scenario
     # pairs the fault with the latency model and a bounded lookup clock.
     population = dict(
-        netmodel=NetModelConfig(
-            regions=RegionModelConfig(), lookup_timeout=SLOW_TAIL_LOOKUP_TIMEOUT
-        ),
+        netmodel=NetModelConfig(lookup_timeout=SLOW_TAIL_LOOKUP_TIMEOUT),
         faults=FaultConfig(slow=slow),
     )
     return _compose(n_peers, duration_days, seed, population=population, content={})

@@ -26,11 +26,19 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Set
 
+from repro.bandwidth.config import TRANSFER_TIMEOUT
 from repro.kademlia.dht import iterative_find_providers, iterative_provide
 from repro.libp2p.agent import parse_goipfs_agent
+from repro.netmodel.config import DIAL_TIMEOUT
 from repro.simulation.agents import AgentCatalog
 from repro.simulation.config import BehaviorConfig
 from repro.simulation.content import (
+    BOOTSTRAP_COUNT,
+    MAX_PROVIDERS,
+    MAX_QUERIES,
+    PER_HOP_LATENCY,
+    REPLICATION,
+    TRANSFER_LATENCY,
     ContentRoutingConfig,
     ContentRoutingStats,
     ZipfCatalog,
@@ -153,7 +161,6 @@ class ContentBehaviors:
             self.config.n_items,
             self.config.zipf_exponent,
             size_classes=self.config.block_size_classes,
-            size_seed=self.config.block_size_seed,
         )
         self.stats = ContentRoutingStats()
         self._duration = 0.0
@@ -188,7 +195,8 @@ class ContentBehaviors:
                 self.stats.retrievers += 1
                 delay = self.rng.uniform(0.0, min(config.retrieve_interval, duration))
                 self.engine.schedule_drop(delay, self._retrieve, peer)
-        PeriodicTask(self.engine, config.sweep_interval(), self._sweep)
+        # the provider-store expiry sweep runs every half record lifetime
+        PeriodicTask(self.engine, config.provider_ttl / 2.0, self._sweep)
 
     def finalize(self, now: float) -> ContentRoutingStats:
         """Close the books: count the records still live on the fabric."""
@@ -205,14 +213,14 @@ class ContentBehaviors:
 
     def _seeds(self, peer: SimPeer, key: int):
         """Lookup entry points: bootstrap servers plus own table neighbours."""
-        seeds = list(self.network.bootstrap_peers(self.config.bootstrap_count))
+        seeds = list(self.network.bootstrap_peers(BOOTSTRAP_COUNT))
         table = peer.routing_table
         if table is not None:
-            seeds.extend(table.closest_peers(key, self.config.bootstrap_count))
+            seeds.extend(table.closest_peers(key, BOOTSTRAP_COUNT))
         return seeds
 
     def _lookup_latency(self, hops: int) -> float:
-        low, high = self.config.per_hop_latency
+        low, high = PER_HOP_LATENCY
         return sum(self.rng.uniform(low, high) for _ in range(hops))
 
     def _sweep(self, now: float) -> None:
@@ -250,8 +258,8 @@ class ContentBehaviors:
             network.timed_add_provider_fn(clock, config.provider_ttl, src=peer),
             peer.current_pid,
             self._seeds(peer, key),
-            replication=config.replication,
-            max_queries=config.max_queries,
+            replication=REPLICATION,
+            max_queries=MAX_QUERIES,
             give_up=None if clock is None else clock.expired,
             retry=None if faults is None else faults.retry_state(clock, tracer=tracer),
             trace=tracer,
@@ -330,7 +338,6 @@ class ContentBehaviors:
         self._schedule_next(peer, self.config.retrieve_interval, self._retrieve)
         if not peer.online:
             return
-        config = self.config
         network = self.network
         item = self.catalog.sample(self.rng)
         cid = self.catalog.cid(item)
@@ -350,8 +357,8 @@ class ContentBehaviors:
             network.timed_get_providers_fn(clock, src=peer),
             self._seeds(peer, key),
             self_id=peer.current_pid,
-            max_queries=config.max_queries,
-            max_providers=config.max_providers,
+            max_queries=MAX_QUERIES,
+            max_providers=MAX_PROVIDERS,
             give_up=None if clock is None else clock.expired,
             retry=None if faults is None else faults.retry_state(clock, tracer=tracer),
             trace=tracer,
@@ -386,10 +393,9 @@ class ContentBehaviors:
             if network.netmodel is not None and not network.netmodel.dial(provider.net):
                 # A NATed provider holds the block but cannot be fetched from;
                 # the failed dial still costs the same timeout a walk pays.
-                dial_timeout = network.netmodel.config.reachability.dial_timeout
-                latency += dial_timeout
+                latency += DIAL_TIMEOUT
                 if tracer is not None:
-                    tracer.leaf("provider_dial", "dial", dial_timeout)
+                    tracer.leaf("provider_dial", "dial", DIAL_TIMEOUT)
                 continue
             bandwidth = network.bandwidth
             plan = None
@@ -410,14 +416,9 @@ class ContentBehaviors:
                 if plan is None:
                     # The provider's uplink (or our downlink) is saturated past
                     # the timeout: give up on this provider and try the next.
-                    latency += bandwidth.config.transfer_timeout
+                    latency += TRANSFER_TIMEOUT
                     if tracer is not None:
-                        tracer.leaf(
-                            "transfer_wait",
-                            "queue",
-                            bandwidth.config.transfer_timeout,
-                            outcome="timeout",
-                        )
+                        tracer.leaf("transfer_wait", "queue", TRANSFER_TIMEOUT, outcome="timeout")
                     continue
             if faults is None:
                 block = bitswap.fetch_from(provider.bitswap, cid)
@@ -450,7 +451,7 @@ class ContentBehaviors:
                         "bandwidth.transfer_seconds", self.engine.now, transfer_seconds
                     )
             else:
-                fetch_seconds = self.rng.uniform(*config.transfer_latency)
+                fetch_seconds = self.rng.uniform(*TRANSFER_LATENCY)
                 latency += fetch_seconds
                 rtt_seconds = 0.0
                 if network.netmodel is not None:

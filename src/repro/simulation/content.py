@@ -28,6 +28,22 @@ from repro.kademlia.provider_store import (
 )
 from repro.simulation.churn_models import HOUR
 
+#: how many closest servers a provider record is stored on (go-ipfs: 20)
+REPLICATION = 10
+#: lookup budget of one publish or resolve walk
+MAX_QUERIES = 32
+#: a resolve stops after this many distinct providers
+MAX_PROVIDERS = 5
+#: bootstrap servers seeding a lookup (clients have no routing table)
+BOOTSTRAP_COUNT = 4
+#: simulated per-hop RTT and block-transfer time (uniform bounds, seconds);
+#: the transfer draw is replaced by real queue/serialization accounting when
+#: a bandwidth model is attached
+PER_HOP_LATENCY = (0.06, 0.35)
+TRANSFER_LATENCY = (0.1, 0.8)
+#: seed of the per-item block-size stream
+BLOCK_SIZE_SEED = 101
+
 
 class ZipfCatalog:
     """A fixed catalog of content items with Zipf-distributed popularity.
@@ -39,8 +55,8 @@ class ZipfCatalog:
     runs with the same seed publish and resolve identical content.
 
     ``size_classes`` gives every item a *real* byte size, drawn per item (in
-    item order, from an independent ``size_seed`` stream — the honest workload
-    RNG is untouched) over ``(size_bytes, weight)`` pairs; the data-plane
+    item order, from an independent :data:`BLOCK_SIZE_SEED` stream — the honest
+    workload RNG is untouched) over ``(size_bytes, weight)`` pairs; the data-plane
     bandwidth model serializes these sizes through the transmit queues.
     ``None`` (the default) reports the tiny deterministic payload's length, so
     pre-existing goldens are unchanged.  Multi-MB sizes are transfer metadata:
@@ -52,7 +68,6 @@ class ZipfCatalog:
         n_items: int,
         exponent: float = 1.05,
         size_classes: Optional[Sequence[Tuple[int, float]]] = None,
-        size_seed: int = 0,
     ) -> None:
         if n_items <= 0:
             raise ValueError(f"n_items must be positive, got {n_items}")
@@ -76,7 +91,7 @@ class ZipfCatalog:
                     raise ValueError(
                         f"block-size weights must be positive, got {weight} for size {size}"
                     )
-            size_rng = random.Random(size_seed)
+            size_rng = random.Random(BLOCK_SIZE_SEED)
             weight_total = float(sum(weight for _, weight in size_classes))
             size_cum: List[float] = []
             running = 0.0
@@ -137,30 +152,14 @@ class ContentRoutingConfig:
     #: mean time between two publishes (per publisher) / retrievals (per retriever)
     publish_interval: float = 2 * HOUR
     retrieve_interval: float = 1 * HOUR
-    #: how many closest servers a provider record is stored on (go-ipfs: 20)
-    replication: int = 10
     #: provider-record lifetime and reprovide cadence (``None``: never republish)
     provider_ttl: float = DEFAULT_PROVIDER_TTL
     republish_interval: Optional[float] = DEFAULT_REPUBLISH_INTERVAL
-    #: lookup budget per operation
-    max_queries: int = 32
-    #: resolve stops after this many distinct providers
-    max_providers: int = 5
-    #: bootstrap servers seeding a lookup (clients have no routing table)
-    bootstrap_count: int = 4
-    #: simulated per-hop RTT and block-transfer time (uniform bounds, seconds);
-    #: the transfer draw is replaced by real queue/serialization accounting
-    #: when a bandwidth model is attached
-    per_hop_latency: Tuple[float, float] = (0.06, 0.35)
-    transfer_latency: Tuple[float, float] = (0.1, 0.8)
-    #: interval of the provider-store expiry sweep (``None``: half the TTL)
-    expiry_sweep_interval: Optional[float] = None
     #: per-item block-size distribution ((size_bytes, weight) pairs) drawn at
-    #: catalog construction from ``block_size_seed``; ``None`` (the default)
-    #: keeps the tiny deterministic payload sizes, so pre-existing goldens
-    #: are unchanged
+    #: catalog construction from :data:`BLOCK_SIZE_SEED`; ``None`` (the
+    #: default) keeps the tiny deterministic payload sizes, so pre-existing
+    #: goldens are unchanged
     block_size_classes: Optional[Tuple[Tuple[int, float], ...]] = None
-    block_size_seed: int = 101
 
     def __post_init__(self) -> None:
         # Every rejection names the offending field and the value it carried;
@@ -178,20 +177,10 @@ class ContentRoutingConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("republish_interval", "expiry_sweep_interval"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None, got {value}")
-        for name in ("replication", "max_queries", "max_providers", "bootstrap_count"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        for name in ("per_hop_latency", "transfer_latency"):
-            low, high = getattr(self, name)
-            if low < 0 or high < low:
-                raise ValueError(
-                    f"{name} must satisfy 0 <= low <= high, got {low}/{high}"
-                )
+        if self.republish_interval is not None and self.republish_interval <= 0:
+            raise ValueError(
+                f"republish_interval must be positive or None, got {self.republish_interval}"
+            )
         if self.block_size_classes is not None:
             if not self.block_size_classes:
                 raise ValueError(
@@ -208,12 +197,6 @@ class ContentRoutingConfig:
                         f"block_size_classes weights must be positive, got "
                         f"{weight} for size {size}"
                     )
-
-    def sweep_interval(self) -> float:
-        """The effective expiry-sweep interval."""
-        if self.expiry_sweep_interval is not None:
-            return self.expiry_sweep_interval
-        return self.provider_ttl / 2.0
 
 
 @dataclass

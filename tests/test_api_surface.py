@@ -24,13 +24,24 @@ A second scan finds write-only state: an attribute the program assigns
 field) only declare an attribute, so a counter kept in either is flagged
 too; dunders are exempt.
 
-Run ``python tests/test_api_surface.py`` to print the unreachable names and
-the write-only attributes.
+A third scan finds never-set configuration: a field of a ``@dataclass`` in
+``src/`` whose class name ends in ``Config`` or ``Policy`` that no call in the
+program sets.  A field is set when some call passes it by keyword, or by
+position to its own class, or when it is a string key of a dict literal
+splatted into a call (``f(**{"name": …})``).  A keyword whose value is an
+attribute of the same name (``grace_period=self.grace_period``) only forwards
+a value, so it sets nothing.  Such a field has one value in every run the
+program can make: fold it into a module constant.  ``CALIBRATION`` exempts the
+calibration surface (a class, or one ``Class.field``), with one reason each.
+
+Run ``python tests/test_api_surface.py`` to print the unreachable names, the
+write-only attributes and the never-set fields.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +50,15 @@ PROGRAM_DIRS = ("src", "benchmarks", "examples")
 
 #: name -> one-line reason it is kept though only tests reach it
 ALLOWED: dict[str, str] = {}
+
+#: ``Class`` or ``Class.field`` -> why the program need not set it
+CALIBRATION: dict[str, str] = {
+    "NetworkConfig": "fabric constants fitted to the paper's numbers (ROADMAP item 4)",
+    "BehaviorConfig": "meta-data timing fitted to Tables III and IV (ROADMAP item 4)",
+    "PopulationConfig": "population shares fitted to the paper's P4 data set (ROADMAP item 4)",
+    "ScenarioConfig.network": "carries NetworkConfig, the calibration block",
+    "ScenarioConfig.behaviors": "carries BehaviorConfig, the calibration block",
+}
 
 
 @dataclass(frozen=True)
@@ -176,6 +196,72 @@ def write_only_attributes() -> dict[str, list[str]]:
     }
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def config_fields() -> dict[str, list[tuple[str, str]]]:
+    """Class name -> its ``(field, "path:line")`` list in declaration order,
+    for every ``*Config`` / ``*Policy`` dataclass in ``src/``."""
+    fields: dict[str, list[tuple[str, str]]] = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Config", "Policy"))
+                and _is_dataclass(node)
+            ):
+                fields[node.name] = [
+                    (member.target.id, f"{path.relative_to(ROOT)}:{member.lineno}")
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+                ]
+    return fields
+
+
+def never_set_fields() -> list[str]:
+    """``path:line: Class.field`` for every config field no call in the
+    program sets (see the module docstring), the calibration surface aside."""
+    keywords: set[str] = set()
+    #: callee name -> most leading positional arguments any call passes it
+    positional: dict[str, int] = {}
+    for path in program_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            leading = itertools.takewhile(lambda arg: not isinstance(arg, ast.Starred), node.args)
+            positional[callee] = max(positional.get(callee, 0), len(list(leading)))
+            for keyword in node.keywords:
+                value = keyword.value
+                if keyword.arg is None and isinstance(value, ast.Dict):
+                    keywords.update(
+                        key.value
+                        for key in value.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+                elif keyword.arg is not None and not (
+                    isinstance(value, ast.Attribute) and value.attr == keyword.arg
+                ):
+                    keywords.add(keyword.arg)
+    return [
+        f"{where}: {cls}.{name}"
+        for cls, fields in config_fields().items()
+        if cls not in CALIBRATION
+        for index, (name, where) in enumerate(fields)
+        if f"{cls}.{name}" not in CALIBRATION
+        and name not in keywords
+        and index >= positional.get(cls, 0)
+    ]
+
+
 def test_every_src_definition_is_reached_by_the_program():
     unreached = "\n".join(map(str, unreachable_definitions()))
     assert not unreached, f"reached only from tests (delete, or allow with a reason):\n{unreached}"
@@ -188,8 +274,23 @@ def test_no_attribute_is_written_and_never_read():
     assert not unread, f"assigned but never read (delete the state):\n{unread}"
 
 
+def test_every_config_field_is_set_by_the_program():
+    unset = "\n".join(never_set_fields())
+    assert not unset, f"no program call sets these (fold each into a constant):\n{unset}"
+
+
+def test_every_calibration_entry_names_a_config_field():
+    fields = config_fields()
+    names = set(fields)
+    names.update(f"{cls}.{name}" for cls, members in fields.items() for name, _ in members)
+    stale = sorted(set(CALIBRATION) - names)
+    assert not stale, f"CALIBRATION names no *Config/*Policy class or field: {stale}"
+
+
 if __name__ == "__main__":
     for definition in unreachable_definitions():
         print(definition)
     for name, places in write_only_attributes().items():
         print(f"write-only {name}: {', '.join(places)}")
+    for place in never_set_fields():
+        print(f"never-set {place}")

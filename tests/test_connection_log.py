@@ -46,7 +46,7 @@ from repro.core.netsize import (
 from repro.core.records import ConnectionLog, ConnectionRecord, MeasurementDataset, PeerRecord
 from repro.ipfs.node import IpfsNode
 from repro.libp2p.connection import CloseReason, Direction
-from repro.libp2p.connmgr import ConnManagerConfig
+from repro.libp2p.connmgr import GRACE_PERIOD, SILENCE_PERIOD, ConnManagerConfig
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 from repro.libp2p.protocols import IPFS_ID, KAD_DHT
@@ -119,7 +119,7 @@ class ReferenceConnectionManager:
         # stable sort's tie-break, in open order
         candidates: List[Tuple[int, float, int, Connection]] = []
         for conn in self._connections.values():
-            if now - conn.opened_at < self.config.grace_period:
+            if now - conn.opened_at < GRACE_PERIOD:
                 continue
             peer_tags = self._tags.get(conn.remote_peer)
             value = 0 if peer_tags is None else sum(peer_tags.values())
@@ -131,7 +131,7 @@ class ReferenceConnectionManager:
         if not force:
             if self.connection_count() <= self.config.high_water:
                 return []
-            if now - self._last_trim < self.config.silence_period:
+            if now - self._last_trim < SILENCE_PERIOD:
                 return []
         victims = self.select_victims(now)
         self._last_trim = now
@@ -395,7 +395,7 @@ def connection_traces(kinds: List[str], max_size: int):
     return st.lists(
         st.tuples(
             st.sampled_from(kinds),
-            st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 30.0]),
+            st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 10.0, 20.0, 30.0]),
             st.integers(min_value=0, max_value=1_000),
             st.sampled_from(_REASONS),
         ),
@@ -405,11 +405,9 @@ def connection_traces(kinds: List[str], max_size: int):
 
 #: a connection manager whose watermarks a short trace crosses
 connmgr_configs = st.builds(
-    lambda low, extra, grace, silence: ConnManagerConfig(low, low + extra, grace, silence),
+    lambda low, extra: ConnManagerConfig(low, low + extra),
     st.integers(0, 4),
     st.integers(0, 3),
-    st.sampled_from([0.0, 1.0, 30.0]),
-    st.sampled_from([0.0, 1.0, 30.0]),
 )
 
 

@@ -248,11 +248,6 @@ class TestContentConfigValidation:
         config = ContentRoutingConfig(republish_interval=None)
         assert config.republish_interval is None
 
-    def test_sweep_interval_defaults_to_half_ttl(self):
-        config = ContentRoutingConfig(provider_ttl=100.0)
-        assert config.sweep_interval() == 50.0
-        assert ContentRoutingConfig(expiry_sweep_interval=7.0).sweep_interval() == 7.0
-
 
 class TestContentScenarios:
     """The simulation-layer workload, pinned at micro scale."""

@@ -1,6 +1,7 @@
 """Tests for the meta-data analysis (Fig. 3/4, Table III, protocol flapping)."""
 
 from repro.core.metadata import (
+    ProtocolBreakdown,
     agent_breakdown,
     analyze_metadata,
     protocol_breakdown,
@@ -51,6 +52,13 @@ class TestProtocolBreakdown:
         assert breakdown.kad_support == 2                # heavy1, light1
         assert breakdown.bitswap_support == 4
         assert breakdown.histogram[KAD_DHT] == 2
+
+    def test_top_protocols_break_ties_by_name(self):
+        # inserted out of name order, as iteration over a salted frozenset may
+        breakdown = ProtocolBreakdown(
+            histogram={"/c": 2, "/b": 5, "/z": 2, "/a": 2, "/y": 1}
+        )
+        assert breakdown.top_protocols(4) == [("/b", 5), ("/a", 2), ("/c", 2), ("/z", 2)]
 
     def test_storm_anomaly_detection(self):
         dataset = MeasurementDataset(label="x", started_at=0.0, ended_at=1.0)

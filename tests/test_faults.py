@@ -32,7 +32,15 @@ from repro.faults.config import (
     PartitionConfig,
     SlowNodeConfig,
 )
-from repro.faults.retry import RetryPolicy, RetryState
+from repro.faults.retry import (
+    BASE_DELAY,
+    JITTER,
+    MAX_ATTEMPTS,
+    MAX_DELAY,
+    MULTIPLIER,
+    RetryState,
+    backoff,
+)
 from repro.faults.runtime import FaultRuntime, FaultStats
 from repro.scenarios.registry import build_scenario_config, run_scenario_by_name
 from repro.simulation.engine import Engine
@@ -47,7 +55,6 @@ class TestConfigValidation:
         CrashConfig()
         PartitionConfig(start=100.0, duration=50.0)
         SlowNodeConfig()
-        RetryPolicy()
 
     def test_rates_bounded(self):
         with pytest.raises(ValueError, match="loss_rate"):
@@ -76,24 +83,19 @@ class TestConfigValidation:
             SlowNodeConfig(min_factor=5.0, max_factor=2.0)
 
     def test_retry_policy_validated(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="base_delay"):
-            RetryPolicy(base_delay=0.0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError, match="max_delay"):
-            RetryPolicy(base_delay=2.0, max_delay=1.0)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.0)
+        # the backoff constants keep the bounds a capped, jittered backoff needs
+        assert MAX_ATTEMPTS >= 1
+        assert 0.0 < BASE_DELAY <= MAX_DELAY
+        assert MULTIPLIER >= 1.0
+        assert 0.0 <= JITTER < 1.0
 
     def test_enabled_requires_an_active_block(self):
         assert not FaultConfig().enabled
         assert not FaultConfig(links=LinkFaultConfig(loss_rate=0.0)).enabled
         assert not FaultConfig(crash=CrashConfig(share=0.0)).enabled
         assert not FaultConfig(slow=SlowNodeConfig(share=0.0)).enabled
-        # A retry policy with nothing to retry against stays dormant.
-        assert not FaultConfig(retry=RetryPolicy()).enabled
+        # Retries with nothing to retry against stay dormant.
+        assert not FaultConfig(retry=True).enabled
         assert FaultConfig(links=LinkFaultConfig(loss_rate=0.01)).enabled
         assert FaultConfig(crash=CrashConfig()).enabled
         assert FaultConfig(partition=PartitionConfig(start=0.0, duration=1.0)).enabled
@@ -102,20 +104,17 @@ class TestConfigValidation:
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=2.0, max_delay=5.0, jitter=0.0)
-        assert [policy.backoff(i) for i in range(4)] == [1.0, 2.0, 4.0, 5.0]
+        assert [backoff(i) for i in range(7)] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
 
     def test_jitter_stays_within_bounds(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=1.0, max_delay=1.0, jitter=0.5)
         rng = random.Random(3)
-        delays = [policy.backoff(0, rng) for _ in range(200)]
-        assert all(0.5 <= d <= 1.5 for d in delays)
+        delays = [backoff(0, rng) for _ in range(200)]
+        assert all(0.125 <= d <= 0.375 for d in delays)
         assert len(set(delays)) > 1
 
     def test_call_retries_none_only(self):
         stats = FaultStats()
-        state = RetryState(RetryPolicy(max_attempts=3, jitter=0.0), random.Random(0),
-                           clock=None, stats=stats)
+        state = RetryState(None, clock=None, stats=stats)
         # An empty reply is a delivered reply, not a network failure.
         calls = []
 
@@ -129,8 +128,7 @@ class TestRetryPolicy:
 
     def test_call_recovers_after_failures(self):
         stats = FaultStats()
-        state = RetryState(RetryPolicy(max_attempts=3, jitter=0.0), random.Random(0),
-                           clock=None, stats=stats)
+        state = RetryState(None, clock=None, stats=stats)
         outcomes = iter([None, None, "block"])
         assert state.call(lambda: next(outcomes)) == "block"
         assert stats.retry_calls == 1
@@ -139,8 +137,7 @@ class TestRetryPolicy:
 
     def test_call_gives_up_at_max_attempts(self):
         stats = FaultStats()
-        state = RetryState(RetryPolicy(max_attempts=3, jitter=0.0), random.Random(0),
-                           clock=None, stats=stats)
+        state = RetryState(None, clock=None, stats=stats)
         calls = []
 
         def always_lost():
@@ -148,7 +145,7 @@ class TestRetryPolicy:
             return None
 
         assert state.call(always_lost) is None
-        assert len(calls) == 3
+        assert len(calls) == MAX_ATTEMPTS == 3
         assert stats.retry_recoveries == 0
 
     def test_call_respects_the_walk_budget(self):
@@ -157,13 +154,11 @@ class TestRetryPolicy:
                 self.elapsed = 0.0
 
             def expired(self):
-                return self.elapsed >= 1.0
+                return self.elapsed >= 0.5
 
         stats = FaultStats()
         clock = FakeClock()
-        policy = RetryPolicy(max_attempts=10, base_delay=0.6, multiplier=1.0,
-                             max_delay=0.6, jitter=0.0)
-        state = RetryState(policy, random.Random(0), clock=clock, stats=stats)
+        state = RetryState(None, clock=clock, stats=stats)
         calls = []
 
         def always_lost():
@@ -171,10 +166,10 @@ class TestRetryPolicy:
             return None
 
         assert state.call(always_lost) is None
-        # first call + one retry: the second backoff wait spends the 1.0 s
-        # budget, so the walk abandons its remaining attempts.
+        # first call + one retry: the second backoff wait (0.25 s + 0.5 s)
+        # spends the 0.5 s budget, so the walk abandons its third attempt.
         assert len(calls) == 2
-        assert clock.elapsed == pytest.approx(1.2)
+        assert clock.elapsed == pytest.approx(0.75)
 
 
 def _runtime(config, seed=7, engine=None):
@@ -331,7 +326,7 @@ class TestIdentityByDefault:
 
     def test_retry_only_config_is_byte_identical_to_none(self):
         baseline = _p1_summary(None)
-        retry_only = _p1_summary(FaultConfig(retry=RetryPolicy()))
+        retry_only = _p1_summary(FaultConfig(retry=True))
         assert json.dumps(baseline, sort_keys=True) == json.dumps(
             retry_only, sort_keys=True
         )
@@ -341,7 +336,7 @@ class TestIdentityByDefault:
         config = replace(
             config,
             population=replace(
-                config.population, faults=FaultConfig(retry=RetryPolicy())
+                config.population, faults=FaultConfig(retry=True)
             ),
         )
         scenario = Scenario(config)
@@ -433,22 +428,13 @@ class TestPropertyBased:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
-        base=st.floats(min_value=0.01, max_value=4.0),
-        multiplier=st.floats(min_value=1.0, max_value=4.0),
-        jitter=st.floats(min_value=0.0, max_value=0.99),
         retries=st.integers(min_value=1, max_value=12),
     )
-    def test_backoff_sequences_deterministic_and_capped(
-        self, seed, base, multiplier, jitter, retries
-    ):
-        policy = RetryPolicy(
-            base_delay=base, multiplier=multiplier, max_delay=base * 8, jitter=jitter
-        )
-        first = [policy.backoff(i, random.Random(seed)) for i in range(retries)]
-        second = [policy.backoff(i, random.Random(seed)) for i in range(retries)]
+    def test_backoff_sequences_deterministic_and_capped(self, seed, retries):
+        first = [backoff(i, random.Random(seed)) for i in range(retries)]
+        second = [backoff(i, random.Random(seed)) for i in range(retries)]
         assert first == second
-        ceiling = base * 8 * (1.0 + jitter)
-        assert all(0.0 < delay <= ceiling + 1e-9 for delay in first)
+        assert all(0.0 < delay <= MAX_DELAY * 1.5 for delay in first)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32),

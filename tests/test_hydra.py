@@ -60,9 +60,6 @@ class TestHydraHead:
 
     def test_head_trim_with_small_watermarks(self, rng):
         head = HydraHead(random.Random(5), low_water=2, high_water=3)
-        head.connmgr.config = head.connmgr.config.__class__(
-            low_water=2, high_water=3, grace_period=0.0, silence_period=0.0
-        )
         for _ in range(6):
             head.handle_inbound_connection(PeerId.random(rng), Multiaddr.tcp("5.5.5.5"), 0.0)
         assert len(head.tick(now=100.0)) == 4

@@ -29,7 +29,7 @@ class TestIpfsConfig:
         [
             ({"low_water": -1, "high_water": 10}, "low_water -1 < 0"),
             ({"low_water": 200, "high_water": 100}, "high_water 100 < low_water 200"),
-            ({"grace_period": -0.5}, "grace_period -0.5 < 0"),
+            ({"high_water": 599}, "high_water 599 < low_water 600"),
             ({"poll_interval": 0.0}, "poll_interval 0.0 <= 0"),
             ({"poll_interval": float("nan")}, "poll_interval nan <= 0"),
         ],
@@ -43,7 +43,6 @@ class TestIpfsConfig:
         assert [field.name for field in dataclasses.fields(IpfsConfig)] == [
             "low_water",
             "high_water",
-            "grace_period",
             "dht_mode",
             "poll_interval",
         ]
@@ -62,8 +61,7 @@ class TestIpfsConfig:
         assert (config.low_water, config.high_water) == (18_000, 20_000)
 
     def test_connmgr_config_propagates_values(self):
-        config = IpfsConfig(low_water=50, high_water=80, grace_period=5.0)
+        config = IpfsConfig(low_water=50, high_water=80)
         connmgr = config.connmgr_config()
         assert connmgr.low_water == 50
         assert connmgr.high_water == 80
-        assert connmgr.grace_period == 5.0

@@ -19,7 +19,7 @@ from repro.simulation.population import PopulationConfig, generate_population
 
 
 def make_node(low=5, high=8, mode=DHTMode.SERVER):
-    config = IpfsConfig(low_water=low, high_water=high, grace_period=0.0, dht_mode=mode)
+    config = IpfsConfig(low_water=low, high_water=high, dht_mode=mode)
     return IpfsNode(config=config, rng=random.Random(1))
 
 

@@ -20,18 +20,18 @@ from test_connection_log import (
 )
 
 from repro.libp2p.connection import Direction
-from repro.libp2p.connmgr import ConnManagerConfig, ConnectionManager
+from repro.libp2p.connmgr import (
+    GRACE_PERIOD,
+    SILENCE_PERIOD,
+    ConnectionManager,
+    ConnManagerConfig,
+)
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
 
 
-def make_manager(low=3, high=5, grace=0.0, silence=0.0):
-    return ConnectionManager(
-        ConnManagerConfig(
-            low_water=low, high_water=high, grace_period=grace, silence_period=silence
-        ),
-        array("d"),
-    )
+def make_manager(low=3, high=5):
+    return ConnectionManager(ConnManagerConfig(low_water=low, high_water=high), array("d"))
 
 
 def add_conn(manager, now, rng, peer=None):
@@ -56,11 +56,6 @@ class TestConfig:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             ConnManagerConfig(low_water=-1, high_water=5)
-        with pytest.raises(ValueError):
-            ConnManagerConfig(grace_period=-1.0)
-        with pytest.raises(ValueError):
-            ConnManagerConfig(silence_period=-0.5)
-        assert ConnManagerConfig(silence_period=0.0).silence_period == 0.0
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -68,8 +63,6 @@ class TestConfig:
             ({"low_water": -1, "high_water": 5}, "low_water -1 < 0"),
             ({"low_water": 0, "high_water": -2}, "high_water -2 < 0"),
             ({"low_water": 900, "high_water": 600}, "low_water 900 > high_water 600"),
-            ({"grace_period": -1.0}, "grace_period -1.0 < 0"),
-            ({"silence_period": -0.5}, "silence_period -0.5 < 0"),
         ],
     )
     def test_errors_name_the_field_and_its_value(self, fields, message):
@@ -81,6 +74,7 @@ class TestConfig:
         config = ConnManagerConfig.defaults()
         assert config.low_water == 600
         assert config.high_water == 900
+        assert GRACE_PERIOD == 20.0
 
 
 class TestBookkeeping:
@@ -149,13 +143,14 @@ class TestTrimming:
         assert manager.connection_count() == 3
 
     def test_grace_period_protects_young_connections(self, rng):
-        manager = make_manager(low=1, high=2, grace=60.0)
+        manager = make_manager(low=1, high=2)
         old = add_conn(manager, 0.0, rng)
-        for _ in range(5):
-            add_conn(manager, 95.0, rng)
+        at_the_edge = add_conn(manager, 100.0 - GRACE_PERIOD, rng)
+        for _ in range(4):
+            add_conn(manager, 100.0 - GRACE_PERIOD + 0.25, rng)
         victims = manager.trim(now=100.0)
-        # only the old connection is outside the grace period
-        assert victims == [old]
+        # only the connections at least a grace period old are trimmed
+        assert victims == [at_the_edge, old]
 
     def test_higher_tag_value_survives(self, rng):
         manager = make_manager(low=1, high=2)
@@ -175,22 +170,24 @@ class TestTrimming:
         assert manager._tags[peer] == {}
 
     def test_silence_period_rate_limits_trims(self, rng):
-        manager = make_manager(low=1, high=2, silence=30.0)
+        manager = make_manager(low=1, high=2)
         for _ in range(5):
             add_conn(manager, 0.0, rng)
-        first = manager.trim(now=10.0)
+        first = manager.trim(now=30.0)
         assert first
         close_all(manager, first)
         for _ in range(5):
-            add_conn(manager, 11.0, rng)
-        assert manager.trim(now=12.0) == []        # still inside the silence window
-        assert manager.trim(now=50.0)              # allowed again afterwards
+            add_conn(manager, 0.0, rng)
+        # still inside the silence window
+        assert manager.trim(now=30.0 + SILENCE_PERIOD - 0.25) == []
+        # allowed again once it has passed
+        assert manager.trim(now=30.0 + SILENCE_PERIOD)
 
     def test_force_trim_ignores_thresholds(self, rng):
         manager = make_manager(low=1, high=10)
         for _ in range(4):
             add_conn(manager, 0.0, rng)
-        victims = manager.trim(now=5.0, force=True)
+        victims = manager.trim(now=GRACE_PERIOD, force=True)
         assert len(victims) == 3
         close_all(manager, victims)
         assert manager.connection_count() == 1
@@ -216,7 +213,7 @@ def _reference_select_victims(manager, now):
     candidates = []
     for conn in manager._connections.values():
         tags = manager._tags.get(conn.remote_peer, {})
-        if now - conn.opened_at < manager.config.grace_period:
+        if now - conn.opened_at < GRACE_PERIOD:
             continue
         candidates.append((sum(tags.values()), conn.opened_at, conn))
     # Lowest score first; among equals, youngest first (largest opened_at).
@@ -253,11 +250,11 @@ class TestSelectVictimsEquivalence:
         specs=_connection_specs,
         setups=_peer_setups,
         low_water=st.integers(0, 30),
-        grace=st.sampled_from([0.0, 20.0, 100.0]),
+        # 60 s is exactly a grace period after the 40 s opens
         now=st.sampled_from([40.0, 60.0, 500.0]),
     )
-    def test_same_victims_in_the_same_order(self, specs, setups, low_water, grace, now):
-        manager = make_manager(low=low_water, high=low_water + 5, grace=grace)
+    def test_same_victims_in_the_same_order(self, specs, setups, low_water, now):
+        manager = make_manager(low=low_water, high=low_water + 5)
         reference = ReferenceConnectionManager(manager.config)
         for row, (peer_index, opened_at) in enumerate(specs):
             peer = _PEER_POOL[peer_index]

@@ -19,14 +19,17 @@ import pytest
 from repro.kademlia.dht import iterative_lookup
 from repro.libp2p.peer_id import PeerId
 from repro.netmodel.config import (
+    DIAL_TIMEOUT,
     NAT,
-    NetModelConfig,
     PUBLIC,
+    REGION_WEIGHTS,
+    REGIONS,
     RELAYED,
+    RTT_MATRIX,
+    NetModelConfig,
     ReachabilityConfig,
-    RegionModelConfig,
 )
-from repro.netmodel.runtime import NetModelRuntime
+from repro.netmodel.runtime import NetModelRuntime, PeerNet
 from repro.scenarios.registry import run_scenario_by_name
 from repro.simulation.population import PopulationConfig, generate_population
 from repro.sweep import plan_cell, summarize_cell
@@ -36,31 +39,24 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         NetModelConfig()
 
+    # The region model is one set of constants; these pin what its old
+    # validation checked, so an edit to them cannot break the runtime's
+    # index arithmetic.
     def test_region_weights_must_match_names(self):
-        with pytest.raises(ValueError, match="weights"):
-            RegionModelConfig(names=("a", "b"), weights=(1.0,), rtt_matrix=((0.1,),))
+        assert len(REGION_WEIGHTS) == len(REGIONS)
 
     def test_region_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            RegionModelConfig(
-                names=("a", "b"),
-                weights=(0.5, 0.4),
-                rtt_matrix=((0.1, 0.2), (0.2, 0.1)),
-            )
+        assert all(weight >= 0 for weight in REGION_WEIGHTS)
+        assert sum(REGION_WEIGHTS) == pytest.approx(1.0)
 
     def test_rtt_matrix_must_be_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            RegionModelConfig(
-                names=("a", "b"),
-                weights=(0.5, 0.5),
-                rtt_matrix=((0.1, 0.2), (0.3, 0.1)),
-            )
+        n = len(REGIONS)
+        assert all(RTT_MATRIX[i][j] == RTT_MATRIX[j][i] for i in range(n) for j in range(n))
 
     def test_rtt_matrix_must_be_square(self):
-        with pytest.raises(ValueError, match="2x2"):
-            RegionModelConfig(
-                names=("a", "b"), weights=(0.5, 0.5), rtt_matrix=((0.1, 0.2),)
-            )
+        n = len(REGIONS)
+        assert len(RTT_MATRIX) == n and all(len(row) == n for row in RTT_MATRIX)
+        assert all(value > 0 for row in RTT_MATRIX for value in row)
 
     def test_shares_bounded(self):
         with pytest.raises(ValueError, match="nat_share"):
@@ -69,10 +65,13 @@ class TestConfigValidation:
             ReachabilityConfig(nat_share=0.7, relay_share=0.5)
 
     def test_timeouts_positive(self):
-        with pytest.raises(ValueError, match="dial_timeout"):
-            ReachabilityConfig(dial_timeout=0.0)
+        assert DIAL_TIMEOUT > 0
         with pytest.raises(ValueError, match="lookup_timeout"):
             NetModelConfig(lookup_timeout=-1.0)
+
+    def test_rtt_scale_positive(self):
+        with pytest.raises(ValueError, match="rtt_scale must be positive, got 0"):
+            NetModelConfig(rtt_scale=0)
 
     def test_relay_penalty_at_least_one(self):
         with pytest.raises(ValueError, match="relay_penalty"):
@@ -128,61 +127,41 @@ class TestRuntimeAssignment:
 
 class TestLatencyArithmetic:
     def _runtime(self, **reach):
-        regions = RegionModelConfig(
-            names=("a", "b"),
-            weights=(0.5, 0.5),
-            rtt_matrix=((0.10, 0.20), (0.20, 0.06)),
-            jitter=0.0,
-        )
-        config = NetModelConfig(
-            regions=regions, reachability=ReachabilityConfig(**reach)
-        )
-        return NetModelRuntime(config, seed=1)
-
-    def _net(self, runtime, region, reachability):
-        from repro.netmodel.runtime import PeerNet
-
-        return PeerNet(region, reachability, 1.0)
+        return NetModelRuntime(NetModelConfig(reachability=ReachabilityConfig(**reach)), seed=1)
 
     def test_rtt_reads_the_matrix_symmetrically(self):
         runtime = self._runtime()
-        a = self._net(runtime, 0, PUBLIC)
-        b = self._net(runtime, 1, PUBLIC)
-        assert runtime.rtt(a, b) == pytest.approx(0.20)
-        assert runtime.rtt(b, a) == pytest.approx(0.20)
-        assert runtime.rtt(a, a) == pytest.approx(0.10)
+        a = PeerNet(0, PUBLIC, 1.0)
+        b = PeerNet(1, PUBLIC, 1.0)
+        assert runtime.rtt(a, b) == pytest.approx(RTT_MATRIX[0][1])
+        assert runtime.rtt(b, a) == pytest.approx(RTT_MATRIX[0][1])
+        assert runtime.rtt(a, a) == pytest.approx(RTT_MATRIX[0][0])
 
     def test_relay_endpoint_pays_the_penalty(self):
         runtime = self._runtime(relay_penalty=3.0)
-        a = self._net(runtime, 0, PUBLIC)
-        r = self._net(runtime, 1, RELAYED)
-        assert runtime.rtt(a, r) == pytest.approx(0.60)
+        a = PeerNet(0, PUBLIC, 1.0)
+        r = PeerNet(1, RELAYED, 1.0)
+        assert runtime.rtt(a, r) == pytest.approx(3.0 * RTT_MATRIX[0][1])
 
     def test_scale_multiplies_every_rtt(self):
-        slow = NetModelRuntime(
-            NetModelConfig(regions=RegionModelConfig(scale=4.0, jitter=0.0)), seed=1
-        )
-        fast = NetModelRuntime(
-            NetModelConfig(regions=RegionModelConfig(scale=1.0, jitter=0.0)), seed=1
-        )
-        a = self._net(slow, 0, PUBLIC)
-        b = self._net(slow, 1, PUBLIC)
+        slow = NetModelRuntime(NetModelConfig(rtt_scale=4.0), seed=1)
+        fast = NetModelRuntime(NetModelConfig(), seed=1)
+        a = PeerNet(0, PUBLIC, 1.0)
+        b = PeerNet(1, PUBLIC, 1.0)
         assert slow.rtt(a, b) == pytest.approx(4.0 * fast.rtt(a, b))
 
     def test_jitter_multiplies_the_pair_mean(self):
         runtime = self._runtime()
-        from repro.netmodel.runtime import PeerNet
-
         a = PeerNet(0, PUBLIC, 0.8)
         b = PeerNet(0, PUBLIC, 1.2)
-        assert runtime.rtt(a, b) == pytest.approx(0.10)  # mean jitter 1.0
-        assert runtime.rtt(a, a) == pytest.approx(0.08)
+        assert runtime.rtt(a, b) == pytest.approx(RTT_MATRIX[0][0])  # mean jitter 1.0
+        assert runtime.rtt(a, a) == pytest.approx(0.8 * RTT_MATRIX[0][0])
 
     def test_dial_counts_attempts_and_failures(self):
         runtime = self._runtime()
-        public = self._net(runtime, 0, PUBLIC)
-        nat = self._net(runtime, 0, NAT)
-        relayed = self._net(runtime, 0, RELAYED)
+        public = PeerNet(0, PUBLIC, 1.0)
+        nat = PeerNet(0, NAT, 1.0)
+        relayed = PeerNet(0, RELAYED, 1.0)
         assert runtime.dial(public)
         assert not runtime.dial(nat)
         assert runtime.dial(relayed)
@@ -194,32 +173,27 @@ class TestLatencyArithmetic:
 
 
 class TestWalkClock:
-    def _runtime(self, lookup_timeout=1.0):
-        regions = RegionModelConfig(
-            names=("a",), weights=(1.0,), rtt_matrix=((0.25,),), jitter=0.0
-        )
+    def _runtime(self, lookup_timeout):
         config = NetModelConfig(
-            regions=regions,
-            reachability=ReachabilityConfig(
-                nat_share=0.0, relay_share=0.0, dial_timeout=2.0
-            ),
+            reachability=ReachabilityConfig(nat_share=0.0, relay_share=0.0),
             lookup_timeout=lookup_timeout,
         )
         return NetModelRuntime(config, seed=1)
 
     def test_charges_accumulate_and_expire(self):
-        runtime = self._runtime(lookup_timeout=1.0)
-        net = runtime.assign_peer()
+        rtt = RTT_MATRIX[0][0]
+        runtime = self._runtime(lookup_timeout=3.5 * rtt)
+        net = PeerNet(0, PUBLIC, 1.0)
         clock = runtime.clock(net)
         assert not clock.expired()
         for _ in range(3):
             assert clock.dial(net)
             clock.charge(net)
-        assert clock.elapsed == pytest.approx(0.75)
+        assert clock.elapsed == pytest.approx(3 * rtt)
         assert not clock.expired()
         clock.charge(net)
         assert clock.expired()
-        assert clock.finish() == pytest.approx(1.0)
+        assert clock.finish() == pytest.approx(4 * rtt)
         assert runtime.stats.lookups_timed == 1
         assert runtime.stats.lookup_timeouts == 1
         assert runtime.stats.rpc_messages == 4
@@ -229,7 +203,7 @@ class TestWalkClock:
         nat = runtime.assign_peer(behind_nat=True)
         clock = runtime.clock(nat)
         assert not clock.dial(nat)
-        assert clock.elapsed == pytest.approx(2.0)
+        assert clock.elapsed == DIAL_TIMEOUT
         assert not clock.expired()  # unbounded walks never expire
         clock.finish()
         assert runtime.stats.lookup_timeouts == 0

@@ -21,7 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.config import ObsConfig
-from repro.obs.hub import DEFAULT_TIME_BUCKETS, METRICS_SCHEMA, MetricsHub, render_line
+from repro.obs.hub import (
+    DEFAULT_TIME_BUCKETS,
+    METRICS_SCHEMA,
+    RING_CAPACITY,
+    MetricsHub,
+    render_line,
+)
 from repro.obs.progress import PROGRESS_ENV, EngineTracer, progress_enabled
 from repro.scenarios.registry import build_scenario_config
 from repro.simulation.engine import Engine
@@ -42,8 +48,6 @@ class TestHubBasics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ObsConfig(window=0.0)
-        with pytest.raises(ValueError):
-            ObsConfig(ring_capacity=0)
         assert ObsConfig().window == 300.0
 
     def test_counter_increments_must_be_ints(self):
@@ -105,15 +109,16 @@ class TestHubBasics:
             hub.finalize()
 
     def test_ring_buffer_evicts_and_counts_drops(self):
-        hub = MetricsHub(window=1.0, ring_capacity=3)
-        hub.set_horizon(10.0)
-        for i in range(10):
+        windows = RING_CAPACITY + 7
+        hub = MetricsHub(window=1.0)
+        hub.set_horizon(float(windows))
+        for i in range(windows):
             hub.inc("n", i + 0.5)
         summary = hub.finalize()
-        assert summary.windows_closed == 10
-        assert [w["index"] for w in summary.windows] == [7, 8, 9]
+        assert summary.windows_closed == windows
+        assert [w["index"] for w in summary.windows] == list(range(7, windows))
         assert summary.windows_dropped == 7
-        assert summary.counters == {"n": 10}  # totals survive eviction
+        assert summary.counters == {"n": windows}  # totals survive eviction
 
     def test_jsonl_lines_match_summary_rendering(self, tmp_path):
         path = tmp_path / "metrics.jsonl"

