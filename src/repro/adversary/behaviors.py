@@ -44,12 +44,10 @@ from repro.adversary.config import (
 )
 from repro.kademlia.dht import iterative_provide
 from repro.libp2p.peer_id import PeerId
+from repro.simulation.content import REPLICATION, ContentRoutingConfig, ZipfCatalog
+from repro.simulation.engine import Engine, PeriodicTask
 
-# repro.simulation.* is imported lazily: its package __init__ loads the
-# scenario wiring, which imports this module back.
 if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.simulation.content import ContentRoutingConfig
-    from repro.simulation.engine import Engine
     from repro.simulation.network import SimPeer, SimulatedNetwork
 
 #: extra replicas past the eclipse ring a shadow publish spills onto
@@ -98,11 +96,11 @@ class AdversaryBehaviors:
 
     def __init__(
         self,
-        engine: "Engine",
+        engine: Engine,
         network: "SimulatedNetwork",
         rng: Optional[random.Random] = None,
         config: Optional[AdversaryConfig] = None,
-        content: Optional["ContentRoutingConfig"] = None,
+        content: Optional[ContentRoutingConfig] = None,
     ) -> None:
         if config is None:
             raise ValueError("AdversaryBehaviors needs an AdversaryConfig")
@@ -158,8 +156,6 @@ class AdversaryBehaviors:
         assert self.config.eclipse is not None
         items = self.config.eclipse.victim_items
         if self.content is not None:
-            from repro.simulation.content import ZipfCatalog
-
             catalog = ZipfCatalog(self.content.n_items, self.content.zipf_exponent)
             return [catalog.key(item) for item in range(min(items, catalog.n_items))]
         # No content workload: eclipse the measurement identities themselves.
@@ -221,8 +217,6 @@ class AdversaryBehaviors:
         """Schedule the active attacks on the event engine."""
         if not self._installed:
             raise RuntimeError("install() must run before schedule_all()")
-        from repro.simulation.engine import PeriodicTask
-
         eclipse = self.config.eclipse
         if (
             eclipse is not None
@@ -299,8 +293,6 @@ class AdversaryBehaviors:
     def _occupancy(self, now: float) -> float:
         """Mean attacker share of the record-replication-factor closest online
         servers per victim key."""
-        from repro.simulation.content import REPLICATION
-
         network = self.network
         online_servers = [
             p for p in network.peers if p.online and p.is_dht_server

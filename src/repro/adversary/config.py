@@ -34,12 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-# Time constants duplicated from repro.simulation.churn_models: importing any
-# repro.simulation module would pull the whole simulation package (its
-# __init__ imports the scenario wiring, which imports this package back).
-DAY = 86_400.0
-HOUR = 3_600.0
-MINUTE = 60.0
+from repro.simulation.churn_models import DAY, HOUR, MINUTE
 
 #: attacker-kind labels (PeerProfile.adversary_kind / AttackStats keys)
 SYBIL = "sybil"

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.adversary.config import (
     CHURN_SPOOFER,
     DROPPER,
     ECLIPSE,
-    MINUTE,
     POISONER,
     SEED_SALT,
     SYBIL,
@@ -35,12 +34,14 @@ from repro.adversary.config import (
 from repro.kademlia.dht import DHTMode
 from repro.libp2p.multiaddr import random_public_ipv4
 from repro.libp2p.protocols import goipfs_protocols
-
-# repro.simulation.* is imported lazily throughout: its package __init__
-# loads the scenario wiring, which imports this package back.
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.simulation.churn_models import SessionModel
-    from repro.simulation.population import PeerProfile
+from repro.simulation.agents import AgentCatalog
+from repro.simulation.churn_models import (
+    MINUTE,
+    ExponentialDistribution,
+    SessionModel,
+    always_on_session,
+)
+from repro.simulation.population import PeerClass, PeerProfile
 
 #: sybils re-dial quickly and value the vantage-point connection
 SYBIL_KEEP_PROBABILITY = 0.6
@@ -70,10 +71,8 @@ class StagedArrivalSessionModel:
         return rng.uniform(MINUTE, 5 * MINUTE)
 
 
-def spoofer_session(session_mean: float, downtime_mean: float) -> "SessionModel":
+def spoofer_session(session_mean: float, downtime_mean: float) -> SessionModel:
     """Short exponential sessions with quick returns (one fresh PID each)."""
-    from repro.simulation.churn_models import ExponentialDistribution, SessionModel
-
     return SessionModel(
         uptime=ExponentialDistribution(session_mean),
         downtime=ExponentialDistribution(downtime_mean),
@@ -85,13 +84,9 @@ def build_adversary_profiles(
     adversary: AdversaryConfig,
     start_index: int,
     seed: int,
-) -> List["PeerProfile"]:
+) -> List[PeerProfile]:
     """Generate every attacker profile of ``adversary``, starting at
     ``start_index`` (appended after the honest population)."""
-    from repro.simulation.agents import AgentCatalog
-    from repro.simulation.churn_models import always_on_session
-    from repro.simulation.population import PeerClass, PeerProfile
-
     rng = random.Random(seed + SEED_SALT)
     catalog = AgentCatalog(rng)
     profiles: List[PeerProfile] = []

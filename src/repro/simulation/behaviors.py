@@ -76,7 +76,7 @@ class MetadataBehaviors:
             if profile.version_behavior is not VersionBehavior.STABLE:
                 low, high = self.config.version_change_window
                 at = self.rng.uniform(low * duration, high * duration)
-                self.engine.schedule_drop(at, self._apply_version_change, peer)
+                self.engine.schedule(at, self._apply_version_change, peer)
             if profile.flips_role:
                 self._schedule_role_flip(peer, duration)
             if profile.flips_autonat:
@@ -116,7 +116,7 @@ class MetadataBehaviors:
         delay = self.rng.expovariate(1.0 / self.config.role_flip_interval)
         if self.engine.now + delay > duration:
             return
-        self.engine.schedule_drop(delay, self._apply_role_flip, peer, duration)
+        self.engine.schedule(delay, self._apply_role_flip, peer, duration)
 
     def _apply_role_flip(self, peer: SimPeer, duration: float) -> None:
         peer.kad_announced = not peer.kad_announced
@@ -132,7 +132,7 @@ class MetadataBehaviors:
         delay = self.rng.expovariate(1.0 / self.config.autonat_flip_interval)
         if self.engine.now + delay > duration:
             return
-        self.engine.schedule_drop(delay, self._apply_autonat_flip, peer, duration)
+        self.engine.schedule(delay, self._apply_autonat_flip, peer, duration)
 
     def _apply_autonat_flip(self, peer: SimPeer, duration: float) -> None:
         peer.autonat_announced = not peer.autonat_announced
@@ -190,11 +190,11 @@ class ContentBehaviors:
             if is_publisher:
                 self.stats.publishers += 1
                 delay = self.rng.uniform(0.0, min(config.publish_interval, duration))
-                self.engine.schedule_drop(delay, self._publish, peer)
+                self.engine.schedule(delay, self._publish, peer)
             if is_retriever:
                 self.stats.retrievers += 1
                 delay = self.rng.uniform(0.0, min(config.retrieve_interval, duration))
-                self.engine.schedule_drop(delay, self._retrieve, peer)
+                self.engine.schedule(delay, self._retrieve, peer)
         # the provider-store expiry sweep runs every half record lifetime
         PeriodicTask(self.engine, config.provider_ttl / 2.0, self._sweep)
 
@@ -209,7 +209,7 @@ class ContentBehaviors:
         delay = self.rng.expovariate(1.0 / interval)
         if self.engine.now + delay > self._duration:
             return
-        self.engine.schedule_drop(delay, callback, peer)
+        self.engine.schedule(delay, callback, peer)
 
     def _seeds(self, peer: SimPeer, key: int):
         """Lookup entry points: bootstrap servers plus own table neighbours."""
@@ -306,9 +306,7 @@ class ContentBehaviors:
             )
         if config.republish_interval is not None:
             if self.engine.now + config.republish_interval <= self._duration:
-                self.engine.schedule_drop(
-                    config.republish_interval, self._republish, peer, item
-                )
+                self.engine.schedule(config.republish_interval, self._republish, peer, item)
 
     def _republish(self, peer: SimPeer, item: int) -> None:
         # An offline node cannot reprovide; its records now race the TTL.
@@ -330,7 +328,7 @@ class ContentBehaviors:
             delay = faults.rng.uniform(1.0, 60.0)
             if self.engine.now + delay <= self._duration:
                 faults.stats.recovery_republishes += 1
-                self.engine.schedule_drop(delay, self._republish, peer, item)
+                self.engine.schedule(delay, self._republish, peer, item)
 
     # -- retrieval ------------------------------------------------------------------
 

@@ -502,11 +502,11 @@ class SimulatedNetwork:
         # The session epoch guards against stale end events: after a crash +
         # restart (repro.faults) the pre-crash session's end must not kill the
         # new session.  Without faults the epoch check never fires.
-        self.engine.schedule_drop(uptime, self._session_end, peer, peer.sessions_started)
+        self.engine.schedule(uptime, self._session_end, peer, peer.sessions_started)
         for identity in self.identities:
             delay = self._contact_delay(peer, identity)
             if delay is not None:
-                self.engine.schedule_drop(delay, self._attempt_contact, peer, identity)
+                self.engine.schedule(delay, self._attempt_contact, peer, identity)
 
     def _session_end(self, peer: SimPeer, epoch: Optional[int] = None) -> None:
         if not peer.online:
@@ -525,7 +525,7 @@ class SimulatedNetwork:
         if max_sessions is not None and peer.sessions_started >= max_sessions:
             return
         downtime = profile.session_model.next_downtime(self.rng, now)
-        self.engine.schedule_drop(downtime, self._session_start, peer)
+        self.engine.schedule(downtime, self._session_start, peer)
 
     # ----------------------------------------------------------------- faults ----
 
@@ -594,7 +594,7 @@ class SimulatedNetwork:
                 # A runtime vetoed the contact (e.g. a partition cuts this
                 # peer off from every vantage point) and named the retry
                 # delay; try again then.
-                self.engine.schedule_drop(retry, self._attempt_contact, peer, identity)
+                self.engine.schedule(retry, self._attempt_contact, peer, identity)
                 return
         label = identity.label
         if label in peer.connections:
@@ -642,7 +642,7 @@ class SimulatedNetwork:
                 # Wire time of the identify exchange (round trips, payload
                 # serialization) rides the same event heap.
                 delay += runtime.identify_delay(identity.label, peer)
-        self.engine.schedule_drop(delay, self._deliver_identify, peer, identity)
+        self.engine.schedule(delay, self._deliver_identify, peer, identity)
 
     def _deliver_identify(self, peer: SimPeer, identity: MeasurementIdentity) -> None:
         label = identity.label
@@ -669,7 +669,7 @@ class SimulatedNetwork:
         profile = peer.profile
         if profile.is_crawler:
             duration = self.rng.uniform(*self.config.crawler_probe_duration)
-            self.engine.schedule_drop(
+            self.engine.schedule(
                 duration, self._remote_close, peer, identity, row, CloseReason.PROTOCOL_DONE
             )
             return
@@ -681,7 +681,7 @@ class SimulatedNetwork:
             # offline or our own connection manager trims it.
             return
         delay = self.config.remote_grace + self.rng.expovariate(1.0 / self.config.remote_trim_mean)
-        self.engine.schedule_drop(
+        self.engine.schedule(
             delay, self._remote_close, peer, identity, row, CloseReason.REMOTE_TRIM
         )
 
@@ -701,7 +701,7 @@ class SimulatedNetwork:
             return
         profile = peer.profile
         if profile.is_crawler:
-            self.engine.schedule_drop(
+            self.engine.schedule(
                 self.config.crawler_contact_interval, self._attempt_contact, peer, identity
             )
             return
@@ -709,7 +709,7 @@ class SimulatedNetwork:
             if self.rng.random() > self.config.one_time_reconnect_probability:
                 return
         delay = self.rng.expovariate(1.0 / profile.reconnect_mean)
-        self.engine.schedule_drop(delay, self._attempt_contact, peer, identity)
+        self.engine.schedule(delay, self._attempt_contact, peer, identity)
 
     # ----------------------------------------------------- identity maintenance ----
 
@@ -748,7 +748,7 @@ class SimulatedNetwork:
                 keep *= self.config.client_keep_factor
             if self.rng.random() < keep:
                 continue
-            self.engine.schedule_drop(
+            self.engine.schedule(
                 delay, self._remote_close, peer, identity, row, CloseReason.REMOTE_TRIM
             )
 

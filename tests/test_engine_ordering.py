@@ -3,21 +3,20 @@
 ``ReferenceScheduler`` below — the re-sort-per-pop queue of SNIPPETS.md
 snippet 2 — *is* the reference: there is one engine, and nothing else to
 compare it with.  Property tests drive both through identical schedule
-interleavings — single events, fire-and-forget drops, bulk batches, mid-drain
-cascades, cancellations — and assert the fired ``(time, tag)`` streams are
-*identical*, including the order of timestamp ties.  Times are drawn from a
+interleavings — delayed and absolute single events, bulk batches, mid-drain
+cascades — and assert the fired ``(time, tag)`` streams are *identical*,
+including the order of timestamp ties.  Times are drawn from a
 tiny integer pool precisely to force tie collisions, which is where batched
 sequencing would first go wrong.
 
 An engine built with an ``end`` stores nothing due after it.  Random programs
-(every way in, cancels, periodic tasks, stepped ``run_until`` and ``clear``)
+(every way in, periodic tasks, stepped ``run_until`` and ``clear``)
 run on an engine with an end and on one without must fire the same events up
 to the end and report the same :meth:`~Engine.pending` after every step.
 """
 
 import itertools
 import weakref
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,14 +35,11 @@ class ReferenceScheduler:
         self.events_processed = 0
         self._sequence = itertools.count()
         self._queue = []  # (time, seq, callback, args)
-        self._cancelled = set()  # seqs
 
     def schedule_at(self, time, callback, *args):
-        seq = next(self._sequence)
-        self._queue.append((time, seq, callback, args))
-        return SimpleNamespace(cancel=lambda: self._cancelled.add(seq))
+        self._queue.append((time, next(self._sequence), callback, args))
 
-    def schedule_drop(self, delay, callback, *args):
+    def schedule(self, delay, callback, *args):
         self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_bulk(self, times, callback, payloads):
@@ -51,18 +47,17 @@ class ReferenceScheduler:
             self.schedule_at(time, callback, payload)
 
     def pending(self):
-        return sum(1 for entry in self._queue if entry[1] not in self._cancelled)
+        return len(self._queue)
 
     def run_until(self, end_time):
         while self._queue:
             self._queue.sort(key=lambda entry: entry[:2])
             if self._queue[0][0] > end_time:
                 break
-            time, seq, callback, args = self._queue.pop(0)
-            if seq not in self._cancelled:
-                self.now = time
-                self.events_processed += 1
-                callback(*args)
+            time, _, callback, args = self._queue.pop(0)
+            self.now = time
+            self.events_processed += 1
+            callback(*args)
         self.now = end_time
 
 
@@ -73,7 +68,7 @@ tie_times = st.integers(min_value=0, max_value=5).map(float)
 
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("drop"), tie_times),
+        st.tuples(st.just("schedule"), tie_times),
         st.tuples(st.just("at"), tie_times),
         st.tuples(st.just("bulk"), st.lists(tie_times, max_size=6)),
     ),
@@ -81,7 +76,7 @@ operations = st.lists(
 )
 
 
-def _apply(scheduler_cls, ops, end_time=10.0, cancel_picks=()):
+def _apply(scheduler_cls, ops, end_time=10.0):
     """Run one interleaving on a fresh scheduler; return the fired event stream."""
     engine = scheduler_cls()
     log = []
@@ -90,17 +85,13 @@ def _apply(scheduler_cls, ops, end_time=10.0, cancel_picks=()):
     def fire(tag):
         log.append((engine.now, tag))
 
-    handles = []
     for kind, arg in ops:
-        if kind == "drop":
-            engine.schedule_drop(arg, fire, next(tags))
+        if kind == "schedule":
+            engine.schedule(arg, fire, next(tags))
         elif kind == "at":
-            handles.append(engine.schedule_at(arg, fire, next(tags)))
+            engine.schedule_at(arg, fire, next(tags))
         else:
             engine.schedule_bulk(arg, fire, [next(tags) for _ in arg])
-    for pick in cancel_picks:
-        if handles:
-            handles[pick % len(handles)].cancel()
     engine.run_until(end_time)
     return log, engine
 
@@ -146,19 +137,11 @@ def test_mid_drain_bulk_cascades_match(seeds):
     assert logs[0] == logs[1]
 
 
-@given(operations, st.lists(st.integers(0, 20), max_size=5))
-def test_cancellations_among_drops_match(ops, cancel_picks):
-    """Cancellable events mixed into the drop/bulk stream behave identically."""
-    reference, _ = _apply(ReferenceScheduler, ops, cancel_picks=cancel_picks)
-    engine, _ = _apply(Engine, ops, cancel_picks=cancel_picks)
-    assert reference == engine
-
-
 class TestEngineUnits:
     def test_pending_counts_bulk_remainder(self):
         engine = Engine()
         engine.schedule_bulk([1.0, 2.0, 3.0], lambda _: None, ["a", "b", "c"])
-        engine.schedule_drop(1.5, lambda: None)
+        engine.schedule(1.5, lambda: None)
         assert engine.pending() == 4
         engine.run_until(1.6)
         assert engine.pending() == 2
@@ -168,13 +151,10 @@ class TestEngineUnits:
             Engine().schedule_bulk([1.0], lambda _: None, ["a", "b"])
 
     def test_bulk_past_time_rejected(self):
-        engine = Engine(start_time=10.0)
+        engine = Engine()
+        engine.run_until(10.0)
         with pytest.raises(ValueError):
             engine.schedule_bulk([5.0], lambda _: None, ["a"])
-
-    def test_drop_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Engine().schedule_drop(-1.0, lambda: None)
 
     def test_empty_bulk_is_a_no_op(self):
         engine = Engine()
@@ -198,9 +178,8 @@ class TestEngineUnits:
         engine = Engine()
         seen = []
         engine.schedule_at(1, lambda: seen.append(engine.now))
-        engine.schedule_at(2, lambda: seen.append(engine.now)).cancel()
         engine.schedule_at(3, lambda: seen.append(engine.now))
-        engine.run()
+        engine.run_until(4.0)
         assert seen == [1.0, 3.0]
         assert all(type(now) is float for now in seen)
 
@@ -208,24 +187,14 @@ class TestEngineUnits:
         engine = Engine()
         seen = []
         engine.schedule_bulk([1, 2], lambda _: seen.append(engine.now), ["a", "b"])
-        engine.run()
+        engine.run_until(3.0)
         assert seen == [1.0, 2.0]
         assert all(type(now) is float for now in seen)
-        assert type(engine.now) is float
-
-    def test_periodic_task_stops_firing_once_stopped(self):
-        engine = Engine()
-        ticks = []
-        task = PeriodicTask(engine, 1.0, ticks.append)
-        engine.run_until(3.5)
-        task.stop()
-        engine.run_until(10.0)
-        assert ticks == [1.0, 2.0, 3.0]
 
     def test_events_processed_counts_all_representations(self):
         engine = Engine()
         engine.schedule(1.0, lambda: None)
-        engine.schedule_drop(2.0, lambda: None)
+        engine.schedule_at(2.0, lambda: None)
         engine.schedule_bulk([3.0], lambda _: None, ["x"])
         engine.run_until(5.0)
         assert engine.events_processed == 3
@@ -241,11 +210,8 @@ program_steps = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), tie_times, st.just(0)),
         st.tuples(st.just("at"), tie_times, st.just(0)),
-        st.tuples(st.just("drop"), tie_times, st.just(0)),
         st.tuples(st.just("bulk"), st.lists(tie_times, max_size=4), st.just(0)),
-        st.tuples(st.just("cancel"), st.just(0.0), st.integers(0, 40)),
         st.tuples(st.just("periodic"), st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.integers(0, 3)),
-        st.tuples(st.just("stop"), st.just(0.0), st.integers(0, 40)),
         st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), st.just(0)),
         st.tuples(st.just("clear"), st.just(0.0), st.just(0)),
     ),
@@ -257,39 +223,32 @@ def _program(steps, end=None):
     """Run a program; return the fired ``(time, callback, args)`` stream and
     ``pending()`` after every step."""
     engine = Engine() if end is None else Engine(end=end)
-    fired, pendings, handles, tasks = [], [], [], []
+    fired, pendings = [], []
     tags = itertools.count()
+    periodic = itertools.count()
 
     def fire(*args):
         fired.append((engine.now, "fire", args))
         if args[0] % 3 == 0:  # a cascade: some events schedule a child
-            engine.schedule_drop(1.5, fire, next(tags))
+            engine.schedule(1.5, fire, next(tags))
 
     def tick(now, name):
         fired.append((engine.now, "tick", (name, now)))
 
     for kind, arg, pick in steps:
         if kind == "schedule":
-            handles.append(engine.schedule(arg, fire, next(tags)))
+            engine.schedule(arg, fire, next(tags))
         elif kind == "at":
-            handles.append(engine.schedule_at(engine.now + arg, fire, next(tags)))
-        elif kind == "drop":
-            engine.schedule_drop(arg, fire, next(tags))
+            engine.schedule_at(engine.now + arg, fire, next(tags))
         elif kind == "bulk":
             engine.schedule_bulk([engine.now + t for t in arg], fire, [next(tags) for _ in arg])
-        elif kind == "cancel" and handles:
-            handles[pick % len(handles)].cancel()
         elif kind == "periodic":
-            name = len(tasks)
-            task = PeriodicTask(
+            PeriodicTask(
                 engine,
                 arg,
-                lambda now, name=name: tick(now, name),
+                lambda now, name=next(periodic): tick(now, name),
                 start_delay=None if pick == 0 else float(pick),
             )
-            tasks.append(task)
-        elif kind == "stop" and tasks:
-            tasks[pick % len(tasks)].stop()
         elif kind == "run":
             engine.run_until(min(engine.now + arg, END))
         elif kind == "clear":
@@ -297,9 +256,6 @@ def _program(steps, end=None):
         pendings.append(engine.pending())
     engine.run_until(END)
     pendings.append(engine.pending())
-    for handle in handles:  # a cancel after the end, never-due handles included
-        handle.cancel()
-        pendings.append(engine.pending())
     return fired, pendings
 
 
@@ -312,39 +268,28 @@ def test_an_engine_with_an_end_fires_and_counts_as_one_without(steps):
 class TestTheEnd:
     def test_never_due_events_are_counted_not_stored(self):
         engine = Engine(end=10.0)
-        handle = engine.schedule(11.0, print, "never")
+        engine.schedule(11.0, print, "never")
         engine.schedule_at(10.5, print)
-        engine.schedule_drop(20.0, print)
+        engine.schedule(20.0, print)
         engine.schedule_bulk([5.0, 12.0, 10.0], print, ["a", "b", "c"])
         assert [entry[0] for entry in sorted(engine._heap)] == [5.0, 10.0]
         assert engine.pending() == 6
-        assert handle.callback is None and handle.args is None
-        handle.cancel()
-        assert engine.pending() == 5
 
     def test_never_due_events_consume_their_sequence_number(self):
         ended, unended = Engine(end=1.0), Engine()
         for engine in (ended, unended):
-            engine.schedule_drop(2.0, print)
+            engine.schedule(2.0, print)
             engine.schedule_bulk([3.0, 0.5], print, ["a", "b"])
-            engine.schedule(5.0, print)
-            engine.schedule_drop(1.0, print)
+            engine.schedule_at(5.0, print)
+            engine.schedule(1.0, print)
         assert [entry[:2] for entry in sorted(ended._heap)] == [
             entry[:2] for entry in sorted(unended._heap) if entry[0] <= 1.0
         ] == [(0.5, 2), (1.0, 4)]
 
-    def test_a_cancel_after_clear_changes_nothing(self):
-        engine = Engine(end=1.0)
-        handle = engine.schedule(2.0, print)
-        engine.clear()
-        assert engine.pending() == 0
-        handle.cancel()
-        assert engine.pending() == 0
-
     def test_run_until_past_the_end_is_rejected_before_any_event_runs(self):
         engine = Engine(end=10.0)
         fired = []
-        engine.schedule_drop(1.0, fired.append, "due")
+        engine.schedule(1.0, fired.append, "due")
         with pytest.raises(ValueError, match=r"10\.5.*10\.0"):
             engine.run_until(10.5)
         assert fired == [] and engine.now == 0.0 and engine.events_processed == 0
@@ -353,7 +298,7 @@ class TestTheEnd:
 
     def test_an_end_before_the_start_is_rejected(self):
         with pytest.raises(ValueError):
-            Engine(start_time=5.0, end=4.0)
+            Engine(end=-1.0)
         with pytest.raises(ValueError):
             Engine(end=float("nan"))
 

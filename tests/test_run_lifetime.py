@@ -62,9 +62,9 @@ def test_a_telemetry_cell_is_freed_on_return(baseline, name):
 
 def test_a_periodic_task_due_past_the_end_is_freed(baseline, monkeypatch):
     # p2 at 0.01 d: the 300 s outbound tick fires at 300 s and 600 s, and its
-    # next fire falls past the end.  The engine stores no event for it, so
-    # its handle must not hold the task's callback: a task and its handle
-    # would then be a cycle that nothing ever cancels.
+    # next fire falls past the end.  The engine only counts that fire and
+    # stores nothing for it, so once the last fire returns the task is
+    # referenced by nothing: no queue entry, and no cycle left to break.
     config = build_scenario_config("p2", n_peers=PEERS, duration_days=0.01, seed=SEED)
     interval = config.network.outbound_dial_interval
     assert 2 * interval < config.duration < 3 * interval

@@ -33,21 +33,13 @@ class TestEngine:
         engine.run_until(15.0)
         assert fired == [True]
 
-    def test_cancelled_events_do_not_fire(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule(1.0, lambda: fired.append(True))
-        event.cancel()
-        engine.run_until(2.0)
-        assert fired == []
-        assert engine.pending() == 0
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Engine().schedule(-1.0, lambda: None)
 
     def test_scheduling_in_the_past_rejected(self):
-        engine = Engine(start_time=100.0)
+        engine = Engine()
+        engine.run_until(100.0)
         with pytest.raises(ValueError):
             engine.schedule_at(50.0, lambda: None)
 
@@ -60,21 +52,21 @@ class TestEngine:
     def test_run_until_nan_rejected(self):
         # No event time compares greater than NaN: the drain would never stop.
         engine = Engine()
-        engine.schedule_drop(1.0, lambda: None)
+        engine.schedule(1.0, lambda: None)
         with pytest.raises(ValueError):
             engine.run_until(float("nan"))
         assert engine.events_processed == 0
 
-    def test_clear_drops_the_queue_and_cancels_handles(self):
-        engine = Engine()
+    def test_clear_drops_the_queue(self):
+        engine = Engine(end=10.0)
         fired = []
-        handle = engine.schedule(1.0, fired.append, "handle")
-        engine.schedule_drop(2.0, fired.append, "drop")
+        engine.schedule(1.0, fired.append, "schedule")
+        engine.schedule_at(2.0, fired.append, "at")
+        engine.schedule(20.0, fired.append, "never due")
         engine.clear()
-        assert engine.pending() == 0
-        assert handle.cancelled and handle.callback is None and handle.args is None
+        assert engine.pending() == 0 and engine._heap == []
         engine.schedule(3.0, fired.append, "after")
-        engine.run()
+        engine.run_until(10.0)
         assert fired == ["after"] and engine.pending() == 0
 
     def test_callbacks_can_schedule_more_events(self):
@@ -97,14 +89,6 @@ class TestEngine:
         engine.run_until(2.0)
         assert engine.events_processed == 5
 
-    def test_run_drains_everything(self):
-        engine = Engine()
-        seen = []
-        engine.schedule(100.0, lambda: seen.append(1))
-        engine.run()
-        assert seen == [1]
-        assert engine.now == 100.0
-
 
 class TestPeriodicTask:
     def test_fires_at_interval_with_now_argument(self):
@@ -121,14 +105,19 @@ class TestPeriodicTask:
         engine.run_until(25.0)
         assert times == [2.0, 12.0, 22.0]
 
-    def test_stop_halts_future_firings(self):
+    def test_next_fire_is_queued_after_what_the_callback_schedules(self):
+        # A fire calls back first and reschedules itself second, so an event
+        # its callback puts at the next fire's time runs before that fire.
         engine = Engine()
-        times = []
-        task = PeriodicTask(engine, 5.0, times.append)
-        engine.run_until(12.0)
-        task.stop()
-        engine.run_until(40.0)
-        assert times == [5.0, 10.0]
+        order = []
+
+        def tick(now):
+            order.append(("tick", now))
+            engine.schedule(1.0, lambda: order.append(("child", engine.now)))
+
+        PeriodicTask(engine, 1.0, tick)
+        engine.run_until(2.5)
+        assert order == [("tick", 1.0), ("child", 2.0), ("tick", 2.0)]
 
     def test_zero_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -155,12 +144,6 @@ class TestNonFiniteRejected:
             engine.schedule(value, lambda: None)
         assert engine.pending() == 0
 
-    def test_schedule_drop(self, value):
-        engine = Engine()
-        with pytest.raises(ValueError, match=str(value)):
-            engine.schedule_drop(value, lambda: None)
-        assert engine.pending() == 0
-
     def test_schedule_bulk(self, value):
         engine = Engine()
         with pytest.raises(ValueError, match=str(value)):
@@ -176,32 +159,18 @@ class TestNonFiniteRejected:
 
 class TestPendingCounter:
     def test_pending_is_consistent_after_mixed_operations(self):
-        engine = Engine()
-        events = [engine.schedule(float(i + 1), lambda: None) for i in range(10)]
-        assert engine.pending() == 10
-        events[0].cancel()
-        events[5].cancel()
-        events[5].cancel()  # double-cancel must not double-count
-        assert engine.pending() == 8
+        engine = Engine(end=12.0)
+        for i in range(10):
+            engine.schedule(float(i + 1), lambda: None)
+        engine.schedule_at(11.0, lambda: None)
+        engine.schedule_bulk([2.5, 13.0], lambda _: None, ["a", "b"])
+        assert engine.pending() == 13  # the never-due bulk event included
         engine.run_until(3.0)
-        assert engine.pending() == 10 - 3 - 1  # events 2,3 ran; 1 was cancelled
-        engine.run()
-        assert engine.pending() == 0
-
-    def test_cancel_after_firing_does_not_corrupt_pending(self):
-        engine = Engine()
-        event = engine.schedule(1.0, lambda: None)
-        later = engine.schedule(5.0, lambda: None)
-        engine.run_until(2.0)
-        event.cancel()  # already fired: must be a no-op for the counter
-        assert engine.pending() == 1
-        later.cancel()
-        assert engine.pending() == 0
+        assert engine.pending() == 13 - 4  # 1, 2, 2.5 and 3 ran
+        engine.run_until(12.0)
+        assert engine.pending() == 1  # only the never-due one is left
 
 
-# One engine class; the single-value parametrisation keeps these cases' ids
-# (``...[Engine]``) stable for tooling that tracks tests by id.
-@pytest.mark.parametrize("engine_cls", [Engine])
 class TestRunUntilBoundary:
     """Exactly-once semantics for events sitting exactly at ``end_time``.
 
@@ -211,8 +180,8 @@ class TestRunUntilBoundary:
     pin that behaviour before anyone leans on it.
     """
 
-    def test_event_at_boundary_fires_in_first_call_only(self, engine_cls):
-        engine = engine_cls()
+    def test_event_at_boundary_fires_in_first_call_only(self):
+        engine = Engine()
         fired = []
         engine.schedule_at(10.0, lambda: fired.append("x"))
         engine.run_until(10.0)
@@ -220,10 +189,10 @@ class TestRunUntilBoundary:
         engine.run_until(20.0)
         assert fired == ["x"]
 
-    def test_event_scheduled_between_same_boundary_calls_fires_once(self, engine_cls):
+    def test_event_scheduled_between_same_boundary_calls_fires_once(self):
         # After run_until(10) leaves now == 10, scheduling at exactly 10 and
         # calling run_until(10) again must fire the new event exactly once.
-        engine = engine_cls()
+        engine = Engine()
         fired = []
         engine.run_until(10.0)
         engine.schedule_at(10.0, lambda: fired.append("y"))
@@ -232,8 +201,8 @@ class TestRunUntilBoundary:
         engine.run_until(10.0)
         assert fired == ["y"]
 
-    def test_nested_same_time_scheduling_drains_within_one_call(self, engine_cls):
-        engine = engine_cls()
+    def test_nested_same_time_scheduling_drains_within_one_call(self):
+        engine = Engine()
         fired = []
 
         def outer():
@@ -244,8 +213,8 @@ class TestRunUntilBoundary:
         engine.run_until(5.0)
         assert fired == ["outer", "inner"]
 
-    def test_windowed_advance_partitions_events_exactly(self, engine_cls):
-        engine = engine_cls()
+    def test_windowed_advance_partitions_events_exactly(self):
+        engine = Engine()
         fired = []
         for t in (1.0, 2.0, 2.0, 3.0):
             engine.schedule_at(t, lambda t=t: fired.append(t))
@@ -255,8 +224,8 @@ class TestRunUntilBoundary:
         assert fired == [1.0, 2.0, 2.0, 3.0]
         assert engine.now == 3.0
 
-    def test_bulk_event_at_boundary_fires_exactly_once(self, engine_cls):
-        engine = engine_cls()
+    def test_bulk_event_at_boundary_fires_exactly_once(self):
+        engine = Engine()
         fired = []
         engine.schedule_bulk([10.0, 10.0], fired.append, ["a", "b"])
         engine.run_until(10.0)
@@ -264,8 +233,8 @@ class TestRunUntilBoundary:
         engine.run_until(10.0)
         assert fired == ["a", "b"]
 
-    def test_periodic_task_ticks_once_per_boundary(self, engine_cls):
-        engine = engine_cls()
+    def test_periodic_task_ticks_once_per_boundary(self):
+        engine = Engine()
         ticks = []
         PeriodicTask(engine, 10.0, ticks.append)
         engine.run_until(10.0)
