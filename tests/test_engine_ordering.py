@@ -286,6 +286,16 @@ class TestTheEnd:
             entry[:2] for entry in sorted(unended._heap) if entry[0] <= 1.0
         ] == [(0.5, 2), (1.0, 4)]
 
+    def test_an_event_exactly_at_the_end_is_queued_and_fires(self):
+        engine = Engine(end=10.0)
+        fired = []
+        engine.schedule(10.0, fired.append, "schedule")
+        engine.schedule_at(10.0, fired.append, "at")
+        engine.schedule_bulk([10.0], fired.append, ["bulk"])
+        assert len(engine._heap) == 3 and engine.pending() == 3
+        engine.run_until(10.0)
+        assert fired == ["schedule", "at", "bulk"] and engine.pending() == 0
+
     def test_run_until_past_the_end_is_rejected_before_any_event_runs(self):
         engine = Engine(end=10.0)
         fired = []

@@ -256,6 +256,35 @@ class TestProgressHooks:
         assert counts == sorted(counts)
         assert all(pending >= 0 for _, _, pending in calls)
 
+    def test_every_one_reports_after_each_event(self):
+        # The hook runs after the callback, so what the callback schedules is
+        # already pending.
+        engine = Engine()
+        calls = []
+        engine.set_progress(lambda *call: calls.append(call), every=1)
+        engine.schedule(1.0, lambda: engine.schedule(5.0, print))
+        engine.schedule(2.0, print)
+        engine.run_until(10.0)
+        assert calls == [(1.0, 1, 2), (2.0, 2, 1), (6.0, 3, 0)]
+
+    def test_the_stride_counts_from_the_events_already_processed(self):
+        engine = Engine()
+        _drive(engine, events=5)
+        calls = []
+        engine.set_progress(lambda now, events, pending: calls.append(events), every=3)
+        for i in range(7):
+            engine.schedule(float(i + 1), print)
+        engine.run_until(engine.now + 8.0)
+        assert calls == [8, 11]
+
+    def test_reported_pending_includes_never_due_events(self):
+        engine = Engine(end=10.0)
+        calls = []
+        engine.set_progress(lambda now, events, pending: calls.append(pending), every=1)
+        engine.schedule_bulk([1.0, 2.0, 20.0, 30.0], lambda _: None, "abcd")
+        engine.run_until(10.0)
+        assert calls == [3, 2]
+
     def test_set_progress_rejects_bad_stride(self):
         with pytest.raises(ValueError):
             Engine().set_progress(lambda *a: None, every=0)

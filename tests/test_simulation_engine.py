@@ -69,6 +69,60 @@ class TestEngine:
         engine.run_until(10.0)
         assert fired == ["after"] and engine.pending() == 0
 
+    def test_clear_from_a_callback_ends_the_drain(self):
+        # clear empties the heap the drain loop is reading, so nothing queued
+        # before it fires after it.
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, engine.clear)
+        engine.schedule(1.0, fired.append, "same time")
+        engine.schedule(2.0, fired.append, "later")
+        engine.run_until(5.0)
+        assert fired == [] and engine.pending() == 0 and engine.now == 5.0
+
+    def test_run_drains_everything(self):
+        engine = Engine()
+        seen = []
+
+        def chain(n):
+            seen.append(n)
+            if n < 4:
+                engine.schedule(1e6, chain, n + 1)
+
+        engine.schedule(1.0, chain, 0)
+        engine.schedule_bulk([1e9, 1e12], seen.append, ["a", "b"])
+        engine.run_until(float("inf"))
+        assert seen == [0, 1, 2, 3, 4, "a", "b"]
+        assert engine.pending() == 0 and engine.events_processed == 7
+
+    def test_schedule_and_schedule_at_return_nothing(self):
+        engine = Engine()
+        assert engine.schedule(1.0, lambda: None) is None
+        assert engine.schedule_at(2.0, lambda: None) is None
+
+    def test_callbacks_receive_their_args(self):
+        engine = Engine()
+        seen = []
+        engine.schedule(1.0, lambda *args: seen.append(args), "a", 1)
+        engine.schedule_at(2.0, lambda *args: seen.append(args))
+        engine.schedule_at(3.0, lambda *args: seen.append(args), ("t",))
+        engine.schedule_bulk([4.0], lambda *args: seen.append(args), [("p", 2)])
+        engine.run_until(5.0)
+        assert seen == [("a", 1), (), (("t",),), (("p", 2),)]
+
+    def test_every_heap_entry_has_one_shape(self):
+        engine = Engine()
+        engine.schedule(1.0, print, "x")
+        engine.schedule_at(2, print)
+        engine.schedule_bulk([3, 4.0], print, ["a", "b"])
+        PeriodicTask(engine, 5.0, print)
+        entries = list(engine._heap)
+        assert len(entries) == 5
+        for time, seq, callback, args in entries:
+            assert type(time) is float and type(seq) is int
+            assert callable(callback) and type(args) is tuple
+        assert sorted(seq for _, seq, _, _ in entries) == [0, 1, 2, 3, 4]
+
     def test_callbacks_can_schedule_more_events(self):
         engine = Engine()
         seen = []
@@ -123,6 +177,28 @@ class TestPeriodicTask:
         with pytest.raises(ValueError):
             PeriodicTask(Engine(), 0.0, lambda now: None)
 
+    def test_zero_start_delay_fires_now(self):
+        engine = Engine()
+        engine.run_until(5.0)
+        times = []
+        PeriodicTask(engine, 10.0, times.append, start_delay=0.0)
+        engine.run_until(26.0)
+        assert times == [5.0, 15.0, 25.0]
+
+    def test_negative_start_delay_rejected(self):
+        engine = Engine()
+        with pytest.raises(ValueError):
+            PeriodicTask(engine, 10.0, lambda now: None, start_delay=-1.0)
+        assert engine.pending() == 0
+
+    def test_a_fire_past_the_end_is_counted_not_queued(self):
+        engine = Engine(end=10.0)
+        times = []
+        PeriodicTask(engine, 4.0, times.append)
+        engine.run_until(10.0)
+        assert times == [4.0, 8.0]
+        assert engine._heap == [] and engine.pending() == 1
+
 
 NON_FINITE = [float("nan"), float("inf")]
 
@@ -169,6 +245,15 @@ class TestPendingCounter:
         assert engine.pending() == 13 - 4  # 1, 2, 2.5 and 3 ran
         engine.run_until(12.0)
         assert engine.pending() == 1  # only the never-due one is left
+
+    def test_a_never_due_event_scheduled_mid_drain_stays_pending(self):
+        engine = Engine(end=5.0)
+        engine.schedule(1.0, lambda: engine.schedule(10.0, print))
+        engine.schedule(2.0, lambda: engine.schedule(1.0, print))
+        assert engine.pending() == 2
+        engine.run_until(5.0)
+        assert engine.events_processed == 3
+        assert engine._heap == [] and engine.pending() == 1
 
 
 class TestRunUntilBoundary:
