@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.analysis.stats import median
 from repro.core.records import MeasurementDataset
@@ -74,6 +74,26 @@ def _direction_stats(durations: List[float], direction: str) -> DirectionStats:
     )
 
 
+def _all_stats(durations: List[float]) -> ConnectionStats:
+    """The "All" row over ``durations``, summed in record order."""
+    if not durations:
+        return ConnectionStats(kind="all", count=0, average=0.0, median_value=0.0)
+    return ConnectionStats(
+        kind="all",
+        count=len(durations),
+        average=sum(durations) / len(durations),
+        median_value=median(durations),
+    )
+
+
+def churn_summary(dataset: MeasurementDataset) -> Tuple[ConnectionStats, float]:
+    """:func:`connection_statistics`' "All" row and :func:`trim_share`
+    without its per-peer, per-direction and close-reason tables."""
+    log = dataset.connections
+    trimmed = log.closes("local-trim") + log.closes("remote-trim")
+    return _all_stats(log.durations()), trimmed / len(log) if log else 0.0
+
+
 def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
     """Compute the Table II statistics for one dataset.
 
@@ -100,16 +120,6 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
     for code, closes in Counter(log.close_reason).items():
         reason = log.names[code] or "unknown"
         close_reasons[reason] = close_reasons.get(reason, 0) + closes
-    if durations:
-        all_stats = ConnectionStats(
-            kind="all",
-            count=len(durations),
-            average=sum(durations) / len(durations),
-            median_value=median(durations),
-        )
-    else:
-        all_stats = ConnectionStats(kind="all", count=0, average=0.0, median_value=0.0)
-
     peer_averages = [sum(values) / len(values) for values in per_peer.values()]
     if peer_averages:
         peer_stats = ConnectionStats(
@@ -123,7 +133,7 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
 
     return PeriodChurnReport(
         label=dataset.label,
-        all_stats=all_stats,
+        all_stats=_all_stats(durations),
         peer_stats=peer_stats,
         inbound=_direction_stats(inbound_durations, "inbound"),
         outbound=_direction_stats(outbound_durations, "outbound"),

@@ -3,9 +3,9 @@
 The paper instruments its clients minimally: a listener on connection events
 plus a periodic task that dumps the peerstore.  A vantage point (an
 :class:`~repro.ipfs.node.IpfsNode`: the go-ipfs node or a hydra head) writes
-its connection events itself, one row each, through its
-:class:`MeasurementRecorder`; :class:`PassiveMeasurement` polls the node and
-produces the final :class:`~repro.core.records.MeasurementDataset`.
+its connection events and meta-data changes itself, one row each, through
+its :class:`MeasurementRecorder`; :class:`PassiveMeasurement` polls the node
+and produces the final :class:`~repro.core.records.MeasurementDataset`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.records import (
+    PROTOCOLS,
+    ChangeLog,
     ConnectionLog,
     MeasurementDataset,
-    MetaChangeRecord,
     PeerRecord,
     SnapshotRecord,
 )
@@ -30,17 +31,19 @@ if TYPE_CHECKING:  # pragma: no cover - type-only
 
 
 class MeasurementRecorder:
-    """A vantage point's connection log, written as connections open and close.
+    """A vantage point's connection and change logs, written as they happen.
 
     Each connection is one row of a :class:`ConnectionLog`: the row is
     allocated when it opens (so rows are in open order), its index is the
-    connection's handle, and it is filled in when it closes.  The finalised
-    dataset takes the log itself, not a copy.
+    connection's handle, and it is filled in when it closes.  Each peerstore
+    change is one row of a :class:`ChangeLog`.  The finalised dataset takes
+    both logs themselves, not copies.
     """
 
     def __init__(self) -> None:
         self.started_at: Optional[float] = None
         self.log = ConnectionLog()
+        self.changes = ChangeLog()
         #: per row, its place in close order (-1 while open): the order in
         #: which rows opened at the same time are exported
         self._close_seq = array("q")
@@ -79,6 +82,13 @@ class MeasurementRecorder:
             connection_id,
         )
 
+    def on_change(
+        self, peer: PeerId, kind: int, old_value: object, new_value: object, now: float
+    ) -> None:
+        """The peerstore's meta data of ``peer`` changed at ``now`` (``kind``
+        is a :data:`~repro.core.records.CHANGE_KINDS` code)."""
+        self.changes.append(now, self.pid_name(peer), kind, old_value, new_value)
+
     def on_disconnected(self, row: int, reason: CloseReason, now: float) -> None:
         """The connection at ``row`` closed at ``now``."""
         self.log.close(row, now, reason._value_)
@@ -86,14 +96,15 @@ class MeasurementRecorder:
         self._closes += 1
 
     def finalize(self, now: float) -> Dict[int, int]:
-        """Count still-open rows as closed at ``now`` and sort the log into
+        """Count still-open rows as closed at ``now`` and sort both logs into
         export order; returns old -> new row of every still-open row that
         moved.
 
-        Rows are exported sorted by open time; those opened at the same time
+        Rows are exported sorted by time; connections opened at the same time
         come closed ones first, in close order, then still-open ones in open
         order.  A still-open row stays open: a later close overwrites it.
         """
+        self.changes.sort()
         log = self.log
         closes = self._closes
         # Sort key of equal open times: closed rows by close order, then
@@ -146,9 +157,9 @@ class PassiveMeasurement:
     def finalize(self, now: float) -> MeasurementDataset:
         """Produce the dataset; still-open connections count as closed at ``now``.
 
-        The dataset shares the node's log (see
-        :meth:`MeasurementRecorder.finalize` for its order): recording after a
-        finalize changes the dataset it returned.  A still-open row may move
+        The dataset shares the node's logs (see
+        :meth:`MeasurementRecorder.finalize` for their order): recording after
+        a finalize changes the dataset it returned.  A still-open row may move
         when the log is sorted; the node's table follows it, so a row handle
         held elsewhere is valid only up to the finalize (the simulation
         finalizes once, at the end of the run).
@@ -162,13 +173,18 @@ class PassiveMeasurement:
             ended_at=now,
             measurement_role=self.measurement_role,
             connections=recorder.log,
+            changes=recorder.changes,
         )
         dataset.snapshots = list(self._snapshots)
 
-        # The peerstore tracks server announcements as they happen, so later
-        # retractions (role flips) do not erase the fact the peer once was a
-        # server.
-        ever_servers = node.peerstore.ever_dht_servers()
+        # Every protocol set a peer announced is a row of the change log, so a
+        # later retraction (a role flip) does not erase that it was a server.
+        changes = recorder.changes
+        ever_servers = {
+            peer
+            for peer, kind, announced in zip(changes.peer, changes.kind, changes.new_value)
+            if kind == PROTOCOLS and KAD_DHT in announced
+        }
         pid_name = recorder.pid_name
         for entry in node.peerstore.entries():
             name = pid_name(entry.peer)
@@ -180,31 +196,7 @@ class PassiveMeasurement:
                 protocols=entry.protocols,
                 addrs=[str(a) for a in entry.addrs],
                 observed_ip=entry.observed_addr.ip() if entry.observed_addr else None,
-                ever_dht_server=entry.peer in ever_servers or KAD_DHT in entry.protocols,
+                ever_dht_server=name in ever_servers,
             )
-
-        # A set or tuple value is rendered once per distinct value; the
-        # records share the list.
-        rendered: Dict[object, List[str]] = {}
-
-        def render(value: object) -> object:
-            if not isinstance(value, (frozenset, tuple)):
-                return value
-            shared = rendered.get(value)
-            if shared is None:
-                shared = rendered[value] = sorted(str(v) for v in value)
-            return shared
-
-        for change in node.peerstore.changes():
-            dataset.changes.append(
-                MetaChangeRecord(
-                    timestamp=change.timestamp,
-                    peer=pid_name(change.peer),
-                    kind=change.kind.value,
-                    old_value=render(change.old_value),
-                    new_value=render(change.new_value),
-                )
-            )
-        dataset.changes.sort(key=lambda c: c.timestamp)
         return dataset
 

@@ -12,9 +12,11 @@ where a record object with its own floats and ints took about 170.  Peer IDs
 and multiaddresses are the strings the identity objects already hold, and a
 finalised :class:`PeerRecord` references the peerstore's interned protocol
 set.  Indexing or iterating a log yields :class:`ConnectionRecord` rows; the
-analyses read the columns.  Nothing in the program read the dataset's JSON
-round trip (``as_dict`` / ``from_dict``), so it is gone; the records are plain
-strings, numbers and string lists, which an exporter can write as they are.
+analyses read the columns.  Meta-data changes are rows of a
+:class:`ChangeLog` too, about 35 bytes each where a change object and its
+rendered record took about 270.  Nothing in the program read the dataset's
+JSON round trip (``as_dict`` / ``from_dict``), so it is gone; the records are
+plain strings, numbers and string lists, which an exporter can write as is.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.libp2p.protocols import KAD_DHT, supports_bitswap
@@ -64,6 +67,46 @@ class ConnectionRecord:
         return max(0.0, self.closed_at - self.opened_at)
 
 
+class _Log:
+    """Rows of typed columns named by ``_columns`` (``peer`` among them)."""
+
+    __slots__ = ()
+    _columns: Tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.peer)
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _reorder(self, start: int, order: Sequence[int], keys: Optional[array]) -> None:
+        """Rows ``start …`` become the rows ``order`` names, column by column."""
+        stop = start + len(order)
+        columns = [getattr(self, name) for name in self._columns]
+        for column in columns if keys is None else columns + [keys]:
+            picked = map(column.__getitem__, order)
+            column[start:stop] = (
+                array(column.typecode, picked) if isinstance(column, array) else list(picked)
+            )
+
+    def _merge_runs(self, stamps: array, keys: Optional[array] = None) -> bool:
+        """Stable-sort the rows (and ``keys``) by the column ``stamps``: a
+        k-way merge of its in-order runs.  Returns whether any row moved."""
+        # i is in `descents` when row i is earlier than row i - 1
+        descents = list(compress(count(1), map(gt, stamps, islice(stamps, 1, None))))
+        if not descents:
+            return False
+        bounds = [0, *descents, len(stamps)]
+        runs = [zip(islice(stamps, a, b), count(a)) for a, b in zip(bounds, bounds[1:])]
+        self._reorder(0, array("q", (row for _, row in merge(*runs))), keys)
+        return True
+
+
 #: the log's columns, in :class:`ConnectionRecord` field order
 _COLUMNS = (
     "peer",
@@ -77,7 +120,7 @@ _COLUMNS = (
 )
 
 
-class ConnectionLog:
+class ConnectionLog(_Log):
     """A vantage point's connections, one row of typed columns each.
 
     ``peer``, ``remote_addr`` and ``remote_ip`` are lists of (shared)
@@ -89,6 +132,7 @@ class ConnectionLog:
     """
 
     __slots__ = _COLUMNS + ("names", "codes")
+    _columns = _COLUMNS
 
     def __init__(self, rows: Iterable[ConnectionRecord] = ()) -> None:
         self.peer: List[str] = []
@@ -165,14 +209,7 @@ class ConnectionLog:
         copy at a time.
         """
         opened = self.opened_at
-        moved = False
-        # i is in `descents` when row i opened before row i - 1
-        descents = list(compress(count(1), map(gt, opened, islice(opened, 1, None))))
-        if descents:
-            bounds = [0, *descents, len(opened)]
-            runs = [zip(islice(opened, a, b), count(a)) for a, b in zip(bounds, bounds[1:])]
-            self._reorder(0, array("q", (row for _, row in merge(*runs))), keys)
-            moved = True
+        moved = self._merge_runs(opened, keys)
         if keys is None:
             return moved
         # i is in `ties` when rows i and i + 1 opened at the same time
@@ -190,16 +227,6 @@ class ConnectionLog:
                     moved = True
             start = last = i
         return moved
-
-    def _reorder(self, start: int, order: Sequence[int], keys: Optional[array]) -> None:
-        """Rows ``start …`` become the rows ``order`` names, column by column."""
-        stop = start + len(order)
-        columns = [getattr(self, name) for name in _COLUMNS]
-        for column in columns if keys is None else columns + [keys]:
-            picked = map(column.__getitem__, order)
-            column[start:stop] = (
-                array(column.typecode, picked) if isinstance(column, array) else list(picked)
-            )
 
     @classmethod
     def merged(cls, logs: Sequence["ConnectionLog"]) -> "ConnectionLog":
@@ -221,9 +248,6 @@ class ConnectionLog:
 
     # -- reading --------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.peer)
-
     def __getitem__(self, row: int) -> ConnectionRecord:
         names = self.names
         connection_id = self.connection_id[row]
@@ -237,14 +261,6 @@ class ConnectionLog:
             names[self.close_reason[row]],
             None if connection_id < 0 else connection_id,
         )
-
-    def __iter__(self) -> Iterator[ConnectionRecord]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConnectionLog):
-            return NotImplemented
-        return list(self) == list(other)
 
     def durations(self) -> List[float]:
         """Every row's duration (:attr:`ConnectionRecord.duration`), in row order."""
@@ -268,20 +284,93 @@ class ConnectionLog:
         return 0 if code is None else self.close_reason.count(code)
 
 
-@dataclass
+@dataclass(slots=True)
 class MetaChangeRecord:
-    """A timestamped change to a peer's announced meta data.
-
-    A finalised dataset renders a set or tuple value once per distinct value
-    (a sorted list of strings) and shares that list between its records:
-    treat the values as read-only.
-    """
+    """A timestamped change to a peer's announced meta data: a row of a
+    :class:`ChangeLog`, which shares the list a set or tuple value renders to
+    between its rows (treat the values as read-only)."""
 
     timestamp: float
     peer: str
-    kind: str                   # "agent" | "protocols" | "addrs" | "first-seen"
+    kind: str                   # one of CHANGE_KINDS
     old_value: Optional[object] = None
     new_value: Optional[object] = None
+
+
+#: the change kinds, by the code the ``kind`` column holds
+CHANGE_KINDS = ("first-seen", "agent", "protocols", "addrs")
+FIRST_SEEN, AGENT, PROTOCOLS, ADDRS = range(len(CHANGE_KINDS))
+
+#: the change log's columns, in :class:`MetaChangeRecord` field order
+_CHANGE_COLUMNS = ("timestamp", "peer", "kind", "old_value", "new_value")
+
+
+class ChangeLog(_Log):
+    """A vantage point's meta-data changes, one row of typed columns each.
+
+    ``timestamp`` is ``array("d")``, ``peer`` a list of (shared) PID strings,
+    ``kind`` a ``bytearray`` of codes into :data:`CHANGE_KINDS`, and
+    ``old_value`` / ``new_value`` hold the values the peerstore shares
+    (agent strings, interned protocol frozensets, address tuples, ``None``).
+    A row renders a set or tuple when it is read, once per value per log.
+    """
+
+    __slots__ = _CHANGE_COLUMNS + ("_rendered",)
+    _columns = _CHANGE_COLUMNS
+
+    def __init__(self, rows: Iterable[MetaChangeRecord] = ()) -> None:
+        self.timestamp = array("d")
+        self.peer: List[str] = []
+        self.kind = bytearray()
+        self.old_value: List[object] = []
+        self.new_value: List[object] = []
+        self._rendered: Dict[object, List[str]] = {}
+        for row in rows:
+            self.append(
+                row.timestamp, row.peer, CHANGE_KINDS.index(row.kind), row.old_value, row.new_value
+            )
+
+    def append(
+        self, timestamp: float, peer: str, kind: int, old_value: object, new_value: object
+    ) -> None:
+        self.timestamp.append(timestamp)
+        self.peer.append(peer)
+        self.kind.append(kind)
+        self.old_value.append(old_value)
+        self.new_value.append(new_value)
+
+    def sort(self) -> bool:
+        """Stable-sort the rows by time (a recorded log is in engine-time
+        order: one pass); returns whether any row moved."""
+        return self._merge_runs(self.timestamp)
+
+    @classmethod
+    def merged(cls, logs: Sequence["ChangeLog"]) -> "ChangeLog":
+        """The stable merge of ``logs`` (each sorted by time) on
+        ``(timestamp, log, row)``: their concatenation, stable-sorted by time."""
+        union = cls()
+        for name in _CHANGE_COLUMNS:
+            for log in logs:
+                getattr(union, name).extend(getattr(log, name))
+        union.sort()
+        return union
+
+    def _render(self, value: object) -> object:
+        if not isinstance(value, (frozenset, tuple)):
+            return value
+        shared = self._rendered.get(value)
+        if shared is None:
+            shared = self._rendered[value] = sorted(map(str, value))
+        return shared
+
+    def __getitem__(self, row: int) -> MetaChangeRecord:
+        return MetaChangeRecord(
+            self.timestamp[row],
+            self.peer[row],
+            CHANGE_KINDS[self.kind[row]],
+            self._render(self.old_value[row]),
+            self._render(self.new_value[row]),
+        )
 
 
 @dataclass
@@ -335,7 +424,7 @@ class MeasurementDataset:
     measurement_role: str = "server"         # role of the *measurement node*
     peers: Dict[str, PeerRecord] = field(default_factory=dict)
     connections: ConnectionLog = field(default_factory=ConnectionLog)
-    changes: List[MetaChangeRecord] = field(default_factory=list)
+    changes: ChangeLog = field(default_factory=ChangeLog)
     snapshots: List[SnapshotRecord] = field(default_factory=list)
 
     # -- basic accessors -----------------------------------------------------------
@@ -343,9 +432,6 @@ class MeasurementDataset:
     @property
     def duration(self) -> float:
         return self.ended_at - self.started_at
-
-    def pids(self) -> List[str]:
-        return list(self.peers.keys())
 
     def pid_count(self) -> int:
         return len(self.peers)
@@ -366,7 +452,10 @@ class MeasurementDataset:
         ]
 
     def changes_of_kind(self, kind: str) -> List[MetaChangeRecord]:
-        return [c for c in self.changes if c.kind == kind]
+        """The change rows of one kind, found in the code column."""
+        code = CHANGE_KINDS.index(kind) if kind in CHANGE_KINDS else -1
+        changes = self.changes
+        return [changes[row] for row, row_kind in enumerate(changes.kind) if row_kind == code]
 
     def merge_peer(self, record: PeerRecord) -> None:
         """Merge a peer record (union of knowledge) into the dataset.
@@ -397,8 +486,8 @@ class MeasurementDataset:
     def union(cls, datasets: Sequence["MeasurementDataset"], label: str) -> "MeasurementDataset":
         """Union several datasets (e.g. all hydra heads) into one view.
 
-        Fig. 2 reports "the union of all heads" for the hydra: connection logs
-        are merged by open time (ties in dataset order), change and snapshot
+        Fig. 2 reports "the union of all heads" for the hydra: connection and
+        change logs are merged by time (ties in dataset order), snapshot
         lists concatenated and sorted by time, peer records merged into
         copies, so no dataset's own record changes.  The snapshots are the
         heads' own polls, one per head per poll, not polls of the union.
@@ -411,13 +500,12 @@ class MeasurementDataset:
             ended_at=max(d.ended_at for d in datasets),
             measurement_role=datasets[0].measurement_role,
             connections=ConnectionLog.merged([d.connections for d in datasets]),
+            changes=ChangeLog.merged([d.changes for d in datasets]),
         )
         for dataset in datasets:
             for record in dataset.peers.values():
                 merged.merge_peer(replace(record))
-            merged.changes.extend(dataset.changes)
             merged.snapshots.extend(dataset.snapshots)
-        merged.changes.sort(key=lambda c: c.timestamp)
         merged.snapshots.sort(key=lambda s: s.timestamp)
         return merged
 

@@ -59,8 +59,8 @@ class IpfsNode:
         self.rng = rng or random.Random()
         self.keypair = keypair or generate_keypair(self.rng)
         self.peer_id = PeerId.from_keypair(self.keypair)
-        self.peerstore = Peerstore()
         self.recorder = MeasurementRecorder()
+        self.peerstore = Peerstore(self.recorder)
         self.connmgr = ConnectionManager(self.config.connmgr_config(), self.recorder.log.opened_at)
         #: where connection ids come from: this node's own sequence, until a
         #: SimulatedNetwork points every node it hosts at its shared one (ids

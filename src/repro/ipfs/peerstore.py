@@ -3,9 +3,10 @@
 The go-ipfs measurement client in the paper exports, every 30 s, "the PID of
 all known peers in the Peerstore, agent version, protocols, and multiaddresses"
 and records "changes to the information ... with a timestamp".  This module
-implements that store: current meta data per PID plus an append-only change
-log, which the meta-data analysis (Fig. 3/4, Table III, role flips) is computed
-from.
+implements that store: current meta data per PID.  Each change it makes is
+written once, as a row of the vantage point's change log, through the node's
+:class:`~repro.core.measurement.MeasurementRecorder`; the meta-data analysis
+(Fig. 3/4, Table III, role flips) is computed from that log.
 
 Unlike the connection manager's view, the peerstore is *historic*: entries are
 never evicted, which is the property the paper uses to explain why a passive
@@ -15,34 +16,14 @@ snapshot.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.measurement import MeasurementRecorder
+from repro.core.records import ADDRS, AGENT, FIRST_SEEN, PROTOCOLS
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
-from repro.libp2p.protocols import KAD_DHT
-
-
-class ChangeKind(enum.Enum):
-    """What aspect of a peer's meta data changed."""
-
-    FIRST_SEEN = "first-seen"
-    AGENT = "agent"
-    PROTOCOLS = "protocols"
-    ADDRS = "addrs"
-
-
-@dataclass(frozen=True)
-class MetaChange:
-    """One entry of the peerstore change log."""
-
-    timestamp: float
-    peer: PeerId
-    kind: ChangeKind
-    old_value: Optional[object]
-    new_value: Optional[object]
 
 
 @dataclass
@@ -64,40 +45,24 @@ class PeerEntry:
         default=None, init=False, repr=False, compare=False
     )
 
-    def is_dht_server(self) -> bool:
-        return KAD_DHT in self.protocols
-
 
 class Peerstore:
-    """All peers a node has ever learned about, with a change log."""
+    """All peers a node has ever learned about; ``recorder`` logs each change."""
 
-    def __init__(self) -> None:
+    def __init__(self, recorder: MeasurementRecorder) -> None:
         self._entries: Dict[PeerId, PeerEntry] = {}
-        self._changes: List[MetaChange] = []
-        #: peers that *ever* announced the DHT server protocol, maintained
-        #: incrementally at identify time so measurement polling does not have
-        #: to rescan the whole (ever-growing) store every 30 simulated seconds
-        self._ever_dht_server: Set[PeerId] = set()
+        self._record = recorder.on_change
 
     # -- basic access -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, peer: PeerId) -> bool:
-        return peer in self._entries
-
     def get(self, peer: PeerId) -> Optional[PeerEntry]:
         return self._entries.get(peer)
 
-    def peers(self) -> List[PeerId]:
-        return list(self._entries.keys())
-
     def entries(self) -> List[PeerEntry]:
         return list(self._entries.values())
-
-    def changes(self) -> List[MetaChange]:
-        return list(self._changes)
 
     # -- updates ------------------------------------------------------------------
 
@@ -106,7 +71,7 @@ class Peerstore:
         entry = self._entries.get(peer)
         if entry is None:
             entry = self._entries[peer] = PeerEntry(peer=peer, first_seen=now, last_seen=now)
-            self._changes.append(MetaChange(now, peer, ChangeKind.FIRST_SEEN, None, None))
+            self._record(peer, FIRST_SEEN, None, None, now)
         elif now > entry.last_seen:
             entry.last_seen = now
         return entry
@@ -115,50 +80,25 @@ class Peerstore:
         """A connection from ``peer`` opened at ``now`` from ``observed_addr``."""
         self.touch(peer, now).observed_addr = observed_addr
 
-    def record_identify(self, peer: PeerId, record: IdentifyRecord, now: float) -> List[MetaChange]:
-        """Merge an identify exchange into the store; returns emitted changes."""
+    def record_identify(self, peer: PeerId, record: IdentifyRecord, now: float) -> None:
+        """Merge an identify exchange into the store, logging each change."""
         entry = self.touch(peer, now)
         if record is entry.merged_record:
             # Simulated peers memoise their record, so most deliveries hand
             # over the object this entry merged last: nothing to compare.
-            return []
+            return
         entry.merged_record = record
-        emitted: List[MetaChange] = []
 
         if record.agent_version is not None and record.agent_version != entry.agent_version:
-            change = MetaChange(
-                now, peer, ChangeKind.AGENT, entry.agent_version, record.agent_version
-            )
+            self._record(peer, AGENT, entry.agent_version, record.agent_version, now)
             entry.agent_version = record.agent_version
-            self._changes.append(change)
-            emitted.append(change)
 
         new_protocols = frozenset(record.protocols)
         if new_protocols and new_protocols != entry.protocols:
-            change = MetaChange(now, peer, ChangeKind.PROTOCOLS, entry.protocols, new_protocols)
+            self._record(peer, PROTOCOLS, entry.protocols, new_protocols, now)
             entry.protocols = new_protocols
-            self._changes.append(change)
-            emitted.append(change)
-            if KAD_DHT in new_protocols:
-                self._ever_dht_server.add(peer)
 
         new_addrs = tuple(record.listen_addrs)
         if new_addrs and new_addrs != entry.addrs:
-            change = MetaChange(now, peer, ChangeKind.ADDRS, entry.addrs, new_addrs)
+            self._record(peer, ADDRS, entry.addrs, new_addrs, now)
             entry.addrs = new_addrs
-            self._changes.append(change)
-            emitted.append(change)
-        return emitted
-
-    # -- aggregate views ------------------------------------------------------------
-
-    def dht_servers(self) -> List[PeerId]:
-        """Peers whose last known protocol set announces the DHT server protocol."""
-        return [entry.peer for entry in self._entries.values() if entry.is_dht_server()]
-
-    def ever_dht_servers(self) -> Set[PeerId]:
-        """Peers that announced the DHT server protocol at any point (read-only)."""
-        return self._ever_dht_server
-
-    def changes_of_kind(self, kind: ChangeKind) -> List[MetaChange]:
-        return [c for c in self._changes if c.kind == kind]

@@ -217,25 +217,22 @@ def leaf_attribution(root_payload: Dict) -> Dict[str, float]:
     dropped some leaves.
     """
     buckets: Dict[str, float] = {}
-
-    def visit(payload: Dict) -> None:
-        children = payload.get("children")
-        if not children:
-            category = payload["cat"]
-            if category == "op":
-                category = RESIDUAL_CATEGORY
-            buckets[category] = buckets.get(category, 0.0) + payload["seconds"]
-            return
-        child_sum = 0.0
-        for child in children:
-            child_sum += child["seconds"]
-            visit(child)
-        residual = payload["seconds"] - child_sum
-        if residual:
-            category = payload["cat"]
-            if category == "op":
-                category = RESIDUAL_CATEGORY
-            buckets[category] = buckets.get(category, 0.0) + residual
-
-    visit(root_payload)
+    _attribute(root_payload, buckets)
     return buckets
+
+
+def _attribute(payload: Dict, buckets: Dict[str, float]) -> None:
+    """Charge ``payload``'s children, in order, then its residual (a leaf's
+    whole duration) to ``buckets``.  Module-level: a recursive closure would
+    be a reference cycle per call, left for the cyclic collector."""
+    children = payload.get("children") or ()
+    child_sum = 0.0
+    for child in children:
+        child_sum += child["seconds"]
+        _attribute(child, buckets)
+    residual = payload["seconds"] - child_sum
+    if residual or not children:
+        category = payload["cat"]
+        if category == "op":
+            category = RESIDUAL_CATEGORY
+        buckets[category] = buckets.get(category, 0.0) + residual

@@ -94,16 +94,16 @@ class ScenarioResult:
 
 @contextmanager
 def collector_parked() -> Iterator[None]:
-    """Keep the cyclic garbage collector out of a bulk-construction phase.
+    """Keep the cyclic garbage collector out of a run's build and drain.
 
-    Building a network allocates millions of objects that all live until the
-    run ends; every generational pass the allocations trigger traverses that
-    heap and frees nothing.  Nothing in ``repro`` has a finaliser or a weak
-    reference, so when cycles are collected cannot reach a result.  Parking
-    never keeps an earlier run alive, because a finished run holds no cycle
-    (:meth:`Scenario.run` releases it) and reference counting frees it.  A
-    caller that already disabled the collector finds it still disabled
-    afterwards.
+    A run allocates millions of objects that all live until it ends and makes
+    no cyclic garbage, so every generational pass the allocations trigger
+    traverses that heap and frees nothing.  Nothing in ``repro`` has a
+    finaliser or a weak reference, so when cycles are collected cannot reach
+    a result.  Parking never keeps an earlier run alive, because a finished
+    run holds no cycle (:meth:`Scenario.run` releases it) and reference
+    counting frees it.  A caller that already disabled the collector finds it
+    still disabled afterwards.
     """
     if not gc.isenabled():
         yield
@@ -179,20 +179,12 @@ class Scenario:
     # -- execution --------------------------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        """Start and drain the run once; whether it returns or raises, it is
-        then released (:meth:`_release`)."""
+        """Start and drain the run once, with the collector parked; whether
+        it returns or raises, it is then released (:meth:`_release`)."""
         try:
             with collector_parked():
                 self._start()
-            # The built heap is all long-lived: frozen, the collections the
-            # drain triggers no longer traverse it.  (Freezing is
-            # process-wide: a caller that froze a heap of its own finds it
-            # unfrozen afterwards.)
-            gc.freeze()
-            try:
                 return self._drain()
-            finally:
-                gc.unfreeze()
         finally:
             self._release()
 

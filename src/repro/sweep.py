@@ -68,7 +68,8 @@ from repro.analysis.tables import TextTable, format_count
 from repro.analysis.trace_report import tracing_metrics
 from repro.analysis.transfer_report import transfer_metrics
 from repro.artifacts import TMP_SUFFIX, atomic_write
-from repro.core.churn import connection_statistics, trim_share
+# benchmarks/e2e/tracing.py times "churn.stats" by patching this module's name
+from repro.core.churn import churn_summary, connection_statistics  # noqa: F401
 from repro.scenarios.registry import build_scenario_config, scenario, scenarios
 
 #: default output directory of sweep artifacts
@@ -231,15 +232,11 @@ def summarize_result(
     top-level block per claim view named in ``views``."""
     churn: Dict[str, Dict[str, float]] = {}
     for label in sorted(result.datasets):
-        dataset = result.datasets[label]
-        if not dataset.connections:
-            churn[label] = {"avg_duration": 0.0, "median_duration": 0.0, "trim_share": 0.0}
-            continue
-        report = connection_statistics(dataset)
+        all_stats, trimmed = churn_summary(result.datasets[label])
         churn[label] = {
-            "avg_duration": round(report.all_stats.average, 6),
-            "median_duration": round(report.all_stats.median_value, 6),
-            "trim_share": round(trim_share(report), 6),
+            "avg_duration": round(all_stats.average, 6),
+            "median_duration": round(all_stats.median_value, 6),
+            "trim_share": round(trimmed, 6),
         }
 
     summary = {

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.records import (
+    ChangeLog,
     ConnectionLog,
     ConnectionRecord,
     MeasurementDataset,
@@ -124,7 +125,7 @@ def tiny_dataset() -> MeasurementDataset:
         make_connection("once2", 100.0, 160.0, ip="10.0.0.5"),
     ])
 
-    dataset.changes = [
+    dataset.changes = ChangeLog([
         MetaChangeRecord(0.0, "heavy1", "first-seen"),
         MetaChangeRecord(10.0, "heavy1", "agent", None, "go-ipfs/0.11.0/abc1234"),
         MetaChangeRecord(
@@ -149,7 +150,7 @@ def tiny_dataset() -> MeasurementDataset:
             6 * HOUR, "normal1", "protocols",
             [IPFS_ID, AUTONAT], [IPFS_ID],
         ),
-    ]
+    ])
 
     for hour in range(0, 49):
         dataset.snapshots.append(

@@ -80,10 +80,12 @@ def _stats_blob(block: str, stats) -> object:
 
 
 def _dataset_blob(dataset) -> dict:
-    """A measurement dataset field by field, its connection log as one
-    :class:`~repro.core.records.ConnectionRecord` per row."""
+    """A measurement dataset field by field, its connection and change logs
+    as one :class:`~repro.core.records.ConnectionRecord` /
+    :class:`~repro.core.records.MetaChangeRecord` per row."""
     fields = {f.name: getattr(dataset, f.name) for f in dataclasses.fields(dataset)}
     fields["connections"] = list(dataset.connections)
+    fields["changes"] = list(dataset.changes)
     return _canonical(fields)
 
 

@@ -8,7 +8,7 @@ from repro.core.metadata import (
     protocol_flaps,
     version_changes,
 )
-from repro.core.records import MeasurementDataset, MetaChangeRecord, PeerRecord
+from repro.core.records import ChangeLog, MeasurementDataset, MetaChangeRecord, PeerRecord
 from repro.libp2p.protocols import AUTONAT, KAD_DHT, SBPTP
 
 
@@ -87,13 +87,13 @@ class TestVersionChanges:
 
     def test_dirty_transitions(self):
         dataset = MeasurementDataset(label="x", started_at=0.0, ended_at=1.0)
-        dataset.changes = [
+        dataset.changes = ChangeLog([
             MetaChangeRecord(
                 1.0, "a", "agent", "go-ipfs/0.11.0/abc-dirty", "go-ipfs/0.11.0/def-dirty"
             ),
             MetaChangeRecord(2.0, "b", "agent", "go-ipfs/0.11.0/abc-dirty", "go-ipfs/0.12.0/def"),
             MetaChangeRecord(3.0, "c", "agent", "go-ipfs/0.11.0/abc", "go-ipfs/0.10.0/def-dirty"),
-        ]
+        ])
         report = version_changes(dataset)
         assert report.dirty_to_dirty == 1
         assert report.dirty_to_main == 1
@@ -101,11 +101,11 @@ class TestVersionChanges:
 
     def test_non_goipfs_switch_is_no_release_change(self):
         dataset = MeasurementDataset(label="x", started_at=0.0, ended_at=1.0)
-        dataset.changes = [
+        dataset.changes = ChangeLog([
             MetaChangeRecord(1.0, "a", "agent", "storm", "go-ipfs/0.11.0/abc"),
             MetaChangeRecord(2.0, "b", "agent", "storm", "other-agent"),
             MetaChangeRecord(3.0, "c", "agent", "go-ipfs/0.11.0/abc", "storm"),
-        ]
+        ])
         report = version_changes(dataset)
         assert report.total == 0
         assert report.main_to_main + report.main_to_dirty == 0

@@ -75,8 +75,8 @@ class TestHydraNode:
         heads[1].handle_inbound_connection(b, Multiaddr.tcp("2.2.2.2"), 0.0)
         heads[1].handle_inbound_connection(a, Multiaddr.tcp("1.1.1.1"), 0.0)
         # each head keeps its own peerstore and connections; together they see both
-        assert set(heads[0].peerstore.peers()) == {a}
-        assert set().union(*(head.peerstore.peers() for head in heads)) == {a, b}
+        assert {entry.peer for entry in heads[0].peerstore.entries()} == {a}
+        assert {entry.peer for head in heads for entry in head.peerstore.entries()} == {a, b}
         assert sum(head.connection_count() for head in heads) == 3
 
     def test_union_dht_servers(self, rng):
@@ -88,7 +88,8 @@ class TestHydraNode:
         )
         assert server in heads[0].routing_table
         assert server not in heads[1].routing_table
-        assert heads[0].peerstore.dht_servers() == [server]
+        assert KAD_DHT in heads[0].peerstore.get(server).protocols
+        assert heads[1].peerstore.get(server) is None
 
     def test_custom_watermarks_propagate(self):
         shared = random.Random(10)

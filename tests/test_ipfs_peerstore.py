@@ -1,4 +1,4 @@
-"""Tests for the peerstore and its change log."""
+"""Tests for the peerstore and the change rows it writes."""
 
 import random
 from collections import Counter
@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ipfs.peerstore as peerstore_module
-from repro.ipfs.peerstore import ChangeKind, MetaChange, PeerEntry, Peerstore
+from repro.core.measurement import MeasurementRecorder
+from repro.core.records import ADDRS, AGENT, FIRST_SEEN, PROTOCOLS
+from repro.ipfs.peerstore import PeerEntry, Peerstore
 from repro.libp2p.identify import IdentifyRecord
 from repro.libp2p.multiaddr import Multiaddr
 from repro.libp2p.peer_id import PeerId
@@ -21,18 +23,30 @@ def make_identify(agent="go-ipfs/0.11.0/abc", server=True):
     return IdentifyRecord.make(agent, protocols, [Multiaddr.tcp("4.4.4.4")])
 
 
+def new_store():
+    """A peerstore and the change log its recorder keeps."""
+    recorder = MeasurementRecorder()
+    return Peerstore(recorder), recorder.changes
+
+
+def raw_rows(log):
+    """The log's rows as written: values unrendered, kinds as codes."""
+    return list(zip(log.timestamp, log.peer, log.kind, log.old_value, log.new_value))
+
+
 class TestPeerstore:
     def test_touch_creates_entry_and_first_seen_change(self, rng):
-        store = Peerstore()
+        store, log = new_store()
         pid = PeerId.random(rng)
         store.touch(pid, 100.0)
+        store.touch(pid, 150.0)
         entry = store.get(pid)
         assert entry is not None
         assert entry.first_seen == 100.0
-        assert [c.kind for c in store.changes() if c.peer == pid] == [ChangeKind.FIRST_SEEN]
+        assert raw_rows(log) == [(100.0, str(pid), FIRST_SEEN, None, None)]
 
     def test_touch_updates_last_seen_only_forward(self, rng):
-        store = Peerstore()
+        store, _ = new_store()
         pid = PeerId.random(rng)
         store.touch(pid, 100.0)
         store.touch(pid, 50.0)
@@ -43,7 +57,7 @@ class TestPeerstore:
 
     def test_entries_never_evicted(self, rng):
         # The historic-peerstore property the paper relies on.
-        store = Peerstore()
+        store, _ = new_store()
         pids = [PeerId.random(rng) for _ in range(50)]
         for i, pid in enumerate(pids):
             store.set_connected(pid, float(i), Multiaddr.tcp("9.8.7.6"))
@@ -51,42 +65,52 @@ class TestPeerstore:
         assert len(store) == 50
 
     def test_record_identify_emits_changes(self, rng):
-        store = Peerstore()
+        store, log = new_store()
         pid = PeerId.random(rng)
-        changes = store.record_identify(pid, make_identify(), 10.0)
-        kinds = {c.kind for c in changes}
-        assert ChangeKind.AGENT in kinds
-        assert ChangeKind.PROTOCOLS in kinds
-        assert ChangeKind.ADDRS in kinds
+        record = make_identify()
+        assert store.record_identify(pid, record, 10.0) is None
+        assert raw_rows(log) == [
+            (10.0, str(pid), FIRST_SEEN, None, None),
+            (10.0, str(pid), AGENT, None, record.agent_version),
+            (10.0, str(pid), PROTOCOLS, frozenset(), record.protocols),
+            (10.0, str(pid), ADDRS, (), record.listen_addrs),
+        ]
+        # the rows reference the values the entry holds, not copies
+        assert log.new_value[2] is store.get(pid).protocols
+        assert log.new_value[3] is store.get(pid).addrs
 
     def test_identical_identify_emits_no_changes(self, rng):
-        store = Peerstore()
+        store, log = new_store()
         pid = PeerId.random(rng)
         store.record_identify(pid, make_identify(), 10.0)
-        assert store.record_identify(pid, make_identify(), 20.0) == []
+        written = len(log)
+        store.record_identify(pid, make_identify(), 20.0)
+        assert len(log) == written
 
     def test_agent_change_recorded_with_old_and_new(self, rng):
-        store = Peerstore()
+        store, log = new_store()
         pid = PeerId.random(rng)
         store.record_identify(pid, make_identify("go-ipfs/0.10.0/x"), 10.0)
-        changes = store.record_identify(pid, make_identify("go-ipfs/0.11.0/y"), 20.0)
-        agent_changes = [c for c in changes if c.kind is ChangeKind.AGENT]
-        assert len(agent_changes) == 1
-        assert agent_changes[0].old_value == "go-ipfs/0.10.0/x"
-        assert agent_changes[0].new_value == "go-ipfs/0.11.0/y"
+        written = len(log)
+        store.record_identify(pid, make_identify("go-ipfs/0.11.0/y"), 20.0)
+        assert raw_rows(log)[written:] == [
+            (20.0, str(pid), AGENT, "go-ipfs/0.10.0/x", "go-ipfs/0.11.0/y")
+        ]
 
     def test_protocol_change_tracks_role_flip(self, rng):
-        store = Peerstore()
+        store, log = new_store()
         pid = PeerId.random(rng)
         store.record_identify(pid, make_identify(server=True), 10.0)
-        assert pid in store.dht_servers()
+        assert KAD_DHT in store.get(pid).protocols
         store.record_identify(pid, make_identify(server=False), 20.0)
-        assert pid not in store.dht_servers()
-        protocol_changes = store.changes_of_kind(ChangeKind.PROTOCOLS)
+        assert KAD_DHT not in store.get(pid).protocols
+        protocol_changes = [change for change in log if change.kind == "protocols"]
         assert len(protocol_changes) == 2
+        assert protocol_changes[1].old_value == sorted([IPFS_ID, KAD_DHT])
+        assert protocol_changes[1].new_value == [IPFS_ID]
 
     def test_set_connected_touches_and_records_the_observed_addr(self, rng):
-        store = Peerstore()
+        store, _ = new_store()
         pid = PeerId.random(rng)
         store.set_connected(pid, 5.0, Multiaddr.tcp("9.8.7.6"))
         store.set_connected(pid, 6.0, Multiaddr.tcp("9.8.7.5"))
@@ -95,7 +119,7 @@ class TestPeerstore:
         assert entry.observed_addr.ip() == "9.8.7.5"
 
     def test_agent_histogram(self, rng):
-        store = Peerstore()
+        store, _ = new_store()
         for _ in range(3):
             store.record_identify(PeerId.random(rng), make_identify("go-ipfs/0.11.0"), 1.0)
         store.record_identify(PeerId.random(rng), make_identify("storm"), 1.0)
@@ -112,34 +136,22 @@ def _reference_record_identify(store, peer, record, now):
     if entry is None:
         entry = PeerEntry(peer=peer, first_seen=now, last_seen=now)
         store._entries[peer] = entry
-        store._changes.append(MetaChange(now, peer, ChangeKind.FIRST_SEEN, None, None))
+        store._record(peer, FIRST_SEEN, None, None, now)
     entry.last_seen = max(entry.last_seen, now)
-    emitted = []
 
     if record.agent_version is not None and record.agent_version != entry.agent_version:
-        change = MetaChange(
-            now, peer, ChangeKind.AGENT, entry.agent_version, record.agent_version
-        )
+        store._record(peer, AGENT, entry.agent_version, record.agent_version, now)
         entry.agent_version = record.agent_version
-        store._changes.append(change)
-        emitted.append(change)
 
     new_protocols = frozenset(record.protocols)
     if new_protocols and new_protocols != entry.protocols:
-        change = MetaChange(now, peer, ChangeKind.PROTOCOLS, entry.protocols, new_protocols)
+        store._record(peer, PROTOCOLS, entry.protocols, new_protocols, now)
         entry.protocols = new_protocols
-        store._changes.append(change)
-        emitted.append(change)
-        if KAD_DHT in new_protocols:
-            store._ever_dht_server.add(peer)
 
     new_addrs = tuple(record.listen_addrs)
     if new_addrs and new_addrs != entry.addrs:
-        change = MetaChange(now, peer, ChangeKind.ADDRS, entry.addrs, new_addrs)
+        store._record(peer, ADDRS, entry.addrs, new_addrs, now)
         entry.addrs = new_addrs
-        store._changes.append(change)
-        emitted.append(change)
-    return emitted
 
 
 _PEERS = [PeerId.random(random.Random(seed)) for seed in range(4)]
@@ -167,34 +179,31 @@ _deliveries = st.lists(
 
 
 class TestRecordIdentifyEquivalence:
-    """Remembering the record merged last changes no entry, no change-log
-    line and no return value."""
+    """Remembering the record merged last changes no entry and no change row."""
 
     @settings(max_examples=300, deadline=None)
     @given(deliveries=_deliveries)
-    def test_same_entries_changes_and_return_values(self, deliveries):
-        fast, reference = Peerstore(), Peerstore()
+    def test_same_entries_and_change_rows(self, deliveries):
+        (fast, fast_log), (reference, reference_log) = new_store(), new_store()
         previous = 0
         for action, peer_index, record_index, now, repeat in deliveries:
             peer = _PEERS[peer_index]
             if action == "touch":
                 fast.touch(peer, now)
                 reference.touch(peer, now)
-                continue
-            if action == "connect":
+            elif action == "connect":
                 fast.set_connected(peer, now, _ADDRS[int(repeat)])
                 reference.set_connected(peer, now, _ADDRS[int(repeat)])
-                continue
-            # ``repeat`` re-delivers the previous delivery's object, often to
-            # another peer or at an earlier time
-            previous = previous if repeat else record_index
-            record = _RECORDS[previous]
-            emitted = fast.record_identify(peer, record, now)
-            assert emitted == _reference_record_identify(reference, peer, record, now)
+            else:
+                # ``repeat`` re-delivers the previous delivery's object, often
+                # to another peer or at an earlier time
+                previous = previous if repeat else record_index
+                record = _RECORDS[previous]
+                fast.record_identify(peer, record, now)
+                _reference_record_identify(reference, peer, record, now)
+            # each delivery writes the same rows, as it happens
+            assert raw_rows(fast_log) == raw_rows(reference_log)
         assert fast.entries() == reference.entries()
-        assert fast.peers() == reference.peers()
-        assert fast.changes() == reference.changes()
-        assert fast.ever_dht_servers() == reference.ever_dht_servers()
 
 
 class TestIdentifyCostModel:
@@ -206,21 +215,24 @@ class TestIdentifyCostModel:
             return frozenset(*args)
 
         monkeypatch.setattr(peerstore_module, "frozenset", counting_frozenset, raising=False)
-        store = Peerstore()
+        store, log = new_store()
         pid, other = PeerId.random(rng), PeerId.random(rng)
         record = make_identify()
-        assert len(store.record_identify(pid, record, 10.0)) == 3
-        logged, derived = len(store.changes()), len(built)
+        store.record_identify(pid, record, 10.0)
+        assert len(log) == 4  # first seen, agent, protocols, addresses
+        derived = len(built)
         assert derived == 1
 
-        assert store.record_identify(pid, record, 20.0) == []
-        assert store.record_identify(pid, record, 15.0) == []
-        assert len(store.changes()) == logged
+        store.record_identify(pid, record, 20.0)
+        store.record_identify(pid, record, 15.0)
+        assert len(log) == 4
         assert len(built) == derived
         assert store.get(pid).last_seen == 20.0
 
         # equal content in another object, and the same object for another
         # peer, both take the full merge
-        assert store.record_identify(pid, make_identify(), 30.0) == []
-        assert len(store.record_identify(other, record, 30.0)) == 3
+        store.record_identify(pid, make_identify(), 30.0)
+        assert len(log) == 4
+        store.record_identify(other, record, 30.0)
+        assert len(log) == 8
         assert len(built) == derived + 2
