@@ -17,7 +17,11 @@ def median(values: Sequence[float]) -> float:
     """
     if not values:
         raise ValueError("median of an empty sequence")
-    ordered = sorted(values)
+    return sorted_median(sorted(values))
+
+
+def sorted_median(ordered: Sequence[float]) -> float:
+    """The median of ``ordered``, a non-empty sequence in ascending order."""
     n = len(ordered)
     mid = n // 2
     if n % 2 == 1:

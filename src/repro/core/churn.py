@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.stats import median
+from repro.analysis.stats import median, sorted_median
 from repro.core.records import MeasurementDataset
 
 
@@ -74,16 +74,14 @@ def _direction_stats(durations: List[float], direction: str) -> DirectionStats:
     )
 
 
-def _all_stats(durations: List[float]) -> ConnectionStats:
-    """The "All" row over ``durations``, summed in record order."""
-    if not durations:
-        return ConnectionStats(kind="all", count=0, average=0.0, median_value=0.0)
-    return ConnectionStats(
-        kind="all",
-        count=len(durations),
-        average=sum(durations) / len(durations),
-        median_value=median(durations),
-    )
+def _stats(kind: str, values: List[float]) -> ConnectionStats:
+    """The Table II row over ``values``, summed in their order; then
+    ``values`` is sorted in place for the median (no copy of it)."""
+    if not values:
+        return ConnectionStats(kind=kind, count=0, average=0.0, median_value=0.0)
+    average = sum(values) / len(values)
+    values.sort()
+    return ConnectionStats(kind, len(values), average, sorted_median(values))
 
 
 def churn_summary(dataset: MeasurementDataset) -> Tuple[ConnectionStats, float]:
@@ -91,7 +89,7 @@ def churn_summary(dataset: MeasurementDataset) -> Tuple[ConnectionStats, float]:
     without its per-peer, per-direction and close-reason tables."""
     log = dataset.connections
     trimmed = log.closes("local-trim") + log.closes("remote-trim")
-    return _all_stats(log.durations()), trimmed / len(log) if log else 0.0
+    return _stats("all", log.durations()), trimmed / len(log) if log else 0.0
 
 
 def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
@@ -107,7 +105,8 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
     "All" list, its direction bucket and its peer's list; the close-reason
     histogram counts the code column.  Every list keeps record order and peers
     keep first-appearance order, so each float reduction adds the same values
-    left to right as a pass per record would.
+    left to right as a pass per record would; the "All" list is sorted in
+    place for its median only after every other reduction has read it.
     """
     log = dataset.connections
     durations = log.durations()
@@ -121,20 +120,10 @@ def connection_statistics(dataset: MeasurementDataset) -> PeriodChurnReport:
         reason = log.names[code] or "unknown"
         close_reasons[reason] = close_reasons.get(reason, 0) + closes
     peer_averages = [sum(values) / len(values) for values in per_peer.values()]
-    if peer_averages:
-        peer_stats = ConnectionStats(
-            kind="peer",
-            count=len(peer_averages),
-            average=sum(peer_averages) / len(peer_averages),
-            median_value=median(peer_averages),
-        )
-    else:
-        peer_stats = ConnectionStats(kind="peer", count=0, average=0.0, median_value=0.0)
-
     return PeriodChurnReport(
         label=dataset.label,
-        all_stats=_all_stats(durations),
-        peer_stats=peer_stats,
+        all_stats=_stats("all", durations),
+        peer_stats=_stats("peer", peer_averages),
         inbound=_direction_stats(inbound_durations, "inbound"),
         outbound=_direction_stats(outbound_durations, "outbound"),
         close_reasons=close_reasons,

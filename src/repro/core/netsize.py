@@ -202,7 +202,7 @@ def estimate_by_multiaddress(dataset: MeasurementDataset) -> MultiaddrEstimate:
     connected_pids: Set[str] = set()
     observed_ips: Set[str] = set()
     log = dataset.connections
-    for peer, ip, remote_addr in zip(log.peer, log.remote_ip, log.remote_addr):
+    for peer, ip, remote_addr in zip(*map(log.read, ("peer", "remote_ip", "remote_addr"))):
         connected_pids.add(peer)
         if ip is None and remote_addr:
             ip = remote_addr.split("/")[2] if remote_addr.count("/") >= 2 else None

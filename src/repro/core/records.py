@@ -14,9 +14,11 @@ finalised :class:`PeerRecord` references the peerstore's interned protocol
 set.  Indexing or iterating a log yields :class:`ConnectionRecord` rows; the
 analyses read the columns.  Meta-data changes are rows of a
 :class:`ChangeLog` too, about 35 bytes each where a change object and its
-rendered record took about 270.  Nothing in the program read the dataset's
-JSON round trip (``as_dict`` / ``from_dict``), so it is gone; the records are
-plain strings, numbers and string lists, which an exporter can write as is.
+rendered record took about 270.  The hydra union copies no row: its logs are
+:class:`MergedLog` views that read the heads' columns through one byte per
+row naming the head, building a column on each read; like every dataset, the
+union is valid only after the run's one finalize.  The records are plain
+strings, numbers and string lists, which an exporter can write as is.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, replace
 from heapq import merge
-from itertools import chain, compress, count, islice
-from operator import eq, gt, sub
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, gt, itemgetter, sub
 from typing import (
     AbstractSet,
     Collection,
@@ -68,10 +70,21 @@ class ConnectionRecord:
 
 
 class _Log:
-    """Rows of typed columns named by ``_columns`` (``peer`` among them)."""
+    """Rows of typed columns named by ``_columns`` (``peer`` among them) in
+    ``_stamps`` order; a ``bytearray`` column holds codes into ``names``."""
 
     __slots__ = ()
     _columns: Tuple[str, ...] = ()
+    _stamps = ""
+
+    def sort(self) -> bool:
+        """Stable-sort the rows by time (one pass over a log recorded in time
+        order); returns whether any row moved."""
+        return self._merge_runs(getattr(self, self._stamps))
+
+    def read(self, name: str) -> Iterable:
+        """Column ``name``'s values in row order."""
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return len(self.peer)
@@ -80,7 +93,7 @@ class _Log:
         return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
+        if not isinstance(other, _Log) or other._columns != self._columns:
             return NotImplemented
         return list(self) == list(other)
 
@@ -133,6 +146,7 @@ class ConnectionLog(_Log):
 
     __slots__ = _COLUMNS + ("names", "codes")
     _columns = _COLUMNS
+    _stamps = "opened_at"
 
     def __init__(self, rows: Iterable[ConnectionRecord] = ()) -> None:
         self.peer: List[str] = []
@@ -228,24 +242,6 @@ class ConnectionLog(_Log):
             start = last = i
         return moved
 
-    @classmethod
-    def merged(cls, logs: Sequence["ConnectionLog"]) -> "ConnectionLog":
-        """The stable k-way merge of ``logs`` (each sorted by ``opened_at``)
-        on ``(opened_at, log, row)``: their concatenation, stable-sorted by
-        open time."""
-        union = cls()
-        for log in logs:
-            table = bytearray(range(256))
-            for code, name in enumerate(log.names):
-                table[code] = union.code(name)
-            for name in _COLUMNS:
-                column = getattr(log, name)
-                if isinstance(column, bytearray):
-                    column = column.translate(table)
-                getattr(union, name).extend(column)
-        union.sort()
-        return union
-
     # -- reading --------------------------------------------------------------------
 
     def __getitem__(self, row: int) -> ConnectionRecord:
@@ -264,13 +260,14 @@ class ConnectionLog(_Log):
 
     def durations(self) -> List[float]:
         """Every row's duration (:attr:`ConnectionRecord.duration`), in row order."""
-        return [d if d > 0.0 else 0.0 for d in map(sub, self.closed_at, self.opened_at)]
+        closed, opened = self.read("closed_at"), self.read("opened_at")
+        return [d if d > 0.0 else 0.0 for d in map(sub, closed, opened)]
 
     def by_peer(self, values: Iterable[float]) -> Dict[str, List[float]]:
         """``values`` (one per row) grouped by the row's peer: peers in order
         of first appearance, each peer's values in row order."""
         grouped: Dict[str, List[float]] = {}
-        for peer, value in zip(self.peer, values):
+        for peer, value in zip(self.read("peer"), values):
             peer_values = grouped.get(peer)
             if peer_values is None:
                 grouped[peer] = [value]
@@ -309,7 +306,7 @@ class ChangeLog(_Log):
     """A vantage point's meta-data changes, one row of typed columns each.
 
     ``timestamp`` is ``array("d")``, ``peer`` a list of (shared) PID strings,
-    ``kind`` a ``bytearray`` of codes into :data:`CHANGE_KINDS`, and
+    ``kind`` a ``bytearray`` of codes into ``names`` (:data:`CHANGE_KINDS`), and
     ``old_value`` / ``new_value`` hold the values the peerstore shares
     (agent strings, interned protocol frozensets, address tuples, ``None``).
     A row renders a set or tuple when it is read, once per value per log.
@@ -317,6 +314,8 @@ class ChangeLog(_Log):
 
     __slots__ = _CHANGE_COLUMNS + ("_rendered",)
     _columns = _CHANGE_COLUMNS
+    _stamps = "timestamp"
+    names = CHANGE_KINDS
 
     def __init__(self, rows: Iterable[MetaChangeRecord] = ()) -> None:
         self.timestamp = array("d")
@@ -339,22 +338,6 @@ class ChangeLog(_Log):
         self.old_value.append(old_value)
         self.new_value.append(new_value)
 
-    def sort(self) -> bool:
-        """Stable-sort the rows by time (a recorded log is in engine-time
-        order: one pass); returns whether any row moved."""
-        return self._merge_runs(self.timestamp)
-
-    @classmethod
-    def merged(cls, logs: Sequence["ChangeLog"]) -> "ChangeLog":
-        """The stable merge of ``logs`` (each sorted by time) on
-        ``(timestamp, log, row)``: their concatenation, stable-sorted by time."""
-        union = cls()
-        for name in _CHANGE_COLUMNS:
-            for log in logs:
-                getattr(union, name).extend(getattr(log, name))
-        union.sort()
-        return union
-
     def _render(self, value: object) -> object:
         if not isinstance(value, (frozenset, tuple)):
             return value
@@ -373,7 +356,70 @@ class ChangeLog(_Log):
         )
 
 
-@dataclass
+class MergedLog(_Log):
+    """Finalised logs of one kind (at most 256) read as one, copying no row.
+
+    Row ``i`` is row ``source.count(source[i], 0, i)`` of log ``source[i]``:
+    the stable merge on (time, log, row).  A column is built on each read, not
+    kept, its codes translated into ``names`` (the logs' tables in order of
+    first use).  It holds while no log changes (each is finalised once).
+    """
+
+    __slots__ = ("logs", "source")
+
+    def __init__(self, logs: Sequence[_Log]) -> None:
+        self.logs = logs
+        stamps = (zip(getattr(log, log._stamps), repeat(h)) for h, log in enumerate(logs))
+        self.source = bytearray(map(itemgetter(1), merge(*stamps)))
+
+    @property
+    def _columns(self) -> Tuple[str, ...]:
+        return self.logs[0]._columns
+
+    @property
+    def names(self) -> List[Optional[str]]:
+        return list(dict.fromkeys(chain.from_iterable(log.names for log in self.logs)))
+
+    @property
+    def codes(self) -> Dict[Optional[str], int]:
+        return {name: code for code, name in enumerate(self.names)}
+
+    def read(self, name: str) -> Iterator:
+        """Column ``name``'s values in row order, read from the logs' columns."""
+        columns = [getattr(log, name) for log in self.logs]
+        if isinstance(columns[0], bytearray):
+            codes = self.codes.__getitem__
+            tables = (bytes(map(codes, log.names)).ljust(256) for log in self.logs)
+            columns = list(map(bytearray.translate, columns, tables))
+        heads = list(map(iter, columns))
+        return map(next, map(heads.__getitem__, self.source))
+
+    def __getattr__(self, name: str):
+        if name == "logs" or name not in self.logs[0]._columns:
+            raise AttributeError(name)
+        column = getattr(self.logs[0], name)
+        values = self.read(name)
+        return array(column.typecode, values) if isinstance(column, array) else type(column)(values)
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __iter__(self) -> Iterator:
+        heads = list(map(iter, self.logs))
+        return map(next, map(heads.__getitem__, self.source))
+
+    def __getitem__(self, row: int):
+        log = self.source[row]
+        return self.logs[log][self.source.count(log, 0, row)]
+
+    durations = ConnectionLog.durations
+    by_peer = ConnectionLog.by_peer
+
+    def closes(self, reason: str) -> int:
+        return sum(log.closes(reason) for log in self.logs)
+
+
+@dataclass(slots=True)
 class PeerRecord:
     """Everything the measurement node learned about one PID.
 
@@ -404,7 +450,7 @@ class PeerRecord:
         return bool(self.protocols)
 
 
-@dataclass
+@dataclass(slots=True)
 class SnapshotRecord:
     """One periodic poll of the measurement node's state."""
 
@@ -423,8 +469,8 @@ class MeasurementDataset:
     ended_at: float
     measurement_role: str = "server"         # role of the *measurement node*
     peers: Dict[str, PeerRecord] = field(default_factory=dict)
-    connections: ConnectionLog = field(default_factory=ConnectionLog)
-    changes: ChangeLog = field(default_factory=ChangeLog)
+    connections: ConnectionLog | MergedLog = field(default_factory=ConnectionLog)
+    changes: ChangeLog | MergedLog = field(default_factory=ChangeLog)
     snapshots: List[SnapshotRecord] = field(default_factory=list)
 
     # -- basic accessors -----------------------------------------------------------
@@ -452,10 +498,10 @@ class MeasurementDataset:
         ]
 
     def changes_of_kind(self, kind: str) -> List[MetaChangeRecord]:
-        """The change rows of one kind, found in the code column."""
+        """The change rows of one kind, found in the code column in one pass."""
         code = CHANGE_KINDS.index(kind) if kind in CHANGE_KINDS else -1
         changes = self.changes
-        return [changes[row] for row, row_kind in enumerate(changes.kind) if row_kind == code]
+        return list(compress(changes, map(eq, changes.kind, repeat(code))))
 
     def merge_peer(self, record: PeerRecord) -> None:
         """Merge a peer record (union of knowledge) into the dataset.
@@ -486,11 +532,12 @@ class MeasurementDataset:
     def union(cls, datasets: Sequence["MeasurementDataset"], label: str) -> "MeasurementDataset":
         """Union several datasets (e.g. all hydra heads) into one view.
 
-        Fig. 2 reports "the union of all heads" for the hydra: connection and
-        change logs are merged by time (ties in dataset order), snapshot
-        lists concatenated and sorted by time, peer records merged into
-        copies, so no dataset's own record changes.  The snapshots are the
-        heads' own polls, one per head per poll, not polls of the union.
+        Fig. 2 reports "the union of all heads" for the hydra.  Its logs are
+        :class:`MergedLog` views of the datasets' logs merged by time (ties in
+        dataset order) that build a column on each read; like every dataset,
+        the union is valid only after the run's one finalize.  Snapshots (the
+        heads' own polls) are concatenated and sorted by time, peer records
+        merged into copies, so no dataset's own record changes.
         """
         if not datasets:
             raise ValueError("union of zero datasets")
@@ -499,8 +546,8 @@ class MeasurementDataset:
             started_at=min(d.started_at for d in datasets),
             ended_at=max(d.ended_at for d in datasets),
             measurement_role=datasets[0].measurement_role,
-            connections=ConnectionLog.merged([d.connections for d in datasets]),
-            changes=ChangeLog.merged([d.changes for d in datasets]),
+            connections=MergedLog([d.connections for d in datasets]),
+            changes=MergedLog([d.changes for d in datasets]),
         )
         for dataset in datasets:
             for record in dataset.peers.values():

@@ -11,6 +11,7 @@ from repro.core.records import (
     ConnectionRecord,
     MeasurementDataset,
     PeerRecord,
+    SnapshotRecord,
 )
 from repro.libp2p.protocols import IPFS_ID, KAD_DHT
 
@@ -45,6 +46,22 @@ class TestConnectionRecord:
             "close_reason",
             "connection_id",
         ]
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            PeerRecord("p", 1.0, 2.0, "go-ipfs/0.11.0", frozenset({IPFS_ID}), ["/a"], "1.2.3.4"),
+            SnapshotRecord(60.0, 5, 9, 4),
+        ],
+        ids=["PeerRecord", "SnapshotRecord"],
+    )
+    def test_peer_and_snapshot_records_are_slotted_too(self, record):
+        # thousands of each per run (one snapshot per poll per vantage point)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.scratch = 1
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert dataclasses.replace(record) == record
 
 
 
